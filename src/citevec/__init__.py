@@ -6,24 +6,20 @@ from its surrounding words plus the other documents cited nearby, so the
 embeddings capture both content and co-citation structure.  Two variants
 share one training loop: "avg" combines context pieces uniformly, "att"
 learns per-slot attention weights.
+
+The top level carries the pipeline entry points and the types they return;
+every other name lives in its submodule.
 """
 
 from .corpus import (
     CitationRelation,
     Corpus,
-    CorpusStats,
-    HeldOutCitation,
-    HyperDocument,
     SplitResult,
     SyntheticSpec,
     Token,
-    Vocabulary,
-    augment_contexts,
-    build_vocabulary,
     extract_relations,
     generate_synthetic_corpus,
     parse_corpus,
-    resolve_ground_truth,
     split_train_test,
     tokenize_text,
 )
@@ -38,41 +34,19 @@ from .evaluation import (
     AblationRow,
     MetricReport,
     ablation_report,
-    average_precision,
     evaluate,
     format_ablation,
-    ndcg_at_k,
-    recall_at_k,
 )
 from .model import (
     EmbeddingConfig,
     Model,
-    ModelMatrices,
     export_word2vec_text,
-    infer_doc_vector,
     init_model,
     load_model,
     save_model,
 )
-from .recommend import (
-    Query,
-    RecommendationList,
-    build_query_vector,
-    rank_i4i,
-    rank_i4o,
-    recommend,
-    resolve_text,
-)
-from .train import (
-    NegativeSampler,
-    TrainProgress,
-    backprop_att,
-    backprop_avg,
-    hidden_att,
-    hidden_avg,
-    retrofit_pvdm,
-    train,
-)
+from .recommend import RecommendationList, rank_i4i, recommend
+from .train import TrainProgress, train
 
 __version__ = "0.1.0"
 
@@ -80,54 +54,32 @@ __all__ = [
     "__version__",
     # corpus
     "Token",
-    "HyperDocument",
-    "Vocabulary",
     "CitationRelation",
-    "HeldOutCitation",
     "Corpus",
-    "CorpusStats",
     "SplitResult",
     "SyntheticSpec",
     "tokenize_text",
-    "build_vocabulary",
     "parse_corpus",
     "extract_relations",
-    "augment_contexts",
-    "resolve_ground_truth",
     "split_train_test",
     "generate_synthetic_corpus",
     # model
     "EmbeddingConfig",
     "Model",
-    "ModelMatrices",
     "init_model",
     "save_model",
     "load_model",
     "export_word2vec_text",
-    "infer_doc_vector",
     # train
-    "NegativeSampler",
     "TrainProgress",
-    "hidden_avg",
-    "hidden_att",
-    "backprop_avg",
-    "backprop_att",
-    "retrofit_pvdm",
     "train",
     # recommend
-    "Query",
     "RecommendationList",
-    "build_query_vector",
-    "rank_i4o",
     "rank_i4i",
-    "resolve_text",
     "recommend",
     # evaluation
     "MetricReport",
     "AblationRow",
-    "recall_at_k",
-    "average_precision",
-    "ndcg_at_k",
     "evaluate",
     "ablation_report",
     "format_ablation",

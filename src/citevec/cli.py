@@ -3,9 +3,9 @@
 Every mutating command (train, synth, export) writes a JSON run manifest
 next to its output file before doing the work, so interrupted runs leave a
 record of what was attempted.  Data goes to stdout, diagnostics to stderr;
-with workers=1 and fixed flags the data outputs are byte-identical across
-runs.  The manifest is a run log, not a data output: it carries wall-clock
-timestamps and is the one file allowed to differ between identical runs.
+with fixed flags the data outputs are byte-identical across runs.  The
+manifest is a run log, not a data output: it carries wall-clock timestamps
+and is the one file allowed to differ between identical runs.
 """
 
 from __future__ import annotations
@@ -102,7 +102,6 @@ def _config_from_args(args) -> EmbeddingConfig:
         variant=args.variant,
         structural_context=args.structural_context,
         seed=args.seed,
-        workers=args.workers,
     )
 
 
@@ -123,7 +122,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
         help="include co-cited documents in training contexts",
     )
     parser.add_argument("--seed", type=int, default=defaults.seed)
-    parser.add_argument("--workers", type=int, default=defaults.workers)
 
 
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:

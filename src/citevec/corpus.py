@@ -29,18 +29,6 @@ class Token:
     kind: str  # WORD or CITE
     value: str  # lowercased word surface form, or the cited doc id
 
-    @staticmethod
-    def word(text: str) -> "Token":
-        if not text or any(c.isspace() for c in text):
-            raise ValueError(f"invalid word token: {text!r}")
-        return Token(WORD, text.lower())
-
-    @staticmethod
-    def cite(target: str) -> "Token":
-        if not target or any(c.isspace() for c in target):
-            raise ValueError(f"invalid citation target: {target!r}")
-        return Token(CITE, target)
-
     @property
     def is_cite(self) -> bool:
         return self.kind == CITE
@@ -318,31 +306,6 @@ def extract_relations(
                 )
             )
     return relations
-
-
-def augment_contexts(
-    docs: list[HyperDocument], relations: list[CitationRelation], vocab: Vocabulary
-) -> list[HyperDocument]:
-    """Copy each relation's context words onto the end of the cited document.
-
-    Pure transform: the input documents are left untouched.  Contexts are
-    appended in relation order.
-    """
-    extra: dict[str, list[Token]] = {}
-    for relation in relations:
-        target_id = vocab.doc_list[relation.target]
-        words = extra.setdefault(target_id, [])
-        words.extend(Token(WORD, vocab.word_list[w]) for w in relation.context)
-    augmented = []
-    for doc in docs:
-        tail = extra.get(doc.id)
-        if tail:
-            augmented.append(
-                HyperDocument(id=doc.id, tokens=doc.tokens + tail, placeholder=doc.placeholder)
-            )
-        else:
-            augmented.append(HyperDocument(id=doc.id, tokens=list(doc.tokens), placeholder=doc.placeholder))
-    return augmented
 
 
 def resolve_ground_truth(

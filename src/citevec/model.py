@@ -22,7 +22,7 @@ from .errors import ConfigError, ModelIOError
 VARIANTS = ("avg", "att")
 
 _MAGIC = b"DCV2"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 # independent RNG streams, keyed off config.seed
 _RNG_INIT = 10
@@ -50,7 +50,6 @@ class EmbeddingConfig:
     variant: str = "avg"
     structural_context: bool = True
     seed: int = 1
-    workers: int = 1
 
     def __post_init__(self):
         if self.dim < 1:
@@ -74,8 +73,6 @@ class EmbeddingConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
 
     def with_updates(self, **changes) -> "EmbeddingConfig":
         return replace(self, **changes)
@@ -181,7 +178,7 @@ def save_model(model: Model, sink) -> None:
     )
     body += struct.pack("<2d", cfg.learning_rate, cfg.min_lr)
     body += struct.pack("<2B", VARIANTS.index(cfg.variant), int(cfg.structural_context))
-    body += struct.pack("<q2I", cfg.seed, cfg.workers, model.trained_epochs)
+    body += struct.pack("<qI", cfg.seed, model.trained_epochs)
 
     vocab = model.vocab
     body += struct.pack("<2I", vocab.n_words, vocab.n_docs)
@@ -268,7 +265,7 @@ def load_model(source) -> Model:
     dim, window, negative, iterations, retrofit_epochs = cur.unpack("<5I")
     learning_rate, min_lr = cur.unpack("<2d")
     variant_code, structural = cur.unpack("<2B")
-    seed, workers, trained_epochs = cur.unpack("<q2I")
+    seed, trained_epochs = cur.unpack("<qI")
     if variant_code >= len(VARIANTS):
         raise ModelIOError(f"unknown variant code {variant_code}")
     try:
@@ -283,7 +280,6 @@ def load_model(source) -> Model:
             variant=VARIANTS[variant_code],
             structural_context=bool(structural),
             seed=seed,
-            workers=workers,
         )
     except ConfigError as exc:
         raise ModelIOError(f"invalid configuration in model file: {exc}") from None

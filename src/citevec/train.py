@@ -7,6 +7,8 @@ document, its co-cited documents, and the local context words, and the
 cited document's output vector is pushed up against sampled noise
 documents.  The "avg" variant pools with a uniform mean, the "att" variant
 with softmax-normalized learned scores, one per document and word slot.
+Both steps apply the same negative-sampling update, ``_ns_step``, to their
+own output matrix: word_out in step one, doc_out in step two.
 
 All gradients are the exact derivatives of the sampled loss, including the
 1/m factor the mean contributes, so they can be checked against finite
@@ -15,7 +17,6 @@ differences.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -75,68 +76,9 @@ class NegativeSampler:
         return draws[draws != exclude]
 
 
-def _stack_participants(source_vec, structural_vecs, context_vecs) -> np.ndarray:
-    """Participant rows in the canonical order: source, structural, words."""
-    blocks = []
-    if source_vec is not None:
-        blocks.append(np.asarray(source_vec, dtype=np.float64)[None, :])
-    for group in (structural_vecs, context_vecs):
-        if group is None:
-            continue
-        arr = np.asarray(group, dtype=np.float64)
-        if arr.size == 0:
-            continue
-        if arr.ndim == 1:
-            arr = arr[None, :]
-        blocks.append(arr)
-    if not blocks:
-        raise ConfigError("hidden layer needs at least one participant")
-    return np.concatenate(blocks, axis=0)
-
-
-def hidden_avg(source_vec, structural_vecs=None, context_vecs=None) -> np.ndarray:
-    """Uniform mean of the participant vectors."""
-    parts = _stack_participants(source_vec, structural_vecs, context_vecs)
-    weights = np.full(parts.shape[0], 1.0 / parts.shape[0])
-    return weights @ parts
-
-
-def attention_ratios(attention_scores, slots) -> np.ndarray:
-    """Softmax over the participants' attention scores, max-subtracted."""
-    slots = np.asarray(slots, dtype=np.intp)
-    if slots.size == 0:
-        raise ConfigError("attention needs at least one participant slot")
-    return _softmax(np.asarray(attention_scores, dtype=np.float64)[slots])
-
-
 def _softmax(scores: np.ndarray) -> np.ndarray:
     shifted = np.exp(scores - scores.max())
     return shifted / shifted.sum()
-
-
-def hidden_att(attention_scores, slots, source_vec, structural_vecs=None, context_vecs=None) -> np.ndarray:
-    """Attention-weighted sum of the participant vectors.
-
-    ``slots`` indexes the score vector in the same order the participants
-    are stacked: source doc, structural docs, context words.
-    """
-    parts = _stack_participants(source_vec, structural_vecs, context_vecs)
-    ratios = attention_ratios(attention_scores, slots)
-    if ratios.shape[0] != parts.shape[0]:
-        raise ConfigError(
-            f"{parts.shape[0]} participants but {ratios.shape[0]} attention slots"
-        )
-    return ratios @ parts
-
-
-def participant_slots(source: int, structural, context, n_docs: int) -> np.ndarray:
-    """Attention-slot ids for one relation, in canonical participant order.
-
-    Documents occupy slots [0, n_docs); word w sits at n_docs + w.
-    """
-    doc_part = np.asarray([source] + sorted(structural), dtype=np.intp)
-    word_part = n_docs + np.asarray(tuple(context), dtype=np.intp)
-    return np.concatenate((doc_part, word_part))
 
 
 def ns_loss_and_grads(hidden, target_out, negatives_out):
@@ -165,10 +107,12 @@ def ns_loss_and_grads(hidden, target_out, negatives_out):
 
 
 class _UpdateTables(NamedTuple):
-    """Index arrays of one relation's update, built once per ``train()``.
+    """Index arrays of one update, built once per training pass.
 
-    ``slots`` is set for the "att" variant and ``weights`` (the uniform
-    mean) for "avg".  ``distinct`` says that no participant row repeats.
+    The participants are ``doc_rows`` of doc_in followed by ``ctx`` of
+    word_in.  ``slots`` is set for the "att" variant and ``weights`` (the
+    uniform mean) otherwise.  ``distinct`` says that no participant row
+    repeats.
     """
 
     target: int
@@ -196,28 +140,29 @@ def _update_tables(
     return _UpdateTables(relation.target, doc_rows, ctx, slots, weights, distinct)
 
 
-def _citation_step(
+def _ns_step(
     tables: _UpdateTables,
     matrices: ModelMatrices,
+    out: np.ndarray,
     sampler: NegativeSampler,
     lr: float,
     negative: int,
 ) -> float:
-    """One in-place gradient-descent update for one citation relation.
+    """One in-place negative-sampling update; both training passes use it.
 
-    Returns the sampled loss before the update.  If every negative draw
-    collides with the target the update is skipped and the loss is 0.
+    ``out`` is the output matrix the target and the negatives index:
+    word_out for the content pass, doc_out for the citation pass.  Returns
+    the sampled loss before the update.  If every negative draw collides
+    with the target the update is skipped and the loss is 0.
 
     The loss and gradients are those of ``ns_loss_and_grads``, computed
     inline.  The rows gathered for the forward pass are updated and written
     back with plain indexed assignment when they are distinct; ``ufunc.at``
     is used only when a negative or a participant row repeats.  Both give
-    the same float64 sums in the same order.  ``tables`` is only read, so
-    concurrent workers may share it; a write another worker makes to the
-    same rows during the step is lost.
+    the same float64 sums in the same order.
     """
     target, doc_rows, ctx, slots, weights, distinct = tables
-    doc_in, doc_out, word_in = matrices.doc_in, matrices.doc_out, matrices.word_in
+    doc_in, word_in = matrices.doc_in, matrices.word_in
 
     parts = np.concatenate((doc_in.take(doc_rows, axis=0), word_in.take(ctx, axis=0)))
     if slots is not None:
@@ -232,7 +177,7 @@ def _citation_step(
     out_rows = np.empty(1 + n, dtype=np.intp)
     out_rows[0] = target
     out_rows[1:] = negatives
-    out_vecs = doc_out.take(out_rows, axis=0)
+    out_vecs = out.take(out_rows, axis=0)
     target_out, negatives_out = out_vecs[0], out_vecs[1:]
     pos_dot = hidden.dot(target_out)
     neg_dots = negatives_out.dot(hidden)
@@ -246,9 +191,9 @@ def _citation_step(
     out_steps *= -lr
     if len(set(negatives.tolist())) == n:
         out_vecs += out_steps
-        doc_out[out_rows] = out_vecs
+        out[out_rows] = out_vecs
     else:
-        np.add.at(doc_out, out_rows, out_steps)  # a negative was drawn twice
+        np.add.at(out, out_rows, out_steps)  # a negative was drawn twice
 
     # each participant receives its share of the hidden-layer gradient; with
     # uniform weights every share is the same row
@@ -274,34 +219,6 @@ def _citation_step(
     return float(loss)
 
 
-def backprop_avg(
-    relation: CitationRelation,
-    matrices: ModelMatrices,
-    sampler: NegativeSampler,
-    lr: float,
-    *,
-    negative: int,
-    structural_context: bool = True,
-) -> float:
-    """Mean-pooled update; returns the sampled loss before the step."""
-    tables = _update_tables(relation, matrices.n_docs, "avg", structural_context)
-    return _citation_step(tables, matrices, sampler, lr, negative)
-
-
-def backprop_att(
-    relation: CitationRelation,
-    matrices: ModelMatrices,
-    sampler: NegativeSampler,
-    lr: float,
-    *,
-    negative: int,
-    structural_context: bool = True,
-) -> float:
-    """Attention-pooled update; also trains the attention scores."""
-    tables = _update_tables(relation, matrices.n_docs, "att", structural_context)
-    return _citation_step(tables, matrices, sampler, lr, negative)
-
-
 def _lr_at(update: int, total: int, learning_rate: float, min_lr: float) -> float:
     """Linear decay from learning_rate towards min_lr across all updates."""
     if total <= 0:
@@ -310,20 +227,28 @@ def _lr_at(update: int, total: int, learning_rate: float, min_lr: float) -> floa
     return max(min_lr, learning_rate + (min_lr - learning_rate) * fraction)
 
 
-def _content_positions(docs, vocab, window):
-    """(doc index, target word, context word indices) per word occurrence."""
+def _content_positions(docs, vocab, window) -> list[_UpdateTables]:
+    """One mean-pooled update per word occurrence: the document and the
+    window words predict the word."""
     positions = []
+    uniform: dict[int, np.ndarray] = {}  # one shared weight vector per size
     for doc in docs:
-        doc_idx = vocab.doc_ids[doc.id]
+        doc_rows = np.asarray([vocab.doc_ids[doc.id]], dtype=np.intp)
         for i, token in enumerate(doc.tokens):
             if token.is_cite:
                 continue
-            ctx_words = _window_context(doc.tokens, i, window)
+            ctx_ids = [vocab.word_ids[w] for w in _window_context(doc.tokens, i, window)]
+            m = 1 + len(ctx_ids)
+            if m not in uniform:
+                uniform[m] = np.full(m, 1.0 / m)
             positions.append(
-                (
-                    doc_idx,
+                _UpdateTables(
                     vocab.word_ids[token.value],
-                    np.asarray([vocab.word_ids[w] for w in ctx_words], dtype=np.intp),
+                    doc_rows,
+                    np.asarray(ctx_ids, dtype=np.intp),
+                    None,
+                    uniform[m],
+                    len(set(ctx_ids)) == len(ctx_ids),
                 )
             )
     return positions
@@ -354,31 +279,12 @@ def retrofit_pvdm(
     update = 0
     for _ in range(config.retrofit_epochs):
         epoch_loss = 0.0
-        for doc_idx, target_word, ctx in positions:
+        for tables in positions:
             lr = _lr_at(update, total, config.learning_rate, config.min_lr)
             update += 1
-            m = 1 + ctx.size
-            weights = np.full(m, 1.0 / m)
-            parts = np.concatenate(
-                (matrices.doc_in[doc_idx][None, :], matrices.word_in[ctx]), axis=0
+            epoch_loss += _ns_step(
+                tables, matrices, matrices.word_out, sampler, lr, config.negative
             )
-            hidden = weights @ parts
-            negatives = sampler.sample(config.negative, exclude=target_word)
-            if negatives.size == 0:
-                continue
-            loss, grad_hidden, grad_target, grad_negatives = ns_loss_and_grads(
-                hidden, matrices.word_out[target_word], matrices.word_out[negatives]
-            )
-            out_rows = np.concatenate(
-                (np.asarray([target_word], dtype=np.intp), negatives)
-            )
-            out_steps = np.concatenate((grad_target[None, :], grad_negatives), axis=0)
-            out_steps *= -lr
-            np.add.at(matrices.word_out, out_rows, out_steps)
-            in_steps = (lr * weights)[:, None] * grad_hidden[None, :]
-            matrices.doc_in[doc_idx] -= in_steps[0]
-            np.subtract.at(matrices.word_in, ctx, in_steps[1:])
-            epoch_loss += loss
         if loss_log is not None:
             loss_log.append(epoch_loss / len(positions))
     return matrices
@@ -400,20 +306,6 @@ class TrainProgress:
         )
 
 
-def _run_span(tables, order, start, stop, matrices, sampler, config, epoch_base, total):
-    """Apply the updates for order[start:stop]; returns the summed loss.
-
-    The learning rate of each update depends only on its position in the
-    epoch's permutation, so multi-worker runs use the same rate schedule as
-    a single worker.
-    """
-    loss_sum = 0.0
-    for pos, index in enumerate(order[start:stop].tolist(), start):
-        lr = _lr_at(epoch_base + pos, total, config.learning_rate, config.min_lr)
-        loss_sum += _citation_step(tables[index], matrices, sampler, lr, config.negative)
-    return loss_sum
-
-
 def train(
     model: Model,
     relations: list[CitationRelation],
@@ -425,11 +317,7 @@ def train(
     Step two makes ``iterations`` shuffled passes over the relations with a
     linearly decaying learning rate.  Each relation's index tables are built
     once per call and reused by every epoch; ``ufunc.at`` scatters run only
-    for updates whose rows repeat.  workers=1 is bit-reproducible per seed.
-    With more workers the epoch is split across threads that share the
-    tables read-only and update the shared matrices without locks; lost
-    updates are accepted and reproducibility is not guaranteed, matrices
-    just have to stay finite.
+    for updates whose rows repeat.  The result is bit-reproducible per seed.
     """
     if not relations:
         raise ConfigError("cannot train on an empty relation list")
@@ -441,10 +329,8 @@ def train(
         _update_tables(r, matrices.n_docs, config.variant, config.structural_context)
         for r in relations
     ]
-    samplers = [
-        NegativeSampler(model.vocab.doc_cited_counts, seed=[config.seed, _RNG_CITATION, w])
-        for w in range(config.workers)
-    ]
+    # the trailing 0 keeps the noise stream that earlier releases drew from
+    sampler = NegativeSampler(model.vocab.doc_cited_counts, seed=[config.seed, _RNG_CITATION, 0])
     shuffle_rng = np.random.default_rng([config.seed, _RNG_SHUFFLE])
     n = len(relations)
     total = config.iterations * n
@@ -453,42 +339,12 @@ def train(
 
     for epoch in range(1, config.iterations + 1):
         order = shuffle_rng.permutation(n)
-        epoch_base = (epoch - 1) * n
-        if config.workers == 1:
-            loss_sum = _run_span(
-                tables, order, 0, n, matrices, samplers[0], config, epoch_base, total
+        loss_sum = 0.0
+        for pos, index in enumerate(order.tolist(), (epoch - 1) * n):
+            lr = _lr_at(pos, total, config.learning_rate, config.min_lr)
+            loss_sum += _ns_step(
+                tables[index], matrices, matrices.doc_out, sampler, lr, config.negative
             )
-        else:
-            bounds = [round(w * n / config.workers) for w in range(config.workers + 1)]
-            results = [0.0] * config.workers
-            failures: list[BaseException] = []
-
-            def body(w):
-                try:
-                    results[w] = _run_span(
-                        tables,
-                        order,
-                        bounds[w],
-                        bounds[w + 1],
-                        matrices,
-                        samplers[w],
-                        config,
-                        epoch_base,
-                        total,
-                    )
-                except BaseException as exc:  # surface worker errors
-                    failures.append(exc)
-
-            threads = [
-                threading.Thread(target=body, args=(w,)) for w in range(config.workers)
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
-            if failures:
-                raise failures[0]
-            loss_sum = sum(results)
 
         if not matrices.all_finite():
             raise CitevecError(f"non-finite model parameters after epoch {epoch}")

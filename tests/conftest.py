@@ -46,7 +46,6 @@ FIXTURE_CONFIG = EmbeddingConfig(
     variant="avg",
     structural_context=True,
     seed=13,
-    workers=1,
 )
 
 SPLIT_FRACTION = 0.25

@@ -20,17 +20,11 @@ from citevec.corpus import CitationRelation, extract_relations, generate_synthet
 from citevec.evaluation import average_precision, evaluate, ndcg_at_k, recall_at_k
 from citevec.model import init_model, load_model, save_model
 from citevec.recommend import rank_i4o, rank_i4i
-from citevec.train import (
-    NegativeSampler,
-    backprop_att,
-    backprop_avg,
-    hidden_att,
-    hidden_avg,
-    train,
-)
+from citevec.train import NegativeSampler, train
 from citevec.model import infer_doc_vector
 
 from conftest import FIXTURE_CONFIG, FIXTURE_SPEC, SPLIT_FRACTION, SPLIT_SEED, train_on
+from reference import backprop, hidden_att, hidden_avg
 from test_evaluation import oracle_average_precision, oracle_ndcg, oracle_recall
 from test_recommend import make_model, make_vocab, oracle_rank
 from test_train import random_matrices, relative_error
@@ -90,8 +84,7 @@ class TestGradientCorrectness:
             negatives = NegativeSampler(counts, seed=seed).sample(m, exclude=relation.target)
 
             before = matrices.copy()
-            step = backprop_att if variant == "att" else backprop_avg
-            loss = step(relation, matrices, NegativeSampler(counts, seed=seed), 1.0, negative=m)
+            loss = backprop(variant, relation, matrices, NegativeSampler(counts, seed=seed), 1.0, negative=m)
 
             base = (before.doc_in, before.word_in, before.doc_out, before.attention)
             assert abs(loss - forward_loss(*base, relation, negatives, variant)) < 1e-9
@@ -148,8 +141,8 @@ class TestVariantEquivalence:
 
             a, b = base.copy(), base.copy()
             seed = 100 + trial
-            loss_avg = backprop_avg(relation, a, NegativeSampler(counts, seed=seed), 0.025, negative=3)
-            loss_att = backprop_att(relation, b, NegativeSampler(counts, seed=seed), 0.025, negative=3)
+            loss_avg = backprop("avg", relation, a, NegativeSampler(counts, seed=seed), 0.025, negative=3)
+            loss_att = backprop("att", relation, b, NegativeSampler(counts, seed=seed), 0.025, negative=3)
             assert loss_avg == loss_att
             for name in ("doc_in", "word_in", "doc_out"):
                 diff = float(np.abs(getattr(a, name) - getattr(b, name)).max())

@@ -12,7 +12,6 @@ from citevec.corpus import (
     HyperDocument,
     SyntheticSpec,
     Token,
-    augment_contexts,
     extract_relations,
     generate_synthetic_corpus,
     parse_corpus,
@@ -190,47 +189,6 @@ class TestExtractRelations:
         corpus = parse_corpus(b"a\tx [[b]]\n")
         with pytest.raises(ConfigError):
             extract_relations(corpus.docs, corpus.vocab, window=0)
-
-
-class TestAugmentContexts:
-    def test_context_words_are_appended_to_target(self):
-        corpus = parse_corpus(b"a\tx y [[b]]\nb\tbase\n")
-        relations = extract_relations(corpus.docs, corpus.vocab, window=50)
-        augmented = augment_contexts(corpus.docs, relations, corpus.vocab)
-        doc_b = next(d for d in augmented if d.id == "b")
-        assert [t.value for t in doc_b.tokens] == ["base", "x", "y"]
-
-    def test_pure_transform_leaves_input_untouched(self):
-        corpus = parse_corpus(b"a\tx [[b]]\nb\tbase\n")
-        relations = extract_relations(corpus.docs, corpus.vocab, window=50)
-        before = [(d.id, list(d.tokens)) for d in corpus.docs]
-        augment_contexts(corpus.docs, relations, corpus.vocab)
-        assert [(d.id, list(d.tokens)) for d in corpus.docs] == before
-
-    def test_no_relations_is_identity(self):
-        corpus = parse_corpus(b"a\tx y\nb\tz\n")
-        augmented = augment_contexts(corpus.docs, [], corpus.vocab)
-        assert [(d.id, d.tokens) for d in augmented] == [(d.id, d.tokens) for d in corpus.docs]
-
-    def test_two_relations_append_in_relation_order(self):
-        corpus = parse_corpus(b"a\tx [[b]]\nc\ty [[b]]\nb\tbase\n")
-        relations = extract_relations(corpus.docs, corpus.vocab, window=50)
-        augmented = augment_contexts(corpus.docs, relations, corpus.vocab)
-        doc_b = next(d for d in augmented if d.id == "b")
-        assert [t.value for t in doc_b.tokens] == ["base", "x", "y"]
-
-    def test_original_windows_unchanged_after_augmentation(self):
-        # Citations far from the document end keep their contexts, since
-        # augmented words are appended after all original tokens.
-        text = b"a\tp q [[b]] r s t u v w\nb\tone two [[a]] three four five six\n"
-        corpus = parse_corpus(text)
-        window = 2
-        relations = extract_relations(corpus.docs, corpus.vocab, window)
-        augmented = augment_contexts(corpus.docs, relations, corpus.vocab)
-        re_extracted = extract_relations(augmented, corpus.vocab, window)
-        assert relation_strings(re_extracted, corpus.vocab) == relation_strings(
-            relations, corpus.vocab
-        )
 
 
 class TestSplitTrainTest:

@@ -50,7 +50,6 @@ class TestConfig:
             dict(min_lr=-1e-9),
             dict(variant="mean"),
             dict(seed=-1),
-            dict(workers=0),
         ):
             with pytest.raises(ConfigError):
                 EmbeddingConfig(**bad)
@@ -128,18 +127,20 @@ class TestSaveLoad:
             load_model(payload)
 
     def test_version_mismatch_is_an_error(self):
-        model = tiny_model()
-        buf = io.BytesIO()
-        save_model(model, buf)
-        payload = bytearray(buf.getvalue())
-        payload[4] = 99
-        # refresh the checksum so the version check itself is exercised
         import struct
         import zlib
 
-        payload[-4:] = struct.pack("<I", zlib.crc32(bytes(payload[:-4])))
-        with pytest.raises(ModelIOError, match="version"):
-            load_model(bytes(payload))
+        model = tiny_model()
+        buf = io.BytesIO()
+        save_model(model, buf)
+        # version 1 files also stored a thread count; they are refused, not read
+        for version in (1, 99):
+            payload = bytearray(buf.getvalue())
+            payload[4] = version
+            # refresh the checksum so the version check itself is exercised
+            payload[-4:] = struct.pack("<I", zlib.crc32(bytes(payload[:-4])))
+            with pytest.raises(ModelIOError, match="version"):
+                load_model(bytes(payload))
 
     def test_corruption_fails_the_checksum(self):
         model = tiny_model()

@@ -12,6 +12,7 @@ import pytest
 
 from citevec.corpus import (
     CitationRelation,
+    _window_context,
     extract_relations,
     generate_synthetic_corpus,
     parse_corpus,
@@ -20,18 +21,15 @@ from citevec.corpus import (
 from citevec.errors import CitevecError, ConfigError
 from citevec.model import EmbeddingConfig, ModelMatrices, init_matrices, init_model, save_model
 from citevec.train import (
+    _RNG_RETROFIT,
     NegativeSampler,
     TrainProgress,
-    attention_ratios,
-    backprop_att,
-    backprop_avg,
-    hidden_att,
-    hidden_avg,
+    _lr_at,
     ns_loss_and_grads,
-    participant_slots,
     retrofit_pvdm,
     train,
 )
+from reference import attention_ratios, backprop, hidden_att, hidden_avg, participant_slots
 
 
 def central_difference(f, x, h=1e-5):
@@ -252,8 +250,8 @@ class TestBackpropAvg:
         rng = np.random.default_rng(42)
         matrices = random_matrices(rng)
         before = matrices.copy()
-        loss = backprop_avg(
-            self.relation, matrices, NegativeSampler(self.counts, seed=1), 0.0, negative=3
+        loss = backprop(
+            "avg", self.relation, matrices, NegativeSampler(self.counts, seed=1), 0.0, negative=3
         )
         assert loss > 0
         for a, b in zip(matrices.arrays(), before.arrays()):
@@ -276,8 +274,8 @@ class TestBackpropAvg:
                 )[0]
 
             before = loss_now()
-            backprop_avg(
-                self.relation, matrices, NegativeSampler(self.counts, seed=[seed]), 1e-3, negative=3
+            backprop(
+                "avg", self.relation, matrices, NegativeSampler(self.counts, seed=[seed]), 1e-3, negative=3
             )
             assert loss_now() <= before
 
@@ -293,8 +291,8 @@ class TestBackpropAvg:
         _, grad_hidden, _, _ = ns_loss_and_grads(
             hidden, before.doc_out[3], before.doc_out[negatives]
         )
-        backprop_avg(
-            self.relation, matrices, NegativeSampler(self.counts, seed=[9]), lr, negative=3
+        backprop(
+            "avg", self.relation, matrices, NegativeSampler(self.counts, seed=[9]), lr, negative=3
         )
         m = 6  # 1 source + 2 structural + 3 context words
         step = lr * grad_hidden / m
@@ -310,7 +308,8 @@ class TestBackpropAvg:
         base = random_matrices(rng)
         with_flag = base.copy()
         stripped = base.copy()
-        backprop_avg(
+        backprop(
+            "avg",
             self.relation,
             with_flag,
             NegativeSampler(self.counts, seed=2),
@@ -321,8 +320,8 @@ class TestBackpropAvg:
         bare = CitationRelation(
             source=0, target=3, structural=frozenset(), context=(0, 1, 1)
         )
-        backprop_avg(
-            bare, stripped, NegativeSampler(self.counts, seed=2), 0.05, negative=3
+        backprop(
+            "avg", bare, stripped, NegativeSampler(self.counts, seed=2), 0.05, negative=3
         )
         for a, b in zip(with_flag.arrays(), stripped.arrays()):
             assert np.array_equal(a, b)
@@ -339,8 +338,8 @@ class TestBackpropAtt:
         for seed in range(5):
             matrices = random_matrices(rng)
             before = matrices.attention.copy()
-            backprop_att(
-                self.relation, matrices, NegativeSampler(self.counts, seed=seed), 0.1, negative=3
+            backprop(
+                "att", self.relation, matrices, NegativeSampler(self.counts, seed=seed), 0.1, negative=3
             )
             delta = matrices.attention - before
             assert delta.any()
@@ -388,11 +387,11 @@ class TestBackpropAtt:
             shared.attention[:] = 0.0
             avg_side = shared.copy()
             att_side = shared.copy()
-            backprop_avg(
-                self.relation, avg_side, NegativeSampler(self.counts, seed=seed), 0.05, negative=3
+            backprop(
+                "avg", self.relation, avg_side, NegativeSampler(self.counts, seed=seed), 0.05, negative=3
             )
-            backprop_att(
-                self.relation, att_side, NegativeSampler(self.counts, seed=seed), 0.05, negative=3
+            backprop(
+                "att", self.relation, att_side, NegativeSampler(self.counts, seed=seed), 0.05, negative=3
             )
             assert np.array_equal(avg_side.doc_in, att_side.doc_in)
             assert np.array_equal(avg_side.word_in, att_side.word_in)
@@ -440,18 +439,92 @@ class TestRepeatedRows:
         negatives = replay_negatives(self.counts, [3], 3, self.relation.target)
         assert negatives.tolist() == [4, 4, 4]
         rng = np.random.default_rng(29)
-        for variant, step in (("avg", backprop_avg), ("att", backprop_att)):
+        for variant in ("avg", "att"):
             matrices = random_matrices(rng)
             expected = matrices.copy()
             add_at_reference(self.relation, expected, negatives, 0.1, variant)
-            step(
-                self.relation, matrices, NegativeSampler(self.counts, seed=[3]), 0.1, negative=3
+            backprop(
+                variant,
+                self.relation,
+                matrices,
+                NegativeSampler(self.counts, seed=[3]),
+                0.1,
+                negative=3,
             )
             for got, want in zip(matrices.arrays(), expected.arrays()):
                 assert np.array_equal(got, want), variant
 
 
+def pvdm_add_at_reference(docs, vocab, config):
+    """The content pass as its own loop, every scatter by np.add.at/np.subtract.at.
+
+    Returns the matrices, the per-epoch loss log, and how many updates drew
+    a repeated negative, drew distinct negatives, or had a repeated window
+    word.
+    """
+    matrices = init_matrices(vocab, config)
+    positions = [
+        (
+            vocab.doc_ids[doc.id],
+            vocab.word_ids[token.value],
+            np.asarray(
+                [vocab.word_ids[w] for w in _window_context(doc.tokens, i, config.window)],
+                dtype=np.intp,
+            ),
+        )
+        for doc in docs
+        for i, token in enumerate(doc.tokens)
+        if not token.is_cite
+    ]
+    sampler = NegativeSampler(vocab.word_counts, seed=[config.seed, _RNG_RETROFIT])
+    total = config.retrofit_epochs * len(positions)
+    losses = []
+    seen = {"repeated negatives": 0, "distinct negatives": 0, "repeated words": 0}
+    update = 0
+    for _ in range(config.retrofit_epochs):
+        epoch_loss = 0.0
+        for doc, word, ctx in positions:
+            lr = _lr_at(update, total, config.learning_rate, config.min_lr)
+            update += 1
+            weights = np.full(1 + ctx.size, 1.0 / (1 + ctx.size))
+            parts = np.concatenate((matrices.doc_in[doc][None, :], matrices.word_in[ctx]))
+            negatives = sampler.sample(config.negative, exclude=word)
+            if negatives.size == 0:
+                continue
+            distinct = len(set(negatives.tolist())) == negatives.size
+            seen["distinct negatives" if distinct else "repeated negatives"] += 1
+            seen["repeated words"] += len(set(ctx.tolist())) < ctx.size
+            loss, grad_hidden, grad_target, grad_negatives = ns_loss_and_grads(
+                weights @ parts, matrices.word_out[word], matrices.word_out[negatives]
+            )
+            out_rows = np.concatenate(([word], negatives))
+            out_steps = np.vstack((grad_target, grad_negatives))
+            out_steps *= -lr
+            np.add.at(matrices.word_out, out_rows, out_steps)
+            in_steps = (lr * weights)[:, None] * grad_hidden[None, :]
+            matrices.doc_in[doc] -= in_steps[0]
+            np.subtract.at(matrices.word_in, ctx, in_steps[1:])
+            epoch_loss += loss
+        losses.append(epoch_loss / len(positions))
+    return matrices, losses, seen
+
+
 class TestRetrofit:
+    def test_content_pass_matches_an_add_at_reference_loop(self):
+        corpus = parse_corpus(
+            b"d0\ta b a c d a e [[d1]] a b f\nd1\tg a h b a [[d0]] c c d\nd2\te f g h a b\n"
+        )
+        config = EmbeddingConfig(
+            dim=5, window=3, negative=4, retrofit_epochs=3, learning_rate=0.3, seed=7
+        )
+        losses = []
+        got = retrofit_pvdm(corpus.docs, corpus.vocab, config, loss_log=losses)
+        want, want_losses, seen = pvdm_add_at_reference(corpus.docs, corpus.vocab, config)
+        assert all(seen.values()), seen  # both scatter paths ran
+        for a, b in zip(got.arrays(), want.arrays()):
+            assert np.array_equal(a, b)
+        assert losses == want_losses
+
     def test_zero_epochs_returns_untouched_init(self):
         corpus = parse_corpus(b"d0\ta b a b\n")
         config = EmbeddingConfig(dim=2, window=1, negative=2, retrofit_epochs=0, seed=3)
@@ -521,7 +594,7 @@ class TestRetrofit:
             assert np.array_equal(a, b)
 
 
-def small_training_setup(variant="avg", structural_context=True, seed=9, workers=1):
+def small_training_setup(variant="avg", structural_context=True, seed=9):
     spec = SyntheticSpec(n_topics=2, docs_per_topic=4, clique_size=2, vocab_per_topic=8, seed=3)
     corpus = parse_corpus(generate_synthetic_corpus(spec))
     config = EmbeddingConfig(
@@ -534,7 +607,6 @@ def small_training_setup(variant="avg", structural_context=True, seed=9, workers
         variant=variant,
         structural_context=structural_context,
         seed=seed,
-        workers=workers,
     )
     relations = extract_relations(corpus.docs, corpus.vocab, config.window)
     model = init_model(corpus.vocab, config)
@@ -587,9 +659,3 @@ class TestTrain:
             results.append(model.matrices)
         for a, b in zip(results[0].arrays(), results[1].arrays()):
             assert np.array_equal(a, b)
-
-    def test_multi_worker_mode_stays_finite(self):
-        model, relations, docs = small_training_setup(workers=3)
-        _, progress = train(model, relations, docs)
-        assert model.matrices.all_finite()
-        assert len(progress) == model.config.iterations
