@@ -222,7 +222,11 @@ class _Cursor:
 
     def take_str(self) -> str:
         (length,) = self.unpack("<I")
-        return self.take(length).decode("utf-8")
+        raw = self.take(length)
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ModelIOError(f"vocabulary entry is not valid UTF-8: {exc}") from None
 
     def take_i64(self, count: int) -> np.ndarray:
         raw = self.take(8 * count)

@@ -10,10 +10,16 @@ Two ranking conventions: rank_i4o scores output-side document vectors by
 dot product with the query; rank_i4i fits a vector for the text and scores
 input-side document vectors by cosine.  Ties break by ascending doc id and
 excluded ids are never returned.
+
+A ranking costs one matrix-vector product, an O(n) partition that finds
+the k-th best score, and a sort of the k or so candidates at or above it;
+the tie rule is the same as a full sort's.  rank_i4i also takes the row
+norms, one block of rows at a time.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +29,7 @@ from .errors import ConfigError, QueryError
 from .model import Model, infer_doc_vector
 
 CASES = (1, 2, 3)
+NORM_BLOCK_ROWS = 1024  # rows per block in _row_norms: the squares stay in cache
 
 
 @dataclass(frozen=True)
@@ -88,17 +95,37 @@ def _resolve_exclusions(model: Model, exclude) -> np.ndarray:
 
 
 def _top_k(model: Model, scores: np.ndarray, exclude, k: int) -> RecommendationList:
-    """Best k candidates by score, ties by ascending doc id, exclusions out."""
+    """Best k candidates by score, ties by ascending doc id, exclusions out.
+
+    A partition finds the k-th best score in O(n); only the candidates at
+    or above it are sorted.  When more candidates tie at that score than
+    there are places left, the places go to the smallest ids.  Order:
+    +inf first, finite scores, -inf, then NaN by id.
+    """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     mask = np.ones(scores.size, dtype=bool)
     mask[_resolve_exclusions(model, exclude)] = False
     candidates = np.flatnonzero(mask)
-    ids = np.asarray(model.vocab.doc_list)
-    order = np.lexsort((ids[candidates], -scores[candidates]))
-    top = candidates[order[:k]]
+    doc_list = model.vocab.doc_list
+    if candidates.size <= k:
+        selected = candidates.tolist()
+    else:
+        keys = -scores[candidates]  # ascending keys rank best first, NaN last
+        kth = np.partition(keys, k - 1)[k - 1]
+        if np.isnan(kth):
+            tied = np.isnan(keys)
+            ahead = ~tied
+        else:
+            ahead, tied = keys < kth, keys == kth
+        places = k - int(np.count_nonzero(ahead))
+        selected = candidates[ahead].tolist() + heapq.nsmallest(
+            places, candidates[tied].tolist(), key=doc_list.__getitem__
+        )
+    by_id = np.asarray(sorted(selected, key=doc_list.__getitem__), dtype=np.intp)
+    top = by_id[np.argsort(-scores[by_id], kind="stable")]
     return RecommendationList(
-        ranked=[(model.vocab.doc_list[i], float(scores[i])) for i in top], k=k
+        ranked=[(doc_list[i], float(scores[i])) for i in top.tolist()], k=k
     )
 
 
@@ -106,6 +133,16 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     """Rank documents by dot product of the query with their output vectors."""
     scores = model.matrices.doc_out @ np.asarray(query_vector, dtype=np.float64)
     return _top_k(model, scores, exclude, k)
+
+
+def _row_norms(matrix: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(matrix, axis=1), bit for bit, taken one block of rows
+    at a time so that no temporary as large as the matrix is allocated."""
+    norms = np.empty(matrix.shape[0])
+    for start in range(0, matrix.shape[0], NORM_BLOCK_ROWS):
+        rows = slice(start, start + NORM_BLOCK_ROWS)
+        norms[rows] = np.linalg.norm(matrix[rows], axis=1)
+    return norms
 
 
 def rank_i4i(
@@ -123,7 +160,7 @@ def rank_i4i(
     if query_norm == 0.0:
         raise QueryError("inferred query vector has zero norm")
     doc_in = model.matrices.doc_in
-    norms = np.linalg.norm(doc_in, axis=1)
+    norms = _row_norms(doc_in)
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = (doc_in @ inferred) / (norms * query_norm)
     scores = np.where(norms > 0.0, scores, 0.0)

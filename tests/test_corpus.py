@@ -113,6 +113,26 @@ class TestParseCorpus:
         with pytest.raises(CorpusFormatError, match="UTF-8"):
             parse_corpus(b"a\t\xff\xfe\n")
 
+    def test_fuzz_only_citevec_errors_escape(self):
+        """Random bytes, and strings over the format's own characters,
+        either parse or fail with a CitevecError."""
+        rng = np.random.default_rng(99)
+        # single characters of b"ab \t\n[]x1\xff\x00", plus a few longer
+        # pieces so that some strings carry doc ids and well-formed markers
+        pieces = [bytes([c]) for c in b"ab \t\n[]x1\xff\x00"]
+        pieces += [b"[[", b"]]", b"[[a]]", b"[[x1]]", b"a\t"]
+        inputs = [rng.bytes(int(rng.integers(0, 64))) for _ in range(2000)]
+        for _ in range(2000):
+            picks = rng.integers(0, len(pieces), size=int(rng.integers(0, 48)))
+            inputs.append(b"".join(pieces[i] for i in picks))
+        cited = 0
+        for data in inputs:
+            try:
+                cited += parse_corpus(data).stats.n_citations > 0
+            except CitevecError:
+                pass
+        assert cited > 0  # some inputs get through the whole parser
+
 
 class TestExtractRelations:
     def test_structural_context_excludes_target_and_source(self):

@@ -1,12 +1,14 @@
 """Model init, persistence, export, and inference tests."""
 
 import io
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
 from citevec.corpus import parse_corpus
-from citevec.errors import ConfigError, ModelIOError
+from citevec.errors import CitevecError, ConfigError, ModelIOError
 from citevec.model import (
     EmbeddingConfig,
     export_word2vec_text,
@@ -108,9 +110,7 @@ class TestSaveLoad:
         buf = io.BytesIO()
         save_model(model, buf)
         payload = buf.getvalue()
-        rng = np.random.default_rng(42)
-        cuts = set(rng.integers(1, len(payload), size=25).tolist()) | {1, len(payload) - 1}
-        for cut in cuts:
+        for cut in range(len(payload)):
             with pytest.raises(ModelIOError):
                 load_model(payload[:cut])
 
@@ -127,9 +127,6 @@ class TestSaveLoad:
             load_model(payload)
 
     def test_version_mismatch_is_an_error(self):
-        import struct
-        import zlib
-
         model = tiny_model()
         buf = io.BytesIO()
         save_model(model, buf)
@@ -138,9 +135,19 @@ class TestSaveLoad:
             payload = bytearray(buf.getvalue())
             payload[4] = version
             # refresh the checksum so the version check itself is exercised
-            payload[-4:] = struct.pack("<I", zlib.crc32(bytes(payload[:-4])))
             with pytest.raises(ModelIOError, match="version"):
-                load_model(bytes(payload))
+                load_model(with_fresh_crc(payload))
+
+    def test_invalid_utf8_in_the_vocabulary_is_an_error(self):
+        model = tiny_model()
+        buf = io.BytesIO()
+        save_model(model, buf)
+        payload = bytearray(buf.getvalue())
+        first_word = model.vocab.word_list[0].encode("utf-8")
+        start = bytes(payload).index(struct.pack("<I", len(first_word)) + first_word) + 4
+        payload[start] = 0xFF
+        with pytest.raises(ModelIOError, match="UTF-8"):
+            load_model(with_fresh_crc(payload))
 
     def test_corruption_fails_the_checksum(self):
         model = tiny_model()
@@ -150,6 +157,32 @@ class TestSaveLoad:
         payload[len(payload) // 2] ^= 0xFF
         with pytest.raises(ModelIOError, match="checksum"):
             load_model(bytes(payload))
+
+    def test_single_bit_flips_raise_only_citevec_errors(self):
+        """A flip fails the magic or checksum check; with the checksum
+        recomputed, the parser sees the damage and may only fail with a
+        CitevecError."""
+        model = tiny_model()
+        buf = io.BytesIO()
+        save_model(model, buf)
+        payload = buf.getvalue()
+        rng = np.random.default_rng(1234)
+        for offset in rng.choice(len(payload) - 4, size=400, replace=False):
+            flipped = bytearray(payload)
+            flipped[offset] ^= 1 << int(rng.integers(8))
+            with pytest.raises(ModelIOError):
+                load_model(bytes(flipped))
+            try:
+                load_model(with_fresh_crc(flipped))
+            except CitevecError:
+                pass
+
+
+def with_fresh_crc(payload: bytearray) -> bytes:
+    """The payload with its trailing CRC-32 recomputed, so a corruption
+    reaches the parser instead of failing the checksum."""
+    payload[-4:] = struct.pack("<I", zlib.crc32(bytes(payload[:-4])))
+    return bytes(payload)
 
 
 class TestExport:

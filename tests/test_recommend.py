@@ -12,7 +12,9 @@ from citevec.corpus import Vocabulary
 from citevec.errors import ConfigError, QueryError
 from citevec.model import EmbeddingConfig, infer_doc_vector, init_model
 from citevec.recommend import (
+    NORM_BLOCK_ROWS,
     Query,
+    _row_norms,
     build_query_vector,
     rank_i4i,
     rank_i4o,
@@ -149,12 +151,36 @@ def oracle_rank(model, scores, exclude, k):
     return pairs[:k]
 
 
+def shuffled_id_model(rng, n_docs, dim, n_words=1):
+    """A model whose doc ids sort in an order unrelated to their rows."""
+    ids = [f"m{j}" for j in range(n_docs)]
+    rng.shuffle(ids)
+    return make_model(ids, [f"w{j}" for j in range(n_words)], dim=dim)
+
+
+def cosine_scores(model, inferred):
+    """rank_i4i's scoring formula, with the row norms taken in one call."""
+    norms = np.linalg.norm(model.matrices.doc_in, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scores = (model.matrices.doc_in @ inferred) / (
+            norms * float(np.linalg.norm(inferred))
+        )
+    return np.where(norms > 0.0, scores, 0.0)
+
+
 class TestRankI4O:
     def test_tie_break_example(self):
         model = make_model(["doc1", "doc2", "doc3"], ["x"], dim=2)
         model.matrices.doc_out[:] = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
         result = rank_i4o(model, np.array([1.0, 1.0]), k=3)
         assert result.ranked == [("doc3", 2.0), ("doc1", 1.0), ("doc2", 1.0)]
+
+    def test_tie_break_compares_whole_ids(self):
+        # a corpus may name a doc "a\x00"; NumPy's fixed-width strings
+        # would drop the trailing NUL and call the two ids equal
+        model = make_model(["a\x00", "a"], ["x"], dim=2)
+        result = rank_i4o(model, np.ones(2), k=2)
+        assert result.ids() == ["a", "a\x00"]
 
     def test_exclude_everything(self):
         model = make_model(["a", "b"], ["x"])
@@ -192,6 +218,49 @@ class TestRankI4O:
             expected = oracle_rank(model, scores, exclude, k=5)
             got = rank_i4o(model, qvec, exclude=exclude, k=5)
             assert got.ranked == expected, f"trial {trial}"
+
+    def test_matches_brute_force_oracle_over_many_candidates(self):
+        """Thousands of candidates, so k cuts through a large pool; small
+        integer vectors make ties at the k-th score the rule, not the
+        exception."""
+        rng = np.random.default_rng(2024)
+        model = shuffled_id_model(rng, n_docs=3000, dim=3)
+        model.matrices.doc_out[:] = rng.integers(-2, 3, size=(3000, 3))
+        for trial in range(12):
+            qvec = rng.integers(-2, 3, size=3).astype(float)
+            exclude = set(rng.choice(model.vocab.doc_list, size=200).tolist())
+            scores = model.matrices.doc_out @ qvec
+            for k in (1, 10, 50):
+                expected = oracle_rank(model, scores, exclude, k)
+                got = rank_i4o(model, qvec, exclude=exclude, k=k)
+                assert got.ranked == expected, f"trial {trial}, k={k}"
+
+    def test_all_candidates_tie(self):
+        rng = np.random.default_rng(5)
+        model = shuffled_id_model(rng, n_docs=3000, dim=3)  # doc_out is all zero
+        exclude = set(rng.choice(model.vocab.doc_list, size=50).tolist())
+        qvec = np.array([1.0, -2.0, 0.5])
+        scores = model.matrices.doc_out @ qvec
+        for k in (1, 10, 50):
+            got = rank_i4o(model, qvec, exclude=exclude, k=k)
+            assert got.ranked == oracle_rank(model, scores, exclude, k)
+            assert {score for _, score in got.ranked} == {0.0}
+
+    def test_non_finite_scores_keep_their_order(self):
+        """+inf first, then finite scores, then -inf, then NaN by doc id."""
+        model = make_model(["d3", "d1", "d4", "d0", "d2"], ["x"], dim=1)
+        model.matrices.doc_out[:, 0] = [np.nan, 1.0, np.inf, np.nan, -np.inf]
+        expected = [
+            ("d4", np.inf), ("d1", 1.0), ("d2", -np.inf), ("d0", np.nan), ("d3", np.nan)
+        ]
+        for k in (2, 4, 5):
+            got = rank_i4o(model, np.array([1.0]), k=k)
+            assert got.ids() == [doc_id for doc_id, _ in expected[:k]]
+            assert np.array_equal(
+                [score for _, score in got.ranked],
+                [score for _, score in expected[:k]],
+                equal_nan=True,
+            )
 
 
 class TestRankI4I:
@@ -236,15 +305,48 @@ class TestRankI4I:
             inferred = infer_doc_vector(model, words, steps=2, lr=0.05)
             if float(np.linalg.norm(inferred)) == 0.0:
                 continue
-            norms = np.linalg.norm(model.matrices.doc_in, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                scores = (model.matrices.doc_in @ inferred) / (
-                    norms * float(np.linalg.norm(inferred))
-                )
-            scores = np.where(norms > 0.0, scores, 0.0)
-            expected = oracle_rank(model, scores, exclude, k=5)
+            expected = oracle_rank(model, cosine_scores(model, inferred), exclude, k=5)
             got = rank_i4i(model, words, exclude=exclude, k=5, steps=2, lr=0.05)
             assert got.ranked == expected, f"trial {trial}"
+
+    def test_matches_brute_force_oracle_over_many_candidates(self):
+        """Integer rows in few dimensions repeat, and equal rows tie exactly
+        in cosine; zero rows all score 0."""
+        rng = np.random.default_rng(77)
+        model = shuffled_id_model(rng, n_docs=3000, dim=3, n_words=4)
+        model.matrices.doc_in[:] = rng.integers(-2, 3, size=(3000, 3))
+        model.matrices.word_in[:] = rng.normal(size=(4, 3))
+        model.matrices.word_out[:] = rng.normal(size=(4, 3))
+        for trial in range(6):
+            words = rng.integers(0, 4, size=3).tolist()
+            exclude = set(rng.choice(model.vocab.doc_list, size=200).tolist())
+            inferred = infer_doc_vector(model, words, steps=2, lr=0.05)
+            scores = cosine_scores(model, inferred)
+            for k in (1, 10, 50):
+                expected = oracle_rank(model, scores, exclude, k)
+                got = rank_i4i(model, words, exclude=exclude, k=k, steps=2, lr=0.05)
+                assert got.ranked == expected, f"trial {trial}, k={k}"
+
+    def test_all_candidates_tie(self):
+        rng = np.random.default_rng(6)
+        model = shuffled_id_model(rng, n_docs=3000, dim=3)
+        model.matrices.doc_in[:] = 0.0
+        model.matrices.word_in[0] = [0.3, -0.1, 0.2]
+        exclude = set(rng.choice(model.vocab.doc_list, size=50).tolist())
+        scores = np.zeros(3000)
+        for k in (1, 10, 50):
+            got = rank_i4i(model, [0], exclude=exclude, k=k, steps=1, lr=0.0)
+            assert got.ranked == oracle_rank(model, scores, exclude, k)
+
+
+class TestRowNorms:
+    def test_blocked_norms_are_bit_identical(self):
+        """More rows than one block, a partial last block, some zero rows."""
+        rng = np.random.default_rng(8)
+        matrix = rng.normal(size=(2 * NORM_BLOCK_ROWS + 37, 100))
+        matrix[[0, NORM_BLOCK_ROWS - 1, NORM_BLOCK_ROWS, 2 * NORM_BLOCK_ROWS + 36]] = 0.0
+        assert np.array_equal(_row_norms(matrix), np.linalg.norm(matrix, axis=1))
+        assert np.array_equal(_row_norms(matrix[:5]), np.linalg.norm(matrix[:5], axis=1))
 
 
 class TestResolveText:
