@@ -42,8 +42,10 @@ config = EmbeddingConfig(dim=16, window=8, negative=2, iterations=40,
 relations = extract_relations(corpus.docs, corpus.vocab, config.window)
 model = init_model(corpus.vocab, config)
 
-# 2. Train.  Progress records arrive once per pass; print a few.
-_, progress = train(model, relations, corpus.docs)
+# 2. Train.  Progress records arrive once per pass: every content epoch
+# (printed as it ends), then every citation epoch (print a few).
+_, progress = train(model, relations, corpus.docs,
+                    on_content=lambda entry: print(" ", entry.record()))
 for entry in progress[:2] + progress[-2:]:
     print(" ", entry.record())
 

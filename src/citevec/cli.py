@@ -162,7 +162,11 @@ def _cmd_train(args, out) -> int:
         docs, vocab = corpus.docs, corpus.vocab
     relations = extract_relations(docs, vocab, config.window)
     model = init_model(vocab, config)
-    train(model, relations, docs, on_progress=lambda p: print(p.record(), file=out))
+    train(
+        model, relations, docs,
+        on_progress=lambda p: print(p.record(), file=out),
+        on_content=lambda p: print(p.record(), file=sys.stderr),
+    )
     with open(args.model, "wb") as sink:
         save_model(model, sink)
     _finish_manifest(manifest, Path(args.model))

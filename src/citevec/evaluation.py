@@ -97,6 +97,8 @@ class MetricReport:
     recall: float
     mean_average_precision: float
     ndcg: float
+    # relations whose query raised QueryError and were scored as misses
+    n_empty_queries: int
 
     def values(self) -> dict[str, float]:
         return {
@@ -136,7 +138,7 @@ def evaluate(
     The relevant set for each relation is the single true target; the
     structural context and the citing document (when known) are excluded
     from the candidates.  A relation whose query has no usable participants
-    counts as a miss rather than an error.
+    counts as a miss rather than an error; ``n_empty_queries`` says how many.
     """
     if case not in CASES:
         raise ConfigError(f"case must be one of {CASES}, got {case}")
@@ -147,6 +149,7 @@ def evaluate(
     aps: list[float] = []
     ndcgs: list[float] = []
     doc_list = model.vocab.doc_list
+    n_empty = 0
     for relation in ground_truth:
         query = Query(
             case=case,
@@ -162,6 +165,7 @@ def evaluate(
         try:
             qvec = build_query_vector(model, query)
         except QueryError:
+            n_empty += 1
             recalls.append(0.0)
             aps.append(0.0)
             ndcgs.append(0.0)
@@ -178,6 +182,7 @@ def evaluate(
         recall=math.fsum(recalls) / n,
         mean_average_precision=math.fsum(aps) / n,
         ndcg=math.fsum(ndcgs) / n,
+        n_empty_queries=n_empty,
     )
 
 

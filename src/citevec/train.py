@@ -7,8 +7,14 @@ document, its co-cited documents, and the local context words, and the
 cited document's output vector is pushed up against sampled noise
 documents.  The "avg" variant pools with a uniform mean, the "att" variant
 with softmax-normalized learned scores, one per document and word slot.
-Both steps apply the same negative-sampling update, ``_ns_step``, to their
-own output matrix: word_out in step one, doc_out in step two.
+
+Both steps turn their examples into flat integer tables once per call
+(``_Examples``) and feed them, ``BATCH`` examples at a time, to one
+negative-sampling kernel, ``_ns_batch``, pointed at their own output
+matrix: word_out in step one, doc_out in step two.  Within a batch every
+example reads the parameters as they stood at the batch start and the
+steps are applied together at its end (the Hogwild! staleness argument,
+Recht et al. 2011, within one batch).
 
 All gradients are the exact derivatives of the sampled loss, including the
 1/m factor the mean contributes, so they can be checked against finite
@@ -21,9 +27,10 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from scipy.sparse import csc_matrix, csr_matrix
 from scipy.special import expit
 
-from .corpus import CitationRelation, HyperDocument, Vocabulary, _window_context
+from .corpus import CitationRelation, HyperDocument, Vocabulary
 from .errors import CitevecError, ConfigError
 from .model import Model, ModelMatrices, init_matrices
 
@@ -33,6 +40,9 @@ _RNG_CITATION = 21
 _RNG_SHUFFLE = 22
 
 _MAX_RESAMPLE = 100
+
+# examples per kernel call; within a batch the updates see stale parameters
+BATCH = 128
 
 
 class NegativeSampler:
@@ -61,24 +71,37 @@ class NegativeSampler:
     def _draw(self, n: int) -> np.ndarray:
         return self.cumulative.searchsorted(self.rng.random(n), side="right")
 
-    def sample(self, n: int, exclude: int | None = None) -> np.ndarray:
-        if n < 1:
-            raise ConfigError(f"sample size must be >= 1, got {n}")
-        draws = self._draw(n)
-        if exclude is None or exclude not in draws.tolist():
-            return draws
+    def _redraw(self, draws: np.ndarray, exclude) -> np.ndarray:
+        """Redraw, in place and in row-major order, the draws equal to
+        ``exclude`` (broadcast against ``draws``); returns the mask of draws
+        kept after the bounded retries."""
         colliding = draws == exclude
         tries = 0
         while colliding.any() and tries < _MAX_RESAMPLE:
             draws[colliding] = self._draw(int(colliding.sum()))
             colliding = draws == exclude
             tries += 1
-        return draws[draws != exclude]
+        return ~colliding
 
+    def sample(self, n: int, exclude: int | None = None) -> np.ndarray:
+        if n < 1:
+            raise ConfigError(f"sample size must be >= 1, got {n}")
+        draws = self._draw(n)
+        if exclude is None or exclude not in draws.tolist():
+            return draws
+        return draws[self._redraw(draws, exclude)]
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    shifted = np.exp(scores - scores.max())
-    return shifted / shifted.sum()
+    def sample_rows(self, exclude: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """``n`` draws for each entry of ``exclude``, from one call.
+
+        Returns the draws, shape ``(len(exclude), n)``, and the mask of those
+        kept: row i never keeps ``exclude[i]``.  For one row this is the draw
+        sequence of ``sample(n, exclude[0])``.
+        """
+        if n < 1:
+            raise ConfigError(f"sample size must be >= 1, got {n}")
+        draws = self._draw(exclude.size * n).reshape(exclude.size, n)
+        return draws, self._redraw(draws, exclude[:, None])
 
 
 def ns_loss_and_grads(hidden, target_out, negatives_out):
@@ -106,159 +129,244 @@ def ns_loss_and_grads(hidden, target_out, negatives_out):
     return float(loss), grad_hidden, grad_target, grad_negatives
 
 
-class _UpdateTables(NamedTuple):
-    """Index arrays of one update, built once per training pass.
+class _Examples(NamedTuple):
+    """Flat index tables of one training pass, built once per call.
 
-    The participants are ``doc_rows`` of doc_in followed by ``ctx`` of
-    word_in.  ``slots`` is set for the "att" variant and ``weights`` (the
-    uniform mean) otherwise.  ``distinct`` says that no participant row
-    repeats.
+    Example i predicts output row ``targets[i]`` from the participants
+    ``slots[offsets[i]:offsets[i + 1]]``.  A slot below n_docs is a doc_in
+    row; slot n_docs + w is word_in row w.  Slots are also the attention
+    ids.  Documents come first, in canonical order, then the words.
     """
 
-    target: int
-    doc_rows: np.ndarray
-    ctx: np.ndarray
-    slots: np.ndarray | None
-    weights: np.ndarray | None
-    distinct: bool
+    targets: np.ndarray
+    offsets: np.ndarray
+    slots: np.ndarray
+
+    def take(self, order: np.ndarray) -> "_Examples":
+        """The examples in ``order``, gathered from the flat tables."""
+        lengths = np.diff(self.offsets)[order]
+        offsets = np.zeros(order.size + 1, dtype=np.intp)
+        np.cumsum(lengths, out=offsets[1:])
+        index = np.repeat(self.offsets[order] - offsets[:-1], lengths)
+        index += np.arange(offsets[-1])
+        return _Examples(self.targets[order], offsets, self.slots[index])
 
 
-def _update_tables(
-    relation: CitationRelation, n_docs: int, variant: str, structural_context: bool
-) -> _UpdateTables:
-    """Participants in canonical order: source, sorted structural, words."""
-    doc_ids = [relation.source] + (sorted(relation.structural) if structural_context else [])
-    doc_rows = np.asarray(doc_ids, dtype=np.intp)
-    ctx = np.asarray(relation.context, dtype=np.intp)
-    slots = weights = None
-    if variant == "att":
-        slots = np.concatenate((doc_rows, n_docs + ctx))
-    else:
-        m = doc_rows.size + ctx.size
-        weights = np.full(m, 1.0 / m)
-    distinct = len(set(doc_ids)) == doc_rows.size and len(set(relation.context)) == ctx.size
-    return _UpdateTables(relation.target, doc_rows, ctx, slots, weights, distinct)
+def _content_examples(docs, vocab: Vocabulary, window: int) -> _Examples:
+    """One example per word occurrence, in corpus order: the document and
+    up to ``window`` words each side predict the word.  Citation markers
+    are skipped and do not consume window slots, as in ``_window_context``."""
+    words: list[int] = []
+    doc_rows: list[int] = []
+    lengths: list[int] = []
+    for doc in docs:
+        before = len(words)
+        words += [vocab.word_ids[t.value] for t in doc.tokens if not t.is_cite]
+        if len(words) > before:
+            doc_rows.append(vocab.doc_ids[doc.id])
+            lengths.append(len(words) - before)
+    words_arr = np.asarray(words, dtype=np.intp)
+    lengths_arr = np.asarray(lengths, dtype=np.intp)
+    ends = np.cumsum(lengths_arr)
+    pos = np.arange(words_arr.size)
+    lo = np.maximum(pos - window, np.repeat(ends - lengths_arr, lengths_arr))
+    hi = np.minimum(pos + window + 1, np.repeat(ends, lengths_arr))
+    # one doc slot plus every window word but the target: hi - lo slots
+    m = hi - lo
+    offsets = np.zeros(pos.size + 1, dtype=np.intp)
+    np.cumsum(m, out=offsets[1:])
+    t = np.arange(offsets[-1]) - np.repeat(offsets[:-1], m)  # place in the example
+    # place t >= 1 holds window word lo + t - 1, shifted past the target
+    word_pos = np.repeat(lo - 1, m) + t
+    word_pos += word_pos >= np.repeat(pos, m)
+    slots = vocab.n_docs + words_arr[word_pos]  # place 0 reads a dummy, overwritten
+    first = t == 0
+    slots[first] = np.repeat(np.asarray(doc_rows, dtype=np.intp), lengths_arr)
+    return _Examples(words_arr, offsets, slots)
 
 
-def _ns_step(
-    tables: _UpdateTables,
+def _citation_examples(
+    relations: list[CitationRelation], n_docs: int, structural_context: bool
+) -> _Examples:
+    """One example per relation: source, sorted structural docs, then the
+    context words predict the target."""
+    slots: list[int] = []
+    offsets = [0]
+    for r in relations:
+        slots.append(r.source)
+        if structural_context:
+            slots += sorted(r.structural)
+        slots += [n_docs + w for w in r.context]
+        offsets.append(len(slots))
+    targets = [r.target for r in relations]
+    return _Examples(
+        np.asarray(targets, dtype=np.intp),
+        np.asarray(offsets, dtype=np.intp),
+        np.asarray(slots, dtype=np.intp),
+    )
+
+
+def _ns_batch(
+    examples: _Examples,
+    lo: int,
+    hi: int,
     matrices: ModelMatrices,
     out: np.ndarray,
     sampler: NegativeSampler,
-    lr: float,
+    lr: np.ndarray,
     negative: int,
-) -> float:
-    """One in-place negative-sampling update; both training passes use it.
+    attention: bool,
+    work: np.ndarray,
+) -> tuple[float, int]:
+    """In-place negative-sampling updates for examples [lo, hi); both
+    training passes use it.
 
-    ``out`` is the output matrix the target and the negatives index:
-    word_out for the content pass, doc_out for the citation pass.  Returns
-    the sampled loss before the update.  If every negative draw collides
-    with the target the update is skipped and the loss is 0.
+    ``out`` is the output matrix the targets and the negatives index:
+    word_out for the content pass, doc_out for the citation pass.  ``lr``
+    holds one learning rate per example.  ``attention`` pools with a
+    softmax over each example's attention scores (and trains them) instead
+    of the uniform mean.  ``work`` is working space of shape (3, rows, dim),
+    rows at least the batch's slot count and ``(hi - lo) * (1 + negative)``.
+    Returns the summed sampled loss before the update and the number of
+    skipped examples: an example whose every negative collides with its
+    target has loss 0 and changes nothing.
 
-    The loss and gradients are those of ``ns_loss_and_grads``, computed
-    inline.  The rows gathered for the forward pass are updated and written
-    back with plain indexed assignment when they are distinct; ``ufunc.at``
-    is used only when a negative or a participant row repeats.  Both give
-    the same float64 sums in the same order.
+    Every forward pass reads the parameters as they stood at the batch
+    start.  Per example, in this order: the hidden layer is the sum, from
+    zero and in participant order, of weight * row; the scores are
+    ``(row * hidden).sum()`` for the target and then each kept negative in
+    draw order, and the loss, from zero, adds ``logaddexp`` of each; the
+    hidden gradient is the sum, from zero, of coefficient * output row, the
+    target's coefficient being ``expit(score) - 1`` and a negative's
+    ``expit(score)``.  Steps are ``(lr * coefficient) * hidden`` for output
+    rows, ``(lr * weight) * hidden gradient`` for participant rows and
+    ``lr * (weight * (projection - mean projection))`` for attention
+    scores.  Each touched row or score sums its steps from zero in example
+    order, then participant (or target-then-negative) order, and the sum is
+    subtracted once at the end of the batch.
     """
-    target, doc_rows, ctx, slots, weights, distinct = tables
-    doc_in, word_in = matrices.doc_in, matrices.word_in
+    b = hi - lo
+    indptr = examples.offsets[lo : hi + 1]
+    slots = examples.slots[indptr[0] : indptr[-1]]
+    indptr = indptr - indptr[0]
+    counts = np.diff(indptr)
+    member = np.repeat(np.arange(b), counts)  # example of each participant
 
-    parts = np.concatenate((doc_in.take(doc_rows, axis=0), word_in.take(ctx, axis=0)))
-    if slots is not None:
-        weights = _softmax(matrices.attention.take(slots))
-    hidden = weights.dot(parts)
-
-    negatives = sampler.sample(negative, exclude=target)
-    n = negatives.size
-    if n == 0:
-        return 0.0
-    # ns_loss_and_grads inlined over the output rows: the target, then the negatives
-    out_rows = np.empty(1 + n, dtype=np.intp)
-    out_rows[0] = target
-    out_rows[1:] = negatives
-    out_vecs = out.take(out_rows, axis=0)
-    target_out, negatives_out = out_vecs[0], out_vecs[1:]
-    pos_dot = hidden.dot(target_out)
-    neg_dots = negatives_out.dot(hidden)
-    loss = np.logaddexp(0.0, -pos_dot) + np.logaddexp(0.0, neg_dots).sum()
-    coeffs = np.empty(1 + n)
-    coeffs[0] = expit(pos_dot) - 1.0
-    coeffs[1:] = expit(neg_dots)
-    grad_hidden = coeffs[0] * target_out + coeffs[1:].dot(negatives_out)
-
-    out_steps = np.multiply.outer(coeffs, hidden)
-    out_steps *= -lr
-    if len(set(negatives.tolist())) == n:
-        out_vecs += out_steps
-        out[out_rows] = out_vecs
+    rows, inv = np.unique(slots, return_inverse=True)
+    n_docs = matrices.n_docs
+    split = int(rows.searchsorted(n_docs))
+    doc_rows, word_rows = rows[:split], rows[split:] - n_docs
+    # gathers write straight into ``work``: with ``out=`` mode "raise" would
+    # copy through a temporary; the tables only hold valid indices
+    parts = work[0, : rows.size]
+    matrices.doc_in.take(doc_rows, axis=0, out=parts[:split], mode="clip")
+    matrices.word_in.take(word_rows, axis=0, out=parts[split:], mode="clip")
+    if attention:
+        scores = matrices.attention[slots]
+        shifted = np.exp(scores - np.maximum.reduceat(scores, indptr[:-1])[member])
+        weights = shifted / np.bincount(member, shifted, b)[member]
     else:
-        np.add.at(out, out_rows, out_steps)  # a negative was drawn twice
+        weights = (1.0 / counts)[member]
+    hidden = csr_matrix((weights, inv, indptr), shape=(b, rows.size)) @ parts
 
-    # each participant receives its share of the hidden-layer gradient; with
-    # uniform weights every share is the same row
-    d = doc_rows.size
-    if slots is None:
-        in_steps = word_steps = (lr * weights[0]) * grad_hidden
-    else:
-        projections = parts.dot(grad_hidden)
-        mean_projection = weights.dot(projections)
-        score_steps = lr * (weights * (projections - mean_projection))
-        in_steps = np.multiply.outer(lr * weights, grad_hidden)
-        word_steps = in_steps[d:]
-    parts -= in_steps  # the gathered participant rows, updated
-    doc_in[doc_rows] = parts[:d]
-    if distinct:
-        word_in[ctx] = parts[d:]
-        if slots is not None:
-            matrices.attention[slots] -= score_steps
-    else:  # a context word repeats: accumulate its shares in order
-        np.subtract.at(word_in, ctx, word_steps)
-        if slots is not None:
-            np.subtract.at(matrices.attention, slots, score_steps)
-    return float(loss)
+    targets = examples.targets[lo:hi]
+    draws, kept = sampler.sample_rows(targets, negative)
+    live = kept.any(axis=1)
+    # output entries, per example: the target, then the kept negatives
+    valid = np.concatenate((live[:, None], kept), axis=1)
+    out_member, column = np.nonzero(valid)
+    is_target = column == 0
+    out_ptr = np.zeros(b + 1, dtype=np.intp)
+    np.cumsum(valid.sum(axis=1), out=out_ptr[1:])
+    out_ids = np.concatenate((targets[:, None], draws), axis=1)[valid]
+    out_rows, out_inv = np.unique(out_ids, return_inverse=True)
+    out_vecs = out[out_rows]
+
+    scored = out_vecs.take(out_inv, axis=0, out=work[1, : out_inv.size], mode="clip")
+    scored *= hidden.take(out_member, axis=0, out=work[2, : out_inv.size], mode="clip")
+    dots = scored.sum(axis=1)
+    # -log sigmoid(z) == logaddexp(0, -z), stable for large |z|
+    losses = np.bincount(out_member, np.logaddexp(0.0, np.where(is_target, -dots, dots)), b)
+    coeffs = expit(dots) - is_target
+    grad_hidden = csr_matrix((coeffs, out_inv, out_ptr), shape=(b, out_rows.size)) @ out_vecs
+
+    step = csc_matrix((lr[out_member] * coeffs, out_inv, out_ptr), shape=(out_rows.size, b))
+    out_vecs -= step @ hidden
+    out[out_rows] = out_vecs
+    lr_in = lr[member]
+    step = csc_matrix((lr_in * weights, inv, indptr), shape=(rows.size, b))
+    if attention:
+        projected = parts.take(inv, axis=0, out=work[1, : inv.size], mode="clip")
+        projected *= grad_hidden.take(member, axis=0, out=work[2, : inv.size], mode="clip")
+        projections = projected.sum(axis=1)
+        mean = np.bincount(member, weights * projections, b)
+        score_steps = lr_in * (weights * (projections - mean[member]))
+        matrices.attention[rows] -= np.bincount(inv, score_steps, rows.size)
+    parts -= step @ grad_hidden
+    matrices.doc_in[doc_rows] = parts[:split]
+    matrices.word_in[word_rows] = parts[split:]
+    return float(losses.sum()), int(b - live.sum())
 
 
-def _lr_at(update: int, total: int, learning_rate: float, min_lr: float) -> float:
-    """Linear decay from learning_rate towards min_lr across all updates."""
-    if total <= 0:
-        return learning_rate
-    fraction = update / total
-    return max(min_lr, learning_rate + (min_lr - learning_rate) * fraction)
+def _lr_at(update, total: int, learning_rate: float, min_lr: float):
+    """Linear decay from learning_rate towards min_lr across all updates;
+    ``update`` may be an array of update numbers."""
+    return np.maximum(min_lr, learning_rate + (min_lr - learning_rate) * (update / total))
 
 
-def _content_positions(docs, vocab, window) -> list[_UpdateTables]:
-    """One mean-pooled update per word occurrence: the document and the
-    window words predict the word."""
-    positions = []
-    uniform: dict[int, np.ndarray] = {}  # one shared weight vector per size
-    for doc in docs:
-        doc_rows = np.asarray([vocab.doc_ids[doc.id]], dtype=np.intp)
-        for i, token in enumerate(doc.tokens):
-            if token.is_cite:
-                continue
-            ctx_ids = [vocab.word_ids[w] for w in _window_context(doc.tokens, i, window)]
-            m = 1 + len(ctx_ids)
-            if m not in uniform:
-                uniform[m] = np.full(m, 1.0 / m)
-            positions.append(
-                _UpdateTables(
-                    vocab.word_ids[token.value],
-                    doc_rows,
-                    np.asarray(ctx_ids, dtype=np.intp),
-                    None,
-                    uniform[m],
-                    len(set(ctx_ids)) == len(ctx_ids),
-                )
-            )
-    return positions
+def _epoch(
+    examples: _Examples,
+    matrices: ModelMatrices,
+    out: np.ndarray,
+    sampler: NegativeSampler,
+    first_update: int,
+    total: int,
+    config,
+    attention: bool,
+) -> tuple[float, int]:
+    """One pass over the examples, ``BATCH`` at a time; returns the summed
+    loss and the skipped count.  Example i is update ``first_update + i``."""
+    n = examples.targets.size
+    lr = _lr_at(np.arange(first_update, first_update + n), total,
+                config.learning_rate, config.min_lr)
+    # Every batch gathers into one buffer.  Fresh multi-megabyte temporaries
+    # per batch made glibc trim the heap top and page it back in each time,
+    # which halved the kernel's speed in some processes.
+    batch_slots = np.diff(examples.offsets[np.append(np.arange(0, n, BATCH), n)])
+    work = np.empty((3, max(batch_slots.max(), BATCH * (1 + config.negative)), matrices.dim))
+    loss, skipped = 0.0, 0
+    for lo in range(0, n, BATCH):
+        hi = min(lo + BATCH, n)
+        batch_loss, batch_skipped = _ns_batch(
+            examples, lo, hi, matrices, out, sampler, lr[lo:hi], config.negative, attention,
+            work,
+        )
+        loss += batch_loss
+        skipped += batch_skipped
+    return loss, skipped
+
+
+@dataclass(frozen=True)
+class ContentProgress:
+    """One per-epoch progress record of the content pass."""
+
+    epoch: int
+    occurrences: int
+    loss: float  # mean sampled loss per occurrence; skipped ones count 0
+    skipped: int
+
+    def record(self) -> str:
+        return (
+            f"phase=content epoch={self.epoch} loss={self.loss:.8g} "
+            f"skipped={self.skipped}"
+        )
 
 
 def retrofit_pvdm(
     docs: list[HyperDocument],
     vocab: Vocabulary,
     config,
-    loss_log: list[float] | None = None,
+    on_epoch=None,
 ) -> ModelMatrices:
     """Step one: initialize fresh matrices and pre-train them on content.
 
@@ -267,26 +375,24 @@ def retrofit_pvdm(
     vector and the window words, with negative word samples.  Populates
     word_in, word_out, and doc_in; doc_out stays zero for step two.
     With retrofit_epochs=0 the fresh initialization is returned unchanged.
+    ``on_epoch`` receives a ``ContentProgress`` after every epoch.
     """
     matrices = init_matrices(vocab, config)
     if config.retrofit_epochs == 0:
         return matrices
-    positions = _content_positions(docs, vocab, config.window)
-    if not positions:
+    examples = _content_examples(docs, vocab, config.window)
+    n = examples.targets.size
+    if n == 0:
         return matrices
     sampler = NegativeSampler(vocab.word_counts, seed=[config.seed, _RNG_RETROFIT])
-    total = config.retrofit_epochs * len(positions)
-    update = 0
-    for _ in range(config.retrofit_epochs):
-        epoch_loss = 0.0
-        for tables in positions:
-            lr = _lr_at(update, total, config.learning_rate, config.min_lr)
-            update += 1
-            epoch_loss += _ns_step(
-                tables, matrices, matrices.word_out, sampler, lr, config.negative
-            )
-        if loss_log is not None:
-            loss_log.append(epoch_loss / len(positions))
+    total = config.retrofit_epochs * n
+    for epoch in range(1, config.retrofit_epochs + 1):
+        loss, skipped = _epoch(
+            examples, matrices, matrices.word_out, sampler, (epoch - 1) * n, total,
+            config, attention=False,
+        )
+        if on_epoch is not None:
+            on_epoch(ContentProgress(epoch, n, loss / n, skipped))
     return matrices
 
 
@@ -311,24 +417,24 @@ def train(
     relations: list[CitationRelation],
     docs: list[HyperDocument],
     on_progress=None,
+    on_content=None,
 ) -> tuple[Model, list[TrainProgress]]:
     """Run both learning steps in place; returns the model and progress.
 
     Step two makes ``iterations`` shuffled passes over the relations with a
-    linearly decaying learning rate.  Each relation's index tables are built
-    once per call and reused by every epoch; ``ufunc.at`` scatters run only
-    for updates whose rows repeat.  The result is bit-reproducible per seed.
+    linearly decaying learning rate.  The relations' flat tables are built
+    once per call; each epoch gathers them in its shuffled order.
+    ``on_progress`` receives each citation epoch's ``TrainProgress``,
+    ``on_content`` each content epoch's ``ContentProgress``.  The result is
+    bit-reproducible per seed.
     """
     if not relations:
         raise ConfigError("cannot train on an empty relation list")
     config = model.config
-    model.matrices = retrofit_pvdm(docs, model.vocab, config)
+    model.matrices = retrofit_pvdm(docs, model.vocab, config, on_epoch=on_content)
     matrices = model.matrices
 
-    tables = [
-        _update_tables(r, matrices.n_docs, config.variant, config.structural_context)
-        for r in relations
-    ]
+    examples = _citation_examples(relations, matrices.n_docs, config.structural_context)
     # the trailing 0 keeps the noise stream that earlier releases drew from
     sampler = NegativeSampler(model.vocab.doc_cited_counts, seed=[config.seed, _RNG_CITATION, 0])
     shuffle_rng = np.random.default_rng([config.seed, _RNG_SHUFFLE])
@@ -339,12 +445,10 @@ def train(
 
     for epoch in range(1, config.iterations + 1):
         order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
-        for pos, index in enumerate(order.tolist(), (epoch - 1) * n):
-            lr = _lr_at(pos, total, config.learning_rate, config.min_lr)
-            loss_sum += _ns_step(
-                tables[index], matrices, matrices.doc_out, sampler, lr, config.negative
-            )
+        loss_sum, _ = _epoch(
+            examples.take(order), matrices, matrices.doc_out, sampler, (epoch - 1) * n,
+            total, config, attention=config.variant == "att",
+        )
 
         if not matrices.all_finite():
             raise CitevecError(f"non-finite model parameters after epoch {epoch}")
@@ -352,7 +456,7 @@ def train(
         entry = TrainProgress(
             epoch=epoch,
             relations_seen=seen,
-            current_lr=_lr_at(epoch * n - 1, total, config.learning_rate, config.min_lr),
+            current_lr=float(_lr_at(epoch * n - 1, total, config.learning_rate, config.min_lr)),
             running_loss=loss_sum / n,
         )
         progress.append(entry)

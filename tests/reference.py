@@ -1,16 +1,18 @@
-"""Reference pooling, written out plainly, that the training step is checked against.
+"""Reference code, written out plainly, that the training kernel is checked against.
 
-The library pools participants inline inside its one negative-sampling
-step.  These functions compute the same hidden layers one relation at a
-time from explicit vectors, so tests can state what the step must produce
-without reusing its code.  ``backprop`` runs the library step on a single
-relation.
+The library pools participants inline inside its one batched
+negative-sampling kernel.  The pooling functions compute the same hidden
+layers one relation at a time from explicit vectors, and ``batch_reference``
+restates the kernel's batch semantics as a loop over examples, so tests can
+state what the kernel must produce without reusing its code.  ``backprop``
+runs the library kernel on a batch of one relation.
 """
 
 import numpy as np
+from scipy.special import expit
 
 from citevec.errors import ConfigError
-from citevec.train import _ns_step, _update_tables
+from citevec.train import _citation_examples, _ns_batch
 
 
 def _stack_participants(source_vec, structural_vecs, context_vecs) -> np.ndarray:
@@ -75,6 +77,89 @@ def participant_slots(source: int, structural, context, n_docs: int) -> np.ndarr
 
 
 def backprop(variant, relation, matrices, sampler, lr, *, negative, structural_context=True) -> float:
-    """One citation update for one relation; returns the sampled loss before the step."""
-    tables = _update_tables(relation, matrices.n_docs, variant, structural_context)
-    return _ns_step(tables, matrices, matrices.doc_out, sampler, lr, negative)
+    """One citation update for one relation, as a batch of one; returns the
+    sampled loss before the step."""
+    examples = _citation_examples([relation], matrices.n_docs, structural_context)
+    work = np.empty((3, max(examples.slots.size, 1 + negative), matrices.dim))
+    loss, _ = _ns_batch(
+        examples, 0, 1, matrices, matrices.doc_out, sampler, np.array([lr]), negative,
+        attention=variant == "att", work=work,
+    )
+    return loss
+
+
+def lr_schedule(update, total, learning_rate, min_lr) -> float:
+    """The linear learning-rate decay, for one update number."""
+    return max(min_lr, learning_rate + (min_lr - learning_rate) * (update / total))
+
+
+def batch_reference(examples, matrices, out_name, sampler, lrs, negative, attention, batch):
+    """The kernel's batch semantics, one example at a time.
+
+    ``examples`` is a list of ``(target, slots)``; a slot below n_docs is a
+    doc_in row and n_docs + w is word_in row w (and both are attention
+    ids).  ``out_name`` names the output matrix, ``lrs`` holds one learning
+    rate per example.  Every forward pass reads the parameters as they stood
+    at its batch start; each touched row sums its steps from zero with
+    ``np.add.at`` in example order, then participant (or target, then
+    negative) order, and the sum is subtracted at the batch end.  Returns
+    the summed loss of each batch and the number of skipped examples.
+    """
+    n_docs = matrices.n_docs
+    batch_losses = []
+    skipped = 0
+    for lo in range(0, len(examples), batch):
+        chunk = examples[lo : lo + batch]
+        start = matrices.copy()
+        start_out = getattr(start, out_name)
+        steps = {name: np.zeros_like(a) for name, a in vars(start).items()}
+        draws, kept = sampler.sample_rows(np.array([t for t, _ in chunk], dtype=np.intp), negative)
+        losses = []
+        for i, (target, slots) in enumerate(chunk):
+            lr = lrs[lo + i]
+            negatives = draws[i][kept[i]]
+            if negatives.size == 0:
+                skipped += 1
+                losses.append(0.0)
+                continue
+            rows = [
+                start.doc_in[s] if s < n_docs else start.word_in[s - n_docs] for s in slots
+            ]
+            if attention:
+                scores = start.attention[slots]
+                shifted = np.exp(scores - scores.max())
+                total = 0.0
+                for value in shifted:
+                    total += value
+                weights = shifted / total
+            else:
+                weights = [1.0 / len(slots)] * len(slots)
+            hidden = np.zeros(start.dim)
+            for weight, row in zip(weights, rows):
+                hidden += weight * row
+
+            loss = 0.0
+            grad_hidden = np.zeros(start.dim)
+            for j, o in enumerate([target, *negatives.tolist()]):
+                score = (start_out[o] * hidden).sum()
+                loss += np.logaddexp(0.0, -score if j == 0 else score)
+                coeff = expit(score) - 1.0 if j == 0 else expit(score)
+                grad_hidden += coeff * start_out[o]
+                np.add.at(steps[out_name], o, (lr * coeff) * hidden)
+            losses.append(loss)
+
+            projections = [(row * grad_hidden).sum() for row in rows]
+            mean = 0.0
+            for weight, projection in zip(weights, projections):
+                mean += weight * projection
+            for s, weight, projection in zip(slots, weights, projections):
+                if s < n_docs:
+                    np.add.at(steps["doc_in"], s, (lr * weight) * grad_hidden)
+                else:
+                    np.add.at(steps["word_in"], s - n_docs, (lr * weight) * grad_hidden)
+                if attention:
+                    np.add.at(steps["attention"], s, lr * (weight * (projection - mean)))
+        for name, step in steps.items():
+            getattr(matrices, name)[...] = getattr(start, name) - step
+        batch_losses.append(float(np.sum(np.array(losses))))
+    return batch_losses, skipped

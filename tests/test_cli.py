@@ -82,6 +82,20 @@ class TestTrain:
         assert all(line.startswith("epoch=") and " loss=" in line for line in lines)
         assert out.exists()
 
+    def test_content_epochs_reported_on_stderr(self, tmp_path, capsys):
+        code, stdout, stderr = run(
+            capsys, "train", FIXTURE_TSV, tmp_path / "m.dcv",
+            "--dim", "4", "--iterations", "2", "--retrofit-epochs", "3",
+        )
+        assert code == 0
+        content = [line for line in stderr.splitlines() if line.startswith("phase=content")]
+        assert [line.split()[1] for line in content] == ["epoch=1", "epoch=2", "epoch=3"]
+        for line in content:
+            fields = dict(part.split("=") for part in line.split())
+            assert set(fields) == {"phase", "epoch", "loss", "skipped"}
+            assert float(fields["loss"]) > 0 and fields["skipped"] == "0"
+        assert all(line.startswith("epoch=") for line in stdout.splitlines())
+
     def test_identical_flags_identical_model_bytes(self, tmp_path, capsys):
         a, b = tmp_path / "a.dcv", tmp_path / "b.dcv"
         for path in (a, b):

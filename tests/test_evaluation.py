@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from citevec.corpus import HeldOutCitation
+from citevec.corpus import HeldOutCitation, parse_corpus, resolve_ground_truth
 from citevec.errors import ConfigError
 from citevec.evaluation import (
     AblationRow,
@@ -220,6 +220,22 @@ class TestEvaluate:
         report = evaluate(model, truth, case=1, k=4)
         assert report.n_relations == 2
         assert report.recall == 0.5
+
+    def test_empty_queries_are_counted(self):
+        model = perfect_model(3)
+        held = parse_corpus(b"q0\tw1 [[p1]] w2\nq1\tzzz [[p2]] qqq\n").docs[:2]
+        truth, dropped = resolve_ground_truth(held, model.vocab, window=4)
+        assert dropped == 0
+        assert [r.context for r in truth] == [(1, 2), ()]  # q1 knows no word
+        report = evaluate(model, truth, case=3, k=3)
+        assert report.n_empty_queries == 1
+        assert report.recall == 0.5
+        assert evaluate(model, truth[:1], case=3, k=3).n_empty_queries == 0
+        assert report.records() == [
+            "case=3 metric=recall value=0.5 n=2",
+            "case=3 metric=map value=0.5 n=2",
+            "case=3 metric=ndcg value=0.5 n=2",
+        ]
 
     def test_source_and_structural_are_excluded(self):
         model = perfect_model(4)

@@ -285,8 +285,8 @@ class TestInferOnTrainedFixture:
             cosine = float(
                 inferred @ own / (np.linalg.norm(inferred) * np.linalg.norm(own))
             )
-            # regression baseline from the first verified run: min 0.7326,
-            # mean 0.8730 over all 40 docs
+            # regression baseline, re-recorded for batched training
+            # (BATCH 128): min 0.6533, mean 0.8608 over all 40 docs
             assert cosine >= 0.5, doc.id
             worst = min(worst, cosine)
             checked += 1

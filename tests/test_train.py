@@ -4,6 +4,7 @@ Gradients are checked against central finite differences of the sampled
 loss; the oracle knows nothing about the analytic formulas.
 """
 
+import importlib
 import io
 import math
 
@@ -22,14 +23,31 @@ from citevec.errors import CitevecError, ConfigError
 from citevec.model import EmbeddingConfig, ModelMatrices, init_matrices, init_model, save_model
 from citevec.train import (
     _RNG_RETROFIT,
+    BATCH,
+    ContentProgress,
     NegativeSampler,
     TrainProgress,
-    _lr_at,
+    _citation_examples,
+    _content_examples,
+    _epoch,
+    _Examples,
     ns_loss_and_grads,
     retrofit_pvdm,
     train,
 )
-from reference import attention_ratios, backprop, hidden_att, hidden_avg, participant_slots
+from reference import (
+    attention_ratios,
+    backprop,
+    batch_reference,
+    hidden_att,
+    hidden_avg,
+    lr_schedule,
+    participant_slots,
+)
+
+
+# the package exports the function `train` under the submodule's name
+train_module = importlib.import_module("citevec.train")
 
 
 def central_difference(f, x, h=1e-5):
@@ -101,6 +119,29 @@ class TestNegativeSampler:
         freq = np.bincount(draws, minlength=counts.size) / draws.size
         tv = 0.5 * np.abs(freq - sampler.probabilities).sum()
         assert tv < 0.02
+
+    def test_one_row_is_the_single_sample_draw_sequence(self):
+        counts = np.array([6, 1, 2, 0, 3])
+        for seed in range(30):
+            target = seed % 5
+            draws, kept = NegativeSampler(counts, seed=seed).sample_rows(np.array([target]), 4)
+            single = NegativeSampler(counts, seed=seed).sample(4, exclude=target)
+            assert np.array_equal(draws[0][kept[0]], single)
+
+    def test_rows_exclude_their_own_target(self):
+        sampler = NegativeSampler(np.array([10, 1, 1, 0]), seed=6)
+        targets = np.array([0, 1, 2, 3, 0] * 40)
+        draws, kept = sampler.sample_rows(targets, 6)
+        assert draws.shape == kept.shape == (200, 6)
+        assert kept.all()  # redraws always find another index here
+        assert (draws != targets[:, None]).all()
+        assert (draws == 1).any() and (draws == 0).any()
+
+    def test_impossible_row_exclusion_keeps_nothing(self):
+        sampler = NegativeSampler(np.array([0, 7, 0]), seed=3)
+        draws, kept = sampler.sample_rows(np.array([1, 0, 1]), 3)
+        assert kept.tolist() == [[False] * 3, [True] * 3, [False] * 3]
+        assert (draws == 1).all()
 
     def test_degenerate_inputs(self):
         with pytest.raises(CitevecError):
@@ -233,6 +274,79 @@ class TestNsLossAndGrads:
             assert relative_error(grad_hidden, fd_hidden) < 1e-5
             assert relative_error(grad_target, fd_target) < 1e-5
             assert relative_error(grad_negatives, fd_negatives) < 1e-5
+
+
+def example_lists(examples):
+    """(target, slots) per example, read back from flat tables."""
+    bounds = zip(examples.offsets[:-1].tolist(), examples.offsets[1:].tolist())
+    return [
+        (target, examples.slots[lo:hi].tolist())
+        for target, (lo, hi) in zip(examples.targets.tolist(), bounds)
+    ]
+
+
+def occurrence_examples(docs, vocab, window):
+    """(target, slots) per word occurrence, built one occurrence at a time."""
+    return [
+        (
+            vocab.word_ids[token.value],
+            [vocab.doc_ids[doc.id]]
+            + [vocab.n_docs + vocab.word_ids[w] for w in _window_context(doc.tokens, i, window)],
+        )
+        for doc in docs
+        for i, token in enumerate(doc.tokens)
+        if not token.is_cite
+    ]
+
+
+# a citation marker inside windows and next to each other, a one-word doc,
+# a doc with markers only, a self-citation, a relation with no context and no
+# structural docs, and placeholders d8 and d9 that only citations name
+EDGE_CORPUS = (
+    b"d0\ta [[d1]] b [[d8]] [[d9]] c a d\n"
+    b"d1\tx\n"
+    b"d2\t[[d0]] [[d1]]\n"
+    b"d3\tq [[d3]] r q\n"
+    b"d4\t[[d1]]\n"
+    b"d5\ta b c d a b c d a\n"
+)
+
+
+class TestFlatTables:
+    """The flat tables against the per-occurrence construction."""
+
+    @pytest.fixture(params=["fixture", "edge"])
+    def corpus(self, request, fixture_corpus):
+        return fixture_corpus if request.param == "fixture" else parse_corpus(EDGE_CORPUS)
+
+    @pytest.mark.parametrize("window", [1, 2, 8, 50])
+    def test_content_examples_are_the_window_contexts(self, corpus, window):
+        vocab = corpus.vocab
+        expected = occurrence_examples(corpus.docs, vocab, window)
+        assert example_lists(_content_examples(corpus.docs, vocab, window)) == expected
+
+    @pytest.mark.parametrize("window", [1, 3, 50])
+    @pytest.mark.parametrize("structural_context", [True, False])
+    def test_citation_examples_are_the_relations(self, corpus, window, structural_context):
+        relations = extract_relations(corpus.docs, corpus.vocab, window)
+        n_docs = corpus.vocab.n_docs
+        expected = [
+            (r.target, participant_slots(
+                r.source, r.structural if structural_context else (), r.context, n_docs
+            ).tolist())
+            for r in relations
+        ]
+        examples = _citation_examples(relations, n_docs, structural_context)
+        assert example_lists(examples) == expected
+        order = np.random.default_rng(window).permutation(len(relations))
+        assert example_lists(examples.take(order)) == [expected[i] for i in order]
+
+    def test_edge_corpus_has_its_edge_cases(self):
+        corpus = parse_corpus(EDGE_CORPUS)
+        assert {d.id for d in corpus.docs if d.placeholder} == {"d8", "d9"}
+        relations = extract_relations(corpus.docs, corpus.vocab, 1)
+        assert any(not r.context and not r.structural for r in relations)
+        assert not _content_examples([corpus.docs[2]], corpus.vocab, 2).targets.size
 
 
 def replay_negatives(counts, seed, n, exclude):
@@ -401,33 +515,6 @@ class TestBackpropAtt:
             assert att_side.attention.any()
 
 
-def add_at_reference(relation, matrices, negatives, lr, variant):
-    """The citation update with every scatter done by np.add.at/np.subtract.at."""
-    doc_rows = np.asarray([relation.source] + sorted(relation.structural))
-    ctx = np.asarray(relation.context)
-    slots = participant_slots(
-        relation.source, relation.structural, relation.context, matrices.n_docs
-    )
-    parts = np.concatenate((matrices.doc_in[doc_rows], matrices.word_in[ctx]))
-    if variant == "att":
-        weights = attention_ratios(matrices.attention, slots)
-    else:
-        weights = np.full(slots.size, 1.0 / slots.size)
-    hidden = weights @ parts
-    _, grad_hidden, grad_target, grad_negatives = ns_loss_and_grads(
-        hidden, matrices.doc_out[relation.target], matrices.doc_out[negatives]
-    )
-    out_rows = np.concatenate(([relation.target], negatives))
-    np.add.at(matrices.doc_out, out_rows, -lr * np.vstack((grad_target, grad_negatives)))
-    in_steps = (lr * weights)[:, None] * grad_hidden[None, :]
-    np.subtract.at(matrices.doc_in, doc_rows, in_steps[: doc_rows.size])
-    np.subtract.at(matrices.word_in, ctx, in_steps[doc_rows.size :])
-    if variant == "att":
-        projections = parts @ grad_hidden
-        score_grads = weights * (projections - weights @ projections)
-        np.subtract.at(matrices.attention, slots, lr * score_grads)
-
-
 class TestRepeatedRows:
     # only doc 4 carries noise mass, so all three negatives are doc 4
     counts = np.array([0, 0, 0, 0, 5, 0])
@@ -442,7 +529,13 @@ class TestRepeatedRows:
         for variant in ("avg", "att"):
             matrices = random_matrices(rng)
             expected = matrices.copy()
-            add_at_reference(self.relation, expected, negatives, 0.1, variant)
+            r = self.relation
+            slots = participant_slots(r.source, r.structural, r.context, matrices.n_docs)
+            example = (r.target, slots.tolist())
+            batch_reference(
+                [example], expected, "doc_out", NegativeSampler(self.counts, seed=[3]),
+                [0.1], 3, attention=variant == "att", batch=1,
+            )
             backprop(
                 variant,
                 self.relation,
@@ -455,75 +548,121 @@ class TestRepeatedRows:
                 assert np.array_equal(got, want), variant
 
 
-def pvdm_add_at_reference(docs, vocab, config):
-    """The content pass as its own loop, every scatter by np.add.at/np.subtract.at.
-
-    Returns the matrices, the per-epoch loss log, and how many updates drew
-    a repeated negative, drew distinct negatives, or had a repeated window
-    word.
-    """
-    matrices = init_matrices(vocab, config)
-    positions = [
-        (
-            vocab.doc_ids[doc.id],
-            vocab.word_ids[token.value],
-            np.asarray(
-                [vocab.word_ids[w] for w in _window_context(doc.tokens, i, config.window)],
-                dtype=np.intp,
-            ),
-        )
-        for doc in docs
-        for i, token in enumerate(doc.tokens)
-        if not token.is_cite
+class TestBatchKernel:
+    # (target, slots): docs are slots 0-5, word w is slot 6 + w.  Word 1
+    # (slot 7) repeats inside examples and, like doc 2, across them.
+    examples = [
+        (3, [0, 1, 2, 7, 7]),
+        (4, [2, 6, 9]),
+        (1, [0, 7]),
+        (5, [2, 3, 6, 6, 7]),
+        (0, [1]),
+        (3, [4, 5, 13, 7]),
+        (2, [0, 3, 8]),
+        (4, [2, 7, 7, 7]),
+        (1, [5, 12]),
+        (0, [3, 4, 10, 11]),
+        (3, [1, 6]),
     ]
-    sampler = NegativeSampler(vocab.word_counts, seed=[config.seed, _RNG_RETROFIT])
-    total = config.retrofit_epochs * len(positions)
-    losses = []
-    seen = {"repeated negatives": 0, "distinct negatives": 0, "repeated words": 0}
-    update = 0
-    for _ in range(config.retrofit_epochs):
-        epoch_loss = 0.0
-        for doc, word, ctx in positions:
-            lr = _lr_at(update, total, config.learning_rate, config.min_lr)
-            update += 1
-            weights = np.full(1 + ctx.size, 1.0 / (1 + ctx.size))
-            parts = np.concatenate((matrices.doc_in[doc][None, :], matrices.word_in[ctx]))
-            negatives = sampler.sample(config.negative, exclude=word)
-            if negatives.size == 0:
-                continue
-            distinct = len(set(negatives.tolist())) == negatives.size
-            seen["distinct negatives" if distinct else "repeated negatives"] += 1
-            seen["repeated words"] += len(set(ctx.tolist())) < ctx.size
-            loss, grad_hidden, grad_target, grad_negatives = ns_loss_and_grads(
-                weights @ parts, matrices.word_out[word], matrices.word_out[negatives]
+
+    def flat(self):
+        offsets = np.cumsum([0] + [len(s) for _, s in self.examples])
+        return _Examples(
+            np.array([t for t, _ in self.examples], dtype=np.intp),
+            offsets.astype(np.intp),
+            np.concatenate([s for _, s in self.examples]).astype(np.intp),
+        )
+
+    @pytest.mark.parametrize("variant", ["avg", "att"])
+    @pytest.mark.parametrize("counts", [[3, 1, 4, 1, 5, 9], [0, 0, 0, 0, 5, 0]])
+    def test_two_epochs_match_the_batch_reference(self, monkeypatch, variant, counts):
+        """Batches of 4 over 11 examples (the last one partial), one
+        learning rate per update; with all noise mass on doc 4 the two
+        examples whose target is doc 4 are skipped."""
+        monkeypatch.setattr(train_module, "BATCH", 4)
+        config = EmbeddingConfig(negative=3, learning_rate=0.5, min_lr=0.01, variant=variant)
+        attention = variant == "att"
+        rng = np.random.default_rng(61)
+        got = random_matrices(rng, n_docs=6, n_words=8, k=5)
+        want = got.copy()
+        initial = got.copy()
+        n = len(self.examples)
+        total = 2 * n
+        got_sampler = NegativeSampler(counts, seed=[8])
+        want_sampler = NegativeSampler(counts, seed=[8])
+        skipped = 0
+        for epoch in range(2):
+            loss, got_skipped = _epoch(
+                self.flat(), got, got.doc_out, got_sampler, epoch * n, total, config, attention
             )
-            out_rows = np.concatenate(([word], negatives))
-            out_steps = np.vstack((grad_target, grad_negatives))
-            out_steps *= -lr
-            np.add.at(matrices.word_out, out_rows, out_steps)
-            in_steps = (lr * weights)[:, None] * grad_hidden[None, :]
-            matrices.doc_in[doc] -= in_steps[0]
-            np.subtract.at(matrices.word_in, ctx, in_steps[1:])
-            epoch_loss += loss
-        losses.append(epoch_loss / len(positions))
-    return matrices, losses, seen
+            lrs = [
+                lr_schedule(epoch * n + i, total, config.learning_rate, config.min_lr)
+                for i in range(n)
+            ]
+            batch_losses, want_skipped = batch_reference(
+                self.examples, want, "doc_out", want_sampler, lrs, 3, attention, batch=4
+            )
+            assert len(batch_losses) == 3
+            want_loss = 0.0
+            for value in batch_losses:
+                want_loss += value
+            assert loss == want_loss
+            assert got_skipped == want_skipped
+            skipped += got_skipped
+            for a, b in zip(got.arrays(), want.arrays()):
+                assert np.array_equal(a, b)
+        assert skipped == (4 if counts == [0, 0, 0, 0, 5, 0] else 0)
+        assert np.array_equal(got.attention, initial.attention) != attention
 
 
 class TestRetrofit:
-    def test_content_pass_matches_an_add_at_reference_loop(self):
-        corpus = parse_corpus(
-            b"d0\ta b a c d a e [[d1]] a b f\nd1\tg a h b a [[d0]] c c d\nd2\te f g h a b\n"
-        )
+    def test_content_pass_matches_the_batch_reference(self):
+        """The content pass against a plain per-occurrence loop with batch
+        semantics, at the real batch size: more occurrences than one batch
+        (the last batch partial), windows that repeat words and cross
+        citation markers."""
+        spec = SyntheticSpec(n_topics=2, docs_per_topic=5, clique_size=2, vocab_per_topic=6, seed=8)
+        corpus = parse_corpus(generate_synthetic_corpus(spec))
+        vocab = corpus.vocab
         config = EmbeddingConfig(
             dim=5, window=3, negative=4, retrofit_epochs=3, learning_rate=0.3, seed=7
         )
-        losses = []
-        got = retrofit_pvdm(corpus.docs, corpus.vocab, config, loss_log=losses)
-        want, want_losses, seen = pvdm_add_at_reference(corpus.docs, corpus.vocab, config)
-        assert all(seen.values()), seen  # both scatter paths ran
+        records = []
+        got = retrofit_pvdm(corpus.docs, vocab, config, on_epoch=records.append)
+
+        examples = occurrence_examples(corpus.docs, vocab, config.window)
+        n = len(examples)
+        assert n > BATCH and n % BATCH
+        assert any(len(set(slots)) < len(slots) for _, slots in examples)
+        want = init_matrices(vocab, config)
+        sampler = NegativeSampler(vocab.word_counts, seed=[config.seed, _RNG_RETROFIT])
+        total = config.retrofit_epochs * n
+        for epoch in range(config.retrofit_epochs):
+            lrs = [
+                lr_schedule(epoch * n + i, total, config.learning_rate, config.min_lr)
+                for i in range(n)
+            ]
+            batch_losses, skipped = batch_reference(
+                examples, want, "word_out", sampler, lrs, config.negative, False, BATCH
+            )
+            loss = 0.0
+            for value in batch_losses:
+                loss += value
+            assert records[epoch] == ContentProgress(epoch + 1, n, loss / n, skipped)
+        assert len(records) == config.retrofit_epochs
         for a, b in zip(got.arrays(), want.arrays()):
             assert np.array_equal(a, b)
-        assert losses == want_losses
+
+    def test_skipped_occurrences_are_counted_and_change_nothing(self):
+        # one word type: every negative draw collides with the target
+        corpus = parse_corpus(b"d0\ta a a\nd1\ta [[d0]]\n")
+        config = EmbeddingConfig(dim=3, window=2, negative=2, retrofit_epochs=2, seed=4)
+        records = []
+        got = retrofit_pvdm(corpus.docs, corpus.vocab, config, on_epoch=records.append)
+        assert records == [ContentProgress(e, 4, 0.0, 4) for e in (1, 2)]
+        assert records[0].record() == "phase=content epoch=1 loss=0 skipped=4"
+        for a, b in zip(got.arrays(), init_matrices(corpus.vocab, config).arrays()):
+            assert np.array_equal(a, b)
 
     def test_zero_epochs_returns_untouched_init(self):
         corpus = parse_corpus(b"d0\ta b a b\n")
@@ -570,8 +709,9 @@ class TestRetrofit:
             min_lr=0.0001,
             seed=3,
         )
-        losses = []
-        retrofit_pvdm(corpus.docs, corpus.vocab, config, loss_log=losses)
+        records = []
+        retrofit_pvdm(corpus.docs, corpus.vocab, config, on_epoch=records.append)
+        losses = [r.loss for r in records]
         assert len(losses) == 50
         strided = losses[::5]
         assert losses[-1] < losses[0]
