@@ -278,33 +278,40 @@ def _window_context(tokens: list[Token], position: int, window: int) -> list[str
     return before + after
 
 
+def _citation_markers(doc: HyperDocument, window: int) -> tuple[set[str], list]:
+    """The ids ``doc`` cites, and per citation marker, in order, the cited
+    id and the window words."""
+    markers = [(t.value, _window_context(doc.tokens, i, window))
+               for i, t in enumerate(doc.tokens) if t.is_cite]
+    return {target for target, _ in markers}, markers
+
+
 def extract_relations(
     docs: list[HyperDocument], vocab: Vocabulary, window: int
 ) -> list[CitationRelation]:
-    """One citation relation per citation marker occurrence, in corpus order."""
+    """One citation relation per citation marker occurrence, in corpus order.
+
+    Raises CitevecError when a citing doc, a cited doc or a context word is
+    missing from ``vocab``.
+    """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
     relations: list[CitationRelation] = []
+    doc_ids, word_ids = vocab.doc_ids, vocab.word_ids
     for doc in docs:
-        cite_positions = [i for i, t in enumerate(doc.tokens) if t.is_cite]
-        if not cite_positions:
+        cited, markers = _citation_markers(doc, window)
+        if not markers:
             continue
-        source = vocab.doc_ids[doc.id]
         try:
-            all_targets = {vocab.doc_ids[doc.tokens[i].value] for i in cite_positions}
+            source = doc_ids[doc.id]
+            targets = {doc_ids[d] for d in cited}
+            for target_id, words in markers:
+                target = doc_ids[target_id]
+                context = tuple(word_ids[w] for w in words)
+                relations.append(
+                    CitationRelation(source, target, frozenset(targets - {target, source}), context))
         except KeyError as exc:
-            raise CitevecError(f"citation target {exc} not in vocabulary") from None
-        for position in cite_positions:
-            target = vocab.doc_ids[doc.tokens[position].value]
-            structural = frozenset(all_targets - {target, source})
-            context = tuple(
-                vocab.word_ids[w] for w in _window_context(doc.tokens, position, window)
-            )
-            relations.append(
-                CitationRelation(
-                    source=source, target=target, structural=structural, context=context
-                )
-            )
+            raise CitevecError(f"{exc} in doc {doc.id!r} is not in the vocabulary") from None
     return relations
 
 
@@ -321,33 +328,18 @@ def resolve_ground_truth(
         raise ConfigError(f"window must be >= 1, got {window}")
     entries: list[HeldOutCitation] = []
     dropped = 0
+    doc_ids, word_ids = vocab.doc_ids, vocab.word_ids
     for doc in test_docs:
-        cite_positions = [i for i, t in enumerate(doc.tokens) if t.is_cite]
-        if not cite_positions:
-            continue
-        source = vocab.doc_ids.get(doc.id)
-        target_ids = {doc.tokens[i].value for i in cite_positions}
-        for position in cite_positions:
-            target_id = doc.tokens[position].value
-            target = vocab.doc_ids.get(target_id)
+        cited, markers = _citation_markers(doc, window)
+        source = doc_ids.get(doc.id)
+        others = {doc_ids[d] for d in cited - {doc.id} if d in doc_ids}
+        for target_id, words in markers:
+            target = doc_ids.get(target_id)
             if target is None:
                 dropped += 1
                 continue
-            structural = frozenset(
-                vocab.doc_ids[t]
-                for t in target_ids
-                if t != target_id and t != doc.id and t in vocab.doc_ids
-            )
-            context = tuple(
-                vocab.word_ids[w]
-                for w in _window_context(doc.tokens, position, window)
-                if w in vocab.word_ids
-            )
-            entries.append(
-                HeldOutCitation(
-                    target=target, context=context, structural=structural, source=source
-                )
-            )
+            context = tuple(word_ids[w] for w in words if w in word_ids)
+            entries.append(HeldOutCitation(target, context, frozenset(others - {target}), source))
     return entries, dropped
 
 

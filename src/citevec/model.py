@@ -15,6 +15,7 @@ import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse import csr_matrix
 
 from .corpus import Vocabulary, _read_bytes
 from .errors import ConfigError, ModelIOError
@@ -52,18 +53,12 @@ class EmbeddingConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ConfigError(f"dim must be >= 1, got {self.dim}")
-        if self.window < 1:
-            raise ConfigError(f"window must be >= 1, got {self.window}")
-        if self.negative < 1:
-            raise ConfigError(f"negative must be >= 1, got {self.negative}")
-        if self.iterations < 0:
-            raise ConfigError(f"iterations must be >= 0, got {self.iterations}")
-        if self.retrofit_epochs < 0:
-            raise ConfigError(
-                f"retrofit_epochs must be >= 0, got {self.retrofit_epochs}"
-            )
+        # bounded by the model file, which packs these as uint32 and the seed as int64
+        for name, low in (("dim", 1), ("window", 1), ("negative", 1),
+                          ("iterations", 0), ("retrofit_epochs", 0)):
+            value = getattr(self, name)
+            if not low <= value < 2**32:
+                raise ConfigError(f"{name} must be in [{low}, 2**32), got {value}")
         if not self.learning_rate > self.min_lr >= 0:
             raise ConfigError(
                 "need learning_rate > min_lr >= 0, got "
@@ -71,8 +66,8 @@ class EmbeddingConfig:
             )
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.seed < 2**63:
+            raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
 
     def with_updates(self, **changes) -> "EmbeddingConfig":
         return replace(self, **changes)
@@ -352,11 +347,15 @@ def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | Non
     """Fit a vector for unseen text against the frozen word matrices.
 
     Starts from the mean of the input-side word vectors, then runs
-    content-style gradient steps (predict each word from the running vector
-    averaged with its window neighbours) updating only the new vector.
-    The model itself is never modified.
+    content-pass steps that update only the new vector, ``BATCH`` words at
+    a time as the content pass does.  Each batch reads the vector as it
+    stood at the batch start: word i is predicted from its window words,
+    each over m_i and summed from zero in text order, plus vector / m_i;
+    the training kernel's output half gives the batch's hidden gradients
+    from one draw of noise words, and the vector moves by ``-(lr / m) @
+    hidden gradients``.  The model itself is never modified.
     """
-    from .train import NegativeSampler, ns_loss_and_grads  # import here to avoid a cycle
+    from .train import BATCH, NegativeSampler, _ns_output, _windows  # avoids an import cycle
 
     words = np.asarray(list(word_indices), dtype=np.intp)
     if words.size == 0:
@@ -368,25 +367,23 @@ def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | Non
     if lr is None:
         lr = model.config.learning_rate
 
-    word_in = model.matrices.word_in
-    word_out = model.matrices.word_out
-    window = model.config.window
+    n, negative = words.size, model.config.negative
     sampler = NegativeSampler(model.vocab.word_counts, seed=[model.config.seed, _RNG_INFER])
+    offsets, places = _windows(np.array([n]), model.config.window)
+    m = np.diff(offsets)  # the vector and the window words
+    # the window words are frozen, so their share of each hidden row is fixed
+    is_word = places >= 0
+    weights = (1.0 / m)[np.repeat(np.arange(n), m)][is_word]
+    pool = csr_matrix((weights, places[is_word], offsets - np.arange(n + 1)), shape=(n, n))
+    rows = model.matrices.word_in[words]
+    context = pool @ rows
+    work = np.empty((2, min(n, BATCH) * (1 + negative), model.matrices.dim))
 
-    vec = word_in[words].mean(axis=0)
+    vec = rows.mean(axis=0)
     for _ in range(steps):
-        for i in range(words.size):
-            lo = max(0, i - window)
-            ctx = np.concatenate((words[lo:i], words[i + 1 : i + 1 + window]))
-            m = 1 + ctx.size
-            weights = np.full(m, 1.0 / m)
-            parts = np.concatenate((vec[None, :], word_in[ctx]), axis=0)
-            hidden = weights @ parts
-            negatives = sampler.sample(model.config.negative, exclude=int(words[i]))
-            if negatives.size == 0:
-                continue
-            _, grad_hidden, _, _ = ns_loss_and_grads(
-                hidden, word_out[words[i]], word_out[negatives]
-            )
-            vec = vec - (lr / m) * grad_hidden
+        for lo in range(0, n, BATCH):
+            hi = min(lo + BATCH, n)
+            hidden = context[lo:hi] + (1.0 / m[lo:hi])[:, None] * vec
+            out = _ns_output(hidden, words[lo:hi], model.matrices.word_out, sampler, negative, work)
+            vec = vec - (lr / m[lo:hi]) @ out[2]  # the hidden gradients
     return vec

@@ -14,7 +14,9 @@ negative-sampling kernel, ``_ns_batch``, pointed at their own output
 matrix: word_out in step one, doc_out in step two.  Within a batch every
 example reads the parameters as they stood at the batch start and the
 steps are applied together at its end (the Hogwild! staleness argument,
-Recht et al. 2011, within one batch).
+Recht et al. 2011, within one batch).  Inference (``infer_doc_vector``)
+shares the kernel's output half, ``_ns_output``, its batches and the
+content pass's window rule, ``_windows``.
 
 All gradients are the exact derivatives of the sampled loss, including the
 1/m factor the mean contributes, so they can be checked against finite
@@ -104,31 +106,6 @@ class NegativeSampler:
         return draws, self._redraw(draws, exclude[:, None])
 
 
-def ns_loss_and_grads(hidden, target_out, negatives_out):
-    """Negative-sampling loss and its exact gradients.
-
-    loss = -log sigmoid(hidden . target) - sum_i log sigmoid(-hidden . negative_i)
-    Returns (loss, grad wrt hidden, grad wrt target row, grads wrt negative rows).
-    """
-    hidden = np.asarray(hidden, dtype=np.float64)
-    target_out = np.asarray(target_out, dtype=np.float64)
-    negatives_out = np.asarray(negatives_out, dtype=np.float64)
-    if negatives_out.ndim == 1:
-        negatives_out = negatives_out[None, :]
-
-    pos_dot = hidden @ target_out
-    neg_dots = negatives_out @ hidden
-    # -log sigmoid(z) == logaddexp(0, -z), stable for large |z|
-    loss = np.logaddexp(0.0, -pos_dot) + np.logaddexp(0.0, neg_dots).sum()
-
-    pos_coeff = expit(pos_dot) - 1.0
-    neg_coeffs = expit(neg_dots)
-    grad_hidden = pos_coeff * target_out + neg_coeffs @ negatives_out
-    grad_target = pos_coeff * hidden
-    grad_negatives = neg_coeffs[:, None] * hidden[None, :]
-    return float(loss), grad_hidden, grad_target, grad_negatives
-
-
 class _Examples(NamedTuple):
     """Flat index tables of one training pass, built once per call.
 
@@ -152,6 +129,31 @@ class _Examples(NamedTuple):
         return _Examples(self.targets[order], offsets, self.slots[index])
 
 
+def _windows(lengths: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Content-pass windows over texts laid end to end, ``lengths[j]`` words
+    in text j: one example per position.
+
+    Example p holds a leading place for its text, marked -1, then every
+    position within ``window`` of p in p's text, in order, p excluded.
+    Returns the examples' offsets into the places and the flat places.
+    """
+    n = int(lengths.sum())
+    pos = np.arange(n)
+    ends = np.cumsum(lengths)
+    lo = np.maximum(pos - window, np.repeat(ends - lengths, lengths))
+    hi = np.minimum(pos + window + 1, np.repeat(ends, lengths))
+    # one text place plus every window word but the target: hi - lo places
+    m = hi - lo
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(m, out=offsets[1:])
+    t = np.arange(offsets[-1]) - np.repeat(offsets[:-1], m)  # place in the example
+    # place t >= 1 holds window word lo + t - 1, shifted past the target
+    places = np.repeat(lo - 1, m) + t
+    places += places >= np.repeat(pos, m)
+    places[offsets[:-1]] = -1
+    return offsets, places
+
+
 def _content_examples(docs, vocab: Vocabulary, window: int) -> _Examples:
     """One example per word occurrence, in corpus order: the document and
     up to ``window`` words each side predict the word.  Citation markers
@@ -167,21 +169,9 @@ def _content_examples(docs, vocab: Vocabulary, window: int) -> _Examples:
             lengths.append(len(words) - before)
     words_arr = np.asarray(words, dtype=np.intp)
     lengths_arr = np.asarray(lengths, dtype=np.intp)
-    ends = np.cumsum(lengths_arr)
-    pos = np.arange(words_arr.size)
-    lo = np.maximum(pos - window, np.repeat(ends - lengths_arr, lengths_arr))
-    hi = np.minimum(pos + window + 1, np.repeat(ends, lengths_arr))
-    # one doc slot plus every window word but the target: hi - lo slots
-    m = hi - lo
-    offsets = np.zeros(pos.size + 1, dtype=np.intp)
-    np.cumsum(m, out=offsets[1:])
-    t = np.arange(offsets[-1]) - np.repeat(offsets[:-1], m)  # place in the example
-    # place t >= 1 holds window word lo + t - 1, shifted past the target
-    word_pos = np.repeat(lo - 1, m) + t
-    word_pos += word_pos >= np.repeat(pos, m)
-    slots = vocab.n_docs + words_arr[word_pos]  # place 0 reads a dummy, overwritten
-    first = t == 0
-    slots[first] = np.repeat(np.asarray(doc_rows, dtype=np.intp), lengths_arr)
+    offsets, places = _windows(lengths_arr, window)
+    slots = vocab.n_docs + words_arr[places]  # the text places read a dummy, overwritten
+    slots[offsets[:-1]] = np.repeat(np.asarray(doc_rows, dtype=np.intp), lengths_arr)
     return _Examples(words_arr, offsets, slots)
 
 
@@ -204,6 +194,50 @@ def _citation_examples(
         np.asarray(offsets, dtype=np.intp),
         np.asarray(slots, dtype=np.intp),
     )
+
+
+def _ns_output(hidden, targets: np.ndarray, out: np.ndarray, sampler: NegativeSampler,
+               negative: int, work: np.ndarray) -> tuple:
+    """The output half of the negative-sampling step; ``out`` is only read.
+
+    Hidden row i predicts row ``targets[i]`` of ``out`` against ``negative``
+    noise rows, all drawn in one ``sample_rows`` call.  ``work`` is space of
+    shape (2, rows, dim), rows at least ``len(targets) * (1 + negative)``.
+    Returns the per-example loss, the live mask (examples that kept a
+    negative; the others have loss 0 and a zero gradient row), the hidden
+    gradient, the touched output rows, and their coefficients as a CSC
+    matrix (touched row × example, target-then-negative order in a column).
+
+    Per example, in this order: the scores are ``(row * hidden).sum()`` for
+    the target and then each kept negative in draw order, and the loss,
+    from zero, adds ``logaddexp`` of each; the hidden gradient is the sum,
+    from zero, of coefficient * output row, the target's coefficient being
+    ``expit(score) - 1`` and a negative's ``expit(score)``.
+    """
+    b = targets.size
+    draws, kept = sampler.sample_rows(targets, negative)
+    live = kept.any(axis=1)
+    # output entries, per example: the target, then the kept negatives
+    valid = np.concatenate((live[:, None], kept), axis=1)
+    out_member, column = np.nonzero(valid)
+    is_target = column == 0
+    out_ptr = np.zeros(b + 1, dtype=np.intp)
+    np.cumsum(valid.sum(axis=1), out=out_ptr[1:])
+    out_ids = np.concatenate((targets[:, None], draws), axis=1)[valid]
+    out_rows, out_inv = np.unique(out_ids, return_inverse=True)
+    out_vecs = out[out_rows]
+
+    # gathers write straight into ``work``: with ``out=`` mode "raise" would
+    # copy through a temporary; the tables only hold valid indices
+    scored = out_vecs.take(out_inv, axis=0, out=work[0, : out_inv.size], mode="clip")
+    scored *= hidden.take(out_member, axis=0, out=work[1, : out_inv.size], mode="clip")
+    dots = scored.sum(axis=1)
+    # -log sigmoid(z) == logaddexp(0, -z), stable for large |z|
+    losses = np.bincount(out_member, np.logaddexp(0.0, np.where(is_target, -dots, dots)), b)
+    coeffs = expit(dots) - is_target
+    grad_hidden = csr_matrix((coeffs, out_inv, out_ptr), shape=(b, out_rows.size)) @ out_vecs
+    return losses, live, grad_hidden, out_rows, csc_matrix(
+        (coeffs, out_inv, out_ptr), shape=(out_rows.size, b))
 
 
 def _ns_batch(
@@ -232,18 +266,14 @@ def _ns_batch(
     target has loss 0 and changes nothing.
 
     Every forward pass reads the parameters as they stood at the batch
-    start.  Per example, in this order: the hidden layer is the sum, from
-    zero and in participant order, of weight * row; the scores are
-    ``(row * hidden).sum()`` for the target and then each kept negative in
-    draw order, and the loss, from zero, adds ``logaddexp`` of each; the
-    hidden gradient is the sum, from zero, of coefficient * output row, the
-    target's coefficient being ``expit(score) - 1`` and a negative's
-    ``expit(score)``.  Steps are ``(lr * coefficient) * hidden`` for output
-    rows, ``(lr * weight) * hidden gradient`` for participant rows and
-    ``lr * (weight * (projection - mean projection))`` for attention
-    scores.  Each touched row or score sums its steps from zero in example
-    order, then participant (or target-then-negative) order, and the sum is
-    subtracted once at the end of the batch.
+    start.  Per example, the hidden layer is the sum, from zero and in
+    participant order, of weight * row; ``_ns_output`` states the scores,
+    the loss and the hidden gradient.  Steps are ``(lr * coefficient) *
+    hidden`` for output rows, ``(lr * weight) * hidden gradient`` for
+    participant rows and ``lr * (weight * (projection - mean projection))``
+    for attention scores.  Each touched row or score sums its steps from
+    zero in example order, then participant (or target-then-negative)
+    order, and the sum is subtracted once at the end of the batch.
     """
     b = hi - lo
     indptr = examples.offsets[lo : hi + 1]
@@ -256,8 +286,6 @@ def _ns_batch(
     n_docs = matrices.n_docs
     split = int(rows.searchsorted(n_docs))
     doc_rows, word_rows = rows[:split], rows[split:] - n_docs
-    # gathers write straight into ``work``: with ``out=`` mode "raise" would
-    # copy through a temporary; the tables only hold valid indices
     parts = work[0, : rows.size]
     matrices.doc_in.take(doc_rows, axis=0, out=parts[:split], mode="clip")
     matrices.word_in.take(word_rows, axis=0, out=parts[split:], mode="clip")
@@ -269,30 +297,11 @@ def _ns_batch(
         weights = (1.0 / counts)[member]
     hidden = csr_matrix((weights, inv, indptr), shape=(b, rows.size)) @ parts
 
-    targets = examples.targets[lo:hi]
-    draws, kept = sampler.sample_rows(targets, negative)
-    live = kept.any(axis=1)
-    # output entries, per example: the target, then the kept negatives
-    valid = np.concatenate((live[:, None], kept), axis=1)
-    out_member, column = np.nonzero(valid)
-    is_target = column == 0
-    out_ptr = np.zeros(b + 1, dtype=np.intp)
-    np.cumsum(valid.sum(axis=1), out=out_ptr[1:])
-    out_ids = np.concatenate((targets[:, None], draws), axis=1)[valid]
-    out_rows, out_inv = np.unique(out_ids, return_inverse=True)
-    out_vecs = out[out_rows]
-
-    scored = out_vecs.take(out_inv, axis=0, out=work[1, : out_inv.size], mode="clip")
-    scored *= hidden.take(out_member, axis=0, out=work[2, : out_inv.size], mode="clip")
-    dots = scored.sum(axis=1)
-    # -log sigmoid(z) == logaddexp(0, -z), stable for large |z|
-    losses = np.bincount(out_member, np.logaddexp(0.0, np.where(is_target, -dots, dots)), b)
-    coeffs = expit(dots) - is_target
-    grad_hidden = csr_matrix((coeffs, out_inv, out_ptr), shape=(b, out_rows.size)) @ out_vecs
-
-    step = csc_matrix((lr[out_member] * coeffs, out_inv, out_ptr), shape=(out_rows.size, b))
-    out_vecs -= step @ hidden
-    out[out_rows] = out_vecs
+    losses, live, grad_hidden, out_rows, out_coeffs = _ns_output(
+        hidden, examples.targets[lo:hi], out, sampler, negative, work[1:]
+    )
+    out_coeffs.data *= np.repeat(lr, np.diff(out_coeffs.indptr))  # (lr * coefficient)
+    out[out_rows] -= out_coeffs @ hidden
     lr_in = lr[member]
     step = csc_matrix((lr_in * weights, inv, indptr), shape=(rows.size, b))
     if attention:
@@ -403,12 +412,13 @@ class TrainProgress:
     epoch: int
     relations_seen: int
     current_lr: float
-    running_loss: float
+    running_loss: float  # mean sampled loss per relation; skipped ones count 0
+    skipped: int
 
     def record(self) -> str:
         return (
             f"epoch={self.epoch} seen={self.relations_seen} "
-            f"lr={self.current_lr:.8g} loss={self.running_loss:.8g}"
+            f"lr={self.current_lr:.8g} loss={self.running_loss:.8g} skipped={self.skipped}"
         )
 
 
@@ -445,7 +455,7 @@ def train(
 
     for epoch in range(1, config.iterations + 1):
         order = shuffle_rng.permutation(n)
-        loss_sum, _ = _epoch(
+        loss_sum, skipped = _epoch(
             examples.take(order), matrices, matrices.doc_out, sampler, (epoch - 1) * n,
             total, config, attention=config.variant == "att",
         )
@@ -458,6 +468,7 @@ def train(
             relations_seen=seen,
             current_lr=float(_lr_at(epoch * n - 1, total, config.learning_rate, config.min_lr)),
             running_loss=loss_sum / n,
+            skipped=skipped,
         )
         progress.append(entry)
         if on_progress is not None:

@@ -2,17 +2,48 @@
 
 The library pools participants inline inside its one batched
 negative-sampling kernel.  The pooling functions compute the same hidden
-layers one relation at a time from explicit vectors, and ``batch_reference``
-restates the kernel's batch semantics as a loop over examples, so tests can
-state what the kernel must produce without reusing its code.  ``backprop``
-runs the library kernel on a batch of one relation.
+layers one relation at a time from explicit vectors, ``ns_loss_and_grads``
+is the kernel's output half for one example, ``batch_reference`` restates
+the kernel's batch semantics as a loop over examples, and
+``infer_reference`` restates ``infer_doc_vector`` as a loop over words, so
+tests can state what the library must produce without reusing its code.
+``backprop`` runs the library kernel on a batch of one relation.
 """
+
+import importlib
 
 import numpy as np
 from scipy.special import expit
 
 from citevec.errors import ConfigError
-from citevec.train import _citation_examples, _ns_batch
+from citevec.model import _RNG_INFER
+from citevec.train import NegativeSampler, _citation_examples, _ns_batch
+
+train_module = importlib.import_module("citevec.train")  # the package exports train()
+
+
+def ns_loss_and_grads(hidden, target_out, negatives_out):
+    """Negative-sampling loss and its exact gradients, in the kernel's order.
+
+    loss = -log sigmoid(hidden . target) - sum_i log sigmoid(-hidden . negative_i)
+    Each score is ``(row * hidden).sum()``; the loss and the hidden gradient
+    add up from zero, the target first, then the negatives in order.
+    Returns (loss, grad wrt hidden, grad wrt target row, grads wrt negative rows).
+    """
+    hidden = np.asarray(hidden, dtype=np.float64)
+    rows = [np.asarray(target_out, dtype=np.float64)]
+    rows += list(np.asarray(negatives_out, dtype=np.float64).reshape(-1, hidden.size))
+    loss = 0.0
+    grad_hidden = np.zeros(hidden.size)
+    coeffs = []
+    for j, row in enumerate(rows):
+        score = (row * hidden).sum()
+        # -log sigmoid(z) == logaddexp(0, -z), stable for large |z|
+        loss += np.logaddexp(0.0, -score if j == 0 else score)
+        coeffs.append(expit(score) - 1.0 if j == 0 else expit(score))
+        grad_hidden += coeffs[-1] * row
+    grad_rows = [coeff * hidden for coeff in coeffs]
+    return float(loss), grad_hidden, grad_rows[0], np.array(grad_rows[1:])
 
 
 def _stack_participants(source_vec, structural_vecs, context_vecs) -> np.ndarray:
@@ -163,3 +194,40 @@ def batch_reference(examples, matrices, out_name, sampler, lrs, negative, attent
             getattr(matrices, name)[...] = getattr(start, name) - step
         batch_losses.append(float(np.sum(np.array(losses))))
     return batch_losses, skipped
+
+
+def infer_reference(model, words, steps, lr):
+    """``infer_doc_vector`` one word at a time.
+
+    Each step walks the text in batches of ``BATCH`` words.  A batch draws
+    its words' noise words in one ``sample_rows`` call, pools word i as the
+    sum, from zero, of its window words in text order, each over m_i, plus
+    vector / m_i, takes the hidden gradient from ``ns_loss_and_grads`` (zero
+    for a word that kept no noise word), and moves the vector, as it stood
+    at the batch start, by ``-(lr / m) @ gradients``.
+    """
+    word_in, word_out = model.matrices.word_in, model.matrices.word_out
+    window, negative = model.config.window, model.config.negative
+    sampler = NegativeSampler(model.vocab.word_counts, seed=[model.config.seed, _RNG_INFER])
+    words = list(words)
+    vec = word_in[words].mean(axis=0)
+    for _ in range(steps):
+        for lo in range(0, len(words), train_module.BATCH):
+            batch = words[lo : lo + train_module.BATCH]
+            draws, kept = sampler.sample_rows(np.array(batch, dtype=np.intp), negative)
+            grads, scales = [], []
+            for i, word in enumerate(batch, start=lo):
+                context = words[max(0, i - window) : i] + words[i + 1 : i + 1 + window]
+                m = 1 + len(context)
+                hidden = np.zeros(vec.size)
+                for c in context:
+                    hidden += (1.0 / m) * word_in[c]
+                hidden = hidden + (1.0 / m) * vec
+                negatives = draws[i - lo][kept[i - lo]]
+                if negatives.size:
+                    grads.append(ns_loss_and_grads(hidden, word_out[word], word_out[negatives])[1])
+                else:
+                    grads.append(np.zeros(vec.size))
+                scales.append(lr / m)
+            vec = vec - np.array(scales) @ np.array(grads)
+    return vec

@@ -119,6 +119,18 @@ class TestTrain:
         assert "error" in stderr
         assert stdout == ""
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--seed", 2**63), ("--window", 2**32), ("--dim", 2**32), ("--negative", 2**32),
+        ("--iterations", 2**32), ("--retrofit-epochs", 2**32),
+    ])
+    def test_value_the_model_file_cannot_hold_writes_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "m.dcv"
+        code, stdout, stderr = run(capsys, "train", FIXTURE_TSV, out, flag, value)
+        assert code == 1
+        assert stderr.startswith("citevec: error:")
+        assert stdout == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("only-an-id-no-tab\n")

@@ -210,6 +210,17 @@ class TestExtractRelations:
         with pytest.raises(ConfigError):
             extract_relations(corpus.docs, corpus.vocab, window=0)
 
+    @pytest.mark.parametrize("text, missing", [
+        (b"c\tx [[b]]\n", "'c'"),  # the citing doc
+        (b"a\tx [[zz]]\n", "'zz'"),  # the cited doc
+        (b"a\tzz [[b]]\n", "'zz'"),  # a context word
+        (b"a\tx [[b]] [[zz]]\n", "'zz'"),  # a co-cited doc
+    ])
+    def test_names_missing_from_the_vocabulary_are_citevec_errors(self, text, missing):
+        vocab = parse_corpus(b"a\tx [[b]]\n").vocab
+        with pytest.raises(CitevecError, match=missing):
+            extract_relations(parse_corpus(text).docs, vocab, window=3)
+
 
 class TestSplitTrainTest:
     def _corpus(self, n_docs=10, seed=3):
@@ -347,6 +358,17 @@ class TestResolveGroundTruth:
         assert dropped == 0
         (entry,) = entries
         assert entry.context == ()  # "mystery" took the single window slot
+
+    @pytest.mark.parametrize("window", [1, 3, 50])
+    def test_equals_extract_relations_on_a_vocabulary_that_knows_everything(self, window):
+        spec = SyntheticSpec(n_topics=2, docs_per_topic=8, clique_size=3, noise_rate=0.2, seed=9)
+        corpus = parse_corpus(generate_synthetic_corpus(spec) + b"self\tq [[self]] r [[t0c0]]\n")
+        entries, dropped = resolve_ground_truth(corpus.docs, corpus.vocab, window)
+        relations = extract_relations(corpus.docs, corpus.vocab, window)
+        assert dropped == 0
+        assert [(e.source, e.target, e.structural, e.context) for e in entries] == [
+            (r.source, r.target, r.structural, r.context) for r in relations
+        ]
 
     def test_relation_invariants_hold(self):
         rng = np.random.default_rng(42)

@@ -31,7 +31,6 @@ from citevec.train import (
     _content_examples,
     _epoch,
     _Examples,
-    ns_loss_and_grads,
     retrofit_pvdm,
     train,
 )
@@ -42,6 +41,7 @@ from reference import (
     hidden_att,
     hidden_avg,
     lr_schedule,
+    ns_loss_and_grads,
     participant_slots,
 )
 
@@ -779,8 +779,23 @@ class TestTrain:
         for p in progress:
             assert model.config.min_lr <= p.current_lr <= model.config.learning_rate
             fields = dict(part.split("=") for part in p.record().split())
-            assert set(fields) == {"epoch", "seen", "lr", "loss"}
+            assert set(fields) == {"epoch", "seen", "lr", "loss", "skipped"}
+            assert p.skipped == 0
         assert model.trained_epochs == model.config.iterations
+
+    def test_citation_updates_whose_draws_all_collide_are_counted_skipped(self):
+        # d1 is the only cited doc, so every noise draw is the target itself
+        corpus = parse_corpus(b"d0\ta b [[d1]] c\nd1\tb c\nd2\tc [[d1]] a [[d1]]\n")
+        config = EmbeddingConfig(dim=4, window=2, negative=2, iterations=3, retrofit_epochs=0, seed=2)
+        relations = extract_relations(corpus.docs, corpus.vocab, config.window)
+        model = init_model(corpus.vocab, config)
+        before = model.matrices.copy()
+        _, progress = train(model, relations, corpus.docs)
+        assert [p.skipped for p in progress] == [len(relations)] * 3 == [3] * 3
+        assert [p.running_loss for p in progress] == [0.0] * 3
+        assert progress[0].record().endswith(" loss=0 skipped=3")
+        for a, b in zip(model.matrices.arrays(), before.arrays()):
+            assert np.array_equal(a, b)
 
     def test_structural_flag_is_inert_without_co_citations(self):
         # single-member cliques make every structural set empty
