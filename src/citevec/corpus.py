@@ -11,6 +11,7 @@ they can still receive embedding vectors and be recommended.
 from __future__ import annotations
 
 import io
+import itertools
 import os
 from dataclasses import dataclass, field
 
@@ -20,6 +21,9 @@ from .errors import CitevecError, ConfigError, CorpusFormatError
 
 WORD = "word"
 CITE = "cite"
+
+# fraction splits hold out only docs with at least this many citations
+_SPLIT_MIN_CITES = 2
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,32 +77,20 @@ class Vocabulary:
 
 @dataclass(frozen=True, slots=True)
 class CitationRelation:
-    """One training example per citation occurrence.
+    """One citation occurrence: a training example or a held-out citation.
 
     ``source`` is the citing doc, ``target`` the cited doc, ``structural``
     the other distinct citation targets of the same document (excluding both
     source and target), and ``context`` the word indices within the window
-    around the citation position.
+    around the citation position.  ``source`` is None for a held-out
+    citation whose citing document is unknown to the training vocabulary
+    (the usual case for fresh manuscripts).
     """
 
-    source: int
+    source: int | None
     target: int
     structural: frozenset[int]
     context: tuple[int, ...]
-
-
-@dataclass(frozen=True, slots=True)
-class HeldOutCitation:
-    """A test citation resolved against a training vocabulary.
-
-    ``source`` is None when the held-out citing document is unknown to the
-    training vocabulary (the usual case for fresh manuscripts).
-    """
-
-    target: int
-    context: tuple[int, ...]
-    structural: frozenset[int]
-    source: int | None = None
 
 
 @dataclass(slots=True)
@@ -132,7 +124,7 @@ class SplitResult:
     train_docs: list[HyperDocument]
     train_vocab: Vocabulary
     test_docs: list[HyperDocument]
-    ground_truth: list[HeldOutCitation]
+    ground_truth: list[CitationRelation]
     dropped_relations: int
     test_doc_ids: list[str]
 
@@ -196,22 +188,6 @@ def complete_corpus(line_docs: list[HyperDocument]) -> tuple[list[HyperDocument]
     return docs, vocab
 
 
-def _compute_stats(docs: list[HyperDocument]) -> CorpusStats:
-    stats = CorpusStats(n_docs=len(docs))
-    for doc in docs:
-        if not doc.tokens:
-            stats.n_empty_docs += 1
-        for token in doc.tokens:
-            if token.is_cite:
-                stats.n_citations += 1
-            else:
-                stats.n_words += 1
-    stats.n_relations = stats.n_citations
-    if stats.n_docs:
-        stats.mean_citations_per_doc = stats.n_citations / stats.n_docs
-    return stats
-
-
 def parse_corpus(source) -> Corpus:
     """Parse a corpus stream into documents, a vocabulary, and statistics.
 
@@ -242,7 +218,16 @@ def parse_corpus(source) -> Corpus:
         line_docs.append(HyperDocument(id=doc_id, tokens=tokenize_text(body, line_number)))
 
     docs, vocab = complete_corpus(line_docs)
-    return Corpus(docs=docs, vocab=vocab, stats=_compute_stats(docs))
+    n_citations = int(vocab.doc_cited_counts.sum())
+    stats = CorpusStats(
+        n_docs=len(docs),
+        n_words=int(vocab.word_counts.sum()),
+        n_citations=n_citations,
+        n_relations=n_citations,
+        n_empty_docs=sum(not doc.tokens for doc in docs),
+        mean_citations_per_doc=n_citations / max(len(docs), 1),
+    )
+    return Corpus(docs=docs, vocab=vocab, stats=stats)
 
 
 def _read_bytes(source) -> bytes:
@@ -259,31 +244,89 @@ def _read_bytes(source) -> bytes:
     raise TypeError(f"unsupported corpus source: {type(source)!r}")
 
 
-def _window_context(tokens: list[Token], position: int, window: int) -> list[str]:
-    """Words within `window` positions each side; citation markers are
-    skipped and do not consume window slots."""
-    before: list[str] = []
-    i = position - 1
-    while i >= 0 and len(before) < window:
-        if not tokens[i].is_cite:
-            before.append(tokens[i].value)
-        i -= 1
-    before.reverse()
-    after: list[str] = []
-    i = position + 1
-    while i < len(tokens) and len(after) < window:
-        if not tokens[i].is_cite:
-            after.append(tokens[i].value)
-        i += 1
-    return before + after
+def _layout(docs: list[HyperDocument]) -> tuple[list[str], np.ndarray, list]:
+    """The docs laid end to end with their citation markers taken out.
+
+    Returns the words, the spans (doc j's words are ``words[starts[j]:
+    starts[j + 1]]``) and, per citation marker in corpus order, the doc
+    index, the gap the marker sits in (the position in ``words`` of the
+    next word) and the cited id.
+    """
+    words: list[str] = []
+    starts = [0]
+    markers: list[tuple[int, int, str]] = []
+    for j, doc in enumerate(docs):
+        for token in doc.tokens:
+            if token.kind == CITE:
+                markers.append((j, len(words), token.value))
+            else:
+                words.append(token.value)
+        starts.append(len(words))
+    return words, np.array(starts, dtype=np.intp), markers
 
 
-def _citation_markers(doc: HyperDocument, window: int) -> tuple[set[str], list]:
-    """The ids ``doc`` cites, and per citation marker, in order, the cited
-    id and the window words."""
-    markers = [(t.value, _window_context(doc.tokens, i, window))
-               for i, t in enumerate(doc.tokens) if t.is_cite]
-    return {target for target, _ in markers}, markers
+def _window_bounds(left, right, start, end, window: int):
+    """The window rule, over words laid end to end with the markers removed.
+
+    The window of the place between positions ``left`` and ``right`` is
+    ``[max(start, left - window), left)`` followed by ``[right, min(end,
+    right + window))``, where ``[start, end)`` holds its document's words.
+    A word at p has ``left = p, right = p + 1``, so it is left out of its
+    own window; a marker has ``left = right =`` its gap, so its window is
+    one slice.  Returns the outer bounds ``lo`` and ``hi``.
+    """
+    return np.maximum(start, left - window), np.minimum(end, right + window)
+
+
+def _word_windows(starts: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every word's window, over texts laid end to end, text j holding
+    positions ``[starts[j], starts[j + 1])``.
+
+    Word p's window words are ``positions[offsets[p]:offsets[p + 1]]``, in
+    text order.  Returns ``offsets`` and ``positions``.
+    """
+    lengths = np.diff(starts)
+    pos = np.arange(starts[-1])
+    lo, hi = _window_bounds(
+        pos, pos + 1, np.repeat(starts[:-1], lengths), np.repeat(starts[1:], lengths), window
+    )
+    counts = hi - lo - 1
+    offsets = np.zeros(pos.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    # the t-th window word is at lo + t, shifted past the word itself
+    positions = np.repeat(lo - offsets[:-1], counts) + np.arange(offsets[-1])
+    positions += positions >= np.repeat(pos, counts)
+    return offsets, positions
+
+
+def _citations(docs: list[HyperDocument], vocab: Vocabulary, window: int):
+    """The citation walk: per citation marker, in corpus order, yields the
+    citing doc, the source and target ids, the structural ids (the known ids
+    the doc cites, less those two), the window's word ids, and the first
+    name ``vocab`` lacks of the doc's id, the ids it cites and the window
+    words, or None.  Names missing from ``vocab`` map to None.
+    """
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
+    words, starts, markers = _layout(docs)
+    doc_ids, word_ids = vocab.doc_ids, vocab.word_ids
+    ids = [word_ids.get(w) for w in words]  # the vocabulary's own int objects
+    marker_docs, gaps = np.array([m[:2] for m in markers], dtype=np.intp).reshape(-1, 2).T
+    lo, hi = _window_bounds(gaps, gaps, starts[marker_docs], starts[marker_docs + 1], window)
+    bounds = zip(lo.tolist(), hi.tolist())
+    for j, run in itertools.groupby(markers, key=lambda m: m[0]):
+        run = list(run)
+        doc = docs[j]
+        source = doc_ids.get(doc.id)
+        cited = {target_id: doc_ids.get(target_id) for _, _, target_id in run}
+        known = {i for i in cited.values() if i is not None} - {source}
+        missing = doc.id if source is None else next(
+            (d for d, i in cited.items() if i is None), None)
+        for (_, _, target_id), (a, b) in zip(run, bounds):
+            target, context, name = cited[target_id], ids[a:b], missing
+            if name is None and None in context:
+                name = words[a + context.index(None)]
+            yield doc, source, target, frozenset(known - {target}), context, name
 
 
 def extract_relations(
@@ -294,52 +337,32 @@ def extract_relations(
     Raises CitevecError when a citing doc, a cited doc or a context word is
     missing from ``vocab``.
     """
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
     relations: list[CitationRelation] = []
-    doc_ids, word_ids = vocab.doc_ids, vocab.word_ids
-    for doc in docs:
-        cited, markers = _citation_markers(doc, window)
-        if not markers:
-            continue
-        try:
-            source = doc_ids[doc.id]
-            targets = {doc_ids[d] for d in cited}
-            for target_id, words in markers:
-                target = doc_ids[target_id]
-                context = tuple(word_ids[w] for w in words)
-                relations.append(
-                    CitationRelation(source, target, frozenset(targets - {target, source}), context))
-        except KeyError as exc:
-            raise CitevecError(f"{exc} in doc {doc.id!r} is not in the vocabulary") from None
+    for doc, source, target, structural, context, missing in _citations(docs, vocab, window):
+        if missing is not None:
+            raise CitevecError(f"{missing!r} in doc {doc.id!r} is not in the vocabulary")
+        relations.append(CitationRelation(source, target, structural, tuple(context)))
     return relations
 
 
 def resolve_ground_truth(
     test_docs: list[HyperDocument], vocab: Vocabulary, window: int
-) -> tuple[list[HeldOutCitation], int]:
+) -> tuple[list[CitationRelation], int]:
     """Express held-out citations against an existing (training) vocabulary.
 
     Relations whose target id is unknown to ``vocab`` are dropped and
     counted.  Unknown context words are skipped after windowing; unknown
-    structural ids are dropped from the structural set.
+    structural ids are dropped from the structural set.  ``source`` is None
+    when the citing doc is unknown to ``vocab``.
     """
-    if window < 1:
-        raise ConfigError(f"window must be >= 1, got {window}")
-    entries: list[HeldOutCitation] = []
+    entries: list[CitationRelation] = []
     dropped = 0
-    doc_ids, word_ids = vocab.doc_ids, vocab.word_ids
-    for doc in test_docs:
-        cited, markers = _citation_markers(doc, window)
-        source = doc_ids.get(doc.id)
-        others = {doc_ids[d] for d in cited - {doc.id} if d in doc_ids}
-        for target_id, words in markers:
-            target = doc_ids.get(target_id)
-            if target is None:
-                dropped += 1
-                continue
-            context = tuple(word_ids[w] for w in words if w in word_ids)
-            entries.append(HeldOutCitation(target, context, frozenset(others - {target}), source))
+    for _, source, target, structural, context, _ in _citations(test_docs, vocab, window):
+        if target is None:
+            dropped += 1
+            continue
+        context = tuple(w for w in context if w is not None)
+        entries.append(CitationRelation(source, target, structural, context))
     return entries, dropped
 
 
@@ -349,15 +372,15 @@ def split_train_test(
     fraction: float | None = None,
     test_ids: list[str] | None = None,
     seed: int = 0,
-    min_citations: int = 2,
 ) -> SplitResult:
     """Hold out documents for testing and rebuild the training vocabulary.
 
     Exactly one of ``fraction`` and ``test_ids`` must be given.  With
     ``fraction``, held-out docs are drawn (seeded) from the documents that
-    carry at least ``min_citations`` citations; an explicit ``test_ids`` list
-    is taken as-is.  Held-out citations are resolved against the rebuilt
-    training vocabulary; those citing unknown targets are dropped and counted.
+    carry at least two citations (``_SPLIT_MIN_CITES``); an explicit
+    ``test_ids`` list is taken as-is.  Held-out citations are resolved
+    against the rebuilt training vocabulary; those citing unknown targets
+    are dropped and counted.
     """
     if (fraction is None) == (test_ids is None):
         raise ConfigError("exactly one of fraction and test_ids must be given")
@@ -372,7 +395,7 @@ def split_train_test(
     else:
         if not 0.0 < fraction < 1.0:
             raise ConfigError(f"test fraction must be in (0, 1), got {fraction}")
-        eligible = [d for d in line_docs if len(d.cite_targets()) >= min_citations]
+        eligible = [d for d in line_docs if len(d.cite_targets()) >= _SPLIT_MIN_CITES]
         n_test = int(round(fraction * len(eligible)))
         if n_test < 1 or n_test >= len(line_docs):
             raise CitevecError(

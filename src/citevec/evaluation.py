@@ -15,7 +15,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
-from .corpus import HeldOutCitation
+from .corpus import CitationRelation
 from .errors import ConfigError, QueryError
 from .model import Model
 from .recommend import CASES, Query, build_query_vector, rank_i4o
@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 # A ground-truth set is just the resolved held-out citations from a split.
-GroundTruth = Sequence[HeldOutCitation]
+GroundTruth = Sequence[CitationRelation]
 
 _METRIC_NAMES = ("recall", "map", "ndcg")
 
@@ -116,7 +116,7 @@ class MetricReport:
         ]
 
 
-def _relation_seed(seed: int, relation: HeldOutCitation) -> int:
+def _relation_seed(seed: int, relation: CitationRelation) -> int:
     # Content-derived so that Case 2 thinning ignores iteration order.
     canon = (
         f"{relation.target}|{sorted(relation.structural)}"

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.sparse import csr_matrix
 
-from .corpus import Vocabulary, _read_bytes
+from .corpus import Vocabulary, _read_bytes, _word_windows
 from .errors import ConfigError, ModelIOError
 
 VARIANTS = ("avg", "att")
@@ -355,7 +355,7 @@ def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | Non
     from one draw of noise words, and the vector moves by ``-(lr / m) @
     hidden gradients``.  The model itself is never modified.
     """
-    from .train import BATCH, NegativeSampler, _ns_output, _windows  # avoids an import cycle
+    from .train import BATCH, NegativeSampler, _ns_output  # avoids an import cycle
 
     words = np.asarray(list(word_indices), dtype=np.intp)
     if words.size == 0:
@@ -369,12 +369,11 @@ def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | Non
 
     n, negative = words.size, model.config.negative
     sampler = NegativeSampler(model.vocab.word_counts, seed=[model.config.seed, _RNG_INFER])
-    offsets, places = _windows(np.array([n]), model.config.window)
-    m = np.diff(offsets)  # the vector and the window words
+    offsets, positions = _word_windows(np.array([0, n]), model.config.window)
+    m = np.diff(offsets) + 1  # the vector and the window words
     # the window words are frozen, so their share of each hidden row is fixed
-    is_word = places >= 0
-    weights = (1.0 / m)[np.repeat(np.arange(n), m)][is_word]
-    pool = csr_matrix((weights, places[is_word], offsets - np.arange(n + 1)), shape=(n, n))
+    weights = (1.0 / m)[np.repeat(np.arange(n), m - 1)]
+    pool = csr_matrix((weights, positions, offsets), shape=(n, n))
     rows = model.matrices.word_in[words]
     context = pool @ rows
     work = np.empty((2, min(n, BATCH) * (1 + negative), model.matrices.dim))

@@ -15,8 +15,8 @@ matrix: word_out in step one, doc_out in step two.  Within a batch every
 example reads the parameters as they stood at the batch start and the
 steps are applied together at its end (the Hogwild! staleness argument,
 Recht et al. 2011, within one batch).  Inference (``infer_doc_vector``)
-shares the kernel's output half, ``_ns_output``, its batches and the
-content pass's window rule, ``_windows``.
+shares the kernel's output half, ``_ns_output``, and its batches.  Which
+words form a window, for a word or a citation, is decided in ``corpus``.
 
 All gradients are the exact derivatives of the sampled loss, including the
 1/m factor the mean contributes, so they can be checked against finite
@@ -32,7 +32,7 @@ import numpy as np
 from scipy.sparse import csc_matrix, csr_matrix
 from scipy.special import expit
 
-from .corpus import CitationRelation, HyperDocument, Vocabulary
+from .corpus import CitationRelation, HyperDocument, Vocabulary, _layout, _word_windows
 from .errors import CitevecError, ConfigError
 from .model import Model, ModelMatrices, init_matrices
 
@@ -73,37 +73,29 @@ class NegativeSampler:
     def _draw(self, n: int) -> np.ndarray:
         return self.cumulative.searchsorted(self.rng.random(n), side="right")
 
-    def _redraw(self, draws: np.ndarray, exclude) -> np.ndarray:
-        """Redraw, in place and in row-major order, the draws equal to
-        ``exclude`` (broadcast against ``draws``); returns the mask of draws
-        kept after the bounded retries."""
-        colliding = draws == exclude
-        tries = 0
-        while colliding.any() and tries < _MAX_RESAMPLE:
-            draws[colliding] = self._draw(int(colliding.sum()))
-            colliding = draws == exclude
-            tries += 1
-        return ~colliding
-
     def sample(self, n: int, exclude: int | None = None) -> np.ndarray:
-        if n < 1:
-            raise ConfigError(f"sample size must be >= 1, got {n}")
-        draws = self._draw(n)
-        if exclude is None or exclude not in draws.tolist():
-            return draws
-        return draws[self._redraw(draws, exclude)]
+        """``n`` draws, less those equal to ``exclude``: one row of
+        ``sample_rows``."""
+        draws, kept = self.sample_rows(np.array([-1 if exclude is None else exclude]), n)
+        return draws[0][kept[0]]
 
     def sample_rows(self, exclude: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
         """``n`` draws for each entry of ``exclude``, from one call.
 
         Returns the draws, shape ``(len(exclude), n)``, and the mask of those
-        kept: row i never keeps ``exclude[i]``.  For one row this is the draw
-        sequence of ``sample(n, exclude[0])``.
+        kept: row i never keeps ``exclude[i]``.  Colliding draws are redrawn,
+        in place and in row-major order, a bounded number of times.
         """
         if n < 1:
             raise ConfigError(f"sample size must be >= 1, got {n}")
         draws = self._draw(exclude.size * n).reshape(exclude.size, n)
-        return draws, self._redraw(draws, exclude[:, None])
+        colliding = draws == exclude[:, None]
+        tries = 0
+        while colliding.any() and tries < _MAX_RESAMPLE:
+            draws[colliding] = self._draw(int(colliding.sum()))
+            colliding = draws == exclude[:, None]
+            tries += 1
+        return draws, ~colliding
 
 
 class _Examples(NamedTuple):
@@ -129,50 +121,17 @@ class _Examples(NamedTuple):
         return _Examples(self.targets[order], offsets, self.slots[index])
 
 
-def _windows(lengths: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarray]:
-    """Content-pass windows over texts laid end to end, ``lengths[j]`` words
-    in text j: one example per position.
-
-    Example p holds a leading place for its text, marked -1, then every
-    position within ``window`` of p in p's text, in order, p excluded.
-    Returns the examples' offsets into the places and the flat places.
-    """
-    n = int(lengths.sum())
-    pos = np.arange(n)
-    ends = np.cumsum(lengths)
-    lo = np.maximum(pos - window, np.repeat(ends - lengths, lengths))
-    hi = np.minimum(pos + window + 1, np.repeat(ends, lengths))
-    # one text place plus every window word but the target: hi - lo places
-    m = hi - lo
-    offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(m, out=offsets[1:])
-    t = np.arange(offsets[-1]) - np.repeat(offsets[:-1], m)  # place in the example
-    # place t >= 1 holds window word lo + t - 1, shifted past the target
-    places = np.repeat(lo - 1, m) + t
-    places += places >= np.repeat(pos, m)
-    places[offsets[:-1]] = -1
-    return offsets, places
-
-
 def _content_examples(docs, vocab: Vocabulary, window: int) -> _Examples:
     """One example per word occurrence, in corpus order: the document and
-    up to ``window`` words each side predict the word.  Citation markers
-    are skipped and do not consume window slots, as in ``_window_context``."""
-    words: list[int] = []
-    doc_rows: list[int] = []
-    lengths: list[int] = []
-    for doc in docs:
-        before = len(words)
-        words += [vocab.word_ids[t.value] for t in doc.tokens if not t.is_cite]
-        if len(words) > before:
-            doc_rows.append(vocab.doc_ids[doc.id])
-            lengths.append(len(words) - before)
-    words_arr = np.asarray(words, dtype=np.intp)
-    lengths_arr = np.asarray(lengths, dtype=np.intp)
-    offsets, places = _windows(lengths_arr, window)
-    slots = vocab.n_docs + words_arr[places]  # the text places read a dummy, overwritten
-    slots[offsets[:-1]] = np.repeat(np.asarray(doc_rows, dtype=np.intp), lengths_arr)
-    return _Examples(words_arr, offsets, slots)
+    the word's window words (``corpus._word_windows``) predict the word."""
+    words, starts, _ = _layout(docs)
+    words = np.array([vocab.word_ids[w] for w in words], dtype=np.intp)
+    offsets, positions = _word_windows(starts, window)
+    doc_rows = np.array([vocab.doc_ids[doc.id] for doc in docs], dtype=np.intp)
+    # the document slot goes in front of each example's window words
+    slots = np.insert(vocab.n_docs + words[positions], offsets[:-1],
+                      np.repeat(doc_rows, np.diff(starts)))
+    return _Examples(words, offsets + np.arange(offsets.size), slots)
 
 
 def _citation_examples(

@@ -5,8 +5,9 @@ negative-sampling kernel.  The pooling functions compute the same hidden
 layers one relation at a time from explicit vectors, ``ns_loss_and_grads``
 is the kernel's output half for one example, ``batch_reference`` restates
 the kernel's batch semantics as a loop over examples, and
-``infer_reference`` restates ``infer_doc_vector`` as a loop over words, so
-tests can state what the library must produce without reusing its code.
+``infer_reference`` restates ``infer_doc_vector`` as a loop over words, and
+``_window_context`` walks a token stream for one position's window words,
+so tests can state what the library must produce without reusing its code.
 ``backprop`` runs the library kernel on a batch of one relation.
 """
 
@@ -20,6 +21,25 @@ from citevec.model import _RNG_INFER
 from citevec.train import NegativeSampler, _citation_examples, _ns_batch
 
 train_module = importlib.import_module("citevec.train")  # the package exports train()
+
+
+def _window_context(tokens, position: int, window: int) -> list[str]:
+    """Words within `window` positions each side; citation markers are
+    skipped and do not consume window slots."""
+    before: list[str] = []
+    i = position - 1
+    while i >= 0 and len(before) < window:
+        if not tokens[i].is_cite:
+            before.append(tokens[i].value)
+        i -= 1
+    before.reverse()
+    after: list[str] = []
+    i = position + 1
+    while i < len(tokens) and len(after) < window:
+        if not tokens[i].is_cite:
+            after.append(tokens[i].value)
+        i += 1
+    return before + after
 
 
 def ns_loss_and_grads(hidden, target_out, negatives_out):

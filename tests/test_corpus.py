@@ -221,6 +221,14 @@ class TestExtractRelations:
         with pytest.raises(CitevecError, match=missing):
             extract_relations(parse_corpus(text).docs, vocab, window=3)
 
+    def test_a_missing_word_outside_every_window_is_not_an_error(self):
+        vocab = parse_corpus(b"a\tx [[b]]\n").vocab
+        docs = parse_corpus(b"a\tzz x x [[b]] x\n").docs
+        (rel,) = extract_relations(docs, vocab, window=2)
+        assert rel.context == (0, 0, 0)
+        with pytest.raises(CitevecError, match="'zz'"):
+            extract_relations(docs, vocab, window=3)
+
 
 class TestSplitTrainTest:
     def _corpus(self, n_docs=10, seed=3):
@@ -366,9 +374,7 @@ class TestResolveGroundTruth:
         entries, dropped = resolve_ground_truth(corpus.docs, corpus.vocab, window)
         relations = extract_relations(corpus.docs, corpus.vocab, window)
         assert dropped == 0
-        assert [(e.source, e.target, e.structural, e.context) for e in entries] == [
-            (r.source, r.target, r.structural, r.context) for r in relations
-        ]
+        assert entries == relations
 
     def test_relation_invariants_hold(self):
         rng = np.random.default_rng(42)

@@ -12,7 +12,7 @@ import random
 import numpy as np
 import pytest
 
-from citevec.corpus import HeldOutCitation, parse_corpus, resolve_ground_truth
+from citevec.corpus import CitationRelation, parse_corpus, resolve_ground_truth
 from citevec.errors import ConfigError
 from citevec.evaluation import (
     AblationRow,
@@ -166,7 +166,7 @@ def perfect_model(n_docs):
 
 def perfect_ground_truth(n_docs):
     return [
-        HeldOutCitation(target=i, context=(i,), structural=frozenset(), source=None)
+        CitationRelation(target=i, context=(i,), structural=frozenset(), source=None)
         for i in range(n_docs)
     ]
 
@@ -214,8 +214,8 @@ class TestEvaluate:
     def test_unusable_query_counts_as_miss(self):
         model = perfect_model(4)
         truth = [
-            HeldOutCitation(target=0, context=(0,), structural=frozenset(), source=None),
-            HeldOutCitation(target=1, context=(), structural=frozenset(), source=None),
+            CitationRelation(target=0, context=(0,), structural=frozenset(), source=None),
+            CitationRelation(target=1, context=(), structural=frozenset(), source=None),
         ]
         report = evaluate(model, truth, case=1, k=4)
         assert report.n_relations == 2
@@ -243,7 +243,7 @@ class TestEvaluate:
         # the known source and doc 2 sits in the structural context
         model.matrices.word_in[0] = np.array([2.0, 1.0, 1.5, 0.0])
         truth = [
-            HeldOutCitation(target=1, context=(0,), structural=frozenset({2}), source=0),
+            CitationRelation(target=1, context=(0,), structural=frozenset({2}), source=0),
         ]
         report = evaluate(model, truth, case=3, k=1)
         assert report.recall == 1.0

@@ -13,10 +13,10 @@ import pytest
 
 from citevec.corpus import (
     CitationRelation,
-    _window_context,
     extract_relations,
     generate_synthetic_corpus,
     parse_corpus,
+    resolve_ground_truth,
     SyntheticSpec,
 )
 from citevec.errors import CitevecError, ConfigError
@@ -35,6 +35,7 @@ from citevec.train import (
     train,
 )
 from reference import (
+    _window_context,
     attention_ratios,
     backprop,
     batch_reference,
@@ -347,6 +348,65 @@ class TestFlatTables:
         relations = extract_relations(corpus.docs, corpus.vocab, 1)
         assert any(not r.context and not r.structural for r in relations)
         assert not _content_examples([corpus.docs[2]], corpus.vocab, 2).targets.size
+
+
+def marker_citations(docs, window):
+    """(citing id, cited id, other cited ids, window words) per citation
+    marker, each window walked over the token stream on its own."""
+    out = []
+    for doc in docs:
+        cited = set(doc.cite_targets())
+        for i, token in enumerate(doc.tokens):
+            if token.is_cite:
+                words = _window_context(doc.tokens, i, window)
+                out.append((doc.id, token.value, cited - {doc.id, token.value}, words))
+    return out
+
+
+class TestCitationWalk:
+    """Both relation lists against the per-marker token walk."""
+
+    @pytest.fixture(params=["fixture", "edge"])
+    def corpus(self, request, fixture_corpus):
+        return fixture_corpus if request.param == "fixture" else parse_corpus(EDGE_CORPUS)
+
+    @staticmethod
+    def held_out(vocab):
+        """Held-out docs whose windows hold unknown words and unknown ids,
+        one citing from a known doc id and one from an unknown one."""
+        a, b, c = vocab.word_list[:3]
+        d0, d1 = vocab.doc_list[:2]
+        text = f"zz {a} [[{d1}]] yy [[nope]] {b} [[{d0}]] {c} qq [[{d1}]] [[gone]] zz"
+        docs = parse_corpus(f"{d0}\t{text}\nfresh\tqq {b} [[nope]] {a} [[{d0}]]\n".encode()).docs
+        return [doc for doc in docs if not doc.placeholder]
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 8, 50])
+    def test_extract_relations(self, corpus, window):
+        doc_ids, word_ids = corpus.vocab.doc_ids, corpus.vocab.word_ids
+        expected = [
+            CitationRelation(doc_ids[source], doc_ids[target],
+                             frozenset(doc_ids[d] for d in others),
+                             tuple(word_ids[w] for w in words))
+            for source, target, others, words in marker_citations(corpus.docs, window)
+        ]
+        assert extract_relations(corpus.docs, corpus.vocab, window) == expected
+
+    @pytest.mark.parametrize("window", [1, 2, 3, 8, 50])
+    def test_resolve_ground_truth(self, corpus, window):
+        docs = corpus.docs + self.held_out(corpus.vocab)
+        doc_ids, word_ids = corpus.vocab.doc_ids, corpus.vocab.word_ids
+        expected, dropped, unknown_words = [], 0, 0
+        for source, target, others, words in marker_citations(docs, window):
+            if target not in doc_ids:
+                dropped += 1
+                continue
+            expected.append(CitationRelation(
+                doc_ids.get(source), doc_ids[target],
+                frozenset(doc_ids[d] for d in others if d in doc_ids),
+                tuple(word_ids[w] for w in words if w in word_ids)))
+            unknown_words += sum(w not in word_ids for w in words)
+        assert resolve_ground_truth(docs, corpus.vocab, window) == (expected, dropped)
+        assert dropped == 3 and unknown_words and any(r.source is None for r in expected)
 
 
 def replay_negatives(counts, seed, n, exclude):
