@@ -42,10 +42,11 @@ config = EmbeddingConfig(dim=16, window=8, negative=2, iterations=40,
 relations = extract_relations(corpus.docs, corpus.vocab, config.window)
 model = init_model(corpus.vocab, config)
 
-# 2. Train.  Progress records arrive once per pass: every content epoch
-# (printed as it ends), then every citation epoch (print a few).
+# 2. Train.  Both passes report each epoch with the same record; the
+# callback that receives it tells the pass.  Content epochs are printed as
+# they end, then a few of the citation epochs.
 _, progress = train(model, relations, corpus.docs,
-                    on_content=lambda entry: print(" ", entry.record()))
+                    on_content=lambda entry: print("  phase=content", entry.record()))
 for entry in progress[:2] + progress[-2:]:
     print(" ", entry.record())
 

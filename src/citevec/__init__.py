@@ -46,7 +46,7 @@ from .model import (
     save_model,
 )
 from .recommend import RecommendationList, rank_i4i, recommend
-from .train import ContentProgress, TrainProgress, train
+from .train import TrainProgress, train
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "load_model",
     "export_word2vec_text",
     # train
-    "ContentProgress",
     "TrainProgress",
     "train",
     # recommend

@@ -27,7 +27,8 @@ from .corpus import (
 )
 from .errors import CitevecError
 from .evaluation import evaluate
-from .model import EmbeddingConfig, export_word2vec_text, init_model, load_model, save_model
+from .model import (VARIANTS, EmbeddingConfig, export_word2vec_text, init_model, load_model,
+                    save_model)
 from .recommend import recommend
 from .train import train
 
@@ -114,7 +115,7 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--retrofit-epochs", type=int, default=defaults.retrofit_epochs)
     parser.add_argument("--learning-rate", type=float, default=defaults.learning_rate)
     parser.add_argument("--min-lr", type=float, default=defaults.min_lr)
-    parser.add_argument("--variant", choices=("avg", "att"), default=defaults.variant)
+    parser.add_argument("--variant", choices=VARIANTS, default=defaults.variant)
     parser.add_argument(
         "--structural-context",
         action=argparse.BooleanOptionalAction,
@@ -165,7 +166,7 @@ def _cmd_train(args, out) -> int:
     train(
         model, relations, docs,
         on_progress=lambda p: print(p.record(), file=out),
-        on_content=lambda p: print(p.record(), file=sys.stderr),
+        on_content=lambda p: print("phase=content", p.record(), file=sys.stderr),
     )
     with open(args.model, "wb") as sink:
         save_model(model, sink)
@@ -222,14 +223,8 @@ def _cmd_export(args, out) -> int:
 
 
 def _cmd_synth(args, out) -> int:
-    spec = SyntheticSpec(
-        n_topics=args.n_topics,
-        docs_per_topic=args.docs_per_topic,
-        clique_size=args.clique_size,
-        vocab_per_topic=args.vocab_per_topic,
-        noise_rate=args.noise_rate,
-        seed=args.seed,
-    )
+    names = dataclasses.asdict(SyntheticSpec())
+    spec = SyntheticSpec(**{name: getattr(args, name) for name in names})
     manifest = _start_manifest(
         args, "synth", Path(args.out),
         config=dataclasses.asdict(spec),
@@ -285,12 +280,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_syn = sub.add_parser("synth", help="generate a synthetic co-citation corpus")
     p_syn.add_argument("out")
-    p_syn.add_argument("--n-topics", type=int, default=2)
-    p_syn.add_argument("--docs-per-topic", type=int, default=16)
-    p_syn.add_argument("--clique-size", type=int, default=4)
-    p_syn.add_argument("--vocab-per-topic", type=int, default=30)
-    p_syn.add_argument("--noise-rate", type=float, default=0.1)
-    p_syn.add_argument("--seed", type=int, default=0)
+    for name, default in dataclasses.asdict(SyntheticSpec()).items():  # one flag per field
+        p_syn.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p_syn.set_defaults(func=_cmd_synth)
 
     return parser

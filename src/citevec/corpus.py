@@ -48,7 +48,7 @@ class HyperDocument:
     placeholder: bool = False
 
     def cite_targets(self) -> list[str]:
-        return [t.value for t in self.tokens if t.is_cite]
+        return [t.value for t in self.tokens if t.kind == CITE]
 
 
 @dataclass
@@ -161,7 +161,7 @@ def build_vocabulary(docs: list[HyperDocument]) -> Vocabulary:
     for doc in docs:
         doc_slot(doc.id)
         for token in doc.tokens:
-            if token.is_cite:
+            if token.kind == CITE:
                 cited_counts[doc_slot(token.value)] += 1
             else:
                 idx = vocab.word_ids.get(token.value)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import tokenize_text
+from .corpus import CITE, tokenize_text
 from .errors import ConfigError, QueryError
 from .model import Model, infer_doc_vector
 
@@ -189,7 +189,7 @@ def resolve_text(model: Model, raw_text: str) -> ResolvedText:
     structural: set[int] = set()
     unknown_words = 0
     for token in tokenize_text(raw_text):
-        if token.is_cite:
+        if token.kind == CITE:
             marker_ids.append(token.value)
             doc_idx = model.vocab.doc_ids.get(token.value)
             if doc_idx is not None:

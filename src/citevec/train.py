@@ -9,14 +9,17 @@ documents.  The "avg" variant pools with a uniform mean, the "att" variant
 with softmax-normalized learned scores, one per document and word slot.
 
 Both steps turn their examples into flat integer tables once per call
-(``_Examples``) and feed them, ``BATCH`` examples at a time, to one
-negative-sampling kernel, ``_ns_batch``, pointed at their own output
-matrix: word_out in step one, doc_out in step two.  Within a batch every
-example reads the parameters as they stood at the batch start and the
-steps are applied together at its end (the Hogwild! staleness argument,
-Recht et al. 2011, within one batch).  Inference (``infer_doc_vector``)
-shares the kernel's output half, ``_ns_output``, and its batches.  Which
-words form a window, for a word or a citation, is decided in ``corpus``.
+(``_Examples``) and run their epochs through one loop, ``_run_pass``,
+which checks the parameters stay finite and reports each epoch as one
+``TrainProgress``.  An epoch feeds the tables, ``BATCH`` examples at a
+time, to one negative-sampling kernel, ``_ns_batch``, pointed at the
+step's own output matrix: word_out in step one, doc_out in step two.
+Within a batch every example reads the parameters as they stood at the
+batch start and the steps are applied together at its end (the Hogwild!
+staleness argument, Recht et al. 2011, within one batch).  Inference
+(``infer_doc_vector``) shares the kernel's output half, ``_ns_output``,
+and its batches.  Which words form a window, for a word or a citation, is
+decided in ``corpus``.
 
 All gradients are the exact derivatives of the sampled loss, including the
 1/m factor the mean contributes, so they can be checked against finite
@@ -42,26 +45,28 @@ _RNG_CITATION = 21
 _RNG_SHUFFLE = 22
 
 _MAX_RESAMPLE = 100
+# noise mass is count ** _NOISE_POWER (word2vec's unigram^0.75)
+_NOISE_POWER = 0.75
 
 # examples per kernel call; within a batch the updates see stale parameters
 BATCH = 128
 
 
 class NegativeSampler:
-    """Draws noise indices with probability proportional to count^power.
+    """Draws noise indices with probability proportional to count^0.75.
 
     Zero-count items get zero mass.  Draws that collide with an excluded
     index are redrawn a bounded number of times and then dropped, so the
     returned batch may be shorter than requested.
     """
 
-    def __init__(self, counts, seed, power: float = 0.75):
+    def __init__(self, counts, seed):
         counts = np.asarray(counts, dtype=np.float64)
         if counts.ndim != 1 or counts.size == 0:
             raise ConfigError("sampler needs a non-empty 1-D count array")
         if (counts < 0).any():
             raise ConfigError("sampler counts must be nonnegative")
-        weights = counts**power
+        weights = counts**_NOISE_POWER
         total = weights.sum()
         if not total > 0:
             raise CitevecError("cannot build a noise distribution: all counts are zero")
@@ -123,11 +128,16 @@ class _Examples(NamedTuple):
 
 def _content_examples(docs, vocab: Vocabulary, window: int) -> _Examples:
     """One example per word occurrence, in corpus order: the document and
-    the word's window words (``corpus._word_windows``) predict the word."""
-    words, starts, _ = _layout(docs)
-    words = np.array([vocab.word_ids[w] for w in words], dtype=np.intp)
+    the word's window words (``corpus._word_windows``) predict the word.
+    Raises ConfigError naming the first word or doc id ``vocab`` lacks."""
+    names, starts, _ = _layout(docs)
+    words = np.array([vocab.word_ids.get(w, -1) for w in names], dtype=np.intp)
+    doc_rows = np.array([vocab.doc_ids.get(doc.id, -1) for doc in docs], dtype=np.intp)
+    if (doc_rows < 0).any():
+        raise ConfigError(f"doc id {docs[int(doc_rows.argmin())].id!r} is not in the vocabulary")
+    if (words < 0).any():
+        raise ConfigError(f"word {names[int(words.argmin())]!r} is not in the vocabulary")
     offsets, positions = _word_windows(starts, window)
-    doc_rows = np.array([vocab.doc_ids[doc.id] for doc in docs], dtype=np.intp)
     # the document slot goes in front of each example's window words
     slots = np.insert(vocab.n_docs + words[positions], offsets[:-1],
                       np.repeat(doc_rows, np.diff(starts)))
@@ -138,11 +148,11 @@ def _citation_examples(
     relations: list[CitationRelation], n_docs: int, structural_context: bool
 ) -> _Examples:
     """One example per relation: source, sorted structural docs, then the
-    context words predict the target."""
+    context words predict the target.  A None source becomes slot -1."""
     slots: list[int] = []
     offsets = [0]
     for r in relations:
-        slots.append(r.source)
+        slots.append(-1 if r.source is None else r.source)
         if structural_context:
             slots += sorted(r.structural)
         slots += [n_docs + w for w in r.context]
@@ -153,6 +163,24 @@ def _citation_examples(
         np.asarray(offsets, dtype=np.intp),
         np.asarray(slots, dtype=np.intp),
     )
+
+
+def _check_relations(relations: list[CitationRelation], examples: _Examples,
+                     vocab: Vocabulary) -> None:
+    """Raises ConfigError naming the first relation whose target, source,
+    structural or context ids fall outside ``vocab``; ``examples`` are the
+    relations' tables."""
+    n_docs, offsets = vocab.n_docs, examples.offsets
+    n_context = np.fromiter((len(r.context) for r in relations), np.intp, len(relations))
+    # an example's last len(context) slots are words, held as n_docs + word id
+    is_word = np.arange(offsets[-1]) >= np.repeat(offsets[1:] - n_context, np.diff(offsets))
+    ids = examples.slots - np.where(is_word, n_docs, 0)
+    bad_slots = (ids < 0) | (ids >= np.where(is_word, vocab.n_words, n_docs))
+    bad = (examples.targets < 0) | (examples.targets >= n_docs)
+    bad |= np.logical_or.reduceat(bad_slots, offsets[:-1])  # every example has a source
+    if bad.any():
+        i = int(bad.argmax())
+        raise ConfigError(f"relation {i} names an id outside the vocabulary: {relations[i]}")
 
 
 def _ns_output(hidden, targets: np.ndarray, out: np.ndarray, sampler: NegativeSampler,
@@ -315,19 +343,44 @@ def _epoch(
 
 
 @dataclass(frozen=True)
-class ContentProgress:
-    """One per-epoch progress record of the content pass."""
+class TrainProgress:
+    """One per-epoch progress record of either training pass; the callback
+    that receives it tells which pass it came from."""
 
     epoch: int
-    occurrences: int
-    loss: float  # mean sampled loss per occurrence; skipped ones count 0
+    seen: int  # the pass's examples so far: word occurrences or relations
+    current_lr: float  # the schedule at the epoch's last update
+    running_loss: float  # mean sampled loss per example; skipped ones count 0
     skipped: int
 
     def record(self) -> str:
         return (
-            f"phase=content epoch={self.epoch} loss={self.loss:.8g} "
-            f"skipped={self.skipped}"
+            f"epoch={self.epoch} seen={self.seen} "
+            f"lr={self.current_lr:.8g} loss={self.running_loss:.8g} skipped={self.skipped}"
         )
+
+
+def _run_pass(name: str, examples: _Examples, matrices: ModelMatrices, out: np.ndarray,
+              sampler: NegativeSampler, epochs: int, config, attention: bool, shuffle_rng,
+              on_epoch) -> list[TrainProgress]:
+    """``epochs`` passes over the examples, in ``shuffle_rng``'s order per
+    epoch (corpus order without one), with one linear learning-rate decay
+    across all of them.  After every epoch the parameters must be finite;
+    ``on_epoch`` then receives the epoch's ``TrainProgress``."""
+    n = examples.targets.size
+    total = epochs * n
+    progress: list[TrainProgress] = []
+    for epoch in range(1, epochs + 1):
+        ordered = examples if shuffle_rng is None else examples.take(shuffle_rng.permutation(n))
+        loss, skipped = _epoch(ordered, matrices, out, sampler, (epoch - 1) * n, total, config,
+                               attention)
+        if not matrices.all_finite():
+            raise CitevecError(f"non-finite model parameters after {name} epoch {epoch}")
+        lr = float(_lr_at(epoch * n - 1, total, config.learning_rate, config.min_lr))
+        progress.append(TrainProgress(epoch, epoch * n, lr, loss / n, skipped))
+        if on_epoch is not None:
+            on_epoch(progress[-1])
+    return progress
 
 
 def retrofit_pvdm(
@@ -338,47 +391,24 @@ def retrofit_pvdm(
 ) -> ModelMatrices:
     """Step one: initialize fresh matrices and pre-train them on content.
 
-    Runs ``config.retrofit_epochs`` passes over every word occurrence,
-    predicting the word's output vector from the mean of the document
-    vector and the window words, with negative word samples.  Populates
-    word_in, word_out, and doc_in; doc_out stays zero for step two.
-    With retrofit_epochs=0 the fresh initialization is returned unchanged.
-    ``on_epoch`` receives a ``ContentProgress`` after every epoch.
+    Runs ``config.retrofit_epochs`` passes over every word occurrence, in
+    corpus order, predicting the word's output vector from the mean of the
+    document vector and the window words, with negative word samples.
+    Populates word_in, word_out, and doc_in; doc_out stays zero for step
+    two.  With retrofit_epochs=0 the fresh initialization is returned
+    unchanged.  ``on_epoch`` receives a ``TrainProgress`` after every epoch.
     """
     matrices = init_matrices(vocab, config)
     if config.retrofit_epochs == 0:
         return matrices
     examples = _content_examples(docs, vocab, config.window)
-    n = examples.targets.size
-    if n == 0:
+    if examples.targets.size == 0:
         return matrices
     sampler = NegativeSampler(vocab.word_counts, seed=[config.seed, _RNG_RETROFIT])
-    total = config.retrofit_epochs * n
-    for epoch in range(1, config.retrofit_epochs + 1):
-        loss, skipped = _epoch(
-            examples, matrices, matrices.word_out, sampler, (epoch - 1) * n, total,
-            config, attention=False,
-        )
-        if on_epoch is not None:
-            on_epoch(ContentProgress(epoch, n, loss / n, skipped))
+    _run_pass("content", examples, matrices, matrices.word_out, sampler,
+              config.retrofit_epochs, config, attention=False, shuffle_rng=None,
+              on_epoch=on_epoch)
     return matrices
-
-
-@dataclass(frozen=True)
-class TrainProgress:
-    """One per-epoch progress record of the citation-training phase."""
-
-    epoch: int
-    relations_seen: int
-    current_lr: float
-    running_loss: float  # mean sampled loss per relation; skipped ones count 0
-    skipped: int
-
-    def record(self) -> str:
-        return (
-            f"epoch={self.epoch} seen={self.relations_seen} "
-            f"lr={self.current_lr:.8g} loss={self.running_loss:.8g} skipped={self.skipped}"
-        )
 
 
 def train(
@@ -388,50 +418,29 @@ def train(
     on_progress=None,
     on_content=None,
 ) -> tuple[Model, list[TrainProgress]]:
-    """Run both learning steps in place; returns the model and progress.
+    """Run both learning steps in place; returns the model and the citation
+    pass's progress.
 
     Step two makes ``iterations`` shuffled passes over the relations with a
-    linearly decaying learning rate.  The relations' flat tables are built
-    once per call; each epoch gathers them in its shuffled order.
-    ``on_progress`` receives each citation epoch's ``TrainProgress``,
-    ``on_content`` each content epoch's ``ContentProgress``.  The result is
-    bit-reproducible per seed.
+    linearly decaying learning rate.  The relations' flat tables are built,
+    and checked against the vocabulary, before anything trains; each epoch
+    gathers them in its shuffled order.  ``on_progress`` receives each
+    citation epoch's ``TrainProgress``, ``on_content`` each content
+    epoch's.  The result is bit-reproducible per seed.
     """
     if not relations:
         raise ConfigError("cannot train on an empty relation list")
     config = model.config
+    examples = _citation_examples(relations, model.vocab.n_docs, config.structural_context)
+    _check_relations(relations, examples, model.vocab)
     model.matrices = retrofit_pvdm(docs, model.vocab, config, on_epoch=on_content)
     matrices = model.matrices
-
-    examples = _citation_examples(relations, matrices.n_docs, config.structural_context)
     # the trailing 0 keeps the noise stream that earlier releases drew from
     sampler = NegativeSampler(model.vocab.doc_cited_counts, seed=[config.seed, _RNG_CITATION, 0])
-    shuffle_rng = np.random.default_rng([config.seed, _RNG_SHUFFLE])
-    n = len(relations)
-    total = config.iterations * n
-    progress: list[TrainProgress] = []
-    seen = 0
-
-    for epoch in range(1, config.iterations + 1):
-        order = shuffle_rng.permutation(n)
-        loss_sum, skipped = _epoch(
-            examples.take(order), matrices, matrices.doc_out, sampler, (epoch - 1) * n,
-            total, config, attention=config.variant == "att",
-        )
-
-        if not matrices.all_finite():
-            raise CitevecError(f"non-finite model parameters after epoch {epoch}")
-        seen += n
-        entry = TrainProgress(
-            epoch=epoch,
-            relations_seen=seen,
-            current_lr=float(_lr_at(epoch * n - 1, total, config.learning_rate, config.min_lr)),
-            running_loss=loss_sum / n,
-            skipped=skipped,
-        )
-        progress.append(entry)
-        if on_progress is not None:
-            on_progress(entry)
-
+    progress = _run_pass(
+        "citation", examples, matrices, matrices.doc_out, sampler, config.iterations, config,
+        attention=config.variant == "att",
+        shuffle_rng=np.random.default_rng([config.seed, _RNG_SHUFFLE]), on_epoch=on_progress,
+    )
     model.trained_epochs = config.iterations
     return model, progress

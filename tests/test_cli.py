@@ -9,9 +9,11 @@ of the pinned flag set.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from citevec.cli import main
+from citevec.corpus import SyntheticSpec, generate_synthetic_corpus
 from citevec.model import load_model
 
 FIXTURE_TSV = Path(__file__).parent / "data" / "cli_fixture.tsv"
@@ -59,6 +61,11 @@ class TestSynth:
         assert code == 0
         assert out.read_bytes() == FIXTURE_TSV.read_bytes()
 
+    def test_defaults_are_the_spec_defaults(self, tmp_path, capsys):
+        out = tmp_path / "d.tsv"
+        assert run(capsys, "synth", out)[0] == 0
+        assert out.read_bytes() == generate_synthetic_corpus(SyntheticSpec())
+
     def test_manifest_written(self, tmp_path, capsys):
         out = tmp_path / "c.tsv"
         run(capsys, "synth", out, "--seed", "3")
@@ -92,7 +99,7 @@ class TestTrain:
         assert [line.split()[1] for line in content] == ["epoch=1", "epoch=2", "epoch=3"]
         for line in content:
             fields = dict(part.split("=") for part in line.split())
-            assert set(fields) == {"phase", "epoch", "loss", "skipped"}
+            assert set(fields) == {"phase", "epoch", "seen", "lr", "loss", "skipped"}
             assert float(fields["loss"]) > 0 and fields["skipped"] == "0"
         assert all(line.startswith("epoch=") for line in stdout.splitlines())
 
@@ -130,6 +137,19 @@ class TestTrain:
         assert stderr.startswith("citevec: error:")
         assert stdout == ""
         assert list(tmp_path.iterdir()) == []
+
+    def test_diverging_content_pass_writes_no_model(self, tmp_path, capsys):
+        out = tmp_path / "m.dcv"
+        with np.errstate(all="ignore"):
+            code, stdout, stderr = run(
+                capsys, "train", FIXTURE_TSV, out,
+                "--iterations", "0", "--learning-rate", "1e200", "--min-lr", "0",
+            )
+        assert code == 1
+        assert stderr.splitlines()[-1].startswith("citevec: error: non-finite")
+        assert "content epoch" in stderr
+        assert stdout == ""
+        assert not out.exists()
 
     def test_parse_error_exits_nonzero(self, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"

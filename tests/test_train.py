@@ -4,6 +4,7 @@ Gradients are checked against central finite differences of the sampled
 loss; the oracle knows nothing about the analytic formulas.
 """
 
+import dataclasses
 import importlib
 import io
 import math
@@ -24,7 +25,6 @@ from citevec.model import EmbeddingConfig, ModelMatrices, init_matrices, init_mo
 from citevec.train import (
     _RNG_RETROFIT,
     BATCH,
-    ContentProgress,
     NegativeSampler,
     TrainProgress,
     _citation_examples,
@@ -708,7 +708,9 @@ class TestRetrofit:
             loss = 0.0
             for value in batch_losses:
                 loss += value
-            assert records[epoch] == ContentProgress(epoch + 1, n, loss / n, skipped)
+            assert records[epoch] == TrainProgress(
+                epoch + 1, (epoch + 1) * n, lrs[-1], loss / n, skipped
+            )
         assert len(records) == config.retrofit_epochs
         for a, b in zip(got.arrays(), want.arrays()):
             assert np.array_equal(a, b)
@@ -719,8 +721,10 @@ class TestRetrofit:
         config = EmbeddingConfig(dim=3, window=2, negative=2, retrofit_epochs=2, seed=4)
         records = []
         got = retrofit_pvdm(corpus.docs, corpus.vocab, config, on_epoch=records.append)
-        assert records == [ContentProgress(e, 4, 0.0, 4) for e in (1, 2)]
-        assert records[0].record() == "phase=content epoch=1 loss=0 skipped=4"
+        assert [(r.epoch, r.seen, r.running_loss, r.skipped) for r in records] == [
+            (e, 4 * e, 0.0, 4) for e in (1, 2)
+        ]
+        assert records[0].record() == "epoch=1 seen=4 lr=0.0156625 loss=0 skipped=4"
         for a, b in zip(got.arrays(), init_matrices(corpus.vocab, config).arrays()):
             assert np.array_equal(a, b)
 
@@ -771,7 +775,7 @@ class TestRetrofit:
         )
         records = []
         retrofit_pvdm(corpus.docs, corpus.vocab, config, on_epoch=records.append)
-        losses = [r.loss for r in records]
+        losses = [r.running_loss for r in records]
         assert len(losses) == 50
         strided = losses[::5]
         assert losses[-1] < losses[0]
@@ -834,7 +838,7 @@ class TestTrain:
         _, progress = train(model, relations, docs)
         assert len(progress) == model.config.iterations
         assert progress[-1].running_loss < progress[0].running_loss
-        seen = [p.relations_seen for p in progress]
+        seen = [p.seen for p in progress]
         assert seen == sorted(seen)
         for p in progress:
             assert model.config.min_lr <= p.current_lr <= model.config.learning_rate
@@ -874,3 +878,53 @@ class TestTrain:
             results.append(model.matrices)
         for a, b in zip(results[0].arrays(), results[1].arrays()):
             assert np.array_equal(a, b)
+
+
+def three_doc_setup(**overrides):
+    corpus = parse_corpus(b"d0\ta b [[d1]] [[d2]] c\nd1\tb c [[d2]] a\nd2\tc a b\n")
+    config = EmbeddingConfig(dim=4, window=2, negative=2, iterations=2, retrofit_epochs=1,
+                             seed=6).with_updates(**overrides)
+    relations = extract_relations(corpus.docs, corpus.vocab, config.window)
+    assert len(relations) == 3 and relations[1].structural
+    return init_model(corpus.vocab, config), relations, corpus.docs
+
+
+class TestTrainRejectsWhatTheModelCannotHold:
+    """Ids outside the vocabulary fail with ConfigError naming the culprit,
+    before the model's matrices change."""
+
+    @pytest.mark.parametrize("change", [
+        {"source": -1},
+        {"source": None},
+        {"structural": frozenset({3})},  # n_docs: would alias word 0
+        {"target": 3},
+        {"context": (0, 3)},  # n_words
+    ], ids=["source-1", "source-None", "structural-n_docs", "target-n_docs", "word-n_words"])
+    def test_bad_relation_is_named(self, change):
+        model, relations, docs = three_doc_setup()
+        before = model.matrices.fingerprint()
+        relations[1] = dataclasses.replace(relations[1], **change)
+        with pytest.raises(ConfigError, match=r"^relation 1 names an id outside"):
+            train(model, relations, docs)
+        assert model.matrices.fingerprint() == before
+
+    @pytest.mark.parametrize("text, name", [
+        (b"d0\ta zz b\n", "word 'zz'"),
+        (b"dx\ta b\n", "doc id 'dx'"),
+    ], ids=["word", "doc-id"])
+    def test_doc_the_vocabulary_lacks_is_named(self, text, name):
+        model, relations, _ = three_doc_setup()
+        before = model.matrices.fingerprint()
+        with pytest.raises(ConfigError, match=f"^{name} is not in the vocabulary"):
+            train(model, relations, parse_corpus(text).docs)
+        assert model.matrices.fingerprint() == before
+
+
+class TestDivergence:
+    def test_content_pass_that_diverges_is_an_error(self):
+        model, relations, docs = three_doc_setup(
+            retrofit_epochs=2, iterations=0, learning_rate=1e200, min_lr=0.0
+        )
+        with np.errstate(all="ignore"):
+            with pytest.raises(CitevecError, match=r"after content epoch \d+$"):
+                train(model, relations, docs)
