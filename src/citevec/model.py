@@ -6,10 +6,18 @@ when the document participates in a context, and the output-side vector
 that ranking scores against.  Words carry an input-side vector plus an
 output-side vector that only matters during the content pre-training pass.
 The attention variant adds one learned score per document and word slot.
+
+A model persists as one binary file (format version 3) whose matrix
+blocks start at 64-byte offsets.  Saving streams the blocks to the sink,
+and loading reads the file into one aligned buffer that the loaded
+matrices view, so neither holds more than one copy of the file.
 """
 
 from __future__ import annotations
 
+import math
+import os
+import stat
 import struct
 import zlib
 from dataclasses import dataclass, replace
@@ -22,8 +30,9 @@ from .errors import ConfigError, ModelIOError
 
 VARIANTS = ("avg", "att")
 
-_MAGIC = b"DCV2"
-_FORMAT_VERSION = 2
+_MAGIC = b"DCV2"  # DocCit2Vec, in every format version; the version follows it
+_FORMAT_VERSION = 3
+_ALIGN = 64  # matrix blocks start at multiples of this file offset
 
 # independent RNG streams, keyed off config.seed
 _RNG_INIT = 10
@@ -143,120 +152,164 @@ def init_model(vocab: Vocabulary, config: EmbeddingConfig) -> Model:
     return Model(config=config, vocab=vocab, matrices=init_matrices(vocab, config))
 
 
-def _pack_str(text: str) -> bytes:
-    raw = text.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
-def _pack_array(arr: np.ndarray) -> bytes:
-    data = np.ascontiguousarray(arr, dtype="<f8")
-    head = struct.pack("<I", data.ndim) + struct.pack(f"<{data.ndim}I", *data.shape)
-    return head + data.tobytes()
-
-
 def save_model(model: Model, sink) -> None:
-    """Write the model in the binary container format.
+    """Write the model in the binary container format, version 3.
 
-    Layout: magic, format version, config block, vocab block, five matrix
-    blocks, trailing crc32 over everything before it.  All integers and
-    floats little-endian.  Round-trips bit-exactly.
+    Layout, all integers and floats little-endian: magic ``DCV2``, format
+    version 3, config block; word and doc counts; per vocabulary list (words,
+    then doc ids) one ``<u4`` array of UTF-8 byte lengths, the UTF-8 bytes
+    of every entry end to end, and one ``<i8`` array of counts; five matrix
+    blocks, each an ``ndim``/shape header and zero padding up to a 64-byte
+    file offset, then the float64 values; last a crc32 over everything
+    before it.  Round-trips bit-exactly.
+
+    Each block goes straight to ``sink`` (a path, or an object whose
+    ``write`` takes bytes-like objects) while a running crc32 is kept, so
+    the file is never built in memory; the matrices are written from their
+    own memory without a copy.
     """
-    cfg = model.config
-    body = bytearray()
-    body += struct.pack(
-        "<5I",
-        cfg.dim,
-        cfg.window,
-        cfg.negative,
-        cfg.iterations,
-        cfg.retrofit_epochs,
-    )
-    body += struct.pack("<2d", cfg.learning_rate, cfg.min_lr)
-    body += struct.pack("<2B", VARIANTS.index(cfg.variant), int(cfg.structural_context))
-    body += struct.pack("<qI", cfg.seed, model.trained_epochs)
-
-    vocab = model.vocab
-    body += struct.pack("<2I", vocab.n_words, vocab.n_docs)
-    for word in vocab.word_list:
-        body += _pack_str(word)
-    body += np.ascontiguousarray(vocab.word_counts, dtype="<i8").tobytes()
-    for doc_id in vocab.doc_list:
-        body += _pack_str(doc_id)
-    body += np.ascontiguousarray(vocab.doc_cited_counts, dtype="<i8").tobytes()
-
-    for arr in model.matrices.arrays():
-        body += _pack_array(arr)
-
-    payload = _MAGIC + struct.pack("<I", _FORMAT_VERSION) + bytes(body)
-    payload += struct.pack("<I", zlib.crc32(payload))
-
     if hasattr(sink, "write"):
-        sink.write(payload)
+        _write_model(model, sink.write)
     else:
         with open(sink, "wb") as handle:
-            handle.write(payload)
+            _write_model(model, handle.write)
+
+
+def _write_model(model: Model, write) -> None:
+    crc = offset = 0
+
+    def put(chunk) -> None:
+        nonlocal crc, offset
+        write(chunk)
+        crc = zlib.crc32(chunk, crc)
+        offset += memoryview(chunk).nbytes
+
+    cfg = model.config
+    put(_MAGIC + struct.pack(
+        "<6I2d2BqI",
+        _FORMAT_VERSION,
+        cfg.dim, cfg.window, cfg.negative, cfg.iterations, cfg.retrofit_epochs,
+        cfg.learning_rate, cfg.min_lr,
+        VARIANTS.index(cfg.variant), int(cfg.structural_context),
+        cfg.seed, model.trained_epochs,
+    ))
+    vocab = model.vocab
+    put(struct.pack("<2I", vocab.n_words, vocab.n_docs))
+    for items, counts in ((vocab.word_list, vocab.word_counts),
+                          (vocab.doc_list, vocab.doc_cited_counts)):
+        raw = [item.encode("utf-8") for item in items]
+        put(np.fromiter(map(len, raw), dtype="<u4", count=len(raw)))
+        put(b"".join(raw))
+        put(np.ascontiguousarray(counts, dtype="<i8"))
+    for arr in model.matrices.arrays():
+        data = np.ascontiguousarray(arr, dtype="<f8")
+        head = struct.pack(f"<{1 + data.ndim}I", data.ndim, *data.shape)
+        put(head + bytes(-(offset + len(head)) % _ALIGN))
+        put(data)
+    write(struct.pack("<I", crc))
+
+
+def _aligned_buffer(size: int) -> np.ndarray:
+    """``size`` writable bytes whose first byte sits on a 64-byte address."""
+    raw = np.empty(size + _ALIGN, dtype=np.uint8)
+    start = -raw.ctypes.data % _ALIGN
+    return raw[start : start + size]
+
+
+def _read_aligned(source) -> np.ndarray:
+    """The whole model file in one aligned buffer: a regular file is read
+    straight into it; bytes, file-like sources and pipes are copied in once."""
+    if isinstance(source, (str, os.PathLike)):
+        with open(source, "rb", buffering=0) as handle:
+            info = os.fstat(handle.fileno())
+            if not stat.S_ISREG(info.st_mode):  # a pipe has no size to allocate
+                source = handle.readall()
+            else:
+                buf = _aligned_buffer(info.st_size)
+                view, filled = memoryview(buf), 0
+                while filled < len(buf):
+                    got = handle.readinto(view[filled:])
+                    if not got:  # the file shrank since fstat
+                        return buf[:filled]
+                    filled += got
+                return buf
+    data = _read_bytes(source)
+    buf = _aligned_buffer(len(data))
+    buf[:] = np.frombuffer(data, dtype=np.uint8)
+    return buf
 
 
 class _Cursor:
-    """Sequential reader over a byte buffer with overrun checks."""
+    """Sequential reader over the aligned file buffer with overrun checks."""
 
-    def __init__(self, data: bytes):
-        self.data = data
+    def __init__(self, buf: np.ndarray):
+        self.buf = buf
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if n < 0 or end > len(self.data):
+    def skip(self, n: int) -> int:
+        """Advance past ``n`` bytes and return where they start."""
+        start, end = self.pos, self.pos + n
+        if n < 0 or end > len(self.buf):
             raise ModelIOError("truncated model file")
-        chunk = self.data[self.pos : end]
         self.pos = end
-        return chunk
+        return start
 
     def unpack(self, fmt: str):
-        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
+        return struct.unpack_from(fmt, self.buf, self.skip(struct.calcsize(fmt)))
 
-    def take_str(self) -> str:
-        (length,) = self.unpack("<I")
-        raw = self.take(length)
+    def take(self, dtype: str, count: int) -> np.ndarray:
+        """``count`` values of a little-endian ``dtype``: a native-order
+        view into the buffer, copied only on a big-endian machine."""
+        size = np.dtype(dtype).itemsize
+        start = self.skip(size * count)
+        return self.buf[start : start + size * count].view(dtype).astype(dtype[1:], copy=False)
+
+    def take_strs(self, count: int) -> list[str]:
+        ends = np.cumsum(self.take("<u4", count), dtype=np.uint64).tolist()
+        start = self.skip(ends[-1] if ends else 0)
+        blob = self.buf[start : self.pos].tobytes()
         try:
-            return raw.decode("utf-8")
+            return [blob[a:b].decode("utf-8") for a, b in zip([0, *ends], ends)]
         except UnicodeDecodeError as exc:
             raise ModelIOError(f"vocabulary entry is not valid UTF-8: {exc}") from None
 
-    def take_i64(self, count: int) -> np.ndarray:
-        raw = self.take(8 * count)
-        return np.frombuffer(raw, dtype="<i8").astype(np.int64)
-
-    def take_array(self) -> np.ndarray:
+    def take_matrix(self) -> np.ndarray:
         (ndim,) = self.unpack("<I")
         if ndim > 2:
             raise ModelIOError(f"unsupported matrix rank {ndim}")
         shape = self.unpack(f"<{ndim}I")
-        count = 1
-        for side in shape:
-            count *= side
-        raw = self.take(8 * count)
-        # copy so the result is writable and independent of the buffer
-        return np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        start = self.skip(-self.pos % _ALIGN)
+        if self.buf[start : self.pos].any():
+            raise ModelIOError("non-zero padding before a matrix block")
+        return self.take("<f8", math.prod(shape)).reshape(shape)
 
 
 def load_model(source) -> Model:
     """Read a model file; the inverse of save_model.
 
-    Raises ModelIOError on bad magic, unsupported version, checksum
-    mismatch, or truncation.  Never returns a partial model.
+    ``source`` is a path, bytes, or a binary file-like object.  The file is
+    read once into one 64-byte-aligned buffer and its crc32 checked before
+    anything is parsed.  The five matrices are writable, C-contiguous,
+    aligned views into that buffer, not copies: while any one of them is
+    alive, the whole buffer is.
+
+    Raises ModelIOError on bad magic, unsupported version (files written
+    before version 3 included), checksum mismatch, truncation, invalid
+    UTF-8, duplicate vocabulary entries, non-zero padding, wrong matrix
+    shapes or trailing bytes.  Never returns a partial model.
     """
-    data = _read_bytes(source)
-    if len(data) < len(_MAGIC) + 8:
+    buf = _read_aligned(source)
+    if len(buf) < len(_MAGIC) + 8:
         raise ModelIOError("model file too short")
-    if data[: len(_MAGIC)] != _MAGIC:
+    if buf[: len(_MAGIC)].tobytes() != _MAGIC:
         raise ModelIOError("not a model file (bad magic)")
-    (stored_crc,) = struct.unpack("<I", data[-4:])
-    if zlib.crc32(data[:-4]) != stored_crc:
+    body = buf[:-4]
+    (stored_crc,) = struct.unpack_from("<I", buf, len(body))
+    if zlib.crc32(body) != stored_crc:
         raise ModelIOError("model file checksum mismatch (truncated or corrupted)")
 
-    cur = _Cursor(data[:-4])
-    cur.take(len(_MAGIC))
+    cur = _Cursor(body)
+    cur.skip(len(_MAGIC))
     (version,) = cur.unpack("<I")
     if version != _FORMAT_VERSION:
         raise ModelIOError(f"unsupported model format version {version}")
@@ -285,17 +338,17 @@ def load_model(source) -> Model:
 
     n_words, n_docs = cur.unpack("<2I")
     vocab = Vocabulary()
-    vocab.word_list = [cur.take_str() for _ in range(n_words)]
+    vocab.word_list = cur.take_strs(n_words)
     vocab.word_ids = {w: i for i, w in enumerate(vocab.word_list)}
-    vocab.word_counts = cur.take_i64(n_words)
-    vocab.doc_list = [cur.take_str() for _ in range(n_docs)]
+    vocab.word_counts = cur.take("<i8", n_words).copy()
+    vocab.doc_list = cur.take_strs(n_docs)
     vocab.doc_ids = {d: i for i, d in enumerate(vocab.doc_list)}
-    vocab.doc_cited_counts = cur.take_i64(n_docs)
+    vocab.doc_cited_counts = cur.take("<i8", n_docs).copy()
     if len(vocab.word_ids) != n_words or len(vocab.doc_ids) != n_docs:
         raise ModelIOError("duplicate vocabulary entries in model file")
 
-    arrays = [cur.take_array() for _ in range(5)]
-    if cur.pos != len(cur.data):
+    arrays = [cur.take_matrix() for _ in range(5)]
+    if cur.pos != len(body):
         raise ModelIOError("trailing bytes after model payload")
     matrices = ModelMatrices(*arrays)
     expected = {

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from citevec.cli import main
+from citevec.cli import _sha256, main
 from citevec.corpus import SyntheticSpec, generate_synthetic_corpus
 from citevec.model import load_model
 
@@ -116,9 +116,16 @@ class TestTrain:
         run(capsys, "train", FIXTURE_TSV, out, "--dim", "4", "--iterations", "1")
         manifest = json.loads((tmp_path / "m.dcv.manifest.json").read_text())
         assert manifest["input_checksum"] == hashlib.sha256(FIXTURE_TSV.read_bytes()).hexdigest()
+        assert manifest["output_checksum"] == hashlib.sha256(out.read_bytes()).hexdigest()
         assert manifest["config"]["dim"] == 4
         assert manifest["config"]["negative"] == 5  # desk-scale default
         assert manifest["config"]["iterations"] == 1
+
+    def test_checksum_of_a_file_longer_than_one_read(self, tmp_path):
+        import hashlib
+        path = tmp_path / "big.bin"
+        path.write_bytes(bytes(range(256)) * (10 * 1024 + 3))  # 2.5 MiB and a bit
+        assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
     def test_config_error_exits_nonzero(self, tmp_path, capsys):
         code, stdout, stderr = run(capsys, "train", FIXTURE_TSV, tmp_path / "m.dcv", "--dim", "0")
@@ -300,3 +307,5 @@ class TestModelFile:
         assert model.config.dim == 8
         assert model.config.negative == 3
         assert model.trained_epochs == 10
+        # recorded from a version 2 file: the file format never moves the values
+        assert model.matrices.fingerprint() == 37625663

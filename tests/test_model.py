@@ -1,13 +1,17 @@
 """Model init, persistence, export, and inference tests."""
 
+import hashlib
 import io
+import math
+import os
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
-from citevec.corpus import parse_corpus
+from citevec.corpus import Vocabulary, parse_corpus
 from citevec.errors import CitevecError, ConfigError, ModelIOError
 from citevec.model import (
     EmbeddingConfig,
@@ -148,8 +152,9 @@ class TestSaveLoad:
         model = tiny_model()
         buf = io.BytesIO()
         save_model(model, buf)
-        # version 1 files also stored a thread count; they are refused, not read
-        for version in (1, 99):
+        # version 1 files also stored a thread count and version 2 files had
+        # unaligned matrix blocks; both are refused, not read
+        for version in (1, 2, 99):
             payload = bytearray(buf.getvalue())
             payload[4] = version
             # refresh the checksum so the version check itself is exercised
@@ -161,9 +166,9 @@ class TestSaveLoad:
         buf = io.BytesIO()
         save_model(model, buf)
         payload = bytearray(buf.getvalue())
-        first_word = model.vocab.word_list[0].encode("utf-8")
-        start = bytes(payload).index(struct.pack("<I", len(first_word)) + first_word) + 4
-        payload[start] = 0xFF
+        word_blob = file_layout(payload)[0][0]
+        assert bytes(payload[word_blob.start:word_blob.start + 5]) == b"alpha"
+        payload[word_blob.start] = 0xFF
         with pytest.raises(ModelIOError, match="UTF-8"):
             load_model(with_fresh_crc(payload))
 
@@ -201,6 +206,159 @@ def with_fresh_crc(payload: bytearray) -> bytes:
     reaches the parser instead of failing the checksum."""
     payload[-4:] = struct.pack("<I", zlib.crc32(bytes(payload[:-4])))
     return bytes(payload)
+
+
+def file_layout(payload) -> tuple[list[range], list[range], list[range]]:
+    """Walk a version 3 file by its documented layout: the byte ranges of
+    the word and doc-id blobs, and of each matrix block's padding and
+    values."""
+    pos = struct.calcsize("<4sI5I2d2BqI")  # magic, version, config
+    counts = struct.unpack_from("<2I", payload, pos)
+    pos += 8
+    blobs = []
+    for n in counts:
+        size = sum(struct.unpack_from(f"<{n}I", payload, pos))
+        pos += 4 * n
+        blobs.append(range(pos, pos + size))
+        pos += size + 8 * n  # the entries, then their <i8 counts
+    pads, blocks = [], []
+    for _ in range(5):
+        (ndim,) = struct.unpack_from("<I", payload, pos)
+        shape = struct.unpack_from(f"<{ndim}I", payload, pos + 4)
+        pos += 4 + 4 * ndim
+        pads.append(range(pos, pos + -pos % 64))
+        pos += len(pads[-1])
+        blocks.append(range(pos, pos + 8 * math.prod(shape)))
+        pos += len(blocks[-1])
+    assert pos == len(payload) - 4
+    return blobs, pads, blocks
+
+
+class TestFormatV3:
+    def test_matrix_blocks_start_at_64_byte_offsets(self):
+        model = tiny_model(dim=3)
+        buf = io.BytesIO()
+        save_model(model, buf)
+        payload = buf.getvalue()
+        blobs, _, blocks = file_layout(payload)
+        for block, arr in zip(blocks, model.matrices.arrays()):
+            assert block.start % 64 == 0
+            assert payload[block.start:block.stop] == arr.astype("<f8").tobytes()
+        assert payload[blobs[1].start:blobs[1].stop] == b"d0d1"
+
+    def test_non_zero_padding_is_an_error(self):
+        """Every file that loads re-saves byte-identical, so no padding
+        byte may carry data."""
+        model = tiny_model(dim=3)
+        buf = io.BytesIO()
+        save_model(model, buf)
+        payload = buf.getvalue()
+        offsets = [i for pad in file_layout(payload)[1] for i in pad]
+        assert len(offsets) > 5 * 8
+        for offset in offsets:
+            damaged = bytearray(payload)
+            damaged[offset] = 0x01
+            with pytest.raises(ModelIOError, match="padding"):
+                load_model(with_fresh_crc(damaged))
+
+    @pytest.mark.parametrize("kind", ["path", "bytes", "file"])
+    def test_loaded_matrices_are_aligned_writable_views(self, kind, tmp_path):
+        model = tiny_model(dim=5)
+        path = tmp_path / "m.dcv"
+        save_model(model, path)
+        source = {"path": path, "bytes": path.read_bytes(), "file": io.BytesIO(path.read_bytes())}
+        loaded = load_model(source[kind])
+        for arr in loaded.matrices.arrays():
+            assert arr.ctypes.data % 64 == 0
+            assert arr.flags.writeable and arr.flags.c_contiguous
+            assert arr.dtype == np.float64
+        loaded.matrices.doc_in += 1.0
+        assert np.array_equal(loaded.matrices.doc_in, model.matrices.doc_in + 1.0)
+        assert np.array_equal(loaded.matrices.doc_out, model.matrices.doc_out)
+
+    def test_a_path_without_a_size_is_read_to_its_end(self):
+        model = tiny_model(dim=5)
+        buf = io.BytesIO()
+        save_model(model, buf)
+        read_end, write_end = os.pipe()
+        try:
+            os.write(write_end, buf.getvalue())  # fits in the pipe's buffer
+            os.close(write_end)
+            loaded = load_model(f"/dev/fd/{read_end}")
+        finally:
+            os.close(read_end)
+        assert loaded.matrices.fingerprint() == model.matrices.fingerprint()
+
+
+def served_model(n_docs=20_000, n_words=2_000, dim=100):
+    """A model shaped like a served one: many docs, and the matrices make up
+    most of its file."""
+    vocab = Vocabulary()
+    vocab.doc_list = [f"doc-{i}" for i in range(n_docs)]
+    vocab.doc_ids = {d: i for i, d in enumerate(vocab.doc_list)}
+    vocab.word_list = [f"w{i}" for i in range(n_words)]
+    vocab.word_ids = {w: i for i, w in enumerate(vocab.word_list)}
+    vocab.word_counts = np.arange(1, n_words + 1, dtype=np.int64)
+    vocab.doc_cited_counts = np.arange(n_docs, dtype=np.int64) % 7
+    model = init_model(vocab, EmbeddingConfig(dim=dim, negative=5, seed=3))
+    model.matrices.doc_out[:] = model.matrices.doc_in[::-1]
+    model.matrices.word_out[:] = model.matrices.word_in[::-1]
+    model.matrices.attention[:] = np.linspace(-1.0, 1.0, n_docs + n_words)
+    return model
+
+
+def traced(fn, *args):
+    """fn(*args) and the traced memory it still held at return and at its
+    peak, in bytes; tracemalloc sees NumPy's allocations too."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, current, peak
+
+
+class DigestSink:
+    """A sink that keeps a digest of what it is given, not the bytes."""
+
+    def __init__(self):
+        self.sha256 = hashlib.sha256()
+
+    def write(self, chunk):
+        self.sha256.update(chunk)
+
+
+class TestBoundedMemory:
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        model = served_model()
+        path = tmp_path_factory.mktemp("served") / "served.dcv"
+        save_model(model, path)
+        return model, path
+
+    def test_save_streams_below_one_matrix_block(self, saved):
+        model, path = saved
+        sink = DigestSink()
+        _, _, peak = traced(save_model, model, sink)
+        assert peak < model.matrices.doc_in.nbytes
+        assert sink.sha256.hexdigest() == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_load_holds_one_copy_of_the_file(self, saved):
+        """The file's bytes are read into one buffer that the matrices
+        view; what else load keeps is the vocabulary's own objects."""
+        model, path = saved
+        size = path.stat().st_size
+        loaded, current, peak = traced(load_model, path)
+        assert peak <= 1.1 * size
+        assert peak - current < 0.01 * size  # no transient copy either
+        assert loaded.matrices.fingerprint() == model.matrices.fingerprint()
+
+    def test_save_load_save_is_byte_identical(self, saved):
+        _, path = saved
+        again = io.BytesIO()
+        save_model(load_model(path), again)
+        assert again.getvalue() == path.read_bytes()
 
 
 class TestExport:
