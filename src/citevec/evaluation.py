@@ -1,11 +1,25 @@
 """Ranking metrics and the three-case evaluation protocol.
 
 Evaluation walks a list of held-out citations, builds the case-appropriate
-query for each, ranks documents with the in-for-out scorer, and averages
-recall, MAP, and nDCG at a cutoff.  Accumulation is order-insensitive: each
-relation's contribution depends only on the relation itself (Case 2 derives
-its thinning seed from the relation content, not its position) and the means
-use exact summation.
+query for each, ranks documents by the in-for-out score (the dot product of
+the query with each output-side document vector), and averages recall, MAP,
+and nDCG at a cutoff.
+
+The queries are scored ``EVAL_BATCH`` at a time: a block of query vectors
+is multiplied by the output matrix, ``BLOCK_ROWS`` documents to a product,
+and each row of the result goes through the same top-k as ``rank_i4o``
+(``recommend._top_k``).  Every product has one shape, ``EVAL_BATCH``
+queries by ``BLOCK_ROWS`` documents: the last block of queries and the last
+documents are padded with zero rows.  BLAS can round a row differently when
+the shape changes, but at one shape a query's scores are the same bits in
+whatever block and row it lands.  They can differ in the last bits from the
+matrix-vector product ``rank_i4o`` takes.  The scores of a block take
+``EVAL_BATCH`` × n_docs floats.
+
+Accumulation is order-insensitive: each relation's contribution depends
+only on the relation itself (Case 2 derives its thinning seed from the
+relation content, not its position, and the scores do not depend on the
+block) and the means use exact summation.
 """
 
 from __future__ import annotations
@@ -15,10 +29,13 @@ import zlib
 from dataclasses import dataclass
 from typing import Hashable, Iterable, Sequence
 
+import numpy as np
+
 from .corpus import CitationRelation
 from .errors import ConfigError, QueryError
 from .model import Model
-from .recommend import CASES, Query, build_query_vector, rank_i4o
+# rank_i4o is not called here; bench/tracing.py looks it up in this module
+from .recommend import BLOCK_ROWS, CASES, Query, _top_k, build_query_vector, rank_i4o  # noqa: F401
 
 __all__ = [
     "GroundTruth",
@@ -36,6 +53,9 @@ __all__ = [
 GroundTruth = Sequence[CitationRelation]
 
 _METRIC_NAMES = ("recall", "map", "ndcg")
+
+# query vectors per score product; every product has this many rows
+EVAL_BATCH = 32
 
 
 def _check_cutoff(k: int) -> None:
@@ -125,6 +145,25 @@ def _relation_seed(seed: int, relation: CitationRelation) -> int:
     return (zlib.crc32(canon.encode("utf-8")) + seed) & 0xFFFFFFFF
 
 
+def _score_block(doc_out: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``block @ doc_out.T`` into ``out``, one product per ``BLOCK_ROWS``
+    documents, the last of them padded with zero rows.
+
+    Every product then has one shape, and at one shape a row's scores come
+    out in the same bits whatever the other rows of ``block`` hold and
+    wherever it sits.  BLAS rounds the documents past the last full tile of
+    its kernel in ways that depend on the rows around them, so the padding
+    matters.
+    """
+    n_docs = doc_out.shape[0]
+    for start in range(0, n_docs, BLOCK_ROWS):
+        rows = doc_out[start : start + BLOCK_ROWS]
+        if rows.shape[0] < BLOCK_ROWS:
+            rows = np.concatenate((rows, np.zeros((BLOCK_ROWS - rows.shape[0], rows.shape[1]))))
+        out[:, start : start + BLOCK_ROWS] = (block @ rows.T)[:, : n_docs - start]
+    return out
+
+
 def evaluate(
     model: Model,
     ground_truth: GroundTruth,
@@ -139,17 +178,18 @@ def evaluate(
     structural context and the citing document (when known) are excluded
     from the candidates.  A relation whose query has no usable participants
     counts as a miss rather than an error; ``n_empty_queries`` says how many.
+
+    All query vectors are built first, then scored in blocks of
+    ``EVAL_BATCH`` (``_score_block``), the last block padded with zero
+    rows; the scores take ``EVAL_BATCH`` × n_docs floats.
     """
     if case not in CASES:
         raise ConfigError(f"case must be one of {CASES}, got {case}")
     _check_cutoff(k)
     if not ground_truth:
         raise ConfigError("ground truth is empty")
-    recalls: list[float] = []
-    aps: list[float] = []
-    ndcgs: list[float] = []
-    doc_list = model.vocab.doc_list
-    n_empty = 0
+    usable: list[CitationRelation] = []
+    vectors: list[np.ndarray] = []
     for relation in ground_truth:
         query = Query(
             case=case,
@@ -158,22 +198,34 @@ def evaluate(
             keep_prob=keep_prob,
             seed=_relation_seed(seed, relation),
         )
-        exclude = {doc_list[d] for d in relation.structural}
-        if relation.source is not None:
-            exclude.add(doc_list[relation.source])
-        relevant = {doc_list[relation.target]}
         try:
-            qvec = build_query_vector(model, query)
+            vectors.append(build_query_vector(model, query))
         except QueryError:
-            n_empty += 1
-            recalls.append(0.0)
-            aps.append(0.0)
-            ndcgs.append(0.0)
             continue
-        ranked = rank_i4o(model, qvec, exclude=exclude, k=k).ids()
-        recalls.append(recall_at_k(ranked, relevant, k))
-        aps.append(average_precision(ranked, relevant, k))
-        ndcgs.append(ndcg_at_k(ranked, relevant, k))
+        usable.append(relation)
+    n_empty = len(ground_truth) - len(usable)
+    # an unusable query is a miss on every metric
+    recalls = [0.0] * n_empty
+    aps = [0.0] * n_empty
+    ndcgs = [0.0] * n_empty
+    doc_list = model.vocab.doc_list
+    doc_out = model.matrices.doc_out
+    block = np.empty((EVAL_BATCH, doc_out.shape[1]))
+    scores = np.empty((EVAL_BATCH, doc_out.shape[0]))
+    for start in range(0, len(usable), EVAL_BATCH):
+        chunk = usable[start : start + EVAL_BATCH]
+        block[: len(chunk)] = vectors[start : start + EVAL_BATCH]
+        block[len(chunk) :] = 0.0
+        _score_block(doc_out, block, scores)
+        for relation, row in zip(chunk, scores):
+            exclude = {doc_list[d] for d in relation.structural}
+            if relation.source is not None:
+                exclude.add(doc_list[relation.source])
+            relevant = {doc_list[relation.target]}
+            ranked = _top_k(model, row, exclude, k).ids()
+            recalls.append(recall_at_k(ranked, relevant, k))
+            aps.append(average_precision(ranked, relevant, k))
+            ndcgs.append(ndcg_at_k(ranked, relevant, k))
     n = len(recalls)
     return MetricReport(
         case=case,

@@ -120,7 +120,7 @@ class ModelMatrices:
     def fingerprint(self) -> int:
         crc = 0
         for a in self.arrays():
-            crc = zlib.crc32(np.ascontiguousarray(a).tobytes(), crc)
+            crc = zlib.crc32(np.ascontiguousarray(a), crc)
         return crc
 
 

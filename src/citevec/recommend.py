@@ -14,7 +14,9 @@ excluded ids are never returned.
 A ranking costs one matrix-vector product, an O(n) partition that finds
 the k-th best score, and a sort of the k or so candidates at or above it;
 the tie rule is the same as a full sort's.  rank_i4i also takes the row
-norms, one block of rows at a time.
+norms, one block of rows at a time.  ``_top_k`` is the one top-k rule:
+``evaluate`` sends it the rows of a matrix-matrix product over a block of
+queries, whose scores can differ from ``rank_i4o``'s in the last bits.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ from .errors import ConfigError, QueryError
 from .model import Model, infer_doc_vector
 
 CASES = (1, 2, 3)
-NORM_BLOCK_ROWS = 1024  # rows per block in _row_norms: the squares stay in cache
+# rows of a document matrix per block, in _row_norms and in evaluate's score
+# product: a block's temporaries stay in cache
+BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,8 @@ def _row_norms(matrix: np.ndarray) -> np.ndarray:
     """np.linalg.norm(matrix, axis=1), bit for bit, taken one block of rows
     at a time so that no temporary as large as the matrix is allocated."""
     norms = np.empty(matrix.shape[0])
-    for start in range(0, matrix.shape[0], NORM_BLOCK_ROWS):
-        rows = slice(start, start + NORM_BLOCK_ROWS)
+    for start in range(0, matrix.shape[0], BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
         norms[rows] = np.linalg.norm(matrix[rows], axis=1)
     return norms
 

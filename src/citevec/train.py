@@ -29,6 +29,7 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -121,9 +122,15 @@ class _Examples(NamedTuple):
         lengths = np.diff(self.offsets)[order]
         offsets = np.zeros(order.size + 1, dtype=np.intp)
         np.cumsum(lengths, out=offsets[1:])
-        index = np.repeat(self.offsets[order] - offsets[:-1], lengths)
-        index += np.arange(offsets[-1])
-        return _Examples(self.targets[order], offsets, self.slots[index])
+        return _Examples(self.targets[order], offsets,
+                         self.slots[_runs(self.offsets[order], lengths)])
+
+
+def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The positions ``starts[i] + t`` for t below ``lengths[i]``, for every
+    i in turn, as one array."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
 
 
 def _content_examples(docs, vocab: Vocabulary, window: int) -> _Examples:
@@ -149,20 +156,28 @@ def _citation_examples(
 ) -> _Examples:
     """One example per relation: source, sorted structural docs, then the
     context words predict the target.  A None source becomes slot -1."""
-    slots: list[int] = []
-    offsets = [0]
-    for r in relations:
-        slots.append(-1 if r.source is None else r.source)
-        if structural_context:
-            slots += sorted(r.structural)
-        slots += [n_docs + w for w in r.context]
-        offsets.append(len(slots))
-    targets = [r.target for r in relations]
-    return _Examples(
-        np.asarray(targets, dtype=np.intp),
-        np.asarray(offsets, dtype=np.intp),
-        np.asarray(slots, dtype=np.intp),
-    )
+    n = len(relations)
+    n_structural = np.fromiter(
+        (len(r.structural) if structural_context else 0 for r in relations), np.intp, n)
+    n_context = np.fromiter((len(r.context) for r in relations), np.intp, n)
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(1 + n_structural + n_context, out=offsets[1:])
+    slots = np.empty(offsets[-1], dtype=np.intp)
+    slots[offsets[:-1]] = np.fromiter(
+        (-1 if r.source is None else r.source for r in relations), np.intp, n)
+    if structural_context:
+        docs = np.fromiter(chain.from_iterable(r.structural for r in relations), np.intp,
+                           n_structural.sum())
+        # sort by (relation, doc); an id outside [0, n_docs) stays with its
+        # relation, so _check_relations still names the right one
+        owner = np.repeat(np.arange(n), n_structural)
+        key = owner * (n_docs + 2) + np.clip(docs, -1, n_docs) + 1
+        slots[_runs(offsets[:-1] + 1, n_structural)] = docs[np.argsort(key, kind="stable")]
+    words = np.fromiter(chain.from_iterable(r.context for r in relations), np.intp,
+                        n_context.sum())
+    slots[_runs(offsets[1:] - n_context, n_context)] = n_docs + words
+    targets = np.fromiter((r.target for r in relations), np.intp, n)
+    return _Examples(targets, offsets, slots)
 
 
 def _check_relations(relations: list[CitationRelation], examples: _Examples,

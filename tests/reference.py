@@ -7,7 +7,9 @@ is the kernel's output half for one example, ``batch_reference`` restates
 the kernel's batch semantics as a loop over examples, and
 ``infer_reference`` restates ``infer_doc_vector`` as a loop over words, and
 ``_window_context`` walks a token stream for one position's window words,
-so tests can state what the library must produce without reusing its code.
+and ``citation_examples_reference`` builds the citation pass's flat tables
+one relation at a time, so tests can state what the library must produce
+without reusing its code.
 ``backprop`` runs the library kernel on a batch of one relation.
 """
 
@@ -40,6 +42,26 @@ def _window_context(tokens, position: int, window: int) -> list[str]:
             after.append(tokens[i].value)
         i += 1
     return before + after
+
+
+def citation_examples_reference(relations, n_docs: int, structural_context: bool):
+    """``_citation_examples``'s tables (targets, offsets, slots), one relation
+    at a time: the source (-1 for None), its sorted structural docs, then
+    n_docs + each context word."""
+    slots: list[int] = []
+    offsets = [0]
+    for r in relations:
+        slots.append(-1 if r.source is None else r.source)
+        if structural_context:
+            slots += sorted(r.structural)
+        slots += [n_docs + w for w in r.context]
+        offsets.append(len(slots))
+    targets = [r.target for r in relations]
+    return (
+        np.asarray(targets, dtype=np.intp),
+        np.asarray(offsets, dtype=np.intp),
+        np.asarray(slots, dtype=np.intp),
+    )
 
 
 def ns_loss_and_grads(hidden, target_out, negatives_out):

@@ -6,6 +6,7 @@ with math.fsum, which returns the correctly rounded sum regardless of
 order, so agreement is asserted bitwise.
 """
 
+import dataclasses
 import math
 import random
 
@@ -13,10 +14,13 @@ import numpy as np
 import pytest
 
 from citevec.corpus import CitationRelation, parse_corpus, resolve_ground_truth
-from citevec.errors import ConfigError
+from citevec.errors import ConfigError, QueryError
 from citevec.evaluation import (
+    EVAL_BATCH,
     AblationRow,
     MetricReport,
+    _relation_seed,
+    _score_block,
     ablation_report,
     average_precision,
     evaluate,
@@ -25,9 +29,9 @@ from citevec.evaluation import (
     recall_at_k,
 )
 from citevec.model import EmbeddingConfig, init_model
-from citevec.recommend import rank_i4o
+from citevec.recommend import BLOCK_ROWS, Query, build_query_vector, rank_i4o
 
-from test_recommend import make_vocab
+from test_recommend import make_vocab, oracle_rank, shuffled_id_model
 
 
 def oracle_recall(ranked, relevant, k):
@@ -150,6 +154,111 @@ class TestMetricProperties:
             assert average_precision(head + tail, relevant, 10) == base
 
 
+def oracle_evaluate(model, truth, case, k, keep_prob=0.5, seed=0):
+    """evaluate() by full sorts and the plain metric definitions.  The score
+    rows come from the same blocked product: the usable queries in order,
+    EVAL_BATCH to a block, the last block padded with zero rows."""
+    doc_list = model.vocab.doc_list
+    usable, vectors = [], []
+    for r in truth:
+        query = Query(case=case, context_words=r.context, structural_docs=r.structural,
+                      keep_prob=keep_prob, seed=_relation_seed(seed, r))
+        try:
+            vectors.append(build_query_vector(model, query))
+        except QueryError:
+            continue
+        usable.append(r)
+    n_empty = len(truth) - len(usable)
+    metrics = [(0.0, 0.0, 0.0)] * n_empty
+    doc_out = model.matrices.doc_out
+    for start in range(0, len(usable), EVAL_BATCH):
+        block = np.zeros((EVAL_BATCH, doc_out.shape[1]))
+        chunk = vectors[start : start + EVAL_BATCH]
+        block[: len(chunk)] = chunk
+        rows = _score_block(doc_out, block, np.empty((EVAL_BATCH, doc_out.shape[0])))
+        for r, row in zip(usable[start : start + EVAL_BATCH], rows):
+            exclude = {doc_list[d] for d in r.structural}
+            if r.source is not None:
+                exclude.add(doc_list[r.source])
+            ranked = [doc_id for doc_id, _ in oracle_rank(model, row, exclude, len(doc_list))]
+            relevant = {doc_list[r.target]}
+            metrics.append((
+                oracle_recall(ranked, relevant, k),
+                oracle_average_precision(ranked, relevant, k),
+                oracle_ndcg(ranked, relevant, k),
+            ))
+    n = len(metrics)
+    recall, ap, ndcg = (math.fsum(column) / n for column in zip(*metrics))
+    return MetricReport(case=case, k=k, n_relations=n, recall=recall,
+                        mean_average_precision=ap, ndcg=ndcg, n_empty_queries=n_empty)
+
+
+def random_relations(rng, n_docs, n_words, n_usable, n_empty):
+    """Relations with context words (usable in every case) and, shuffled
+    among them, relations with no context and no structural docs (usable in
+    none)."""
+    truth = []
+    for _ in range(n_usable):
+        docs = rng.choice(n_docs, size=int(rng.integers(2, 6)), replace=False).tolist()
+        source = docs.pop() if rng.random() < 0.5 else None
+        context = tuple(rng.integers(0, n_words, size=int(rng.integers(1, 4))).tolist())
+        truth.append(CitationRelation(
+            source=source, target=docs[0], structural=frozenset(docs[1:]), context=context))
+    for _ in range(n_empty):
+        truth.append(CitationRelation(
+            source=None, target=int(rng.integers(n_docs)), structural=frozenset(), context=()))
+    order = rng.permutation(len(truth))
+    return [truth[i] for i in order]
+
+
+class TestBlockedScoring:
+    def test_score_block_is_the_matrix_product(self):
+        # small integers multiply and add exactly in any order
+        rng = np.random.default_rng(8)
+        n_docs, dim = 2 * BLOCK_ROWS + 37, 7
+        doc_out = rng.integers(-3, 4, size=(n_docs, dim)).astype(float)
+        block = rng.integers(-3, 4, size=(EVAL_BATCH, dim)).astype(float)
+        out = _score_block(doc_out, block, np.empty((EVAL_BATCH, n_docs)))
+        assert np.array_equal(out, block @ doc_out.T)
+
+    @pytest.mark.parametrize("n_docs, dim", [(300, 16), (1250, 100), (2 * BLOCK_ROWS + 37, 100)])
+    def test_a_row_does_not_depend_on_its_block(self, n_docs, dim):
+        # document counts off the BLAS kernel's tile width (300, 1250) are
+        # where an unpadded product gave a row different bits in other blocks
+        rng = np.random.default_rng(n_docs)
+        doc_out = rng.normal(size=(n_docs, dim))
+        others = rng.normal(size=(3 * EVAL_BATCH, dim))
+        query = rng.normal(size=dim)
+        alone = np.zeros((EVAL_BATCH, dim))
+        alone[0] = query
+        expected = _score_block(doc_out, alone, np.empty((EVAL_BATCH, n_docs)))[0]
+        for trial in range(8):
+            block = others[rng.choice(others.shape[0], size=EVAL_BATCH, replace=False)]
+            block[int(rng.integers(1, EVAL_BATCH + 1)) :] = 0.0  # a padded last block
+            row = int(rng.integers(EVAL_BATCH))
+            block[row] = query
+            got = _score_block(doc_out, block, np.empty((EVAL_BATCH, n_docs)))[row]
+            assert np.array_equal(got, expected), f"trial {trial}"
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_matches_brute_force_oracle(self, case):
+        """Past two full blocks to a lone last row, with empty queries mixed
+        in; zero and repeated output rows make ties at the cutoff common."""
+        rng = np.random.default_rng(70 + case)
+        n_docs, dim, n_words = 301, 3, 12
+        model = shuffled_id_model(rng, n_docs=n_docs, dim=dim, n_words=n_words)
+        patterns = rng.integers(-1, 2, size=(9, dim)).astype(float)
+        model.matrices.doc_out[:] = patterns[rng.integers(0, 9, size=n_docs)]
+        model.matrices.doc_out[rng.random(n_docs) < 0.3] = 0.0
+        model.matrices.word_in[:] = rng.integers(-2, 3, size=(n_words, dim))
+        truth = random_relations(rng, n_docs, n_words, n_usable=2 * EVAL_BATCH + 1, n_empty=5)
+        for k in (1, 10, 60):
+            for seed in (0, 3):
+                got = evaluate(model, truth, case=case, k=k, seed=seed)
+                assert got == oracle_evaluate(model, truth, case, k, seed=seed), (k, seed)
+                assert got.n_empty_queries == 5
+
+
 def perfect_model(n_docs):
     """Model whose doc_out rows are scaled one-hots and whose i-th word's
     input vector points straight at doc i, so the true target is always
@@ -203,13 +312,23 @@ class TestEvaluate:
         assert first == second
 
     def test_order_insensitive_accumulation(self, split_avg_model, fixture_split):
-        truth = list(fixture_split.ground_truth)
+        held = fixture_split.ground_truth
+        # one more usable relation than a block, so one query scores alone
+        # in a padded last block; the empty ones are misses in any order
+        variants = [dataclasses.replace(r, context=r.context[:j]) for j in (2, 3) for r in held]
+        usable = (list(held) + variants)[: EVAL_BATCH + 1]
+        empty = [dataclasses.replace(r, context=(), structural=frozenset()) for r in held[:3]]
+        truth = usable + empty
         base = evaluate(split_avg_model, truth, case=2, k=10, seed=5)
-        for trial in range(5):
+        assert base.n_empty_queries == 3
+        alone = set()
+        for trial in range(8):
             shuffled = list(truth)
             random.Random(trial).shuffle(shuffled)
+            alone.add([r for r in shuffled if r.context][-1])
             report = evaluate(split_avg_model, shuffled, case=2, k=10, seed=5)
             assert report == base
+        assert len(alone) > 1  # the shuffles moved relations into and out of the lone row
 
     def test_unusable_query_counts_as_miss(self):
         model = perfect_model(4)

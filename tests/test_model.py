@@ -92,6 +92,19 @@ class TestInitMatrices:
         assert not mats.attention.any()
         assert mats.attention.shape == (mats.n_docs + mats.n_words,)
 
+    def test_fingerprint_is_the_crc_of_the_array_bytes(self):
+        mats = tiny_model(dim=4).matrices
+        mats.doc_out = np.asfortranarray(mats.doc_in + 1.0)  # not C-contiguous
+        mats.word_out = mats.word_in[:, ::2]  # a strided view
+        mats.attention = mats.attention[:0]  # empty
+        for a in mats.arrays():
+            a.flags.writeable = False
+        crc = 0
+        for a in mats.arrays():
+            crc = zlib.crc32(np.ascontiguousarray(a).tobytes(), crc)
+        assert mats.fingerprint() == crc
+        assert tiny_model(dim=4).matrices.fingerprint() != crc
+
     def test_seed_determinism(self):
         corpus = parse_corpus(b"a\tx y [[b]]\n")
         base = EmbeddingConfig(dim=8, seed=5)

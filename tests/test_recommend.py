@@ -12,7 +12,7 @@ from citevec.corpus import Vocabulary
 from citevec.errors import ConfigError, QueryError
 from citevec.model import EmbeddingConfig, infer_doc_vector, init_model
 from citevec.recommend import (
-    NORM_BLOCK_ROWS,
+    BLOCK_ROWS,
     Query,
     _row_norms,
     build_query_vector,
@@ -343,8 +343,8 @@ class TestRowNorms:
     def test_blocked_norms_are_bit_identical(self):
         """More rows than one block, a partial last block, some zero rows."""
         rng = np.random.default_rng(8)
-        matrix = rng.normal(size=(2 * NORM_BLOCK_ROWS + 37, 100))
-        matrix[[0, NORM_BLOCK_ROWS - 1, NORM_BLOCK_ROWS, 2 * NORM_BLOCK_ROWS + 36]] = 0.0
+        matrix = rng.normal(size=(2 * BLOCK_ROWS + 37, 100))
+        matrix[[0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 36]] = 0.0
         assert np.array_equal(_row_norms(matrix), np.linalg.norm(matrix, axis=1))
         assert np.array_equal(_row_norms(matrix[:5]), np.linalg.norm(matrix[:5], axis=1))
 

@@ -39,6 +39,7 @@ from reference import (
     attention_ratios,
     backprop,
     batch_reference,
+    citation_examples_reference,
     hidden_att,
     hidden_avg,
     lr_schedule,
@@ -341,6 +342,30 @@ class TestFlatTables:
         assert example_lists(examples) == expected
         order = np.random.default_rng(window).permutation(len(relations))
         assert example_lists(examples.take(order)) == [expected[i] for i in order]
+
+    @pytest.mark.parametrize("structural_context", [True, False])
+    def test_citation_tables_match_the_reference_loop(self, corpus, structural_context):
+        relations = extract_relations(corpus.docs, corpus.vocab, 3)
+        # every third relation as a held-out citation with no known source
+        relations = [
+            dataclasses.replace(r, source=None) if i % 3 == 0 else r
+            for i, r in enumerate(relations)
+        ]
+        n_docs = corpus.vocab.n_docs
+        # small int sets iterate in sorted order unless their hashes collide
+        unsorted = [
+            CitationRelation(source=None, target=3, structural=frozenset({33, 1, 17}),
+                             context=(5, 2)),
+            CitationRelation(source=2, target=33, structural=frozenset(), context=()),
+        ]
+        assert list(unsorted[0].structural) != sorted(unsorted[0].structural)
+        for subset, n in ((relations, n_docs), (relations[:1], n_docs), ([], n_docs),
+                          (unsorted, 40)):
+            got = _citation_examples(subset, n, structural_context)
+            expected = citation_examples_reference(subset, n, structural_context)
+            for table, want in zip(got, expected):
+                assert table.dtype == want.dtype
+                assert np.array_equal(table, want)
 
     def test_edge_corpus_has_its_edge_cases(self):
         corpus = parse_corpus(EDGE_CORPUS)
@@ -897,9 +922,11 @@ class TestTrainRejectsWhatTheModelCannotHold:
         {"source": -1},
         {"source": None},
         {"structural": frozenset({3})},  # n_docs: would alias word 0
+        {"structural": frozenset({-50})},  # sorts before the previous relation's docs
         {"target": 3},
         {"context": (0, 3)},  # n_words
-    ], ids=["source-1", "source-None", "structural-n_docs", "target-n_docs", "word-n_words"])
+    ], ids=["source-1", "source-None", "structural-n_docs", "structural-far", "target-n_docs",
+            "word-n_words"])
     def test_bad_relation_is_named(self, change):
         model, relations, docs = three_doc_setup()
         before = model.matrices.fingerprint()
