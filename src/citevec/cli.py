@@ -27,9 +27,9 @@ from .corpus import (
 )
 from .errors import CitevecError
 from .evaluation import evaluate
-from .model import (VARIANTS, EmbeddingConfig, export_word2vec_text, init_model, load_model,
-                    save_model)
-from .recommend import recommend
+from .model import (_EXPORTABLE, VARIANTS, EmbeddingConfig, export_word2vec_text, init_model,
+                    load_model, save_model)
+from .recommend import CASES, recommend
 from .train import train
 
 __all__ = ["RunManifest", "main"]
@@ -95,38 +95,29 @@ def _finish_manifest(manifest: RunManifest, out_path: Path) -> None:
     manifest.write(_manifest_path(out_path))
 
 
-def _config_from_args(args) -> EmbeddingConfig:
-    return EmbeddingConfig(
-        dim=args.dim,
-        window=args.window,
-        negative=args.negative,
-        iterations=args.iterations,
-        retrofit_epochs=args.retrofit_epochs,
-        learning_rate=args.learning_rate,
-        min_lr=args.min_lr,
-        variant=args.variant,
-        structural_context=args.structural_context,
-        seed=args.seed,
-    )
+def _add_field_flags(parser: argparse.ArgumentParser, defaults, **extras) -> None:
+    """One ``--field-name`` flag per field of the dataclass instance
+    ``defaults``, defaulting to its value; a bool field also takes
+    ``--no-field-name``.  A keyword in ``extras`` names a field and holds
+    more add_argument keywords for its flag."""
+    for field in dataclasses.fields(defaults):
+        default = getattr(defaults, field.name)
+        kind = ({"action": argparse.BooleanOptionalAction} if isinstance(default, bool)
+                else {"type": type(default)})
+        parser.add_argument("--" + field.name.replace("_", "-"), default=default, **kind,
+                            **extras.get(field.name, {}))
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    defaults = EmbeddingConfig(negative=_CLI_NEGATIVE, iterations=_CLI_ITERATIONS)
-    parser.add_argument("--dim", type=int, default=defaults.dim)
-    parser.add_argument("--window", type=int, default=defaults.window)
-    parser.add_argument("--negative", type=int, default=defaults.negative)
-    parser.add_argument("--iterations", type=int, default=defaults.iterations)
-    parser.add_argument("--retrofit-epochs", type=int, default=defaults.retrofit_epochs)
-    parser.add_argument("--learning-rate", type=float, default=defaults.learning_rate)
-    parser.add_argument("--min-lr", type=float, default=defaults.min_lr)
-    parser.add_argument("--variant", choices=VARIANTS, default=defaults.variant)
-    parser.add_argument(
-        "--structural-context",
-        action=argparse.BooleanOptionalAction,
-        default=defaults.structural_context,
-        help="include co-cited documents in training contexts",
-    )
-    parser.add_argument("--seed", type=int, default=defaults.seed)
+def _from_flags(cls, args):
+    """The dataclass ``cls`` built from the flags ``_add_field_flags`` added."""
+    return cls(**{field.name: getattr(args, field.name) for field in dataclasses.fields(cls)})
+
+
+def _add_query_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--case", type=int, choices=CASES, default=1)
+    parser.add_argument("--k", type=int, default=10)
+    parser.add_argument("--keep-prob", type=float, default=0.5)
+    parser.add_argument("--seed", type=int, default=0)
 
 
 def _add_split_flags(parser: argparse.ArgumentParser) -> None:
@@ -151,7 +142,7 @@ def _split_corpus(corpus, window: int, args):
 
 
 def _cmd_train(args, out) -> int:
-    config = _config_from_args(args)
+    config = _from_flags(EmbeddingConfig, args)
     corpus_path = Path(args.corpus)
     corpus = parse_corpus(corpus_path)
     manifest = _start_manifest(
@@ -197,10 +188,10 @@ def _cmd_recommend(args, out) -> int:
 
 
 def _cmd_evaluate(args, out) -> int:
-    model = load_model(Path(args.model))
-    corpus = parse_corpus(Path(args.corpus))
     if args.test_fraction is None and args.test_ids is None:
         raise CitevecError("one of --test-fraction and --test-ids is required")
+    model = load_model(Path(args.model))
+    corpus = parse_corpus(Path(args.corpus))
     split = _split_corpus(corpus, model.config.window, args)
     report = evaluate(
         model, split.ground_truth,
@@ -227,8 +218,7 @@ def _cmd_export(args, out) -> int:
 
 
 def _cmd_synth(args, out) -> int:
-    names = dataclasses.asdict(SyntheticSpec())
-    spec = SyntheticSpec(**{name: getattr(args, name) for name in names})
+    spec = _from_flags(SyntheticSpec, args)
     manifest = _start_manifest(
         args, "synth", Path(args.out),
         config=dataclasses.asdict(spec),
@@ -249,16 +239,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="train a model on a corpus file")
     p_train.add_argument("corpus")
     p_train.add_argument("model", help="output model path")
-    _add_config_flags(p_train)
+    _add_field_flags(
+        p_train, EmbeddingConfig(negative=_CLI_NEGATIVE, iterations=_CLI_ITERATIONS),
+        variant={"choices": VARIANTS},
+        structural_context={"help": "include co-cited documents in training contexts"},
+    )
     _add_split_flags(p_train)
     p_train.set_defaults(func=_cmd_train)
 
     p_rec = sub.add_parser("recommend", help="rank documents for manuscript text")
     p_rec.add_argument("model")
-    p_rec.add_argument("--case", type=int, choices=(1, 2, 3), default=1)
-    p_rec.add_argument("--k", type=int, default=10)
-    p_rec.add_argument("--keep-prob", type=float, default=0.5)
-    p_rec.add_argument("--seed", type=int, default=0)
+    _add_query_flags(p_rec)
     p_rec.add_argument("--text-file", default=None, help="read text here instead of stdin")
     p_rec.add_argument(
         "--no-exclude", action="store_true",
@@ -270,22 +261,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("model")
     p_eval.add_argument("corpus")
     _add_split_flags(p_eval)
-    p_eval.add_argument("--case", type=int, choices=(1, 2, 3), default=1)
-    p_eval.add_argument("--k", type=int, default=10)
-    p_eval.add_argument("--keep-prob", type=float, default=0.5)
-    p_eval.add_argument("--seed", type=int, default=0)
+    _add_query_flags(p_eval)
     p_eval.set_defaults(func=_cmd_evaluate)
 
     p_exp = sub.add_parser("export", help="dump a matrix in word2vec text format")
     p_exp.add_argument("model")
     p_exp.add_argument("out")
-    p_exp.add_argument("--which", choices=("doc-in", "doc-out", "word-in"), default="doc-in")
+    p_exp.add_argument("--which", choices=[name.replace("_", "-") for name in _EXPORTABLE],
+                       default="doc-in")
     p_exp.set_defaults(func=_cmd_export)
 
     p_syn = sub.add_parser("synth", help="generate a synthetic co-citation corpus")
     p_syn.add_argument("out")
-    for name, default in dataclasses.asdict(SyntheticSpec()).items():  # one flag per field
-        p_syn.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
+    _add_field_flags(p_syn, SyntheticSpec())
     p_syn.set_defaults(func=_cmd_synth)
 
     return parser
@@ -299,10 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args.raw_argv = list(argv)
     try:
         return args.func(args, sys.stdout)
-    except CitevecError as exc:
-        print(f"citevec: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CitevecError, OSError) as exc:
         print(f"citevec: error: {exc}", file=sys.stderr)
         return 1
 

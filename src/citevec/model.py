@@ -20,7 +20,7 @@ import os
 import stat
 import struct
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -80,6 +80,30 @@ class EmbeddingConfig:
 
     def with_updates(self, **changes) -> "EmbeddingConfig":
         return replace(self, **changes)
+
+
+# The model file's config block: EmbeddingConfig's fields in declaration
+# order, the variant as its index in VARIANTS, structural_context as a byte.
+_CONFIG = struct.Struct("<5I2d2Bq")
+
+
+def _pack_config(config: EmbeddingConfig) -> bytes:
+    values = asdict(config)
+    values["variant"] = VARIANTS.index(config.variant)
+    return _CONFIG.pack(*values.values())
+
+
+def _unpack_config(raw: tuple) -> EmbeddingConfig:
+    """The config a block's values describe; ModelIOError if it is invalid."""
+    values = dict(zip((field.name for field in fields(EmbeddingConfig)), raw))
+    if values["variant"] >= len(VARIANTS):
+        raise ModelIOError(f"unknown variant code {values['variant']}")
+    values["variant"] = VARIANTS[values["variant"]]
+    values["structural_context"] = bool(values["structural_context"])
+    try:
+        return EmbeddingConfig(**values)
+    except ConfigError as exc:
+        raise ModelIOError(f"invalid configuration in model file: {exc}") from None
 
 
 @dataclass
@@ -156,12 +180,12 @@ def save_model(model: Model, sink) -> None:
     """Write the model in the binary container format, version 3.
 
     Layout, all integers and floats little-endian: magic ``DCV2``, format
-    version 3, config block; word and doc counts; per vocabulary list (words,
-    then doc ids) one ``<u4`` array of UTF-8 byte lengths, the UTF-8 bytes
-    of every entry end to end, and one ``<i8`` array of counts; five matrix
-    blocks, each an ``ndim``/shape header and zero padding up to a 64-byte
-    file offset, then the float64 values; last a crc32 over everything
-    before it.  Round-trips bit-exactly.
+    version 3, config block (``_CONFIG``), trained epochs; word and doc
+    counts; per vocabulary list (words, then doc ids) one ``<u4`` array of
+    UTF-8 byte lengths, the UTF-8 bytes of every entry end to end, and one
+    ``<i8`` array of counts; five matrix blocks, each an ``ndim``/shape
+    header and zero padding up to a 64-byte file offset, then the float64
+    values; last a crc32 over everything before it.  Round-trips bit-exactly.
 
     Each block goes straight to ``sink`` (a path, or an object whose
     ``write`` takes bytes-like objects) while a running crc32 is kept, so
@@ -184,15 +208,8 @@ def _write_model(model: Model, write) -> None:
         crc = zlib.crc32(chunk, crc)
         offset += memoryview(chunk).nbytes
 
-    cfg = model.config
-    put(_MAGIC + struct.pack(
-        "<6I2d2BqI",
-        _FORMAT_VERSION,
-        cfg.dim, cfg.window, cfg.negative, cfg.iterations, cfg.retrofit_epochs,
-        cfg.learning_rate, cfg.min_lr,
-        VARIANTS.index(cfg.variant), int(cfg.structural_context),
-        cfg.seed, model.trained_epochs,
-    ))
+    put(_MAGIC + struct.pack("<I", _FORMAT_VERSION) + _pack_config(model.config)
+        + struct.pack("<I", model.trained_epochs))
     vocab = model.vocab
     put(struct.pack("<2I", vocab.n_words, vocab.n_docs))
     for items, counts in ((vocab.word_list, vocab.word_counts),
@@ -314,27 +331,8 @@ def load_model(source) -> Model:
     if version != _FORMAT_VERSION:
         raise ModelIOError(f"unsupported model format version {version}")
 
-    dim, window, negative, iterations, retrofit_epochs = cur.unpack("<5I")
-    learning_rate, min_lr = cur.unpack("<2d")
-    variant_code, structural = cur.unpack("<2B")
-    seed, trained_epochs = cur.unpack("<qI")
-    if variant_code >= len(VARIANTS):
-        raise ModelIOError(f"unknown variant code {variant_code}")
-    try:
-        config = EmbeddingConfig(
-            dim=dim,
-            window=window,
-            negative=negative,
-            iterations=iterations,
-            retrofit_epochs=retrofit_epochs,
-            learning_rate=learning_rate,
-            min_lr=min_lr,
-            variant=VARIANTS[variant_code],
-            structural_context=bool(structural),
-            seed=seed,
-        )
-    except ConfigError as exc:
-        raise ModelIOError(f"invalid configuration in model file: {exc}") from None
+    config = _unpack_config(cur.unpack(_CONFIG.format))
+    (trained_epochs,) = cur.unpack("<I")
 
     n_words, n_docs = cur.unpack("<2I")
     vocab = Vocabulary()
@@ -352,10 +350,10 @@ def load_model(source) -> Model:
         raise ModelIOError("trailing bytes after model payload")
     matrices = ModelMatrices(*arrays)
     expected = {
-        "doc_in": (n_docs, dim),
-        "doc_out": (n_docs, dim),
-        "word_in": (n_words, dim),
-        "word_out": (n_words, dim),
+        "doc_in": (n_docs, config.dim),
+        "doc_out": (n_docs, config.dim),
+        "word_in": (n_words, config.dim),
+        "word_out": (n_words, config.dim),
         "attention": (n_docs + n_words,),
     }
     for name, shape in expected.items():

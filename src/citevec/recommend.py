@@ -3,8 +3,9 @@
 Three query regimes: Case 1 pools the context words with every co-cited
 document, Case 2 keeps each co-cited document with a fixed probability,
 Case 3 uses the words alone.  Queries are pooled with the arithmetic mean
-for both model variants: a fresh manuscript never had an attention slot
-trained for it, so learned weights do not apply at query time.
+for both model variants, a known train/serve skew for "att": only the
+manuscript is new, and the scores its words and co-cited documents were
+trained with go unused at query time.
 
 Two ranking conventions: rank_i4o scores output-side document vectors by
 dot product with the query; rank_i4i fits a vector for the text and scores

@@ -152,50 +152,38 @@ def _content_examples(docs, vocab: Vocabulary, window: int) -> _Examples:
 
 
 def _citation_examples(
-    relations: list[CitationRelation], n_docs: int, structural_context: bool
+    relations: list[CitationRelation], n_docs: int, n_words: int, structural_context: bool
 ) -> _Examples:
     """One example per relation: source, sorted structural docs, then the
-    context words predict the target.  A None source becomes slot -1."""
+    context words predict the target.  Raises ConfigError naming the first
+    relation whose target, source, structural docs (when used) or context
+    words fall outside [0, n_docs) or [0, n_words)."""
     n = len(relations)
     n_structural = np.fromiter(
         (len(r.structural) if structural_context else 0 for r in relations), np.intp, n)
     n_context = np.fromiter((len(r.context) for r in relations), np.intp, n)
+    targets = np.fromiter((r.target for r in relations), np.intp, n)
+    sources = np.fromiter((-1 if r.source is None else r.source for r in relations), np.intp, n)
+    docs = np.fromiter(chain.from_iterable(r.structural for r in relations if structural_context),
+                       np.intp, n_structural.sum())
+    words = np.fromiter(chain.from_iterable(r.context for r in relations), np.intp,
+                        n_context.sum())
+    every = np.arange(n)
+    doc_owner, word_owner = np.repeat(every, n_structural), np.repeat(every, n_context)
+    bad = np.concatenate([owner[(ids < 0) | (ids >= bound)] for ids, owner, bound in (
+        (targets, every, n_docs), (sources, every, n_docs),
+        (docs, doc_owner, n_docs), (words, word_owner, n_words))])
+    if bad.size:
+        i = int(bad.min())
+        raise ConfigError(f"relation {i} names an id outside the vocabulary: {relations[i]}")
+
     offsets = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(1 + n_structural + n_context, out=offsets[1:])
     slots = np.empty(offsets[-1], dtype=np.intp)
-    slots[offsets[:-1]] = np.fromiter(
-        (-1 if r.source is None else r.source for r in relations), np.intp, n)
-    if structural_context:
-        docs = np.fromiter(chain.from_iterable(r.structural for r in relations), np.intp,
-                           n_structural.sum())
-        # sort by (relation, doc); an id outside [0, n_docs) stays with its
-        # relation, so _check_relations still names the right one
-        owner = np.repeat(np.arange(n), n_structural)
-        key = owner * (n_docs + 2) + np.clip(docs, -1, n_docs) + 1
-        slots[_runs(offsets[:-1] + 1, n_structural)] = docs[np.argsort(key, kind="stable")]
-    words = np.fromiter(chain.from_iterable(r.context for r in relations), np.intp,
-                        n_context.sum())
+    slots[offsets[:-1]] = sources
+    slots[_runs(offsets[:-1] + 1, n_structural)] = docs[np.lexsort((docs, doc_owner))]
     slots[_runs(offsets[1:] - n_context, n_context)] = n_docs + words
-    targets = np.fromiter((r.target for r in relations), np.intp, n)
     return _Examples(targets, offsets, slots)
-
-
-def _check_relations(relations: list[CitationRelation], examples: _Examples,
-                     vocab: Vocabulary) -> None:
-    """Raises ConfigError naming the first relation whose target, source,
-    structural or context ids fall outside ``vocab``; ``examples`` are the
-    relations' tables."""
-    n_docs, offsets = vocab.n_docs, examples.offsets
-    n_context = np.fromiter((len(r.context) for r in relations), np.intp, len(relations))
-    # an example's last len(context) slots are words, held as n_docs + word id
-    is_word = np.arange(offsets[-1]) >= np.repeat(offsets[1:] - n_context, np.diff(offsets))
-    ids = examples.slots - np.where(is_word, n_docs, 0)
-    bad_slots = (ids < 0) | (ids >= np.where(is_word, vocab.n_words, n_docs))
-    bad = (examples.targets < 0) | (examples.targets >= n_docs)
-    bad |= np.logical_or.reduceat(bad_slots, offsets[:-1])  # every example has a source
-    if bad.any():
-        i = int(bad.argmax())
-        raise ConfigError(f"relation {i} names an id outside the vocabulary: {relations[i]}")
 
 
 def _ns_output(hidden, targets: np.ndarray, out: np.ndarray, sampler: NegativeSampler,
@@ -446,8 +434,8 @@ def train(
     if not relations:
         raise ConfigError("cannot train on an empty relation list")
     config = model.config
-    examples = _citation_examples(relations, model.vocab.n_docs, config.structural_context)
-    _check_relations(relations, examples, model.vocab)
+    examples = _citation_examples(relations, model.vocab.n_docs, model.vocab.n_words,
+                                  config.structural_context)
     model.matrices = retrofit_pvdm(docs, model.vocab, config, on_epoch=on_content)
     matrices = model.matrices
     # the trailing 0 keeps the noise stream that earlier releases drew from

@@ -46,12 +46,12 @@ def _window_context(tokens, position: int, window: int) -> list[str]:
 
 def citation_examples_reference(relations, n_docs: int, structural_context: bool):
     """``_citation_examples``'s tables (targets, offsets, slots), one relation
-    at a time: the source (-1 for None), its sorted structural docs, then
-    n_docs + each context word."""
+    at a time: the source, its sorted structural docs, then n_docs + each
+    context word."""
     slots: list[int] = []
     offsets = [0]
     for r in relations:
-        slots.append(-1 if r.source is None else r.source)
+        slots.append(r.source)
         if structural_context:
             slots += sorted(r.structural)
         slots += [n_docs + w for w in r.context]
@@ -152,7 +152,8 @@ def participant_slots(source: int, structural, context, n_docs: int) -> np.ndarr
 def backprop(variant, relation, matrices, sampler, lr, *, negative, structural_context=True) -> float:
     """One citation update for one relation, as a batch of one; returns the
     sampled loss before the step."""
-    examples = _citation_examples([relation], matrices.n_docs, structural_context)
+    examples = _citation_examples([relation], matrices.n_docs, matrices.n_words,
+                                  structural_context)
     work = np.empty((3, max(examples.slots.size, 1 + negative), matrices.dim))
     loss, _ = _ns_batch(
         examples, 0, 1, matrices, matrices.doc_out, sampler, np.array([lr]), negative,

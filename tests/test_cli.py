@@ -6,15 +6,19 @@ regression pins the byte-exact records produced by the first verified run
 of the pinned flag set.
 """
 
+import argparse
+import dataclasses
+import hashlib
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from citevec.cli import _sha256, main
+from citevec.cli import _build_parser, _from_flags, _sha256, main
 from citevec.corpus import SyntheticSpec, generate_synthetic_corpus
-from citevec.model import load_model
+from citevec.model import _EXPORTABLE, EmbeddingConfig, load_model
+from citevec.recommend import CASES
 
 FIXTURE_TSV = Path(__file__).parent / "data" / "cli_fixture.tsv"
 
@@ -25,6 +29,12 @@ TRAIN_FLAGS = [
     "--test-fraction", "0.25", "--split-seed", "7",
 ]
 SPLIT_FLAGS = ["--test-fraction", "0.25", "--split-seed", "7"]
+
+
+def subcommand(name: str) -> dict[str, argparse.Action]:
+    """The named subcommand's flags, by destination."""
+    sub = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest: action for action in sub.choices[name]._actions}
 
 
 def run(capsys, *argv):
@@ -65,6 +75,9 @@ class TestSynth:
         out = tmp_path / "d.tsv"
         assert run(capsys, "synth", out)[0] == 0
         assert out.read_bytes() == generate_synthetic_corpus(SyntheticSpec())
+        flags = subcommand("synth")
+        for field in dataclasses.fields(SyntheticSpec):
+            assert flags[field.name].default == getattr(SyntheticSpec(), field.name)
 
     def test_manifest_written(self, tmp_path, capsys):
         out = tmp_path / "c.tsv"
@@ -126,6 +139,19 @@ class TestTrain:
         path = tmp_path / "big.bin"
         path.write_bytes(bytes(range(256)) * (10 * 1024 + 3))  # 2.5 MiB and a bit
         assert _sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_every_config_field_is_a_flag_with_the_cli_default(self):
+        flags = subcommand("train")
+        defaults = EmbeddingConfig(negative=5, iterations=20)
+        for field in dataclasses.fields(EmbeddingConfig):
+            assert flags[field.name].option_strings[0] == "--" + field.name.replace("_", "-")
+            assert flags[field.name].default == getattr(defaults, field.name)
+        args = _build_parser().parse_args(["train", "c.tsv", "m.dcv"])
+        assert _from_flags(EmbeddingConfig, args) == defaults
+
+    def test_no_structural_context(self):
+        args = _build_parser().parse_args(["train", "c.tsv", "m.dcv", "--no-structural-context"])
+        assert _from_flags(EmbeddingConfig, args).structural_context is False
 
     def test_config_error_exits_nonzero(self, tmp_path, capsys):
         code, stdout, stderr = run(capsys, "train", FIXTURE_TSV, tmp_path / "m.dcv", "--dim", "0")
@@ -269,6 +295,11 @@ class TestEvaluate:
         code, _, stderr = run(capsys, "evaluate", trained, FIXTURE_TSV)
         assert code == 1
 
+    def test_split_spec_checked_before_the_model_is_read(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "evaluate", tmp_path / "nope.dcv", FIXTURE_TSV)
+        assert code == 1
+        assert "--test-fraction" in stderr and "--test-ids" in stderr
+
     def test_explicit_test_ids(self, trained, capsys):
         code, stdout, _ = run(
             capsys, "evaluate", trained, FIXTURE_TSV,
@@ -278,7 +309,16 @@ class TestEvaluate:
         assert "n=6" in stdout  # two held-out docs, three citations each
 
 
+@pytest.mark.parametrize("command", ["recommend", "evaluate"])
+def test_case_choices_are_the_cases(command):
+    assert tuple(subcommand(command)["case"].choices) == CASES
+
+
 class TestExport:
+    def test_which_choices_are_the_exportable_matrices(self):
+        choices = subcommand("export")["which"].choices
+        assert [choice.replace("-", "_") for choice in choices] == list(_EXPORTABLE)
+
     def test_line_count_and_prefix(self, trained, tmp_path, capsys):
         out = tmp_path / "vecs.txt"
         code, _, _ = run(capsys, "export", trained, out, "--which", "doc-in")
@@ -309,3 +349,8 @@ class TestModelFile:
         assert model.trained_epochs == 10
         # recorded from a version 2 file: the file format never moves the values
         assert model.matrices.fingerprint() == 37625663
+
+    def test_trained_model_file_bytes(self, trained):
+        # recorded from a version 3 file: pins the header, vocabulary and padding too
+        digest = hashlib.sha256(trained.read_bytes()).hexdigest()
+        assert digest == "935db19c04644a4b88b107b43bb84e59f1e4252de1ba2d4b543842dc4a6596de"

@@ -1,5 +1,6 @@
 """Model init, persistence, export, and inference tests."""
 
+import dataclasses
 import hashlib
 import io
 import math
@@ -132,6 +133,21 @@ class TestSaveLoad:
         assert loaded.vocab.doc_list == model.vocab.doc_list
         assert np.array_equal(loaded.vocab.word_counts, model.vocab.word_counts)
         assert np.array_equal(loaded.vocab.doc_cited_counts, model.vocab.doc_cited_counts)
+
+    def test_every_config_field_round_trips(self):
+        model = tiny_model(dim=4)
+        model.config = EmbeddingConfig(
+            dim=4, window=3, negative=7, iterations=9, retrofit_epochs=2, learning_rate=0.3,
+            min_lr=0.002, variant="att", structural_context=False, seed=12345,
+        )
+        default = EmbeddingConfig()
+        assert all(getattr(model.config, field.name) != getattr(default, field.name)
+                   for field in dataclasses.fields(EmbeddingConfig))
+        buf = io.BytesIO()
+        save_model(model, buf)
+        loaded = load_model(buf.getvalue()).config
+        assert loaded == model.config
+        assert loaded.structural_context is False
 
     def test_save_is_deterministic_bytes(self, tmp_path):
         model = tiny_model()

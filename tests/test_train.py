@@ -338,7 +338,8 @@ class TestFlatTables:
             ).tolist())
             for r in relations
         ]
-        examples = _citation_examples(relations, n_docs, structural_context)
+        examples = _citation_examples(relations, n_docs, corpus.vocab.n_words,
+                                      structural_context)
         assert example_lists(examples) == expected
         order = np.random.default_rng(window).permutation(len(relations))
         assert example_lists(examples.take(order)) == [expected[i] for i in order]
@@ -346,26 +347,27 @@ class TestFlatTables:
     @pytest.mark.parametrize("structural_context", [True, False])
     def test_citation_tables_match_the_reference_loop(self, corpus, structural_context):
         relations = extract_relations(corpus.docs, corpus.vocab, 3)
-        # every third relation as a held-out citation with no known source
-        relations = [
-            dataclasses.replace(r, source=None) if i % 3 == 0 else r
-            for i, r in enumerate(relations)
-        ]
-        n_docs = corpus.vocab.n_docs
+        n_docs, n_words = corpus.vocab.n_docs, corpus.vocab.n_words
         # small int sets iterate in sorted order unless their hashes collide
         unsorted = [
-            CitationRelation(source=None, target=3, structural=frozenset({33, 1, 17}),
+            CitationRelation(source=0, target=3, structural=frozenset({33, 1, 17}),
                              context=(5, 2)),
             CitationRelation(source=2, target=33, structural=frozenset(), context=()),
         ]
         assert list(unsorted[0].structural) != sorted(unsorted[0].structural)
         for subset, n in ((relations, n_docs), (relations[:1], n_docs), ([], n_docs),
                           (unsorted, 40)):
-            got = _citation_examples(subset, n, structural_context)
+            got = _citation_examples(subset, n, n_words, structural_context)
             expected = citation_examples_reference(subset, n, structural_context)
             for table, want in zip(got, expected):
                 assert table.dtype == want.dtype
                 assert np.array_equal(table, want)
+
+    def test_a_relation_without_a_source_is_named(self, corpus):
+        relations = extract_relations(corpus.docs, corpus.vocab, 3)
+        relations[1] = dataclasses.replace(relations[1], source=None)
+        with pytest.raises(ConfigError, match=r"^relation 1 names an id outside"):
+            _citation_examples(relations, corpus.vocab.n_docs, corpus.vocab.n_words, True)
 
     def test_edge_corpus_has_its_edge_cases(self):
         corpus = parse_corpus(EDGE_CORPUS)
