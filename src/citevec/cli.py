@@ -182,6 +182,7 @@ def _cmd_recommend(args, out) -> int:
         case=args.case, k=args.k, keep_prob=args.keep_prob,
         seed=args.seed, exclude_markers=not args.no_exclude,
     )
+    print(f"dropped {result.unknown_words} unknown words", file=sys.stderr)
     for rank, (doc_id, score) in enumerate(result.ranked, start=1):
         print(f"{rank}\t{doc_id}\t{float(score)!r}", file=out)
     return 0

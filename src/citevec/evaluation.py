@@ -1,20 +1,23 @@
 """Ranking metrics and the three-case evaluation protocol.
 
-Evaluation walks a list of held-out citations, builds the case-appropriate
-query for each, ranks documents by the in-for-out score (the dot product of
-the query with each output-side document vector), and averages recall, MAP,
-and nDCG at a cutoff.
+Evaluation takes a list of held-out citations, pools the case-appropriate
+query of all of them at once, ranks documents by the in-for-out score (the
+dot product of the query with each output-side document vector), and
+averages recall, MAP, and nDCG at a cutoff.  With one relevant item per
+citation, MAP is the mean reciprocal rank within the cutoff (MRR@k).
 
 The queries are scored ``EVAL_BATCH`` at a time: a block of query vectors
 is multiplied by the output matrix, ``BLOCK_ROWS`` documents to a product,
-and each row of the result goes through the same top-k as ``rank_i4o``
-(``recommend._top_k``).  Every product has one shape, ``EVAL_BATCH``
+and the block's score rows go through one call of the top-k that
+``rank_i4o`` uses (``recommend._top_k``); the metrics come from the
+target's place in its row.  Every product has one shape, ``EVAL_BATCH``
 queries by ``BLOCK_ROWS`` documents: the last block of queries and the last
 documents are padded with zero rows.  BLAS can round a row differently when
 the shape changes, but at one shape a query's scores are the same bits in
 whatever block and row it lands.  They can differ in the last bits from the
 matrix-vector product ``rank_i4o`` takes.  The scores of a block take
-``EVAL_BATCH`` × n_docs floats.
+``EVAL_BATCH`` × n_docs floats.  Python work per relation is left only in
+building the id arrays and in Case 2's seeded draw.
 
 Accumulation is order-insensitive: each relation's contribution depends
 only on the relation itself (Case 2 derives its thinning seed from the
@@ -27,14 +30,16 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
+from itertools import chain
 from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 from .corpus import CitationRelation
-from .errors import ConfigError, QueryError
+from .errors import ConfigError
 from .model import Model
-# rank_i4o is not called here; bench/tracing.py looks it up in this module
+# build_query_vector and rank_i4o are not called here; bench/tracing.py
+# looks them up in this module
 from .recommend import BLOCK_ROWS, CASES, Query, _top_k, build_query_vector, rank_i4o  # noqa: F401
 
 __all__ = [
@@ -117,7 +122,7 @@ class MetricReport:
     recall: float
     mean_average_precision: float
     ndcg: float
-    # relations whose query raised QueryError and were scored as misses
+    # relations whose query had no participant and were scored as misses
     n_empty_queries: int
 
     def values(self) -> dict[str, float]:
@@ -164,6 +169,86 @@ def _score_block(doc_out: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.
     return out
 
 
+def _add_in_turn(sums: np.ndarray, counts: np.ndarray, ids: np.ndarray, matrix: np.ndarray):
+    """Add rows of ``matrix`` to each row of ``sums``, one at a time:
+    ``ids`` holds ``counts[0]`` row numbers for sums row 0, then
+    ``counts[1]`` for row 1, and so on.  Step t adds the t-th of every row
+    that has more than t; taken in order of falling count, those rows are a
+    prefix, so a step is one gather and one add."""
+    order = np.argsort(-counts, kind="stable")
+    starts = (np.cumsum(counts) - counts)[order]
+    live = np.searchsorted(-counts[order], -np.arange(counts.max(initial=0)))
+    ordered = sums[order]
+    for t, n_live in enumerate(live.tolist()):
+        ordered[:n_live] += matrix[ids[starts[:n_live] + t]]
+    sums[order] = ordered
+
+
+def _pool_queries(model: Model, relations: GroundTruth, case: int, keep_prob: float, seed: int):
+    """Every relation's query vector, pooled for all relations at once.
+
+    A query is the mean of its participants' input rows: the context words
+    in order, then the case's structural docs in ascending order.  The sum
+    runs from zero, one participant of every relation per step, which is
+    the order ``build_query_vector``'s ``mean(axis=0)`` adds them in (NumPy
+    sums a single column pairwise instead, so at dim 1 a query of 8 or more
+    participants can differ in the last bits).  Only Case 2 walks the
+    relations, to draw each one's thinning from its content-derived seed.
+
+    Returns the indices of the usable relations (those with a participant),
+    their query vectors and targets, and for each of them the documents to
+    exclude: its structural docs and its source.  Raises ConfigError naming
+    the first relation with a target, source, structural doc or context
+    word outside the vocabulary.
+    """
+    n_docs, n_words = model.vocab.n_docs, model.vocab.n_words
+    n = len(relations)
+    every = np.arange(n)
+    n_context = np.fromiter((len(r.context) for r in relations), np.intp, n)
+    n_structural = np.fromiter((len(r.structural) for r in relations), np.intp, n)
+    has_source = np.fromiter((r.source is not None for r in relations), bool, n)
+    targets = np.fromiter((r.target for r in relations), np.intp, n)
+    sources = np.fromiter((r.source for r in relations if r.source is not None), np.intp,
+                          np.count_nonzero(has_source))
+    words = np.fromiter(chain.from_iterable(r.context for r in relations), np.intp,
+                        n_context.sum())
+    docs = np.fromiter(chain.from_iterable(r.structural for r in relations), np.intp,
+                       n_structural.sum())
+    word_owner, doc_owner = np.repeat(every, n_context), np.repeat(every, n_structural)
+    source_owner = every[has_source]
+    bad = np.concatenate([owner[(ids < 0) | (ids >= bound)] for ids, owner, bound in (
+        (targets, every, n_docs), (sources, source_owner, n_docs),
+        (docs, doc_owner, n_docs), (words, word_owner, n_words))])
+    if bad.size:
+        i = int(bad.min())
+        raise ConfigError(f"relation {i} names an id outside the vocabulary: {relations[i]}")
+    docs = docs[np.lexsort((docs, doc_owner))]
+
+    if case == 2:
+        draws = np.empty(docs.size)
+        ends = np.cumsum(n_structural)
+        for i in np.flatnonzero(n_structural).tolist():
+            rng = np.random.default_rng(_relation_seed(seed, relations[i]))
+            draws[ends[i] - n_structural[i] : ends[i]] = rng.random(n_structural[i])
+        kept = draws < keep_prob
+    else:
+        kept = np.full(docs.size, case == 1)
+    n_kept = np.bincount(doc_owner[kept], minlength=n)
+    sums = np.zeros((n, model.matrices.dim))
+    _add_in_turn(sums, n_context, words, model.matrices.word_in)
+    _add_in_turn(sums, n_kept, docs[kept], model.matrices.doc_in)
+    count = n_context + n_kept
+    usable = np.flatnonzero(count)
+    queries = sums[usable] / count[usable, None]
+
+    owner = np.concatenate((doc_owner, source_owner))
+    order = np.argsort(owner, kind="stable")
+    by_owner = np.split(np.concatenate((docs, sources))[order],
+                        np.searchsorted(owner[order], every[1:]))
+    excluded = [by_owner[i] for i in usable.tolist()]
+    return usable, queries, targets[usable], excluded
+
+
 def evaluate(
     model: Model,
     ground_truth: GroundTruth,
@@ -179,62 +264,43 @@ def evaluate(
     from the candidates.  A relation whose query has no usable participants
     counts as a miss rather than an error; ``n_empty_queries`` says how many.
 
-    All query vectors are built first, then scored in blocks of
-    ``EVAL_BATCH`` (``_score_block``), the last block padded with zero
-    rows; the scores take ``EVAL_BATCH`` × n_docs floats.
+    The query vectors are pooled first (``_pool_queries``), then scored in
+    blocks of ``EVAL_BATCH`` (``_score_block``), the last block padded with
+    zero rows; the scores take ``EVAL_BATCH`` × n_docs floats.  One
+    ``_top_k`` call ranks each block, and the metrics come from the
+    target's place in its row: recall 1, AP 1/rank and nDCG
+    1/log2(rank + 1) for a hit within k, the same floats as
+    ``recall_at_k``, ``average_precision`` and ``ndcg_at_k``.
     """
-    if case not in CASES:
-        raise ConfigError(f"case must be one of {CASES}, got {case}")
+    Query(case=case, context_words=(), keep_prob=keep_prob)  # rejects a bad case or keep_prob
     _check_cutoff(k)
     if not ground_truth:
         raise ConfigError("ground truth is empty")
-    usable: list[CitationRelation] = []
-    vectors: list[np.ndarray] = []
-    for relation in ground_truth:
-        query = Query(
-            case=case,
-            context_words=relation.context,
-            structural_docs=relation.structural,
-            keep_prob=keep_prob,
-            seed=_relation_seed(seed, relation),
-        )
-        try:
-            vectors.append(build_query_vector(model, query))
-        except QueryError:
-            continue
-        usable.append(relation)
-    n_empty = len(ground_truth) - len(usable)
-    # an unusable query is a miss on every metric
-    recalls = [0.0] * n_empty
-    aps = [0.0] * n_empty
-    ndcgs = [0.0] * n_empty
+    usable, queries, targets, excluded = _pool_queries(model, ground_truth, case, keep_prob, seed)
     doc_list = model.vocab.doc_list
     doc_out = model.matrices.doc_out
     block = np.empty((EVAL_BATCH, doc_out.shape[1]))
     scores = np.empty((EVAL_BATCH, doc_out.shape[0]))
-    for start in range(0, len(usable), EVAL_BATCH):
-        chunk = usable[start : start + EVAL_BATCH]
-        block[: len(chunk)] = vectors[start : start + EVAL_BATCH]
-        block[len(chunk) :] = 0.0
+    ranks: list[int] = []  # 1-based, of each target found within k
+    for start in range(0, usable.size, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, usable.size)
+        block[: stop - start] = queries[start:stop]
+        block[stop - start :] = 0.0
         _score_block(doc_out, block, scores)
-        for relation, row in zip(chunk, scores):
-            exclude = {doc_list[d] for d in relation.structural}
-            if relation.source is not None:
-                exclude.add(doc_list[relation.source])
-            relevant = {doc_list[relation.target]}
-            ranked = _top_k(model, row, exclude, k).ids()
-            recalls.append(recall_at_k(ranked, relevant, k))
-            aps.append(average_precision(ranked, relevant, k))
-            ndcgs.append(ndcg_at_k(ranked, relevant, k))
-    n = len(recalls)
+        ranked, counts = _top_k(scores[: stop - start], k, doc_list, excluded[start:stop])
+        place = np.arange(ranked.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        hit = (ranked == np.repeat(targets[start:stop], counts)) & (place < k)
+        ranks += (place[hit] + 1).tolist()
+    # an unusable query, like a target outside the top k, is a miss on every metric
+    n = len(ground_truth)
     return MetricReport(
         case=case,
         k=k,
         n_relations=n,
-        recall=math.fsum(recalls) / n,
-        mean_average_precision=math.fsum(aps) / n,
-        ndcg=math.fsum(ndcgs) / n,
-        n_empty_queries=n_empty,
+        recall=len(ranks) / n,
+        mean_average_precision=math.fsum(1 / rank for rank in ranks) / n,
+        ndcg=math.fsum(1 / math.log2(rank + 1) for rank in ranks) / n,
+        n_empty_queries=n - usable.size,
     )
 
 

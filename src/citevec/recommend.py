@@ -12,17 +12,20 @@ dot product with the query; rank_i4i fits a vector for the text and scores
 input-side document vectors by cosine.  Ties break by ascending doc id and
 excluded ids are never returned.
 
-A ranking costs one matrix-vector product, an O(n) partition that finds
-the k-th best score, and a sort of the k or so candidates at or above it;
-the tie rule is the same as a full sort's.  rank_i4i also takes the row
-norms, one block of rows at a time.  ``_top_k`` is the one top-k rule:
-``evaluate`` sends it the rows of a matrix-matrix product over a block of
-queries, whose scores can differ from ``rank_i4o``'s in the last bits.
+A ranking costs one matrix-vector product, an O(n) partition of the score
+row at k plus its exclusion count, and a sort of the k or so candidates at
+or above that place; the tie rule is the same as a full sort's.  When many
+candidates tie at the place, a Python sort of their ids keeps the smallest.
+rank_i4i also takes the row norms, one block of rows at a time.  ``_top_k``
+is the one top-k rule: rank_i4o and rank_i4i send it one score row,
+``evaluate`` a block of them from a matrix-matrix product over its queries,
+whose scores can differ from ``rank_i4o``'s in the last bits.  The
+candidates of a block are sorted together, in one ``np.lexsort``.
 """
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +63,7 @@ class RecommendationList:
 
     ranked: list[tuple[str, float]]
     k: int
+    unknown_words: int = 0  # words of recommend's text that the model lacks
 
     def ids(self) -> list[str]:
         return [doc_id for doc_id, _ in self.ranked]
@@ -94,50 +98,71 @@ def build_query_vector(model: Model, query: Query) -> np.ndarray:
     return participants.mean(axis=0)
 
 
-def _resolve_exclusions(model: Model, exclude) -> np.ndarray:
-    indices = {model.vocab.doc_ids[d] for d in exclude if d in model.vocab.doc_ids}
-    return np.asarray(sorted(indices), dtype=np.intp)
+def _top_k(scores: np.ndarray, k: int, doc_list, exclude) -> tuple[np.ndarray, np.ndarray]:
+    """The best documents of each row of ``scores``, best first.
 
+    ``exclude`` holds one array of document indices per row, never returned
+    for that row.  Returns the rows' ranked candidates one row after
+    another in one array, and how many each row has there; a row's first k
+    (or all, if it has fewer) are its top k.  Ties break by ascending doc
+    id in ``doc_list``; the order is +inf, finite scores, -inf, then NaN by
+    id.
 
-def _top_k(model: Model, scores: np.ndarray, exclude, k: int) -> RecommendationList:
-    """Best k candidates by score, ties by ascending doc id, exclusions out.
-
-    A partition finds the k-th best score in O(n); only the candidates at
-    or above it are sorted.  When more candidates tie at that score than
-    there are places left, the places go to the smallest ids.  Order:
-    +inf first, finite scores, -inf, then NaN by id.
+    Each row is partitioned once, at k plus its exclusion count: the
+    entries at or above that place hold at least k that are not excluded,
+    so the result is a full sort's.  When more than that many remain
+    because they tie at the place, as never-cited documents all scoring 0
+    do, only the smallest ids among the tied stay; when the place's key is
+    NaN, every entry is a candidate.  The candidates of all rows are then
+    sorted in one ``np.lexsort``, by row, score and the rank of their ids,
+    which one Python sort gives.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
-    mask = np.ones(scores.size, dtype=bool)
-    mask[_resolve_exclusions(model, exclude)] = False
-    candidates = np.flatnonzero(mask)
-    doc_list = model.vocab.doc_list
-    if candidates.size <= k:
-        selected = candidates.tolist()
-    else:
-        keys = -scores[candidates]  # ascending keys rank best first, NaN last
-        kth = np.partition(keys, k - 1)[k - 1]
-        if np.isnan(kth):
-            tied = np.isnan(keys)
-            ahead = ~tied
-        else:
-            ahead, tied = keys < kth, keys == kth
-        places = k - int(np.count_nonzero(ahead))
-        selected = candidates[ahead].tolist() + heapq.nsmallest(
-            places, candidates[tied].tolist(), key=doc_list.__getitem__
-        )
-    by_id = np.asarray(sorted(selected, key=doc_list.__getitem__), dtype=np.intp)
-    top = by_id[np.argsort(-scores[by_id], kind="stable")]
+    n_rows, n_docs = scores.shape
+    keys = np.empty(n_docs)
+    candidates = []
+    for row, banned in zip(scores, exclude):
+        place = k + len(banned)
+        kth = math.nan
+        if place < n_docs:
+            np.negative(row, out=keys)  # ascending keys rank best first, NaN last
+            keys.partition(place - 1)
+            kth = -keys[place - 1]
+        kept = np.ones(n_docs, dtype=bool) if math.isnan(kth) else row >= kth
+        kept[banned] = False
+        found = kept.nonzero()[0]
+        if place < found.size:
+            # the surplus ties at the place's score: keep the smallest ids
+            tied = np.isnan(row[found]) if math.isnan(kth) else row[found] == kth
+            ahead = found[~tied]
+            smallest = sorted(found[tied].tolist(), key=doc_list.__getitem__)
+            found = np.concatenate((ahead, np.array(smallest[: max(k - ahead.size, 0)], np.intp)))
+        candidates.append(found)
+    counts = np.array([c.size for c in candidates], dtype=np.intp)
+    rows = np.arange(n_rows).repeat(counts)
+    docs = np.concatenate(candidates) if candidates else np.empty(0, dtype=np.intp)
+    by_id = sorted(set(docs.tolist()), key=doc_list.__getitem__)
+    id_rank = np.empty(n_docs, dtype=np.intp)
+    id_rank[by_id] = np.arange(len(by_id))
+    return docs[np.lexsort((id_rank[docs], -scores[rows, docs], rows))], counts
+
+
+def _rank_row(model: Model, scores: np.ndarray, exclude, k: int) -> RecommendationList:
+    """``_top_k`` of one score row; ``exclude`` holds doc ids, and ids the
+    model does not know are ignored."""
+    doc_ids, doc_list = model.vocab.doc_ids, model.vocab.doc_list
+    banned = np.fromiter({doc_ids[d] for d in exclude if d in doc_ids}, dtype=np.intp)
+    ranked, _ = _top_k(scores[None, :], k, doc_list, [banned])
     return RecommendationList(
-        ranked=[(doc_list[i], float(scores[i])) for i in top.tolist()], k=k
+        ranked=[(doc_list[i], float(scores[i])) for i in ranked[:k].tolist()], k=k
     )
 
 
 def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) -> RecommendationList:
     """Rank documents by dot product of the query with their output vectors."""
     scores = model.matrices.doc_out @ np.asarray(query_vector, dtype=np.float64)
-    return _top_k(model, scores, exclude, k)
+    return _rank_row(model, scores, exclude, k)
 
 
 def _row_norms(matrix: np.ndarray) -> np.ndarray:
@@ -169,7 +194,7 @@ def rank_i4i(
     with np.errstate(divide="ignore", invalid="ignore"):
         scores = (doc_in @ inferred) / (norms * query_norm)
     scores = np.where(norms > 0.0, scores, 0.0)
-    return _top_k(model, scores, exclude, k)
+    return _rank_row(model, scores, exclude, k)
 
 
 @dataclass
@@ -227,8 +252,9 @@ def recommend(
     Citation markers `[[id]]` in the text form the structural context and
     are excluded from the results (already-known citations are never
     recommended); pass exclude_markers=False to disable that for
-    diagnostics.  Raises QueryError, carrying the unknown-word count, when
-    nothing in the text is usable.
+    diagnostics.  The list carries the count of unknown words, which are
+    dropped.  Raises QueryError, carrying that count, when nothing in the
+    text is usable.
     """
     resolved = resolve_text(model, raw_text)
     query = Query(
@@ -247,4 +273,6 @@ def recommend(
             unknown_words=resolved.unknown_words,
         ) from None
     exclude = set(resolved.marker_ids) if exclude_markers else set()
-    return rank_i4o(model, query_vector, exclude=exclude, k=k)
+    result = rank_i4o(model, query_vector, exclude=exclude, k=k)
+    result.unknown_words = resolved.unknown_words
+    return result

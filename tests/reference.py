@@ -8,11 +8,13 @@ the kernel's batch semantics as a loop over examples, and
 ``infer_reference`` restates ``infer_doc_vector`` as a loop over words, and
 ``_window_context`` walks a token stream for one position's window words,
 and ``citation_examples_reference`` builds the citation pass's flat tables
-one relation at a time, so tests can state what the library must produce
-without reusing its code.
+one relation at a time, and ``top_k_reference`` is the ranking's top k for
+one score row, so tests can state what the library must produce without
+reusing its code.
 ``backprop`` runs the library kernel on a batch of one relation.
 """
 
+import heapq
 import importlib
 
 import numpy as np
@@ -274,3 +276,33 @@ def infer_reference(model, words, steps, lr):
                 scales.append(lr / m)
             vec = vec - np.array(scales) @ np.array(grads)
     return vec
+
+
+def top_k_reference(doc_list, scores, excluded, k):
+    """The best k document indices of one score row, best first, with the
+    ``excluded`` indices left out; ties by ascending doc id, and +inf,
+    finite scores, -inf, then NaN by id.
+
+    A partition finds the k-th best key among the candidates; those ahead
+    of it are taken, and the places left go to the smallest ids among the
+    ones tied at it.
+    """
+    mask = np.ones(scores.size, dtype=bool)
+    mask[np.asarray(sorted(set(excluded)), dtype=np.intp)] = False
+    candidates = np.flatnonzero(mask)
+    if candidates.size <= k:
+        selected = candidates.tolist()
+    else:
+        keys = -scores[candidates]  # ascending keys rank best first, NaN last
+        kth = np.partition(keys, k - 1)[k - 1]
+        if np.isnan(kth):
+            tied = np.isnan(keys)
+            ahead = ~tied
+        else:
+            ahead, tied = keys < kth, keys == kth
+        places = k - int(np.count_nonzero(ahead))
+        selected = candidates[ahead].tolist() + heapq.nsmallest(
+            places, candidates[tied].tolist(), key=doc_list.__getitem__
+        )
+    by_id = np.asarray(sorted(selected, key=doc_list.__getitem__), dtype=np.intp)
+    return by_id[np.argsort(-scores[by_id], kind="stable")].tolist()

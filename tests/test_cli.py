@@ -240,6 +240,19 @@ class TestRecommend:
         )
         assert out_plain == out_marked
 
+    def test_unknown_words_counted_on_stderr(self, trained, tmp_path, capsys):
+        known = tmp_path / "known.txt"
+        mixed = tmp_path / "mixed.txt"
+        known.write_text("w0t2 w0t5 [[t0c0]]")
+        mixed.write_text("w0t2 zzz w0t5 qqq [[t0c0]] zzz")
+        code, out_known, err_known = run(capsys, "recommend", trained, "--text-file", known)
+        assert code == 0
+        code, out_mixed, err_mixed = run(capsys, "recommend", trained, "--text-file", mixed)
+        assert code == 0
+        assert out_mixed == out_known  # unknown words are dropped from the query
+        assert err_known.splitlines() == ["dropped 0 unknown words"]
+        assert err_mixed.splitlines() == ["dropped 3 unknown words"]
+
     def test_unknown_tokens_only_is_an_error(self, trained, tmp_path, capsys):
         text = tmp_path / "q.txt"
         text.write_text("zzz qqq xxx")

@@ -19,6 +19,7 @@ from citevec.evaluation import (
     EVAL_BATCH,
     AblationRow,
     MetricReport,
+    _pool_queries,
     _relation_seed,
     _score_block,
     ablation_report,
@@ -193,11 +194,16 @@ def oracle_evaluate(model, truth, case, k, keep_prob=0.5, seed=0):
                         mean_average_precision=ap, ndcg=ndcg, n_empty_queries=n_empty)
 
 
-def random_relations(rng, n_docs, n_words, n_usable, n_empty):
+def random_relations(rng, n_docs, n_words, n_usable, n_empty, n_docs_only=0):
     """Relations with context words (usable in every case) and, shuffled
     among them, relations with no context and no structural docs (usable in
-    none)."""
+    none) and relations with structural docs and a source but no context
+    (not usable in Case 3)."""
     truth = []
+    for _ in range(n_docs_only):
+        docs = rng.choice(n_docs, size=4, replace=False).tolist()
+        truth.append(CitationRelation(
+            source=docs[0], target=docs[1], structural=frozenset(docs[2:]), context=()))
     for _ in range(n_usable):
         docs = rng.choice(n_docs, size=int(rng.integers(2, 6)), replace=False).tolist()
         source = docs.pop() if rng.random() < 0.5 else None
@@ -259,6 +265,68 @@ class TestBlockedScoring:
                 assert got.n_empty_queries == 5
 
 
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_matches_brute_force_oracle_with_non_finite_rows(self, case):
+        """NaN and infinite output rows give NaN, +inf and -inf scores;
+        relations without context still exclude their docs and source."""
+        rng = np.random.default_rng(80 + case)
+        n_docs, dim, n_words = 150, 3, 12
+        model = shuffled_id_model(rng, n_docs=n_docs, dim=dim, n_words=n_words)
+        model.matrices.doc_out[:] = rng.integers(-1, 2, size=(n_docs, dim))
+        special = rng.permutation(n_docs)
+        model.matrices.doc_out[special[:8]] = np.nan
+        model.matrices.doc_out[special[8:16]] = np.inf
+        model.matrices.doc_out[special[16:24]] = -np.inf
+        model.matrices.doc_out[special[24:32], 0] = np.inf  # +inf or -inf, NaN where 0 * inf
+        model.matrices.word_in[:] = rng.integers(-2, 3, size=(n_words, dim))
+        truth = random_relations(rng, n_docs, n_words, n_usable=EVAL_BATCH + 3, n_empty=2,
+                                 n_docs_only=6)
+        with np.errstate(invalid="ignore"):  # inf * 0 in the score product
+            for k in (1, 10, 60):
+                for seed in (0, 3):
+                    got = evaluate(model, truth, case=case, k=k, seed=seed)
+                    assert got == oracle_evaluate(model, truth, case, k, seed=seed), (k, seed)
+
+
+class TestPooledQueries:
+    @pytest.mark.parametrize("dim", [2, 3, 16])
+    def test_same_bits_as_build_query_vector(self, dim):
+        """Up to 20 context words and 12 structural docs, so many queries
+        pool more than 8 participants; -0.0 entries and mixed magnitudes make
+        any change in the order of the additions show."""
+        rng = np.random.default_rng(dim)
+        n_docs, n_words = 40, 30
+        model = shuffled_id_model(rng, n_docs=n_docs, dim=dim, n_words=n_words)
+        for matrix in (model.matrices.word_in, model.matrices.doc_in):
+            matrix[:] = rng.normal(size=matrix.shape) * 10.0 ** rng.integers(-8, 9, size=(matrix.shape[0], 1))
+            matrix[rng.random(matrix.shape) < 0.2] = -0.0
+        truth = []
+        for _ in range(60):
+            docs = rng.choice(n_docs, size=int(rng.integers(2, 14)), replace=False).tolist()
+            context = tuple(rng.integers(0, n_words, size=int(rng.integers(0, 21))).tolist())
+            source = docs.pop() if rng.random() < 0.5 else None
+            truth.append(CitationRelation(
+                source=source, target=docs[0], structural=frozenset(docs[1:]), context=context))
+        assert max(len(r.context) + len(r.structural) for r in truth) > 8
+        for case in (1, 2, 3):
+            usable, queries, targets, excluded = _pool_queries(model, truth, case, 0.5, 7)
+            expected = {}
+            for i, r in enumerate(truth):
+                query = Query(case=case, context_words=r.context, structural_docs=r.structural,
+                              seed=_relation_seed(7, r))
+                try:
+                    expected[i] = build_query_vector(model, query)
+                except QueryError:
+                    pass
+            assert usable.tolist() == sorted(expected)
+            for i, row in zip(usable.tolist(), queries):
+                assert row.tobytes() == expected[i].tobytes(), (case, i)
+            assert targets.tolist() == [truth[i].target for i in usable.tolist()]
+            for i, banned in zip(usable.tolist(), excluded):
+                source = [] if truth[i].source is None else [truth[i].source]
+                assert sorted(banned.tolist()) == sorted([*truth[i].structural, *source])
+
+
 def perfect_model(n_docs):
     """Model whose doc_out rows are scaled one-hots and whose i-th word's
     input vector points straight at doc i, so the true target is always
@@ -298,6 +366,35 @@ class TestEvaluate:
     def test_unknown_case_rejected(self):
         with pytest.raises(ConfigError):
             evaluate(perfect_model(3), perfect_ground_truth(3), case=4)
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_bad_k_or_keep_prob_rejected_first(self, case):
+        model = perfect_model(3)
+        # the relation names an unknown doc: the option errors must come first
+        truth = [CitationRelation(target=7, context=(0,), structural=frozenset(), source=None)]
+        with pytest.raises(ConfigError, match="keep_prob"):
+            evaluate(model, truth, case=case, keep_prob=1.5)
+        with pytest.raises(ConfigError, match="k must be"):
+            evaluate(model, truth, case=case, k=0)
+        with pytest.raises(ConfigError, match="relation 0"):
+            evaluate(model, truth, case=case)
+
+    @pytest.mark.parametrize("field", ["target", "source", "structural", "context"])
+    @pytest.mark.parametrize("bad", ["negative", "vocabulary size"])
+    def test_id_outside_the_vocabulary_is_named(self, field, bad):
+        model = perfect_model(4)  # 4 docs, 4 words
+        value = -1 if bad == "negative" else 4
+        good = CitationRelation(target=1, context=(1, 2), structural=frozenset({2}), source=3)
+        wrong = dataclasses.replace(good, **{
+            "target": {"target": value},
+            "source": {"source": value},
+            "structural": {"structural": frozenset({0, value})},
+            "context": {"context": (0, value)},
+        }[field])
+        for case in (1, 2, 3):
+            assert evaluate(model, [good, good], case=case, k=2).n_relations == 2
+            with pytest.raises(ConfigError, match="relation 1 names an id outside"):
+                evaluate(model, [good, wrong, wrong], case=case, k=2)
 
     def test_case_two_with_keep_prob_one_equals_case_one(self, split_avg_model, fixture_split):
         truth = fixture_split.ground_truth

@@ -5,6 +5,8 @@ formula and then rank with an ordinary full sort, so any deviation in
 selection, tie-breaking, or exclusion shows up as an exact mismatch.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -15,12 +17,15 @@ from citevec.recommend import (
     BLOCK_ROWS,
     Query,
     _row_norms,
+    _top_k,
     build_query_vector,
     rank_i4i,
     rank_i4o,
     recommend,
     resolve_text,
 )
+
+from reference import top_k_reference
 
 
 def make_vocab(doc_ids, words):
@@ -141,13 +146,14 @@ class TestBuildQueryVector:
 
 
 def oracle_rank(model, scores, exclude, k):
-    """Full sort over all non-excluded candidates: score desc, id asc."""
+    """Full sort over all non-excluded candidates: score desc, id asc, NaN
+    scores last by id."""
     pairs = [
         (doc_id, float(scores[i]))
         for i, doc_id in enumerate(model.vocab.doc_list)
         if doc_id not in exclude
     ]
-    pairs.sort(key=lambda pair: (-pair[1], pair[0]))
+    pairs.sort(key=lambda pair: (math.isnan(pair[1]), -pair[1] if pair[1] == pair[1] else 0.0, pair[0]))
     return pairs[:k]
 
 
@@ -261,6 +267,87 @@ class TestRankI4O:
                 [score for _, score in expected[:k]],
                 equal_nan=True,
             )
+
+
+def shuffled_ids(rng, n_docs):
+    """Doc ids in an order unrelated to their rows; "a" and "a\x00" among
+    them once there are two."""
+    ids = [f"m{j}" for j in range(n_docs)]
+    ids[:2] = ["a", "a\x00"][:n_docs]
+    rng.shuffle(ids)
+    return ids
+
+
+def special_scores(rng, n_rows, n_docs):
+    """Small integers, so ties are common, with NaN, +inf, -inf and -0.0
+    sprinkled in and some rows all zero."""
+    scores = rng.integers(-2, 3, size=(n_rows, n_docs)).astype(float)
+    draw = rng.random(scores.shape)
+    scores[draw < 0.05] = np.nan
+    scores[(draw >= 0.05) & (draw < 0.1)] = np.inf
+    scores[(draw >= 0.1) & (draw < 0.15)] = -np.inf
+    scores[(draw >= 0.15) & (draw < 0.2)] = -0.0
+    scores[rng.random(n_rows) < 0.2] = 0.0
+    return scores
+
+
+class TestBlockTopK:
+    """``_top_k`` over blocks of score rows, each row against the per-row
+    reference top-k."""
+
+    def top(self, ids, scores, exclude, k):
+        ranked, counts = _top_k(scores, k, ids, exclude)
+        assert counts.shape == (scores.shape[0],) and counts.sum() == ranked.size
+        starts = np.cumsum(counts) - counts
+        return [ranked[start : start + min(k, count)].tolist()
+                for start, count in zip(starts, counts)]
+
+    def check(self, ids, scores, exclude, k):
+        got = self.top(ids, scores, exclude, k)
+        for row, banned, top in zip(scores, exclude, got, strict=True):
+            assert top == top_k_reference(ids, row, banned.tolist(), k)
+
+    def test_random_blocks(self):
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            n_rows, n_docs = int(rng.integers(1, 7)), int(rng.integers(1, 40))
+            ids = shuffled_ids(rng, n_docs)
+            scores = special_scores(rng, n_rows, n_docs)
+            exclude = [rng.choice(n_docs, size=int(rng.integers(0, n_docs + 1)), replace=False)
+                       for _ in range(n_rows)]
+            self.check(ids, scores, exclude, int(rng.integers(1, n_docs + 3)))
+
+    def test_many_candidates_with_ties_at_the_cutoff(self):
+        rng = np.random.default_rng(18)
+        ids = shuffled_ids(rng, 3000)
+        scores = special_scores(rng, 32, 3000)
+        exclude = [rng.choice(3000, size=int(rng.integers(0, 40)), replace=False)
+                   for _ in range(32)]
+        for k in (1, 10, 100):
+            self.check(ids, scores, exclude, k)
+
+    def test_exclusions_on_both_sides_of_the_kth_score(self):
+        rng = np.random.default_rng(19)
+        ids = shuffled_ids(rng, 50)
+        scores = rng.integers(0, 6, size=(8, 50)).astype(float)
+        for k in (1, 5, 20):
+            exclude = []
+            for row in scores:
+                order = np.argsort(-row, kind="stable")
+                # some of the best, some tied around the k-th, some of the worst
+                exclude.append(np.concatenate((order[:3], order[k - 1 : k + 2], order[-2:])))
+            self.check(ids, scores, exclude, k)
+
+    def test_one_row_and_no_rows(self):
+        ids = ["b", "a\x00", "a", "c"]
+        scores = np.array([[1.0, 2.0, 2.0, np.nan]])
+        assert self.top(ids, scores, [np.array([], dtype=np.intp)], 3) == [[2, 1, 0]]
+        assert self.top(ids, scores, [np.array([1])], 9) == [[2, 0, 3]]
+        assert self.top(ids, np.empty((0, 4)), [], 2) == []
+
+    def test_k_must_be_positive(self):
+        with pytest.raises(ConfigError):
+            _top_k(np.zeros((1, 3)), 0, ["a", "b", "c"], [np.array([], dtype=np.intp)])
 
 
 class TestRankI4I:
