@@ -23,10 +23,12 @@ from citevec import (
     init_model,
     load_model,
     parse_corpus,
+    rank_i4i,
     recommend,
     save_model,
     train,
 )
+from citevec.recommend import resolve_text
 
 # 1. A corpus with two planted topics.  Only the 8 clique papers are ever
 # cited; with a noise support that small the negative count has to stay
@@ -52,13 +54,18 @@ for entry in progress[:2] + progress[-2:]:
 
 # 3. Case 1: a manuscript fragment citing two clique members.  The other
 # two members of that clique should surface, and the already-cited ones
-# are excluded from the output by contract.
+# are excluded from the output by contract.  recommend ranks by i4o (dot
+# product with output vectors); rank_i4i fits a vector to the words alone
+# and ranks by cosine to the input vectors, here with the same exclusions.
 text = "w0t3 w0t17 w0t8 w0t21 [[t0c0]] [[t0c3]]"
 print(f"\nmanuscript: {text!r}")
 for case in (1, 2, 3):
     result = recommend(model, text, case=case, k=4, seed=7)
     shown = ", ".join(f"{d} ({s:+.2f})" for d, s in result.ranked)
-    print(f"  case {case}: {shown}")
+    print(f"  i4o, case {case}: {shown}")
+resolved = resolve_text(model, text)
+result = rank_i4i(model, resolved.word_indices, exclude=set(resolved.marker_ids), k=4)
+print("  i4i:         " + ", ".join(f"{d} ({s:+.2f})" for d, s in result.ranked))
 
 # 4. The model file round-trips bit-exactly.
 with tempfile.TemporaryDirectory() as tmp:

@@ -16,11 +16,19 @@ A ranking costs one matrix-vector product, an O(n) partition of the score
 row at k plus its exclusion count, and a sort of the k or so candidates at
 or above that place; the tie rule is the same as a full sort's.  When many
 candidates tie at the place, a Python sort of their ids keeps the smallest.
-rank_i4i also takes the row norms, one block of rows at a time.  ``_top_k``
-is the one top-k rule: rank_i4o and rank_i4i send it one score row,
-``evaluate`` a block of them from a matrix-matrix product over its queries,
-whose scores can differ from ``rank_i4o``'s in the last bits.  The
-candidates of a block are sorted together, in one ``np.lexsort``.
+``_top_k`` is the one top-k rule: rank_i4o sends it one score row,
+rank_i4i the scores of its shortlist, ``evaluate`` a block of rows from a
+matrix-matrix product over its queries, whose scores can differ from
+``rank_i4o``'s in the last bits.  The candidates of a block are sorted
+together, in one ``np.lexsort``.
+
+rank_i4i filters, then refines.  One pass over the input matrix, a block
+of rows at a time, takes every row's dot product with the query and its
+squared norm, which give an approximate cosine within a proven margin of
+the exact one (``_shortlist``).  Only the rows that could reach the top k by
+that margin, and the rows the bound does not cover, get the exact norm of
+``np.linalg.norm``; their scores are the same bits as scoring every row,
+and no other row can outrank them.
 """
 
 from __future__ import annotations
@@ -35,9 +43,12 @@ from .errors import ConfigError, QueryError
 from .model import Model, infer_doc_vector
 
 CASES = (1, 2, 3)
-# rows of a document matrix per block, in _row_norms and in evaluate's score
-# product: a block's temporaries stay in cache
+# rows of a document matrix per block, in rank_i4i's pass over the input
+# matrix and in evaluate's score product: a block stays in cache
 BLOCK_ROWS = 1024
+# rank_i4i's error bound covers squared norms in this range: nothing in a
+# score overflows, and underflow costs far less than the margin (_shortlist)
+_SAFE_SQUARES = (2.0**-900, 2.0**900)
 
 
 @dataclass(frozen=True)
@@ -98,6 +109,11 @@ def build_query_vector(model: Model, query: Query) -> np.ndarray:
     return participants.mean(axis=0)
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ConfigError(f"k must be >= 1, got {k}")
+
+
 def _top_k(scores: np.ndarray, k: int, doc_list, exclude) -> tuple[np.ndarray, np.ndarray]:
     """The best documents of each row of ``scores``, best first.
 
@@ -117,8 +133,7 @@ def _top_k(scores: np.ndarray, k: int, doc_list, exclude) -> tuple[np.ndarray, n
     sorted in one ``np.lexsort``, by row, score and the rank of their ids,
     which one Python sort gives.
     """
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
+    _check_k(k)
     n_rows, n_docs = scores.shape
     keys = np.empty(n_docs)
     candidates = []
@@ -148,31 +163,108 @@ def _top_k(scores: np.ndarray, k: int, doc_list, exclude) -> tuple[np.ndarray, n
     return docs[np.lexsort((id_rank[docs], -scores[rows, docs], rows))], counts
 
 
-def _rank_row(model: Model, scores: np.ndarray, exclude, k: int) -> RecommendationList:
-    """``_top_k`` of one score row; ``exclude`` holds doc ids, and ids the
-    model does not know are ignored."""
-    doc_ids, doc_list = model.vocab.doc_ids, model.vocab.doc_list
-    banned = np.fromiter({doc_ids[d] for d in exclude if d in doc_ids}, dtype=np.intp)
-    ranked, _ = _top_k(scores[None, :], k, doc_list, [banned])
+def _banned(model: Model, exclude) -> np.ndarray:
+    """The indices of the doc ids in ``exclude``; ids the model does not
+    know are ignored."""
+    doc_ids = model.vocab.doc_ids
+    return np.fromiter({doc_ids[d] for d in exclude if d in doc_ids}, dtype=np.intp)
+
+
+def _rank_row(model: Model, scores: np.ndarray, k: int, banned=(), rows=None) -> RecommendationList:
+    """``_top_k`` of one score row, never returning the document indices in
+    ``banned``.  ``scores`` holds every document's score or, when ``rows``
+    is given, the scores of the documents it names, in its order."""
+    doc_list = model.vocab.doc_list
+    ids = doc_list if rows is None else [doc_list[i] for i in rows.tolist()]
+    ranked, _ = _top_k(scores[None, :], k, ids, [np.asarray(banned, dtype=np.intp)])
     return RecommendationList(
-        ranked=[(doc_list[i], float(scores[i])) for i in ranked[:k].tolist()], k=k
+        ranked=[(ids[i], float(scores[i])) for i in ranked[:k].tolist()], k=k
     )
 
 
 def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) -> RecommendationList:
     """Rank documents by dot product of the query with their output vectors."""
+    _check_k(k)
     scores = model.matrices.doc_out @ np.asarray(query_vector, dtype=np.float64)
-    return _rank_row(model, scores, exclude, k)
+    return _rank_row(model, scores, k, banned=_banned(model, exclude))
 
 
-def _row_norms(matrix: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(matrix, axis=1), bit for bit, taken one block of rows
-    at a time so that no temporary as large as the matrix is allocated."""
-    norms = np.empty(matrix.shape[0])
-    for start in range(0, matrix.shape[0], BLOCK_ROWS):
+def _dots_and_squares(doc_in: np.ndarray, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``doc_in @ vector`` and the squared norms of the rows, both taken
+    ``BLOCK_ROWS`` rows at a time: each block is read from memory once, and
+    its squares are summed while it is in cache.
+
+    A row's dot product is the same bits as in ``doc_in @ vector`` when
+    BLAS takes it the same way in a block as in the whole product, as
+    OpenBLAS does on one thread.  OpenBLAS can split a whole product across
+    threads and round the rows at the edges of its thread ranges another
+    way; with several BLAS threads, a score can then differ in the last bits
+    from one taken over the whole product.
+    """
+    n_docs = doc_in.shape[0]
+    dots, squares = np.empty(n_docs), np.empty(n_docs)
+    for start in range(0, n_docs, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
-        norms[rows] = np.linalg.norm(matrix[rows], axis=1)
-    return norms
+        np.matmul(doc_in[rows], vector, out=dots[rows])
+        np.einsum("ij,ij->i", doc_in[rows], doc_in[rows], out=squares[rows])
+    return dots, squares
+
+
+def _shortlist(
+    dots: np.ndarray,
+    squares: np.ndarray,
+    query_norm: float,
+    dim: int,
+    candidates: np.ndarray,
+    k: int,
+) -> np.ndarray:
+    """The rows among ``candidates`` (a mask) whose cosine could be in the
+    top k, in ascending order.
+
+    Row x scores e = d / (sqrt(t) * q) in rank_i4i: d = ``dots`` is its dot
+    product with the query v, q = ``query_norm``, and t is sum(x * x) as
+    ``np.linalg.norm`` adds it.  Its approximate score a = d / (sqrt(s) * q)
+    takes s = sum(x * x) from ``_dots_and_squares`` instead.
+
+    The bound.  Let u = eps / 2, n = dim and gamma = n·u / (1 - n·u).  A sum
+    of n products, added in any order, with or without fused multiply-adds,
+    is within gamma·sum|products| of its exact value (Higham, "Accuracy and
+    Stability of Numerical Algorithms", 2nd ed., section 3.1).  So s and t
+    are within a factor 1 ± gamma of |x|², q is at least
+    |v|·sqrt(1 - gamma)·(1 - u), and d is within gamma·|x|·|v| of x·v, so
+    that c = d / (|x|·q), taken exactly, has |c| ≤ 1 + 3·gamma.  a and e are
+    each c times the inverse square root of their norm's factor and three
+    roundings (square root, product, quotient), so
+    |a - e| ≤ |c|·(gamma + 6u) up to terms in u², which is below
+    1.001·(n + 6)·u for any n below 2^33.  A row with a < tau - margin,
+    where tau is the k-th largest a among the safe candidates and
+    margin = 2·(n + 8)·eps, at least twice two such bounds, therefore has an
+    exact score strictly below the exact scores of k candidates: no tie rule
+    can put it in the top k, and it is dropped.  Every other candidate is
+    kept.
+
+    The bound assumes that nothing overflows and that underflow costs
+    little.  It holds for rows with s in ``_SAFE_SQUARES`` and a query with
+    q² there: every product and sum is then at most about 2^900, and an
+    underflowing product or quotient errs by at most 2^-1075, against a
+    margin of 2^-48 or more and row and query norms of at least 2^-450.
+    Every other row, and every row when the query is outside that range,
+    is unsafe: always kept, and never counted toward tau, since k zero rows
+    would otherwise put tau above the true top k.  A row whose a is not
+    finite is unsafe too.  With fewer than k safe candidates, tau is -inf
+    and every candidate is kept.
+    """
+    lo, hi = _SAFE_SQUARES
+    approx = dots / (np.sqrt(squares) * query_norm)
+    safe = (lo <= squares) & (squares <= hi) & np.isfinite(approx)
+    safe &= lo <= query_norm * query_norm <= hi
+    keys = np.where(safe & candidates, approx, -np.inf)
+    tau = -np.inf
+    if k <= keys.size:
+        keys.partition(keys.size - k)
+        tau = keys[keys.size - k]
+    margin = 2 * (dim + 8) * np.finfo(np.float64).eps
+    return np.flatnonzero(candidates & ~(safe & (approx < tau - margin)))
 
 
 def rank_i4i(
@@ -184,17 +276,26 @@ def rank_i4i(
     lr: float | None = None,
 ) -> RecommendationList:
     """Infer a vector for the words, rank documents by cosine to their
-    input vectors.  Zero-norm rows score 0."""
+    input vectors: dot / (row norm * query norm), with the dot products of
+    ``_dots_and_squares`` and the norms of ``np.linalg.norm``.  Zero-norm
+    rows score 0.  Only ``_shortlist``'s rows
+    are scored; the others cannot reach the top k.  Raises QueryError when
+    the inferred vector's norm is 0 or not finite."""
+    _check_k(k)
     inferred = infer_doc_vector(model, context_words, steps=steps, lr=lr)
-    query_norm = float(np.linalg.norm(inferred))
-    if query_norm == 0.0:
-        raise QueryError("inferred query vector has zero norm")
+    with np.errstate(over="ignore"):
+        query_norm = float(np.linalg.norm(inferred))
+    if not 0.0 < query_norm < math.inf:
+        raise QueryError(f"inferred query vector has norm {query_norm}")
     doc_in = model.matrices.doc_in
-    norms = _row_norms(doc_in)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scores = (doc_in @ inferred) / (norms * query_norm)
-    scores = np.where(norms > 0.0, scores, 0.0)
-    return _rank_row(model, scores, exclude, k)
+    candidates = np.ones(doc_in.shape[0], dtype=bool)
+    candidates[_banned(model, exclude)] = False
+    with np.errstate(all="ignore"):  # non-finite scores are ranked, not warned about
+        dots, squares = _dots_and_squares(doc_in, inferred)
+        rows = _shortlist(dots, squares, query_norm, doc_in.shape[1], candidates, k)
+        norms = np.linalg.norm(doc_in[rows], axis=1)
+        scores = dots[rows] / (norms * query_norm)
+    return _rank_row(model, np.where(norms > 0.0, scores, 0.0), k, rows=rows)
 
 
 @dataclass

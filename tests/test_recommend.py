@@ -5,6 +5,7 @@ formula and then rank with an ordinary full sort, so any deviation in
 selection, tie-breaking, or exclusion shows up as an exact mismatch.
 """
 
+import importlib
 import math
 
 import numpy as np
@@ -16,7 +17,6 @@ from citevec.model import EmbeddingConfig, infer_doc_vector, init_model
 from citevec.recommend import (
     BLOCK_ROWS,
     Query,
-    _row_norms,
     _top_k,
     build_query_vector,
     rank_i4i,
@@ -26,6 +26,8 @@ from citevec.recommend import (
 )
 
 from reference import top_k_reference
+
+recommend_module = importlib.import_module("citevec.recommend")
 
 
 def make_vocab(doc_ids, words):
@@ -165,9 +167,10 @@ def shuffled_id_model(rng, n_docs, dim, n_words=1):
 
 
 def cosine_scores(model, inferred):
-    """rank_i4i's scoring formula, with the row norms taken in one call."""
-    norms = np.linalg.norm(model.matrices.doc_in, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """rank_i4i's scoring formula over every row, with the row norms taken
+    in one call."""
+    with np.errstate(all="ignore"):  # rows may overflow, be NaN or inf
+        norms = np.linalg.norm(model.matrices.doc_in, axis=1)
         scores = (model.matrices.doc_in @ inferred) / (
             norms * float(np.linalg.norm(inferred))
         )
@@ -197,6 +200,9 @@ class TestRankI4O:
         model = make_model(["a"], ["x"])
         with pytest.raises(ConfigError):
             rank_i4o(model, np.ones(2), k=0)
+        # checked before the product, which this query's shape would fail
+        with pytest.raises(ConfigError):
+            rank_i4o(model, np.ones(7), k=0)
 
     def test_exclusion_is_total_for_any_k(self):
         rng = np.random.default_rng(42)
@@ -374,6 +380,24 @@ class TestRankI4I:
         with pytest.raises(QueryError):
             rank_i4i(model, [0], steps=1, lr=0.0)
 
+    def test_overflowing_query_norm_is_an_error(self):
+        """A finite vector whose norm overflows: a QueryError, and no
+        overflow warning (warnings are errors in this suite)."""
+        model = make_model(["a", "b", "c"], ["x"], dim=2)
+        model.matrices.word_in[0] = [1e200, -1e200]
+        assert np.isfinite(infer_doc_vector(model, [0], steps=1, lr=0.0)).all()
+        with pytest.raises(QueryError):
+            rank_i4i(model, [0], k=3, steps=1, lr=0.0)
+
+    def test_k_is_checked_before_inference(self, monkeypatch):
+        def no_inference(*args, **kwargs):
+            raise AssertionError("a vector was inferred for k=0")
+
+        monkeypatch.setattr(recommend_module, "infer_doc_vector", no_inference)
+        model = make_model(["a"], ["x"])
+        with pytest.raises(ConfigError):
+            rank_i4i(model, [0], k=0)
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(7)
         for trial in range(100):
@@ -426,14 +450,161 @@ class TestRankI4I:
             assert got.ranked == oracle_rank(model, scores, exclude, k)
 
 
-class TestRowNorms:
-    def test_blocked_norms_are_bit_identical(self):
-        """More rows than one block, a partial last block, some zero rows."""
-        rng = np.random.default_rng(8)
-        matrix = rng.normal(size=(2 * BLOCK_ROWS + 37, 100))
-        matrix[[0, BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 36]] = 0.0
-        assert np.array_equal(_row_norms(matrix), np.linalg.norm(matrix, axis=1))
-        assert np.array_equal(_row_norms(matrix[:5]), np.linalg.norm(matrix[:5], axis=1))
+def bits(ranked):
+    """(doc id, score) pairs with each score in its exact hex form, so that
+    NaN equals NaN and -0.0 differs from 0.0."""
+    return [(doc_id, score.hex()) for doc_id, score in ranked]
+
+
+class TestI4IShortlist:
+    """rank_i4i scores only a shortlist of rows.  These cases are where
+    approximate cosines are least reliable or do not exist; each compares
+    the ranking with every row scored exactly.  The query is the mean of
+    the words' input vectors (lr 0), so it is set by hand."""
+
+    def model(self, rng, rows, query):
+        n_docs, dim = rows.shape
+        model = make_model(shuffled_ids(rng, n_docs), ["w"], dim=dim)
+        model.matrices.doc_in[:] = rows
+        model.matrices.word_in[0] = query
+        return model
+
+    def check(self, model, exclude=(), ks=(1, 3, 10, 50)):
+        exclude = set(exclude)
+        scores = cosine_scores(model, infer_doc_vector(model, [0], steps=1, lr=0.0))
+        for k in ks:
+            got = rank_i4i(model, [0], exclude=exclude, k=k, steps=1, lr=0.0)
+            assert bits(got.ranked) == bits(oracle_rank(model, scores, exclude, k)), f"k={k}"
+        return scores
+
+    def test_scaled_copies_tie_in_truth_but_not_in_bits(self):
+        rng = np.random.default_rng(31)
+        dim = 100
+        base = rng.normal(size=dim)
+        eps = np.finfo(np.float64).eps
+        copies = base * (1.0 + np.arange(40)[:, None] * eps)
+        rescaled = base * np.array([1e-3, 1.0 / 3.0, 7.0, 1e3])[:, None]
+        nudged = base + 1e-15 * rng.normal(size=(20, dim))
+        rows = np.concatenate((copies, rescaled, nudged, rng.normal(size=(300, dim))))
+        for query in (base, base + 0.3 * rng.normal(size=dim)):
+            model = self.model(rng, rng.permutation(rows), query)
+            scores = self.check(model, exclude=model.vocab.doc_list[::7])
+            # the copies' cosines are equal in truth and not in bits
+            assert len(set(np.sort(scores)[-64:].tolist())) > 1
+
+    def test_at_least_k_zero_rows(self):
+        rng = np.random.default_rng(32)
+        dim = 8
+        query = rng.normal(size=dim)
+        positive = rng.normal(size=(300, dim))
+        # every nonzero row scores below 0, so the zero rows are the top k
+        negative = -query * rng.uniform(0.5, 2.0, size=(300, 1))
+        negative += 0.01 * rng.normal(size=(300, dim))
+        for rows in (positive, negative):
+            rows = rows.copy()
+            rows[rng.choice(300, size=60, replace=False)] = 0.0
+            self.check(self.model(rng, rows, query), exclude=["m3", "m5"])
+
+    def test_rows_at_the_edges_of_the_range(self):
+        """Squares that underflow or overflow, and rows just inside and
+        just outside the range the bound covers (2^±900 is about 10^±271)."""
+        rng = np.random.default_rng(33)
+        dim = 16
+        query = rng.normal(size=dim)
+        scales = np.array([1e-170, 1e-160, 1e-155, 1e-136, 1e-135, 1e135, 1e136, 1e155, 1e170])
+        rows = np.concatenate((
+            query * scales[:, None],
+            rng.normal(size=(scales.size, dim)) * scales[:, None],
+            rng.normal(size=(200, dim)),
+        ))
+        self.check(self.model(rng, rng.permutation(rows), query))
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-140, 1e-130, 1e130, 1e140, 1e150])
+    def test_queries_at_the_edges_of_the_range(self, scale):
+        rng = np.random.default_rng(34)
+        dim = 16
+        rows = np.concatenate((rng.normal(size=(200, dim)), np.zeros((3, dim))))
+        rows[:5] *= np.array([1e-150, 1e-100, 1e100, 1e150, 1e170])[:, None]
+        self.check(self.model(rng, rows, scale * rng.normal(size=dim)))
+
+    def test_a_nan_row_and_an_inf_row(self):
+        rng = np.random.default_rng(35)
+        dim = 6
+        rows = rng.normal(size=(100, dim))
+        rows[17] = np.nan
+        rows[42, 3] = np.inf
+        self.check(self.model(rng, rows, rng.normal(size=dim)), ks=(1, 10, 99, 100, 101))
+
+    def test_exclusions_leave_fewer_than_k_candidates(self):
+        rng = np.random.default_rng(36)
+        model = self.model(rng, rng.normal(size=(40, 5)), rng.normal(size=5))
+        ids = model.vocab.doc_list
+        self.check(model, exclude=ids[3:], ks=(1, 3, 4, 10))
+        self.check(model, exclude=ids, ks=(1, 10))
+
+    def test_k_at_least_the_document_count(self):
+        rng = np.random.default_rng(37)
+        model = self.model(rng, rng.normal(size=(30, 5)), rng.normal(size=5))
+        self.check(model, ks=(29, 30, 31, 90))
+        self.check(model, exclude=["m1"], ks=(29, 30))
+
+    def test_the_shortlist_is_short(self):
+        """Random rows are far apart next to the margin: the shortlist is
+        the top k, give or take a few rows."""
+        rng = np.random.default_rng(38)
+        doc_in = rng.normal(size=(5000, 100))
+        query = rng.normal(size=100)
+        dots, squares = recommend_module._dots_and_squares(doc_in, query)
+        candidates = np.ones(5000, dtype=bool)
+        candidates[:100] = False
+        rows = recommend_module._shortlist(
+            dots, squares, float(np.linalg.norm(query)), 100, candidates, 10
+        )
+        cosines = dots / np.linalg.norm(doc_in, axis=1)
+        top = 100 + np.argsort(-cosines[100:])[:10]
+        assert set(top) <= set(rows.tolist()) and rows.size < 20 and rows.min() >= 100
+
+    def test_rows_the_bound_does_not_cover_are_always_kept(self):
+        """However low their approximate cosine: rows whose squared norm is
+        outside the range, rows whose approximate cosine is not finite (the
+        last two, whose dot products are set by hand), and every row when
+        the query's squared norm is outside the range."""
+        rng = np.random.default_rng(39)
+        dim = 16
+        query = rng.normal(size=dim)
+        scales = np.array([1e-160, 1e-137, 1e136, 1e170, np.nan, np.inf, 1.0, 1.0])
+        doc_in = np.concatenate((rng.normal(size=(300, dim)), -query * scales[:, None]))
+        shortlist = recommend_module._shortlist
+        with np.errstate(all="ignore"):
+            dots, squares = recommend_module._dots_and_squares(doc_in, query)
+            dots[-2:] = [np.inf, np.nan]
+            candidates = np.ones(doc_in.shape[0], dtype=bool)
+            rows = shortlist(dots, squares, float(np.linalg.norm(query)), dim, candidates, 3)
+            top = np.argsort(-dots[:300] / np.sqrt(squares[:300]))[:3]
+            assert set(range(300, 308)) | set(top) <= set(rows.tolist()) and rows.size < 20
+            huge = 1e140 * query
+            rows = shortlist(dots[:300] * 1e140, squares[:300], float(np.linalg.norm(huge)), dim,
+                             candidates[:300], 3)
+        assert rows.tolist() == list(range(300))
+
+    def test_one_pass_gives_the_product_and_the_squares(self):
+        """Blocks of rows, a partial last one among them; small integers
+        multiply and add exactly in any order."""
+        rng = np.random.default_rng(40)
+        doc_in = rng.integers(-3, 4, size=(2 * BLOCK_ROWS + 37, 7)).astype(float)
+        vector = rng.integers(-3, 4, size=7).astype(float)
+        dots, squares = recommend_module._dots_and_squares(doc_in, vector)
+        assert np.array_equal(dots, doc_in @ vector)
+        assert np.array_equal(squares, (doc_in * doc_in).sum(axis=1))
+        empty = recommend_module._dots_and_squares(np.empty((0, 7)), vector)
+        assert [a.shape for a in empty] == [(0,), (0,)]
+
+    def test_many_blocks_match_every_row_scored(self):
+        rng = np.random.default_rng(41)
+        rows = rng.normal(size=(2 * BLOCK_ROWS + 37, 3))
+        rows[rng.choice(rows.shape[0], size=40, replace=False)] = 0.0
+        model = self.model(rng, rows, rng.normal(size=3))
+        self.check(model, exclude=rng.choice(model.vocab.doc_list, size=100).tolist())
 
 
 class TestResolveText:
