@@ -16,6 +16,7 @@ matrices view, so neither holds more than one copy of the file.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 import stat
 import struct
@@ -23,7 +24,7 @@ import zlib
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_array
 
 from .corpus import Vocabulary, _read_bytes, _word_windows
 from .errors import ConfigError, ModelIOError
@@ -405,18 +406,26 @@ def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | Non
     the training kernel's output half gives the batch's hidden gradients
     from one draw of noise words, and the vector moves by ``-(lr / m) @
     hidden gradients``.  The model itself is never modified.
+
+    Raises ConfigError, before any work, unless ``steps`` is an int (not a
+    bool) of at least 1 and ``lr`` is None or finite and >= 0, and when the
+    words are empty or out of range.
     """
     from .train import BATCH, NegativeSampler, _ns_output  # avoids an import cycle
 
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ConfigError(f"steps must be an int, got {steps!r}")
+    if steps < 1:
+        raise ConfigError(f"steps must be >= 1, got {steps}")
+    if lr is None:
+        lr = model.config.learning_rate
+    elif not 0.0 <= lr < math.inf:
+        raise ConfigError(f"lr must be finite and >= 0, got {lr}")
     words = np.asarray(list(word_indices), dtype=np.intp)
     if words.size == 0:
         raise ConfigError("cannot infer a vector from an empty token sequence")
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
     if words.min() < 0 or words.max() >= model.vocab.n_words:
         raise ConfigError("word index out of range")
-    if lr is None:
-        lr = model.config.learning_rate
 
     n, negative = words.size, model.config.negative
     sampler = NegativeSampler(model.vocab.word_counts, seed=[model.config.seed, _RNG_INFER])
@@ -424,7 +433,7 @@ def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | Non
     m = np.diff(offsets) + 1  # the vector and the window words
     # the window words are frozen, so their share of each hidden row is fixed
     weights = (1.0 / m)[np.repeat(np.arange(n), m - 1)]
-    pool = csr_matrix((weights, positions, offsets), shape=(n, n))
+    pool = csr_array((weights, positions, offsets), shape=(n, n))
     rows = model.matrices.word_in[words]
     context = pool @ rows
     work = np.empty((2, min(n, BATCH) * (1 + negative), model.matrices.dim))
@@ -434,6 +443,7 @@ def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | Non
         for lo in range(0, n, BATCH):
             hi = min(lo + BATCH, n)
             hidden = context[lo:hi] + (1.0 / m[lo:hi])[:, None] * vec
-            out = _ns_output(hidden, words[lo:hi], model.matrices.word_out, sampler, negative, work)
-            vec = vec - (lr / m[lo:hi]) @ out[2]  # the hidden gradients
+            _, grad, _ = _ns_output(hidden, words[lo:hi], model.matrices.word_out, sampler,
+                                    negative, work)
+            vec = vec - (lr / m[lo:hi]) @ grad
     return vec

@@ -280,7 +280,8 @@ def rank_i4i(
     ``_dots_and_squares`` and the norms of ``np.linalg.norm``.  Zero-norm
     rows score 0.  Only ``_shortlist``'s rows
     are scored; the others cannot reach the top k.  Raises QueryError when
-    the inferred vector's norm is 0 or not finite."""
+    the inferred vector's norm is 0 or not finite, and ConfigError, before
+    any work, for a bad ``k``, ``steps`` or ``lr``."""
     _check_k(k)
     inferred = infer_doc_vector(model, context_words, steps=steps, lr=lr)
     with np.errstate(over="ignore"):

@@ -18,8 +18,11 @@ Within a batch every example reads the parameters as they stood at the
 batch start and the steps are applied together at its end (the Hogwild!
 staleness argument, Recht et al. 2011, within one batch).  Inference
 (``infer_doc_vector``) shares the kernel's output half, ``_ns_output``,
-and its batches.  Which words form a window, for a word or a citation, is
-decided in ``corpus``.
+and its batches.  That half does only what both need: it draws the noise,
+scores every output entry and returns the hidden gradient with the entry
+table; the losses, the touched output rows and their steps are training's
+alone, and ``_ns_batch`` derives them from the table.  Which words form a
+window, for a word or a citation, is decided in ``corpus``.
 
 All gradients are the exact derivatives of the sampled loss, including the
 1/m factor the mean contributes, so they can be checked against finite
@@ -33,7 +36,7 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_matrix, csr_matrix
+from scipy.sparse import csc_array, csr_array
 from scipy.special import expit
 
 from .corpus import CitationRelation, HyperDocument, Vocabulary, _layout, _word_windows
@@ -186,48 +189,58 @@ def _citation_examples(
     return _Examples(targets, offsets, slots)
 
 
+class _Entries(NamedTuple):
+    """The output entries of one ``_ns_output`` call, per example the target
+    and then its kept negatives in draw order; example i owns entries
+    ``ptr[i]:ptr[i + 1]`` (none when it kept no negative)."""
+
+    example: np.ndarray
+    ids: np.ndarray  # the output row each entry scores
+    is_target: np.ndarray
+    scores: np.ndarray
+    coeffs: np.ndarray
+    ptr: np.ndarray
+
+
 def _ns_output(hidden, targets: np.ndarray, out: np.ndarray, sampler: NegativeSampler,
-               negative: int, work: np.ndarray) -> tuple:
-    """The output half of the negative-sampling step; ``out`` is only read.
+               negative: int, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Entries]:
+    """The output half of the negative-sampling step: what training and
+    inference both need; ``out`` is only read.
 
     Hidden row i predicts row ``targets[i]`` of ``out`` against ``negative``
     noise rows, all drawn in one ``sample_rows`` call.  ``work`` is space of
     shape (2, rows, dim), rows at least ``len(targets) * (1 + negative)``.
-    Returns the per-example loss, the live mask (examples that kept a
-    negative; the others have loss 0 and a zero gradient row), the hidden
-    gradient, the touched output rows, and their coefficients as a CSC
-    matrix (touched row × example, target-then-negative order in a column).
+    Returns the live mask (examples that kept a negative; the others have
+    no entry and a zero gradient row), the hidden gradient and the entries
+    (``_Entries``).  The losses, the touched rows and the output steps are
+    training's alone, and ``_ns_batch`` derives them from the entries.
 
     Per example, in this order: the scores are ``(row * hidden).sum()`` for
-    the target and then each kept negative in draw order, and the loss,
-    from zero, adds ``logaddexp`` of each; the hidden gradient is the sum,
+    the target and then each kept negative; the hidden gradient is the sum,
     from zero, of coefficient * output row, the target's coefficient being
     ``expit(score) - 1`` and a negative's ``expit(score)``.
     """
     b = targets.size
     draws, kept = sampler.sample_rows(targets, negative)
     live = kept.any(axis=1)
-    # output entries, per example: the target, then the kept negatives
     valid = np.concatenate((live[:, None], kept), axis=1)
-    out_member, column = np.nonzero(valid)
+    example, column = np.nonzero(valid)
     is_target = column == 0
-    out_ptr = np.zeros(b + 1, dtype=np.intp)
-    np.cumsum(valid.sum(axis=1), out=out_ptr[1:])
-    out_ids = np.concatenate((targets[:, None], draws), axis=1)[valid]
-    out_rows, out_inv = np.unique(out_ids, return_inverse=True)
-    out_vecs = out[out_rows]
+    ptr = np.zeros(b + 1, dtype=np.intp)
+    np.cumsum(valid.sum(axis=1), out=ptr[1:])
+    ids = np.concatenate((targets[:, None], draws), axis=1)[valid]
 
     # gathers write straight into ``work``: with ``out=`` mode "raise" would
     # copy through a temporary; the tables only hold valid indices
-    scored = out_vecs.take(out_inv, axis=0, out=work[0, : out_inv.size], mode="clip")
-    scored *= hidden.take(out_member, axis=0, out=work[1, : out_inv.size], mode="clip")
-    dots = scored.sum(axis=1)
-    # -log sigmoid(z) == logaddexp(0, -z), stable for large |z|
-    losses = np.bincount(out_member, np.logaddexp(0.0, np.where(is_target, -dots, dots)), b)
-    coeffs = expit(dots) - is_target
-    grad_hidden = csr_matrix((coeffs, out_inv, out_ptr), shape=(b, out_rows.size)) @ out_vecs
-    return losses, live, grad_hidden, out_rows, csc_matrix(
-        (coeffs, out_inv, out_ptr), shape=(out_rows.size, b))
+    n = ids.size
+    rows = out.take(ids, axis=0, out=work[0, :n], mode="clip")
+    scored = hidden.take(example, axis=0, out=work[1, :n], mode="clip")
+    scored *= rows
+    scores = scored.sum(axis=1)
+    coeffs = expit(scores) - is_target
+    # one gathered row per entry, so the products are summed in entry order
+    grad_hidden = csr_array((coeffs, np.arange(n), ptr), shape=(b, n)) @ rows
+    return live, grad_hidden, _Entries(example, ids, is_target, scores, coeffs, ptr)
 
 
 def _ns_batch(
@@ -258,12 +271,15 @@ def _ns_batch(
     Every forward pass reads the parameters as they stood at the batch
     start.  Per example, the hidden layer is the sum, from zero and in
     participant order, of weight * row; ``_ns_output`` states the scores,
-    the loss and the hidden gradient.  Steps are ``(lr * coefficient) *
-    hidden`` for output rows, ``(lr * weight) * hidden gradient`` for
-    participant rows and ``lr * (weight * (projection - mean projection))``
-    for attention scores.  Each touched row or score sums its steps from
-    zero in example order, then participant (or target-then-negative)
-    order, and the sum is subtracted once at the end of the batch.
+    the coefficients and the hidden gradient.  An example's loss adds, from
+    zero and in entry order, ``logaddexp(0, -score)`` for the target and
+    ``logaddexp(0, score)`` for each negative.  Steps are ``(lr *
+    coefficient) * hidden`` for output rows, ``(lr * weight) * hidden
+    gradient`` for participant rows and ``lr * (weight * (projection - mean
+    projection))`` for attention scores.  Each touched row or score sums
+    its steps from zero in example order, then participant (or
+    target-then-negative) order, and the sum is subtracted once at the end
+    of the batch.
     """
     b = hi - lo
     indptr = examples.offsets[lo : hi + 1]
@@ -285,15 +301,21 @@ def _ns_batch(
         weights = shifted / np.bincount(member, shifted, b)[member]
     else:
         weights = (1.0 / counts)[member]
-    hidden = csr_matrix((weights, inv, indptr), shape=(b, rows.size)) @ parts
+    hidden = csr_array((weights, inv, indptr), shape=(b, rows.size)) @ parts
 
-    losses, live, grad_hidden, out_rows, out_coeffs = _ns_output(
+    live, grad_hidden, entries = _ns_output(
         hidden, examples.targets[lo:hi], out, sampler, negative, work[1:]
     )
-    out_coeffs.data *= np.repeat(lr, np.diff(out_coeffs.indptr))  # (lr * coefficient)
-    out[out_rows] -= out_coeffs @ hidden
+    # -log sigmoid(z) == logaddexp(0, -z), stable for large |z|
+    scores = entries.scores
+    losses = np.bincount(entries.example,
+                         np.logaddexp(0.0, np.where(entries.is_target, -scores, scores)), b)
+    out_rows, out_inv = np.unique(entries.ids, return_inverse=True)
+    out_steps = entries.coeffs * np.repeat(lr, np.diff(entries.ptr))  # (lr * coefficient)
+    out[out_rows] -= csc_array((out_steps, out_inv, entries.ptr),
+                               shape=(out_rows.size, b)) @ hidden
     lr_in = lr[member]
-    step = csc_matrix((lr_in * weights, inv, indptr), shape=(rows.size, b))
+    step = csc_array((lr_in * weights, inv, indptr), shape=(rows.size, b))
     if attention:
         projected = parts.take(inv, axis=0, out=work[1, : inv.size], mode="clip")
         projected *= grad_hidden.take(member, axis=0, out=work[2, : inv.size], mode="clip")

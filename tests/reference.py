@@ -1,16 +1,24 @@
 """Reference code, written out plainly, that the training kernel is checked against.
 
 The library pools participants inline inside its one batched
-negative-sampling kernel.  The pooling functions compute the same hidden
-layers one relation at a time from explicit vectors, ``ns_loss_and_grads``
-is the kernel's output half for one example, ``batch_reference`` restates
-the kernel's batch semantics as a loop over examples, and
-``infer_reference`` restates ``infer_doc_vector`` as a loop over words, and
-``_window_context`` walks a token stream for one position's window words,
-and ``citation_examples_reference`` builds the citation pass's flat tables
-one relation at a time, and ``top_k_reference`` is the ranking's top k for
-one score row, so tests can state what the library must produce without
-reusing its code.
+negative-sampling kernel, so tests state what it must produce without
+reusing its code:
+
+- the pooling functions compute the same hidden layers one relation at a
+  time from explicit vectors;
+- ``ns_terms`` gives one example's output entries (the target, then the
+  negatives) with their scores and coefficients, as the kernel's output
+  half ``_ns_output`` must, and ``ns_loss_and_grads`` adds its loss and
+  hidden gradient, which ``_ns_output`` returns for inference and
+  ``_ns_batch`` completes with the loss and the output steps for training;
+- ``batch_reference`` restates the kernel's batch semantics as a loop over
+  examples, and ``infer_reference`` restates ``infer_doc_vector`` as a
+  loop over words;
+- ``_window_context`` walks a token stream for one position's window
+  words, and ``citation_examples_reference`` builds the citation pass's
+  flat tables one relation at a time;
+- ``top_k_reference`` is the ranking's top k for one score row.
+
 ``backprop`` runs the library kernel on a batch of one relation.
 """
 
@@ -66,26 +74,34 @@ def citation_examples_reference(relations, n_docs: int, structural_context: bool
     )
 
 
+def ns_terms(hidden, target_out, negatives_out):
+    """Per output row, the target first and then the negatives in order: the
+    row, its score ``(row * hidden).sum()`` and its coefficient,
+    ``expit(score) - 1`` for the target and ``expit(score)`` for a negative."""
+    hidden = np.asarray(hidden, dtype=np.float64)
+    rows = [np.asarray(target_out, dtype=np.float64)]
+    rows += list(np.asarray(negatives_out, dtype=np.float64).reshape(-1, hidden.size))
+    scores = [(row * hidden).sum() for row in rows]
+    coeffs = [expit(score) - 1.0 if j == 0 else expit(score) for j, score in enumerate(scores)]
+    return rows, scores, coeffs
+
+
 def ns_loss_and_grads(hidden, target_out, negatives_out):
     """Negative-sampling loss and its exact gradients, in the kernel's order.
 
     loss = -log sigmoid(hidden . target) - sum_i log sigmoid(-hidden . negative_i)
-    Each score is ``(row * hidden).sum()``; the loss and the hidden gradient
-    add up from zero, the target first, then the negatives in order.
+    Scores and coefficients are ``ns_terms``'; the loss and the hidden
+    gradient add up from zero, the target first, then the negatives in order.
     Returns (loss, grad wrt hidden, grad wrt target row, grads wrt negative rows).
     """
     hidden = np.asarray(hidden, dtype=np.float64)
-    rows = [np.asarray(target_out, dtype=np.float64)]
-    rows += list(np.asarray(negatives_out, dtype=np.float64).reshape(-1, hidden.size))
+    rows, scores, coeffs = ns_terms(hidden, target_out, negatives_out)
     loss = 0.0
     grad_hidden = np.zeros(hidden.size)
-    coeffs = []
-    for j, row in enumerate(rows):
-        score = (row * hidden).sum()
+    for j, (row, score, coeff) in enumerate(zip(rows, scores, coeffs)):
         # -log sigmoid(z) == logaddexp(0, -z), stable for large |z|
         loss += np.logaddexp(0.0, -score if j == 0 else score)
-        coeffs.append(expit(score) - 1.0 if j == 0 else expit(score))
-        grad_hidden += coeffs[-1] * row
+        grad_hidden += coeff * row
     grad_rows = [coeff * hidden for coeff in coeffs]
     return float(loss), grad_hidden, grad_rows[0], np.array(grad_rows[1:])
 

@@ -389,6 +389,19 @@ class TestRankI4I:
         with pytest.raises(QueryError):
             rank_i4i(model, [0], k=3, steps=1, lr=0.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"lr": math.nan}, {"lr": math.inf}, {"lr": -math.inf}, {"lr": -1.0},
+        {"steps": 2.0}, {"steps": True},
+    ], ids=["lr-nan", "lr-inf", "lr-minus-inf", "lr-negative", "steps-float", "steps-bool"])
+    def test_bad_lr_or_steps_rank_nothing(self, monkeypatch, bad):
+        def no_ranking(*args, **kwargs):
+            raise AssertionError("documents were scored")
+
+        monkeypatch.setattr(recommend_module, "_dots_and_squares", no_ranking)
+        model = make_model(["a", "b", "c"], ["w0", "w1"], dim=3)
+        with pytest.raises(ConfigError):
+            rank_i4i(model, [0, 1], k=2, **bad)
+
     def test_k_is_checked_before_inference(self, monkeypatch):
         def no_inference(*args, **kwargs):
             raise AssertionError("a vector was inferred for k=0")

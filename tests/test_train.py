@@ -31,6 +31,7 @@ from citevec.train import (
     _content_examples,
     _epoch,
     _Examples,
+    _ns_output,
     retrofit_pvdm,
     train,
 )
@@ -44,6 +45,7 @@ from reference import (
     hidden_avg,
     lr_schedule,
     ns_loss_and_grads,
+    ns_terms,
     participant_slots,
 )
 
@@ -314,6 +316,46 @@ EDGE_CORPUS = (
 )
 
 
+class TestNsOutput:
+    """``_ns_output``'s entries and hidden gradient, example by example,
+    against ``ns_terms`` and ``ns_loss_and_grads``."""
+
+    # with every noise mass on row 5 the examples that target it keep no
+    # negative, and the others draw row 5 four times
+    @pytest.mark.parametrize("counts", [[1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 7]])
+    def test_entries_and_gradients_match_the_reference(self, counts):
+        rng = np.random.default_rng(5)
+        out = rng.normal(size=(6, 4))
+        before = out.tobytes()
+        hidden = rng.normal(size=(7, 4))
+        targets = np.array([0, 5, 2, 5, 3, 1, 0])
+        negative = 4
+        draws, kept = NegativeSampler(counts, seed=3).sample_rows(targets, negative)
+        work = np.empty((2, targets.size * (1 + negative), 4))
+        live, grad, entries = _ns_output(hidden, targets, out, NegativeSampler(counts, seed=3),
+                                         negative, work)
+
+        assert out.tobytes() == before
+        assert np.array_equal(live, kept.any(axis=1))
+        assert live.all() == (counts[0] > 0)
+        assert entries.ptr[0] == 0 and entries.ptr[-1] == entries.ids.size
+        for i, target in enumerate(targets):
+            at = slice(entries.ptr[i], entries.ptr[i + 1])
+            if not live[i]:
+                assert at.start == at.stop
+                assert np.array_equal(grad[i], np.zeros(4))
+                continue
+            negatives = draws[i][kept[i]]
+            assert np.array_equal(entries.example[at], np.full(1 + negatives.size, i))
+            assert np.array_equal(entries.ids[at], [target, *negatives])
+            assert np.array_equal(entries.is_target[at], [True] + [False] * negatives.size)
+            _, scores, coeffs = ns_terms(hidden[i], out[target], out[negatives])
+            assert np.array_equal(entries.scores[at], scores)
+            assert np.array_equal(entries.coeffs[at], coeffs)
+            assert np.array_equal(grad[i], ns_loss_and_grads(hidden[i], out[target],
+                                                             out[negatives])[1])
+
+
 class TestFlatTables:
     """The flat tables against the per-occurrence construction."""
 
@@ -348,9 +390,11 @@ class TestFlatTables:
     def test_citation_tables_match_the_reference_loop(self, corpus, structural_context):
         relations = extract_relations(corpus.docs, corpus.vocab, 3)
         n_docs, n_words = corpus.vocab.n_docs, corpus.vocab.n_words
-        # small int sets iterate in sorted order unless their hashes collide
+        # small int sets iterate in sorted order unless their hashes collide;
+        # built from a list, the set keeps this insertion order (a set
+        # literal is a constant that a bytecode cache may store sorted)
         unsorted = [
-            CitationRelation(source=0, target=3, structural=frozenset({33, 1, 17}),
+            CitationRelation(source=0, target=3, structural=frozenset([33, 1, 17]),
                              context=(5, 2)),
             CitationRelation(source=2, target=33, structural=frozenset(), context=()),
         ]
