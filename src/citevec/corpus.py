@@ -129,18 +129,32 @@ class SplitResult:
     test_doc_ids: list[str]
 
 
+def _token(raw: str, line_number: int | None) -> Token:
+    """The token rule: ``[[<doc-id>]]`` cites, anything else is a word."""
+    if raw.startswith("[[") and raw.endswith("]]") and len(raw) >= 4:
+        target = raw[2:-2]
+        if not target:
+            raise CorpusFormatError("empty doc id in citation marker", line_number)
+        return Token(CITE, target)
+    return Token(WORD, raw.lower())
+
+
 def tokenize_text(text: str, line_number: int | None = None) -> list[Token]:
     """Split raw text into word and citation tokens using corpus rules."""
-    tokens = []
-    for raw in text.split():
-        if raw.startswith("[[") and raw.endswith("]]") and len(raw) >= 4:
-            target = raw[2:-2]
-            if not target:
-                raise CorpusFormatError("empty doc id in citation marker", line_number)
-            tokens.append(Token(CITE, target))
-        else:
-            tokens.append(Token(WORD, raw.lower()))
-    return tokens
+    return [_token(raw, line_number) for raw in text.split()]
+
+
+class _Tokens(dict):
+    """One parse's tokens by raw surface form, each made by ``_token`` on
+    first sight: every occurrence of a form shares one frozen Token.
+    ``line_number`` is the line being read, for the error of an empty
+    marker."""
+
+    __slots__ = ("line_number",)
+
+    def __missing__(self, raw: str) -> Token:
+        token = self[raw] = _token(raw, self.line_number)
+        return token
 
 
 def build_vocabulary(docs: list[HyperDocument]) -> Vocabulary:
@@ -193,7 +207,8 @@ def parse_corpus(source) -> Corpus:
 
     ``source`` may be bytes, a binary file object, or a filesystem path.
     Raises CorpusFormatError on malformed lines (carrying the line number)
-    and on duplicate doc ids.
+    and on duplicate doc ids.  Tokens are those of ``tokenize_text``, but
+    the occurrences of one surface form share one immutable Token.
     """
     data = _read_bytes(source)
     try:
@@ -203,6 +218,7 @@ def parse_corpus(source) -> Corpus:
 
     line_docs: list[HyperDocument] = []
     seen_line_ids: set[str] = set()
+    tokens = _Tokens()
     for line_number, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
         if not line:
@@ -215,7 +231,8 @@ def parse_corpus(source) -> Corpus:
         if doc_id in seen_line_ids:
             raise CorpusFormatError(f"duplicate doc id: {doc_id!r}", line_number)
         seen_line_ids.add(doc_id)
-        line_docs.append(HyperDocument(id=doc_id, tokens=tokenize_text(body, line_number)))
+        tokens.line_number = line_number
+        line_docs.append(HyperDocument(doc_id, list(map(tokens.__getitem__, body.split()))))
 
     docs, vocab = complete_corpus(line_docs)
     n_citations = int(vocab.doc_cited_counts.sum())

@@ -283,10 +283,17 @@ class _Cursor:
         return self.buf[start : start + size * count].view(dtype).astype(dtype[1:], copy=False)
 
     def take_strs(self, count: int) -> list[str]:
+        """``count`` strings: their ``<u4`` UTF-8 byte lengths, then their
+        bytes end to end.  An ASCII blob is decoded once and sliced, since
+        its byte offsets are its character offsets; any other is decoded
+        entry by entry, so a length that splits a character is an error."""
         ends = np.cumsum(self.take("<u4", count), dtype=np.uint64).tolist()
         start = self.skip(ends[-1] if ends else 0)
         blob = self.buf[start : self.pos].tobytes()
         try:
+            text = blob.decode("utf-8")
+            if len(text) == len(blob):
+                return [text[a:b] for a, b in zip([0, *ends], ends)]
             return [blob[a:b].decode("utf-8") for a, b in zip([0, *ends], ends)]
         except UnicodeDecodeError as exc:
             raise ModelIOError(f"vocabulary entry is not valid UTF-8: {exc}") from None
@@ -338,10 +345,10 @@ def load_model(source) -> Model:
     n_words, n_docs = cur.unpack("<2I")
     vocab = Vocabulary()
     vocab.word_list = cur.take_strs(n_words)
-    vocab.word_ids = {w: i for i, w in enumerate(vocab.word_list)}
+    vocab.word_ids = dict(zip(vocab.word_list, range(n_words)))
     vocab.word_counts = cur.take("<i8", n_words).copy()
     vocab.doc_list = cur.take_strs(n_docs)
-    vocab.doc_ids = {d: i for i, d in enumerate(vocab.doc_list)}
+    vocab.doc_ids = dict(zip(vocab.doc_list, range(n_docs)))
     vocab.doc_cited_counts = cur.take("<i8", n_docs).copy()
     if len(vocab.word_ids) != n_words or len(vocab.doc_ids) != n_docs:
         raise ModelIOError("duplicate vocabulary entries in model file")

@@ -15,7 +15,8 @@ excluded ids are never returned.
 A ranking costs one matrix-vector product, an O(n) partition of the score
 row at k plus its exclusion count, and a sort of the k or so candidates at
 or above that place; the tie rule is the same as a full sort's.  When many
-candidates tie at the place, a Python sort of their ids keeps the smallest.
+candidates tie at the place, a Python sort of their ids keeps the smallest,
+one sort for all the rows of a block.
 ``_top_k`` is the one top-k rule: rank_i4o sends it one score row,
 rank_i4i the scores of its shortlist, ``evaluate`` a block of rows from a
 matrix-matrix product over its queries, whose scores can differ from
@@ -129,7 +130,10 @@ def _top_k(scores: np.ndarray, k: int, doc_list, exclude) -> tuple[np.ndarray, n
     so the result is a full sort's.  When more than that many remain
     because they tie at the place, as never-cited documents all scoring 0
     do, only the smallest ids among the tied stay; when the place's key is
-    NaN, every entry is a candidate.  The candidates of all rows are then
+    NaN, every entry is a candidate.  The ids tied in any row are ranked by
+    one Python sort of their union, and each such row keeps its smallest by
+    an ``np.argpartition`` of that rank; a lone such row sorts its own tied
+    ids, which costs less.  The candidates of all rows are then
     sorted in one ``np.lexsort``, by row, score and the rank of their ids,
     which one Python sort gives.
     """
@@ -137,6 +141,7 @@ def _top_k(scores: np.ndarray, k: int, doc_list, exclude) -> tuple[np.ndarray, n
     n_rows, n_docs = scores.shape
     keys = np.empty(n_docs)
     candidates = []
+    surplus = []  # (row index, candidates ahead of the place, those tied at it)
     for row, banned in zip(scores, exclude):
         place = k + len(banned)
         kth = math.nan
@@ -148,12 +153,25 @@ def _top_k(scores: np.ndarray, k: int, doc_list, exclude) -> tuple[np.ndarray, n
         kept[banned] = False
         found = kept.nonzero()[0]
         if place < found.size:
-            # the surplus ties at the place's score: keep the smallest ids
             tied = np.isnan(row[found]) if math.isnan(kth) else row[found] == kth
-            ahead = found[~tied]
-            smallest = sorted(found[tied].tolist(), key=doc_list.__getitem__)
-            found = np.concatenate((ahead, np.array(smallest[: max(k - ahead.size, 0)], np.intp)))
+            surplus.append((len(candidates), found[~tied], found[tied]))
         candidates.append(found)
+    # the surplus ties at the place's score: keep the smallest ids
+    if len(surplus) == 1:
+        i, ahead, tied = surplus[0]
+        smallest = sorted(tied.tolist(), key=doc_list.__getitem__)[: max(k - ahead.size, 0)]
+        candidates[i] = np.concatenate((ahead, np.array(smallest, dtype=np.intp)))
+    elif surplus:
+        in_union = np.zeros(n_docs, dtype=bool)
+        for _, _, tied in surplus:
+            in_union[tied] = True
+        union = sorted(in_union.nonzero()[0].tolist(), key=doc_list.__getitem__)
+        tie_rank = np.empty(n_docs, dtype=np.intp)
+        tie_rank[union] = np.arange(len(union))
+        for i, ahead, tied in surplus:
+            places = max(k - ahead.size, 0)
+            picked = np.argpartition(tie_rank[tied], places - 1)[:places] if places else slice(0)
+            candidates[i] = np.concatenate((ahead, tied[picked]))
     counts = np.array([c.size for c in candidates], dtype=np.intp)
     rows = np.arange(n_rows).repeat(counts)
     docs = np.concatenate(candidates) if candidates else np.empty(0, dtype=np.intp)

@@ -1,6 +1,7 @@
 """Corpus parsing, relation extraction, and synthetic generation tests."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from citevec.corpus import (
     parse_corpus,
     resolve_ground_truth,
     split_train_test,
+    tokenize_text,
 )
 from citevec.errors import CitevecError, ConfigError, CorpusFormatError
 
@@ -34,6 +36,20 @@ def relation_strings(relations, vocab):
             )
         )
     return out
+
+
+def fuzz_inputs() -> list[bytes]:
+    """Random bytes, and strings over the format's own characters."""
+    rng = np.random.default_rng(99)
+    # single characters of b"ab \t\n[]x1\xff\x00", plus a few longer
+    # pieces so that some strings carry doc ids and well-formed markers
+    pieces = [bytes([c]) for c in b"ab \t\n[]x1\xff\x00"]
+    pieces += [b"[[", b"]]", b"[[a]]", b"[[x1]]", b"a\t"]
+    inputs = [rng.bytes(int(rng.integers(0, 64))) for _ in range(2000)]
+    for _ in range(2000):
+        picks = rng.integers(0, len(pieces), size=int(rng.integers(0, 48)))
+        inputs.append(b"".join(pieces[i] for i in picks))
+    return inputs
 
 
 class TestParseCorpus:
@@ -82,6 +98,11 @@ class TestParseCorpus:
     def test_empty_citation_marker_is_an_error(self):
         with pytest.raises(CorpusFormatError, match="empty doc id"):
             parse_corpus(b"a\tx [[]] y\n")
+        # reported on its own line, after lines whose tokens were kept
+        for data in (b"a\tx [[b]]\nb\t[[a]] y\nc\tz [[]] [[a]]\n", b"a\tx\n\nc\t[[]]\n"):
+            with pytest.raises(CorpusFormatError, match="empty doc id") as err:
+                parse_corpus(data)
+            assert err.value.line_number == 3
 
     def test_words_are_lowercased(self):
         corpus = parse_corpus(b"a\tDeep DEEP deep\n")
@@ -116,22 +137,53 @@ class TestParseCorpus:
     def test_fuzz_only_citevec_errors_escape(self):
         """Random bytes, and strings over the format's own characters,
         either parse or fail with a CitevecError."""
-        rng = np.random.default_rng(99)
-        # single characters of b"ab \t\n[]x1\xff\x00", plus a few longer
-        # pieces so that some strings carry doc ids and well-formed markers
-        pieces = [bytes([c]) for c in b"ab \t\n[]x1\xff\x00"]
-        pieces += [b"[[", b"]]", b"[[a]]", b"[[x1]]", b"a\t"]
-        inputs = [rng.bytes(int(rng.integers(0, 64))) for _ in range(2000)]
-        for _ in range(2000):
-            picks = rng.integers(0, len(pieces), size=int(rng.integers(0, 48)))
-            inputs.append(b"".join(pieces[i] for i in picks))
         cited = 0
-        for data in inputs:
+        for data in fuzz_inputs():
             try:
                 cited += parse_corpus(data).stats.n_citations > 0
             except CitevecError:
                 pass
         assert cited > 0  # some inputs get through the whole parser
+
+    def test_tokens_are_those_of_tokenize_text(self):
+        corpora = [generate_synthetic_corpus(SyntheticSpec(n_topics=3, seed=seed, noise_rate=0.3))
+                   for seed in range(3)]
+        corpora.append(b"a\tDeep deep DEEP [[b]] [[B]] [[b]] [[]x ]] [[ [[[]]]\r\nb\t[[a]] x\n")
+        parsed = 0
+        for data in corpora + fuzz_inputs():
+            try:
+                docs = parse_corpus(data).docs
+            except CitevecError:
+                continue
+            lines = [line.rstrip("\r") for line in data.decode("utf-8").split("\n")]
+            bodies = [line.split("\t", 1) for line in lines if line]
+            assert [d.id for d in docs[: len(bodies)]] == [doc_id for doc_id, _ in bodies]
+            for doc, (_, body) in zip(docs, bodies):
+                assert doc.tokens == tokenize_text(body)
+            assert all(d.placeholder and d.tokens == [] for d in docs[len(bodies):])
+            parsed += 1
+        assert parsed > len(corpora)
+
+    def test_repeated_surface_forms_share_one_token(self):
+        docs = parse_corpus(b"a\tx X [[b]] x\nb\tx [[b]] [[a]]\n").docs
+        x, upper_x, cite_b, x_again = docs[0].tokens
+        assert x is x_again is docs[1].tokens[0]
+        assert cite_b is docs[1].tokens[1]
+        assert upper_x == x and upper_x is not x  # another raw form, an equal token
+
+    def test_retained_memory_per_token(self):
+        """Parsed documents hold references to shared tokens, not a Token
+        per occurrence (over 100 B a token)."""
+        raw = generate_synthetic_corpus(SyntheticSpec(
+            n_topics=5, docs_per_topic=200, clique_size=8, vocab_per_topic=100, seed=3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            corpus = parse_corpus(raw)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained <= 24 * (corpus.stats.n_words + corpus.stats.n_citations)
 
 
 class TestExtractRelations:

@@ -202,6 +202,28 @@ class TestSaveLoad:
         with pytest.raises(ModelIOError, match="UTF-8"):
             load_model(with_fresh_crc(payload))
 
+    def test_non_ascii_vocabulary_round_trips(self):
+        model = tiny_model(text="d0\tnaïve x [[é1]]\né1\tnaïve\n".encode())
+        buf = io.BytesIO()
+        save_model(model, buf)
+        vocab = load_model(buf.getvalue()).vocab
+        assert vocab.word_list == ["naïve", "x"] and vocab.doc_list == ["d0", "é1"]
+        assert vocab.word_ids == {"naïve": 0, "x": 1} and vocab.doc_ids == {"d0": 0, "é1": 1}
+
+    def test_a_length_that_splits_a_character_is_an_error(self):
+        model = tiny_model(text="d0\tnaïve x\n".encode())
+        buf = io.BytesIO()
+        save_model(model, buf)
+        payload = bytearray(buf.getvalue())
+        word_blob = file_layout(payload)[0][0]
+        lengths = word_blob.start - 8
+        assert struct.unpack_from("<2I", payload, lengths) == (6, 1)
+        # "na" plus the first byte of "ï", then its second byte, "ve" and "x":
+        # the blob as a whole is still valid UTF-8
+        struct.pack_into("<2I", payload, lengths, 3, 4)
+        with pytest.raises(ModelIOError, match="UTF-8"):
+            load_model(with_fresh_crc(payload))
+
     def test_corruption_fails_the_checksum(self):
         model = tiny_model()
         buf = io.BytesIO()

@@ -344,6 +344,23 @@ class TestBlockTopK:
                 exclude.append(np.concatenate((order[:3], order[k - 1 : k + 2], order[-2:])))
             self.check(ids, scores, exclude, k)
 
+    @pytest.mark.parametrize("n_rows", [32, 1])
+    def test_many_rows_tied_at_zero(self, n_rows):
+        """380 of 400 docs score exactly 0, as never-cited docs do, and the
+        exclusions reach into the zeros: the rows whose place is a zero
+        share most of their tied ids."""
+        rng = np.random.default_rng(20 + n_rows)
+        ids = shuffled_ids(rng, 400)
+        scored = rng.choice(400, size=20, replace=False)
+        zeros = np.setdiff1d(np.arange(400), scored)
+        scores = np.zeros((n_rows, 400))
+        scores[:, scored] = rng.normal(size=(n_rows, 20))
+        exclude = [np.concatenate((rng.choice(scored, size=3, replace=False),
+                                   rng.choice(zeros, size=int(rng.integers(0, 40)), replace=False)))
+                   for _ in range(n_rows)]
+        for k in (1, 10, 30):  # at 30, every row's place is among its zeros
+            self.check(ids, scores, exclude, k)
+
     def test_one_row_and_no_rows(self):
         ids = ["b", "a\x00", "a", "c"]
         scores = np.array([[1.0, 2.0, 2.0, np.nan]])
