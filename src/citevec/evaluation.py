@@ -6,17 +6,20 @@ dot product of the query with each output-side document vector), and
 averages recall, MAP, and nDCG at a cutoff.  With one relevant item per
 citation, MAP is the mean reciprocal rank within the cutoff (MRR@k).
 
-The queries are scored ``EVAL_BATCH`` at a time: a block of query vectors
-is multiplied by the output matrix, ``BLOCK_ROWS`` documents to a product,
-and the block's score rows go through one call of the top-k that
-``rank_i4o`` uses (``recommend._top_k``); the metrics come from the
-target's place in its row.  Every product has one shape, ``EVAL_BATCH``
-queries by ``BLOCK_ROWS`` documents: the last block of queries and the last
-documents are padded with zero rows.  BLAS can round a row differently when
-the shape changes, but at one shape a query's scores are the same bits in
-whatever block and row it lands.  They can differ in the last bits from the
+Only the documents cited in training are candidates, as in ``rank_i4o``;
+a held-out citation of any other document is a miss.  The queries are
+scored ``EVAL_BATCH`` at a time: the cited rows of the output matrix are
+gathered ``BLOCK_ROWS`` at a time into one buffer, a block of query vectors
+is multiplied by each, and the block's score rows go through one call of
+the top-k that ``rank_i4o`` uses (``recommend._top_k``); the metrics come
+from the target's place in its row.  Every product has one shape,
+``EVAL_BATCH`` queries by ``BLOCK_ROWS`` documents: the last block of
+queries and the last gathered documents are padded with zero rows.  BLAS
+can round a row differently when the shape changes, but at one shape a
+query's scores are the same bits in whatever block and row it lands, and a
+document's in whatever column.  They can differ in the last bits from the
 matrix-vector product ``rank_i4o`` takes.  The scores of a block take
-``EVAL_BATCH`` × n_docs floats.  Python work per relation is left only in
+``EVAL_BATCH`` × n_cited floats.  Python work per relation is left only in
 building the id arrays and in Case 2's seeded draw.
 
 Accumulation is order-insensitive: each relation's contribution depends
@@ -40,7 +43,8 @@ from .errors import ConfigError
 from .model import Model
 # build_query_vector and rank_i4o are not called here; bench/tracing.py
 # looks them up in this module
-from .recommend import BLOCK_ROWS, CASES, Query, _top_k, build_query_vector, rank_i4o  # noqa: F401
+from .recommend import (  # noqa: F401
+    BLOCK_ROWS, CASES, Query, _cited_docs, _top_k, build_query_vector, rank_i4o)
 
 __all__ = [
     "GroundTruth",
@@ -150,22 +154,24 @@ def _relation_seed(seed: int, relation: CitationRelation) -> int:
     return (zlib.crc32(canon.encode("utf-8")) + seed) & 0xFFFFFFFF
 
 
-def _score_block(doc_out: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``block @ doc_out.T`` into ``out``, one product per ``BLOCK_ROWS``
-    documents, the last of them padded with zero rows.
+def _score_block(doc_out: np.ndarray, rows: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``block @ doc_out[rows].T`` into ``out``: column j holds the scores of
+    document ``rows[j]``.
 
+    The rows are gathered ``BLOCK_ROWS`` at a time into one buffer, zero
+    rows padding the last of them, and each buffer takes one product.
     Every product then has one shape, and at one shape a row's scores come
     out in the same bits whatever the other rows of ``block`` hold and
     wherever it sits.  BLAS rounds the documents past the last full tile of
     its kernel in ways that depend on the rows around them, so the padding
     matters.
     """
-    n_docs = doc_out.shape[0]
-    for start in range(0, n_docs, BLOCK_ROWS):
-        rows = doc_out[start : start + BLOCK_ROWS]
-        if rows.shape[0] < BLOCK_ROWS:
-            rows = np.concatenate((rows, np.zeros((BLOCK_ROWS - rows.shape[0], rows.shape[1]))))
-        out[:, start : start + BLOCK_ROWS] = (block @ rows.T)[:, : n_docs - start]
+    gathered = np.empty((BLOCK_ROWS, doc_out.shape[1]))
+    for start in range(0, rows.size, BLOCK_ROWS):
+        n = min(BLOCK_ROWS, rows.size - start)
+        np.take(doc_out, rows[start : start + n], axis=0, out=gathered[:n], mode="clip")
+        gathered[n:] = 0.0
+        out[:, start : start + n] = (block @ gathered.T)[:, :n]
     return out
 
 
@@ -259,14 +265,15 @@ def evaluate(
 ) -> MetricReport:
     """Score a model against held-out citations under one query case.
 
-    The relevant set for each relation is the single true target; the
-    structural context and the citing document (when known) are excluded
-    from the candidates.  A relation whose query has no usable participants
+    The relevant set for each relation is the single true target.  The
+    candidates are the documents cited in training, less the structural
+    context and the citing document (when known); a target never cited in
+    training is a miss.  A relation whose query has no usable participants
     counts as a miss rather than an error; ``n_empty_queries`` says how many.
 
     The query vectors are pooled first (``_pool_queries``), then scored in
     blocks of ``EVAL_BATCH`` (``_score_block``), the last block padded with
-    zero rows; the scores take ``EVAL_BATCH`` × n_docs floats.  One
+    zero rows; the scores take ``EVAL_BATCH`` × n_cited floats.  One
     ``_top_k`` call ranks each block, and the metrics come from the
     target's place in its row: recall 1, AP 1/rank and nDCG
     1/log2(rank + 1) for a hit within k, the same floats as
@@ -277,19 +284,24 @@ def evaluate(
     if not ground_truth:
         raise ConfigError("ground truth is empty")
     usable, queries, targets, excluded = _pool_queries(model, ground_truth, case, keep_prob, seed)
-    doc_list = model.vocab.doc_list
     doc_out = model.matrices.doc_out
+    cited = _cited_docs(model)
+    # a document's column among the candidates, -1 if it was never cited
+    column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
+    column[cited] = np.arange(cited.size)
+    target_columns = column[targets]
     block = np.empty((EVAL_BATCH, doc_out.shape[1]))
-    scores = np.empty((EVAL_BATCH, doc_out.shape[0]))
+    scores = np.empty((EVAL_BATCH, cited.size))
     ranks: list[int] = []  # 1-based, of each target found within k
     for start in range(0, usable.size, EVAL_BATCH):
         stop = min(start + EVAL_BATCH, usable.size)
         block[: stop - start] = queries[start:stop]
         block[stop - start :] = 0.0
-        _score_block(doc_out, block, scores)
-        ranked, counts = _top_k(scores[: stop - start], k, doc_list, excluded[start:stop])
+        _score_block(doc_out, cited, block, scores)
+        banned = [c[c >= 0] for c in (column[e] for e in excluded[start:stop])]
+        ranked, counts = _top_k(scores[: stop - start], k, model.vocab.doc_list, cited, banned)
         place = np.arange(ranked.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        hit = (ranked == np.repeat(targets[start:stop], counts)) & (place < k)
+        hit = (ranked == np.repeat(target_columns[start:stop], counts)) & (place < k)
         ranks += (place[hit] + 1).tolist()
     # an unusable query, like a target outside the top k, is a miss on every metric
     n = len(ground_truth)

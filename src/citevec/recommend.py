@@ -10,18 +10,25 @@ trained with go unused at query time.
 Two ranking conventions: rank_i4o scores output-side document vectors by
 dot product with the query; rank_i4i fits a vector for the text and scores
 input-side document vectors by cosine.  Ties break by ascending doc id and
-excluded ids are never returned.
+excluded ids are never returned.  Following hyperdoc2vec's IN-for-OUT and
+IN-for-IN roles (Han et al., ACL 2018), rank_i4o ranks only the documents
+cited in training (``doc_cited_counts > 0``): the output row of any other
+document never got a gradient, and with fewer than k cited candidates left
+the list is shorter than k.  rank_i4i ranks every document, since every
+input vector is trained.
 
-A ranking costs one matrix-vector product, an O(n) partition of the score
-row at k plus its exclusion count, and a sort of the k or so candidates at
-or above that place; the tie rule is the same as a full sort's.  When many
-candidates tie at the place, a Python sort of their ids keeps the smallest,
-one sort for all the rows of a block.
+An i4o ranking over n cited documents costs one matrix-vector product per
+``BLOCK_ROWS`` of their rows, gathered into one buffer, then an O(n)
+partition of the score row at k plus its exclusion count, and a sort of the k or so candidates at or
+above that place; the tie rule is the same as a full sort's.  When many
+candidates tie at the place, a Python sort of their ids keeps the
+smallest, one sort for all the rows of a block.
 ``_top_k`` is the one top-k rule: rank_i4o sends it one score row,
 rank_i4i the scores of its shortlist, ``evaluate`` a block of rows from a
 matrix-matrix product over its queries, whose scores can differ from
-``rank_i4o``'s in the last bits.  The candidates of a block are sorted
-together, in one ``np.lexsort``.
+``rank_i4o``'s in the last bits.  Its columns name the documents scored,
+the cited ones or a shortlist.  The candidates of a block are
+sorted together, in one ``np.lexsort``.
 
 rank_i4i filters, then refines.  One pass over the input matrix, a block
 of rows at a time, takes every row's dot product with the query and its
@@ -39,14 +46,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import CITE, tokenize_text
+from .corpus import _cited_id
 from .errors import ConfigError, QueryError
 from .model import Model, infer_doc_vector
 
 CASES = (1, 2, 3)
 # rows of a document matrix per block, in rank_i4i's pass over the input
-# matrix and in evaluate's score product: a block stays in cache
+# matrix and in the gathered products of rank_i4o and evaluate: a block
+# stays in cache
 BLOCK_ROWS = 1024
+# rank_i4o pads its last product to a multiple of this many rows, a multiple
+# of the tile of rows that BLAS's matrix-vector kernels take at once
+PAD_ROWS = 64
 # rank_i4i's error bound covers squared norms in this range: nothing in a
 # score overflows, and underflow costs far less than the margin (_shortlist)
 _SAFE_SQUARES = (2.0**-900, 2.0**900)
@@ -115,22 +126,24 @@ def _check_k(k: int) -> None:
         raise ConfigError(f"k must be >= 1, got {k}")
 
 
-def _top_k(scores: np.ndarray, k: int, doc_list, exclude) -> tuple[np.ndarray, np.ndarray]:
-    """The best documents of each row of ``scores``, best first.
+def _top_k(
+    scores: np.ndarray, k: int, doc_list, columns: np.ndarray, exclude
+) -> tuple[np.ndarray, np.ndarray]:
+    """The best columns of each row of ``scores``, best first.
 
-    ``exclude`` holds one array of document indices per row, never returned
-    for that row.  Returns the rows' ranked candidates one row after
-    another in one array, and how many each row has there; a row's first k
-    (or all, if it has fewer) are its top k.  Ties break by ascending doc
-    id in ``doc_list``; the order is +inf, finite scores, -inf, then NaN by
-    id.
+    Column j holds the scores of document ``columns[j]``.  ``exclude`` holds
+    one array of columns per row, never returned for that row.  Returns
+    the rows' ranked columns one row after another in one array, and how
+    many each row has there; a row's first k (or all, if it has fewer) are
+    its top k.  Ties break by ascending doc id in ``doc_list``; the order
+    is +inf, finite scores, -inf, then NaN by id.
 
     Each row is partitioned once, at k plus its exclusion count: the
     entries at or above that place hold at least k that are not excluded,
     so the result is a full sort's.  When more than that many remain
-    because they tie at the place, as never-cited documents all scoring 0
-    do, only the smallest ids among the tied stay; when the place's key is
-    NaN, every entry is a candidate.  The ids tied in any row are ranked by
+    because they tie at the place, as equal output rows do, only the
+    smallest ids among the tied stay; when the place's key is NaN, every
+    entry is a candidate.  The ids tied in any row are ranked by
     one Python sort of their union, and each such row keeps its smallest by
     an ``np.argpartition`` of that rank; a lone such row sorts its own tied
     ids, which costs less.  The candidates of all rows are then
@@ -139,6 +152,10 @@ def _top_k(scores: np.ndarray, k: int, doc_list, exclude) -> tuple[np.ndarray, n
     """
     _check_k(k)
     n_rows, n_docs = scores.shape
+
+    def doc_id(j):
+        return doc_list[columns[j]]
+
     keys = np.empty(n_docs)
     candidates = []
     surplus = []  # (row index, candidates ahead of the place, those tied at it)
@@ -159,13 +176,13 @@ def _top_k(scores: np.ndarray, k: int, doc_list, exclude) -> tuple[np.ndarray, n
     # the surplus ties at the place's score: keep the smallest ids
     if len(surplus) == 1:
         i, ahead, tied = surplus[0]
-        smallest = sorted(tied.tolist(), key=doc_list.__getitem__)[: max(k - ahead.size, 0)]
+        smallest = sorted(tied.tolist(), key=doc_id)[: max(k - ahead.size, 0)]
         candidates[i] = np.concatenate((ahead, np.array(smallest, dtype=np.intp)))
     elif surplus:
         in_union = np.zeros(n_docs, dtype=bool)
         for _, _, tied in surplus:
             in_union[tied] = True
-        union = sorted(in_union.nonzero()[0].tolist(), key=doc_list.__getitem__)
+        union = sorted(in_union.nonzero()[0].tolist(), key=doc_id)
         tie_rank = np.empty(n_docs, dtype=np.intp)
         tie_rank[union] = np.arange(len(union))
         for i, ahead, tied in surplus:
@@ -175,7 +192,7 @@ def _top_k(scores: np.ndarray, k: int, doc_list, exclude) -> tuple[np.ndarray, n
     counts = np.array([c.size for c in candidates], dtype=np.intp)
     rows = np.arange(n_rows).repeat(counts)
     docs = np.concatenate(candidates) if candidates else np.empty(0, dtype=np.intp)
-    by_id = sorted(set(docs.tolist()), key=doc_list.__getitem__)
+    by_id = sorted(set(docs.tolist()), key=doc_id)
     id_rank = np.empty(n_docs, dtype=np.intp)
     id_rank[by_id] = np.arange(len(by_id))
     return docs[np.lexsort((id_rank[docs], -scores[rows, docs], rows))], counts
@@ -188,23 +205,59 @@ def _banned(model: Model, exclude) -> np.ndarray:
     return np.fromiter({doc_ids[d] for d in exclude if d in doc_ids}, dtype=np.intp)
 
 
-def _rank_row(model: Model, scores: np.ndarray, k: int, banned=(), rows=None) -> RecommendationList:
-    """``_top_k`` of one score row, never returning the document indices in
-    ``banned``.  ``scores`` holds every document's score or, when ``rows``
-    is given, the scores of the documents it names, in its order."""
+def _positions(rows: np.ndarray, docs: np.ndarray) -> np.ndarray:
+    """The places in ``rows``, an ascending array of document indices, of
+    those of ``docs`` that it holds."""
+    places = np.searchsorted(rows, docs)
+    held = places < rows.size
+    held[held] = rows[places[held]] == docs[held]
+    return places[held]
+
+
+def _rank_row(model: Model, scores: np.ndarray, k: int, rows: np.ndarray, banned=()) -> RecommendationList:
+    """``_top_k`` of one score row: ``scores[j]`` is the score of document
+    ``rows[j]``, and the places in ``banned`` are never returned."""
     doc_list = model.vocab.doc_list
-    ids = doc_list if rows is None else [doc_list[i] for i in rows.tolist()]
-    ranked, _ = _top_k(scores[None, :], k, ids, [np.asarray(banned, dtype=np.intp)])
+    ranked, _ = _top_k(scores[None, :], k, doc_list, rows, [np.asarray(banned, dtype=np.intp)])
     return RecommendationList(
-        ranked=[(ids[i], float(scores[i])) for i in ranked[:k].tolist()], k=k
+        ranked=[(doc_list[rows[j]], float(scores[j])) for j in ranked[:k].tolist()], k=k
     )
 
 
+def _cited_docs(model: Model) -> np.ndarray:
+    """The indices of the documents cited in training, ascending: i4o's
+    candidates.  The output rows of the others never got a gradient."""
+    return np.flatnonzero(model.vocab.doc_cited_counts > 0)
+
+
 def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) -> RecommendationList:
-    """Rank documents by dot product of the query with their output vectors."""
+    """Rank the documents cited in training by dot product of the query
+    with their output vectors.  With fewer than k such documents left
+    after the exclusions, the list holds only those.
+
+    The cited rows are gathered ``BLOCK_ROWS`` at a time into one buffer,
+    and each block takes one matrix-vector product, the last one padded
+    with zero rows to a multiple of ``PAD_ROWS``.  BLAS takes the rows past
+    its kernel's last full tile of rows another way, and the padding keeps
+    every cited row out of that tail: on one BLAS thread, a score is the
+    same bits whichever documents are cited, and the same bits as in
+    ``doc_out @ query_vector`` for a row outside that product's tail
+    (every row, when the document count is a multiple of ``PAD_ROWS``).
+    """
     _check_k(k)
-    scores = model.matrices.doc_out @ np.asarray(query_vector, dtype=np.float64)
-    return _rank_row(model, scores, k, banned=_banned(model, exclude))
+    doc_out = model.matrices.doc_out
+    query = np.asarray(query_vector, dtype=np.float64)
+    rows = _cited_docs(model)
+    scores = np.empty(-(-rows.size // PAD_ROWS) * PAD_ROWS)
+    gathered = np.empty((min(scores.size, BLOCK_ROWS), doc_out.shape[1]))
+    for start in range(0, rows.size, BLOCK_ROWS):
+        block = rows[start : start + BLOCK_ROWS]
+        padded = min(scores.size - start, BLOCK_ROWS)
+        np.take(doc_out, block, axis=0, out=gathered[: block.size], mode="clip")
+        gathered[block.size : padded] = 0.0
+        np.matmul(gathered[:padded], query, out=scores[start : start + padded])
+    scores = scores[: rows.size]
+    return _rank_row(model, scores, k, rows, banned=_positions(rows, _banned(model, exclude)))
 
 
 def _dots_and_squares(doc_in: np.ndarray, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -314,7 +367,7 @@ def rank_i4i(
         rows = _shortlist(dots, squares, query_norm, doc_in.shape[1], candidates, k)
         norms = np.linalg.norm(doc_in[rows], axis=1)
         scores = dots[rows] / (norms * query_norm)
-    return _rank_row(model, np.where(norms > 0.0, scores, 0.0), k, rows=rows)
+    return _rank_row(model, np.where(norms > 0.0, scores, 0.0), k, rows)
 
 
 @dataclass
@@ -328,7 +381,8 @@ class ResolvedText:
 
 
 def resolve_text(model: Model, raw_text: str) -> ResolvedText:
-    """Tokenize with corpus rules and map tokens onto the vocabulary.
+    """Split with the corpus token rule (``tokenize_text``'s, without
+    making tokens) and map the tokens onto the vocabulary.
 
     Unknown words are dropped and counted; citation markers become the
     structural set (unknown markers cannot participate but are still
@@ -338,14 +392,16 @@ def resolve_text(model: Model, raw_text: str) -> ResolvedText:
     marker_ids: list[str] = []
     structural: set[int] = set()
     unknown_words = 0
-    for token in tokenize_text(raw_text):
-        if token.kind == CITE:
-            marker_ids.append(token.value)
-            doc_idx = model.vocab.doc_ids.get(token.value)
+    doc_ids, word_ids = model.vocab.doc_ids, model.vocab.word_ids
+    for raw in raw_text.split():
+        target = _cited_id(raw, None)
+        if target is not None:
+            marker_ids.append(target)
+            doc_idx = doc_ids.get(target)
             if doc_idx is not None:
                 structural.add(doc_idx)
         else:
-            word_idx = model.vocab.word_ids.get(token.value)
+            word_idx = word_ids.get(raw.lower())
             if word_idx is None:
                 unknown_words += 1
             else:

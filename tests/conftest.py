@@ -1,7 +1,7 @@
 """Shared fixtures: the pinned synthetic corpus and models trained on it.
 
-The corpus plants two topics with a four-paper co-citation clique each, so
-structural information is genuinely predictive.  Training is desk-scale
+The corpus plants two topics with a four-paper co-citation clique each,
+and every citing doc cites its whole clique.  Training is desk-scale
 (16 dimensions, 2 negatives) and the models are session-scoped because the
 trend and regression tests all look at the same three variants.
 
@@ -10,8 +10,9 @@ get cited, so the noise distribution has support 8; with n negatives per
 relation a clique doc absorbs n*(clique-1)/(2*clique-1) noise updates per
 positive update, and its output scores converge below zero once that ratio
 passes 1 (n >= 3 here).  Never-cited docs keep their zero-initialized output
-rows and would then outrank every true target.  negative=2 keeps trained
-targets on the positive side, so retrieval on the fixture is meaningful.
+rows and would then outrank every true target, were they i4o candidates;
+i4o ranks only the docs cited in training.  negative=2 keeps trained
+targets on the positive side.
 """
 
 import pytest

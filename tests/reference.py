@@ -17,7 +17,8 @@ reusing its code:
 - ``_window_context`` walks a token stream for one position's window
   words, and ``citation_examples_reference`` builds the citation pass's
   flat tables one relation at a time;
-- ``top_k_reference`` is the ranking's top k for one score row.
+- ``top_k_reference`` is the ranking's top k for one score row, over
+  every document or over the ones cited in training.
 
 ``backprop`` runs the library kernel on a batch of one relation.
 """
@@ -294,10 +295,11 @@ def infer_reference(model, words, steps, lr):
     return vec
 
 
-def top_k_reference(doc_list, scores, excluded, k):
+def top_k_reference(doc_list, scores, excluded, k, cited=None):
     """The best k document indices of one score row, best first, with the
-    ``excluded`` indices left out; ties by ascending doc id, and +inf,
-    finite scores, -inf, then NaN by id.
+    ``excluded`` indices left out, and with them every document that the
+    mask ``cited`` (when given) does not hold; ties by ascending doc id,
+    and +inf, finite scores, -inf, then NaN by id.
 
     A partition finds the k-th best key among the candidates; those ahead
     of it are taken, and the places left go to the smallest ids among the
@@ -305,6 +307,8 @@ def top_k_reference(doc_list, scores, excluded, k):
     """
     mask = np.ones(scores.size, dtype=bool)
     mask[np.asarray(sorted(set(excluded)), dtype=np.intp)] = False
+    if cited is not None:
+        mask &= cited
     candidates = np.flatnonzero(mask)
     if candidates.size <= k:
         selected = candidates.tolist()

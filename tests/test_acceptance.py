@@ -12,21 +12,29 @@ import io
 import math
 import random
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from citevec.corpus import CitationRelation, extract_relations, generate_synthetic_corpus, parse_corpus, split_train_test
+from citevec.corpus import (
+    CitationRelation,
+    SyntheticSpec,
+    extract_relations,
+    generate_synthetic_corpus,
+    parse_corpus,
+    split_train_test,
+)
 from citevec.evaluation import average_precision, evaluate, ndcg_at_k, recall_at_k
-from citevec.model import init_model, load_model, save_model
+from citevec.model import EmbeddingConfig, init_model, load_model, save_model
 from citevec.recommend import rank_i4o, rank_i4i
 from citevec.train import NegativeSampler, train
 from citevec.model import infer_doc_vector
 
-from conftest import FIXTURE_CONFIG, FIXTURE_SPEC, SPLIT_FRACTION, SPLIT_SEED, train_on
+from conftest import FIXTURE_CONFIG, FIXTURE_SPEC
 from reference import backprop, hidden_att, hidden_avg
 from test_evaluation import oracle_average_precision, oracle_ndcg, oracle_recall
-from test_recommend import make_model, make_vocab, oracle_rank
+from test_recommend import i4o_oracle, make_model, make_vocab, oracle_rank
 from test_train import random_matrices, relative_error
 
 
@@ -200,10 +208,10 @@ class TestRankingOracles:
             rng.shuffle(ids)
             model = make_model(ids, ["x"], dim=dim)
             model.matrices.doc_out[:] = rng.integers(-2, 3, size=(n_docs, dim))
+            model.vocab.doc_cited_counts[rng.random(n_docs) < 0.2] = 0
             qvec = rng.integers(-2, 3, size=dim).astype(float)
             exclude = {doc_id for doc_id in ids if rng.random() < 0.2}
-            scores = model.matrices.doc_out @ qvec
-            expected = oracle_rank(model, scores, exclude, k=5)
+            expected = i4o_oracle(model, qvec, exclude, k=5)
             assert rank_i4o(model, qvec, exclude=exclude, k=5).ranked == expected
 
         rng = np.random.default_rng(8192)
@@ -234,7 +242,8 @@ class TestRankingOracles:
             checked += 1
         announce(
             capsys, "ranking oracles",
-            "100 i4o models and 100 i4i models equal brute-force sorts exactly (scores, order, ties)",
+            "100 i4o models (cited docs only) and 100 i4i models equal brute-force sorts "
+            "exactly (scores, order, ties)",
         )
 
 
@@ -265,38 +274,60 @@ class TestMetricOracles:
         )
 
 
+# Item 1's corpus: six topics of four four-paper sub-cliques, each citing
+# doc citing three papers of one sub-clique and, 15% of the time, one paper
+# of another topic.  Words tell only the topic, so only the co-cited papers
+# tell the target's sub-clique.
+GATE_SPEC = SyntheticSpec(
+    n_topics=6, docs_per_topic=60, clique_size=4, sub_cliques=4, cites_per_doc=3,
+    vocab_per_topic=30, noise_rate=0.0, distractor_rate=0.15,
+)
+GATE_CONFIG = EmbeddingConfig(
+    dim=16, window=8, negative=2, iterations=40, retrofit_epochs=5, learning_rate=0.5, seed=1,
+)
+GATE_SEEDS = (1, 2, 3)
+# Half the smallest per-seed gap of an 8-seed sweep (seeds 1-8, recall@5,
+# i4o over the documents cited in training): r1 - r2 0.166, r2 - r3 0.141,
+# Case 1 with structure minus without 0.350.  The floor lies between the
+# avg model's smallest Case 1 recall (0.702) and the largest one with
+# train.BATCH at 512 (0.516).
+GATE_MARGINS = {"case 1 - case 2": 0.08, "case 2 - case 3": 0.07, "structure - none": 0.17}
+GATE_FLOOR = 0.6
+
+
 class TestDeskScaleTrend:
     def test_case_and_structure_orderings_at_pinned_settings(self, capsys):
         started = time.perf_counter()
-        corpus = parse_corpus(generate_synthetic_corpus(FIXTURE_SPEC))
-        split = split_train_test(
-            corpus.docs, window=FIXTURE_CONFIG.window,
-            fraction=SPLIT_FRACTION, seed=SPLIT_SEED,
-        )
-        avg = train_on(split.train_docs, split.train_vocab, negative=5)
-        nostruct = train_on(
-            split.train_docs, split.train_vocab, negative=5, structural_context=False
-        )
-        truth = split.ground_truth
-        r1 = evaluate(avg, truth, case=1, k=10).recall
-        r2 = evaluate(avg, truth, case=2, k=10).recall
-        r3 = evaluate(avg, truth, case=3, k=10).recall
-        rn = evaluate(nostruct, truth, case=1, k=10).recall
+        rows = []
+        for seed in GATE_SEEDS:
+            corpus = parse_corpus(generate_synthetic_corpus(replace(GATE_SPEC, seed=seed)))
+            split = split_train_test(
+                corpus.docs, window=GATE_CONFIG.window, fraction=0.2, seed=seed)
+            truth = split.ground_truth
+            models = []
+            for structural_context in (True, False):
+                config = GATE_CONFIG.with_updates(structural_context=structural_context)
+                model = init_model(split.train_vocab, config)
+                train(model, extract_relations(split.train_docs, split.train_vocab, config.window),
+                      split.train_docs)
+                models.append(model)
+            r1, r2, r3 = (evaluate(models[0], truth, case=case, k=5).recall for case in (1, 2, 3))
+            rn = evaluate(models[1], truth, case=1, k=5).recall
+            gaps = {"case 1 - case 2": r1 - r2, "case 2 - case 3": r2 - r3,
+                    "structure - none": r1 - rn}
+            for name, gap in gaps.items():
+                assert gap >= GATE_MARGINS[name], (seed, name, gap)
+            assert r1 >= GATE_FLOOR, (seed, r1)
+            rows.append(f"{r1:.3f}/{r2:.3f}/{r3:.3f} vs {rn:.3f}")
         elapsed = time.perf_counter() - started
-
-        assert r1 >= r2 >= r3
-        assert r1 >= rn
         assert elapsed < 60.0
-        # regression baselines recorded on the first verified run: at five
-        # negatives over a noise support of eight cited docs, trained output
-        # scores settle below zero while never-cited docs stay at exactly
-        # zero, so every recall is 0.0 and the orderings hold degenerately;
-        # tests/conftest.py derives the threshold and the unit suite shows
-        # the non-degenerate orderings at negative=2
-        assert (r1, r2, r3, rn) == (0.0, 0.0, 0.0, 0.0)
+        # regression baselines recorded on the first verified run, seeds 1-3:
+        # 0.739/0.539/0.339 vs 0.339, 0.740/0.570/0.363 vs 0.390,
+        # 0.702/0.487/0.333 vs 0.346
         announce(
             capsys, "desk-scale trend",
-            f"case recalls {r1}/{r2}/{r3}, no-structure {rn} (recorded baselines), {elapsed:.1f}s",
+            f"recall@5 case 1/2/3 vs no structure, seeds {GATE_SEEDS}: {'; '.join(rows)}, "
+            f"{elapsed:.1f}s",
         )
 
 

@@ -276,15 +276,17 @@ class TestRecommend:
 
 class TestEvaluate:
     def test_regression_baseline_exact(self, trained, capsys):
-        # recorded from the first verified run of the pinned flag set
+        # recorded from the first verified run of the pinned flag set, and
+        # re-recorded when i4o came to rank only the documents cited in
+        # training (0.8888888888888888 on every line before)
         code, stdout, _ = run(
             capsys, "evaluate", trained, FIXTURE_TSV, *SPLIT_FLAGS, "--case", "1", "--k", "3"
         )
         assert code == 0
         assert stdout == (
-            "case=1 metric=recall value=0.8888888888888888 n=9\n"
-            "case=1 metric=map value=0.8888888888888888 n=9\n"
-            "case=1 metric=ndcg value=0.8888888888888888 n=9\n"
+            "case=1 metric=recall value=1.0 n=9\n"
+            "case=1 metric=map value=1.0 n=9\n"
+            "case=1 metric=ndcg value=1.0 n=9\n"
         )
 
     def test_case_two_keep_prob_one_equals_case_one(self, trained, capsys):

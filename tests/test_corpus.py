@@ -399,6 +399,38 @@ class TestSyntheticCorpus:
             SyntheticSpec(n_topics=0)
         with pytest.raises(ConfigError):
             SyntheticSpec(noise_rate=1.0)
+        for bad in ({"sub_cliques": 0}, {"cites_per_doc": -1}, {"cites_per_doc": 5},
+                    {"distractor_rate": -0.1}, {"distractor_rate": 1.5},
+                    {"n_topics": 1, "distractor_rate": 0.1}):
+            with pytest.raises(ConfigError):
+                SyntheticSpec(clique_size=4, **bad)
+
+    def test_sub_cliques_cites_and_distractors(self):
+        """Every citing doc cites cites_per_doc papers of one clique of its
+        topic, plus, at about the distractor rate, one paper of another
+        topic; every word is its own topic's."""
+        spec = SyntheticSpec(n_topics=3, docs_per_topic=200, clique_size=4, sub_cliques=3,
+                             cites_per_doc=2, vocab_per_topic=10, noise_rate=0.0,
+                             distractor_rate=0.25, seed=6)
+        corpus = parse_corpus(generate_synthetic_corpus(spec))
+        papers = [d for d in corpus.docs if "c" in d.id]
+        assert sorted(d.id for d in papers) == sorted(
+            f"t{t}c{j}" for t in range(3) for j in range(12))
+        cliques, distracted = set(), 0
+        for doc in corpus.docs:
+            if doc in papers:
+                continue
+            topic = doc.id.split("d")[0]
+            own = [c for c in doc.cite_targets() if c.startswith(topic + "c")]
+            other = [c for c in doc.cite_targets() if not c.startswith(topic + "c")]
+            assert len(own) == 2 and len(other) <= 1
+            clique = {int(c.split("c")[1]) // 4 for c in own}
+            assert len(clique) == 1
+            cliques.add((topic, clique.pop()))
+            distracted += len(other)
+            assert all(t.value.startswith(f"w{topic[1:]}t") for t in doc.tokens if not t.is_cite)
+        assert len(cliques) == 9
+        assert 0.2 < distracted / 600 < 0.3
 
 
 class TestResolveGroundTruth:

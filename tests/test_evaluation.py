@@ -156,10 +156,12 @@ class TestMetricProperties:
 
 
 def oracle_evaluate(model, truth, case, k, keep_prob=0.5, seed=0):
-    """evaluate() by full sorts and the plain metric definitions.  The score
-    rows come from the same blocked product: the usable queries in order,
-    EVAL_BATCH to a block, the last block padded with zero rows."""
+    """evaluate() by full sorts over the documents cited in training and the
+    plain metric definitions.  The score rows come from the same blocked
+    product over every document: the usable queries in order, EVAL_BATCH
+    to a block, the last block padded with zero rows."""
     doc_list = model.vocab.doc_list
+    never_cited = {doc_list[d] for d in np.flatnonzero(model.vocab.doc_cited_counts == 0)}
     usable, vectors = [], []
     for r in truth:
         query = Query(case=case, context_words=r.context, structural_docs=r.structural,
@@ -172,13 +174,14 @@ def oracle_evaluate(model, truth, case, k, keep_prob=0.5, seed=0):
     n_empty = len(truth) - len(usable)
     metrics = [(0.0, 0.0, 0.0)] * n_empty
     doc_out = model.matrices.doc_out
+    every = np.arange(doc_out.shape[0])
     for start in range(0, len(usable), EVAL_BATCH):
         block = np.zeros((EVAL_BATCH, doc_out.shape[1]))
         chunk = vectors[start : start + EVAL_BATCH]
         block[: len(chunk)] = chunk
-        rows = _score_block(doc_out, block, np.empty((EVAL_BATCH, doc_out.shape[0])))
+        rows = _score_block(doc_out, every, block, np.empty((EVAL_BATCH, doc_out.shape[0])))
         for r, row in zip(usable[start : start + EVAL_BATCH], rows):
-            exclude = {doc_list[d] for d in r.structural}
+            exclude = never_cited | {doc_list[d] for d in r.structural}
             if r.source is not None:
                 exclude.add(doc_list[r.source])
             ranked = [doc_id for doc_id, _ in oracle_rank(model, row, exclude, len(doc_list))]
@@ -217,6 +220,13 @@ def random_relations(rng, n_docs, n_words, n_usable, n_empty, n_docs_only=0):
     return [truth[i] for i in order]
 
 
+def uncite(model, rng, share):
+    """Mark about ``share`` of the model's documents as never cited in
+    training; their output rows keep whatever they hold."""
+    counts = model.vocab.doc_cited_counts
+    counts[rng.random(counts.size) < share] = 0
+
+
 class TestBlockedScoring:
     def test_score_block_is_the_matrix_product(self):
         # small integers multiply and add exactly in any order
@@ -224,8 +234,13 @@ class TestBlockedScoring:
         n_docs, dim = 2 * BLOCK_ROWS + 37, 7
         doc_out = rng.integers(-3, 4, size=(n_docs, dim)).astype(float)
         block = rng.integers(-3, 4, size=(EVAL_BATCH, dim)).astype(float)
-        out = _score_block(doc_out, block, np.empty((EVAL_BATCH, n_docs)))
+        every = np.arange(n_docs)
+        out = _score_block(doc_out, every, block, np.empty((EVAL_BATCH, n_docs)))
         assert np.array_equal(out, block @ doc_out.T)
+        for size in (0, 5, BLOCK_ROWS, BLOCK_ROWS + 5):
+            rows = np.sort(rng.choice(n_docs, size=size, replace=False))
+            out = _score_block(doc_out, rows, block, np.empty((EVAL_BATCH, size)))
+            assert np.array_equal(out, block @ doc_out[rows].T)
 
     @pytest.mark.parametrize("n_docs, dim", [(300, 16), (1250, 100), (2 * BLOCK_ROWS + 37, 100)])
     def test_a_row_does_not_depend_on_its_block(self, n_docs, dim):
@@ -237,25 +252,33 @@ class TestBlockedScoring:
         query = rng.normal(size=dim)
         alone = np.zeros((EVAL_BATCH, dim))
         alone[0] = query
-        expected = _score_block(doc_out, alone, np.empty((EVAL_BATCH, n_docs)))[0]
+        every = np.arange(n_docs)
+        expected = _score_block(doc_out, every, alone, np.empty((EVAL_BATCH, n_docs)))[0]
         for trial in range(8):
             block = others[rng.choice(others.shape[0], size=EVAL_BATCH, replace=False)]
             block[int(rng.integers(1, EVAL_BATCH + 1)) :] = 0.0  # a padded last block
             row = int(rng.integers(EVAL_BATCH))
             block[row] = query
-            got = _score_block(doc_out, block, np.empty((EVAL_BATCH, n_docs)))[row]
+            got = _score_block(doc_out, every, block, np.empty((EVAL_BATCH, n_docs)))[row]
             assert np.array_equal(got, expected), f"trial {trial}"
+            # a document's score does not depend on where it is gathered
+            rows = np.sort(rng.choice(n_docs, size=int(rng.integers(1, n_docs + 1)), replace=False))
+            got = _score_block(doc_out, rows, block, np.empty((EVAL_BATCH, rows.size)))[row]
+            assert np.array_equal(got, expected[rows]), f"trial {trial}"
 
     @pytest.mark.parametrize("case", [1, 2, 3])
     def test_matches_brute_force_oracle(self, case):
         """Past two full blocks to a lone last row, with empty queries mixed
-        in; zero and repeated output rows make ties at the cutoff common."""
+        in; zero and repeated output rows make ties at the cutoff common,
+        and never-cited documents, some of them targets, keep non-zero
+        rows."""
         rng = np.random.default_rng(70 + case)
         n_docs, dim, n_words = 301, 3, 12
         model = shuffled_id_model(rng, n_docs=n_docs, dim=dim, n_words=n_words)
         patterns = rng.integers(-1, 2, size=(9, dim)).astype(float)
         model.matrices.doc_out[:] = patterns[rng.integers(0, 9, size=n_docs)]
         model.matrices.doc_out[rng.random(n_docs) < 0.3] = 0.0
+        uncite(model, rng, 0.3)
         model.matrices.word_in[:] = rng.integers(-2, 3, size=(n_words, dim))
         truth = random_relations(rng, n_docs, n_words, n_usable=2 * EVAL_BATCH + 1, n_empty=5)
         for k in (1, 10, 60):
@@ -279,6 +302,7 @@ class TestBlockedScoring:
         model.matrices.doc_out[special[16:24]] = -np.inf
         model.matrices.doc_out[special[24:32], 0] = np.inf  # +inf or -inf, NaN where 0 * inf
         model.matrices.word_in[:] = rng.integers(-2, 3, size=(n_words, dim))
+        uncite(model, rng, 0.3)
         truth = random_relations(rng, n_docs, n_words, n_usable=EVAL_BATCH + 3, n_empty=2,
                                  n_docs_only=6)
         with np.errstate(invalid="ignore"):  # inf * 0 in the score product
@@ -452,6 +476,22 @@ class TestEvaluate:
             "case=3 metric=map value=0.5 n=2",
             "case=3 metric=ndcg value=0.5 n=2",
         ]
+
+    def test_a_target_never_cited_in_training_is_a_miss(self):
+        """However well it would score: i4o ranks only the documents cited
+        in training."""
+        model = perfect_model(4)
+        model.vocab.doc_cited_counts[2] = 0
+        report = evaluate(model, perfect_ground_truth(4), case=1, k=4)
+        assert report.values() == {"recall": 0.75, "map": 0.75, "ndcg": 0.75}
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_no_document_cited_in_training(self, case):
+        model = perfect_model(4)
+        model.vocab.doc_cited_counts[:] = 0
+        report = evaluate(model, perfect_ground_truth(4), case=case, k=2)
+        assert report.values() == {"recall": 0.0, "map": 0.0, "ndcg": 0.0}
+        assert (report.n_relations, report.n_empty_queries) == (4, 0)
 
     def test_source_and_structural_are_excluded(self):
         model = perfect_model(4)

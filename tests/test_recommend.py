@@ -7,16 +7,21 @@ selection, tie-breaking, or exclusion shows up as an exact mismatch.
 
 import importlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from citevec.corpus import Vocabulary
-from citevec.errors import ConfigError, QueryError
+from citevec.corpus import Vocabulary, tokenize_text
+from citevec.errors import ConfigError, CorpusFormatError, QueryError
 from citevec.model import EmbeddingConfig, infer_doc_vector, init_model
 from citevec.recommend import (
     BLOCK_ROWS,
     Query,
+    ResolvedText,
     _top_k,
     build_query_vector,
     rank_i4i,
@@ -159,6 +164,13 @@ def oracle_rank(model, scores, exclude, k):
     return pairs[:k]
 
 
+def i4o_oracle(model, query, exclude, k):
+    """``oracle_rank`` of every dot product with an output row, over the
+    documents cited in training only."""
+    never_cited = {model.vocab.doc_list[d] for d in np.flatnonzero(model.vocab.doc_cited_counts == 0)}
+    return oracle_rank(model, model.matrices.doc_out @ query, set(exclude) | never_cited, k)
+
+
 def shuffled_id_model(rng, n_docs, dim, n_words=1):
     """A model whose doc ids sort in an order unrelated to their rows."""
     ids = [f"m{j}" for j in range(n_docs)]
@@ -175,6 +187,88 @@ def cosine_scores(model, inferred):
             norms * float(np.linalg.norm(inferred))
         )
     return np.where(norms > 0.0, scores, 0.0)
+
+
+class TestI4OCandidates:
+    """rank_i4o ranks only the documents cited in training: the output rows
+    of the others never got a gradient, whatever they hold."""
+
+    def model(self, rng, n_docs, n_cited, dim=4):
+        model = shuffled_id_model(rng, n_docs=n_docs, dim=dim)
+        # the never-cited rows would win every ranking if they took part
+        model.matrices.doc_out[:] = rng.normal(size=(n_docs, dim)) + 100.0
+        cited = rng.choice(n_docs, size=n_cited, replace=False)
+        model.matrices.doc_out[cited] -= 200.0
+        model.vocab.doc_cited_counts[:] = 0
+        model.vocab.doc_cited_counts[cited] = rng.integers(1, 5, size=n_cited)
+        return model, {model.vocab.doc_list[d] for d in cited}
+
+    def test_never_cited_documents_never_rank(self):
+        rng = np.random.default_rng(90)
+        model, cited = self.model(rng, n_docs=2 * BLOCK_ROWS + 37, n_cited=BLOCK_ROWS + 9)
+        for k in (1, 10, BLOCK_ROWS + 9, 5000):
+            got = rank_i4o(model, np.ones(4), k=k)
+            assert set(got.ids()) <= cited and len(got) == min(k, len(cited))
+            assert got.ranked == i4o_oracle(model, np.ones(4), (), k)
+        text = " ".join(f"[[{doc_id}]]" for doc_id in sorted(cited)[:3])
+        assert set(recommend(model, text, k=50).ids()) <= cited
+
+    def test_fewer_than_k_cited_candidates(self):
+        rng = np.random.default_rng(91)
+        model, cited = self.model(rng, n_docs=40, n_cited=6)
+        banned = sorted(cited)[:2]
+        got = rank_i4o(model, np.ones(4), exclude=banned, k=10)
+        assert sorted(got.ids()) == sorted(cited - set(banned))
+        assert got.ranked == i4o_oracle(model, np.ones(4), banned, 10)
+        assert rank_i4o(model, np.ones(4), exclude=cited, k=10).ranked == []
+
+    def test_no_document_cited(self):
+        rng = np.random.default_rng(92)
+        model, _ = self.model(rng, n_docs=30, n_cited=0)
+        assert rank_i4o(model, np.ones(4), k=5).ranked == []
+        assert recommend(model, "x [[m3]]", k=5).ranked == []
+
+    def test_scores_are_the_bits_of_the_whole_product(self):
+        """Real-valued rows, a document count that is a multiple of
+        PAD_ROWS, and cited rows spread over several blocks, the last of
+        them partial: on one BLAS thread each score is the same bits as in
+        ``doc_out @ query``, and as when every document is cited; on two,
+        the same bits as on one.  Checked in processes with one and two
+        BLAS threads."""
+        script = textwrap.dedent("""
+            import hashlib
+            import os
+            import numpy as np
+            from citevec.recommend import BLOCK_ROWS, PAD_ROWS, rank_i4o
+            from test_recommend import make_model
+            rng = np.random.default_rng(93)
+            n_docs = 5 * BLOCK_ROWS + 5 * PAD_ROWS
+            model = make_model([f"d{i}" for i in range(n_docs)], ["x"], dim=100)
+            model.matrices.doc_out[:] = rng.normal(size=(n_docs, 100))
+            counts = model.vocab.doc_cited_counts
+            one_thread = os.environ["OPENBLAS_NUM_THREADS"] == "1"
+            digest, tails = hashlib.sha256(), set()
+            for trial in range(20):
+                counts[:] = rng.random(n_docs) < rng.uniform(0.2, 0.9)
+                tails.add(int(counts.sum()) % PAD_ROWS)
+                query = rng.normal(size=100)
+                whole = model.matrices.doc_out @ query
+                ranked = rank_i4o(model, query, k=n_docs).ranked
+                for doc_id, score in ranked:
+                    assert not one_thread or score.hex() == whole[model.vocab.doc_ids[doc_id]].hex()
+                digest.update(repr([(doc_id, score.hex()) for doc_id, score in ranked]).encode())
+            assert len(tails) > 10  # partial last blocks of many sizes
+            print(digest.hexdigest())
+        """)
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            done = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, check=False)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
 
 class TestRankI4O:
@@ -224,10 +318,10 @@ class TestRankI4O:
             model = make_model(ids, ["x"], dim=dim)
             # integer-valued vectors force plenty of score ties
             model.matrices.doc_out[:] = rng.integers(-2, 3, size=(n_docs, dim))
+            model.vocab.doc_cited_counts[rng.random(n_docs) < 0.2] = 0
             qvec = rng.integers(-2, 3, size=dim).astype(float)
             exclude = {doc_id for doc_id in ids if rng.random() < 0.2}
-            scores = model.matrices.doc_out @ qvec
-            expected = oracle_rank(model, scores, exclude, k=5)
+            expected = i4o_oracle(model, qvec, exclude, k=5)
             got = rank_i4o(model, qvec, exclude=exclude, k=5)
             assert got.ranked == expected, f"trial {trial}"
 
@@ -238,12 +332,12 @@ class TestRankI4O:
         rng = np.random.default_rng(2024)
         model = shuffled_id_model(rng, n_docs=3000, dim=3)
         model.matrices.doc_out[:] = rng.integers(-2, 3, size=(3000, 3))
+        model.vocab.doc_cited_counts[rng.random(3000) < 0.5] = 0
         for trial in range(12):
             qvec = rng.integers(-2, 3, size=3).astype(float)
             exclude = set(rng.choice(model.vocab.doc_list, size=200).tolist())
-            scores = model.matrices.doc_out @ qvec
             for k in (1, 10, 50):
-                expected = oracle_rank(model, scores, exclude, k)
+                expected = i4o_oracle(model, qvec, exclude, k)
                 got = rank_i4o(model, qvec, exclude=exclude, k=k)
                 assert got.ranked == expected, f"trial {trial}, k={k}"
 
@@ -302,7 +396,7 @@ class TestBlockTopK:
     reference top-k."""
 
     def top(self, ids, scores, exclude, k):
-        ranked, counts = _top_k(scores, k, ids, exclude)
+        ranked, counts = _top_k(scores, k, ids, np.arange(len(ids)), exclude)
         assert counts.shape == (scores.shape[0],) and counts.sum() == ranked.size
         starts = np.cumsum(counts) - counts
         return [ranked[start : start + min(k, count)].tolist()
@@ -346,7 +440,7 @@ class TestBlockTopK:
 
     @pytest.mark.parametrize("n_rows", [32, 1])
     def test_many_rows_tied_at_zero(self, n_rows):
-        """380 of 400 docs score exactly 0, as never-cited docs do, and the
+        """380 of 400 docs score exactly 0, as zero output rows do, and the
         exclusions reach into the zeros: the rows whose place is a zero
         share most of their tied ids."""
         rng = np.random.default_rng(20 + n_rows)
@@ -361,6 +455,27 @@ class TestBlockTopK:
         for k in (1, 10, 30):  # at 30, every row's place is among its zeros
             self.check(ids, scores, exclude, k)
 
+    def test_columns_of_the_cited_documents(self):
+        """Scores for the cited documents only, column j for document
+        cited[j]: ranked by their ids, exclusions given by column."""
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n_rows, n_docs = int(rng.integers(1, 7)), int(rng.integers(1, 60))
+            ids = shuffled_ids(rng, n_docs)
+            scores = special_scores(rng, n_rows, n_docs)
+            is_cited = rng.random(n_docs) < rng.uniform(0.0, 1.0)
+            cited = np.flatnonzero(is_cited)
+            column = np.cumsum(is_cited) - 1
+            exclude = [rng.choice(n_docs, size=int(rng.integers(0, n_docs + 1)), replace=False)
+                       for _ in range(n_rows)]
+            k = int(rng.integers(1, n_docs + 3))
+            ranked, counts = _top_k(scores[:, cited], k, ids, cited,
+                                    [column[e[is_cited[e]]] for e in exclude])
+            starts = np.cumsum(counts) - counts
+            for row, banned, start, count in zip(scores, exclude, starts, counts, strict=True):
+                top = cited[ranked[start : start + min(k, count)]].tolist()
+                assert top == top_k_reference(ids, row, banned.tolist(), k, cited=is_cited)
+
     def test_one_row_and_no_rows(self):
         ids = ["b", "a\x00", "a", "c"]
         scores = np.array([[1.0, 2.0, 2.0, np.nan]])
@@ -370,7 +485,7 @@ class TestBlockTopK:
 
     def test_k_must_be_positive(self):
         with pytest.raises(ConfigError):
-            _top_k(np.zeros((1, 3)), 0, ["a", "b", "c"], [np.array([], dtype=np.intp)])
+            _top_k(np.zeros((1, 3)), 0, ["a", "b", "c"], np.arange(3), [np.array([], dtype=np.intp)])
 
 
 class TestRankI4I:
@@ -637,6 +752,20 @@ class TestI4IShortlist:
         self.check(model, exclude=rng.choice(model.vocab.doc_list, size=100).tolist())
 
 
+def resolve_tokens(model, text):
+    """``resolve_text`` by way of ``tokenize_text``'s Token objects."""
+    word_ids, doc_ids = model.vocab.word_ids, model.vocab.doc_ids
+    tokens = tokenize_text(text)
+    words = [t.value for t in tokens if not t.is_cite]
+    markers = [t.value for t in tokens if t.is_cite]
+    return ResolvedText(
+        word_indices=tuple(word_ids[w] for w in words if w in word_ids),
+        marker_ids=markers,
+        structural_docs=frozenset(doc_ids[m] for m in markers if m in doc_ids),
+        unknown_words=sum(w not in word_ids for w in words),
+    )
+
+
 class TestResolveText:
     def test_words_markers_and_unknown_counting(self):
         model = make_model(["p1", "p2"], ["alpha", "beta"])
@@ -645,6 +774,29 @@ class TestResolveText:
         assert resolved.marker_ids == ["p2", "ghost"]
         assert resolved.structural_docs == frozenset({1})
         assert resolved.unknown_words == 1
+
+    def test_same_as_resolving_tokens(self):
+        """Random texts of words in any case, markers known, unknown and
+        malformed, brackets inside words and runs of Unicode whitespace;
+        an empty marker is the same error either way."""
+        model = make_model(["p1", "P1", "[x]", "é"], ["alpha", "beta", "ǆ", "[[", "]]", "[[p1"])
+        pieces = ["alpha", "ALPHA", "Beta", "ǅ", "Ǆ", "gamma", "[[p1]]", "[[P1]]", "[[ghost]]",
+                  "[[[x]]]", "[[é]]", "[[", "]]", "[[]", "[]]", "[[p1", "p1]]", "x[[p1]]",
+                  "[[p1]]x", "[[[[]]]]", "[[ ]]"]
+        spaces = [" ", "  ", "\t", "\n", "\r\n", "\u00a0", "\u2003", "\u3000"]
+        rng = np.random.default_rng(95)
+        for _ in range(500):
+            n = int(rng.integers(0, 12))
+            text = "".join(spaces[int(rng.integers(len(spaces)))] + pieces[int(rng.integers(len(pieces)))]
+                           for _ in range(n))
+            assert resolve_text(model, text) == resolve_tokens(model, text), repr(text)
+        for text in ("[[]]", "alpha [[p1]] [[]] beta", "[[]]\u3000[[]]"):
+            with pytest.raises(CorpusFormatError) as expected:
+                resolve_tokens(model, text)
+            with pytest.raises(CorpusFormatError) as got:
+                resolve_text(model, text)
+            assert (str(got.value), got.value.line_number) == (
+                str(expected.value), expected.value.line_number)
 
 
 class TestRecommend:
