@@ -194,6 +194,13 @@ def _cmd_evaluate(args, out) -> int:
     model = load_model(Path(args.model))
     corpus = parse_corpus(Path(args.corpus))
     split = _split_corpus(corpus, model.config.window, args)
+    if not split.train_vocab.same_bindings(model.vocab):
+        # a split that holds out other docs numbers the vocabulary another way,
+        # and the model was trained on some of its held-out citations
+        raise CitevecError(
+            "the split does not reproduce the model's training vocabulary: pass the "
+            "--test-fraction or --test-ids and the --split-seed the model was trained with"
+        )
     report = evaluate(
         model, split.ground_truth,
         case=args.case, k=args.k, keep_prob=args.keep_prob, seed=args.seed,

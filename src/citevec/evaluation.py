@@ -8,13 +8,14 @@ citation, MAP is the mean reciprocal rank within the cutoff (MRR@k).
 
 Only the documents cited in training are candidates, as in ``rank_i4o``;
 a held-out citation of any other document is a miss.  The queries are
-scored ``EVAL_BATCH`` at a time: the cited rows of the output matrix are
-gathered ``BLOCK_ROWS`` at a time into one buffer, a block of query vectors
-is multiplied by each, and the block's score rows go through one call of
-the top-k that ``rank_i4o`` uses (``recommend._top_k``); the metrics come
-from the target's place in its row.  Every product has one shape,
-``EVAL_BATCH`` queries by ``BLOCK_ROWS`` documents: the last block of
-queries and the last gathered documents are padded with zero rows.  BLAS
+scored ``EVAL_BATCH`` at a time: a block of query vectors is multiplied by
+each ``BLOCK_ROWS`` slice of the cited panel that ``rank_i4o`` uses
+(``recommend._cited_panel``, built once per loaded model), and the block's
+score rows go through one call of the top-k that ``rank_i4o`` uses
+(``recommend._top_k``); the metrics come from the target's place in its
+row.  Every product has one shape, ``EVAL_BATCH`` queries by
+``BLOCK_ROWS`` documents: the last block of queries and the last slice of
+the panel are padded with zero rows.  BLAS
 can round a row differently when the shape changes, but at one shape a
 query's scores are the same bits in whatever block and row it lands, and a
 document's in whatever column.  They can differ in the last bits from the
@@ -44,7 +45,7 @@ from .model import Model
 # build_query_vector and rank_i4o are not called here; bench/tracing.py
 # looks them up in this module
 from .recommend import (  # noqa: F401
-    BLOCK_ROWS, CASES, Query, _cited_docs, _top_k, build_query_vector, rank_i4o)
+    BLOCK_ROWS, CASES, Query, _cited_panel, _top_k, build_query_vector, rank_i4o)
 
 __all__ = [
     "GroundTruth",
@@ -154,24 +155,33 @@ def _relation_seed(seed: int, relation: CitationRelation) -> int:
     return (zlib.crc32(canon.encode("utf-8")) + seed) & 0xFFFFFFFF
 
 
-def _score_block(doc_out: np.ndarray, rows: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``block @ doc_out[rows].T`` into ``out``: column j holds the scores of
-    document ``rows[j]``.
+def _panel_slices(panel: np.ndarray, n: int) -> list[np.ndarray]:
+    """The first n rows of ``panel``, ``BLOCK_ROWS`` rows a slice; only the
+    last slice, when it is shorter, is copied, into a buffer that zero rows
+    pad to ``BLOCK_ROWS``.  Every product of ``_score_block`` then has one
+    shape."""
+    slices = [panel[start : start + BLOCK_ROWS] for start in range(0, n, BLOCK_ROWS)]
+    if slices and slices[-1].shape[0] < BLOCK_ROWS:
+        last = np.zeros((BLOCK_ROWS, panel.shape[1]))
+        last[: slices[-1].shape[0]] = slices[-1]
+        slices[-1] = last
+    return slices
 
-    The rows are gathered ``BLOCK_ROWS`` at a time into one buffer, zero
-    rows padding the last of them, and each buffer takes one product.
-    Every product then has one shape, and at one shape a row's scores come
-    out in the same bits whatever the other rows of ``block`` hold and
-    wherever it sits.  BLAS rounds the documents past the last full tile of
-    its kernel in ways that depend on the rows around them, so the padding
+
+def _score_block(slices: list[np.ndarray], block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``block @ panel[:n].T`` into ``out``, n being its column count and
+    ``slices`` the panel's ``_panel_slices``: one product per slice.
+
+    Every product has one shape, and at one shape a row's scores come out
+    in the same bits whatever the other rows of ``block`` hold and wherever
+    it sits.  BLAS rounds the documents past the last full tile of its
+    kernel in ways that depend on the rows around them, so the padding
     matters.
     """
-    gathered = np.empty((BLOCK_ROWS, doc_out.shape[1]))
-    for start in range(0, rows.size, BLOCK_ROWS):
-        n = min(BLOCK_ROWS, rows.size - start)
-        np.take(doc_out, rows[start : start + n], axis=0, out=gathered[:n], mode="clip")
-        gathered[n:] = 0.0
-        out[:, start : start + n] = (block @ gathered.T)[:, :n]
+    n = out.shape[1]
+    for start, docs in zip(range(0, n, BLOCK_ROWS), slices):
+        stop = min(start + BLOCK_ROWS, n)
+        out[:, start:stop] = (block @ docs.T)[:, : stop - start]
     return out
 
 
@@ -272,8 +282,11 @@ def evaluate(
     counts as a miss rather than an error; ``n_empty_queries`` says how many.
 
     The query vectors are pooled first (``_pool_queries``), then scored in
-    blocks of ``EVAL_BATCH`` (``_score_block``), the last block padded with
-    zero rows; the scores take ``EVAL_BATCH`` × n_cited floats.  One
+    blocks of ``EVAL_BATCH`` against the slices of the cited panel
+    (``_score_block``), the last block padded with zero rows; the scores
+    take ``EVAL_BATCH`` × n_cited floats.  A loaded model builds the panel
+    once, and ``rank_i4o`` shares it; any other model gathers it on every
+    call.  One
     ``_top_k`` call ranks each block, and the metrics come from the
     target's place in its row: recall 1, AP 1/rank and nDCG
     1/log2(rank + 1) for a hit within k, the same floats as
@@ -284,20 +297,20 @@ def evaluate(
     if not ground_truth:
         raise ConfigError("ground truth is empty")
     usable, queries, targets, excluded = _pool_queries(model, ground_truth, case, keep_prob, seed)
-    doc_out = model.matrices.doc_out
-    cited = _cited_docs(model)
+    cited, panel = _cited_panel(model)
     # a document's column among the candidates, -1 if it was never cited
     column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
     column[cited] = np.arange(cited.size)
     target_columns = column[targets]
-    block = np.empty((EVAL_BATCH, doc_out.shape[1]))
+    slices = _panel_slices(panel, cited.size)
+    block = np.empty((EVAL_BATCH, panel.shape[1]))
     scores = np.empty((EVAL_BATCH, cited.size))
     ranks: list[int] = []  # 1-based, of each target found within k
     for start in range(0, usable.size, EVAL_BATCH):
         stop = min(start + EVAL_BATCH, usable.size)
         block[: stop - start] = queries[start:stop]
         block[stop - start :] = 0.0
-        _score_block(doc_out, cited, block, scores)
+        _score_block(slices, block, scores)
         banned = [c[c >= 0] for c in (column[e] for e in excluded[start:stop])]
         ranked, counts = _top_k(scores[: stop - start], k, model.vocab.doc_list, cited, banned)
         place = np.arange(ranked.size) - np.repeat(np.cumsum(counts) - counts, counts)

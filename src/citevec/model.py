@@ -10,7 +10,10 @@ The attention variant adds one learned score per document and word slot.
 A model persists as one binary file (format version 3) whose matrix
 blocks start at 64-byte offsets.  Saving streams the blocks to the sink,
 and loading reads the file into one aligned buffer that the loaded
-matrices view, so neither holds more than one copy of the file.
+matrices view, so neither holds more than one copy of the file.  A loaded
+model's arrays are read-only, so ranking can derive its query-independent
+arrays from them once (``Model._derived``); no other model's arrays are
+known not to change.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 import stat
 import struct
 import zlib
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -155,6 +158,25 @@ class Model:
     vocab: Vocabulary
     matrices: ModelMatrices
     trained_epochs: int = 0
+    # set by load_model: the read-only arrays it returned, and a dict of what
+    # ranking derives from them (``_derived``)
+    _loaded: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _arrays(self) -> tuple[np.ndarray, ...]:
+        return (*self.matrices.arrays(), self.vocab.word_counts, self.vocab.doc_cited_counts)
+
+    def _derived(self) -> dict | None:
+        """Where ranking keeps the arrays it derives from this model, or None
+        when it must derive them per call.  Only a loaded model that still
+        holds the very arrays ``load_model`` returned has one: those can
+        never be written, so nothing kept can go stale.  A model trained in
+        memory, built by hand, copied, unpickled, or whose ``matrices`` or
+        ``vocab`` a caller replaced has none."""
+        if self._loaded is None:
+            return None
+        held, derived = self._loaded
+        ok = all(a is b and not a.flags.writeable for a, b in zip(held, self._arrays()))
+        return derived if ok else None
 
 
 def init_matrices(vocab: Vocabulary, config: EmbeddingConfig) -> ModelMatrices:
@@ -257,6 +279,12 @@ def _read_aligned(source) -> np.ndarray:
     return buf
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A 1-d view of ``values``' memory that NumPy refuses to make writable:
+    it views a read-only buffer, and so does every view taken of it."""
+    return np.frombuffer(memoryview(values).toreadonly(), values.dtype)
+
+
 class _Cursor:
     """Sequential reader over the aligned file buffer with overrun checks."""
 
@@ -276,11 +304,12 @@ class _Cursor:
         return struct.unpack_from(fmt, self.buf, self.skip(struct.calcsize(fmt)))
 
     def take(self, dtype: str, count: int) -> np.ndarray:
-        """``count`` values of a little-endian ``dtype``: a native-order
-        view into the buffer, copied only on a big-endian machine."""
+        """``count`` values of a little-endian ``dtype``: a native-order,
+        read-only view into the buffer, copied only on a big-endian machine."""
         size = np.dtype(dtype).itemsize
         start = self.skip(size * count)
-        return self.buf[start : start + size * count].view(dtype).astype(dtype[1:], copy=False)
+        values = self.buf[start : start + size * count].view(dtype)
+        return _read_only(values.astype(dtype[1:], copy=False))
 
     def take_strs(self, count: int) -> list[str]:
         """``count`` strings: their ``<u4`` UTF-8 byte lengths, then their
@@ -314,9 +343,14 @@ def load_model(source) -> Model:
 
     ``source`` is a path, bytes, or a binary file-like object.  The file is
     read once into one 64-byte-aligned buffer and its crc32 checked before
-    anything is parsed.  The five matrices are writable, C-contiguous,
-    aligned views into that buffer, not copies: while any one of them is
-    alive, the whole buffer is.
+    anything is parsed.  The five matrices are C-contiguous, aligned views
+    into that buffer, not copies: while any one of them is alive, the whole
+    buffer is.  Every array the model holds, the matrices and the
+    vocabulary's counts, is read-only, and NumPy refuses to make it writable
+    again: to edit a loaded model, assign ``model.matrices =
+    model.matrices.copy()``.  So ranking derives its query-independent
+    arrays from a loaded model once, on first use, and keeps them on the
+    model for as long as it holds these arrays (``Model._derived``).
 
     Raises ModelIOError on bad magic, unsupported version (files written
     before version 3 included), checksum mismatch, truncation, invalid
@@ -346,10 +380,11 @@ def load_model(source) -> Model:
     vocab = Vocabulary()
     vocab.word_list = cur.take_strs(n_words)
     vocab.word_ids = dict(zip(vocab.word_list, range(n_words)))
-    vocab.word_counts = cur.take("<i8", n_words).copy()
+    # the counts are copied out of the buffer, so that they are aligned
+    vocab.word_counts = _read_only(cur.take("<i8", n_words).copy())
     vocab.doc_list = cur.take_strs(n_docs)
     vocab.doc_ids = dict(zip(vocab.doc_list, range(n_docs)))
-    vocab.doc_cited_counts = cur.take("<i8", n_docs).copy()
+    vocab.doc_cited_counts = _read_only(cur.take("<i8", n_docs).copy())
     if len(vocab.word_ids) != n_words or len(vocab.doc_ids) != n_docs:
         raise ModelIOError("duplicate vocabulary entries in model file")
 
@@ -368,7 +403,9 @@ def load_model(source) -> Model:
         if getattr(matrices, name).shape != shape:
             raise ModelIOError(f"matrix {name} has shape "
                                f"{getattr(matrices, name).shape}, expected {shape}")
-    return Model(config=config, vocab=vocab, matrices=matrices, trained_epochs=trained_epochs)
+    model = Model(config=config, vocab=vocab, matrices=matrices, trained_epochs=trained_epochs)
+    model._loaded = (model._arrays(), {})
+    return model
 
 
 _EXPORTABLE = ("doc_in", "doc_out", "word_in")

@@ -18,8 +18,8 @@ the list is shorter than k.  rank_i4i ranks every document, since every
 input vector is trained.
 
 An i4o ranking over n cited documents costs one matrix-vector product per
-``BLOCK_ROWS`` of their rows, gathered into one buffer, then an O(n)
-partition of the score row at k plus its exclusion count, and a sort of the k or so candidates at or
+``BLOCK_ROWS`` of their rows, gathered into one panel (``_cited_panel``),
+then an O(n) partition of the score row at k plus its exclusion count, and a sort of the k or so candidates at or
 above that place; the tie rule is the same as a full sort's.  When many
 candidates tie at the place, a Python sort of their ids keeps the
 smallest, one sort for all the rows of a block.
@@ -37,6 +37,12 @@ the exact one (``_shortlist``).  Only the rows that could reach the top k by
 that margin, and the rows the bound does not cover, get the exact norm of
 ``np.linalg.norm``; their scores are the same bits as scoring every row,
 and no other row can outrank them.
+
+A loaded model's arrays are read-only, so the arrays that do not depend
+on the query are derived from it once, on first use, and kept on the
+model (``Model._derived``): the cited panel, n_cited × dim floats, and the
+squared norms of the input rows, n_docs floats.  Any other model derives
+them per call, the norms in the same pass as the dot products.
 """
 
 from __future__ import annotations
@@ -52,11 +58,11 @@ from .model import Model, infer_doc_vector
 
 CASES = (1, 2, 3)
 # rows of a document matrix per block, in rank_i4i's pass over the input
-# matrix and in the gathered products of rank_i4o and evaluate: a block
+# matrix and in the cited panel's products in rank_i4o and evaluate: a block
 # stays in cache
 BLOCK_ROWS = 1024
-# rank_i4o pads its last product to a multiple of this many rows, a multiple
-# of the tile of rows that BLAS's matrix-vector kernels take at once
+# the cited panel is padded to a multiple of this many rows, a multiple of
+# the tile of rows that BLAS's matrix-vector kernels take at once
 PAD_ROWS = 64
 # rank_i4i's error bound covers squared norms in this range: nothing in a
 # score overflows, and underflow costs far less than the margin (_shortlist)
@@ -224,10 +230,35 @@ def _rank_row(model: Model, scores: np.ndarray, k: int, rows: np.ndarray, banned
     )
 
 
-def _cited_docs(model: Model) -> np.ndarray:
-    """The indices of the documents cited in training, ascending: i4o's
-    candidates.  The output rows of the others never got a gradient."""
-    return np.flatnonzero(model.vocab.doc_cited_counts > 0)
+def _reused(model: Model, name: str, build):
+    """``build()``; on a model that keeps derived arrays
+    (``Model._derived``), the value its first call gave."""
+    derived = model._derived()
+    if derived is None:
+        return build()
+    if name not in derived:
+        derived[name] = build()
+    return derived[name]
+
+
+def _gather_panel(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``matrix[rows]`` in one buffer, zero rows padding it to a multiple
+    of ``PAD_ROWS``."""
+    panel = np.empty((-(-rows.size // PAD_ROWS) * PAD_ROWS, matrix.shape[1]))
+    np.take(matrix, rows, axis=0, out=panel[: rows.size], mode="clip")
+    panel[rows.size :] = 0.0
+    return panel
+
+
+def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray]:
+    """i4o's candidates: the indices of the documents cited in training,
+    ascending, and their output rows (``_gather_panel``).  The output rows
+    of the others never got a gradient.  Built once per loaded model
+    (``_reused``), per call for any other."""
+    def build():
+        rows = np.flatnonzero(model.vocab.doc_cited_counts > 0)
+        return rows, _gather_panel(model.matrices.doc_out, rows)
+    return _reused(model, "cited panel", build)
 
 
 def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) -> RecommendationList:
@@ -235,35 +266,35 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     with their output vectors.  With fewer than k such documents left
     after the exclusions, the list holds only those.
 
-    The cited rows are gathered ``BLOCK_ROWS`` at a time into one buffer,
-    and each block takes one matrix-vector product, the last one padded
-    with zero rows to a multiple of ``PAD_ROWS``.  BLAS takes the rows past
-    its kernel's last full tile of rows another way, and the padding keeps
-    every cited row out of that tail: on one BLAS thread, a score is the
-    same bits whichever documents are cited, and the same bits as in
-    ``doc_out @ query_vector`` for a row outside that product's tail
-    (every row, when the document count is a multiple of ``PAD_ROWS``).
+    Each ``BLOCK_ROWS`` slice of the cited panel (``_cited_panel``) takes
+    one matrix-vector product; the last slice ends in the panel's zero rows,
+    at a multiple of ``PAD_ROWS``.  BLAS takes the rows past its kernel's
+    last full tile of rows another way, and the padding keeps every cited
+    row out of that tail: on one BLAS thread, a score is the same bits
+    whichever documents are cited, and the same bits as in ``doc_out @
+    query_vector`` for a row outside that product's tail (every row, when
+    the document count is a multiple of ``PAD_ROWS``).  A loaded model
+    builds its panel on its first query; any other model gathers it on
+    every call.
     """
     _check_k(k)
-    doc_out = model.matrices.doc_out
     query = np.asarray(query_vector, dtype=np.float64)
-    rows = _cited_docs(model)
-    scores = np.empty(-(-rows.size // PAD_ROWS) * PAD_ROWS)
-    gathered = np.empty((min(scores.size, BLOCK_ROWS), doc_out.shape[1]))
-    for start in range(0, rows.size, BLOCK_ROWS):
-        block = rows[start : start + BLOCK_ROWS]
-        padded = min(scores.size - start, BLOCK_ROWS)
-        np.take(doc_out, block, axis=0, out=gathered[: block.size], mode="clip")
-        gathered[block.size : padded] = 0.0
-        np.matmul(gathered[:padded], query, out=scores[start : start + padded])
+    rows, panel = _cited_panel(model)
+    scores = np.empty(panel.shape[0])
+    for start in range(0, panel.shape[0], BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        np.matmul(panel[start:stop], query, out=scores[start:stop])
     scores = scores[: rows.size]
     return _rank_row(model, scores, k, rows, banned=_positions(rows, _banned(model, exclude)))
 
 
-def _dots_and_squares(doc_in: np.ndarray, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _dots_and_squares(
+    doc_in: np.ndarray, vector: np.ndarray, squares: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """``doc_in @ vector`` and the squared norms of the rows, both taken
     ``BLOCK_ROWS`` rows at a time: each block is read from memory once, and
-    its squares are summed while it is in cache.
+    its squares are summed while it is in cache.  Given the ``squares`` of
+    an earlier call, only the dot products are taken.
 
     A row's dot product is the same bits as in ``doc_in @ vector`` when
     BLAS takes it the same way in a block as in the whole product, as
@@ -273,11 +304,14 @@ def _dots_and_squares(doc_in: np.ndarray, vector: np.ndarray) -> tuple[np.ndarra
     from one taken over the whole product.
     """
     n_docs = doc_in.shape[0]
-    dots, squares = np.empty(n_docs), np.empty(n_docs)
+    dots, fresh = np.empty(n_docs), squares is None
+    if fresh:
+        squares = np.empty(n_docs)
     for start in range(0, n_docs, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         np.matmul(doc_in[rows], vector, out=dots[rows])
-        np.einsum("ij,ij->i", doc_in[rows], doc_in[rows], out=squares[rows])
+        if fresh:
+            np.einsum("ij,ij->i", doc_in[rows], doc_in[rows], out=squares[rows])
     return dots, squares
 
 
@@ -350,9 +384,11 @@ def rank_i4i(
     input vectors: dot / (row norm * query norm), with the dot products of
     ``_dots_and_squares`` and the norms of ``np.linalg.norm``.  Zero-norm
     rows score 0.  Only ``_shortlist``'s rows
-    are scored; the others cannot reach the top k.  Raises QueryError when
-    the inferred vector's norm is 0 or not finite, and ConfigError, before
-    any work, for a bad ``k``, ``steps`` or ``lr``."""
+    are scored; the others cannot reach the top k.  A loaded model keeps the
+    squared row norms of its first query's pass and later passes only take
+    dot products; any other model sums the squares on every call.  Raises
+    QueryError when the inferred vector's norm is 0 or not finite, and
+    ConfigError, before any work, for a bad ``k``, ``steps`` or ``lr``."""
     _check_k(k)
     inferred = infer_doc_vector(model, context_words, steps=steps, lr=lr)
     with np.errstate(over="ignore"):
@@ -362,8 +398,12 @@ def rank_i4i(
     doc_in = model.matrices.doc_in
     candidates = np.ones(doc_in.shape[0], dtype=bool)
     candidates[_banned(model, exclude)] = False
+    derived = model._derived()
+    squares = None if derived is None else derived.get("squares")
     with np.errstate(all="ignore"):  # non-finite scores are ranked, not warned about
-        dots, squares = _dots_and_squares(doc_in, inferred)
+        dots, squares = _dots_and_squares(doc_in, inferred, squares)
+        if derived is not None:
+            derived["squares"] = squares
         rows = _shortlist(dots, squares, query_norm, doc_in.shape[1], candidates, k)
         norms = np.linalg.norm(doc_in[rows], axis=1)
         scores = dots[rows] / (norms * query_norm)

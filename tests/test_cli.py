@@ -23,12 +23,12 @@ from citevec.recommend import CASES
 FIXTURE_TSV = Path(__file__).parent / "data" / "cli_fixture.tsv"
 
 # pinned regression flags for the checked-in corpus
-TRAIN_FLAGS = [
+MODEL_FLAGS = [
     "--dim", "8", "--window", "6", "--negative", "3", "--iterations", "10",
     "--learning-rate", "0.05", "--seed", "13",
-    "--test-fraction", "0.25", "--split-seed", "7",
 ]
 SPLIT_FLAGS = ["--test-fraction", "0.25", "--split-seed", "7"]
+TRAIN_FLAGS = MODEL_FLAGS + SPLIT_FLAGS
 
 
 def subcommand(name: str) -> dict[str, argparse.Action]:
@@ -315,13 +315,56 @@ class TestEvaluate:
         assert code == 1
         assert "--test-fraction" in stderr and "--test-ids" in stderr
 
-    def test_explicit_test_ids(self, trained, capsys):
-        code, stdout, _ = run(
-            capsys, "evaluate", trained, FIXTURE_TSV,
-            "--test-ids", "t0d0,t1d0", "--case", "1",
-        )
+    def test_explicit_test_ids(self, tmp_path, capsys):
+        split = ["--test-ids", "t0d0,t1d0"]
+        model = tmp_path / "ids.dcv"
+        assert run(capsys, "train", FIXTURE_TSV, model, *MODEL_FLAGS, *split)[0] == 0
+        code, stdout, _ = run(capsys, "evaluate", model, FIXTURE_TSV, *split, "--case", "1")
         assert code == 0
         assert "n=6" in stdout  # two held-out docs, three citations each
+
+    @pytest.mark.parametrize("split", [
+        ["--test-fraction", "0.25", "--split-seed", "8"],
+        ["--test-fraction", "0.25"],
+        ["--test-ids", "t0d0,t1d0"],
+    ])
+    def test_a_split_other_than_the_models_is_refused(self, trained, split, capsys):
+        code, stdout, stderr = run(capsys, "evaluate", trained, FIXTURE_TSV, *split)
+        assert code == 1 and stdout == ""
+        assert "training vocabulary" in stderr
+        for flag in ("--test-fraction", "--test-ids", "--split-seed"):
+            assert flag in stderr
+
+    def test_sub_clique_record_exact(self, tmp_path, capsys):
+        """Co-citation must pick the target among its topic's sub-cliques
+        here, so the record moves with the ranking.  Recorded at the first
+        verified run, the same on OpenBLAS's default and Haswell kernels
+        and on two BLAS threads."""
+        corpus, model = tmp_path / "sub.tsv", tmp_path / "sub.dcv"
+        split = ["--test-fraction", "0.2", "--split-seed", "1"]
+        assert run(capsys, "synth", corpus, "--n-topics", "6", "--docs-per-topic", "60",
+                   "--clique-size", "4", "--sub-cliques", "4", "--cites-per-doc", "3",
+                   "--distractor-rate", "0.15", "--seed", "1")[0] == 0
+        assert run(capsys, "train", corpus, model, "--dim", "16", "--window", "8",
+                   "--negative", "2", "--iterations", "40", "--retrofit-epochs", "1",
+                   "--learning-rate", "0.5", "--seed", "1", *split)[0] == 0
+        records = ""
+        for case in CASES:
+            code, stdout, _ = run(capsys, "evaluate", model, corpus, *split,
+                                  "--case", case, "--k", "5")
+            assert code == 0
+            records += stdout
+        assert records == (
+            "case=1 metric=recall value=0.7412280701754386 n=228\n"
+            "case=1 metric=map value=0.44166666666666665 n=228\n"
+            "case=1 metric=ndcg value=0.5167364303097229 n=228\n"
+            "case=2 metric=recall value=0.5701754385964912 n=228\n"
+            "case=2 metric=map value=0.31315789473684214 n=228\n"
+            "case=2 metric=ndcg value=0.37652782830778125 n=228\n"
+            "case=3 metric=recall value=0.2982456140350877 n=228\n"
+            "case=3 metric=map value=0.147953216374269 n=228\n"
+            "case=3 metric=ndcg value=0.18497721525554037 n=228\n"
+        )
 
 
 @pytest.mark.parametrize("command", ["recommend", "evaluate"])

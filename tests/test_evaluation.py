@@ -21,6 +21,7 @@ from citevec.evaluation import (
     MetricReport,
     _pool_queries,
     _relation_seed,
+    _panel_slices,
     _score_block,
     ablation_report,
     average_precision,
@@ -30,7 +31,7 @@ from citevec.evaluation import (
     recall_at_k,
 )
 from citevec.model import EmbeddingConfig, init_model
-from citevec.recommend import BLOCK_ROWS, Query, build_query_vector, rank_i4o
+from citevec.recommend import BLOCK_ROWS, Query, _gather_panel, build_query_vector, rank_i4o
 
 from test_recommend import make_vocab, oracle_rank, shuffled_id_model
 
@@ -155,6 +156,11 @@ class TestMetricProperties:
             assert average_precision(head + tail, relevant, 10) == base
 
 
+def score_block(doc_out, rows, block, out):
+    """``_score_block`` over the panel of ``doc_out[rows]``."""
+    return _score_block(_panel_slices(_gather_panel(doc_out, rows), rows.size), block, out)
+
+
 def oracle_evaluate(model, truth, case, k, keep_prob=0.5, seed=0):
     """evaluate() by full sorts over the documents cited in training and the
     plain metric definitions.  The score rows come from the same blocked
@@ -179,7 +185,7 @@ def oracle_evaluate(model, truth, case, k, keep_prob=0.5, seed=0):
         block = np.zeros((EVAL_BATCH, doc_out.shape[1]))
         chunk = vectors[start : start + EVAL_BATCH]
         block[: len(chunk)] = chunk
-        rows = _score_block(doc_out, every, block, np.empty((EVAL_BATCH, doc_out.shape[0])))
+        rows = score_block(doc_out, every, block, np.empty((EVAL_BATCH, doc_out.shape[0])))
         for r, row in zip(usable[start : start + EVAL_BATCH], rows):
             exclude = never_cited | {doc_list[d] for d in r.structural}
             if r.source is not None:
@@ -235,11 +241,11 @@ class TestBlockedScoring:
         doc_out = rng.integers(-3, 4, size=(n_docs, dim)).astype(float)
         block = rng.integers(-3, 4, size=(EVAL_BATCH, dim)).astype(float)
         every = np.arange(n_docs)
-        out = _score_block(doc_out, every, block, np.empty((EVAL_BATCH, n_docs)))
+        out = score_block(doc_out, every, block, np.empty((EVAL_BATCH, n_docs)))
         assert np.array_equal(out, block @ doc_out.T)
         for size in (0, 5, BLOCK_ROWS, BLOCK_ROWS + 5):
             rows = np.sort(rng.choice(n_docs, size=size, replace=False))
-            out = _score_block(doc_out, rows, block, np.empty((EVAL_BATCH, size)))
+            out = score_block(doc_out, rows, block, np.empty((EVAL_BATCH, size)))
             assert np.array_equal(out, block @ doc_out[rows].T)
 
     @pytest.mark.parametrize("n_docs, dim", [(300, 16), (1250, 100), (2 * BLOCK_ROWS + 37, 100)])
@@ -253,17 +259,17 @@ class TestBlockedScoring:
         alone = np.zeros((EVAL_BATCH, dim))
         alone[0] = query
         every = np.arange(n_docs)
-        expected = _score_block(doc_out, every, alone, np.empty((EVAL_BATCH, n_docs)))[0]
+        expected = score_block(doc_out, every, alone, np.empty((EVAL_BATCH, n_docs)))[0]
         for trial in range(8):
             block = others[rng.choice(others.shape[0], size=EVAL_BATCH, replace=False)]
             block[int(rng.integers(1, EVAL_BATCH + 1)) :] = 0.0  # a padded last block
             row = int(rng.integers(EVAL_BATCH))
             block[row] = query
-            got = _score_block(doc_out, every, block, np.empty((EVAL_BATCH, n_docs)))[row]
+            got = score_block(doc_out, every, block, np.empty((EVAL_BATCH, n_docs)))[row]
             assert np.array_equal(got, expected), f"trial {trial}"
             # a document's score does not depend on where it is gathered
             rows = np.sort(rng.choice(n_docs, size=int(rng.integers(1, n_docs + 1)), replace=False))
-            got = _score_block(doc_out, rows, block, np.empty((EVAL_BATCH, rows.size)))[row]
+            got = score_block(doc_out, rows, block, np.empty((EVAL_BATCH, rows.size)))[row]
             assert np.array_equal(got, expected[rows]), f"trial {trial}"
 
     @pytest.mark.parametrize("case", [1, 2, 3])

@@ -314,7 +314,9 @@ class TestFormatV3:
                 load_model(with_fresh_crc(damaged))
 
     @pytest.mark.parametrize("kind", ["path", "bytes", "file"])
-    def test_loaded_matrices_are_aligned_writable_views(self, kind, tmp_path):
+    def test_loaded_matrices_are_aligned_read_only_views(self, kind, tmp_path):
+        """Ranking keeps arrays derived from a loaded model, so nothing may
+        write into one: not even after a try to make an array writable."""
         model = tiny_model(dim=5)
         path = tmp_path / "m.dcv"
         save_model(model, path)
@@ -322,11 +324,18 @@ class TestFormatV3:
         loaded = load_model(source[kind])
         for arr in loaded.matrices.arrays():
             assert arr.ctypes.data % 64 == 0
-            assert arr.flags.writeable and arr.flags.c_contiguous
+            assert arr.flags.c_contiguous and not arr.flags.writeable
             assert arr.dtype == np.float64
-        loaded.matrices.doc_in += 1.0
-        assert np.array_equal(loaded.matrices.doc_in, model.matrices.doc_in + 1.0)
-        assert np.array_equal(loaded.matrices.doc_out, model.matrices.doc_out)
+        with pytest.raises(ValueError):
+            loaded.matrices.doc_in += 1.0
+        for arr in (*loaded.matrices.arrays(), loaded.vocab.word_counts,
+                    loaded.vocab.doc_cited_counts):
+            with pytest.raises(ValueError):
+                arr.flags.writeable = True
+        assert loaded.matrices.fingerprint() == model.matrices.fingerprint()
+        edited = loaded.matrices.copy()  # the way to edit a loaded model
+        edited.doc_in += 1.0
+        assert np.array_equal(edited.doc_in, model.matrices.doc_in + 1.0)
 
     def test_a_path_without_a_size_is_read_to_its_end(self):
         model = tiny_model(dim=5)

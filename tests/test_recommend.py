@@ -5,7 +5,9 @@ formula and then rank with an ordinary full sort, so any deviation in
 selection, tie-breaking, or exclusion shows up as an exact mismatch.
 """
 
+import copy
 import importlib
+import io
 import math
 import os
 import subprocess
@@ -15,9 +17,10 @@ import textwrap
 import numpy as np
 import pytest
 
-from citevec.corpus import Vocabulary, tokenize_text
+from citevec.corpus import CitationRelation, Vocabulary, tokenize_text
 from citevec.errors import ConfigError, CorpusFormatError, QueryError
-from citevec.model import EmbeddingConfig, infer_doc_vector, init_model
+from citevec.evaluation import evaluate
+from citevec.model import EmbeddingConfig, Model, infer_doc_vector, init_model, load_model, save_model
 from citevec.recommend import (
     BLOCK_ROWS,
     Query,
@@ -845,3 +848,121 @@ class TestCliqueRetrieval:
                 successes += 1
         # regression baseline from the first verified run: 20 of 20 trials
         assert successes >= 18
+
+
+def reloaded(model):
+    """``model`` saved and loaded again: its arrays are read-only, and
+    ranking keeps what it derives from them."""
+    sink = io.BytesIO()
+    save_model(model, sink)
+    return load_model(sink.getvalue())
+
+
+def writable(model):
+    """A model on writable copies of ``model``'s matrices: ranking derives
+    everything per call."""
+    return Model(model.config, model.vocab, model.matrices.copy(), model.trained_epochs)
+
+
+class TestLoadedModelReuse:
+    """A loaded model builds its cited panel and its squared row norms once
+    and ranks with them; any other model derives them on every call.  The
+    rankings are the same bits either way."""
+
+    def model(self, rng, n_docs, n_cited, dim=6, n_words=5):
+        model = shuffled_id_model(rng, n_docs, dim, n_words=n_words)
+        m = model.matrices
+        for matrix in (m.doc_in, m.doc_out, m.word_in, m.word_out):
+            matrix[:] = rng.normal(size=matrix.shape)
+        m.doc_out[rng.choice(n_docs, size=3, replace=False)] = [[np.nan], [np.inf], [-np.inf]]
+        m.doc_in[rng.choice(n_docs, size=4, replace=False)] = [[np.nan], [np.inf], [0.0], [1e300]]
+        counts = model.vocab.doc_cited_counts
+        counts[:] = 0
+        counts[rng.choice(n_docs, size=n_cited, replace=False)] = 1
+        return reloaded(model)
+
+    def rankings(self, model, rng):
+        """Bits of i4o, i4i and evaluate rankings for seeded queries."""
+        with np.errstate(all="ignore"):  # non-finite rows: inf - inf in a product
+            return self._rankings(model, rng)
+
+    def _rankings(self, model, rng):
+        n_docs, dim, n_words = model.vocab.n_docs, model.matrices.dim, model.vocab.n_words
+        doc_list = model.vocab.doc_list
+        out = []
+        for k in (1, 5, n_docs + 3):
+            exclude = {doc_list[d] for d in rng.choice(n_docs, size=3, replace=False)}
+            out.append(bits(rank_i4o(model, rng.normal(size=dim), exclude=exclude, k=k).ranked))
+            words = rng.integers(0, n_words, size=3).tolist()
+            out.append(bits(rank_i4i(model, words, exclude=exclude, k=k, steps=1).ranked))
+        truth = [CitationRelation(source=int(d[0]), target=int(d[1]), structural=frozenset(d[2:].tolist()),
+                                  context=tuple(rng.integers(0, n_words, size=2).tolist()))
+                 for d in (rng.choice(n_docs, size=4, replace=False) for _ in range(40))]
+        for case in (1, 2, 3):
+            report = evaluate(model, truth, case=case, k=5)
+            out.append((report.recall.hex(), report.mean_average_precision.hex(), report.ndcg.hex()))
+        return out
+
+    @pytest.mark.parametrize("n_docs, n_cited", [
+        (40, 0), (40, 3), (300, 150), (BLOCK_ROWS + 200, BLOCK_ROWS + 30)])
+    def test_a_loaded_model_ranks_like_its_writable_copy(self, n_docs, n_cited):
+        """No cited document, fewer than k, and panels of one and two
+        slices, the last partial; non-finite rows among them."""
+        loaded = self.model(np.random.default_rng(n_docs + n_cited), n_docs, n_cited)
+        memory = writable(loaded)
+        expected = self.rankings(memory, np.random.default_rng(5))
+        assert self.rankings(loaded, np.random.default_rng(5)) == expected  # builds
+        assert self.rankings(loaded, np.random.default_rng(5)) == expected  # reuses
+        assert loaded.vocab.n_docs == n_docs and memory._derived() is None
+
+    def test_a_loaded_model_reuses_what_it_derives(self, monkeypatch):
+        gathered, summed = [], []
+        real_gather, real_pass = recommend_module._gather_panel, recommend_module._dots_and_squares
+
+        def gather(*args):
+            gathered.append(1)
+            return real_gather(*args)
+
+        def one_pass(doc_in, vector, squares=None):
+            summed.append(squares is None)
+            return real_pass(doc_in, vector, squares)
+
+        monkeypatch.setattr(recommend_module, "_gather_panel", gather)
+        monkeypatch.setattr(recommend_module, "_dots_and_squares", one_pass)
+        loaded = self.model(np.random.default_rng(3), 300, 150)
+        rng = np.random.default_rng(4)
+        self.rankings(loaded, rng)
+        assert len(gathered) == 1 and summed == [True, False, False]
+        assert recommend_module._cited_panel(loaded)[1] is recommend_module._cited_panel(loaded)[1]
+        gathered.clear(), summed.clear()
+        self.rankings(writable(loaded), rng)
+        assert len(gathered) == 6 and summed == [True, True, True]  # 3 i4o, 3 evaluate
+
+    def test_copies_of_a_loaded_model_derive_per_call(self):
+        loaded = self.model(np.random.default_rng(6), 40, 10)
+        rank_i4o(loaded, np.ones(6))
+        assert loaded._derived()
+        for other in (copy.deepcopy(loaded), writable(loaded)):
+            assert other._derived() is None
+
+    def test_replaced_arrays_rank_as_the_new_arrays(self):
+        rng = np.random.default_rng(7)
+        loaded = self.model(rng, 300, 150)
+        before = self.rankings(loaded, np.random.default_rng(8))
+        original = loaded.matrices
+
+        loaded.matrices = loaded.matrices.copy()
+        loaded.matrices.doc_out[:] = rng.normal(size=loaded.matrices.doc_out.shape)
+        loaded.matrices.doc_in[:] = rng.normal(size=loaded.matrices.doc_in.shape)
+        changed = self.rankings(loaded, np.random.default_rng(8))
+        assert changed != before
+        assert changed == self.rankings(writable(loaded), np.random.default_rng(8))
+
+        loaded.matrices = original
+        assert self.rankings(loaded, np.random.default_rng(8)) == before
+
+        loaded.vocab = copy.copy(loaded.vocab)
+        loaded.vocab.doc_cited_counts = np.roll(loaded.vocab.doc_cited_counts, 1)
+        moved = self.rankings(loaded, np.random.default_rng(8))
+        assert moved != before
+        assert moved == self.rankings(writable(loaded), np.random.default_rng(8))
