@@ -390,6 +390,41 @@ def resolve_ground_truth(
     return entries, dropped
 
 
+def _relation_table(relations: list[CitationRelation], n_docs: int, n_words: int, sourced: bool):
+    """The ids of ``relations`` as flat arrays, in relation order: the
+    targets, which relations have a source, those sources, the context-word
+    counts, the context words, the structural-doc counts and the
+    structural docs, each relation's ascending.
+
+    Raises ConfigError naming the first relation with a target, source,
+    structural doc or context word outside [0, n_docs) or [0, n_words), or,
+    when ``sourced``, with a None source.
+    """
+    n = len(relations)
+    every = np.arange(n)
+    n_context = np.fromiter((len(r.context) for r in relations), np.intp, n)
+    n_structural = np.fromiter((len(r.structural) for r in relations), np.intp, n)
+    has_source = np.fromiter((r.source is not None for r in relations), bool, n)
+    targets = np.fromiter((r.target for r in relations), np.intp, n)
+    sources = np.fromiter((r.source for r in relations if r.source is not None), np.intp,
+                          np.count_nonzero(has_source))
+    words = np.fromiter(itertools.chain.from_iterable(r.context for r in relations), np.intp,
+                        n_context.sum())
+    docs = np.fromiter(itertools.chain.from_iterable(r.structural for r in relations), np.intp,
+                       n_structural.sum())
+    doc_owner = np.repeat(every, n_structural)
+    bad = np.concatenate([owner[(ids < 0) | (ids >= bound)] for ids, owner, bound in (
+        (targets, every, n_docs), (sources, every[has_source], n_docs),
+        (docs, doc_owner, n_docs), (words, np.repeat(every, n_context), n_words))])
+    if sourced:
+        bad = np.append(bad, every[~has_source])
+    if bad.size:
+        i = int(bad.min())
+        raise ConfigError(f"relation {i} names an id outside the vocabulary: {relations[i]}")
+    docs = docs[np.lexsort((docs, doc_owner))]
+    return targets, has_source, sources, n_context, words, n_structural, docs
+
+
 def split_train_test(
     docs: list[HyperDocument],
     window: int,

@@ -1,4 +1,4 @@
-"""Ranking metrics and the three-case evaluation protocol.
+"""The three-case evaluation protocol and its ranking metrics.
 
 Evaluation takes a list of held-out citations, pools the case-appropriate
 query of all of them at once, ranks documents by the in-for-out score (the
@@ -34,26 +34,22 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from itertools import chain
-from typing import Hashable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CitationRelation
+from .corpus import CitationRelation, _relation_table
 from .errors import ConfigError
 from .model import Model
 # build_query_vector and rank_i4o are not called here; bench/tracing.py
 # looks them up in this module
 from .recommend import (  # noqa: F401
-    BLOCK_ROWS, CASES, Query, _cited_panel, _top_k, build_query_vector, rank_i4o)
+    BLOCK_ROWS, CASES, Query, _check_k, _cited_panel, _top_k, build_query_vector, rank_i4o)
 
 __all__ = [
     "GroundTruth",
     "MetricReport",
     "AblationRow",
-    "recall_at_k",
-    "average_precision",
-    "ndcg_at_k",
     "evaluate",
     "ablation_report",
     "format_ablation",
@@ -66,55 +62,6 @@ _METRIC_NAMES = ("recall", "map", "ndcg")
 
 # query vectors per score product; every product has this many rows
 EVAL_BATCH = 32
-
-
-def _check_cutoff(k: int) -> None:
-    if k < 1:
-        raise ConfigError(f"k must be >= 1, got {k}")
-
-
-def _check_relevant(relevant: set) -> None:
-    if not relevant:
-        raise ConfigError("relevant set must be non-empty")
-
-
-def recall_at_k(ranked: Sequence[Hashable], relevant: set, k: int) -> float:
-    """Fraction of the relevant set found in the top k."""
-    _check_cutoff(k)
-    _check_relevant(relevant)
-    hits = sum(1 for item in ranked[:k] if item in relevant)
-    return hits / len(relevant)
-
-
-def average_precision(ranked: Sequence[Hashable], relevant: set, k: int) -> float:
-    """Precision at each relevant rank in the top k, over min(|relevant|, k).
-
-    With a single relevant item this reduces to reciprocal rank at k.
-    """
-    _check_cutoff(k)
-    _check_relevant(relevant)
-    precisions = []
-    hits = 0
-    for rank, item in enumerate(ranked[:k], start=1):
-        if item in relevant:
-            hits += 1
-            precisions.append(hits / rank)
-    return math.fsum(precisions) / min(len(relevant), k)
-
-
-def ndcg_at_k(ranked: Sequence[Hashable], relevant: set, k: int) -> float:
-    """Binary-relevance nDCG with a 1/log2(rank+1) discount."""
-    _check_cutoff(k)
-    _check_relevant(relevant)
-    gain = math.fsum(
-        1.0 / math.log2(rank + 1)
-        for rank, item in enumerate(ranked[:k], start=1)
-        if item in relevant
-    )
-    ideal = math.fsum(
-        1.0 / math.log2(rank + 1) for rank in range(1, min(len(relevant), k) + 1)
-    )
-    return gain / ideal
 
 
 @dataclass(frozen=True)
@@ -214,32 +161,14 @@ def _pool_queries(model: Model, relations: GroundTruth, case: int, keep_prob: fl
     Returns the indices of the usable relations (those with a participant),
     their query vectors and targets, and for each of them the documents to
     exclude: its structural docs and its source.  Raises ConfigError naming
-    the first relation with a target, source, structural doc or context
-    word outside the vocabulary.
+    the first relation with an id outside the vocabulary
+    (``corpus._relation_table``).
     """
-    n_docs, n_words = model.vocab.n_docs, model.vocab.n_words
+    targets, has_source, sources, n_context, words, n_structural, docs = _relation_table(
+        relations, model.vocab.n_docs, model.vocab.n_words, sourced=False)
     n = len(relations)
     every = np.arange(n)
-    n_context = np.fromiter((len(r.context) for r in relations), np.intp, n)
-    n_structural = np.fromiter((len(r.structural) for r in relations), np.intp, n)
-    has_source = np.fromiter((r.source is not None for r in relations), bool, n)
-    targets = np.fromiter((r.target for r in relations), np.intp, n)
-    sources = np.fromiter((r.source for r in relations if r.source is not None), np.intp,
-                          np.count_nonzero(has_source))
-    words = np.fromiter(chain.from_iterable(r.context for r in relations), np.intp,
-                        n_context.sum())
-    docs = np.fromiter(chain.from_iterable(r.structural for r in relations), np.intp,
-                       n_structural.sum())
-    word_owner, doc_owner = np.repeat(every, n_context), np.repeat(every, n_structural)
-    source_owner = every[has_source]
-    bad = np.concatenate([owner[(ids < 0) | (ids >= bound)] for ids, owner, bound in (
-        (targets, every, n_docs), (sources, source_owner, n_docs),
-        (docs, doc_owner, n_docs), (words, word_owner, n_words))])
-    if bad.size:
-        i = int(bad.min())
-        raise ConfigError(f"relation {i} names an id outside the vocabulary: {relations[i]}")
-    docs = docs[np.lexsort((docs, doc_owner))]
-
+    doc_owner, source_owner = np.repeat(every, n_structural), every[has_source]
     if case == 2:
         draws = np.empty(docs.size)
         ends = np.cumsum(n_structural)
@@ -289,11 +218,11 @@ def evaluate(
     call.  One
     ``_top_k`` call ranks each block, and the metrics come from the
     target's place in its row: recall 1, AP 1/rank and nDCG
-    1/log2(rank + 1) for a hit within k, the same floats as
-    ``recall_at_k``, ``average_precision`` and ``ndcg_at_k``.
+    1/log2(rank + 1) for a hit within k, 0 for a miss, which is what the
+    plain definitions give with one relevant item.
     """
     Query(case=case, context_words=(), keep_prob=keep_prob)  # rejects a bad case or keep_prob
-    _check_cutoff(k)
+    _check_k(k)
     if not ground_truth:
         raise ConfigError("ground truth is empty")
     usable, queries, targets, excluded = _pool_queries(model, ground_truth, case, keep_prob, seed)

@@ -19,10 +19,10 @@ input vector is trained.
 
 An i4o ranking over n cited documents costs one matrix-vector product per
 ``BLOCK_ROWS`` of their rows, gathered into one panel (``_cited_panel``),
-then an O(n) partition of the score row at k plus its exclusion count, and a sort of the k or so candidates at or
-above that place; the tie rule is the same as a full sort's.  When many
-candidates tie at the place, a Python sort of their ids keeps the
-smallest, one sort for all the rows of a block.
+then an O(n) partition of the score row at k plus its exclusion count, and a
+sort of the candidates at or above that place; the tie rule is the same as
+a full sort's.  Every candidate tied at the place is sorted too, so a row
+with many ties costs a sort of all of them.
 ``_top_k`` is the one top-k rule: rank_i4o sends it one score row,
 rank_i4i the scores of its shortlist, ``evaluate`` a block of rows from a
 matrix-matrix product over its queries, whose scores can differ from
@@ -146,25 +146,16 @@ def _top_k(
 
     Each row is partitioned once, at k plus its exclusion count: the
     entries at or above that place hold at least k that are not excluded,
-    so the result is a full sort's.  When more than that many remain
-    because they tie at the place, as equal output rows do, only the
-    smallest ids among the tied stay; when the place's key is NaN, every
-    entry is a candidate.  The ids tied in any row are ranked by
-    one Python sort of their union, and each such row keeps its smallest by
-    an ``np.argpartition`` of that rank; a lone such row sorts its own tied
-    ids, which costs less.  The candidates of all rows are then
-    sorted in one ``np.lexsort``, by row, score and the rank of their ids,
-    which one Python sort gives.
+    so the result is a full sort's.  Every such entry is a candidate, all
+    those tied at the place included; when the place's key is NaN, every
+    entry is.  The candidates of all rows are then sorted in one
+    ``np.lexsort``, by row, score and the rank of their ids, which one
+    Python sort gives.
     """
     _check_k(k)
     n_rows, n_docs = scores.shape
-
-    def doc_id(j):
-        return doc_list[columns[j]]
-
     keys = np.empty(n_docs)
     candidates = []
-    surplus = []  # (row index, candidates ahead of the place, those tied at it)
     for row, banned in zip(scores, exclude):
         place = k + len(banned)
         kth = math.nan
@@ -174,31 +165,11 @@ def _top_k(
             kth = -keys[place - 1]
         kept = np.ones(n_docs, dtype=bool) if math.isnan(kth) else row >= kth
         kept[banned] = False
-        found = kept.nonzero()[0]
-        if place < found.size:
-            tied = np.isnan(row[found]) if math.isnan(kth) else row[found] == kth
-            surplus.append((len(candidates), found[~tied], found[tied]))
-        candidates.append(found)
-    # the surplus ties at the place's score: keep the smallest ids
-    if len(surplus) == 1:
-        i, ahead, tied = surplus[0]
-        smallest = sorted(tied.tolist(), key=doc_id)[: max(k - ahead.size, 0)]
-        candidates[i] = np.concatenate((ahead, np.array(smallest, dtype=np.intp)))
-    elif surplus:
-        in_union = np.zeros(n_docs, dtype=bool)
-        for _, _, tied in surplus:
-            in_union[tied] = True
-        union = sorted(in_union.nonzero()[0].tolist(), key=doc_id)
-        tie_rank = np.empty(n_docs, dtype=np.intp)
-        tie_rank[union] = np.arange(len(union))
-        for i, ahead, tied in surplus:
-            places = max(k - ahead.size, 0)
-            picked = np.argpartition(tie_rank[tied], places - 1)[:places] if places else slice(0)
-            candidates[i] = np.concatenate((ahead, tied[picked]))
+        candidates.append(kept.nonzero()[0])
     counts = np.array([c.size for c in candidates], dtype=np.intp)
     rows = np.arange(n_rows).repeat(counts)
     docs = np.concatenate(candidates) if candidates else np.empty(0, dtype=np.intp)
-    by_id = sorted(set(docs.tolist()), key=doc_id)
+    by_id = sorted(set(docs.tolist()), key=lambda j: doc_list[columns[j]])
     id_rank = np.empty(n_docs, dtype=np.intp)
     id_rank[by_id] = np.arange(len(by_id))
     return docs[np.lexsort((id_rank[docs], -scores[rows, docs], rows))], counts

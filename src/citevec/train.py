@@ -32,14 +32,14 @@ differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse import csc_array, csr_array
 from scipy.special import expit
 
-from .corpus import CitationRelation, HyperDocument, Vocabulary, _layout, _word_windows
+from .corpus import (
+    CitationRelation, HyperDocument, Vocabulary, _layout, _relation_table, _word_windows)
 from .errors import CitevecError, ConfigError
 from .model import Model, ModelMatrices, init_matrices
 
@@ -157,34 +157,19 @@ def _content_examples(docs, vocab: Vocabulary, window: int) -> _Examples:
 def _citation_examples(
     relations: list[CitationRelation], n_docs: int, n_words: int, structural_context: bool
 ) -> _Examples:
-    """One example per relation: source, sorted structural docs, then the
-    context words predict the target.  Raises ConfigError naming the first
-    relation whose target, source, structural docs (when used) or context
-    words fall outside [0, n_docs) or [0, n_words)."""
-    n = len(relations)
-    n_structural = np.fromiter(
-        (len(r.structural) if structural_context else 0 for r in relations), np.intp, n)
-    n_context = np.fromiter((len(r.context) for r in relations), np.intp, n)
-    targets = np.fromiter((r.target for r in relations), np.intp, n)
-    sources = np.fromiter((-1 if r.source is None else r.source for r in relations), np.intp, n)
-    docs = np.fromiter(chain.from_iterable(r.structural for r in relations if structural_context),
-                       np.intp, n_structural.sum())
-    words = np.fromiter(chain.from_iterable(r.context for r in relations), np.intp,
-                        n_context.sum())
-    every = np.arange(n)
-    doc_owner, word_owner = np.repeat(every, n_structural), np.repeat(every, n_context)
-    bad = np.concatenate([owner[(ids < 0) | (ids >= bound)] for ids, owner, bound in (
-        (targets, every, n_docs), (sources, every, n_docs),
-        (docs, doc_owner, n_docs), (words, word_owner, n_words))])
-    if bad.size:
-        i = int(bad.min())
-        raise ConfigError(f"relation {i} names an id outside the vocabulary: {relations[i]}")
-
-    offsets = np.zeros(n + 1, dtype=np.intp)
+    """One example per relation: source, sorted structural docs (when
+    used), then the context words predict the target.  Raises ConfigError
+    naming the first relation with no source or with an id outside the
+    vocabulary (``corpus._relation_table``), unused structural docs too."""
+    targets, _, sources, n_context, words, n_structural, docs = _relation_table(
+        relations, n_docs, n_words, sourced=True)
+    if not structural_context:
+        n_structural, docs = 0 * n_structural, docs[:0]
+    offsets = np.zeros(len(relations) + 1, dtype=np.intp)
     np.cumsum(1 + n_structural + n_context, out=offsets[1:])
     slots = np.empty(offsets[-1], dtype=np.intp)
     slots[offsets[:-1]] = sources
-    slots[_runs(offsets[:-1] + 1, n_structural)] = docs[np.lexsort((docs, doc_owner))]
+    slots[_runs(offsets[:-1] + 1, n_structural)] = docs
     slots[_runs(offsets[1:] - n_context, n_context)] = n_docs + words
     return _Examples(targets, offsets, slots)
 

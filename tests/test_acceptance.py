@@ -10,7 +10,6 @@ differences of an independently written forward pass.
 
 import io
 import math
-import random
 import time
 from dataclasses import replace
 
@@ -25,7 +24,7 @@ from citevec.corpus import (
     parse_corpus,
     split_train_test,
 )
-from citevec.evaluation import average_precision, evaluate, ndcg_at_k, recall_at_k
+from citevec.evaluation import evaluate
 from citevec.model import EmbeddingConfig, init_model, load_model, save_model
 from citevec.recommend import rank_i4o, rank_i4i
 from citevec.train import NegativeSampler, train
@@ -33,8 +32,9 @@ from citevec.model import infer_doc_vector
 
 from conftest import FIXTURE_CONFIG, FIXTURE_SPEC
 from reference import backprop, hidden_att, hidden_avg
-from test_evaluation import oracle_average_precision, oracle_ndcg, oracle_recall
-from test_recommend import i4o_oracle, make_model, make_vocab, oracle_rank
+from test_evaluation import (
+    oracle_average_precision, oracle_evaluate, oracle_ndcg, oracle_recall, random_relations, uncite)
+from test_recommend import i4o_oracle, make_model, make_vocab, oracle_rank, shuffled_id_model
 from test_train import random_matrices, relative_error
 
 
@@ -249,28 +249,31 @@ class TestRankingOracles:
 
 class TestMetricOracles:
     def test_naive_reimplementation_and_hand_examples(self, capsys):
-        assert recall_at_k(["a", "b"], {"a"}, 10) == 1.0
-        assert recall_at_k(["a", "x", "y"], {"a", "b"}, 3) == 0.5
-        assert recall_at_k(["x"], {"a"}, 10) == 0.0
-        assert average_precision(["a", "x", "b"], {"a", "b"}, 10) == (1.0 + 2.0 / 3.0) / 2.0
-        assert average_precision(["a"], {"a"}, 10) == 1.0
-        assert average_precision(["x", "y"], {"a"}, 10) == 0.0
-        assert ndcg_at_k(["a", "x"], {"a"}, 10) == 1.0
-        assert ndcg_at_k(["x", "a"], {"a"}, 10) == 1.0 / math.log2(3)
-        assert ndcg_at_k(["a", "b"], {"a", "b"}, 10) == 1.0
+        assert oracle_recall(["a", "b"], {"a"}, 10) == 1.0
+        assert oracle_recall(["a", "x", "y"], {"a", "b"}, 3) == 0.5
+        assert oracle_recall(["x"], {"a"}, 10) == 0.0
+        assert oracle_average_precision(["a", "x", "b"], {"a", "b"}, 10) == (1.0 + 2.0 / 3.0) / 2.0
+        assert oracle_average_precision(["a"], {"a"}, 10) == 1.0
+        assert oracle_average_precision(["x", "y"], {"a"}, 10) == 0.0
+        assert oracle_ndcg(["a", "x"], {"a"}, 10) == 1.0
+        assert oracle_ndcg(["x", "a"], {"a"}, 10) == 1.0 / math.log2(3)
+        assert oracle_ndcg(["a", "b"], {"a", "b"}, 10) == 1.0
 
-        gen = random.Random(606)
-        ids = [f"d{i:03d}" for i in range(40)]
-        for _ in range(1000):
-            ranked = gen.sample(ids, gen.randint(1, 30))
-            relevant = set(gen.sample(ids, gen.randint(1, 6)))
-            k = gen.randint(1, 15)
-            assert recall_at_k(ranked, relevant, k) == oracle_recall(ranked, relevant, k)
-            assert average_precision(ranked, relevant, k) == oracle_average_precision(ranked, relevant, k)
-            assert ndcg_at_k(ranked, relevant, k) == oracle_ndcg(ranked, relevant, k)
+        # evaluate against full sorts and those definitions, on output rows
+        # with many ties and documents never cited; some targets rank first
+        rng = np.random.default_rng(606)
+        n_docs, dim, n_words = 24, 3, 12
+        model = shuffled_id_model(rng, n_docs=n_docs, dim=dim, n_words=n_words)
+        model.matrices.doc_out[:] = rng.integers(-1, 2, size=(n_docs, dim))
+        model.matrices.word_in[:] = rng.integers(-2, 3, size=(n_words, dim))
+        uncite(model, rng, 0.3)
+        truth = random_relations(rng, n_docs, n_words, n_usable=40, n_empty=3)
+        for case in (1, 2, 3):
+            for k in (1, 3, 10):
+                assert evaluate(model, truth, case=case, k=k) == oracle_evaluate(model, truth, case, k)
         announce(
             capsys, "metric oracles",
-            "hand examples exact; 1000 random lists equal the naive second implementation bitwise",
+            "hand examples exact; evaluate equals full sorts and the plain definitions bitwise",
         )
 
 

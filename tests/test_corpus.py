@@ -1,5 +1,6 @@
 """Corpus parsing, relation extraction, and synthetic generation tests."""
 
+import dataclasses
 import io
 import tracemalloc
 
@@ -21,6 +22,9 @@ from citevec.corpus import (
     tokenize_text,
 )
 from citevec.errors import CitevecError, ConfigError, CorpusFormatError
+from citevec.evaluation import evaluate
+from citevec.model import EmbeddingConfig, init_model
+from citevec.train import train
 
 
 def relation_strings(relations, vocab):
@@ -473,3 +477,38 @@ class TestResolveGroundTruth:
                 if g.source is not None:
                     assert g.source not in g.structural
                 assert len(g.context) <= 8
+
+
+class TestMalformedRelations:
+    """``train`` and ``evaluate`` check relations by one rule
+    (``corpus._relation_table``): the same list names the same first
+    relation, except that ``evaluate`` takes a None source, a citing
+    document the training vocabulary lacks.  Training checks structural
+    docs even when it does not use them."""
+
+    GOOD = CitationRelation(source=0, target=1, structural=frozenset({2}), context=(0, 1))
+
+    @pytest.mark.parametrize("structural_context", [True, False])
+    @pytest.mark.parametrize("change", [
+        {"target": -1}, {"target": 3},
+        {"source": -1}, {"source": 3}, {"source": None},
+        {"structural": frozenset({-1})}, {"structural": frozenset({3})},
+        {"context": (0, -1)}, {"context": (0, 3)},
+    ], ids=["target-negative", "target-n_docs", "source-negative", "source-n_docs", "source-None",
+            "structural-negative", "structural-n_docs", "word-negative", "word-n_words"])
+    def test_train_and_evaluate_name_the_same_relation(self, change, structural_context):
+        corpus = parse_corpus(b"d0\ta b [[d1]] [[d2]] c\nd1\tb c [[d2]] a\nd2\tc a b\n")
+        assert (corpus.vocab.n_docs, corpus.vocab.n_words) == (3, 3)
+        wrong = dataclasses.replace(self.GOOD, **change)
+        relations = [self.GOOD, wrong, self.GOOD, wrong]
+        config = EmbeddingConfig(dim=4, window=2, negative=2, iterations=1, retrofit_epochs=1,
+                                 seed=6, structural_context=structural_context)
+        with pytest.raises(ConfigError, match=r"^relation 1 names an id outside") as trained:
+            train(init_model(corpus.vocab, config), relations, corpus.docs)
+        model = init_model(corpus.vocab, config)
+        if change == {"source": None}:
+            assert evaluate(model, relations, case=1).n_relations == 4
+        else:
+            with pytest.raises(ConfigError) as evaluated:
+                evaluate(model, relations, case=1)
+            assert str(evaluated.value) == str(trained.value)
