@@ -6,18 +6,30 @@ form ``[[<doc-id>]]`` is a citation marker; every other whitespace-separated
 token is a word and is lowercased on ingest.  Doc ids referenced only as
 citation targets become placeholder documents with empty token streams, so
 they can still receive embedding vectors and be recommended.
+
+A parse walks the text once: it numbers each distinct raw token and keeps
+one int32 code per token, which a document's ``tokens`` view.  Every later
+step reads arrays: the vocabulary, the split and the relations come from
+the codes laid end to end (``_flat``, ``_layout``), and the relations are
+one ``relations.RelationTable`` of flat integer arrays that training and
+evaluation read directly.  Only hand-built documents are walked token by
+token.  ``CitationRelation`` and ``RelationTable`` (from ``relations``) and
+the synthetic generator (from ``synth``) are importable from here too.
 """
 
 from __future__ import annotations
 
 import io
-import itertools
 import os
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import CitevecError, ConfigError, CorpusFormatError
+from .relations import CitationRelation, RelationTable, _runs  # noqa: F401 (re-exported)
+from .synth import SyntheticSpec, generate_synthetic_corpus  # noqa: F401 (re-exported)
 
 WORD = "word"
 CITE = "cite"
@@ -43,7 +55,7 @@ class HyperDocument:
     """A document id plus its ordered stream of word and citation tokens."""
 
     id: str
-    tokens: list[Token]
+    tokens: Sequence[Token]  # a parsed document's is a read-only view of its parse
     # True for docs that only exist because something cited them.
     placeholder: bool = False
 
@@ -73,24 +85,6 @@ class Vocabulary:
 
     def same_bindings(self, other: "Vocabulary") -> bool:
         return self.word_list == other.word_list and self.doc_list == other.doc_list
-
-
-@dataclass(frozen=True, slots=True)
-class CitationRelation:
-    """One citation occurrence: a training example or a held-out citation.
-
-    ``source`` is the citing doc, ``target`` the cited doc, ``structural``
-    the other distinct citation targets of the same document (excluding both
-    source and target), and ``context`` the word indices within the window
-    around the citation position.  ``source`` is None for a held-out
-    citation whose citing document is unknown to the training vocabulary
-    (the usual case for fresh manuscripts).
-    """
-
-    source: int | None
-    target: int
-    structural: frozenset[int]
-    context: tuple[int, ...]
 
 
 @dataclass(slots=True)
@@ -124,7 +118,7 @@ class SplitResult:
     train_docs: list[HyperDocument]
     train_vocab: Vocabulary
     test_docs: list[HyperDocument]
-    ground_truth: list[CitationRelation]
+    ground_truth: RelationTable
     dropped_relations: int
     test_doc_ids: list[str]
 
@@ -151,51 +145,128 @@ def tokenize_text(text: str, line_number: int | None = None) -> list[Token]:
     return [_token(raw, line_number) for raw in text.split()]
 
 
-class _Tokens(dict):
-    """One parse's tokens by raw surface form, each made by ``_token`` on
-    first sight: every occurrence of a form shares one frozen Token.
-    ``line_number`` is the line being read, for the error of an empty
-    marker."""
+class _Parse(dict):
+    """One parse: its raw surface forms, numbered on first sight.  Form c
+    is a citation marker where ``cites[c]`` and names ``values[c]``, the
+    cited id or the lowercased word, by the token rule (``line_number`` is
+    the line being read, for the error of an empty marker).  Once the parse
+    ends, ``codes`` holds each token's form in corpus order."""
 
-    __slots__ = ("line_number",)
+    __slots__ = ("line_number", "values", "cites", "codes", "_forms")
 
-    def __missing__(self, raw: str) -> Token:
-        token = self[raw] = _token(raw, self.line_number)
-        return token
+    def __missing__(self, raw: str) -> int:
+        target = _cited_id(raw, self.line_number)
+        code = self[raw] = len(self.values)
+        self.values.append(raw.lower() if target is None else target)
+        self.cites.append(target is not None)
+        return code
+
+    @property
+    def forms(self) -> list[Token]:
+        """Each form's Token, made on first read: ``Deep`` and ``deep`` are
+        two forms with equal Tokens."""
+        if self._forms is None:
+            self._forms = [Token(CITE if cite else WORD, value)
+                           for cite, value in zip(self.cites, self.values)]
+        return self._forms
+
+
+class _TokenRun(Sequence):
+    """A parsed document's tokens, ``parse.codes[start:stop]``, read as the
+    list of the parse's Tokens, which it equals."""
+
+    __slots__ = ("parse", "start", "stop")
+
+    def __init__(self, parse: _Parse, start: int, stop: int):
+        self.parse, self.start, self.stop = parse, start, stop
+
+    def __len__(self) -> int:
+        return self.stop - self.start
+
+    def __getitem__(self, i):
+        codes = self.parse.codes[self.start : self.stop][i]
+        return self.parse.forms[codes] if codes.ndim == 0 else [self.parse.forms[c] for c in codes]
+
+    def __iter__(self):
+        return map(self.parse.forms.__getitem__, self.parse.codes[self.start : self.stop].tolist())
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class _Flat(NamedTuple):
+    """Documents' tokens end to end: token t is of form ``codes[t]`` and a
+    marker where ``cite[t]``; form c names ``values[c]``, a cited id where
+    ``cites[c]``; doc j's tokens are ``[offsets[j], offsets[j + 1])``."""
+
+    codes: np.ndarray
+    cite: np.ndarray
+    offsets: np.ndarray
+    values: list[str]
+    cites: list[bool]
+
+
+def _flat(docs: list[HyperDocument]) -> _Flat:
+    """``docs`` as a ``_Flat``, gathered from the parse's codes when every
+    document with tokens comes from one parse, else (hand-built documents)
+    by a walk of their Tokens."""
+    runs = [doc.tokens for doc in docs]
+    parse = next((run.parse for run in runs if isinstance(run, _TokenRun)), None)
+    if parse is not None and all(getattr(run, "parse", None) is parse or not run for run in runs):
+        starts, stops = (np.fromiter((getattr(run, end, 0) for run in runs), np.intp, len(runs))
+                         for end in ("start", "stop"))
+        lengths = stops - starts
+        codes, values, cites = parse.codes[_runs(starts, lengths)], parse.values, parse.cites
+    else:
+        index: dict[Token, int] = {}
+        lengths = np.fromiter(map(len, runs), np.intp, len(runs))
+        codes = np.fromiter((index.setdefault(t, len(index)) for run in runs for t in run),
+                            np.intp, lengths.sum())
+        values, cites = [t.value for t in index], [t.kind == CITE for t in index]
+    cite = np.array(cites, dtype=bool)[codes]
+    return _Flat(codes, cite, np.append(0, np.cumsum(lengths)), values, cites)
+
+
+def _first_seen(values: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values, all below ``size``, in the order of their first
+    appearance."""
+    first = np.full(size, values.size)
+    np.minimum.at(first, values, np.arange(values.size))
+    seen = np.flatnonzero(first < values.size)
+    return seen[np.argsort(first[seen])]
 
 
 def build_vocabulary(docs: list[HyperDocument]) -> Vocabulary:
-    """Index words and doc ids in first-appearance order, with counts."""
-    vocab = Vocabulary()
-    word_counts: list[int] = []
-    cited_counts: list[int] = []
-
-    def doc_slot(doc_id: str) -> int:
-        idx = vocab.doc_ids.get(doc_id)
-        if idx is None:
-            idx = len(vocab.doc_list)
-            vocab.doc_ids[doc_id] = idx
-            vocab.doc_list.append(doc_id)
-            cited_counts.append(0)
-        return idx
-
-    for doc in docs:
-        doc_slot(doc.id)
-        for token in doc.tokens:
-            if token.kind == CITE:
-                cited_counts[doc_slot(token.value)] += 1
-            else:
-                idx = vocab.word_ids.get(token.value)
-                if idx is None:
-                    idx = len(vocab.word_list)
-                    vocab.word_ids[token.value] = idx
-                    vocab.word_list.append(token.value)
-                    word_counts.append(0)
-                word_counts[idx] += 1
-
-    vocab.word_counts = np.array(word_counts, dtype=np.int64)
-    vocab.doc_cited_counts = np.array(cited_counts, dtype=np.int64)
-    return vocab
+    """Index words and doc ids in first-appearance order, with counts: a
+    document's id comes before the ids it cites."""
+    flat = _flat(docs)
+    words: dict[str, int] = {}
+    names: dict[str, int] = {}  # cited ids, then doc ids
+    key = np.array([(names if cite else words).setdefault(value, len(names if cite else words))
+                    for value, cite in zip(flat.values, flat.cites)], dtype=np.intp)
+    doc_names = np.array([names.setdefault(doc.id, len(names)) for doc in docs], dtype=np.intp)
+    word_keys = key[flat.codes[~flat.cite]]
+    word_order = _first_seen(word_keys, len(words))
+    # doc j's id is seen at time 2 * offsets[j], the marker at token t at 2 * t + 1
+    marks = np.flatnonzero(flat.cite)
+    cited = key[flat.codes[marks]]
+    times = np.concatenate((2 * flat.offsets[:-1], 2 * marks + 1))
+    doc_order = _first_seen(np.concatenate((doc_names, cited))[np.argsort(times, kind="stable")],
+                            len(names))
+    word_list, name_list = list(words), list(names)
+    word_list = [word_list[i] for i in word_order.tolist()]
+    doc_list = [name_list[i] for i in doc_order.tolist()]
+    return Vocabulary(
+        word_ids={w: i for i, w in enumerate(word_list)},
+        doc_ids={d: i for i, d in enumerate(doc_list)},
+        word_list=word_list,
+        doc_list=doc_list,
+        word_counts=np.bincount(word_keys, minlength=len(words))[word_order],
+        doc_cited_counts=np.bincount(cited, minlength=len(names))[doc_order],
+    )
 
 
 def complete_corpus(line_docs: list[HyperDocument]) -> tuple[list[HyperDocument], Vocabulary]:
@@ -214,8 +285,9 @@ def parse_corpus(source) -> Corpus:
 
     ``source`` may be bytes, a binary file object, or a filesystem path.
     Raises CorpusFormatError on malformed lines (carrying the line number)
-    and on duplicate doc ids.  Tokens are those of ``tokenize_text``, but
-    the occurrences of one surface form share one immutable Token.
+    and on duplicate doc ids.  Tokens are those of ``tokenize_text``; the
+    parse keeps one int32 code per token, naming its raw form, and one
+    immutable Token per form, which the documents' ``tokens`` yield.
     """
     data = _read_bytes(source)
     try:
@@ -225,7 +297,8 @@ def parse_corpus(source) -> Corpus:
 
     line_docs: list[HyperDocument] = []
     seen_line_ids: set[str] = set()
-    tokens = _Tokens()
+    parse, codes = _Parse(), []
+    parse.values, parse.cites, parse._forms = [], [], None
     for line_number, line in enumerate(text.split("\n"), start=1):
         line = line.rstrip("\r")
         if not line:
@@ -233,13 +306,16 @@ def parse_corpus(source) -> Corpus:
         if "\t" not in line:
             raise CorpusFormatError("missing TAB between doc id and text", line_number)
         doc_id, body = line.split("\t", 1)
-        if not doc_id or any(c.isspace() for c in doc_id):
+        if not doc_id or doc_id.split() != [doc_id]:  # a whitespace character
             raise CorpusFormatError(f"invalid doc id: {doc_id!r}", line_number)
         if doc_id in seen_line_ids:
             raise CorpusFormatError(f"duplicate doc id: {doc_id!r}", line_number)
         seen_line_ids.add(doc_id)
-        tokens.line_number = line_number
-        line_docs.append(HyperDocument(doc_id, list(map(tokens.__getitem__, body.split()))))
+        parse.line_number = line_number
+        start = len(codes)
+        codes += map(parse.__getitem__, body.split())
+        line_docs.append(HyperDocument(doc_id, _TokenRun(parse, start, len(codes))))
+    parse.codes = np.array(codes, dtype=np.int32)
 
     docs, vocab = complete_corpus(line_docs)
     n_citations = int(vocab.doc_cited_counts.sum())
@@ -268,25 +344,42 @@ def _read_bytes(source) -> bytes:
     raise TypeError(f"unsupported corpus source: {type(source)!r}")
 
 
-def _layout(docs: list[HyperDocument]) -> tuple[list[str], np.ndarray, list]:
-    """The docs laid end to end with their citation markers taken out.
+class _Layout(NamedTuple):
+    """Documents laid end to end with their citation markers taken out,
+    against a vocabulary: doc j's words are ``words[starts[j]:starts[j +
+    1]]`` and ``sources[j]`` is its id's index; per marker, in corpus order,
+    its doc, its gap (the position in ``words`` of the next word) and the
+    cited doc.  Ids are the vocabulary's, -1 for a name it lacks."""
 
-    Returns the words, the spans (doc j's words are ``words[starts[j]:
-    starts[j + 1]]``) and, per citation marker in corpus order, the doc
-    index, the gap the marker sits in (the position in ``words`` of the
-    next word) and the cited id.
-    """
-    words: list[str] = []
-    starts = [0]
-    markers: list[tuple[int, int, str]] = []
-    for j, doc in enumerate(docs):
-        for token in doc.tokens:
-            if token.kind == CITE:
-                markers.append((j, len(words), token.value))
-            else:
-                words.append(token.value)
-        starts.append(len(words))
-    return words, np.array(starts, dtype=np.intp), markers
+    words: np.ndarray
+    starts: np.ndarray
+    sources: np.ndarray
+    marker_docs: np.ndarray
+    gaps: np.ndarray
+    targets: np.ndarray
+    flat: _Flat
+
+    def name(self, cite: bool, i: int) -> str:
+        """The name of word i (``cite`` false) or of marker i's target."""
+        return self.flat.values[self.flat.codes[self.flat.cite == cite][i]]
+
+
+def _layout(docs: list[HyperDocument], vocab: Vocabulary) -> _Layout:
+    """The one walk of the documents' tokens, by arrays: their ``_Layout``."""
+    flat = _flat(docs)
+    ids = np.array([(vocab.doc_ids if cite else vocab.word_ids).get(value, -1)
+                    for value, cite in zip(flat.values, flat.cites)], dtype=np.intp)[flat.codes]
+    marks = np.flatnonzero(flat.cite)
+    markers_before = np.append(0, np.cumsum(flat.cite))
+    return _Layout(
+        words=ids[~flat.cite],
+        starts=flat.offsets - markers_before[flat.offsets],
+        sources=np.array([vocab.doc_ids.get(doc.id, -1) for doc in docs], dtype=np.intp),
+        marker_docs=np.searchsorted(flat.offsets, marks, side="right") - 1,
+        gaps=marks - np.arange(marks.size),
+        targets=ids[marks],
+        flat=flat,
+    )
 
 
 def _window_bounds(left, right, start, end, window: int):
@@ -323,55 +416,81 @@ def _word_windows(starts: np.ndarray, window: int) -> tuple[np.ndarray, np.ndarr
     return offsets, positions
 
 
-def _citations(docs: list[HyperDocument], vocab: Vocabulary, window: int):
-    """The citation walk: per citation marker, in corpus order, yields the
-    citing doc, the source and target ids, the structural ids (the known ids
-    the doc cites, less those two), the window's word ids, and the first
-    name ``vocab`` lacks of the doc's id, the ids it cites and the window
-    words, or None.  Names missing from ``vocab`` map to None.
+def _relations(docs: list[HyperDocument], vocab: Vocabulary, window: int):
+    """The citation walk, on the ``_Layout``: one relation per citation
+    marker whose target ``vocab`` knows, in corpus order, as a
+    ``RelationTable``.  The source is the citing doc, the structural docs
+    are the known ids the doc cites less the source and the target, and the
+    context is the window's words that ``vocab`` knows.
+
+    Also returns the count of markers left out and the first name that
+    ``vocab`` lacks and a marker needs, in corpus order, with its doc, or
+    None: the doc's id, an id it cites, or a word in the marker's window.
     """
     if window < 1:
         raise ConfigError(f"window must be >= 1, got {window}")
-    words, starts, markers = _layout(docs)
-    doc_ids, word_ids = vocab.doc_ids, vocab.word_ids
-    ids = [word_ids.get(w) for w in words]  # the vocabulary's own int objects
-    marker_docs, gaps = np.array([m[:2] for m in markers], dtype=np.intp).reshape(-1, 2).T
-    lo, hi = _window_bounds(gaps, gaps, starts[marker_docs], starts[marker_docs + 1], window)
-    bounds = zip(lo.tolist(), hi.tolist())
-    for j, run in itertools.groupby(markers, key=lambda m: m[0]):
-        run = list(run)
-        doc = docs[j]
-        source = doc_ids.get(doc.id)
-        cited = {target_id: doc_ids.get(target_id) for _, _, target_id in run}
-        known = {i for i in cited.values() if i is not None} - {source}
-        missing = doc.id if source is None else next(
-            (d for d, i in cited.items() if i is None), None)
-        for (_, _, target_id), (a, b) in zip(run, bounds):
-            target, context, name = cited[target_id], ids[a:b], missing
-            if name is None and None in context:
-                name = words[a + context.index(None)]
-            yield doc, source, target, frozenset(known - {target}), context, name
+    lay = _layout(docs, vocab)
+    doc_of = lay.marker_docs
+    lo, hi = _window_bounds(lay.gaps, lay.gaps, lay.starts[doc_of], lay.starts[doc_of + 1], window)
+    known = lay.words >= 0
+    rank = np.append(0, np.cumsum(known))  # the known words before each position
+    missing, found = None, lay.targets >= 0
+    lacks_target = np.zeros(len(docs), dtype=bool)
+    lacks_target[doc_of[~found]] = True
+    lacking = (lay.sources < 0)[doc_of] | lacks_target[doc_of] | (rank[hi] - rank[lo] < hi - lo)
+    if lacking.any():
+        i = int(lacking.argmax())
+        j = int(doc_of[i])
+        if lay.sources[j] < 0:
+            name = docs[j].id
+        elif lacks_target[j]:
+            name = lay.name(True, int(np.flatnonzero((doc_of == j) & ~found)[0]))
+        else:
+            name = lay.name(False, int(lo[i] + np.flatnonzero(~known[lo[i] : hi[i]])[0]))
+        missing = docs[j], name
+
+    # per doc, the known ids it cites less its own, ascending
+    n = max(vocab.n_docs, 1)
+    pair_docs, cited = np.divmod(np.unique(doc_of[found] * n + lay.targets[found]), n)
+    own = cited == lay.sources[pair_docs]
+    pair_docs, cited = pair_docs[~own], cited[~own]
+    doc_of, targets = doc_of[found], lay.targets[found]
+    lengths = np.bincount(pair_docs, minlength=len(docs))[doc_of]
+    members = cited[_runs(np.searchsorted(pair_docs, doc_of), lengths)]
+    other = members != np.repeat(targets, lengths)
+    n_structural = np.bincount(np.repeat(np.arange(targets.size), lengths)[other],
+                               minlength=targets.size)
+    table = RelationTable(
+        targets=targets.astype(np.int32),
+        sources=lay.sources[doc_of].astype(np.int32),
+        has_source=lay.sources[doc_of] >= 0,
+        structural_offsets=np.append(0, np.cumsum(n_structural)),
+        structural=members[other].astype(np.int32),
+        words=lay.words[known].astype(np.int32),
+        context_starts=rank[lo[found]],
+        context_stops=rank[hi[found]],
+    )
+    return table, int(found.size - targets.size), missing
 
 
 def extract_relations(
     docs: list[HyperDocument], vocab: Vocabulary, window: int
-) -> list[CitationRelation]:
+) -> RelationTable:
     """One citation relation per citation marker occurrence, in corpus order.
 
     Raises CitevecError when a citing doc, a cited doc or a context word is
     missing from ``vocab``.
     """
-    relations: list[CitationRelation] = []
-    for doc, source, target, structural, context, missing in _citations(docs, vocab, window):
-        if missing is not None:
-            raise CitevecError(f"{missing!r} in doc {doc.id!r} is not in the vocabulary")
-        relations.append(CitationRelation(source, target, structural, tuple(context)))
+    relations, _, missing = _relations(docs, vocab, window)
+    if missing is not None:
+        doc, name = missing
+        raise CitevecError(f"{name!r} in doc {doc.id!r} is not in the vocabulary")
     return relations
 
 
 def resolve_ground_truth(
     test_docs: list[HyperDocument], vocab: Vocabulary, window: int
-) -> tuple[list[CitationRelation], int]:
+) -> tuple[RelationTable, int]:
     """Express held-out citations against an existing (training) vocabulary.
 
     Relations whose target id is unknown to ``vocab`` are dropped and
@@ -379,50 +498,8 @@ def resolve_ground_truth(
     structural ids are dropped from the structural set.  ``source`` is None
     when the citing doc is unknown to ``vocab``.
     """
-    entries: list[CitationRelation] = []
-    dropped = 0
-    for _, source, target, structural, context, _ in _citations(test_docs, vocab, window):
-        if target is None:
-            dropped += 1
-            continue
-        context = tuple(w for w in context if w is not None)
-        entries.append(CitationRelation(source, target, structural, context))
-    return entries, dropped
-
-
-def _relation_table(relations: list[CitationRelation], n_docs: int, n_words: int, sourced: bool):
-    """The ids of ``relations`` as flat arrays, in relation order: the
-    targets, which relations have a source, those sources, the context-word
-    counts, the context words, the structural-doc counts and the
-    structural docs, each relation's ascending.
-
-    Raises ConfigError naming the first relation with a target, source,
-    structural doc or context word outside [0, n_docs) or [0, n_words), or,
-    when ``sourced``, with a None source.
-    """
-    n = len(relations)
-    every = np.arange(n)
-    n_context = np.fromiter((len(r.context) for r in relations), np.intp, n)
-    n_structural = np.fromiter((len(r.structural) for r in relations), np.intp, n)
-    has_source = np.fromiter((r.source is not None for r in relations), bool, n)
-    targets = np.fromiter((r.target for r in relations), np.intp, n)
-    sources = np.fromiter((r.source for r in relations if r.source is not None), np.intp,
-                          np.count_nonzero(has_source))
-    words = np.fromiter(itertools.chain.from_iterable(r.context for r in relations), np.intp,
-                        n_context.sum())
-    docs = np.fromiter(itertools.chain.from_iterable(r.structural for r in relations), np.intp,
-                       n_structural.sum())
-    doc_owner = np.repeat(every, n_structural)
-    bad = np.concatenate([owner[(ids < 0) | (ids >= bound)] for ids, owner, bound in (
-        (targets, every, n_docs), (sources, every[has_source], n_docs),
-        (docs, doc_owner, n_docs), (words, np.repeat(every, n_context), n_words))])
-    if sourced:
-        bad = np.append(bad, every[~has_source])
-    if bad.size:
-        i = int(bad.min())
-        raise ConfigError(f"relation {i} names an id outside the vocabulary: {relations[i]}")
-    docs = docs[np.lexsort((docs, doc_owner))]
-    return targets, has_source, sources, n_context, words, n_structural, docs
+    relations, dropped, _ = _relations(test_docs, vocab, window)
+    return relations, dropped
 
 
 def split_train_test(
@@ -454,7 +531,10 @@ def split_train_test(
     else:
         if not 0.0 < fraction < 1.0:
             raise ConfigError(f"test fraction must be in (0, 1), got {fraction}")
-        eligible = [d for d in line_docs if len(d.cite_targets()) >= _SPLIT_MIN_CITES]
+        flat = _flat(line_docs)
+        markers_before = np.cumsum(np.append(0, flat.cite))[flat.offsets]
+        eligible = [d for d, n in zip(line_docs, np.diff(markers_before).tolist())
+                    if n >= _SPLIT_MIN_CITES]
         n_test = int(round(fraction * len(eligible)))
         if n_test < 1 or n_test >= len(line_docs):
             raise CitevecError(
@@ -481,90 +561,3 @@ def split_train_test(
         dropped_relations=dropped,
         test_doc_ids=sorted(held_ids),
     )
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    """Parameters for the synthetic co-citation corpus generator.
-
-    Each topic gets ``sub_cliques`` cliques of ``clique_size`` cited papers
-    plus ``docs_per_topic`` citing documents.  A citing document picks one
-    clique of its topic and cites ``cites_per_doc`` of its members, in
-    random order (0, the default, cites them all); with probability
-    ``distractor_rate`` it also cites one paper of another topic.  Words
-    come from a per-topic vocabulary, except a ``noise_rate`` fraction
-    drawn from a global shared vocabulary, so words tell the topic apart
-    and only co-citation tells the cliques of a topic apart.  Paper ``j``
-    of a topic's clique ``s`` is ``t<topic>c<s * clique_size + j>``.
-    """
-
-    n_topics: int = 2
-    docs_per_topic: int = 16
-    clique_size: int = 4
-    vocab_per_topic: int = 30
-    noise_rate: float = 0.1
-    sub_cliques: int = 1
-    cites_per_doc: int = 0
-    distractor_rate: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("n_topics", "docs_per_topic", "clique_size", "vocab_per_topic",
-                     "sub_cliques"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 <= self.noise_rate < 1.0:
-            raise ConfigError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
-        if not 0 <= self.cites_per_doc <= self.clique_size:
-            raise ConfigError(
-                f"cites_per_doc must be in [0, clique_size], got {self.cites_per_doc}")
-        if not 0.0 <= self.distractor_rate <= 1.0:
-            raise ConfigError(f"distractor_rate must be in [0, 1], got {self.distractor_rate}")
-        if self.distractor_rate > 0.0 and self.n_topics < 2:
-            raise ConfigError("a distractor_rate above 0 needs at least 2 topics")
-
-
-def generate_synthetic_corpus(spec: SyntheticSpec) -> bytes:
-    """Emit a corpus with planted per-topic co-citation cliques.
-
-    Deterministic: the output is a pure function of ``spec`` including its
-    seed.  A draw that the spec makes pointless (the clique when a topic
-    has one, the distractor at rate 0) is not taken, so the defaults give
-    the corpus of a generator with one whole clique per topic.
-    """
-    rng = np.random.default_rng(spec.seed)
-    global_vocab = [f"g{m}" for m in range(spec.vocab_per_topic)]
-    per_topic = spec.sub_cliques * spec.clique_size
-    cites = spec.cites_per_doc or spec.clique_size
-    lines: list[str] = []
-
-    def draw_words(topic_vocab: list[str], count: int) -> list[str]:
-        words = []
-        for _ in range(count):
-            if spec.noise_rate > 0.0 and rng.random() < spec.noise_rate:
-                words.append(global_vocab[rng.integers(len(global_vocab))])
-            else:
-                words.append(topic_vocab[rng.integers(len(topic_vocab))])
-        return words
-
-    for topic in range(spec.n_topics):
-        topic_vocab = [f"w{topic}t{m}" for m in range(spec.vocab_per_topic)]
-        papers = [f"t{topic}c{j}" for j in range(per_topic)]
-        for doc_id in papers:
-            lines.append(doc_id + "\t" + " ".join(draw_words(topic_vocab, 10)))
-        for i in range(spec.docs_per_topic):
-            first = int(rng.integers(spec.sub_cliques)) * spec.clique_size if spec.sub_cliques > 1 else 0
-            order = rng.permutation(spec.clique_size)[:cites].tolist()
-            cited = [papers[first + j] for j in order]
-            if spec.distractor_rate > 0.0 and rng.random() < spec.distractor_rate:
-                other = int(rng.choice([t for t in range(spec.n_topics) if t != topic]))
-                cited.append(f"t{other}c{int(rng.integers(per_topic))}")
-                rng.shuffle(cited)
-            parts: list[str] = []
-            for doc_id in cited:
-                parts.extend(draw_words(topic_vocab, int(rng.integers(3, 7))))
-                parts.append(f"[[{doc_id}]]")
-            parts.extend(draw_words(topic_vocab, int(rng.integers(3, 7))))
-            lines.append(f"t{topic}d{i}\t" + " ".join(parts))
-
-    return ("\n".join(lines) + "\n").encode("utf-8")

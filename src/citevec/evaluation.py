@@ -1,7 +1,8 @@
 """The three-case evaluation protocol and its ranking metrics.
 
-Evaluation takes a list of held-out citations, pools the case-appropriate
-query of all of them at once, ranks documents by the in-for-out score (the
+Evaluation takes held-out citations, a ``relations.RelationTable`` or a list
+of CitationRelation, pools the case-appropriate query of all of them at
+once from the table's arrays, ranks documents by the in-for-out score (the
 dot product of the query with each output-side document vector), and
 averages recall, MAP, and nDCG at a cutoff.  With one relevant item per
 citation, MAP is the mean reciprocal rank within the cutoff (MRR@k).
@@ -13,15 +14,14 @@ each ``BLOCK_ROWS`` slice of the cited panel that ``rank_i4o`` uses
 (``recommend._cited_panel``, built once per loaded model), and the block's
 score rows go through one call of the top-k that ``rank_i4o`` uses
 (``recommend._top_k``); the metrics come from the target's place in its
-row.  Every product has one shape, ``EVAL_BATCH`` queries by
-``BLOCK_ROWS`` documents: the last block of queries and the last slice of
-the panel are padded with zero rows.  BLAS
-can round a row differently when the shape changes, but at one shape a
+row.  The last block of queries is padded with zero rows to
+``EVAL_BATCH``, and the panel with zero rows to a multiple of
+``PAD_ROWS``, so no document falls in the tail rows of a BLAS kernel: a
 query's scores are the same bits in whatever block and row it lands, and a
-document's in whatever column.  They can differ in the last bits from the
-matrix-vector product ``rank_i4o`` takes.  The scores of a block take
-``EVAL_BATCH`` × n_cited floats.  Python work per relation is left only in
-building the id arrays and in Case 2's seeded draw.
+document's in whatever column and slice.  They can differ in the last bits
+from the matrix-vector product ``rank_i4o`` takes.  The scores of a block
+take ``EVAL_BATCH`` × n_cited floats.  Python work per relation is left
+only in Case 2's seeded draw.
 
 Accumulation is order-insensitive: each relation's contribution depends
 only on the relation itself (Case 2 derives its thinning seed from the
@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .corpus import CitationRelation, _relation_table
+from .relations import CitationRelation, _relation_table
 from .errors import ConfigError
 from .model import Model
 # build_query_vector and rank_i4o are not called here; bench/tracing.py
@@ -102,33 +102,21 @@ def _relation_seed(seed: int, relation: CitationRelation) -> int:
     return (zlib.crc32(canon.encode("utf-8")) + seed) & 0xFFFFFFFF
 
 
-def _panel_slices(panel: np.ndarray, n: int) -> list[np.ndarray]:
-    """The first n rows of ``panel``, ``BLOCK_ROWS`` rows a slice; only the
-    last slice, when it is shorter, is copied, into a buffer that zero rows
-    pad to ``BLOCK_ROWS``.  Every product of ``_score_block`` then has one
-    shape."""
-    slices = [panel[start : start + BLOCK_ROWS] for start in range(0, n, BLOCK_ROWS)]
-    if slices and slices[-1].shape[0] < BLOCK_ROWS:
-        last = np.zeros((BLOCK_ROWS, panel.shape[1]))
-        last[: slices[-1].shape[0]] = slices[-1]
-        slices[-1] = last
-    return slices
-
-
-def _score_block(slices: list[np.ndarray], block: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _score_block(panel: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``block @ panel[:n].T`` into ``out``, n being its column count and
-    ``slices`` the panel's ``_panel_slices``: one product per slice.
+    ``panel`` zero-padded to a multiple of ``PAD_ROWS`` rows
+    (``recommend._gather_panel``): one product per ``BLOCK_ROWS`` slice.
 
-    Every product has one shape, and at one shape a row's scores come out
-    in the same bits whatever the other rows of ``block`` hold and wherever
-    it sits.  BLAS rounds the documents past the last full tile of its
-    kernel in ways that depend on the rows around them, so the padding
-    matters.
+    A row's scores come out in the same bits whatever the other rows of
+    ``block`` hold and wherever it sits, and a document's whatever slice it
+    lands in.  BLAS rounds the documents past the last full tile of its
+    kernel in ways that depend on the rows around them; the padding keeps
+    every document out of that tail.
     """
     n = out.shape[1]
-    for start, docs in zip(range(0, n, BLOCK_ROWS), slices):
+    for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
-        out[:, start:stop] = (block @ docs.T)[:, : stop - start]
+        out[:, start:stop] = (block @ panel[start : start + BLOCK_ROWS].T)[:, : stop - start]
     return out
 
 
@@ -159,10 +147,11 @@ def _pool_queries(model: Model, relations: GroundTruth, case: int, keep_prob: fl
     relations, to draw each one's thinning from its content-derived seed.
 
     Returns the indices of the usable relations (those with a participant),
-    their query vectors and targets, and for each of them the documents to
-    exclude: its structural docs and its source.  Raises ConfigError naming
-    the first relation with an id outside the vocabulary
-    (``corpus._relation_table``).
+    their query vectors and targets, the documents each relation excludes
+    (its structural docs, then its source) laid end to end, and ``bounds``:
+    relation i excludes ``excluded[bounds[i]:bounds[i + 1]]``.  Raises
+    ConfigError naming the first relation with an id outside the
+    vocabulary (``relations._relation_table``).
     """
     targets, has_source, sources, n_context, words, n_structural, docs = _relation_table(
         relations, model.vocab.n_docs, model.vocab.n_words, sourced=False)
@@ -171,10 +160,11 @@ def _pool_queries(model: Model, relations: GroundTruth, case: int, keep_prob: fl
     doc_owner, source_owner = np.repeat(every, n_structural), every[has_source]
     if case == 2:
         draws = np.empty(docs.size)
-        ends = np.cumsum(n_structural)
-        for i in np.flatnonzero(n_structural).tolist():
-            rng = np.random.default_rng(_relation_seed(seed, relations[i]))
-            draws[ends[i] - n_structural[i] : ends[i]] = rng.random(n_structural[i])
+        for relation, count, end in zip(relations, n_structural.tolist(),
+                                        np.cumsum(n_structural).tolist()):
+            if count:
+                rng = np.random.default_rng(_relation_seed(seed, relation))
+                draws[end - count : end] = rng.random(count)
         kept = draws < keep_prob
     else:
         kept = np.full(docs.size, case == 1)
@@ -188,10 +178,8 @@ def _pool_queries(model: Model, relations: GroundTruth, case: int, keep_prob: fl
 
     owner = np.concatenate((doc_owner, source_owner))
     order = np.argsort(owner, kind="stable")
-    by_owner = np.split(np.concatenate((docs, sources))[order],
-                        np.searchsorted(owner[order], every[1:]))
-    excluded = [by_owner[i] for i in usable.tolist()]
-    return usable, queries, targets[usable], excluded
+    bounds = np.searchsorted(owner[order], np.arange(n + 1))
+    return usable, queries, targets[usable], np.concatenate((docs, sources))[order], bounds
 
 
 def evaluate(
@@ -215,8 +203,7 @@ def evaluate(
     (``_score_block``), the last block padded with zero rows; the scores
     take ``EVAL_BATCH`` × n_cited floats.  A loaded model builds the panel
     once, and ``rank_i4o`` shares it; any other model gathers it on every
-    call.  One
-    ``_top_k`` call ranks each block, and the metrics come from the
+    call.  One ``_top_k`` call ranks each block, and the metrics come from the
     target's place in its row: recall 1, AP 1/rank and nDCG
     1/log2(rank + 1) for a hit within k, 0 for a miss, which is what the
     plain definitions give with one relevant item.
@@ -225,13 +212,19 @@ def evaluate(
     _check_k(k)
     if not ground_truth:
         raise ConfigError("ground truth is empty")
-    usable, queries, targets, excluded = _pool_queries(model, ground_truth, case, keep_prob, seed)
+    usable, queries, targets, excluded, bounds = _pool_queries(
+        model, ground_truth, case, keep_prob, seed)
     cited, panel = _cited_panel(model)
     # a document's column among the candidates, -1 if it was never cited
     column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
     column[cited] = np.arange(cited.size)
     target_columns = column[targets]
-    slices = _panel_slices(panel, cited.size)
+    # the columns each relation excludes, laid end to end
+    banned_columns = column[excluded]
+    candidate = banned_columns >= 0
+    ends = np.append(0, np.cumsum(candidate))[bounds]
+    banned_columns = banned_columns[candidate]
+    firsts, lasts = ends[usable].tolist(), ends[usable + 1].tolist()
     block = np.empty((EVAL_BATCH, panel.shape[1]))
     scores = np.empty((EVAL_BATCH, cited.size))
     ranks: list[int] = []  # 1-based, of each target found within k
@@ -239,8 +232,8 @@ def evaluate(
         stop = min(start + EVAL_BATCH, usable.size)
         block[: stop - start] = queries[start:stop]
         block[stop - start :] = 0.0
-        _score_block(slices, block, scores)
-        banned = [c[c >= 0] for c in (column[e] for e in excluded[start:stop])]
+        _score_block(panel, block, scores)
+        banned = [banned_columns[a:b] for a, b in zip(firsts[start:stop], lasts[start:stop])]
         ranked, counts = _top_k(scores[: stop - start], k, model.vocab.doc_list, cited, banned)
         place = np.arange(ranked.size) - np.repeat(np.cumsum(counts) - counts, counts)
         hit = (ranked == np.repeat(target_columns[start:stop], counts)) & (place < k)

@@ -179,6 +179,17 @@ class Model:
         return derived if ok else None
 
 
+def _reused(model: Model, name: str, build):
+    """``build()``; on a model that keeps derived arrays
+    (``Model._derived``), the value its first call gave."""
+    derived = model._derived()
+    if derived is None:
+        return build()
+    if name not in derived:
+        derived[name] = build()
+    return derived[name]
+
+
 def init_matrices(vocab: Vocabulary, config: EmbeddingConfig) -> ModelMatrices:
     """Fresh parameters: input vectors uniform in [-0.5/dim, 0.5/dim),
     output vectors and attention scores zero.  Deterministic per seed."""
@@ -449,13 +460,15 @@ def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | Non
     each over m_i and summed from zero in text order, plus vector / m_i;
     the training kernel's output half gives the batch's hidden gradients
     from one draw of noise words, and the vector moves by ``-(lr / m) @
-    hidden gradients``.  The model itself is never modified.
+    hidden gradients``.  The model itself is never modified.  A loaded model
+    builds its word-noise table once (``_reused``); every call draws from a
+    fresh generator, so it infers the same vector each time.
 
     Raises ConfigError, before any work, unless ``steps`` is an int (not a
     bool) of at least 1 and ``lr`` is None or finite and >= 0, and when the
     words are empty or out of range.
     """
-    from .train import BATCH, NegativeSampler, _ns_output  # avoids an import cycle
+    from .train import BATCH, NegativeSampler, _noise_table, _ns_output  # avoids an import cycle
 
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise ConfigError(f"steps must be an int, got {steps!r}")
@@ -472,7 +485,9 @@ def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | Non
         raise ConfigError("word index out of range")
 
     n, negative = words.size, model.config.negative
-    sampler = NegativeSampler(model.vocab.word_counts, seed=[model.config.seed, _RNG_INFER])
+    counts = model.vocab.word_counts
+    sampler = NegativeSampler(counts, seed=[model.config.seed, _RNG_INFER],
+                              cumulative=_reused(model, "word noise", lambda: _noise_table(counts)))
     offsets, positions = _word_windows(np.array([0, n]), model.config.window)
     m = np.diff(offsets) + 1  # the vector and the window words
     # the window words are frozen, so their share of each hidden row is fixed

@@ -54,7 +54,7 @@ import numpy as np
 
 from .corpus import _cited_id
 from .errors import ConfigError, QueryError
-from .model import Model, infer_doc_vector
+from .model import Model, _reused, infer_doc_vector
 
 CASES = (1, 2, 3)
 # rows of a document matrix per block, in rank_i4i's pass over the input
@@ -199,17 +199,6 @@ def _rank_row(model: Model, scores: np.ndarray, k: int, rows: np.ndarray, banned
     return RecommendationList(
         ranked=[(doc_list[rows[j]], float(scores[j])) for j in ranked[:k].tolist()], k=k
     )
-
-
-def _reused(model: Model, name: str, build):
-    """``build()``; on a model that keeps derived arrays
-    (``Model._derived``), the value its first call gave."""
-    derived = model._derived()
-    if derived is None:
-        return build()
-    if name not in derived:
-        derived[name] = build()
-    return derived[name]
 
 
 def _gather_panel(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:

@@ -9,7 +9,10 @@ documents.  The "avg" variant pools with a uniform mean, the "att" variant
 with softmax-normalized learned scores, one per document and word slot.
 
 Both steps turn their examples into flat integer tables once per call
-(``_Examples``) and run their epochs through one loop, ``_run_pass``,
+(``_Examples``), from the corpus's own arrays: the content pass from the
+documents' codes laid end to end (``corpus._layout``), the citation pass
+from a ``relations.RelationTable``, or from a list of CitationRelation
+flattened once.  They run their epochs through one loop, ``_run_pass``,
 which checks the parameters stay finite and reports each epoch as one
 ``TrainProgress``.  An epoch feeds the tables, ``BATCH`` examples at a
 time, to one negative-sampling kernel, ``_ns_batch``, pointed at the
@@ -31,6 +34,7 @@ differences.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,8 +42,8 @@ import numpy as np
 from scipy.sparse import csc_array, csr_array
 from scipy.special import expit
 
-from .corpus import (
-    CitationRelation, HyperDocument, Vocabulary, _layout, _relation_table, _word_windows)
+from .corpus import HyperDocument, Vocabulary, _layout, _word_windows
+from .relations import CitationRelation, _relation_table, _runs
 from .errors import CitevecError, ConfigError
 from .model import Model, ModelMatrices, init_matrices
 
@@ -56,27 +60,34 @@ _NOISE_POWER = 0.75
 BATCH = 128
 
 
+def _noise_table(counts) -> np.ndarray:
+    """The noise distribution over ``counts`` as cumulative probabilities:
+    item i's probability is count_i^0.75 over the sum of them all."""
+    counts = np.asarray(counts, dtype=np.float64)
+    if counts.ndim != 1 or counts.size == 0:
+        raise ConfigError("sampler needs a non-empty 1-D count array")
+    if (counts < 0).any():
+        raise ConfigError("sampler counts must be nonnegative")
+    weights = counts**_NOISE_POWER
+    total = weights.sum()
+    if not total > 0:
+        raise CitevecError("cannot build a noise distribution: all counts are zero")
+    cumulative = np.cumsum(weights / total)
+    cumulative[-1] = 1.0  # guard against cumulative rounding
+    return cumulative
+
+
 class NegativeSampler:
     """Draws noise indices with probability proportional to count^0.75.
 
     Zero-count items get zero mass.  Draws that collide with an excluded
     index are redrawn a bounded number of times and then dropped, so the
-    returned batch may be shorter than requested.
+    returned batch may be shorter than requested.  ``cumulative``, when
+    given, is the ``_noise_table(counts)`` a caller kept; it is only read.
     """
 
-    def __init__(self, counts, seed):
-        counts = np.asarray(counts, dtype=np.float64)
-        if counts.ndim != 1 or counts.size == 0:
-            raise ConfigError("sampler needs a non-empty 1-D count array")
-        if (counts < 0).any():
-            raise ConfigError("sampler counts must be nonnegative")
-        weights = counts**_NOISE_POWER
-        total = weights.sum()
-        if not total > 0:
-            raise CitevecError("cannot build a noise distribution: all counts are zero")
-        self.probabilities = weights / total
-        self.cumulative = np.cumsum(self.probabilities)
-        self.cumulative[-1] = 1.0  # guard against cumulative rounding
+    def __init__(self, counts, seed, cumulative=None):
+        self.cumulative = _noise_table(counts) if cumulative is None else cumulative
         self.rng = np.random.default_rng(seed)
 
     def _draw(self, n: int) -> np.ndarray:
@@ -129,38 +140,29 @@ class _Examples(NamedTuple):
                          self.slots[_runs(self.offsets[order], lengths)])
 
 
-def _runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The positions ``starts[i] + t`` for t below ``lengths[i]``, for every
-    i in turn, as one array."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())
-
-
 def _content_examples(docs, vocab: Vocabulary, window: int) -> _Examples:
     """One example per word occurrence, in corpus order: the document and
     the word's window words (``corpus._word_windows``) predict the word.
     Raises ConfigError naming the first word or doc id ``vocab`` lacks."""
-    names, starts, _ = _layout(docs)
-    words = np.array([vocab.word_ids.get(w, -1) for w in names], dtype=np.intp)
-    doc_rows = np.array([vocab.doc_ids.get(doc.id, -1) for doc in docs], dtype=np.intp)
-    if (doc_rows < 0).any():
-        raise ConfigError(f"doc id {docs[int(doc_rows.argmin())].id!r} is not in the vocabulary")
-    if (words < 0).any():
-        raise ConfigError(f"word {names[int(words.argmin())]!r} is not in the vocabulary")
-    offsets, positions = _word_windows(starts, window)
+    lay = _layout(docs, vocab)
+    if (lay.sources < 0).any():
+        raise ConfigError(f"doc id {docs[int(lay.sources.argmin())].id!r} is not in the vocabulary")
+    if (lay.words < 0).any():
+        raise ConfigError(f"word {lay.name(False, int(lay.words.argmin()))!r} is not in the vocabulary")
+    offsets, positions = _word_windows(lay.starts, window)
     # the document slot goes in front of each example's window words
-    slots = np.insert(vocab.n_docs + words[positions], offsets[:-1],
-                      np.repeat(doc_rows, np.diff(starts)))
-    return _Examples(words, offsets + np.arange(offsets.size), slots)
+    slots = np.insert(vocab.n_docs + lay.words[positions], offsets[:-1],
+                      np.repeat(lay.sources, np.diff(lay.starts)))
+    return _Examples(lay.words, offsets + np.arange(offsets.size), slots)
 
 
 def _citation_examples(
-    relations: list[CitationRelation], n_docs: int, n_words: int, structural_context: bool
+    relations: Sequence[CitationRelation], n_docs: int, n_words: int, structural_context: bool
 ) -> _Examples:
     """One example per relation: source, sorted structural docs (when
     used), then the context words predict the target.  Raises ConfigError
     naming the first relation with no source or with an id outside the
-    vocabulary (``corpus._relation_table``), unused structural docs too."""
+    vocabulary (``relations._relation_table``), unused structural docs too."""
     targets, _, sources, n_context, words, n_structural, docs = _relation_table(
         relations, n_docs, n_words, sourced=True)
     if not structural_context:
@@ -171,7 +173,7 @@ def _citation_examples(
     slots[offsets[:-1]] = sources
     slots[_runs(offsets[:-1] + 1, n_structural)] = docs
     slots[_runs(offsets[1:] - n_context, n_context)] = n_docs + words
-    return _Examples(targets, offsets, slots)
+    return _Examples(targets.astype(np.intp), offsets, slots)
 
 
 class _Entries(NamedTuple):
@@ -423,7 +425,7 @@ def retrofit_pvdm(
 
 def train(
     model: Model,
-    relations: list[CitationRelation],
+    relations: Sequence[CitationRelation],
     docs: list[HyperDocument],
     on_progress=None,
     on_content=None,
@@ -431,8 +433,10 @@ def train(
     """Run both learning steps in place; returns the model and the citation
     pass's progress.
 
-    Step two makes ``iterations`` shuffled passes over the relations with a
-    linearly decaying learning rate.  The relations' flat tables are built,
+    Step two makes ``iterations`` shuffled passes over the relations (a
+    ``relations.RelationTable``, as ``extract_relations`` returns, or a list of
+    CitationRelation) with a linearly decaying learning rate.  The
+    relations' flat tables are built,
     and checked against the vocabulary, before anything trains; each epoch
     gathers them in its shuffled order.  ``on_progress`` receives each
     citation epoch's ``TrainProgress``, ``on_content`` each content

@@ -18,18 +18,27 @@ reusing its code:
   words, and ``citation_examples_reference`` builds the citation pass's
   flat tables one relation at a time;
 - ``top_k_reference`` is the ranking's top k for one score row, over
-  every document or over the ones cited in training.
+  every document or over the ones cited in training;
+- ``vocabulary_reference``, ``citations_reference`` and the functions
+  built on them are the corpus walks, token by token and relation by
+  relation, that ``corpus`` replaced with flat tables: the vocabulary in
+  first-appearance order, the relations of each citation marker, the held
+  out citations, the statistics and the split.
 
 ``backprop`` runs the library kernel on a batch of one relation.
 """
 
 import heapq
 import importlib
+import itertools
 
 import numpy as np
 from scipy.special import expit
 
-from citevec.errors import ConfigError
+from citevec.corpus import (
+    _SPLIT_MIN_CITES, CITE, CitationRelation, CorpusStats, HyperDocument, Vocabulary,
+    _window_bounds)
+from citevec.errors import CitevecError, ConfigError
 from citevec.model import _RNG_INFER
 from citevec.train import NegativeSampler, _citation_examples, _ns_batch
 
@@ -326,3 +335,146 @@ def top_k_reference(doc_list, scores, excluded, k, cited=None):
         )
     by_id = np.asarray(sorted(selected, key=doc_list.__getitem__), dtype=np.intp)
     return by_id[np.argsort(-scores[by_id], kind="stable")].tolist()
+
+
+# -- corpus walks ------------------------------------------------------------
+
+def vocabulary_reference(docs) -> Vocabulary:
+    """Words and doc ids in first-appearance order, with counts: each doc's
+    id, then its tokens in order."""
+    vocab = Vocabulary()
+    word_counts: list[int] = []
+    cited_counts: list[int] = []
+
+    def doc_slot(doc_id: str) -> int:
+        idx = vocab.doc_ids.get(doc_id)
+        if idx is None:
+            idx = len(vocab.doc_list)
+            vocab.doc_ids[doc_id] = idx
+            vocab.doc_list.append(doc_id)
+            cited_counts.append(0)
+        return idx
+
+    for doc in docs:
+        doc_slot(doc.id)
+        for token in doc.tokens:
+            if token.kind == CITE:
+                cited_counts[doc_slot(token.value)] += 1
+            else:
+                idx = vocab.word_ids.get(token.value)
+                if idx is None:
+                    idx = len(vocab.word_list)
+                    vocab.word_ids[token.value] = idx
+                    vocab.word_list.append(token.value)
+                    word_counts.append(0)
+                word_counts[idx] += 1
+
+    vocab.word_counts = np.array(word_counts, dtype=np.int64)
+    vocab.doc_cited_counts = np.array(cited_counts, dtype=np.int64)
+    return vocab
+
+
+def complete_corpus_reference(line_docs):
+    vocab = vocabulary_reference(line_docs)
+    present = {doc.id for doc in line_docs}
+    placeholders = [HyperDocument(id=d, tokens=[], placeholder=True)
+                    for d in vocab.doc_list if d not in present]
+    return list(line_docs) + placeholders, vocab
+
+
+def stats_reference(docs, vocab) -> CorpusStats:
+    n_citations = int(vocab.doc_cited_counts.sum())
+    return CorpusStats(
+        n_docs=len(docs), n_words=int(vocab.word_counts.sum()), n_citations=n_citations,
+        n_relations=n_citations, n_empty_docs=sum(not doc.tokens for doc in docs),
+        mean_citations_per_doc=n_citations / max(len(docs), 1))
+
+
+def layout_reference(docs):
+    """The docs' words end to end, the spans, and per marker (doc, gap, id)."""
+    words: list[str] = []
+    starts = [0]
+    markers: list[tuple[int, int, str]] = []
+    for j, doc in enumerate(docs):
+        for token in doc.tokens:
+            if token.kind == CITE:
+                markers.append((j, len(words), token.value))
+            else:
+                words.append(token.value)
+        starts.append(len(words))
+    return words, np.array(starts, dtype=np.intp), markers
+
+
+def citations_reference(docs, vocab, window: int):
+    """Per citation marker, in corpus order: the citing doc, the source and
+    target ids, the structural ids (the known ids the doc cites, less those
+    two), the window's word ids, and the first name ``vocab`` lacks of the
+    doc's id, the ids it cites and the window words, or None."""
+    if window < 1:
+        raise ConfigError(f"window must be >= 1, got {window}")
+    words, starts, markers = layout_reference(docs)
+    ids = [vocab.word_ids.get(w) for w in words]
+    marker_docs, gaps = np.array([m[:2] for m in markers], dtype=np.intp).reshape(-1, 2).T
+    lo, hi = _window_bounds(gaps, gaps, starts[marker_docs], starts[marker_docs + 1], window)
+    bounds = zip(lo.tolist(), hi.tolist())
+    for j, run in itertools.groupby(markers, key=lambda m: m[0]):
+        run = list(run)
+        doc = docs[j]
+        source = vocab.doc_ids.get(doc.id)
+        cited = {target_id: vocab.doc_ids.get(target_id) for _, _, target_id in run}
+        known = {i for i in cited.values() if i is not None} - {source}
+        missing = doc.id if source is None else next(
+            (d for d, i in cited.items() if i is None), None)
+        for (_, _, target_id), (a, b) in zip(run, bounds):
+            target, context, name = cited[target_id], ids[a:b], missing
+            if name is None and None in context:
+                name = words[a + context.index(None)]
+            yield doc, source, target, frozenset(known - {target}), context, name
+
+
+def extract_relations_reference(docs, vocab, window: int) -> list[CitationRelation]:
+    relations = []
+    for doc, source, target, structural, context, missing in citations_reference(
+            docs, vocab, window):
+        if missing is not None:
+            raise CitevecError(f"{missing!r} in doc {doc.id!r} is not in the vocabulary")
+        relations.append(CitationRelation(source, target, structural, tuple(context)))
+    return relations
+
+
+def resolve_ground_truth_reference(test_docs, vocab, window: int):
+    entries, dropped = [], 0
+    for _, source, target, structural, context, _ in citations_reference(test_docs, vocab, window):
+        if target is None:
+            dropped += 1
+            continue
+        entries.append(CitationRelation(source, target, structural,
+                                        tuple(w for w in context if w is not None)))
+    return entries, dropped
+
+
+def split_reference(docs, window: int, fraction: float | None = None, test_ids=None, seed: int = 0):
+    """``split_train_test``'s fields, by the walks above: (train docs,
+    train vocabulary, test docs, ground truth, dropped, test doc ids)."""
+    line_docs = [d for d in docs if not d.placeholder]
+    if test_ids is not None:
+        held = [d for d in line_docs if d.id in set(test_ids)]
+    else:
+        eligible = [d for d in line_docs
+                    if sum(t.kind == CITE for t in d.tokens) >= _SPLIT_MIN_CITES]
+        n_test = int(round(fraction * len(eligible)))
+        if n_test < 1 or n_test >= len(line_docs):
+            raise CitevecError(
+                f"test split selects {n_test} of {len(eligible)} eligible docs; "
+                "nothing to hold out or nothing left to train on")
+        picks = np.random.default_rng(seed).permutation(len(eligible))[:n_test]
+        held = [eligible[i] for i in sorted(picks)]
+    held_ids = {d.id for d in held}
+    train_line_docs = [d for d in line_docs if d.id not in held_ids]
+    if not train_line_docs:
+        raise CitevecError("no training documents left after the split")
+    train_docs, train_vocab = complete_corpus_reference(train_line_docs)
+    truth, dropped = resolve_ground_truth_reference(held, train_vocab, window)
+    if not truth:
+        raise CitevecError("empty test set: no held-out citation could be resolved")
+    return train_docs, train_vocab, held, truth, dropped, sorted(held_ids)

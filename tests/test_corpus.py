@@ -14,6 +14,7 @@ from citevec.corpus import (
     HyperDocument,
     SyntheticSpec,
     Token,
+    build_vocabulary,
     extract_relations,
     generate_synthetic_corpus,
     parse_corpus,
@@ -25,6 +26,15 @@ from citevec.errors import CitevecError, ConfigError, CorpusFormatError
 from citevec.evaluation import evaluate
 from citevec.model import EmbeddingConfig, init_model
 from citevec.train import train
+
+from reference import (
+    complete_corpus_reference,
+    extract_relations_reference,
+    resolve_ground_truth_reference,
+    split_reference,
+    stats_reference,
+    vocabulary_reference,
+)
 
 
 def relation_strings(relations, vocab):
@@ -481,7 +491,7 @@ class TestResolveGroundTruth:
 
 class TestMalformedRelations:
     """``train`` and ``evaluate`` check relations by one rule
-    (``corpus._relation_table``): the same list names the same first
+    (``relations._relation_table``): the same list names the same first
     relation, except that ``evaluate`` takes a None source, a citing
     document the training vocabulary lacks.  Training checks structural
     docs even when it does not use them."""
@@ -512,3 +522,176 @@ class TestMalformedRelations:
             with pytest.raises(ConfigError) as evaluated:
                 evaluate(model, relations, case=1)
             assert str(evaluated.value) == str(trained.value)
+
+
+def vocab_fields(vocab):
+    return (vocab.word_list, vocab.doc_list, vocab.word_ids, vocab.doc_ids,
+            vocab.word_counts.tolist(), vocab.word_counts.dtype,
+            vocab.doc_cited_counts.tolist(), vocab.doc_cited_counts.dtype)
+
+
+def relation_rows(relations):
+    """The relations as a list, each id checked to be a Python int (a NumPy
+    integer would change Case 2's content-derived seeds)."""
+    rows = list(relations)
+    for r in rows:
+        assert all(type(i) is int for i in (r.target, *r.structural, *r.context))
+        assert r.source is None or type(r.source) is int
+    return rows
+
+
+def outcome(fn, *args, **kwargs):
+    """``fn``'s result with relations listed, or its error's type and text."""
+    try:
+        result = fn(*args, **kwargs)
+    except CitevecError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, tuple):  # resolve_ground_truth
+        return relation_rows(result[0]), result[1]
+    return relation_rows(result)
+
+
+def split_fields(result):
+    """A split's fields: a SplitResult's, or ``split_reference``'s tuple."""
+    if not isinstance(result, tuple):
+        result = (result.train_docs, result.train_vocab, result.test_docs, result.ground_truth,
+                  result.dropped_relations, result.test_doc_ids)
+    train_docs, train_vocab, test_docs, truth, dropped, test_ids = result
+    return ([(d.id, d.placeholder, list(d.tokens)) for d in train_docs], vocab_fields(train_vocab),
+            [d.id for d in test_docs], relation_rows(truth), dropped, test_ids)
+
+
+def split_outcome(fn, *args, **kwargs):
+    try:
+        return split_fields(fn(*args, **kwargs))
+    except CitevecError as exc:
+        return type(exc), str(exc)
+
+
+FLAT_SPECS = [
+    SyntheticSpec(n_topics=3, docs_per_topic=20, noise_rate=0.3, seed=1),
+    SyntheticSpec(n_topics=6, docs_per_topic=30, clique_size=4, sub_cliques=4, cites_per_doc=3,
+                  distractor_rate=0.15, noise_rate=0.0, seed=2),
+    SyntheticSpec(n_topics=4, docs_per_topic=25, clique_size=8, vocab_per_topic=50,
+                  distractor_rate=0.3, seed=3),
+]
+EDGE_TEXT = (b"a\tDeep deep DEEP [[b]] [[B]] [[b]] [[]x ]] [[ [[[]]]\r\nb\t[[a]] x\nc\t\n"
+             b"d\t[[d]] [[e]] w [[d]] x DEEP\ne\tw w [[a]] [[d]] [[zz]]\n")
+
+
+class TestFlatTablesMatchTheWalks:
+    """The parse's flat tables give, field for field, what the token and
+    relation walks of ``tests/reference.py`` give: vocabularies, counts,
+    statistics, relations, held-out citations and splits."""
+
+    def check_corpus(self, raw, windows, splits):
+        corpus = parse_corpus(raw)
+        line_docs = [d for d in corpus.docs if not d.placeholder]
+        docs, vocab = complete_corpus_reference(line_docs)
+        assert vocab_fields(corpus.vocab) == vocab_fields(vocab)
+        assert [(d.id, d.placeholder, list(d.tokens)) for d in corpus.docs] == [
+            (d.id, d.placeholder, list(d.tokens)) for d in docs]
+        assert corpus.stats == stats_reference(docs, vocab)
+        for window in windows:
+            assert outcome(extract_relations, corpus.docs, corpus.vocab, window) == outcome(
+                extract_relations_reference, corpus.docs, corpus.vocab, window)
+            assert outcome(resolve_ground_truth, corpus.docs, corpus.vocab, window) == outcome(
+                resolve_ground_truth_reference, corpus.docs, corpus.vocab, window)
+            for fraction, seed in splits:
+                split = split_outcome(split_train_test, corpus.docs, window, fraction, seed=seed)
+                assert split == split_outcome(split_reference, corpus.docs, window, fraction,
+                                              seed=seed)
+                if isinstance(split[0], list):  # the training side, against its vocabulary
+                    train_docs, train_vocab = complete_corpus_reference(
+                        [d for d in line_docs if d.id not in split[2]])
+                    assert outcome(extract_relations, train_docs, train_vocab, window) == outcome(
+                        extract_relations_reference, train_docs, train_vocab, window)
+
+    @pytest.mark.parametrize("spec", FLAT_SPECS, ids=["noisy", "sub-cliques", "distractors"])
+    def test_generated_corpora(self, spec):
+        self.check_corpus(generate_synthetic_corpus(spec), (1, 3, 8), ((0.2, 1), (0.5, 7)))
+
+    def test_edge_corpus(self):
+        self.check_corpus(EDGE_TEXT, (1, 2, 50), ((0.5, 1), (0.5, 2)))
+
+    def test_fuzz_inputs(self):
+        checked = 0
+        for raw in fuzz_inputs():
+            try:
+                parse_corpus(raw)
+            except CitevecError:
+                continue
+            self.check_corpus(raw, (2,), ((0.5, 1),))
+            checked += 1
+        assert checked > 100
+
+    def test_hand_built_documents(self):
+        """Hand-built documents, alone, with placeholders and next to parsed
+        ones, and the documents of two parses together: unknown words and
+        cited ids, ``Deep``/``deep``, a self-citation and a document the
+        vocabulary lacks."""
+        parsed = parse_corpus(b"a\tdeep Deep x [[b]] [[c]] y\nb\tx [[a]] [[b]]\n")
+        held = [
+            HyperDocument("h", [Token(WORD, "deep"), Token(WORD, "mystery"), Token(CITE, "a"),
+                                Token(CITE, "zz"), Token(WORD, "x"), Token(CITE, "b"),
+                                Token(CITE, "a"), Token(WORD, "y")]),
+            HyperDocument("b", [Token(CITE, "nowhere"), Token(WORD, "deep"), Token(CITE, "b")]),
+            HyperDocument("c", [], placeholder=True),
+            HyperDocument("e", [Token(WORD, "x")]),
+        ]
+        other = parse_corpus(b"h\tdeep [[b]] q [[zz]]\nq\t[[a]] DEEP\n")  # a second parse
+        for docs in (held, held + parsed.docs, parsed.docs + held, parsed.docs + other.docs):
+            assert vocab_fields(build_vocabulary(docs)) == vocab_fields(vocabulary_reference(docs))
+            for window in (1, 2, 5):
+                for vocab in (parsed.vocab, build_vocabulary(docs)):
+                    assert outcome(resolve_ground_truth, docs, vocab, window) == outcome(
+                        resolve_ground_truth_reference, docs, vocab, window)
+                    assert outcome(extract_relations, docs, vocab, window) == outcome(
+                        extract_relations_reference, docs, vocab, window)
+                assert split_outcome(split_train_test, docs, window, test_ids=["h", "b"]) == (
+                    split_outcome(split_reference, docs, window, test_ids=["h", "b"]))
+        # "mystery" takes a window slot and is then skipped; the markers take none
+        first = resolve_ground_truth(held, parsed.vocab, 2)[0][0]
+        ids = parsed.vocab.word_ids
+        assert first == CitationRelation(None, parsed.vocab.doc_ids["a"],
+                                         frozenset({parsed.vocab.doc_ids["b"]}),
+                                         (ids["deep"], ids["x"], ids["y"]))
+
+    def test_a_table_reads_as_its_relations(self):
+        corpus = parse_corpus(EDGE_TEXT)
+        table = extract_relations(corpus.docs[:2], corpus.vocab, 2)
+        rows = relation_rows(table)
+        assert len(table) == len(rows) == 5
+        assert [table[i] for i in range(-5, 5)] == rows + rows
+        assert table[1:4] == rows[1:4] and table == rows and rows == table
+        assert table != rows[:4] and table != rows[::-1]
+        with pytest.raises(IndexError):
+            table[5]
+        assert train_relations_equal(table, rows, corpus)
+
+
+def train_relations_equal(table, rows, corpus):
+    """A table trains the same bits as the list of its relations."""
+    config = EmbeddingConfig(dim=4, window=2, negative=2, iterations=2, retrofit_epochs=1, seed=3)
+    fingerprints = []
+    for relations in (table, rows):
+        model = init_model(corpus.vocab, config)
+        train(model, relations, corpus.docs)
+        fingerprints.append(model.matrices.fingerprint())
+    return fingerprints[0] == fingerprints[1]
+
+
+def test_retained_memory_per_relation():
+    """A relation table holds a few ints per relation and each window word
+    once, not a CitationRelation with a frozenset and a tuple (over 700 B)."""
+    corpus = parse_corpus(generate_synthetic_corpus(SyntheticSpec(
+        n_topics=5, docs_per_topic=200, clique_size=8, vocab_per_topic=100, seed=3)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        relations = extract_relations(corpus.docs, corpus.vocab, window=8)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(relations) == corpus.stats.n_relations > 5000
+    assert retained <= 100 * len(relations)

@@ -26,6 +26,7 @@ ENTRY_POINTS = {
     "EmbeddingConfig.with_updates": "demos/03 derives its variants' configs with it",
     "ModelMatrices.fingerprint": "bench/workloads.py compares rounds and round trips by it",
     "Token.is_cite": "bench/workloads.py rebuilds corpus text with it",
+    "HyperDocument.cite_targets": "demos/01 prints a document's citations with it",
     "NegativeSampler.sample": "bench/tracing.py wraps it; bench/selftest.py checks the hook",
 }
 

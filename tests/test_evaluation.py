@@ -22,7 +22,6 @@ from citevec.evaluation import (
     MetricReport,
     _pool_queries,
     _relation_seed,
-    _panel_slices,
     _score_block,
     ablation_report,
     evaluate,
@@ -145,7 +144,7 @@ class TestMetricProperties:
 
 def score_block(doc_out, rows, block, out):
     """``_score_block`` over the panel of ``doc_out[rows]``."""
-    return _score_block(_panel_slices(_gather_panel(doc_out, rows), rows.size), block, out)
+    return _score_block(_gather_panel(doc_out, rows), block, out)
 
 
 def oracle_evaluate(model, truth, case, k, keep_prob=0.5, seed=0):
@@ -326,7 +325,7 @@ class TestPooledQueries:
                 source=source, target=docs[0], structural=frozenset(docs[1:]), context=context))
         assert max(len(r.context) + len(r.structural) for r in truth) > 8
         for case in (1, 2, 3):
-            usable, queries, targets, excluded = _pool_queries(model, truth, case, 0.5, 7)
+            usable, queries, targets, excluded, bounds = _pool_queries(model, truth, case, 0.5, 7)
             expected = {}
             for i, r in enumerate(truth):
                 query = Query(case=case, context_words=r.context, structural_docs=r.structural,
@@ -339,9 +338,10 @@ class TestPooledQueries:
             for i, row in zip(usable.tolist(), queries):
                 assert row.tobytes() == expected[i].tobytes(), (case, i)
             assert targets.tolist() == [truth[i].target for i in usable.tolist()]
-            for i, banned in zip(usable.tolist(), excluded):
-                source = [] if truth[i].source is None else [truth[i].source]
-                assert sorted(banned.tolist()) == sorted([*truth[i].structural, *source])
+            for i, relation in enumerate(truth):
+                source = [] if relation.source is None else [relation.source]
+                assert excluded[bounds[i] : bounds[i + 1]].tolist() == [
+                    *sorted(relation.structural), *source]
 
 
 def perfect_model(n_docs):

@@ -36,6 +36,7 @@ from citevec.recommend import (
 from reference import top_k_reference
 
 recommend_module = importlib.import_module("citevec.recommend")
+train_module = importlib.import_module("citevec.train")  # the package exports train()
 
 
 def make_vocab(doc_ids, words):
@@ -927,16 +928,34 @@ class TestLoadedModelReuse:
             summed.append(squares is None)
             return real_pass(doc_in, vector, squares)
 
+        def noise_table(counts):
+            tables.append(1)
+            return real_table(counts)
+
+        tables, real_table = [], train_module._noise_table
         monkeypatch.setattr(recommend_module, "_gather_panel", gather)
         monkeypatch.setattr(recommend_module, "_dots_and_squares", one_pass)
+        monkeypatch.setattr(train_module, "_noise_table", noise_table)
         loaded = self.model(np.random.default_rng(3), 300, 150)
         rng = np.random.default_rng(4)
         self.rankings(loaded, rng)
-        assert len(gathered) == 1 and summed == [True, False, False]
+        assert len(gathered) == 1 and summed == [True, False, False] and len(tables) == 1
         assert recommend_module._cited_panel(loaded)[1] is recommend_module._cited_panel(loaded)[1]
-        gathered.clear(), summed.clear()
+        gathered.clear(), summed.clear(), tables.clear()
         self.rankings(writable(loaded), rng)
         assert len(gathered) == 6 and summed == [True, True, True]  # 3 i4o, 3 evaluate
+        assert len(tables) == 3  # one word-noise table per i4i query
+
+    def test_a_loaded_model_infers_like_its_writable_copy(self):
+        """The kept word-noise table draws with a fresh generator per call:
+        every call infers the same bits as a model that builds its own."""
+        loaded = self.model(np.random.default_rng(9), 60, 20, n_words=40)
+        rng = np.random.default_rng(10)
+        texts = [rng.integers(0, 40, size=n).tolist() for n in (1, 7, 300)]
+        expected = [infer_doc_vector(writable(loaded), words).tobytes() for words in texts]
+        for _ in range(2):
+            assert [infer_doc_vector(loaded, words).tobytes() for words in texts] == expected
+        assert "word noise" in loaded._derived()
 
     def test_copies_of_a_loaded_model_derive_per_call(self):
         loaded = self.model(np.random.default_rng(6), 40, 10)
