@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -237,6 +238,7 @@ def _cmd_synth(args, out) -> int:
     return 0
 
 
+@functools.cache  # one parser per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="citevec",

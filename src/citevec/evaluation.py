@@ -9,42 +9,34 @@ citation, MAP is the mean reciprocal rank within the cutoff (MRR@k).
 
 Only the documents cited in training are candidates, as in ``rank_i4o``;
 a held-out citation of any other document is a miss.  The queries are
-scored ``EVAL_BATCH`` at a time: a block of query vectors is multiplied by
-each ``BLOCK_ROWS`` slice of the cited panel that ``rank_i4o`` uses
-(``recommend._cited_panel``, built once per loaded model), and the block's
-score rows go through one call of the top-k that ``rank_i4o`` uses
-(``recommend._top_k``); the metrics come from the target's place in its
-row.  The last block of queries is padded with zero rows to
-``EVAL_BATCH``, and the panel with zero rows to a multiple of
-``PAD_ROWS``, so no document falls in the tail rows of a BLAS kernel: a
-query's scores are the same bits in whatever block and row it lands, and a
-document's in whatever column and slice.  They can differ in the last bits
-from the matrix-vector product ``rank_i4o`` takes.  The scores of a block
-take ``EVAL_BATCH`` × n_cited floats.  Python work per relation is left
-only in Case 2's seeded draw.
+scored ``EVAL_BATCH`` at a time against the cited panel that ``rank_i4o``
+uses (``recommend._cited_panel``), and the metrics come from each target's
+place in its row, counted, not ranked (``_places``).  A query's scores are
+the same bits in whatever block and row it lands (``_score_block``), but
+can differ in the last bits from ``rank_i4o``'s matrix-vector product.
 
 Accumulation is order-insensitive: each relation's contribution depends
-only on the relation itself (Case 2 derives its thinning seed from the
-relation content, not its position, and the scores do not depend on the
-block) and the means use exact summation.
+only on the relation itself (Case 2's draws are a hash of the relation's
+content, not its position, and the scores do not depend on the block) and
+the means use exact summation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import zlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .relations import CitationRelation, _relation_table
+from .relations import CitationRelation, _relation_table, _runs
 from .errors import ConfigError
-from .model import Model
+from .model import Model, _reused
 # build_query_vector and rank_i4o are not called here; bench/tracing.py
 # looks them up in this module
 from .recommend import (  # noqa: F401
-    BLOCK_ROWS, CASES, Query, _check_k, _cited_panel, _top_k, build_query_vector, rank_i4o)
+    BLOCK_ROWS, CASES, Query, _check_k, _cited_panel, build_query_vector, rank_i4o)
 
 __all__ = [
     "GroundTruth",
@@ -57,8 +49,6 @@ __all__ = [
 
 # A ground-truth set is just the resolved held-out citations from a split.
 GroundTruth = Sequence[CitationRelation]
-
-_METRIC_NAMES = ("recall", "map", "ndcg")
 
 # query vectors per score product; every product has this many rows
 EVAL_BATCH = 32
@@ -78,28 +68,49 @@ class MetricReport:
     n_empty_queries: int
 
     def values(self) -> dict[str, float]:
-        return {
-            "recall": self.recall,
-            "map": self.mean_average_precision,
-            "ndcg": self.ndcg,
-        }
+        return {"recall": self.recall, "map": self.mean_average_precision, "ndcg": self.ndcg}
 
     def records(self) -> list[str]:
         """Line-oriented records, one metric per line."""
-        by_name = self.values()
-        return [
-            f"case={self.case} metric={name} value={by_name[name]!r} n={self.n_relations}"
-            for name in _METRIC_NAMES
-        ]
+        return [f"case={self.case} metric={name} value={value!r} n={self.n_relations}"
+                for name, value in self.values().items()]
 
 
-def _relation_seed(seed: int, relation: CitationRelation) -> int:
-    # Content-derived so that Case 2 thinning ignores iteration order.
-    canon = (
-        f"{relation.target}|{sorted(relation.structural)}"
-        f"|{relation.context}|{relation.source}"
-    )
-    return (zlib.crc32(canon.encode("utf-8")) + seed) & 0xFFFFFFFF
+# splitmix64's increment and multipliers (Steele, Lea and Flood, OOPSLA 2014)
+_GAMMA, _M1, _M2 = (np.uint64(c) for c in (
+    0x9E3779B97F4A7C15, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB))
+
+
+def _mix(x: np.ndarray, y) -> np.ndarray:
+    """splitmix64's output function of ``x * gamma + y``, wrapping: a hash
+    of each pair of uint64s."""
+    x = x * _GAMMA + np.asarray(y, dtype=np.uint64)
+    x = (x ^ (x >> np.uint64(30))) * _M1
+    x = (x ^ (x >> np.uint64(27))) * _M2
+    return x ^ (x >> np.uint64(31))
+
+
+def _thinning_draws(targets, has_source, sources, n_context, words, n_structural, docs,
+                    seed: int) -> np.ndarray:
+    """Case 2's uniform draw in [0, 1) for each structural doc of every
+    relation in turn (``_relation_table``'s arrays), counter-based as in
+    Salmon et al., "Parallel random numbers: as easy as 1, 2, 3" (SC 2011).
+    A relation's key is ``_mix(sum, 0)``, the sum wrapping over
+    ``_mix(4 * place + field, id)`` for its target (field 0), source or
+    2**64 - 1 (1), ascending structural docs (2) and context words (3).
+    The structural doc at place p draws the top 53 bits of ``_mix(_mix(key,
+    p), seed)``: a relation draws the same alone, permuted or repeated."""
+    every, zero = np.arange(targets.size), np.zeros(targets.size, dtype=np.intp)
+    source = np.full(targets.size, -1)
+    source[has_source] = sources
+    places = _runs(zero, n_structural)
+    counters = np.concatenate((zero, zero + 1, 4 * places + 2, 4 * _runs(zero, n_context) + 3))
+    keys = np.zeros(targets.size, dtype=np.uint64)
+    np.add.at(keys, np.concatenate((every, every, np.repeat(every, n_structural),
+                                    np.repeat(every, n_context))),
+              _mix(counters.astype(np.uint64), np.concatenate((targets, source, docs, words))))
+    bits = _mix(_mix(np.repeat(_mix(keys, 0), n_structural), places), seed % 2**64)
+    return (bits >> np.uint64(11)) * 2.0**-53
 
 
 def _score_block(panel: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -109,9 +120,9 @@ def _score_block(panel: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.nd
 
     A row's scores come out in the same bits whatever the other rows of
     ``block`` hold and wherever it sits, and a document's whatever slice it
-    lands in.  BLAS rounds the documents past the last full tile of its
-    kernel in ways that depend on the rows around them; the padding keeps
-    every document out of that tail.
+    lands in: BLAS rounds the rows past its kernel's last full tile in ways
+    that depend on their neighbours, and the padding keeps every document
+    and query out of that tail.
     """
     n = out.shape[1]
     for start in range(0, n, BLOCK_ROWS):
@@ -139,116 +150,118 @@ def _pool_queries(model: Model, relations: GroundTruth, case: int, keep_prob: fl
     """Every relation's query vector, pooled for all relations at once.
 
     A query is the mean of its participants' input rows: the context words
-    in order, then the case's structural docs in ascending order.  The sum
-    runs from zero, one participant of every relation per step, which is
-    the order ``build_query_vector``'s ``mean(axis=0)`` adds them in (NumPy
-    sums a single column pairwise instead, so at dim 1 a query of 8 or more
-    participants can differ in the last bits).  Only Case 2 walks the
-    relations, to draw each one's thinning from its content-derived seed.
+    in order, then the case's structural docs in ascending order, Case 2's
+    thinned by ``_thinning_draws``.  The sum runs from zero, one participant
+    of every relation per step, the order in which ``build_query_vector``'s
+    ``mean(axis=0)`` adds them (NumPy sums a single column pairwise, so at
+    dim 1 a query of 8 or more participants can differ in the last bits).
 
-    Returns the indices of the usable relations (those with a participant),
-    their query vectors and targets, the documents each relation excludes
-    (its structural docs, then its source) laid end to end, and ``bounds``:
-    relation i excludes ``excluded[bounds[i]:bounds[i + 1]]``.  Raises
-    ConfigError naming the first relation with an id outside the
-    vocabulary (``relations._relation_table``).
+    Returns which relations are usable (have a participant), every
+    relation's query (zero if unusable) and target, and the relation and
+    document of each exclusion (its structural docs and source).  Raises
+    ConfigError naming the first relation with an id outside the vocabulary
+    (``_relation_table``).
     """
-    targets, has_source, sources, n_context, words, n_structural, docs = _relation_table(
-        relations, model.vocab.n_docs, model.vocab.n_words, sourced=False)
-    n = len(relations)
-    every = np.arange(n)
-    doc_owner, source_owner = np.repeat(every, n_structural), every[has_source]
+    table = _relation_table(relations, model.vocab.n_docs, model.vocab.n_words, sourced=False)
+    targets, has_source, sources, n_context, words, n_structural, docs = table
+    every = np.arange(len(relations))
+    doc_owner = np.repeat(every, n_structural)
     if case == 2:
-        draws = np.empty(docs.size)
-        for relation, count, end in zip(relations, n_structural.tolist(),
-                                        np.cumsum(n_structural).tolist()):
-            if count:
-                rng = np.random.default_rng(_relation_seed(seed, relation))
-                draws[end - count : end] = rng.random(count)
-        kept = draws < keep_prob
+        kept = _thinning_draws(*table, seed) < keep_prob
     else:
         kept = np.full(docs.size, case == 1)
-    n_kept = np.bincount(doc_owner[kept], minlength=n)
-    sums = np.zeros((n, model.matrices.dim))
+    n_kept = np.bincount(doc_owner[kept], minlength=every.size)
+    sums = np.zeros((every.size, model.matrices.dim))
     _add_in_turn(sums, n_context, words, model.matrices.word_in)
     _add_in_turn(sums, n_kept, docs[kept], model.matrices.doc_in)
     count = n_context + n_kept
-    usable = np.flatnonzero(count)
-    queries = sums[usable] / count[usable, None]
-
-    owner = np.concatenate((doc_owner, source_owner))
-    order = np.argsort(owner, kind="stable")
-    bounds = np.searchsorted(owner[order], np.arange(n + 1))
-    return usable, queries, targets[usable], np.concatenate((docs, sources))[order], bounds
+    np.divide(sums, np.maximum(count, 1)[:, None], out=sums)
+    owners = np.concatenate((doc_owner, every[has_source]))
+    return count > 0, sums, targets, owners, np.concatenate((docs, sources))
 
 
-def evaluate(
-    model: Model,
-    ground_truth: GroundTruth,
-    case: int,
-    k: int = 10,
-    keep_prob: float = 0.5,
-    seed: int = 0,
-) -> MetricReport:
+def _places(scores, target_columns, candidate, id_rank) -> np.ndarray:
+    """The place of each row's target, ``scores[r, target_columns[r]]``, in
+    ``_top_k``'s order: how many of the row's entries that ``candidate``
+    marks come before it.  The order is +inf, finite scores descending,
+    -inf, then NaN, ties by doc id; ``id_rank()`` gives each column's place
+    in the order of the ids, and is called only for a block with a tie or a
+    NaN target."""
+    target = scores[np.arange(scores.shape[0]), target_columns][:, None]
+    ahead = scores > target
+    if ((np.count_nonzero(scores == target, axis=1) > 1) | np.isnan(target[:, 0])).any():
+        rank = id_rank()
+        tied = (scores == target) | (np.isnan(scores) & np.isnan(target))
+        ahead |= np.isnan(target) & ~np.isnan(scores)
+        ahead |= tied & (rank < rank[target_columns, None])
+    return np.count_nonzero(ahead & candidate, axis=1)
+
+
+def evaluate(model: Model, ground_truth: GroundTruth, case: int, k: int = 10,
+             keep_prob: float = 0.5, seed: int = 0) -> MetricReport:
     """Score a model against held-out citations under one query case.
 
     The relevant set for each relation is the single true target.  The
     candidates are the documents cited in training, less the structural
     context and the citing document (when known); a target never cited in
-    training is a miss.  A relation whose query has no usable participants
-    counts as a miss rather than an error; ``n_empty_queries`` says how many.
+    training, or excluded, is a miss.  A relation whose query has no usable
+    participants counts as a miss rather than an error; ``n_empty_queries``
+    says how many.
 
-    The query vectors are pooled first (``_pool_queries``), then scored in
-    blocks of ``EVAL_BATCH`` against the slices of the cited panel
-    (``_score_block``), the last block padded with zero rows; the scores
-    take ``EVAL_BATCH`` × n_cited floats.  A loaded model builds the panel
-    once, and ``rank_i4o`` shares it; any other model gathers it on every
-    call.  One ``_top_k`` call ranks each block, and the metrics come from the
-    target's place in its row: recall 1, AP 1/rank and nDCG
-    1/log2(rank + 1) for a hit within k, 0 for a miss, which is what the
-    plain definitions give with one relevant item.
+    The queries whose target can be found are scored ``EVAL_BATCH`` at a
+    time and their targets' places counted (``_places``); a loaded model
+    keeps the cited panel, shared with ``rank_i4o``, and the ids' order.  A
+    target at place p < k is a hit at rank r = p + 1: recall 1, AP 1/r and
+    nDCG 1/log2(r + 1), as the plain definitions give with one relevant item.
     """
     Query(case=case, context_words=(), keep_prob=keep_prob)  # rejects a bad case or keep_prob
     _check_k(k)
     if not ground_truth:
         raise ConfigError("ground truth is empty")
-    usable, queries, targets, excluded, bounds = _pool_queries(
+    usable, queries, targets, owners, excluded = _pool_queries(
         model, ground_truth, case, keep_prob, seed)
     cited, panel = _cited_panel(model)
     # a document's column among the candidates, -1 if it was never cited
     column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
     column[cited] = np.arange(cited.size)
-    target_columns = column[targets]
-    # the columns each relation excludes, laid end to end
-    banned_columns = column[excluded]
-    candidate = banned_columns >= 0
-    ends = np.append(0, np.cumsum(candidate))[bounds]
-    banned_columns = banned_columns[candidate]
-    firsts, lasts = ends[usable].tolist(), ends[usable + 1].tolist()
+    # the usable queries whose target was cited and is not excluded
+    blocked = np.zeros(len(ground_truth), dtype=bool)
+    blocked[owners[excluded == targets[owners]]] = True
+    found = np.flatnonzero(usable & (column[targets] >= 0) & ~blocked)
+    # their excluded entries, as flat indices into their rows of scores
+    at = np.full(len(ground_truth), -1, dtype=np.intp)
+    at[found] = np.arange(found.size)
+    rows, columns = at[owners], column[excluded]
+    banned = np.sort((rows * cited.size + columns)[(rows >= 0) & (columns >= 0)])
+    bounds = np.searchsorted(banned, np.arange(0, found.size + EVAL_BATCH, EVAL_BATCH) * cited.size)
+    # each cited doc's place in the order of the ids, derived on first need
+    id_rank = functools.cache(lambda: _reused(model, "cited id rank", lambda: np.argsort(
+        np.argsort(np.array(model.vocab.doc_list, dtype=object)[cited]))))
     block = np.empty((EVAL_BATCH, panel.shape[1]))
     scores = np.empty((EVAL_BATCH, cited.size))
-    ranks: list[int] = []  # 1-based, of each target found within k
-    for start in range(0, usable.size, EVAL_BATCH):
-        stop = min(start + EVAL_BATCH, usable.size)
-        block[: stop - start] = queries[start:stop]
+    candidate = np.ones(scores.shape, dtype=bool)
+    places = np.empty(found.size, dtype=np.intp)
+    for start, lo, hi in zip(range(0, found.size, EVAL_BATCH), bounds.tolist(), bounds[1:].tolist()):
+        stop = min(start + EVAL_BATCH, found.size)
+        block[: stop - start] = queries[found[start:stop]]
         block[stop - start :] = 0.0
         _score_block(panel, block, scores)
-        banned = [banned_columns[a:b] for a, b in zip(firsts[start:stop], lasts[start:stop])]
-        ranked, counts = _top_k(scores[: stop - start], k, model.vocab.doc_list, cited, banned)
-        place = np.arange(ranked.size) - np.repeat(np.cumsum(counts) - counts, counts)
-        hit = (ranked == np.repeat(target_columns[start:stop], counts)) & (place < k)
-        ranks += (place[hit] + 1).tolist()
-    # an unusable query, like a target outside the top k, is a miss on every metric
+        candidate.flat[banned[lo:hi] - start * cited.size] = False
+        places[start:stop] = _places(scores[: stop - start], column[targets[found[start:stop]]],
+                                     candidate[: stop - start], id_rank)
+        candidate.flat[banned[lo:hi] - start * cited.size] = True
+    # hits by place: an unusable query, like a target past k, misses on every metric
+    hits = np.bincount(places[places < k])
+    hit_places = np.flatnonzero(hits).tolist()
     n = len(ground_truth)
-    return MetricReport(
-        case=case,
-        k=k,
-        n_relations=n,
-        recall=len(ranks) / n,
-        mean_average_precision=math.fsum(1 / rank for rank in ranks) / n,
-        ndcg=math.fsum(1 / math.log2(rank + 1) for rank in ranks) / n,
-        n_empty_queries=n - usable.size,
-    )
+
+    def mean(gain) -> float:
+        return math.fsum(np.repeat([gain(p + 1) for p in hit_places], hits[hit_places]).tolist()) / n
+
+    return MetricReport(case=case, k=k, n_relations=n, recall=int(hits.sum()) / n,
+                        mean_average_precision=mean(lambda r: 1 / r),
+                        ndcg=mean(lambda r: 1 / math.log2(r + 1)),
+                        n_empty_queries=n - int(usable.sum()))
 
 
 @dataclass(frozen=True)
@@ -259,25 +272,15 @@ class AblationRow:
     report: MetricReport
 
 
-def ablation_report(
-    model_avg: Model,
-    model_att: Model,
-    model_nostruct: Model,
-    ground_truth: GroundTruth,
-    k: int = 10,
-    keep_prob: float = 0.5,
-    seed: int = 0,
-) -> list[AblationRow]:
+def ablation_report(model_avg: Model, model_att: Model, model_nostruct: Model,
+                    ground_truth: GroundTruth, k: int = 10, keep_prob: float = 0.5,
+                    seed: int = 0) -> list[AblationRow]:
     """Evaluate three model variants under all three query cases.
 
     All models must share one vocabulary (same corpus, differing only in
     variant flags), otherwise the ground-truth indices would not line up.
     """
-    labeled = [
-        ("avg", model_avg),
-        ("att", model_att),
-        ("nostruct", model_nostruct),
-    ]
+    labeled = [("avg", model_avg), ("att", model_att), ("nostruct", model_nostruct)]
     reference = model_avg.vocab
     for label, model in labeled[1:]:
         if not reference.same_bindings(model.vocab):
@@ -285,9 +288,7 @@ def ablation_report(
     rows: list[AblationRow] = []
     for label, model in labeled:
         for case in CASES:
-            report = evaluate(
-                model, ground_truth, case, k=k, keep_prob=keep_prob, seed=seed
-            )
+            report = evaluate(model, ground_truth, case, k=k, keep_prob=keep_prob, seed=seed)
             rows.append(AblationRow(model_label=label, report=report))
     return rows
 
@@ -298,8 +299,6 @@ def format_ablation(rows: Iterable[AblationRow]) -> str:
     lines = [header, "-" * len(header)]
     for row in rows:
         r = row.report
-        lines.append(
-            f"{row.model_label:<10} {r.case:>4} {r.n_relations:>5} "
-            f"{r.recall:>10.4f} {r.mean_average_precision:>10.4f} {r.ndcg:>10.4f}"
-        )
+        lines.append(f"{row.model_label:<10} {r.case:>4} {r.n_relations:>5} "
+                     f"{r.recall:>10.4f} {r.mean_average_precision:>10.4f} {r.ndcg:>10.4f}")
     return "\n".join(lines)

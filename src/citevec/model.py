@@ -129,10 +129,6 @@ class ModelMatrices:
         return self.doc_in.shape[0]
 
     @property
-    def n_words(self) -> int:
-        return self.word_in.shape[0]
-
-    @property
     def dim(self) -> int:
         return self.doc_in.shape[1]
 

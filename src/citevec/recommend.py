@@ -2,10 +2,12 @@
 
 Three query regimes: Case 1 pools the context words with every co-cited
 document, Case 2 keeps each co-cited document with a fixed probability,
-Case 3 uses the words alone.  Queries are pooled with the arithmetic mean
-for both model variants, a known train/serve skew for "att": only the
-manuscript is new, and the scores its words and co-cited documents were
-trained with go unused at query time.
+Case 3 uses the words alone.  Case 2 here thins with ``default_rng(seed)``;
+``evaluate`` thins each held-out citation with its own counter-based draws.
+Queries are pooled with the arithmetic mean for both model variants, a
+known train/serve skew for "att": only the manuscript is new, and the
+scores its words and co-cited documents were trained with go unused at
+query time.
 
 Two ranking conventions: rank_i4o scores output-side document vectors by
 dot product with the query; rank_i4i fits a vector for the text and scores
@@ -23,12 +25,10 @@ then an O(n) partition of the score row at k plus its exclusion count, and a
 sort of the candidates at or above that place; the tie rule is the same as
 a full sort's.  Every candidate tied at the place is sorted too, so a row
 with many ties costs a sort of all of them.
-``_top_k`` is the one top-k rule: rank_i4o sends it one score row,
-rank_i4i the scores of its shortlist, ``evaluate`` a block of rows from a
-matrix-matrix product over its queries, whose scores can differ from
-``rank_i4o``'s in the last bits.  Its columns name the documents scored,
-the cited ones or a shortlist.  The candidates of a block are
-sorted together, in one ``np.lexsort``.
+``_top_k`` is the one top-k rule: rank_i4o sends it one score row and
+rank_i4i the scores of its shortlist.  Its columns name the documents
+scored, the cited ones or a shortlist.  ``evaluate`` needs only the
+target's place, and counts it in the same order without ranking.
 
 rank_i4i filters, then refines.  One pass over the input matrix, a block
 of rows at a time, takes every row's dot product with the query and its
@@ -94,9 +94,6 @@ class RecommendationList:
     k: int
     unknown_words: int = 0  # words of recommend's text that the model lacks
 
-    def ids(self) -> list[str]:
-        return [doc_id for doc_id, _ in self.ranked]
-
     def __len__(self) -> int:
         return len(self.ranked)
 
@@ -132,47 +129,33 @@ def _check_k(k: int) -> None:
         raise ConfigError(f"k must be >= 1, got {k}")
 
 
-def _top_k(
-    scores: np.ndarray, k: int, doc_list, columns: np.ndarray, exclude
-) -> tuple[np.ndarray, np.ndarray]:
-    """The best columns of each row of ``scores``, best first.
+def _top_k(scores: np.ndarray, k: int, doc_list, columns: np.ndarray, exclude) -> np.ndarray:
+    """The best k columns of the score row ``scores``, best first, none of
+    the columns in ``exclude``; fewer when fewer are left.
 
-    Column j holds the scores of document ``columns[j]``.  ``exclude`` holds
-    one array of columns per row, never returned for that row.  Returns
-    the rows' ranked columns one row after another in one array, and how
-    many each row has there; a row's first k (or all, if it has fewer) are
-    its top k.  Ties break by ascending doc id in ``doc_list``; the order
-    is +inf, finite scores, -inf, then NaN by id.
+    Column j holds the score of document ``columns[j]``.  Ties break by
+    ascending doc id in ``doc_list``; the order is +inf, finite scores,
+    -inf, then NaN by id.
 
-    Each row is partitioned once, at k plus its exclusion count: the
+    The row is partitioned once, at k plus the exclusion count: the
     entries at or above that place hold at least k that are not excluded,
     so the result is a full sort's.  Every such entry is a candidate, all
     those tied at the place included; when the place's key is NaN, every
-    entry is.  The candidates of all rows are then sorted in one
-    ``np.lexsort``, by row, score and the rank of their ids, which one
-    Python sort gives.
+    entry is.  The candidates are put in id order by one Python sort, then
+    by score by a stable sort.
     """
     _check_k(k)
-    n_rows, n_docs = scores.shape
-    keys = np.empty(n_docs)
-    candidates = []
-    for row, banned in zip(scores, exclude):
-        place = k + len(banned)
-        kth = math.nan
-        if place < n_docs:
-            np.negative(row, out=keys)  # ascending keys rank best first, NaN last
-            keys.partition(place - 1)
-            kth = -keys[place - 1]
-        kept = np.ones(n_docs, dtype=bool) if math.isnan(kth) else row >= kth
-        kept[banned] = False
-        candidates.append(kept.nonzero()[0])
-    counts = np.array([c.size for c in candidates], dtype=np.intp)
-    rows = np.arange(n_rows).repeat(counts)
-    docs = np.concatenate(candidates) if candidates else np.empty(0, dtype=np.intp)
-    by_id = sorted(set(docs.tolist()), key=lambda j: doc_list[columns[j]])
-    id_rank = np.empty(n_docs, dtype=np.intp)
-    id_rank[by_id] = np.arange(len(by_id))
-    return docs[np.lexsort((id_rank[docs], -scores[rows, docs], rows))], counts
+    place = k + len(exclude)
+    kth = math.nan
+    if place < scores.size:
+        keys = np.negative(scores)  # ascending keys rank best first, NaN last
+        keys.partition(place - 1)
+        kth = -keys[place - 1]
+    kept = np.ones(scores.size, dtype=bool) if math.isnan(kth) else scores >= kth
+    kept[exclude] = False
+    by_id = np.array(sorted(kept.nonzero()[0].tolist(), key=lambda j: doc_list[columns[j]]),
+                     dtype=np.intp)
+    return by_id[np.argsort(-scores[by_id], kind="stable")[:k]]
 
 
 def _banned(model: Model, exclude) -> np.ndarray:
@@ -195,9 +178,9 @@ def _rank_row(model: Model, scores: np.ndarray, k: int, rows: np.ndarray, banned
     """``_top_k`` of one score row: ``scores[j]`` is the score of document
     ``rows[j]``, and the places in ``banned`` are never returned."""
     doc_list = model.vocab.doc_list
-    ranked, _ = _top_k(scores[None, :], k, doc_list, rows, [np.asarray(banned, dtype=np.intp)])
+    ranked = _top_k(scores, k, doc_list, rows, np.asarray(banned, dtype=np.intp))
     return RecommendationList(
-        ranked=[(doc_list[rows[j]], float(scores[j])) for j in ranked[:k].tolist()], k=k
+        ranked=[(doc_list[rows[j]], float(scores[j])) for j in ranked.tolist()], k=k
     )
 
 

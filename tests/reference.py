@@ -18,7 +18,10 @@ reusing its code:
   words, and ``citation_examples_reference`` builds the citation pass's
   flat tables one relation at a time;
 - ``top_k_reference`` is the ranking's top k for one score row, over
-  every document or over the ones cited in training;
+  every document or over the ones cited in training, and
+  ``place_reference`` a target's place in a row by a full sort;
+- ``thinning_draws_reference`` restates Case 2's counter-based draws for
+  one relation with Python ints;
 - ``vocabulary_reference``, ``citations_reference`` and the functions
   built on them are the corpus walks, token by token and relation by
   relation, that ``corpus`` replaced with flat tables: the vocabulary in
@@ -180,7 +183,7 @@ def participant_slots(source: int, structural, context, n_docs: int) -> np.ndarr
 def backprop(variant, relation, matrices, sampler, lr, *, negative, structural_context=True) -> float:
     """One citation update for one relation, as a batch of one; returns the
     sampled loss before the step."""
-    examples = _citation_examples([relation], matrices.n_docs, matrices.n_words,
+    examples = _citation_examples([relation], matrices.n_docs, matrices.word_in.shape[0],
                                   structural_context)
     work = np.empty((3, max(examples.slots.size, 1 + negative), matrices.dim))
     loss, _ = _ns_batch(
@@ -335,6 +338,57 @@ def top_k_reference(doc_list, scores, excluded, k, cited=None):
         )
     by_id = np.asarray(sorted(selected, key=doc_list.__getitem__), dtype=np.intp)
     return by_id[np.argsort(-scores[by_id], kind="stable")].tolist()
+
+
+def place_reference(doc_list, scores, target, excluded):
+    """How many of the documents of one score row, ``excluded`` left out,
+    rank ahead of ``target`` in a full sort: +inf, finite scores
+    descending, -inf, then NaN, ties by ascending doc id."""
+    def key(j):
+        score = scores[j]
+        if np.isnan(score):
+            return (3, 0.0, doc_list[j])
+        if np.isinf(score):
+            return (0 if score > 0 else 2, 0.0, doc_list[j])
+        return (1, -score, doc_list[j])
+    banned = set(excluded)
+    ranked = sorted((j for j in range(scores.size) if j not in banned), key=key)
+    return ranked.index(target)
+
+
+# -- Case 2 draws --------------------------------------------------------------
+
+_MASK = 2**64 - 1
+
+
+def _mix_reference(x: int, y: int) -> int:
+    x = (x * 0x9E3779B97F4A7C15 + y) & _MASK
+    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9 & _MASK
+    x = (x ^ (x >> 27)) * 0x94D049BB133111EB & _MASK
+    return x ^ (x >> 31)
+
+
+def thinning_draws_reference(relation, seed: int) -> list[float]:
+    """Case 2's draw for each structural doc of ``relation``, ascending:
+    the relation's key hashes each field's ids with their places (target,
+    source or 2**64 - 1 for none, ascending structural docs, context words),
+    and a doc's draw is the top 53 bits of a hash of the key, its place and
+    the seed."""
+    structural = sorted(relation.structural)
+    source = _MASK if relation.source is None else relation.source
+    fields = ([relation.target], [source], structural, list(relation.context))
+    total = sum(_mix_reference(4 * place + field, i)
+                for field, ids in enumerate(fields) for place, i in enumerate(ids))
+    key = _mix_reference(total & _MASK, 0)
+    return [(_mix_reference(_mix_reference(key, place), seed % 2**64) >> 11) / 2**53
+            for place in range(len(structural))]
+
+
+def thinned_reference(relation, keep_prob: float, seed: int) -> frozenset:
+    """The structural docs that Case 2 keeps of ``relation``."""
+    structural = sorted(relation.structural)
+    return frozenset(doc for doc, draw in zip(structural, thinning_draws_reference(relation, seed))
+                     if draw < keep_prob)
 
 
 # -- corpus walks ------------------------------------------------------------

@@ -299,6 +299,16 @@ class TestEvaluate:
         )
         assert degenerate.replace("case=2", "case=1") == base
 
+    def test_case_two_keep_prob_zero_equals_case_three(self, trained, capsys):
+        _, base, _ = run(
+            capsys, "evaluate", trained, FIXTURE_TSV, *SPLIT_FLAGS, "--case", "3"
+        )
+        _, thinned, _ = run(
+            capsys, "evaluate", trained, FIXTURE_TSV, *SPLIT_FLAGS,
+            "--case", "2", "--keep-prob", "0.0",
+        )
+        assert thinned.replace("case=2", "case=3") == base
+
     def test_bad_fraction_exits_nonzero(self, trained, capsys):
         code, _, stderr = run(
             capsys, "evaluate", trained, FIXTURE_TSV, "--test-fraction", "1.5"
@@ -339,7 +349,9 @@ class TestEvaluate:
         """Co-citation must pick the target among its topic's sub-cliques
         here, so the record moves with the ranking.  Recorded at the first
         verified run, the same on OpenBLAS's default and Haswell kernels
-        and on two BLAS threads."""
+        and on two BLAS threads.  Case 2 was re-recorded when its thinning
+        became counter-based draws (recall 0.5701754385964912, map
+        0.31315789473684214, ndcg 0.37652782830778125 before)."""
         corpus, model = tmp_path / "sub.tsv", tmp_path / "sub.dcv"
         split = ["--test-fraction", "0.2", "--split-seed", "1"]
         assert run(capsys, "synth", corpus, "--n-topics", "6", "--docs-per-topic", "60",
@@ -358,13 +370,22 @@ class TestEvaluate:
             "case=1 metric=recall value=0.7412280701754386 n=228\n"
             "case=1 metric=map value=0.44166666666666665 n=228\n"
             "case=1 metric=ndcg value=0.5167364303097229 n=228\n"
-            "case=2 metric=recall value=0.5701754385964912 n=228\n"
-            "case=2 metric=map value=0.31315789473684214 n=228\n"
-            "case=2 metric=ndcg value=0.37652782830778125 n=228\n"
+            "case=2 metric=recall value=0.5350877192982456 n=228\n"
+            "case=2 metric=map value=0.3109649122807018 n=228\n"
+            "case=2 metric=ndcg value=0.3663765883471861 n=228\n"
             "case=3 metric=recall value=0.2982456140350877 n=228\n"
             "case=3 metric=map value=0.147953216374269 n=228\n"
             "case=3 metric=ndcg value=0.18497721525554037 n=228\n"
         )
+
+
+def test_main_builds_the_parser_once_per_process(tmp_path, capsys):
+    _build_parser()
+    before = _build_parser.cache_info()
+    for name in ("a.tsv", "b.tsv"):
+        assert run(capsys, "synth", tmp_path / name, "--docs-per-topic", "2")[0] == 0
+    after = _build_parser.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
 
 
 @pytest.mark.parametrize("command", ["recommend", "evaluate"])

@@ -20,17 +20,20 @@ from citevec.evaluation import (
     EVAL_BATCH,
     AblationRow,
     MetricReport,
+    _places,
     _pool_queries,
-    _relation_seed,
     _score_block,
+    _thinning_draws,
     ablation_report,
     evaluate,
     format_ablation,
 )
 from citevec.model import EmbeddingConfig, init_model
 from citevec.recommend import BLOCK_ROWS, Query, _gather_panel, build_query_vector, rank_i4o
+from citevec.relations import _relation_table
 
-from test_recommend import make_vocab, oracle_rank, shuffled_id_model
+from reference import place_reference, thinned_reference, thinning_draws_reference
+from test_recommend import make_vocab, oracle_rank, shuffled_id_model, shuffled_ids, special_scores
 
 
 def oracle_recall(ranked, relevant, k):
@@ -147,6 +150,15 @@ def score_block(doc_out, rows, block, out):
     return _score_block(_gather_panel(doc_out, rows), block, out)
 
 
+def reference_query(relation, case, keep_prob=0.5, seed=0):
+    """The relation's query, its Case 2 thinning drawn by the reference
+    draws: a Case 1 query of the kept structural docs."""
+    structural = relation.structural
+    if case == 2:
+        case, structural = 1, thinned_reference(relation, keep_prob, seed)
+    return Query(case=case, context_words=relation.context, structural_docs=structural)
+
+
 def oracle_evaluate(model, truth, case, k, keep_prob=0.5, seed=0):
     """evaluate() by full sorts over the documents cited in training and the
     plain metric definitions.  The score rows come from the same blocked
@@ -156,8 +168,7 @@ def oracle_evaluate(model, truth, case, k, keep_prob=0.5, seed=0):
     never_cited = {doc_list[d] for d in np.flatnonzero(model.vocab.doc_cited_counts == 0)}
     usable, vectors = [], []
     for r in truth:
-        query = Query(case=case, context_words=r.context, structural_docs=r.structural,
-                      keep_prob=keep_prob, seed=_relation_seed(seed, r))
+        query = reference_query(r, case, keep_prob, seed)
         try:
             vectors.append(build_query_vector(model, query))
         except QueryError:
@@ -325,23 +336,140 @@ class TestPooledQueries:
                 source=source, target=docs[0], structural=frozenset(docs[1:]), context=context))
         assert max(len(r.context) + len(r.structural) for r in truth) > 8
         for case in (1, 2, 3):
-            usable, queries, targets, excluded, bounds = _pool_queries(model, truth, case, 0.5, 7)
+            usable, queries, targets, owners, excluded = _pool_queries(model, truth, case, 0.5, 7)
             expected = {}
             for i, r in enumerate(truth):
-                query = Query(case=case, context_words=r.context, structural_docs=r.structural,
-                              seed=_relation_seed(7, r))
                 try:
-                    expected[i] = build_query_vector(model, query)
+                    expected[i] = build_query_vector(model, reference_query(r, case, 0.5, 7))
                 except QueryError:
                     pass
-            assert usable.tolist() == sorted(expected)
-            for i, row in zip(usable.tolist(), queries):
-                assert row.tobytes() == expected[i].tobytes(), (case, i)
-            assert targets.tolist() == [truth[i].target for i in usable.tolist()]
+            assert np.flatnonzero(usable).tolist() == sorted(expected)
+            for i, row in expected.items():
+                assert queries[i].tobytes() == row.tobytes(), (case, i)
+            assert targets.tolist() == [r.target for r in truth]
             for i, relation in enumerate(truth):
                 source = [] if relation.source is None else [relation.source]
-                assert excluded[bounds[i] : bounds[i + 1]].tolist() == [
-                    *sorted(relation.structural), *source]
+                assert sorted(excluded[owners == i].tolist()) == sorted([*relation.structural, *source])
+
+
+class TestPlaces:
+    """``_places`` of random blocks against a full sort of each row."""
+
+    def check(self, ids, scores, targets, exclude):
+        """``exclude`` holds each row's excluded columns."""
+        candidate = np.ones(scores.shape, dtype=bool)
+        for row, banned in enumerate(exclude):
+            candidate[row, banned] = False
+        order = sorted(range(len(ids)), key=ids.__getitem__)
+        rank = np.empty(len(ids), dtype=np.intp)
+        rank[order] = np.arange(len(ids))
+        calls = []
+        got = _places(scores, targets, candidate, lambda: calls.append(1) or rank)
+        expected = [place_reference(ids, row, target, banned.tolist())
+                    for row, target, banned in zip(scores, targets.tolist(), exclude, strict=True)]
+        assert got.tolist() == expected
+        return len(calls)
+
+    def test_random_blocks(self):
+        rng = np.random.default_rng(31)
+        for _ in range(300):
+            n_rows, n_docs = int(rng.integers(1, 9)), int(rng.integers(1, 40))
+            ids = shuffled_ids(rng, n_docs)
+            scores = special_scores(rng, n_rows, n_docs)
+            targets = rng.integers(0, n_docs, size=n_rows)
+            exclude = [np.setdiff1d(rng.choice(n_docs, size=int(rng.integers(0, n_docs + 1)),
+                                               replace=False), [t]) for t in targets]
+            self.check(ids, scores, targets, exclude)
+
+    def test_every_other_candidate_excluded(self):
+        rng = np.random.default_rng(32)
+        ids = shuffled_ids(rng, 30)
+        scores = special_scores(rng, 8, 30)
+        targets = rng.integers(0, 30, size=8)
+        exclude = [np.setdiff1d(np.arange(30), [t]) for t in targets]
+        self.check(ids, scores, targets, exclude)
+        alone = np.zeros(scores.shape, dtype=bool)
+        alone[np.arange(8), targets] = True
+        assert _places(scores, targets, alone, lambda: np.arange(30)).tolist() == [0] * 8
+
+    def test_ids_ordered_only_for_a_block_with_a_tie(self):
+        rng = np.random.default_rng(33)
+        ids = shuffled_ids(rng, 50)
+        distinct = rng.permutation(50)[None, :] + rng.permutation(4)[:, None] / 4.0
+        targets = rng.integers(0, 50, size=4)
+        exclude = [np.setdiff1d(rng.choice(50, size=10, replace=False), [t]) for t in targets]
+        assert self.check(ids, distinct.astype(float), targets, exclude) == 0
+        tied = np.zeros((4, 50))
+        assert self.check(ids, tied, targets, exclude) == 1
+        nan_target = distinct.astype(float)
+        nan_target[2, targets[2]] = np.nan
+        assert self.check(ids, nan_target, targets, exclude) == 1
+
+    @pytest.mark.parametrize("case", [1, 2, 3])
+    def test_excluded_and_never_cited_targets_are_misses(self, case):
+        """Targets among their own structural docs or equal to their source,
+        never cited, or alone among the candidates, against full sorts."""
+        rng = np.random.default_rng(90 + case)
+        n_docs, dim, n_words = 40, 2, 6
+        model = shuffled_id_model(rng, n_docs=n_docs, dim=dim, n_words=n_words)
+        model.matrices.doc_out[:] = rng.integers(-1, 2, size=(n_docs, dim))
+        model.matrices.word_in[:] = rng.integers(-2, 3, size=(n_words, dim))
+        uncite(model, rng, 0.3)
+        cited = np.flatnonzero(model.vocab.doc_cited_counts).tolist()
+        truth = random_relations(rng, n_docs, n_words, n_usable=EVAL_BATCH, n_empty=2)
+        for r in truth[:12]:
+            truth.append(dataclasses.replace(r, structural=r.structural | {r.target}))
+            truth.append(dataclasses.replace(r, source=r.target, context=r.context or (0,)))
+            everything = frozenset(cited) - {r.target}
+            truth.append(dataclasses.replace(r, structural=everything, source=None,
+                                             context=r.context or (1,)))
+        for k in (1, 3, 50):
+            assert evaluate(model, truth, case=case, k=k) == oracle_evaluate(model, truth, case, k)
+
+
+class TestThinningDraws:
+    """Case 2's draws against ``thinning_draws_reference``, Python ints."""
+
+    def relations(self, rng, n):
+        truth = []
+        for _ in range(n):
+            docs = rng.choice(2**31 - 1, size=int(rng.integers(2, 9)), replace=False).tolist()
+            source = docs.pop() if rng.random() < 0.5 else None
+            context = tuple(rng.integers(0, 2**31 - 1, size=int(rng.integers(0, 6))).tolist())
+            truth.append(CitationRelation(
+                source=source, target=docs[0], structural=frozenset(docs[1:]), context=context))
+        return truth
+
+    def draws(self, truth, seed):
+        return _thinning_draws(*_relation_table(truth, 2**31, 2**31, sourced=False), seed)
+
+    def test_bit_for_bit_against_python_ints(self):
+        rng = np.random.default_rng(40)
+        truth = self.relations(rng, 200)
+        for seed in (0, 1, 7, -3, 2**64 + 5, 2**70):
+            expected = [u for r in truth for u in thinning_draws_reference(r, seed)]
+            assert self.draws(truth, seed).tolist() == expected, seed
+
+    def test_a_relation_draws_the_same_alone_permuted_or_repeated(self):
+        rng = np.random.default_rng(41)
+        truth = self.relations(rng, 50)
+        alone = [self.draws([r], 3).tolist() for r in truth]
+        order = rng.permutation(len(truth)).tolist()
+        mixed = [truth[i] for i in order] + [truth[i] for i in order[:10]]
+        got = self.draws(mixed, 3).tolist()
+        bounds = np.cumsum([0] + [len(r.structural) for r in mixed]).tolist()
+        for j, i in enumerate(order + order[:10]):
+            assert got[bounds[j] : bounds[j + 1]] == alone[i]
+
+    @pytest.mark.parametrize("keep_prob", [0.1, 0.5, 0.9])
+    def test_kept_fraction_is_keep_prob(self, keep_prob):
+        rng = np.random.default_rng(42)
+        truth = self.relations(rng, 4000)
+        draws = self.draws(truth, 11)
+        assert draws.size >= 10_000
+        sigma = math.sqrt(keep_prob * (1 - keep_prob) / draws.size)
+        assert abs(np.mean(draws < keep_prob) - keep_prob) <= 4 * sigma
+        assert draws.min() >= 0.0 and draws.max() < 1.0
 
 
 def perfect_model(n_docs):
@@ -418,6 +546,25 @@ class TestEvaluate:
         full = evaluate(split_avg_model, truth, case=1, k=10)
         degenerate = evaluate(split_avg_model, truth, case=2, k=10, keep_prob=1.0)
         assert degenerate.values() == full.values()
+
+    def test_case_two_with_keep_prob_zero_equals_case_three(self):
+        """On a model whose structure moves the places; the records differ
+        only in ``case=``."""
+        rng = np.random.default_rng(43)
+        n_docs, dim, n_words = 60, 3, 12
+        model = shuffled_id_model(rng, n_docs=n_docs, dim=dim, n_words=n_words)
+        model.matrices.doc_out[:] = rng.normal(size=(n_docs, dim))
+        model.matrices.doc_in[:] = rng.normal(size=(n_docs, dim))
+        model.matrices.word_in[:] = rng.normal(size=(n_words, dim))
+        truth = random_relations(rng, n_docs, n_words, n_usable=80, n_empty=3, n_docs_only=5)
+        for keep_prob, case in ((1.0, 1), (0.0, 3)):
+            for k in (1, 10):
+                alike = evaluate(model, truth, case=case, k=k)
+                thinned = evaluate(model, truth, case=2, k=k, keep_prob=keep_prob, seed=4)
+                assert [line.replace("case=2", f"case={case}") for line in thinned.records()] == \
+                    alike.records()
+                assert thinned.n_empty_queries == alike.n_empty_queries
+        assert evaluate(model, truth, case=1).values() != evaluate(model, truth, case=3).values()
 
     def test_deterministic_per_seed(self, split_avg_model, fixture_split):
         truth = fixture_split.ground_truth

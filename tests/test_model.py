@@ -92,7 +92,7 @@ class TestInitMatrices:
         assert not mats.doc_out.any()
         assert not mats.word_out.any()
         assert not mats.attention.any()
-        assert mats.attention.shape == (mats.n_docs + mats.n_words,)
+        assert mats.attention.shape == (mats.n_docs + mats.word_in.shape[0],)
 
     def test_fingerprint_is_the_crc_of_the_array_bytes(self):
         mats = tiny_model(dim=4).matrices
