@@ -449,9 +449,12 @@ def _relations(docs: list[HyperDocument], vocab: Vocabulary, window: int):
             name = lay.name(False, int(lo[i] + np.flatnonzero(~known[lo[i] : hi[i]])[0]))
         missing = docs[j], name
 
-    # per doc, the known ids it cites less its own, ascending
+    # per doc, the known ids it cites less its own, ascending: the distinct
+    # pairs by a sort and a neighbour test (np.unique without an inverse
+    # hashes, and is slower on these sizes); every pair is at least 0
     n = max(vocab.n_docs, 1)
-    pair_docs, cited = np.divmod(np.unique(doc_of[found] * n + lay.targets[found]), n)
+    pairs = np.sort(doc_of[found] * n + lay.targets[found])
+    pair_docs, cited = np.divmod(pairs[np.diff(pairs, prepend=-1) != 0], n)
     own = cited == lay.sources[pair_docs]
     pair_docs, cited = pair_docs[~own], cited[~own]
     doc_of, targets = doc_of[found], lay.targets[found]

@@ -167,7 +167,13 @@ class Model:
         holds the very arrays ``load_model`` returned has one: those can
         never be written, so nothing kept can go stale.  A model trained in
         memory, built by hand, copied, unpickled, or whose ``matrices`` or
-        ``vocab`` a caller replaced has none."""
+        ``vocab`` a caller replaced has none.
+
+        What is kept, each made on first use: the word-noise table of
+        ``infer_doc_vector``, i4o's cited panel and the cited ids' order
+        (``recommend``, ``evaluation``), and rank_i4i's float32 unit rows
+        with their mask, n_docs · dim · 4 bytes, which a model with none
+        does without: it filters in a float64 pass per query instead."""
         if self._loaded is None:
             return None
         held, derived = self._loaded

@@ -30,19 +30,22 @@ rank_i4i the scores of its shortlist.  Its columns name the documents
 scored, the cited ones or a shortlist.  ``evaluate`` needs only the
 target's place, and counts it in the same order without ranking.
 
-rank_i4i filters, then refines.  One pass over the input matrix, a block
-of rows at a time, takes every row's dot product with the query and its
-squared norm, which give an approximate cosine within a proven margin of
-the exact one (``_shortlist``).  Only the rows that could reach the top k by
-that margin, and the rows the bound does not cover, get the exact norm of
+rank_i4i filters, then refines.  An approximate cosine of every row,
+within a proven margin of the exact one, gives a shortlist (``_shortlist``):
+the rows that could reach the top k by that margin, and the rows the bound
+does not cover.  Only those get the exact dot product and the exact norm of
 ``np.linalg.norm``; their scores are the same bits as scoring every row,
 and no other row can outrank them.
 
 A loaded model's arrays are read-only, so the arrays that do not depend
 on the query are derived from it once, on first use, and kept on the
-model (``Model._derived``): the cited panel, n_cited × dim floats, and the
-squared norms of the input rows, n_docs floats.  Any other model derives
-them per call, the norms in the same pass as the dot products.
+model (``Model._derived``): the cited panel, n_cited × dim float64s, and a
+float32 copy of the input rows scaled to unit norm, n_docs × dim float32s,
+with a mask of the rows its bound covers (``_unit_rows``).  rank_i4i's
+filter then reads half the bytes of the input matrix: one float32
+matrix-vector product gives every approximate cosine.  Any other model
+gathers its panel per call and filters in one float64 pass over the input
+matrix, which takes each row's dot product and squared norm.
 """
 
 from __future__ import annotations
@@ -64,9 +67,22 @@ BLOCK_ROWS = 1024
 # the cited panel is padded to a multiple of this many rows, a multiple of
 # the tile of rows that BLAS's matrix-vector kernels take at once
 PAD_ROWS = 64
-# rank_i4i's error bound covers squared norms in this range: nothing in a
+# rank_i4i's error bounds cover squared norms in this range: nothing in a
 # score overflows, and underflow costs far less than the margin (_shortlist)
 _SAFE_SQUARES = (2.0**-900, 2.0**900)
+# the float32 filter's bound is proven for dimensions up to this (_shortlist)
+_MAX_DIM32 = 2**16
+
+
+def _margin64(dim: int) -> float:
+    """How far below the k-th best float64 approximate cosine a row's must
+    fall for ``_shortlist`` to drop it; the proof is there."""
+    return 2 * (dim + 8) * float(np.finfo(np.float64).eps)
+
+
+def _margin32(dim: int) -> float:
+    """The same for the float32 approximate cosines of ``_unit_rows``."""
+    return 1.01 * (dim + 2) * float(np.finfo(np.float32).eps)
 
 
 @dataclass(frozen=True)
@@ -231,13 +247,10 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     return _rank_row(model, scores, k, rows, banned=_positions(rows, _banned(model, exclude)))
 
 
-def _dots_and_squares(
-    doc_in: np.ndarray, vector: np.ndarray, squares: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def _dots_and_squares(doc_in: np.ndarray, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``doc_in @ vector`` and the squared norms of the rows, both taken
     ``BLOCK_ROWS`` rows at a time: each block is read from memory once, and
-    its squares are summed while it is in cache.  Given the ``squares`` of
-    an earlier call, only the dot products are taken.
+    its squares are summed while it is in cache.
 
     A row's dot product is the same bits as in ``doc_in @ vector`` when
     BLAS takes it the same way in a block as in the whole product, as
@@ -247,72 +260,130 @@ def _dots_and_squares(
     from one taken over the whole product.
     """
     n_docs = doc_in.shape[0]
-    dots, fresh = np.empty(n_docs), squares is None
-    if fresh:
-        squares = np.empty(n_docs)
+    dots, squares = np.empty(n_docs), np.empty(n_docs)
     for start in range(0, n_docs, BLOCK_ROWS):
         rows = slice(start, start + BLOCK_ROWS)
         np.matmul(doc_in[rows], vector, out=dots[rows])
-        if fresh:
-            np.einsum("ij,ij->i", doc_in[rows], doc_in[rows], out=squares[rows])
+        np.einsum("ij,ij->i", doc_in[rows], doc_in[rows], out=squares[rows])
     return dots, squares
 
 
+def _unit_rows(doc_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A float32 copy of ``doc_in`` with every row scaled to unit norm, and
+    a mask of the rows whose squared norm is in ``_SAFE_SQUARES``; the
+    copy's other rows are zero.  Each row is divided by the square root of
+    its squared norm in float64, then rounded to float32 (``_shortlist``
+    bounds the error).  Made ``BLOCK_ROWS`` rows at a time: no float64
+    temporary is larger than a block.
+    """
+    lo, hi = _SAFE_SQUARES
+    units = np.empty(doc_in.shape, dtype=np.float32)
+    safe = np.empty(doc_in.shape[0], dtype=bool)
+    for start in range(0, doc_in.shape[0], BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        block = doc_in[rows]
+        squares = np.einsum("ij,ij->i", block, block)
+        safe[rows] = (lo <= squares) & (squares <= hi)
+        np.divide(block, np.sqrt(squares)[:, None], out=units[rows])
+        units[rows][~safe[rows]] = 0.0
+    return units, safe
+
+
 def _shortlist(
-    dots: np.ndarray,
-    squares: np.ndarray,
-    query_norm: float,
-    dim: int,
+    approx: np.ndarray,
+    safe: np.ndarray,
+    margin: float,
     candidates: np.ndarray,
     k: int,
 ) -> np.ndarray:
-    """The rows among ``candidates`` (a mask) whose cosine could be in the
-    top k, in ascending order.
+    """The rows among ``candidates`` (a mask) whose exact score could be in
+    the top k, in ascending order.
 
-    Row x scores e = d / (sqrt(t) * q) in rank_i4i: d = ``dots`` is its dot
-    product with the query v, q = ``query_norm``, and t is sum(x * x) as
-    ``np.linalg.norm`` adds it.  Its approximate score a = d / (sqrt(s) * q)
-    takes s = sum(x * x) from ``_dots_and_squares`` instead.
+    The rule.  ``approx`` holds an approximate cosine a of every row, and
+    ``safe`` marks the rows whose a is within B of the row's true cosine c
+    with the query; ``margin`` is above 2·B plus twice the error of the
+    exact score e and 2^-52 (below).  Let tau be the k-th largest a among
+    the safe candidates.  A safe row with a < tau - margin has e below
+    tau - margin + B plus e's error, and each of the k candidates that set
+    tau has e at least tau - B minus e's error: its exact score is strictly
+    below theirs, no tie rule can put it in the top k, and it is dropped.
+    Every other candidate is kept.  An unsafe row is always kept and never
+    counted toward tau, since k zero rows would otherwise put tau above the
+    true top k.  With fewer than k safe candidates, tau is -inf and every
+    candidate is kept.  tau - margin is taken in float64, within 2^-52 of
+    its value, and compared with a in float64.
 
-    The bound.  Let u = eps / 2, n = dim and gamma = n·u / (1 - n·u).  A sum
-    of n products, added in any order, with or without fused multiply-adds,
-    is within gamma·sum|products| of its exact value (Higham, "Accuracy and
-    Stability of Numerical Algorithms", 2nd ed., section 3.1).  So s and t
-    are within a factor 1 ± gamma of |x|², q is at least
-    |v|·sqrt(1 - gamma)·(1 - u), and d is within gamma·|x|·|v| of x·v, so
-    that c = d / (|x|·q), taken exactly, has |c| ≤ 1 + 3·gamma.  a and e are
-    each c times the inverse square root of their norm's factor and three
-    roundings (square root, product, quotient), so
-    |a - e| ≤ |c|·(gamma + 6u) up to terms in u², which is below
-    1.001·(n + 6)·u for any n below 2^33.  A row with a < tau - margin,
-    where tau is the k-th largest a among the safe candidates and
-    margin = 2·(n + 8)·eps, at least twice two such bounds, therefore has an
-    exact score strictly below the exact scores of k candidates: no tie rule
-    can put it in the top k, and it is dropped.  Every other candidate is
-    kept.
+    The bounds.  Let x be a row, v the query, n = dim and
+    c = x·v / (|x|·|v|).  For a unit roundoff r, a sum of n products, added
+    in any order, with or without fused multiply-adds (which round a product
+    and a sum once, not twice), is within
+    gamma(r) · sum|products| of its exact value, gamma(r) = n·r / (1 - n·r)
+    (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
+    section 3.1).  U = 2^-53 and u = 2^-24 are float64's and float32's
+    unit roundoffs.
 
-    The bound assumes that nothing overflows and that underflow costs
-    little.  It holds for rows with s in ``_SAFE_SQUARES`` and a query with
-    q² there: every product and sum is then at most about 2^900, and an
-    underflowing product or quotient errs by at most 2^-1075, against a
-    margin of 2^-48 or more and row and query norms of at least 2^-450.
-    Every other row, and every row when the query is outside that range,
-    is unsafe: always kept, and never counted toward tau, since k zero rows
-    would otherwise put tau above the true top k.  A row whose a is not
-    finite is unsafe too.  With fewer than k safe candidates, tau is -inf
-    and every candidate is kept.
+    rank_i4i's exact score is e = d / (sqrt(t)·q): d is the row's float64
+    dot product with v, t is sum(x·x) as ``np.linalg.norm`` adds it, and q
+    the query's norm.  t is within a factor 1 ± gamma(U) of |x|², q is at
+    least |v|·sqrt(1 - gamma(U))·(1 - U), and d is within gamma(U)·|x|·|v|
+    of x·v, so that d / (|x|·q), taken exactly, is at most 1 + 3·gamma(U)
+    in magnitude.
+
+    The float64 filter, for a model that keeps no derived arrays, takes
+    a = d / (sqrt(s)·q), with s = sum(x·x) from ``_dots_and_squares``.
+    a and e share d and q: each is d / (|x|·q) times the inverse square
+    root of its norm's factor and three roundings (square root, product,
+    quotient), so |a - e| ≤ (1 + 3·gamma(U))·(gamma(U) + 6U) up to terms in
+    U², below 1.001·(n + 6)·U for any n below 2^33.  That plays the part of
+    B plus e's error, so the rule needs twice it and 2^-52, and
+    margin = 2·(n + 8)·eps64 = 4·(n + 8)·U is nearly twice that again.
+
+    The float32 filter, for a loaded model, takes a as the float32 product
+    of the row's float32 unit copy w (``_unit_rows``) with p, the float32
+    rounding of v / q taken in float64.  w_j is x_j / sqrt(s) in float64,
+    within a factor 1 ± (gamma(U) / 2 + 2U) of x_j / |x|, then rounded, so
+    w_j = (x_j / |x|)·(1 + f_j) + g_j with |f_j| ≤ (1 + 2^-12)·u = rho for
+    n ≤ 2^16 and |g_j| below 2^-149, from underflow; p and v alike.  By
+    Cauchy-Schwarz, sum |x_j·v_j| ≤ |x|·|v|, so w·p is within
+    2·rho + rho² of c, and the float32 sum within gamma(u)·(1 + rho)² of
+    w·p, plus at most 2^-126 for each of its 2n operations that underflows
+    or reads a subnormal, flushed to zero or not.  For n ≤ 2^16 that gives
+    B = 1.0041·(n + 2)·u.  e is within 2.01·(n + 2)·U of c (d, t and q as
+    above, and four roundings), and margin = 1.01·(n + 2)·eps32 =
+    2.02·(n + 2)·u is above twice both and the threshold's rounding.
+
+    The ranges.  The bounds assume that nothing overflows and that
+    underflow costs little.  They hold for rows with s in ``_SAFE_SQUARES``
+    and a query with q² there: every float64 product and sum is then at
+    most about 2^900, an underflowing one errs by at most 2^-1075, against a
+    margin of 2^-48 or more and row and query norms of at least 2^-450, and
+    every float32 value is at most about 1 in magnitude.  Every other row,
+    and every row when the query is outside that range or, for the float32
+    filter, n is above 2^16, is unsafe; so is a row whose a is not finite.
     """
-    lo, hi = _SAFE_SQUARES
-    approx = dots / (np.sqrt(squares) * query_norm)
-    safe = (lo <= squares) & (squares <= hi) & np.isfinite(approx)
-    safe &= lo <= query_norm * query_norm <= hi
     keys = np.where(safe & candidates, approx, -np.inf)
     tau = -np.inf
     if k <= keys.size:
         keys.partition(keys.size - k)
-        tau = keys[keys.size - k]
-    margin = 2 * (dim + 8) * np.finfo(np.float64).eps
+        tau = np.float64(keys[keys.size - k])
     return np.flatnonzero(candidates & ~(safe & (approx < tau - margin)))
+
+
+def _exact_dots(doc_in: np.ndarray, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``(doc_in @ vector)[rows]`` for ascending ``rows``, with the bits of
+    the whole product on one BLAS thread: the rows are gathered into one
+    panel padded to a multiple of ``PAD_ROWS`` (``_gather_panel``), so that
+    none of them falls in the tail of rows that BLAS takes another way,
+    except the rows in ``doc_in``'s last partial ``PAD_ROWS`` group, which
+    are that tail in the whole product too and are taken from a product
+    over that group."""
+    tail = doc_in.shape[0] - doc_in.shape[0] % PAD_ROWS
+    head = int(np.searchsorted(rows, tail))
+    dots = np.empty(rows.size)
+    dots[:head] = (_gather_panel(doc_in, rows[:head]) @ vector)[:head]
+    if head < rows.size:
+        dots[head:] = (doc_in[tail:] @ vector)[rows[head:] - tail]
+    return dots
 
 
 def rank_i4i(
@@ -325,13 +396,15 @@ def rank_i4i(
 ) -> RecommendationList:
     """Infer a vector for the words, rank documents by cosine to their
     input vectors: dot / (row norm * query norm), with the dot products of
-    ``_dots_and_squares`` and the norms of ``np.linalg.norm``.  Zero-norm
-    rows score 0.  Only ``_shortlist``'s rows
-    are scored; the others cannot reach the top k.  A loaded model keeps the
-    squared row norms of its first query's pass and later passes only take
-    dot products; any other model sums the squares on every call.  Raises
-    QueryError when the inferred vector's norm is 0 or not finite, and
-    ConfigError, before any work, for a bad ``k``, ``steps`` or ``lr``."""
+    ``doc_in @ vector`` and the norms of ``np.linalg.norm``.  Zero-norm
+    rows score 0.  Only ``_shortlist``'s rows are scored; the others cannot
+    reach the top k.  A loaded model filters by one float32 product with its
+    unit rows (``_unit_rows``), made on its first i4i query and kept, and
+    takes the shortlist's dot products by ``_exact_dots``; any other model
+    filters by one float64 pass (``_dots_and_squares``) per call.  Both give
+    the same bits.  Raises QueryError when the inferred vector's norm is 0
+    or not finite, and ConfigError, before any work, for a bad ``k``,
+    ``steps`` or ``lr``."""
     _check_k(k)
     inferred = infer_doc_vector(model, context_words, steps=steps, lr=lr)
     with np.errstate(over="ignore"):
@@ -339,17 +412,27 @@ def rank_i4i(
     if not 0.0 < query_norm < math.inf:
         raise QueryError(f"inferred query vector has norm {query_norm}")
     doc_in = model.matrices.doc_in
+    dim = doc_in.shape[1]
     candidates = np.ones(doc_in.shape[0], dtype=bool)
     candidates[_banned(model, exclude)] = False
-    derived = model._derived()
-    squares = None if derived is None else derived.get("squares")
+    lo, hi = _SAFE_SQUARES
+    covered = lo <= query_norm * query_norm <= hi
     with np.errstate(all="ignore"):  # non-finite scores are ranked, not warned about
-        dots, squares = _dots_and_squares(doc_in, inferred, squares)
-        if derived is not None:
-            derived["squares"] = squares
-        rows = _shortlist(dots, squares, query_norm, doc_in.shape[1], candidates, k)
+        if model._derived() is None:
+            dots, squares = _dots_and_squares(doc_in, inferred)
+            approx = dots / (np.sqrt(squares) * query_norm)
+            safe = (lo <= squares) & (squares <= hi) & np.isfinite(approx) & covered
+            rows = _shortlist(approx, safe, _margin64(dim), candidates, k)
+            dots = dots[rows]
+        else:
+            units, safe = _reused(model, "unit rows", lambda: _unit_rows(doc_in))
+            if not (covered and dim <= _MAX_DIM32):
+                safe = np.zeros_like(safe)
+            approx = units @ (inferred / query_norm).astype(np.float32)
+            rows = _shortlist(approx, safe, _margin32(dim), candidates, k)
+            dots = _exact_dots(doc_in, inferred, rows)
         norms = np.linalg.norm(doc_in[rows], axis=1)
-        scores = dots[rows] / (norms * query_norm)
+        scores = dots / (norms * query_norm)
     return _rank_row(model, np.where(norms > 0.0, scores, 0.0), k, rows)
 
 

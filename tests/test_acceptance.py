@@ -296,6 +296,11 @@ GATE_SEEDS = (1, 2, 3)
 # train.BATCH at 512 (0.516).
 GATE_MARGINS = {"case 1 - case 2": 0.08, "case 2 - case 3": 0.07, "structure - none": 0.17}
 GATE_FLOOR = 0.6
+# Case 2 is scored as its mean recall over these keep-prob draws: one draw
+# moves a seed's Case 2 recall by up to about 0.05 (a standard deviation of
+# 0.016-0.020 over 30 draws), the mean of 16 by about a quarter of that, so
+# the margins test the model rather than the draw
+CASE2_SEEDS = tuple(range(16))
 
 
 class TestDeskScaleTrend:
@@ -314,7 +319,9 @@ class TestDeskScaleTrend:
                 model = init_model(split.train_vocab, GATE_CONFIG.with_updates(**changes))
                 train(model, relations, split.train_docs)
                 models.append(model)
-            r1, r2, r3 = (evaluate(models[0], truth, case=case, k=5).recall for case in (1, 2, 3))
+            r1, r3 = (evaluate(models[0], truth, case=case, k=5).recall for case in (1, 3))
+            r2 = math.fsum(evaluate(models[0], truth, case=2, k=5, seed=q).recall
+                           for q in CASE2_SEEDS) / len(CASE2_SEEDS)
             rn, ra = (evaluate(m, truth, case=1, k=5).recall for m in models[1:])
             gaps = {"case 1 - case 2": r1 - r2, "case 2 - case 3": r2 - r3,
                     "structure - none": r1 - rn}
@@ -325,9 +332,11 @@ class TestDeskScaleTrend:
         elapsed = time.perf_counter() - started
         assert elapsed < 60.0
         # regression baselines recorded on the first verified run, seeds 1-3:
-        # 0.739/0.539/0.339 vs 0.339, 0.740/0.632/0.363 vs 0.390,
-        # 0.702/0.535/0.333 vs 0.346; att case 1 0.665, 0.641, 0.675
-        # (Case 2 read 0.539, 0.570 and 0.487 before its counter-based draws)
+        # 0.739/0.542/0.339 vs 0.339, 0.740/0.578/0.363 vs 0.390,
+        # 0.702/0.517/0.333 vs 0.346; att case 1 0.665, 0.641, 0.675
+        # (Case 2, the mean over CASE2_SEEDS, read 0.539, 0.632 and 0.535 from
+        # the single draw of seed 0, and 0.539, 0.570 and 0.487 before the
+        # counter-based draws)
         announce(
             capsys, "desk-scale trend",
             f"recall@5 case 1/2/3 vs no structure, att case 1, seeds {GATE_SEEDS}: "

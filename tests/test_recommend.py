@@ -13,6 +13,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from citevec.evaluation import evaluate
 from citevec.model import EmbeddingConfig, Model, infer_doc_vector, init_model, load_model, save_model
 from citevec.recommend import (
     BLOCK_ROWS,
+    PAD_ROWS,
     Query,
     ResolvedText,
     _top_k,
@@ -560,8 +562,9 @@ class TestRankI4I:
             if float(np.linalg.norm(inferred)) == 0.0:
                 continue
             expected = oracle_rank(model, cosine_scores(model, inferred), exclude, k=5)
-            got = rank_i4i(model, words, exclude=exclude, k=5, steps=2, lr=0.05)
-            assert got.ranked == expected, f"trial {trial}"
+            for ranker in (model, reloaded(model)):  # the float64 and the float32 filter
+                got = rank_i4i(ranker, words, exclude=exclude, k=5, steps=2, lr=0.05)
+                assert got.ranked == expected, f"trial {trial}"
 
     def test_matches_brute_force_oracle_over_many_candidates(self):
         """Integer rows in few dimensions repeat, and equal rows tie exactly
@@ -571,6 +574,7 @@ class TestRankI4I:
         model.matrices.doc_in[:] = rng.integers(-2, 3, size=(3000, 3))
         model.matrices.word_in[:] = rng.normal(size=(4, 3))
         model.matrices.word_out[:] = rng.normal(size=(4, 3))
+        loaded = reloaded(model)
         for trial in range(6):
             words = rng.integers(0, 4, size=3).tolist()
             exclude = set(rng.choice(model.vocab.doc_list, size=200).tolist())
@@ -578,8 +582,9 @@ class TestRankI4I:
             scores = cosine_scores(model, inferred)
             for k in (1, 10, 50):
                 expected = oracle_rank(model, scores, exclude, k)
-                got = rank_i4i(model, words, exclude=exclude, k=k, steps=2, lr=0.05)
-                assert got.ranked == expected, f"trial {trial}, k={k}"
+                for ranker in (model, loaded):
+                    got = rank_i4i(ranker, words, exclude=exclude, k=k, steps=2, lr=0.05)
+                    assert got.ranked == expected, f"trial {trial}, k={k}"
 
     def test_all_candidates_tie(self):
         rng = np.random.default_rng(6)
@@ -602,8 +607,10 @@ def bits(ranked):
 class TestI4IShortlist:
     """rank_i4i scores only a shortlist of rows.  These cases are where
     approximate cosines are least reliable or do not exist; each compares
-    the ranking with every row scored exactly.  The query is the mean of
-    the words' input vectors (lr 0), so it is set by hand."""
+    the ranking with every row scored exactly, for a model that filters in
+    float64 and for its loaded copy, which filters by its float32 unit
+    rows.  The query is the mean of the words' input vectors (lr 0), so it
+    is set by hand."""
 
     def model(self, rng, rows, query):
         n_docs, dim = rows.shape
@@ -615,9 +622,13 @@ class TestI4IShortlist:
     def check(self, model, exclude=(), ks=(1, 3, 10, 50)):
         exclude = set(exclude)
         scores = cosine_scores(model, infer_doc_vector(model, [0], steps=1, lr=0.0))
+        loaded = reloaded(model)
         for k in ks:
-            got = rank_i4i(model, [0], exclude=exclude, k=k, steps=1, lr=0.0)
-            assert bits(got.ranked) == bits(oracle_rank(model, scores, exclude, k)), f"k={k}"
+            expected = bits(oracle_rank(model, scores, exclude, k))
+            for ranker in (model, loaded):
+                got = rank_i4i(ranker, [0], exclude=exclude, k=k, steps=1, lr=0.0)
+                assert bits(got.ranked) == expected, f"k={k}, loaded={ranker is loaded}"
+        assert "unit rows" in loaded._derived()
         return scores
 
     def test_scaled_copies_tie_in_truth_but_not_in_bits(self):
@@ -634,6 +645,26 @@ class TestI4IShortlist:
             scores = self.check(model, exclude=model.vocab.doc_list[::7])
             # the copies' cosines are equal in truth and not in bits
             assert len(set(np.sort(scores)[-64:].tolist())) > 1
+
+    @pytest.mark.parametrize("dim", [2, 16, 100])
+    def test_near_ties_closer_than_the_float32_margin(self, dim):
+        """Cosines a few float32 steps apart, all within the float32
+        margin of each other, among rows far from the query: the float32
+        product cannot order them, and float64 scores must."""
+        rng = np.random.default_rng(300 + dim)
+        base = rng.normal(size=dim)
+        spread = recommend_module._margin32(dim)
+        # cosine 1 - t²/2 for a unit offset t orthogonal to the query
+        offsets = rng.normal(size=(200, dim))
+        offsets -= np.outer(offsets @ base, base) / (base @ base)
+        offsets /= np.linalg.norm(offsets, axis=1)[:, None]
+        t = np.sqrt(2 * spread * rng.random(200))[:, None]
+        near = (base / np.linalg.norm(base) + t * offsets) * rng.uniform(0.5, 2.0, size=(200, 1))
+        rows = np.concatenate((near, rng.normal(size=(100, dim))))
+        cosines = rows @ base / (np.linalg.norm(rows, axis=1) * np.linalg.norm(base))
+        assert np.ptp(cosines[:200]) < spread and len(set(cosines[:200].tolist())) > 150
+        model = self.model(rng, rng.permutation(rows), base)
+        self.check(model, exclude=model.vocab.doc_list[::9], ks=(1, 10, 50, 150))
 
     def test_at_least_k_zero_rows(self):
         rng = np.random.default_rng(32)
@@ -691,44 +722,149 @@ class TestI4IShortlist:
         self.check(model, ks=(29, 30, 31, 90))
         self.check(model, exclude=["m1"], ks=(29, 30))
 
+    @pytest.mark.parametrize("n_docs, dim", [(357, 16), (358, 17), (359, 16), (37, 17), (127, 17), (190, 16)])
+    def test_top_rows_in_the_last_partial_pad_group(self, n_docs, dim):
+        """The document count is not a multiple of PAD_ROWS, and the rows
+        of its last partial group are the top k: the whole product takes
+        the last of them in BLAS's tail, and so must their scores."""
+        rng = np.random.default_rng(n_docs + dim)
+        tail = n_docs - n_docs % PAD_ROWS
+        for trial in range(4):
+            query = rng.normal(size=dim)
+            rows = rng.normal(size=(n_docs, dim))
+            rows[tail:] = query + 0.3 * rng.normal(size=(n_docs - tail, dim))
+            model = make_model([f"d{i}" for i in range(n_docs)], ["w"], dim=dim)
+            model.matrices.doc_in[:] = rows
+            model.matrices.word_in[0] = query
+            self.check(model, exclude=["d1", f"d{tail}"], ks=(1, n_docs - tail, n_docs - tail + 5))
+
     def test_the_shortlist_is_short(self):
-        """Random rows are far apart next to the margin: the shortlist is
-        the top k, give or take a few rows."""
+        """Random rows are far apart next to either margin: the shortlist
+        is the top k, give or take a few rows."""
         rng = np.random.default_rng(38)
         doc_in = rng.normal(size=(5000, 100))
         query = rng.normal(size=100)
-        dots, squares = recommend_module._dots_and_squares(doc_in, query)
+        query_norm = float(np.linalg.norm(query))
         candidates = np.ones(5000, dtype=bool)
         candidates[:100] = False
-        rows = recommend_module._shortlist(
-            dots, squares, float(np.linalg.norm(query)), 100, candidates, 10
-        )
-        cosines = dots / np.linalg.norm(doc_in, axis=1)
-        top = 100 + np.argsort(-cosines[100:])[:10]
-        assert set(top) <= set(rows.tolist()) and rows.size < 20 and rows.min() >= 100
+        dots, squares = recommend_module._dots_and_squares(doc_in, query)
+        units, safe = recommend_module._unit_rows(doc_in)
+        assert safe.all()
+        for approx, margin in ((dots / (np.sqrt(squares) * query_norm), recommend_module._margin64(100)),
+                               (units @ (query / query_norm).astype(np.float32),
+                                recommend_module._margin32(100))):
+            rows = recommend_module._shortlist(approx, safe, margin, candidates, 10)
+            cosines = dots / np.linalg.norm(doc_in, axis=1)
+            top = 100 + np.argsort(-cosines[100:])[:10]
+            assert set(top) <= set(rows.tolist()) and rows.size < 20 and rows.min() >= 100
+
+    @pytest.mark.parametrize("dim", [1, 2, 16, 100, 1000])
+    def test_the_float32_margin_covers_any_error_within_its_bound(self, dim):
+        """The float32 filter must keep the top k for any float32 kernel
+        whose error is within its proven bound, B = 1.0041·(n + 2)·u
+        (``_shortlist``), not only for this machine's.  The approximate
+        cosines are set by hand, 0.99·(n + 2)·u from the exact ones: down
+        for the true top k, up for every other row, among near-ties spread
+        over (n + 2)·u.  The shortlist must hold the top k, and no row more
+        than 6·(n + 2)·u below the k-th."""
+        rng = np.random.default_rng(dim)
+        u, k = 2.0**-24, 10
+        step = (dim + 2) * u
+        exact = np.concatenate((0.9 + step * rng.uniform(-1, 1, size=400),
+                                0.9 - step * rng.uniform(6, 50, size=200),
+                                rng.uniform(-1, 0.5, size=200)))
+        order = np.argsort(-exact, kind="stable")
+        top, kth = order[:k], exact[order[k - 1]]
+        approx = exact + 0.99 * step
+        approx[top] = exact[top] - 0.99 * step
+        safe = candidates = np.ones(exact.size, dtype=bool)
+        margin = recommend_module._margin32(dim)
+        rows = recommend_module._shortlist(approx, safe, margin, candidates, k)
+        assert set(top.tolist()) <= set(rows.tolist())
+        assert not (exact[rows] < kth - 6 * step).any() and rows.max() < 400
 
     def test_rows_the_bound_does_not_cover_are_always_kept(self):
         """However low their approximate cosine: rows whose squared norm is
-        outside the range, rows whose approximate cosine is not finite (the
-        last two, whose dot products are set by hand), and every row when
-        the query's squared norm is outside the range."""
+        outside the range, rows whose float64 approximate cosine is not
+        finite (the last two, whose dot products are set by hand), and every
+        row when the query's squared norm is outside the range or, in
+        float32, the dimension is above the bound's."""
         rng = np.random.default_rng(39)
         dim = 16
         query = rng.normal(size=dim)
-        scales = np.array([1e-160, 1e-137, 1e136, 1e170, np.nan, np.inf, 1.0, 1.0])
+        query_norm = float(np.linalg.norm(query))
+        scales = np.array([1e-160, 1e-137, 1e136, 1e170, np.nan, np.inf, 0.0, 1.0, 1.0])
         doc_in = np.concatenate((rng.normal(size=(300, dim)), -query * scales[:, None]))
-        shortlist = recommend_module._shortlist
+        candidates = np.ones(doc_in.shape[0], dtype=bool)
+        unsafe = set(range(300, 307))
         with np.errstate(all="ignore"):
             dots, squares = recommend_module._dots_and_squares(doc_in, query)
             dots[-2:] = [np.inf, np.nan]
-            candidates = np.ones(doc_in.shape[0], dtype=bool)
-            rows = shortlist(dots, squares, float(np.linalg.norm(query)), dim, candidates, 3)
+            approx = dots / (np.sqrt(squares) * query_norm)
+            safe = (2.0**-900 <= squares) & (squares <= 2.0**900) & np.isfinite(approx)
+            rows = recommend_module._shortlist(approx, safe, recommend_module._margin64(dim),
+                                               candidates, 3)
             top = np.argsort(-dots[:300] / np.sqrt(squares[:300]))[:3]
-            assert set(range(300, 308)) | set(top) <= set(rows.tolist()) and rows.size < 20
-            huge = 1e140 * query
-            rows = shortlist(dots[:300] * 1e140, squares[:300], float(np.linalg.norm(huge)), dim,
-                             candidates[:300], 3)
-        assert rows.tolist() == list(range(300))
+            assert unsafe | {307, 308} | set(top) <= set(rows.tolist()) and rows.size < 20
+
+            units, safe = recommend_module._unit_rows(doc_in)
+            assert set(np.flatnonzero(~safe).tolist()) == unsafe and not units[~safe].any()
+            approx = units @ (query / query_norm).astype(np.float32)
+            rows = recommend_module._shortlist(approx, safe, recommend_module._margin32(dim),
+                                               candidates, 3)
+            assert unsafe | set(top) <= set(rows.tolist()) and rows.size < 20
+
+    @pytest.mark.parametrize("covered", ["huge query", "dimension"])
+    def test_every_row_is_kept_outside_the_bound(self, monkeypatch, covered):
+        """A query whose squared norm is outside the range makes both
+        filters keep every candidate; a dimension above the float32 bound's
+        makes the float32 filter keep every candidate, and the float64
+        filter still drops rows."""
+        kept = []
+
+        def shortlist(*args):
+            rows = real_shortlist(*args)
+            kept.append(rows.size)
+            return rows
+
+        real_shortlist = recommend_module._shortlist
+        monkeypatch.setattr(recommend_module, "_shortlist", shortlist)
+        if covered == "dimension":
+            monkeypatch.setattr(recommend_module, "_MAX_DIM32", 4)
+        rng = np.random.default_rng(42)
+        scale = 1e150 if covered == "huge query" else 1.0
+        model = self.model(rng, rng.normal(size=(200, 5)), scale * rng.normal(size=5))
+        self.check(model, exclude=["m7"], ks=(1, 10))
+        # check ranks the model, then its loaded copy, for each k
+        writable, loaded = kept[0::2], kept[1::2]
+        assert loaded == [199, 199]
+        if covered == "huge query":
+            assert writable == [199, 199]
+        else:
+            assert max(writable) < 100
+
+    def test_unit_rows_are_made_a_block_at_a_time(self):
+        """Within a factor 1 ± (1 + 2^-12)·2^-24 of each row over its norm,
+        as ``_shortlist``'s bound assumes, zero where the bound does not
+        hold, and made with no float64 temporary above a block's size."""
+        rng = np.random.default_rng(43)
+        n_docs, dim = 12 * BLOCK_ROWS + 37, 24
+        doc_in = rng.normal(size=(n_docs, dim)) * np.exp(rng.uniform(-330, 330, size=(n_docs, 1)))
+        doc_in[rng.choice(n_docs, size=3, replace=False)] = [[0.0], [np.nan], [np.inf]]
+        with np.errstate(all="ignore"):
+            norms = np.linalg.norm(doc_in, axis=1)
+            squares = np.einsum("ij,ij->i", doc_in, doc_in)
+            tracemalloc.start()
+            units, safe = recommend_module._unit_rows(doc_in)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert units.dtype == np.float32 and units.shape == doc_in.shape
+        covered = (2.0**-900 <= squares) & (squares <= 2.0**900)
+        assert np.array_equal(safe, covered) and 0 < safe.sum() < n_docs - 100
+        assert not units[~safe].any()
+        exact = doc_in[safe] / norms[safe, None]
+        assert (np.abs(units[safe] - exact) <= (1 + 2.0**-12) * 2.0**-24 * np.abs(exact)).all()
+        assert peak - units.nbytes - safe.nbytes <= BLOCK_ROWS * dim * 8
 
     def test_one_pass_gives_the_product_and_the_squares(self):
         """Blocks of rows, a partial last one among them; small integers
@@ -860,9 +996,10 @@ def writable(model):
 
 
 class TestLoadedModelReuse:
-    """A loaded model builds its cited panel and its squared row norms once
-    and ranks with them; any other model derives them on every call.  The
-    rankings are the same bits either way."""
+    """A loaded model builds its cited panel and its float32 unit rows once
+    and ranks with them; any other model gathers its panel on every call
+    and filters i4i queries in float64.  The rankings are the same bits
+    either way."""
 
     def model(self, rng, n_docs, n_cited, dim=6, n_words=5):
         model = shuffled_id_model(rng, n_docs, dim, n_words=n_words)
@@ -911,34 +1048,42 @@ class TestLoadedModelReuse:
         assert loaded.vocab.n_docs == n_docs and memory._derived() is None
 
     def test_a_loaded_model_reuses_what_it_derives(self, monkeypatch):
-        gathered, summed = [], []
-        real_gather, real_pass = recommend_module._gather_panel, recommend_module._dots_and_squares
+        """A loaded model gathers its cited panel once and makes its float32
+        unit rows on its first i4i query; each i4i query then gathers only
+        its shortlist's input rows and never takes the float64 pass.  A
+        writable copy makes no unit rows: it gathers the panel per i4o
+        query and evaluate call, and takes the float64 pass per i4i query."""
+        calls = []
 
-        def gather(*args):
-            gathered.append(1)
-            return real_gather(*args)
+        def spy(name, real):
+            def wrapper(*args):
+                calls.append(name)
+                return real(*args)
+            monkeypatch.setattr(module, name, wrapper)
 
-        def one_pass(doc_in, vector, squares=None):
-            summed.append(squares is None)
-            return real_pass(doc_in, vector, squares)
+        def gather(matrix, rows):
+            calls.append("doc_out panel" if matrix is model.matrices.doc_out else "doc_in panel")
+            return real_gather(matrix, rows)
 
-        def noise_table(counts):
-            tables.append(1)
-            return real_table(counts)
-
-        tables, real_table = [], train_module._noise_table
+        real_gather = recommend_module._gather_panel
         monkeypatch.setattr(recommend_module, "_gather_panel", gather)
-        monkeypatch.setattr(recommend_module, "_dots_and_squares", one_pass)
-        monkeypatch.setattr(train_module, "_noise_table", noise_table)
-        loaded = self.model(np.random.default_rng(3), 300, 150)
+        for module, name in ((recommend_module, "_unit_rows"), (recommend_module, "_dots_and_squares"),
+                             (train_module, "_noise_table")):
+            spy(name, getattr(module, name))
+        loaded = model = self.model(np.random.default_rng(3), 300, 150)
         rng = np.random.default_rng(4)
         self.rankings(loaded, rng)
-        assert len(gathered) == 1 and summed == [True, False, False] and len(tables) == 1
+        assert sorted(calls) == sorted(["doc_out panel", "_unit_rows", "_noise_table"] + ["doc_in panel"] * 3)
+        units, safe = loaded._derived()["unit rows"]
+        assert units.dtype == np.float32 and units.shape == (300, 6) and safe.shape == (300,)
+        self.rankings(loaded, rng)
+        assert loaded._derived()["unit rows"][0] is units
         assert recommend_module._cited_panel(loaded)[1] is recommend_module._cited_panel(loaded)[1]
-        gathered.clear(), summed.clear(), tables.clear()
-        self.rankings(writable(loaded), rng)
-        assert len(gathered) == 6 and summed == [True, True, True]  # 3 i4o, 3 evaluate
-        assert len(tables) == 3  # one word-noise table per i4i query
+        calls.clear()
+        model = writable(loaded)
+        self.rankings(model, rng)
+        # 3 i4o and 3 evaluate panels; one float64 pass and one word-noise table per i4i query
+        assert sorted(calls) == sorted(["doc_out panel"] * 6 + ["_dots_and_squares", "_noise_table"] * 3)
 
     def test_a_loaded_model_infers_like_its_writable_copy(self):
         """The kept word-noise table draws with a fresh generator per call:
