@@ -31,7 +31,7 @@ p4\tquery expansion via embeddings [[p2]]
 """
 corpus = parse_corpus(corpus_bytes)
 print(f"\nparsed {corpus.stats.n_docs} docs, {corpus.stats.n_words} word tokens, "
-      f"{corpus.stats.n_citations} citations")
+      f"{corpus.stats.n_relations} citations")
 
 # 3. Each citation occurrence becomes one training relation: the citing
 # doc, the cited doc, the other documents cited nearby, and the window
@@ -51,7 +51,7 @@ spec = SyntheticSpec(n_topics=2, docs_per_topic=5, clique_size=3,
                      vocab_per_topic=12, noise_rate=0.1, seed=9)
 synth = parse_corpus(generate_synthetic_corpus(spec))
 print(f"\nsynthetic corpus: {synth.stats.n_docs} docs, "
-      f"{synth.stats.n_citations} citations")
+      f"{synth.stats.n_relations} citations")
 first = next(d for d in synth.docs if d.id == "t0d0")
 print(f"  t0d0 cites: {sorted(first.cite_targets())}")
 

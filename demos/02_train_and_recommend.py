@@ -37,7 +37,7 @@ from citevec.recommend import resolve_text
 spec = SyntheticSpec(n_topics=2, docs_per_topic=16, clique_size=4,
                      vocab_per_topic=30, noise_rate=0.1, seed=97)
 corpus = parse_corpus(generate_synthetic_corpus(spec))
-print(f"corpus: {corpus.stats.n_docs} docs, {corpus.stats.n_citations} citations")
+print(f"corpus: {corpus.stats.n_docs} docs, {corpus.stats.n_relations} citations")
 
 config = EmbeddingConfig(dim=16, window=8, negative=2, iterations=40,
                          retrofit_epochs=5, learning_rate=0.05, seed=13)

@@ -11,6 +11,8 @@ pooling, attention pooling, and a no-structure mode that trains from
 words alone.
 """
 
+from dataclasses import replace
+
 from citevec import (
     EmbeddingConfig,
     SyntheticSpec,
@@ -45,8 +47,8 @@ def fit(config):
 
 
 model_avg = fit(base)
-model_att = fit(base.with_updates(variant="att"))
-model_nostruct = fit(base.with_updates(structural_context=False))
+model_att = fit(replace(base, variant="att"))
+model_nostruct = fit(replace(base, structural_context=False))
 
 # 2. One case at a time: machine-readable records, one metric per line.
 print("\navg variant, case by case:")

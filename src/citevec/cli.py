@@ -180,8 +180,7 @@ def _cmd_recommend(args, out) -> int:
         raise CitevecError("no input text given")
     result = recommend(
         model, text,
-        case=args.case, k=args.k, keep_prob=args.keep_prob,
-        seed=args.seed, exclude_markers=not args.no_exclude,
+        case=args.case, k=args.k, keep_prob=args.keep_prob, seed=args.seed,
     )
     print(f"dropped {result.unknown_words} unknown words", file=sys.stderr)
     for rank, (doc_id, score) in enumerate(result.ranked, start=1):
@@ -261,10 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("model")
     _add_query_flags(p_rec)
     p_rec.add_argument("--text-file", default=None, help="read text here instead of stdin")
-    p_rec.add_argument(
-        "--no-exclude", action="store_true",
-        help="diagnostic: do not drop the cited markers from the results",
-    )
     p_rec.set_defaults(func=_cmd_recommend)
 
     p_eval = sub.add_parser("evaluate", help="three-case protocol on a held-out split")

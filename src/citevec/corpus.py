@@ -89,12 +89,12 @@ class Vocabulary:
 
 @dataclass(slots=True)
 class CorpusStats:
+    """``parse_corpus``'s counts: documents, placeholders included; word
+    tokens; and citation markers, one citation relation each."""
+
     n_docs: int = 0
-    n_words: int = 0  # total word-token count
-    n_citations: int = 0
+    n_words: int = 0
     n_relations: int = 0
-    n_empty_docs: int = 0
-    mean_citations_per_doc: float = 0.0
 
 
 @dataclass
@@ -318,14 +318,10 @@ def parse_corpus(source) -> Corpus:
     parse.codes = np.array(codes, dtype=np.int32)
 
     docs, vocab = complete_corpus(line_docs)
-    n_citations = int(vocab.doc_cited_counts.sum())
     stats = CorpusStats(
         n_docs=len(docs),
         n_words=int(vocab.word_counts.sum()),
-        n_citations=n_citations,
-        n_relations=n_citations,
-        n_empty_docs=sum(not doc.tokens for doc in docs),
-        mean_citations_per_doc=n_citations / max(len(docs), 1),
+        n_relations=int(vocab.doc_cited_counts.sum()),
     )
     return Corpus(docs=docs, vocab=vocab, stats=stats)
 

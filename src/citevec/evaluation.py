@@ -109,7 +109,7 @@ def _thinning_draws(targets, has_source, sources, n_context, words, n_structural
     np.add.at(keys, np.concatenate((every, every, np.repeat(every, n_structural),
                                     np.repeat(every, n_context))),
               _mix(counters.astype(np.uint64), np.concatenate((targets, source, docs, words))))
-    bits = _mix(_mix(np.repeat(_mix(keys, 0), n_structural), places), seed % 2**64)
+    bits = _mix(_mix(np.repeat(_mix(keys, 0), n_structural), places), int(seed) % 2**64)
     return (bits >> np.uint64(11)) * 2.0**-53
 
 
@@ -213,17 +213,16 @@ def evaluate(model: Model, ground_truth: GroundTruth, case: int, k: int = 10,
     keeps the cited panel, shared with ``rank_i4o``, and the ids' order.  A
     target at place p < k is a hit at rank r = p + 1: recall 1, AP 1/r and
     nDCG 1/log2(r + 1), as the plain definitions give with one relevant item.
+    Raises ConfigError before any work for a bad argument (``case``, ``k``
+    and ``seed`` must be ints, not bools) or empty ground truth.
     """
-    Query(case=case, context_words=(), keep_prob=keep_prob)  # rejects a bad case or keep_prob
+    Query(case=case, context_words=(), keep_prob=keep_prob, seed=seed)  # rejects bad ones
     _check_k(k)
     if not ground_truth:
         raise ConfigError("ground truth is empty")
     usable, queries, targets, owners, excluded = _pool_queries(
         model, ground_truth, case, keep_prob, seed)
-    cited, panel = _cited_panel(model)
-    # a document's column among the candidates, -1 if it was never cited
-    column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
-    column[cited] = np.arange(cited.size)
+    cited, panel, column = _cited_panel(model)
     # the usable queries whose target was cited and is not excluded
     blocked = np.zeros(len(ground_truth), dtype=bool)
     blocked[owners[excluded == targets[owners]]] = True

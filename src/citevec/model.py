@@ -24,7 +24,7 @@ import os
 import stat
 import struct
 import zlib
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -81,9 +81,6 @@ class EmbeddingConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not 0 <= self.seed < 2**63:
             raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
-
-    def with_updates(self, **changes) -> "EmbeddingConfig":
-        return replace(self, **changes)
 
 
 # The model file's config block: EmbeddingConfig's fields in declaration
@@ -170,10 +167,11 @@ class Model:
         ``vocab`` a caller replaced has none.
 
         What is kept, each made on first use: the word-noise table of
-        ``infer_doc_vector``, i4o's cited panel and the cited ids' order
-        (``recommend``, ``evaluation``), and rank_i4i's float32 unit rows
-        with their mask, n_docs · dim · 4 bytes, which a model with none
-        does without: it filters in a float64 pass per query instead."""
+        ``infer_doc_vector``, i4o's cited panel with every document's column
+        in it, the cited ids' order (``recommend``, ``evaluation``), and
+        rank_i4i's float32 unit rows with their mask, n_docs · dim · 4
+        bytes, which a model with none does without: it filters in a float64
+        pass per query instead."""
         if self._loaded is None:
             return None
         held, derived = self._loaded
@@ -452,6 +450,11 @@ def export_word2vec_text(model: Model, which: str, sink) -> None:
             emit(handle)
 
 
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
 def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | None = None) -> np.ndarray:
     """Fit a vector for unseen text against the frozen word matrices.
 
@@ -472,8 +475,7 @@ def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | Non
     """
     from .train import BATCH, NegativeSampler, _noise_table, _ns_output  # avoids an import cycle
 
-    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
-        raise ConfigError(f"steps must be an int, got {steps!r}")
+    _check_int("steps", steps)
     if steps < 1:
         raise ConfigError(f"steps must be >= 1, got {steps}")
     if lr is None:

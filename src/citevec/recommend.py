@@ -2,8 +2,9 @@
 
 Three query regimes: Case 1 pools the context words with every co-cited
 document, Case 2 keeps each co-cited document with a fixed probability,
-Case 3 uses the words alone.  Case 2 here thins with ``default_rng(seed)``;
-``evaluate`` thins each held-out citation with its own counter-based draws.
+Case 3 uses the words alone.  Case 2 here thins with
+``default_rng(seed % 2**64)``; ``evaluate`` thins each held-out citation
+with its own counter-based draws.
 Queries are pooled with the arithmetic mean for both model variants, a
 known train/serve skew for "att": only the manuscript is new, and the
 scores its words and co-cited documents were trained with go unused at
@@ -57,7 +58,7 @@ import numpy as np
 
 from .corpus import _cited_id
 from .errors import ConfigError, QueryError
-from .model import Model, _reused, infer_doc_vector
+from .model import Model, _check_int, _reused, infer_doc_vector
 
 CASES = (1, 2, 3)
 # rows of a document matrix per block, in rank_i4i's pass over the input
@@ -96,6 +97,8 @@ class Query:
     seed: int = 0  # Case 2 only
 
     def __post_init__(self):
+        _check_int("case", self.case)
+        _check_int("seed", self.seed)
         if self.case not in CASES:
             raise ConfigError(f"case must be one of {CASES}, got {self.case}")
         if not 0.0 <= self.keep_prob <= 1.0:
@@ -104,10 +107,9 @@ class Query:
 
 @dataclass
 class RecommendationList:
-    """Ranked (doc-id, score) pairs, at most k of them."""
+    """Ranked (doc-id, score) pairs, at most the k asked for."""
 
     ranked: list[tuple[str, float]]
-    k: int
     unknown_words: int = 0  # words of recommend's text that the model lacks
 
     def __len__(self) -> int:
@@ -128,7 +130,7 @@ def build_query_vector(model: Model, query: Query) -> np.ndarray:
     else:
         docs = np.asarray(sorted(query.structural_docs), dtype=np.intp)
         if query.case == 2:
-            rng = np.random.default_rng(query.seed)
+            rng = np.random.default_rng(int(query.seed) % 2**64)
             kept_docs = docs[rng.random(docs.size) < query.keep_prob]
         else:
             kept_docs = docs
@@ -141,6 +143,7 @@ def build_query_vector(model: Model, query: Query) -> np.ndarray:
 
 
 def _check_k(k: int) -> None:
+    _check_int("k", k)
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
 
@@ -181,23 +184,12 @@ def _banned(model: Model, exclude) -> np.ndarray:
     return np.fromiter({doc_ids[d] for d in exclude if d in doc_ids}, dtype=np.intp)
 
 
-def _positions(rows: np.ndarray, docs: np.ndarray) -> np.ndarray:
-    """The places in ``rows``, an ascending array of document indices, of
-    those of ``docs`` that it holds."""
-    places = np.searchsorted(rows, docs)
-    held = places < rows.size
-    held[held] = rows[places[held]] == docs[held]
-    return places[held]
-
-
 def _rank_row(model: Model, scores: np.ndarray, k: int, rows: np.ndarray, banned=()) -> RecommendationList:
     """``_top_k`` of one score row: ``scores[j]`` is the score of document
     ``rows[j]``, and the places in ``banned`` are never returned."""
     doc_list = model.vocab.doc_list
     ranked = _top_k(scores, k, doc_list, rows, np.asarray(banned, dtype=np.intp))
-    return RecommendationList(
-        ranked=[(doc_list[rows[j]], float(scores[j])) for j in ranked.tolist()], k=k
-    )
+    return RecommendationList([(doc_list[rows[j]], float(scores[j])) for j in ranked.tolist()])
 
 
 def _gather_panel(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -209,14 +201,17 @@ def _gather_panel(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return panel
 
 
-def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray]:
+def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """i4o's candidates: the indices of the documents cited in training,
-    ascending, and their output rows (``_gather_panel``).  The output rows
-    of the others never got a gradient.  Built once per loaded model
+    ascending; their output rows (``_gather_panel``); and every document's
+    column among them, -1 for a document never cited.  The output rows of
+    the others never got a gradient.  Built once per loaded model
     (``_reused``), per call for any other."""
     def build():
         rows = np.flatnonzero(model.vocab.doc_cited_counts > 0)
-        return rows, _gather_panel(model.matrices.doc_out, rows)
+        column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
+        column[rows] = np.arange(rows.size)
+        return rows, _gather_panel(model.matrices.doc_out, rows), column
     return _reused(model, "cited panel", build)
 
 
@@ -238,13 +233,13 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     """
     _check_k(k)
     query = np.asarray(query_vector, dtype=np.float64)
-    rows, panel = _cited_panel(model)
+    rows, panel, column = _cited_panel(model)
     scores = np.empty(panel.shape[0])
     for start in range(0, panel.shape[0], BLOCK_ROWS):
         stop = start + BLOCK_ROWS
         np.matmul(panel[start:stop], query, out=scores[start:stop])
-    scores = scores[: rows.size]
-    return _rank_row(model, scores, k, rows, banned=_positions(rows, _banned(model, exclude)))
+    banned = column[_banned(model, exclude)]
+    return _rank_row(model, scores[: rows.size], k, rows, banned=banned[banned >= 0])
 
 
 def _dots_and_squares(doc_in: np.ndarray, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -480,32 +475,21 @@ def resolve_text(model: Model, raw_text: str) -> ResolvedText:
     )
 
 
-def recommend(
-    model: Model,
-    raw_text: str,
-    case: int = 1,
-    k: int = 10,
-    keep_prob: float = 0.5,
-    seed: int = 0,
-    exclude_markers: bool = True,
-) -> RecommendationList:
+def recommend(model: Model, raw_text: str, case: int = 1, k: int = 10, keep_prob: float = 0.5,
+              seed: int = 0) -> RecommendationList:
     """End-to-end recommendation for a piece of manuscript text.
 
     Citation markers `[[id]]` in the text form the structural context and
-    are excluded from the results (already-known citations are never
-    recommended); pass exclude_markers=False to disable that for
-    diagnostics.  The list carries the count of unknown words, which are
-    dropped.  Raises QueryError, carrying that count, when nothing in the
-    text is usable.
+    are never recommended, in Case 3 too.  The list carries the count of
+    unknown words, which are dropped.  Raises ConfigError, before a query
+    is pooled, for a bad argument (``case``, ``k`` and ``seed`` must be
+    ints, not bools), and QueryError, carrying that count, when nothing in
+    the text is usable.
     """
+    _check_k(k)
     resolved = resolve_text(model, raw_text)
-    query = Query(
-        case=case,
-        context_words=resolved.word_indices,
-        structural_docs=resolved.structural_docs,
-        keep_prob=keep_prob,
-        seed=seed,
-    )
+    query = Query(case=case, context_words=resolved.word_indices,
+                  structural_docs=resolved.structural_docs, keep_prob=keep_prob, seed=seed)
     try:
         query_vector = build_query_vector(model, query)
     except QueryError as exc:
@@ -514,7 +498,6 @@ def recommend(
             f"({resolved.unknown_words} unknown words): {exc}",
             unknown_words=resolved.unknown_words,
         ) from None
-    exclude = set(resolved.marker_ids) if exclude_markers else set()
-    result = rank_i4o(model, query_vector, exclude=exclude, k=k)
+    result = rank_i4o(model, query_vector, exclude=resolved.marker_ids, k=k)
     result.unknown_words = resolved.unknown_words
     return result

@@ -15,6 +15,8 @@ i4o ranks only the docs cited in training.  negative=2 keeps trained
 targets on the positive side.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from citevec.corpus import (
@@ -54,7 +56,7 @@ SPLIT_SEED = 7
 
 
 def train_on(docs, vocab, **overrides):
-    config = FIXTURE_CONFIG.with_updates(**overrides)
+    config = replace(FIXTURE_CONFIG, **overrides)
     relations = extract_relations(docs, vocab, config.window)
     model = init_model(vocab, config)
     train(model, relations, docs)

@@ -437,11 +437,8 @@ def complete_corpus_reference(line_docs):
 
 
 def stats_reference(docs, vocab) -> CorpusStats:
-    n_citations = int(vocab.doc_cited_counts.sum())
-    return CorpusStats(
-        n_docs=len(docs), n_words=int(vocab.word_counts.sum()), n_citations=n_citations,
-        n_relations=n_citations, n_empty_docs=sum(not doc.tokens for doc in docs),
-        mean_citations_per_doc=n_citations / max(len(docs), 1))
+    return CorpusStats(n_docs=len(docs), n_words=int(vocab.word_counts.sum()),
+                       n_relations=int(vocab.doc_cited_counts.sum()))
 
 
 def layout_reference(docs):

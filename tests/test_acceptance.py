@@ -316,7 +316,7 @@ class TestDeskScaleTrend:
             models = []
             # attention's order against avg is recorded, not asserted (ROADMAP item 2)
             for changes in ({}, {"structural_context": False}, {"variant": "att"}):
-                model = init_model(split.train_vocab, GATE_CONFIG.with_updates(**changes))
+                model = init_model(split.train_vocab, replace(GATE_CONFIG, **changes))
                 train(model, relations, split.train_docs)
                 models.append(model)
             r1, r3 = (evaluate(models[0], truth, case=case, k=5).recall for case in (1, 3))
@@ -347,7 +347,7 @@ class TestDeskScaleTrend:
 class TestDeterminism:
     def test_byte_identical_models_and_round_trip(self, capsys):
         corpus = parse_corpus(generate_synthetic_corpus(FIXTURE_SPEC))
-        config = FIXTURE_CONFIG.with_updates(negative=5, iterations=20)
+        config = replace(FIXTURE_CONFIG, negative=5, iterations=20)
 
         blobs = []
         for _ in range(2):
@@ -393,7 +393,8 @@ class TestThroughput:
         rng = np.random.default_rng(33)
         n_docs, n_words = 500, 2000
         vocab = make_vocab([f"p{i}" for i in range(n_docs)], [f"w{i}" for i in range(n_words)])
-        config = FIXTURE_CONFIG.with_updates(
+        config = replace(
+            FIXTURE_CONFIG,
             dim=100, negative=5, iterations=5, retrofit_epochs=0, window=50, seed=3
         )
         relations = []

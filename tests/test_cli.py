@@ -228,17 +228,35 @@ class TestRecommend:
         assert len(stdout.strip().splitlines()) == 1
 
     def test_case_three_ignores_markers(self, trained, tmp_path, capsys):
+        """Case 3's query ignores the markers, which are still excluded: at a
+        k that keeps every candidate, the marked text's list is the plain
+        text's less the marked ids."""
         plain = tmp_path / "plain.txt"
         marked = tmp_path / "marked.txt"
         plain.write_text("w0t2 w0t5 w0t1")
         marked.write_text("w0t2 w0t5 [[t0c0]] w0t1 [[t1c0]]")
-        _, out_plain, _ = run(
-            capsys, "recommend", trained, "--text-file", plain, "--case", "3", "--no-exclude"
-        )
-        _, out_marked, _ = run(
-            capsys, "recommend", trained, "--text-file", marked, "--case", "3", "--no-exclude"
-        )
-        assert out_plain == out_marked
+
+        def ranked(text):
+            code, out, _ = run(capsys, "recommend", trained, "--text-file", text,
+                               "--case", "3", "--k", "1000")
+            assert code == 0
+            return [line.split("\t")[1:] for line in out.splitlines()]
+
+        everything = ranked(plain)
+        assert {"t0c0", "t1c0"} <= {doc for doc, _ in everything}
+        assert ranked(marked) == [r for r in everything if r[0] not in ("t0c0", "t1c0")]
+
+    def test_any_int_seed(self, trained, tmp_path, capsys):
+        """Case 2 takes the seed modulo 2**64: -1 thins as 2**64 - 1."""
+        text = tmp_path / "q.txt"
+        text.write_text("w0t2 w0t5 [[t0c0]] [[t0c1]] [[t0c2]] [[t1c0]]")
+        outs = []
+        for seed in (-1, 2**64 - 1):
+            code, out, _ = run(capsys, "recommend", trained, "--text-file", text,
+                               "--case", "2", "--seed", seed)
+            assert code == 0 and out
+            outs.append(out)
+        assert outs[0] == outs[1]
 
     def test_unknown_words_counted_on_stderr(self, trained, tmp_path, capsys):
         known = tmp_path / "known.txt"

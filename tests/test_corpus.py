@@ -89,16 +89,13 @@ class TestParseCorpus:
         assert corpus.vocab.n_words == 0 and corpus.vocab.n_docs == 0
         assert corpus.stats.n_docs == 0
         assert corpus.stats.n_words == 0
-        assert corpus.stats.n_citations == 0
-        assert corpus.stats.mean_citations_per_doc == 0.0
+        assert corpus.stats.n_relations == 0
 
     def test_two_line_cycle_stats(self):
         corpus = parse_corpus(b"a\tx [[b]]\nb\ty [[a]]\n")
         assert corpus.stats.n_docs == 2
-        assert corpus.stats.n_citations == 2
         assert corpus.stats.n_relations == 2
-        assert corpus.stats.mean_citations_per_doc == 1.0
-        assert corpus.stats.n_empty_docs == 0
+        assert all(doc.tokens for doc in corpus.docs)
 
     def test_missing_tab_is_an_error_with_line_number(self):
         with pytest.raises(CorpusFormatError) as err:
@@ -134,7 +131,7 @@ class TestParseCorpus:
             lines.append(f"doc{d}\t{body}")
         corpus = parse_corpus("\n".join(lines).encode())
         assert int(corpus.vocab.word_counts.sum()) == corpus.stats.n_words
-        assert int(corpus.vocab.doc_cited_counts.sum()) == corpus.stats.n_citations
+        assert int(corpus.vocab.doc_cited_counts.sum()) == corpus.stats.n_relations
 
     def test_accepts_path_and_file_object(self, tmp_path):
         payload = b"a\tx [[b]]\n"
@@ -142,7 +139,7 @@ class TestParseCorpus:
         path.write_bytes(payload)
         for source in (payload, str(path), path, io.BytesIO(payload)):
             corpus = parse_corpus(source)
-            assert corpus.stats.n_citations == 1
+            assert corpus.stats.n_relations == 1
 
     def test_rejects_invalid_utf8(self):
         with pytest.raises(CorpusFormatError, match="UTF-8"):
@@ -154,7 +151,7 @@ class TestParseCorpus:
         cited = 0
         for data in fuzz_inputs():
             try:
-                cited += parse_corpus(data).stats.n_citations > 0
+                cited += parse_corpus(data).stats.n_relations > 0
             except CitevecError:
                 pass
         assert cited > 0  # some inputs get through the whole parser
@@ -197,7 +194,7 @@ class TestParseCorpus:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert retained <= 24 * (corpus.stats.n_words + corpus.stats.n_citations)
+        assert retained <= 24 * (corpus.stats.n_words + corpus.stats.n_relations)
 
 
 class TestExtractRelations:
@@ -406,7 +403,7 @@ class TestSyntheticCorpus:
         spec = SyntheticSpec(n_topics=2, docs_per_topic=16, clique_size=4, seed=0)
         corpus = parse_corpus(generate_synthetic_corpus(spec))
         assert corpus.stats.n_docs == 2 * (16 + 4)
-        assert corpus.stats.n_empty_docs == 0
+        assert all(doc.tokens for doc in corpus.docs)
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

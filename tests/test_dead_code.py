@@ -30,7 +30,6 @@ ENTRY_POINTS = {
     "rank_i4i": "in citevec.__all__",
     "ablation_report": "in citevec.__all__",
     "format_ablation": "in citevec.__all__",
-    "EmbeddingConfig.with_updates": "demos/03 derives its variants' configs with it",
     "ModelMatrices.fingerprint": "bench/workloads.py compares rounds and round trips by it",
     "Token.is_cite": "bench/workloads.py rebuilds corpus text with it",
     "HyperDocument.cite_targets": "demos/01 prints a document's citations with it",

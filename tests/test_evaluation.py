@@ -8,6 +8,7 @@ math.fsum, which returns the correctly rounded sum in any order.
 """
 
 import dataclasses
+import importlib
 import math
 import random
 
@@ -33,7 +34,10 @@ from citevec.recommend import BLOCK_ROWS, Query, _gather_panel, build_query_vect
 from citevec.relations import _relation_table
 
 from reference import place_reference, thinned_reference, thinning_draws_reference
-from test_recommend import make_vocab, oracle_rank, shuffled_id_model, shuffled_ids, special_scores
+from test_recommend import (
+    NOT_INTS, make_vocab, no_work, oracle_rank, shuffled_id_model, shuffled_ids, special_scores)
+
+evaluation_module = importlib.import_module("citevec.evaluation")
 
 
 def oracle_recall(ranked, relevant, k):
@@ -99,6 +103,20 @@ class TestHandExamples:
                 evaluate(model, perfect_ground_truth(3), case=1, k=k)
             with pytest.raises(ConfigError, match=f"^k must be >= 1, got {k}$"):
                 rank_i4o(model, np.ones(3), k=k)
+
+    def test_int_arguments_are_checked_first(self, monkeypatch):
+        """k, case and seed must be ints, not bools, checked before the
+        queries are pooled; numpy ints are ints, and seed may be any."""
+        model = perfect_model(4)
+        truth = [dataclasses.replace(r, structural=frozenset({(r.target + 1) % 4}))
+                 for r in perfect_ground_truth(4)]
+        assert evaluate(model, truth, case=np.int64(2), k=np.int64(2), seed=np.int64(-1)) == (
+            evaluate(model, truth, case=2, k=2, seed=2**64 - 1))
+        monkeypatch.setattr(evaluation_module, "_pool_queries", no_work)
+        for name in ("k", "case", "seed"):
+            for value in NOT_INTS:
+                with pytest.raises(ConfigError, match=f"^{name} must be an int, got "):
+                    evaluate(model, truth, **{"case": 1, name: value})
 
 
 class TestMetricProperties:

@@ -113,7 +113,7 @@ class TestInitMatrices:
         first = init_matrices(corpus.vocab, base)
         second = init_matrices(corpus.vocab, base)
         assert all(np.array_equal(x, y) for x, y in zip(first.arrays(), second.arrays()))
-        other = init_matrices(corpus.vocab, base.with_updates(seed=6))
+        other = init_matrices(corpus.vocab, dataclasses.replace(base, seed=6))
         assert not np.array_equal(first.doc_in, other.doc_in)
 
 
@@ -533,7 +533,7 @@ class TestInferReference:
     @staticmethod
     def model(window, seed, counts=None):
         model = tiny_model(dim=6, text=b"d0\ta b c d e a b\n")
-        model.config = model.config.with_updates(window=window)
+        model.config = dataclasses.replace(model.config, window=window)
         if counts is not None:
             model.vocab.word_counts = np.array(counts)
         rng = np.random.default_rng(seed)

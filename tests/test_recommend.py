@@ -65,12 +65,56 @@ def make_model(doc_ids, words, dim=2, seed=1):
     return init_model(vocab, config)
 
 
+# neither ints nor numpy ints: k, case and seed must be one of those
+NOT_INTS = (True, False, np.True_, 2.5, 2.0, "2", None)
+
+
+def no_work(*args, **kwargs):
+    raise AssertionError("work began before the arguments were checked")
+
+
 class TestQuery:
     def test_case_validation(self):
         with pytest.raises(ConfigError):
             Query(case=4, context_words=(0,))
         with pytest.raises(ConfigError):
             Query(case=2, context_words=(0,), keep_prob=1.5)
+        for name in ("case", "seed"):
+            for value in NOT_INTS:
+                with pytest.raises(ConfigError, match=f"^{name} must be an int, got "):
+                    Query(**{"case": 1, "context_words": (0,), name: value})
+
+
+class TestIntArguments:
+    """k, case and seed must be ints, not bools, and are checked before any
+    work; numpy ints are ints."""
+
+    def test_recommend(self, monkeypatch):
+        model = make_model(["p1", "p2", "p3"], ["alpha", "beta"], dim=3)
+        text = "alpha [[p1]] [[p2]]"
+        assert recommend(model, text, case=np.int64(2), k=np.int64(2), seed=np.int64(3)) == (
+            recommend(model, text, case=2, k=2, seed=3))
+        monkeypatch.setattr(recommend_module, "build_query_vector", no_work)
+        for name in ("k", "case", "seed"):
+            for value in NOT_INTS:
+                with pytest.raises(ConfigError, match=f"^{name} must be an int, got "):
+                    recommend(model, "alpha [[p1]]", **{name: value})
+
+    def test_rank_i4o(self, monkeypatch):
+        model = make_model(["p1", "p2", "p3"], ["alpha"], dim=3)
+        assert rank_i4o(model, np.ones(3), k=np.int64(2)) == rank_i4o(model, np.ones(3), k=2)
+        monkeypatch.setattr(recommend_module, "_cited_panel", no_work)
+        for value in NOT_INTS:
+            with pytest.raises(ConfigError, match="^k must be an int, got "):
+                rank_i4o(model, np.ones(3), k=value)
+
+    def test_rank_i4i(self, monkeypatch):
+        model = make_model(["p1", "p2", "p3"], ["alpha"], dim=3)
+        assert rank_i4i(model, [0], k=np.int64(2)) == rank_i4i(model, [0], k=2)
+        monkeypatch.setattr(recommend_module, "infer_doc_vector", no_work)
+        for value in NOT_INTS:
+            with pytest.raises(ConfigError, match="^k must be an int, got "):
+                rank_i4i(model, [0], k=value)
 
 
 class TestBuildQueryVector:
@@ -227,10 +271,12 @@ class TestI4OCandidates:
     def test_fewer_than_k_cited_candidates(self):
         rng = np.random.default_rng(91)
         model, cited = self.model(rng, n_docs=40, n_cited=6)
-        banned = sorted(cited)[:2]
-        got = rank_i4o(model, np.ones(4), exclude=banned, k=10)
-        assert sorted(ranked_ids(got)) == sorted(cited - set(banned))
-        assert got.ranked == i4o_oracle(model, np.ones(4), banned, 10)
+        never_cited = sorted(set(model.vocab.doc_list) - cited)[0]
+        # a never-cited and an unknown id are no candidates to exclude
+        for banned in (sorted(cited)[:2], sorted(cited)[:2] + [never_cited, "unknown"]):
+            got = rank_i4o(model, np.ones(4), exclude=banned, k=10)
+            assert sorted(ranked_ids(got)) == sorted(cited - set(banned))
+            assert got.ranked == i4o_oracle(model, np.ones(4), banned, 10)
         assert rank_i4o(model, np.ones(4), exclude=cited, k=10).ranked == []
 
     def test_no_document_cited(self):
@@ -947,14 +993,27 @@ class TestRecommend:
             recommend(model, "unseen tokens only", case=3, k=5)
         assert err.value.unknown_words == 3
 
-    def test_case3_ignores_markers_when_exclusion_is_off(self):
+    def test_case3_query_ignores_markers(self):
+        """Case 3's query ignores the markers, which are still excluded: at a
+        k that keeps every candidate, the marked text's list is the plain
+        text's less the marked ids."""
         model = make_model(["p1", "p2", "p3"], ["alpha", "beta"], dim=3)
         model.matrices.doc_out[:] = np.eye(3) * 2
-        with_markers = recommend(
-            model, "alpha beta [[p2]]", case=3, k=3, exclude_markers=False
-        )
-        without = recommend(model, "alpha beta", case=3, k=3, exclude_markers=False)
-        assert with_markers.ranked == without.ranked
+        with_markers = recommend(model, "alpha beta [[p2]] [[p9]]", case=3, k=3)
+        without = recommend(model, "alpha beta", case=3, k=3)
+        assert "p2" in ranked_ids(without)
+        assert with_markers.ranked == [r for r in without.ranked if r[0] != "p2"]
+
+    def test_case2_takes_any_int_seed_modulo_2_to_the_64(self):
+        model = make_model([f"p{i}" for i in range(8)], ["alpha"], dim=3)
+        model.matrices.doc_out[:] = np.random.default_rng(5).normal(size=(8, 3))
+        text = "alpha " + " ".join(f"[[p{i}]]" for i in range(6))
+        assert len({str(recommend(model, text, case=2, seed=s)) for s in range(4)}) > 1
+        wrapped = recommend(model, text, case=2, k=2, seed=2**64 - 1)
+        assert recommend(model, text, case=2, k=2, seed=-1) == wrapped
+        assert recommend(model, text, case=2, k=2, seed=np.int64(-1)) == wrapped
+        assert recommend(model, text, case=2, k=2, seed=2**64 + 5) == recommend(
+            model, text, case=2, k=2, seed=5)
 
     def test_unknown_markers_are_harmless(self):
         model = make_model(["p1"], ["alpha"], dim=2)

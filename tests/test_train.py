@@ -954,8 +954,8 @@ class TestTrain:
 
 def three_doc_setup(**overrides):
     corpus = parse_corpus(b"d0\ta b [[d1]] [[d2]] c\nd1\tb c [[d2]] a\nd2\tc a b\n")
-    config = EmbeddingConfig(dim=4, window=2, negative=2, iterations=2, retrofit_epochs=1,
-                             seed=6).with_updates(**overrides)
+    config = dataclasses.replace(EmbeddingConfig(
+        dim=4, window=2, negative=2, iterations=2, retrofit_epochs=1, seed=6), **overrides)
     relations = extract_relations(corpus.docs, corpus.vocab, config.window)
     assert len(relations) == 3 and relations[1].structural
     return init_model(corpus.vocab, config), relations, corpus.docs
