@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the int check that
+raises ConfigError."""
+
+import numbers
 
 
 class CitevecError(Exception):
@@ -35,3 +38,8 @@ class QueryError(CitevecError):
     def __init__(self, message, unknown_words=0):
         super().__init__(message)
         self.unknown_words = unknown_words
+
+
+def _check_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an int, got {value!r}")

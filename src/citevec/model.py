@@ -19,7 +19,6 @@ known not to change.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import stat
 import struct
@@ -30,7 +29,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from .corpus import Vocabulary, _read_bytes, _word_windows
-from .errors import ConfigError, ModelIOError
+from .errors import ConfigError, ModelIOError, _check_int
 
 VARIANTS = ("avg", "att")
 
@@ -41,6 +40,8 @@ _ALIGN = 64  # matrix blocks start at multiples of this file offset
 # independent RNG streams, keyed off config.seed
 _RNG_INIT = 10
 _RNG_INFER = 31
+# content-pass steps that infer_doc_vector takes over a text
+INFER_STEPS = 5
 
 
 @dataclass(frozen=True)
@@ -70,15 +71,19 @@ class EmbeddingConfig:
         for name, low in (("dim", 1), ("window", 1), ("negative", 1),
                           ("iterations", 0), ("retrofit_epochs", 0)):
             value = getattr(self, name)
+            _check_int(name, value)
             if not low <= value < 2**32:
                 raise ConfigError(f"{name} must be in [{low}, 2**32), got {value}")
-        if not self.learning_rate > self.min_lr >= 0:
+        if not math.inf > self.learning_rate > self.min_lr >= 0:
             raise ConfigError(
-                "need learning_rate > min_lr >= 0, got "
+                "need finite learning_rate > min_lr >= 0, got "
                 f"{self.learning_rate} / {self.min_lr}"
             )
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if not isinstance(self.structural_context, bool):
+            raise ConfigError(f"structural_context must be a bool, got {self.structural_context!r}")
+        _check_int("seed", self.seed)
         if not 0 <= self.seed < 2**63:
             raise ConfigError(f"seed must be in [0, 2**63), got {self.seed}")
 
@@ -170,8 +175,8 @@ class Model:
         ``infer_doc_vector``, i4o's cited panel with every document's column
         in it, the cited ids' order (``recommend``, ``evaluation``), and
         rank_i4i's float32 unit rows with their mask, n_docs · dim · 4
-        bytes, which a model with none does without: it filters in a float64
-        pass per query instead."""
+        bytes, which a model with none does without: it takes its
+        approximate cosines from a float64 pass per query instead."""
         if self._loaded is None:
             return None
         held, derived = self._loaded
@@ -450,38 +455,26 @@ def export_word2vec_text(model: Model, which: str, sink) -> None:
             emit(handle)
 
 
-def _check_int(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"{name} must be an int, got {value!r}")
-
-
-def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | None = None) -> np.ndarray:
+def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
     """Fit a vector for unseen text against the frozen word matrices.
 
     Starts from the mean of the input-side word vectors, then runs
-    content-pass steps that update only the new vector, ``BATCH`` words at
-    a time as the content pass does.  Each batch reads the vector as it
-    stood at the batch start: word i is predicted from its window words,
-    each over m_i and summed from zero in text order, plus vector / m_i;
-    the training kernel's output half gives the batch's hidden gradients
-    from one draw of noise words, and the vector moves by ``-(lr / m) @
-    hidden gradients``.  The model itself is never modified.  A loaded model
+    ``INFER_STEPS`` content-pass steps at the model's ``learning_rate``
+    that update only the new vector, ``BATCH`` words at a time as the
+    content pass does.  Each batch reads the vector as it stood at the
+    batch start: word i is predicted from its window words, each over m_i
+    and summed from zero in text order, plus vector / m_i; the training
+    kernel's output half gives the batch's hidden gradients from one draw
+    of noise words, and the vector moves by ``-(lr / m) @ hidden
+    gradients``.  The model itself is never modified.  A loaded model
     builds its word-noise table once (``_reused``); every call draws from a
     fresh generator, so it infers the same vector each time.
 
-    Raises ConfigError, before any work, unless ``steps`` is an int (not a
-    bool) of at least 1 and ``lr`` is None or finite and >= 0, and when the
-    words are empty or out of range.
+    Raises ConfigError, before any work, when the words are empty or out of
+    range.
     """
     from .train import BATCH, NegativeSampler, _noise_table, _ns_output  # avoids an import cycle
 
-    _check_int("steps", steps)
-    if steps < 1:
-        raise ConfigError(f"steps must be >= 1, got {steps}")
-    if lr is None:
-        lr = model.config.learning_rate
-    elif not 0.0 <= lr < math.inf:
-        raise ConfigError(f"lr must be finite and >= 0, got {lr}")
     words = np.asarray(list(word_indices), dtype=np.intp)
     if words.size == 0:
         raise ConfigError("cannot infer a vector from an empty token sequence")
@@ -501,8 +494,9 @@ def infer_doc_vector(model: Model, word_indices, steps: int = 5, lr: float | Non
     context = pool @ rows
     work = np.empty((2, min(n, BATCH) * (1 + negative), model.matrices.dim))
 
+    lr = model.config.learning_rate
     vec = rows.mean(axis=0)
-    for _ in range(steps):
+    for _ in range(INFER_STEPS):
         for lo in range(0, n, BATCH):
             hi = min(lo + BATCH, n)
             hidden = context[lo:hi] + (1.0 / m[lo:hi])[:, None] * vec

@@ -45,8 +45,10 @@ float32 copy of the input rows scaled to unit norm, n_docs × dim float32s,
 with a mask of the rows its bound covers (``_unit_rows``).  rank_i4i's
 filter then reads half the bytes of the input matrix: one float32
 matrix-vector product gives every approximate cosine.  Any other model
-gathers its panel per call and filters in one float64 pass over the input
-matrix, which takes each row's dot product and squared norm.
+gathers its panel per call and takes its approximate cosines from one
+float64 pass over the input matrix, each row's dot product and squared
+norm.  The two filters differ only there: one margin (``_margin32``) and
+one exact scoring of the shortlist (``_exact_dots``) serve both.
 """
 
 from __future__ import annotations
@@ -57,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import _cited_id
-from .errors import ConfigError, QueryError
-from .model import Model, _check_int, _reused, infer_doc_vector
+from .errors import ConfigError, QueryError, _check_int
+from .model import Model, _reused, infer_doc_vector
 
 CASES = (1, 2, 3)
 # rows of a document matrix per block, in rank_i4i's pass over the input
@@ -75,14 +77,9 @@ _SAFE_SQUARES = (2.0**-900, 2.0**900)
 _MAX_DIM32 = 2**16
 
 
-def _margin64(dim: int) -> float:
-    """How far below the k-th best float64 approximate cosine a row's must
-    fall for ``_shortlist`` to drop it; the proof is there."""
-    return 2 * (dim + 8) * float(np.finfo(np.float64).eps)
-
-
 def _margin32(dim: int) -> float:
-    """The same for the float32 approximate cosines of ``_unit_rows``."""
+    """How far below the k-th best approximate cosine a row's must fall for
+    ``_shortlist`` to drop it, in either filter; the proof is there."""
     return 1.01 * (dim + 2) * float(np.finfo(np.float32).eps)
 
 
@@ -111,9 +108,6 @@ class RecommendationList:
 
     ranked: list[tuple[str, float]]
     unknown_words: int = 0  # words of recommend's text that the model lacks
-
-    def __len__(self) -> int:
-        return len(self.ranked)
 
 
 def build_query_vector(model: Model, query: Query) -> np.ndarray:
@@ -245,15 +239,8 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
 def _dots_and_squares(doc_in: np.ndarray, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``doc_in @ vector`` and the squared norms of the rows, both taken
     ``BLOCK_ROWS`` rows at a time: each block is read from memory once, and
-    its squares are summed while it is in cache.
-
-    A row's dot product is the same bits as in ``doc_in @ vector`` when
-    BLAS takes it the same way in a block as in the whole product, as
-    OpenBLAS does on one thread.  OpenBLAS can split a whole product across
-    threads and round the rows at the edges of its thread ranges another
-    way; with several BLAS threads, a score can then differ in the last bits
-    from one taken over the whole product.
-    """
+    its squares are summed while it is in cache.  rank_i4i filters by them
+    and scores only the shortlist exactly (``_exact_dots``)."""
     n_docs = doc_in.shape[0]
     dots, squares = np.empty(n_docs), np.empty(n_docs)
     for start in range(0, n_docs, BLOCK_ROWS):
@@ -324,19 +311,10 @@ def _shortlist(
     of x·v, so that d / (|x|·q), taken exactly, is at most 1 + 3·gamma(U)
     in magnitude.
 
-    The float64 filter, for a model that keeps no derived arrays, takes
-    a = d / (sqrt(s)·q), with s = sum(x·x) from ``_dots_and_squares``.
-    a and e share d and q: each is d / (|x|·q) times the inverse square
-    root of its norm's factor and three roundings (square root, product,
-    quotient), so |a - e| ≤ (1 + 3·gamma(U))·(gamma(U) + 6U) up to terms in
-    U², below 1.001·(n + 6)·U for any n below 2^33.  That plays the part of
-    B plus e's error, so the rule needs twice it and 2^-52, and
-    margin = 2·(n + 8)·eps64 = 4·(n + 8)·U is nearly twice that again.
-
     The float32 filter, for a loaded model, takes a as the float32 product
     of the row's float32 unit copy w (``_unit_rows``) with p, the float32
     rounding of v / q taken in float64.  w_j is x_j / sqrt(s) in float64,
-    within a factor 1 ± (gamma(U) / 2 + 2U) of x_j / |x|, then rounded, so
+    s = sum(x·x), within a factor 1 ± (gamma(U) / 2 + 2U) of x_j / |x|, then rounded, so
     w_j = (x_j / |x|)·(1 + f_j) + g_j with |f_j| ≤ (1 + 2^-12)·u = rho for
     n ≤ 2^16 and |g_j| below 2^-149, from underflow; p and v alike.  By
     Cauchy-Schwarz, sum |x_j·v_j| ≤ |x|·|v|, so w·p is within
@@ -347,11 +325,20 @@ def _shortlist(
     above, and four roundings), and margin = 1.01·(n + 2)·eps32 =
     2.02·(n + 2)·u is above twice both and the threshold's rounding.
 
+    The float64 filter, for a model that keeps no derived arrays, takes
+    a = d' / (sqrt(s)·q), with d' and s from ``_dots_and_squares``.  When
+    d' is d, as on one BLAS thread, a and e differ only in the norm's sum
+    and three roundings, so |a - e| ≤ (1 + 3·gamma(U))·(gamma(U) + 6U) up
+    to terms in U², below 1.001·(n + 6)·U for any n below 2^33; in any case
+    a, like e, is within 2.01·(n + 2)·U of c.  Either way the rule needs a
+    margin below 9·(n + 2)·U, and the same margin is above that by a factor
+    of more than 10^8.
+
     The ranges.  The bounds assume that nothing overflows and that
     underflow costs little.  They hold for rows with s in ``_SAFE_SQUARES``
     and a query with q² there: every float64 product and sum is then at
     most about 2^900, an underflowing one errs by at most 2^-1075, against a
-    margin of 2^-48 or more and row and query norms of at least 2^-450, and
+    margin of 2^-22 or more and row and query norms of at least 2^-450, and
     every float32 value is at most about 1 in magnitude.  Every other row,
     and every row when the query is outside that range or, for the float32
     filter, n is above 2^16, is unsafe; so is a row whose a is not finite.
@@ -381,27 +368,21 @@ def _exact_dots(doc_in: np.ndarray, vector: np.ndarray, rows: np.ndarray) -> np.
     return dots
 
 
-def rank_i4i(
-    model: Model,
-    context_words,
-    exclude=(),
-    k: int = 10,
-    steps: int = 5,
-    lr: float | None = None,
-) -> RecommendationList:
+def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> RecommendationList:
     """Infer a vector for the words, rank documents by cosine to their
     input vectors: dot / (row norm * query norm), with the dot products of
     ``doc_in @ vector`` and the norms of ``np.linalg.norm``.  Zero-norm
     rows score 0.  Only ``_shortlist``'s rows are scored; the others cannot
-    reach the top k.  A loaded model filters by one float32 product with its
-    unit rows (``_unit_rows``), made on its first i4i query and kept, and
-    takes the shortlist's dot products by ``_exact_dots``; any other model
-    filters by one float64 pass (``_dots_and_squares``) per call.  Both give
-    the same bits.  Raises QueryError when the inferred vector's norm is 0
-    or not finite, and ConfigError, before any work, for a bad ``k``,
-    ``steps`` or ``lr``."""
+    reach the top k.  The two filters differ only in their approximate
+    cosines: a loaded model takes one float32 product with its unit rows
+    (``_unit_rows``), made on its first i4i query and kept, and any other
+    model one float64 pass (``_dots_and_squares``) per call.  Both then
+    share one margin, ``_margin32``, and take the shortlist's dot products
+    by ``_exact_dots``, so they give the same bits.  Raises QueryError when
+    the inferred vector's norm is 0 or not finite, and ConfigError, before
+    any work, for a bad ``k``."""
     _check_k(k)
-    inferred = infer_doc_vector(model, context_words, steps=steps, lr=lr)
+    inferred = infer_doc_vector(model, context_words)
     with np.errstate(over="ignore"):
         query_norm = float(np.linalg.norm(inferred))
     if not 0.0 < query_norm < math.inf:
@@ -417,15 +398,13 @@ def rank_i4i(
             dots, squares = _dots_and_squares(doc_in, inferred)
             approx = dots / (np.sqrt(squares) * query_norm)
             safe = (lo <= squares) & (squares <= hi) & np.isfinite(approx) & covered
-            rows = _shortlist(approx, safe, _margin64(dim), candidates, k)
-            dots = dots[rows]
         else:
             units, safe = _reused(model, "unit rows", lambda: _unit_rows(doc_in))
             if not (covered and dim <= _MAX_DIM32):
                 safe = np.zeros_like(safe)
             approx = units @ (inferred / query_norm).astype(np.float32)
-            rows = _shortlist(approx, safe, _margin32(dim), candidates, k)
-            dots = _exact_dots(doc_in, inferred, rows)
+        rows = _shortlist(approx, safe, _margin32(dim), candidates, k)
+        dots = _exact_dots(doc_in, inferred, rows)
         norms = np.linalg.norm(doc_in[rows], axis=1)
         scores = dots / (norms * query_norm)
     return _rank_row(model, np.where(norms > 0.0, scores, 0.0), k, rows)
@@ -487,6 +466,7 @@ def recommend(model: Model, raw_text: str, case: int = 1, k: int = 10, keep_prob
     the text is usable.
     """
     _check_k(k)
+    Query(case=case, context_words=(), keep_prob=keep_prob, seed=seed)  # before the text
     resolved = resolve_text(model, raw_text)
     query = Query(case=case, context_words=resolved.word_indices,
                   structural_docs=resolved.structural_docs, keep_prob=keep_prob, seed=seed)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, _check_int
 
 
 @dataclass(frozen=True)
@@ -36,10 +36,12 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_topics", "docs_per_topic", "clique_size", "vocab_per_topic",
-                     "sub_cliques"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("n_topics", 1), ("docs_per_topic", 1), ("clique_size", 1),
+                          ("vocab_per_topic", 1), ("sub_cliques", 1), ("cites_per_doc", 0),
+                          ("seed", 0)):
+            _check_int(name, getattr(self, name))
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0.0 <= self.noise_rate < 1.0:
             raise ConfigError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
         if not 0 <= self.cites_per_doc <= self.clique_size:

@@ -230,7 +230,7 @@ class TestRankingOracles:
             model.matrices.word_out[:] = rng.normal(size=(n_words, dim))
             words = rng.integers(0, n_words, size=int(rng.integers(1, 4))).tolist()
             exclude = {doc_id for doc_id in ids if rng.random() < 0.2}
-            inferred = infer_doc_vector(model, words, steps=2, lr=0.05)
+            inferred = infer_doc_vector(model, words)
             if float(np.linalg.norm(inferred)) == 0.0:
                 continue
             norms = np.linalg.norm(model.matrices.doc_in, axis=1)
@@ -238,7 +238,7 @@ class TestRankingOracles:
                 scores = (model.matrices.doc_in @ inferred) / (norms * float(np.linalg.norm(inferred)))
             scores = np.where(norms > 0.0, scores, 0.0)
             expected = oracle_rank(model, scores, exclude, k=5)
-            assert rank_i4i(model, words, exclude=exclude, k=5, steps=2, lr=0.05).ranked == expected
+            assert rank_i4i(model, words, exclude=exclude, k=5).ranked == expected
             checked += 1
         announce(
             capsys, "ranking oracles",

@@ -79,6 +79,12 @@ class TestSynth:
         for field in dataclasses.fields(SyntheticSpec):
             assert flags[field.name].default == getattr(SyntheticSpec(), field.name)
 
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "c.tsv"
+        code, stdout, stderr = run(capsys, "synth", out, "--seed", "-1")
+        assert code == 1 and stdout == "" and not out.exists()
+        assert stderr.startswith("citevec: error:") and "Traceback" not in stderr
+
     def test_manifest_written(self, tmp_path, capsys):
         out = tmp_path / "c.tsv"
         run(capsys, "synth", out, "--seed", "3")

@@ -416,6 +416,17 @@ class TestSyntheticCorpus:
             with pytest.raises(ConfigError):
                 SyntheticSpec(clique_size=4, **bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"docs_per_topic": 2.5}, {"n_topics": True}, {"clique_size": 2.0},
+        {"vocab_per_topic": "30"}, {"sub_cliques": 1.5}, {"cites_per_doc": 1.0},
+        {"seed": 1.5}, {"seed": -1},
+    ], ids=repr)
+    def test_spec_ints_fail_when_built(self, bad):
+        """Each would otherwise fail in the generator with a bare TypeError
+        or ValueError."""
+        with pytest.raises(ConfigError):
+            SyntheticSpec(**bad)
+
     def test_sub_cliques_cites_and_distractors(self):
         """Every citing doc cites cites_per_doc papers of one clique of its
         topic, plus, at about the distractor rate, one paper of another

@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import importlib
 import io
 import math
 import os
@@ -25,6 +26,8 @@ from citevec.model import (
 )
 from citevec.recommend import rank_i4i
 from reference import infer_reference, train_module
+
+model_module = importlib.import_module("citevec.model")
 
 
 def tiny_model(dim=4, text=b"d0\talpha beta [[d1]] gamma\nd1\tbeta delta\n", **cfg):
@@ -69,6 +72,18 @@ class TestConfig:
         ):
             with pytest.raises(ConfigError):
                 EmbeddingConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(dim=2.5), dict(dim=True), dict(window=2.5), dict(negative=2.5), dict(negative=False),
+        dict(iterations=1.5), dict(retrofit_epochs=1.0), dict(seed=1.5), dict(seed="1"),
+        dict(structural_context="no"), dict(structural_context=1),
+        dict(learning_rate=math.inf), dict(learning_rate=math.nan), dict(min_lr=math.nan),
+    ], ids=repr)
+    def test_bad_types_and_non_finite_rates_fail_when_built(self, bad):
+        """Each would otherwise fail later, in train() or save_model, with
+        a bare TypeError, IndexError or struct.error, or after an epoch."""
+        with pytest.raises(ConfigError):
+            EmbeddingConfig(**bad)
 
     def test_largest_values_round_trip(self):
         model = tiny_model(dim=1)
@@ -460,40 +475,17 @@ class TestExport:
 
 
 class TestInferDocVector:
-    def test_empty_tokens_and_bad_steps(self):
+    def test_empty_tokens(self):
         model = tiny_model()
         with pytest.raises(ConfigError):
             infer_doc_vector(model, [])
-        with pytest.raises(ConfigError):
-            infer_doc_vector(model, [0], steps=0)
-
-    @pytest.mark.parametrize("bad", [
-        {"lr": math.nan}, {"lr": math.inf}, {"lr": -math.inf}, {"lr": -1.0},
-        {"steps": 2.0}, {"steps": True},
-    ], ids=["lr-nan", "lr-inf", "lr-minus-inf", "lr-negative", "steps-float", "steps-bool"])
-    def test_bad_lr_or_steps_fail_before_any_work(self, monkeypatch, bad):
-        def no_work(*args, **kwargs):
-            raise AssertionError("inference started")
-
-        class Untouched:
-            def __iter__(self):
-                raise AssertionError("the words were read")
-
-        monkeypatch.setattr(train_module, "NegativeSampler", no_work)
-        monkeypatch.setattr(train_module, "_ns_output", no_work)
-        with pytest.raises(ConfigError):
-            infer_doc_vector(tiny_model(), Untouched(), **bad)
-
-    def test_numpy_int_steps_are_ints(self):
-        model = tiny_model(dim=6)
-        model.matrices.word_out += 0.01
-        assert np.array_equal(infer_doc_vector(model, [0, 1], steps=np.int64(2), lr=0.05),
-                              infer_doc_vector(model, [0, 1], steps=2, lr=0.05))
 
     def test_start_is_mean_of_word_vectors(self):
+        # the output rows start at zero, so every gradient is 0
         model = tiny_model(dim=4)
         w = model.vocab.word_ids["alpha"]
-        got = infer_doc_vector(model, [w], steps=1, lr=0.0)
+        assert not model.matrices.word_out.any()
+        got = infer_doc_vector(model, [w])
         assert np.array_equal(got, model.matrices.word_in[w])
 
     def test_saturated_gradients_leave_start_unchanged(self):
@@ -505,21 +497,21 @@ class TestInferDocVector:
         model.matrices.word_in[a] = [40.0, 0.0, 0.0, 0.0]
         model.matrices.word_out[a] = [1.0, 0.0, 0.0, 0.0]
         model.matrices.word_out[b] = [-20.0, 0.0, 0.0, 0.0]
-        got = infer_doc_vector(model, [a], steps=3, lr=0.5)
+        got = infer_doc_vector(model, [a])
         assert np.array_equal(got, model.matrices.word_in[a])
 
     def test_model_is_never_mutated(self):
         model = tiny_model(dim=6)
         model.matrices.word_out += 0.01
         before = model.matrices.fingerprint()
-        infer_doc_vector(model, [0, 1, 2], steps=3, lr=0.05)
+        infer_doc_vector(model, [0, 1, 2])
         assert model.matrices.fingerprint() == before
 
     def test_deterministic_per_model_seed(self):
         model = tiny_model(dim=6)
         model.matrices.word_out += 0.01
-        first = infer_doc_vector(model, [0, 1], steps=4, lr=0.05)
-        second = infer_doc_vector(model, [0, 1], steps=4, lr=0.05)
+        first = infer_doc_vector(model, [0, 1])
+        second = infer_doc_vector(model, [0, 1])
         assert np.array_equal(first, second)
 
 
@@ -533,7 +525,7 @@ class TestInferReference:
     @staticmethod
     def model(window, seed, counts=None):
         model = tiny_model(dim=6, text=b"d0\ta b c d e a b\n")
-        model.config = dataclasses.replace(model.config, window=window)
+        model.config = dataclasses.replace(model.config, window=window, learning_rate=0.3)
         if counts is not None:
             model.vocab.word_counts = np.array(counts)
         rng = np.random.default_rng(seed)
@@ -548,8 +540,9 @@ class TestInferReference:
     def test_matches_the_per_word_reference(self, monkeypatch, batch, window, steps, counts):
         if batch is not None:
             monkeypatch.setattr(train_module, "BATCH", batch)
+        monkeypatch.setattr(model_module, "INFER_STEPS", steps)
         model = self.model(window, window + steps, counts)
-        got = infer_doc_vector(model, self.words, steps=steps, lr=0.3)
+        got = infer_doc_vector(model, self.words)
         want = infer_reference(model, self.words, steps=steps, lr=0.3)
         assert np.array_equal(got, want)
         assert not np.array_equal(got, model.matrices.word_in[self.words].mean(axis=0))
@@ -557,12 +550,13 @@ class TestInferReference:
     def test_a_text_longer_than_a_batch(self, monkeypatch):
         """300 words run as batches of 128, 128 and 44, with windows that
         cross the batch edges; a single batch gives a different vector."""
+        monkeypatch.setattr(model_module, "INFER_STEPS", 2)
         model = self.model(window=5, seed=7)
         words = list(np.random.default_rng(8).integers(0, 5, 300))
-        got = infer_doc_vector(model, words, steps=2, lr=0.3)
+        got = infer_doc_vector(model, words)
         assert np.array_equal(got, infer_reference(model, words, steps=2, lr=0.3))
         monkeypatch.setattr(train_module, "BATCH", 300)
-        assert not np.array_equal(got, infer_doc_vector(model, words, steps=2, lr=0.3))
+        assert not np.array_equal(got, infer_doc_vector(model, words))
 
 
 def doc_texts(corpus):

@@ -100,6 +100,15 @@ class TestIntArguments:
                 with pytest.raises(ConfigError, match=f"^{name} must be an int, got "):
                     recommend(model, "alpha [[p1]]", **{name: value})
 
+    def test_recommend_checks_before_it_reads_the_text(self, monkeypatch):
+        """A bad argument is reported first, even for a text that would
+        fail to resolve."""
+        model = make_model(["p1"], ["alpha"], dim=3)
+        monkeypatch.setattr(recommend_module, "resolve_text", no_work)
+        for bad in ({"case": True}, {"case": 4}, {"seed": 1.5}, {"keep_prob": 2.0}):
+            with pytest.raises(ConfigError):
+                recommend(model, "[[]] alpha", **bad)
+
     def test_rank_i4o(self, monkeypatch):
         model = make_model(["p1", "p2", "p3"], ["alpha"], dim=3)
         assert rank_i4o(model, np.ones(3), k=np.int64(2)) == rank_i4o(model, np.ones(3), k=2)
@@ -263,7 +272,7 @@ class TestI4OCandidates:
         model, cited = self.model(rng, n_docs=2 * BLOCK_ROWS + 37, n_cited=BLOCK_ROWS + 9)
         for k in (1, 10, BLOCK_ROWS + 9, 5000):
             got = rank_i4o(model, np.ones(4), k=k)
-            assert set(ranked_ids(got)) <= cited and len(got) == min(k, len(cited))
+            assert set(ranked_ids(got)) <= cited and len(got.ranked) == min(k, len(cited))
             assert got.ranked == i4o_oracle(model, np.ones(4), (), k)
         text = " ".join(f"[[{doc_id}]]" for doc_id in sorted(cited)[:3])
         assert set(ranked_ids(recommend(model, text, k=50))) <= cited
@@ -539,7 +548,7 @@ class TestRankI4I:
         ids = ["z9", "a1", "m5"]
         model = make_model(ids, ["x", "y"], dim=3)
         model.matrices.doc_in[:] = [0.6, 0.8, 0.0]
-        result = rank_i4i(model, [0, 1], k=3, steps=1, lr=0.0)
+        result = rank_i4i(model, [0, 1], k=3)
         assert ranked_ids(result) == ["a1", "m5", "z9"]
         assert len({score for _, score in result.ranked}) == 1
 
@@ -547,7 +556,7 @@ class TestRankI4I:
         model = make_model(["big", "small"], ["x"], dim=2)
         model.matrices.doc_in[:] = [[30.0, 0.0], [3.0, 0.0]]
         model.matrices.word_in[0] = [1.0, 0.0]
-        result = rank_i4i(model, [0], k=2, steps=1, lr=0.0)
+        result = rank_i4i(model, [0], k=2)
         # equal direction means equal cosine, so the tie rule decides
         assert ranked_ids(result) == ["big", "small"]
         assert result.ranked[0][1] == result.ranked[1][1]
@@ -556,29 +565,16 @@ class TestRankI4I:
         model = make_model(["a"], ["x"], dim=2)
         model.matrices.word_in[0] = 0.0
         with pytest.raises(QueryError):
-            rank_i4i(model, [0], steps=1, lr=0.0)
+            rank_i4i(model, [0])
 
     def test_overflowing_query_norm_is_an_error(self):
         """A finite vector whose norm overflows: a QueryError, and no
         overflow warning (warnings are errors in this suite)."""
         model = make_model(["a", "b", "c"], ["x"], dim=2)
         model.matrices.word_in[0] = [1e200, -1e200]
-        assert np.isfinite(infer_doc_vector(model, [0], steps=1, lr=0.0)).all()
+        assert np.isfinite(infer_doc_vector(model, [0])).all()
         with pytest.raises(QueryError):
-            rank_i4i(model, [0], k=3, steps=1, lr=0.0)
-
-    @pytest.mark.parametrize("bad", [
-        {"lr": math.nan}, {"lr": math.inf}, {"lr": -math.inf}, {"lr": -1.0},
-        {"steps": 2.0}, {"steps": True},
-    ], ids=["lr-nan", "lr-inf", "lr-minus-inf", "lr-negative", "steps-float", "steps-bool"])
-    def test_bad_lr_or_steps_rank_nothing(self, monkeypatch, bad):
-        def no_ranking(*args, **kwargs):
-            raise AssertionError("documents were scored")
-
-        monkeypatch.setattr(recommend_module, "_dots_and_squares", no_ranking)
-        model = make_model(["a", "b", "c"], ["w0", "w1"], dim=3)
-        with pytest.raises(ConfigError):
-            rank_i4i(model, [0, 1], k=2, **bad)
+            rank_i4i(model, [0], k=3)
 
     def test_k_is_checked_before_inference(self, monkeypatch):
         def no_inference(*args, **kwargs):
@@ -604,12 +600,12 @@ class TestRankI4I:
             words = rng.integers(0, n_words, size=int(rng.integers(1, 4))).tolist()
             exclude = {doc_id for doc_id in ids if rng.random() < 0.2}
 
-            inferred = infer_doc_vector(model, words, steps=2, lr=0.05)
+            inferred = infer_doc_vector(model, words)
             if float(np.linalg.norm(inferred)) == 0.0:
                 continue
             expected = oracle_rank(model, cosine_scores(model, inferred), exclude, k=5)
             for ranker in (model, reloaded(model)):  # the float64 and the float32 filter
-                got = rank_i4i(ranker, words, exclude=exclude, k=5, steps=2, lr=0.05)
+                got = rank_i4i(ranker, words, exclude=exclude, k=5)
                 assert got.ranked == expected, f"trial {trial}"
 
     def test_matches_brute_force_oracle_over_many_candidates(self):
@@ -624,12 +620,12 @@ class TestRankI4I:
         for trial in range(6):
             words = rng.integers(0, 4, size=3).tolist()
             exclude = set(rng.choice(model.vocab.doc_list, size=200).tolist())
-            inferred = infer_doc_vector(model, words, steps=2, lr=0.05)
+            inferred = infer_doc_vector(model, words)
             scores = cosine_scores(model, inferred)
             for k in (1, 10, 50):
                 expected = oracle_rank(model, scores, exclude, k)
                 for ranker in (model, loaded):
-                    got = rank_i4i(ranker, words, exclude=exclude, k=k, steps=2, lr=0.05)
+                    got = rank_i4i(ranker, words, exclude=exclude, k=k)
                     assert got.ranked == expected, f"trial {trial}, k={k}"
 
     def test_all_candidates_tie(self):
@@ -640,7 +636,7 @@ class TestRankI4I:
         exclude = set(rng.choice(model.vocab.doc_list, size=50).tolist())
         scores = np.zeros(3000)
         for k in (1, 10, 50):
-            got = rank_i4i(model, [0], exclude=exclude, k=k, steps=1, lr=0.0)
+            got = rank_i4i(model, [0], exclude=exclude, k=k)
             assert got.ranked == oracle_rank(model, scores, exclude, k)
 
 
@@ -655,8 +651,8 @@ class TestI4IShortlist:
     approximate cosines are least reliable or do not exist; each compares
     the ranking with every row scored exactly, for a model that filters in
     float64 and for its loaded copy, which filters by its float32 unit
-    rows.  The query is the mean of the words' input vectors (lr 0), so it
-    is set by hand."""
+    rows.  The output rows are zero, so every gradient is 0 and the query
+    is the mean of the words' input vectors: it is set by hand."""
 
     def model(self, rng, rows, query):
         n_docs, dim = rows.shape
@@ -667,12 +663,12 @@ class TestI4IShortlist:
 
     def check(self, model, exclude=(), ks=(1, 3, 10, 50)):
         exclude = set(exclude)
-        scores = cosine_scores(model, infer_doc_vector(model, [0], steps=1, lr=0.0))
+        scores = cosine_scores(model, infer_doc_vector(model, [0]))
         loaded = reloaded(model)
         for k in ks:
             expected = bits(oracle_rank(model, scores, exclude, k))
             for ranker in (model, loaded):
-                got = rank_i4i(ranker, [0], exclude=exclude, k=k, steps=1, lr=0.0)
+                got = rank_i4i(ranker, [0], exclude=exclude, k=k)
                 assert bits(got.ranked) == expected, f"k={k}, loaded={ranker is loaded}"
         assert "unit rows" in loaded._derived()
         return scores
@@ -785,8 +781,8 @@ class TestI4IShortlist:
             self.check(model, exclude=["d1", f"d{tail}"], ks=(1, n_docs - tail, n_docs - tail + 5))
 
     def test_the_shortlist_is_short(self):
-        """Random rows are far apart next to either margin: the shortlist
-        is the top k, give or take a few rows."""
+        """Random rows are far apart next to the margin: either filter's
+        shortlist is the top k, give or take a few rows."""
         rng = np.random.default_rng(38)
         doc_in = rng.normal(size=(5000, 100))
         query = rng.normal(size=100)
@@ -796,13 +792,39 @@ class TestI4IShortlist:
         dots, squares = recommend_module._dots_and_squares(doc_in, query)
         units, safe = recommend_module._unit_rows(doc_in)
         assert safe.all()
-        for approx, margin in ((dots / (np.sqrt(squares) * query_norm), recommend_module._margin64(100)),
-                               (units @ (query / query_norm).astype(np.float32),
-                                recommend_module._margin32(100))):
-            rows = recommend_module._shortlist(approx, safe, margin, candidates, 10)
+        for approx in (dots / (np.sqrt(squares) * query_norm),
+                       units @ (query / query_norm).astype(np.float32)):
+            rows = recommend_module._shortlist(approx, safe, recommend_module._margin32(100),
+                                               candidates, 10)
             cosines = dots / np.linalg.norm(doc_in, axis=1)
             top = 100 + np.argsort(-cosines[100:])[:10]
             assert set(top) <= set(rows.tolist()) and rows.size < 20 and rows.min() >= 100
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 100, 333, 1000])
+    def test_the_float64_approximation_is_within_its_bound(self, dim):
+        """The premise of the one margin: the float64 filter's approximate
+        cosine, dots / (sqrt(squares)·q), is within 1.001·(n + 6)·2^-53 of
+        rank_i4i's exact score (``_shortlist``), for random rows and for
+        rows scaled across ``_SAFE_SQUARES``; the margin is more than 10^8
+        times that."""
+        rng = np.random.default_rng(44 + dim)
+        lo, hi = recommend_module._SAFE_SQUARES
+        scales = np.exp2(rng.uniform(np.log2(lo) / 2 + 20, np.log2(hi) / 2 - 20 - np.log2(dim),
+                                     size=(300, 1)))
+        doc_in = np.concatenate((rng.normal(size=(300, dim)),
+                                 rng.normal(size=(300, dim)) * scales,
+                                 rng.uniform(0.5, 1.0, size=(300, dim))))
+        query = rng.normal(size=dim)
+        query_norm = float(np.linalg.norm(query))
+        dots, squares = recommend_module._dots_and_squares(doc_in, query)
+        assert ((lo <= squares) & (squares <= hi)).all()
+        approx = dots / (np.sqrt(squares) * query_norm)
+        rows = np.arange(doc_in.shape[0])
+        exact = recommend_module._exact_dots(doc_in, query, rows) / (
+            np.linalg.norm(doc_in, axis=1) * query_norm)
+        bound = 1.001 * (dim + 6) * 2.0**-53
+        assert np.abs(approx - exact).max() <= bound
+        assert recommend_module._margin32(dim) > 1e8 * 2 * bound
 
     @pytest.mark.parametrize("dim", [1, 2, 16, 100, 1000])
     def test_the_float32_margin_covers_any_error_within_its_bound(self, dim):
@@ -848,7 +870,7 @@ class TestI4IShortlist:
             dots[-2:] = [np.inf, np.nan]
             approx = dots / (np.sqrt(squares) * query_norm)
             safe = (2.0**-900 <= squares) & (squares <= 2.0**900) & np.isfinite(approx)
-            rows = recommend_module._shortlist(approx, safe, recommend_module._margin64(dim),
+            rows = recommend_module._shortlist(approx, safe, recommend_module._margin32(dim),
                                                candidates, 3)
             top = np.argsort(-dots[:300] / np.sqrt(squares[:300]))[:3]
             assert unsafe | {307, 308} | set(top) <= set(rows.tolist()) and rows.size < 20
@@ -1057,8 +1079,8 @@ def writable(model):
 class TestLoadedModelReuse:
     """A loaded model builds its cited panel and its float32 unit rows once
     and ranks with them; any other model gathers its panel on every call
-    and filters i4i queries in float64.  The rankings are the same bits
-    either way."""
+    and takes its i4i filter's approximate cosines in float64.  The
+    rankings are the same bits either way."""
 
     def model(self, rng, n_docs, n_cited, dim=6, n_words=5):
         model = shuffled_id_model(rng, n_docs, dim, n_words=n_words)
@@ -1085,7 +1107,7 @@ class TestLoadedModelReuse:
             exclude = {doc_list[d] for d in rng.choice(n_docs, size=3, replace=False)}
             out.append(bits(rank_i4o(model, rng.normal(size=dim), exclude=exclude, k=k).ranked))
             words = rng.integers(0, n_words, size=3).tolist()
-            out.append(bits(rank_i4i(model, words, exclude=exclude, k=k, steps=1).ranked))
+            out.append(bits(rank_i4i(model, words, exclude=exclude, k=k).ranked))
         truth = [CitationRelation(source=int(d[0]), target=int(d[1]), structural=frozenset(d[2:].tolist()),
                                   context=tuple(rng.integers(0, n_words, size=2).tolist()))
                  for d in (rng.choice(n_docs, size=4, replace=False) for _ in range(40))]
@@ -1111,7 +1133,8 @@ class TestLoadedModelReuse:
         unit rows on its first i4i query; each i4i query then gathers only
         its shortlist's input rows and never takes the float64 pass.  A
         writable copy makes no unit rows: it gathers the panel per i4o
-        query and evaluate call, and takes the float64 pass per i4i query."""
+        query and evaluate call, and takes the float64 pass per i4i query,
+        then gathers its shortlist's input rows as a loaded model does."""
         calls = []
 
         def spy(name, real):
@@ -1141,8 +1164,10 @@ class TestLoadedModelReuse:
         calls.clear()
         model = writable(loaded)
         self.rankings(model, rng)
-        # 3 i4o and 3 evaluate panels; one float64 pass and one word-noise table per i4i query
-        assert sorted(calls) == sorted(["doc_out panel"] * 6 + ["_dots_and_squares", "_noise_table"] * 3)
+        # 3 i4o and 3 evaluate panels; per i4i query one float64 pass, one word-noise table
+        # and one shortlist panel
+        assert sorted(calls) == sorted(["doc_out panel"] * 6
+                                       + ["_dots_and_squares", "_noise_table", "doc_in panel"] * 3)
 
     def test_a_loaded_model_infers_like_its_writable_copy(self):
         """The kept word-noise table draws with a fresh generator per call:
