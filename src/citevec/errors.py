@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the int check that
-raises ConfigError."""
+"""Exception types shared across the package, and the int and number
+checks that raise ConfigError."""
 
 import numbers
 
@@ -43,3 +43,8 @@ class QueryError(CitevecError):
 def _check_int(name: str, value) -> None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an int, got {value!r}")
+
+
+def _check_float(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")

@@ -222,7 +222,7 @@ def evaluate(model: Model, ground_truth: GroundTruth, case: int, k: int = 10,
         raise ConfigError("ground truth is empty")
     usable, queries, targets, owners, excluded = _pool_queries(
         model, ground_truth, case, keep_prob, seed)
-    cited, panel, column = _cited_panel(model)
+    cited, panel, column, _ = _cited_panel(model)
     # the usable queries whose target was cited and is not excluded
     blocked = np.zeros(len(ground_truth), dtype=bool)
     blocked[owners[excluded == targets[owners]]] = True

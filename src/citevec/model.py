@@ -26,10 +26,9 @@ import zlib
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .corpus import Vocabulary, _read_bytes, _word_windows
-from .errors import ConfigError, ModelIOError, _check_int
+from .errors import ConfigError, ModelIOError, _check_float, _check_int
 
 VARIANTS = ("avg", "att")
 
@@ -74,6 +73,8 @@ class EmbeddingConfig:
             _check_int(name, value)
             if not low <= value < 2**32:
                 raise ConfigError(f"{name} must be in [{low}, 2**32), got {value}")
+        _check_float("learning_rate", self.learning_rate)
+        _check_float("min_lr", self.min_lr)
         if not math.inf > self.learning_rate > self.min_lr >= 0:
             raise ConfigError(
                 "need finite learning_rate > min_lr >= 0, got "
@@ -172,11 +173,16 @@ class Model:
         ``vocab`` a caller replaced has none.
 
         What is kept, each made on first use: the word-noise table of
-        ``infer_doc_vector``, i4o's cited panel with every document's column
-        in it, the cited ids' order (``recommend``, ``evaluation``), and
-        rank_i4i's float32 unit rows with their mask, n_docs · dim · 4
-        bytes, which a model with none does without: it takes its
-        approximate cosines from a float64 pass per query instead."""
+        ``infer_doc_vector``; i4o's cited panel with every document's column
+        in it and, when the panel holds at least
+        ``recommend._I4O_FILTER_ENTRIES`` entries, its float32 unit rows
+        with their norms and mask, n_cited · dim · 4 + n_cited · 9 bytes,
+        made with the panel; the cited ids' order (``recommend``,
+        ``evaluation``); and rank_i4i's float32 unit rows of the input
+        matrix with their norms and mask, n_docs · dim · 4 + n_docs · 9
+        bytes.  A model with none does without the unit rows: its i4o
+        scores the whole panel, and its i4i takes its approximate cosines
+        from a float64 pass per query."""
         if self._loaded is None:
             return None
         held, derived = self._loaded
@@ -473,6 +479,8 @@ def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
     Raises ConfigError, before any work, when the words are empty or out of
     range.
     """
+    from scipy.sparse import csr_array  # loaded only where used, as in train._ns_output
+
     from .train import BATCH, NegativeSampler, _noise_table, _ns_output  # avoids an import cycle
 
     words = np.asarray(list(word_indices), dtype=np.intp)

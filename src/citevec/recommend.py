@@ -32,23 +32,31 @@ scored, the cited ones or a shortlist.  ``evaluate`` needs only the
 target's place, and counts it in the same order without ranking.
 
 rank_i4i filters, then refines.  An approximate cosine of every row,
-within a proven margin of the exact one, gives a shortlist (``_shortlist``):
-the rows that could reach the top k by that margin, and the rows the bound
-does not cover.  Only those get the exact dot product and the exact norm of
-``np.linalg.norm``; their scores are the same bits as scoring every row,
-and no other row can outrank them.
+within a proven slack of the exact one, gives a shortlist (``_shortlist``):
+the rows whose upper bound reaches the k-th largest lower bound, and the
+rows the bound does not cover.  Only those get the exact dot product and
+the exact norm of ``np.linalg.norm``; their scores are the same bits as
+scoring every row, and no other row can outrank them.  rank_i4o does the
+same on a loaded model whose cited panel holds at least
+``_I4O_FILTER_ENTRIES`` entries (rows × dim): a row's approximate dot
+product is its norm times the query's times its approximate cosine, and
+its slack scales with the same norms.  Below that size, and on any model
+that keeps no derived arrays, the exact product of the whole panel is as
+fast or faster, and rank_i4o takes it.
 
 A loaded model's arrays are read-only, so the arrays that do not depend
 on the query are derived from it once, on first use, and kept on the
 model (``Model._derived``): the cited panel, n_cited × dim float64s, and a
 float32 copy of the input rows scaled to unit norm, n_docs × dim float32s,
-with a mask of the rows its bound covers (``_unit_rows``).  rank_i4i's
-filter then reads half the bytes of the input matrix: one float32
+with the rows' norms and a mask of the rows its bound covers
+(``_unit_rows``); for a large panel, the same of the cited output rows,
+n_cited · dim · 4 + n_cited · 9 bytes, made with the panel.  Each filter
+then reads half the bytes of its float64 matrix: one float32
 matrix-vector product gives every approximate cosine.  Any other model
-gathers its panel per call and takes its approximate cosines from one
-float64 pass over the input matrix, each row's dot product and squared
-norm.  The two filters differ only there: one margin (``_margin32``) and
-one exact scoring of the shortlist (``_exact_dots``) serve both.
+gathers its panel per call and takes its i4i cosines from one float64
+pass over the input matrix, each row's dot product and squared norm.  The
+i4i filters differ only there: one slack (``_slack32``) and one exact
+scoring of the shortlist (``_exact_dots``) serve both.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import _cited_id
-from .errors import ConfigError, QueryError, _check_int
+from .errors import ConfigError, QueryError, _check_float, _check_int
 from .model import Model, _reused, infer_doc_vector
 
 CASES = (1, 2, 3)
@@ -75,12 +83,22 @@ PAD_ROWS = 64
 _SAFE_SQUARES = (2.0**-900, 2.0**900)
 # the float32 filter's bound is proven for dimensions up to this (_shortlist)
 _MAX_DIM32 = 2**16
+# rank_i4o filters a loaded model's cited panel when it holds at least this
+# many entries (rows × dim); below, the exact product alone is as fast.  A
+# sweep of loaded, all-cited models at dim 100, one BLAS thread on a 2-vCPU
+# Xeon, medians of 400 interleaved queries in two runs, exact product
+# against filter: 2,048 rows 159-182 against 205-243 µs; 4,096 rows 288-343
+# against 303-340 µs; 6,144 rows 385-409 against 384-427 µs; 8,192 rows
+# 517-541 against 479-522 µs; 20,000 rows 2,332-2,764 against 1,477-1,722
+# µs.  The pipeline benchmark's panel (320 × 100) is below, the serve
+# benchmark's (19,984 × 100) above.
+_I4O_FILTER_ENTRIES = 6144 * 100
 
 
-def _margin32(dim: int) -> float:
-    """How far below the k-th best approximate cosine a row's must fall for
-    ``_shortlist`` to drop it, in either filter; the proof is there."""
-    return 1.01 * (dim + 2) * float(np.finfo(np.float32).eps)
+def _slack32(dim: int) -> float:
+    """How far a float32-filtered cosine may be from the exact one, with
+    room for the roundings of ``_shortlist``'s rule; the proof is there."""
+    return 1.01 * (dim + 2) * 2.0**-24
 
 
 @dataclass(frozen=True)
@@ -96,6 +114,7 @@ class Query:
     def __post_init__(self):
         _check_int("case", self.case)
         _check_int("seed", self.seed)
+        _check_float("keep_prob", self.keep_prob)
         if self.case not in CASES:
             raise ConfigError(f"case must be one of {CASES}, got {self.case}")
         if not 0.0 <= self.keep_prob <= 1.0:
@@ -195,17 +214,24 @@ def _gather_panel(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return panel
 
 
-def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
     """i4o's candidates: the indices of the documents cited in training,
-    ascending; their output rows (``_gather_panel``); and every document's
-    column among them, -1 for a document never cited.  The output rows of
-    the others never got a gradient.  Built once per loaded model
-    (``_reused``), per call for any other."""
+    ascending; their output rows (``_gather_panel``); every document's
+    column among them, -1 for a document never cited; and, for a model that
+    keeps derived arrays and a panel of at least ``_I4O_FILTER_ENTRIES``
+    entries, the rows' float32 unit copy, norms and mask (``_unit_rows``),
+    rank_i4o's filter, else None.  The output rows of the others never got
+    a gradient.  Built once per loaded model (``_reused``), all in one
+    entry, so the first i4o query builds the panel that ``evaluate`` reads;
+    per call for any other model."""
     def build():
         rows = np.flatnonzero(model.vocab.doc_cited_counts > 0)
         column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
         column[rows] = np.arange(rows.size)
-        return rows, _gather_panel(model.matrices.doc_out, rows), column
+        panel = _gather_panel(model.matrices.doc_out, rows)
+        large = rows.size * panel.shape[1] >= _I4O_FILTER_ENTRIES
+        units = _unit_rows(panel[: rows.size]) if large and model._derived() is not None else None
+        return rows, panel, column, units
     return _reused(model, "cited panel", build)
 
 
@@ -224,16 +250,37 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     the document count is a multiple of ``PAD_ROWS``).  A loaded model
     builds its panel on its first query; any other model gathers it on
     every call.
+
+    A loaded model with a large panel filters first: each row's
+    approximate dot product is its norm times the query's times the
+    float32 cosine of its unit row (``_unit_rows``), within
+    ``_slack32(dim)`` times those norms of the exact one, and only
+    ``_shortlist``'s rows are gathered into a panel of their own and scored
+    as above: whichever documents are in it, their scores are the same
+    bits, and no other row can reach the top k.
     """
     _check_k(k)
     query = np.asarray(query_vector, dtype=np.float64)
-    rows, panel, column = _cited_panel(model)
+    rows, panel, column, unit_rows = _cited_panel(model)
+    banned = column[_banned(model, exclude)]
+    banned = banned[banned >= 0]
+    if unit_rows is not None:
+        units, norms, safe = unit_rows
+        candidates = np.ones(rows.size, dtype=bool)
+        candidates[banned] = False
+        with np.errstate(all="ignore"):  # a zero or non-finite query: NaN cosines, every row kept
+            query_norm = float(np.linalg.norm(query))
+            cosines, safe = _cosines32(units, safe, query, query_norm)
+            scale = norms * query_norm
+            slack = _slack32(panel.shape[1]) * scale
+            short = _shortlist(scale * cosines, safe, slack, candidates, k)
+        rows, banned = rows[short], ()
+        panel = _gather_panel(model.matrices.doc_out, rows)
     scores = np.empty(panel.shape[0])
     for start in range(0, panel.shape[0], BLOCK_ROWS):
         stop = start + BLOCK_ROWS
         np.matmul(panel[start:stop], query, out=scores[start:stop])
-    banned = column[_banned(model, exclude)]
-    return _rank_row(model, scores[: rows.size], k, rows, banned=banned[banned >= 0])
+    return _rank_row(model, scores[: rows.size], k, rows, banned=banned)
 
 
 def _dots_and_squares(doc_in: np.ndarray, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,50 +297,75 @@ def _dots_and_squares(doc_in: np.ndarray, vector: np.ndarray) -> tuple[np.ndarra
     return dots, squares
 
 
-def _unit_rows(doc_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A float32 copy of ``doc_in`` with every row scaled to unit norm, and
-    a mask of the rows whose squared norm is in ``_SAFE_SQUARES``; the
-    copy's other rows are zero.  Each row is divided by the square root of
-    its squared norm in float64, then rounded to float32 (``_shortlist``
-    bounds the error).  Made ``BLOCK_ROWS`` rows at a time: no float64
-    temporary is larger than a block.
+def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A float32 copy of ``matrix`` with every row scaled to unit norm, the
+    rows' norms in float64, and a mask of the rows whose squared norm is in
+    ``_SAFE_SQUARES``; the copy's other rows are zero.  Each row is divided
+    by its norm, the square root of its squared norm in float64, then
+    rounded to float32 (``_shortlist`` bounds the error).  Made
+    ``BLOCK_ROWS`` rows at a time: no float64 temporary is larger than a
+    block.
     """
     lo, hi = _SAFE_SQUARES
-    units = np.empty(doc_in.shape, dtype=np.float32)
-    safe = np.empty(doc_in.shape[0], dtype=bool)
-    for start in range(0, doc_in.shape[0], BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        block = doc_in[rows]
-        squares = np.einsum("ij,ij->i", block, block)
-        safe[rows] = (lo <= squares) & (squares <= hi)
-        np.divide(block, np.sqrt(squares)[:, None], out=units[rows])
-        units[rows][~safe[rows]] = 0.0
-    return units, safe
+    units = np.empty(matrix.shape, dtype=np.float32)
+    norms = np.empty(matrix.shape[0])
+    safe = np.empty(matrix.shape[0], dtype=bool)
+    with np.errstate(all="ignore"):  # zero, tiny, huge and non-finite rows are zeroed
+        for start in range(0, matrix.shape[0], BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            block = matrix[rows]
+            squares = np.einsum("ij,ij->i", block, block)
+            safe[rows] = (lo <= squares) & (squares <= hi)
+            np.sqrt(squares, out=norms[rows])
+            np.divide(block, norms[rows, None], out=units[rows])
+            units[rows][~safe[rows]] = 0.0
+    return units, norms, safe
+
+
+def _cosines32(units: np.ndarray, safe: np.ndarray, vector: np.ndarray,
+               norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """The float32 filter's approximate cosines of ``vector``, whose norm
+    is ``norm``, with every row of ``units`` (``_unit_rows``): one float32
+    product with ``vector / norm`` rounded to float32.  And the rows
+    ``_shortlist``'s bound covers: those of the mask ``safe``, or none when
+    ``norm``² is outside ``_SAFE_SQUARES`` or the dimension above
+    ``_MAX_DIM32``."""
+    if not (_covered(norm) and units.shape[1] <= _MAX_DIM32):
+        safe = np.zeros_like(safe)
+    return units @ (vector / norm).astype(np.float32), safe
+
+
+def _covered(norm: float) -> bool:
+    """Whether a vector of this norm is in the range of ``_shortlist``'s
+    bounds: its square in ``_SAFE_SQUARES``."""
+    lo, hi = _SAFE_SQUARES
+    return lo <= norm * norm <= hi
 
 
 def _shortlist(
     approx: np.ndarray,
     safe: np.ndarray,
-    margin: float,
+    slack,
     candidates: np.ndarray,
     k: int,
 ) -> np.ndarray:
     """The rows among ``candidates`` (a mask) whose exact score could be in
     the top k, in ascending order.
 
-    The rule.  ``approx`` holds an approximate cosine a of every row, and
-    ``safe`` marks the rows whose a is within B of the row's true cosine c
-    with the query; ``margin`` is above 2·B plus twice the error of the
-    exact score e and 2^-52 (below).  Let tau be the k-th largest a among
-    the safe candidates.  A safe row with a < tau - margin has e below
-    tau - margin + B plus e's error, and each of the k candidates that set
-    tau has e at least tau - B minus e's error: its exact score is strictly
-    below theirs, no tie rule can put it in the top k, and it is dropped.
-    Every other candidate is kept.  An unsafe row is always kept and never
-    counted toward tau, since k zero rows would otherwise put tau above the
-    true top k.  With fewer than k safe candidates, tau is -inf and every
-    candidate is kept.  tau - margin is taken in float64, within 2^-52 of
-    its value, and compared with a in float64.
+    The rule.  ``approx`` holds an approximate score a of every row, and
+    ``safe`` marks the rows whose exact score e is within h of a, h being
+    the row's ``slack`` (one float for every row, or one per row), with
+    room to spare for the roundings below.  Let tau be the k-th largest
+    a - h among the safe candidates.  A safe row with a < tau - h has
+    e <= a + h < tau, and each of the k candidates that set tau has
+    e >= a - h >= tau: its exact score is strictly below theirs, no tie
+    rule can put it in the top k, and it is dropped.  Every other candidate
+    is kept.  An unsafe row is always kept and never counted toward tau,
+    since k zero rows would otherwise put tau above the true top k.  With
+    fewer than k safe candidates, tau is -inf and every candidate is kept.
+    a - h and tau - h are taken in float64, each within 2^-53 of its
+    magnitude: the rows that set tau and the row compared pay for those
+    roundings out of their room, which is far larger.
 
     The bounds.  Let x be a row, v the query, n = dim and
     c = x·v / (|x|·|v|).  For a unit roundoff r, a sum of n products, added
@@ -302,53 +374,70 @@ def _shortlist(
     gamma(r) · sum|products| of its exact value, gamma(r) = n·r / (1 - n·r)
     (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
     section 3.1).  U = 2^-53 and u = 2^-24 are float64's and float32's
-    unit roundoffs.
+    unit roundoffs.  Both rankings take the query's norm q with
+    ``np.linalg.norm`` and a row's dot product d with v in float64: q is
+    within a factor 1 ± (gamma(U) / 2 + 2U) of |v|, and d within
+    gamma(U)·|x|·|v| of x·v, since sum |x_j·v_j| ≤ |x|·|v|
+    (Cauchy-Schwarz).
 
-    rank_i4i's exact score is e = d / (sqrt(t)·q): d is the row's float64
-    dot product with v, t is sum(x·x) as ``np.linalg.norm`` adds it, and q
-    the query's norm.  t is within a factor 1 ± gamma(U) of |x|², q is at
-    least |v|·sqrt(1 - gamma(U))·(1 - U), and d is within gamma(U)·|x|·|v|
-    of x·v, so that d / (|x|·q), taken exactly, is at most 1 + 3·gamma(U)
-    in magnitude.
+    rank_i4i's exact score is e = d / (sqrt(t)·q), t being sum(x·x) as
+    ``np.linalg.norm`` adds it, within a factor 1 ± gamma(U) of |x|²;
+    d / (|x|·q), taken exactly, is at most 1 + 3·gamma(U) in magnitude.
 
-    The float32 filter, for a loaded model, takes a as the float32 product
-    of the row's float32 unit copy w (``_unit_rows``) with p, the float32
-    rounding of v / q taken in float64.  w_j is x_j / sqrt(s) in float64,
-    s = sum(x·x), within a factor 1 ± (gamma(U) / 2 + 2U) of x_j / |x|, then rounded, so
+    The float32 filter, for a loaded model, takes an approximate cosine a'
+    as the float32 product of the row's float32 unit copy w
+    (``_unit_rows``) with p, the float32 rounding of v / q taken in
+    float64.  w_j is x_j / sqrt(s) in float64, s = sum(x·x), within a
+    factor 1 ± (gamma(U) / 2 + 2U) of x_j / |x|, then rounded, so
     w_j = (x_j / |x|)·(1 + f_j) + g_j with |f_j| ≤ (1 + 2^-12)·u = rho for
-    n ≤ 2^16 and |g_j| below 2^-149, from underflow; p and v alike.  By
-    Cauchy-Schwarz, sum |x_j·v_j| ≤ |x|·|v|, so w·p is within
-    2·rho + rho² of c, and the float32 sum within gamma(u)·(1 + rho)² of
-    w·p, plus at most 2^-126 for each of its 2n operations that underflows
-    or reads a subnormal, flushed to zero or not.  For n ≤ 2^16 that gives
-    B = 1.0041·(n + 2)·u.  e is within 2.01·(n + 2)·U of c (d, t and q as
-    above, and four roundings), and margin = 1.01·(n + 2)·eps32 =
-    2.02·(n + 2)·u is above twice both and the threshold's rounding.
+    n ≤ 2^16 and |g_j| below 2^-149, from underflow; p and v alike.  So
+    w·p is within 2·rho + rho² of c, and the float32 sum within
+    gamma(u)·(1 + rho)² of w·p, plus at most 2^-126 for each of its 2n
+    operations that underflows or reads a subnormal, flushed to zero or
+    not.  For n ≤ 2^16 that gives B = 1.0041·(n + 2)·u.
+
+    rank_i4i takes a = a' and h = ``_slack32(n)`` = 1.01·(n + 2)·u.  e is
+    within 2.01·(n + 2)·U of c (d, t and q as above, and four roundings),
+    so |a - e| ≤ B + 2.01·(n + 2)·U, and h leaves room of more than
+    0.005·(n + 2)·u against roundings of at most 2^-52.
+
+    rank_i4o, for a loaded model with a large cited panel, scores e = d,
+    the exact dot product of the output row.  It takes a = sqrt(s)·q·a'
+    and h = ``_slack32(n)``·sqrt(s)·q, the norms multiplied first, each
+    product rounded once.  sqrt(s)·q is within a factor 1 ± (gamma(U) + 4U)
+    of |x|·|v|, so a is within (B + 2·gamma(U) + 8U)·|x|·|v| of x·v and of
+    d, and h is at least (1.01·(n + 2)·u)·(1 - gamma(U) - 6U)·|x|·|v|:
+    the room is again above 0.005·(n + 2)·u·|x|·|v|, and each rounding of
+    a - h or tau - h is at most 2^-52 of the norms' product of the rows it
+    comes from.  Neither bound depends on how BLAS orders or fuses the
+    products.
 
     The float64 filter, for a model that keeps no derived arrays, takes
-    a = d' / (sqrt(s)·q), with d' and s from ``_dots_and_squares``.  When
-    d' is d, as on one BLAS thread, a and e differ only in the norm's sum
-    and three roundings, so |a - e| ≤ (1 + 3·gamma(U))·(gamma(U) + 6U) up
-    to terms in U², below 1.001·(n + 6)·U for any n below 2^33; in any case
-    a, like e, is within 2.01·(n + 2)·U of c.  Either way the rule needs a
-    margin below 9·(n + 2)·U, and the same margin is above that by a factor
-    of more than 10^8.
+    rank_i4i's a = d' / (sqrt(s)·q), with d' and s from
+    ``_dots_and_squares``.  When d' is d, as on one BLAS thread, a and e
+    differ only in the norm's sum and three roundings, so
+    |a - e| ≤ (1 + 3·gamma(U))·(gamma(U) + 6U) up to terms in U², below
+    1.001·(n + 6)·U for any n below 2^33; in any case a, like e, is within
+    2.01·(n + 2)·U of c.  Either way the rule needs a slack below
+    5·(n + 2)·U, and the same slack is above that by a factor of more than
+    10^8.
 
     The ranges.  The bounds assume that nothing overflows and that
     underflow costs little.  They hold for rows with s in ``_SAFE_SQUARES``
     and a query with q² there: every float64 product and sum is then at
-    most about 2^900, an underflowing one errs by at most 2^-1075, against a
-    margin of 2^-22 or more and row and query norms of at least 2^-450, and
-    every float32 value is at most about 1 in magnitude.  Every other row,
-    and every row when the query is outside that range or, for the float32
-    filter, n is above 2^16, is unsafe; so is a row whose a is not finite.
+    most about 2^900, an underflowing one errs by at most 2^-1075, against
+    room of 2^-31 or more of the norms' product and row and query norms of
+    at least 2^-450, and every float32 value is at most about 1 in
+    magnitude.  Every other row, and every row when the query is outside
+    that range or, for the float32 filter, n is above 2^16, is unsafe; so
+    is a row whose float64 a is not finite.
     """
-    keys = np.where(safe & candidates, approx, -np.inf)
+    keys = np.where(safe & candidates, approx - slack, -np.inf)
     tau = -np.inf
     if k <= keys.size:
         keys.partition(keys.size - k)
         tau = np.float64(keys[keys.size - k])
-    return np.flatnonzero(candidates & ~(safe & (approx < tau - margin)))
+    return np.flatnonzero(candidates & ~(safe & (approx < tau - slack)))
 
 
 def _exact_dots(doc_in: np.ndarray, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -377,7 +466,7 @@ def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> Recommenda
     cosines: a loaded model takes one float32 product with its unit rows
     (``_unit_rows``), made on its first i4i query and kept, and any other
     model one float64 pass (``_dots_and_squares``) per call.  Both then
-    share one margin, ``_margin32``, and take the shortlist's dot products
+    share one slack, ``_slack32``, and take the shortlist's dot products
     by ``_exact_dots``, so they give the same bits.  Raises QueryError when
     the inferred vector's norm is 0 or not finite, and ConfigError, before
     any work, for a bad ``k``."""
@@ -391,19 +480,16 @@ def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> Recommenda
     dim = doc_in.shape[1]
     candidates = np.ones(doc_in.shape[0], dtype=bool)
     candidates[_banned(model, exclude)] = False
-    lo, hi = _SAFE_SQUARES
-    covered = lo <= query_norm * query_norm <= hi
     with np.errstate(all="ignore"):  # non-finite scores are ranked, not warned about
         if model._derived() is None:
             dots, squares = _dots_and_squares(doc_in, inferred)
             approx = dots / (np.sqrt(squares) * query_norm)
-            safe = (lo <= squares) & (squares <= hi) & np.isfinite(approx) & covered
+            lo, hi = _SAFE_SQUARES
+            safe = (lo <= squares) & (squares <= hi) & np.isfinite(approx) & _covered(query_norm)
         else:
-            units, safe = _reused(model, "unit rows", lambda: _unit_rows(doc_in))
-            if not (covered and dim <= _MAX_DIM32):
-                safe = np.zeros_like(safe)
-            approx = units @ (inferred / query_norm).astype(np.float32)
-        rows = _shortlist(approx, safe, _margin32(dim), candidates, k)
+            units, _, safe = _reused(model, "unit rows", lambda: _unit_rows(doc_in))
+            approx, safe = _cosines32(units, safe, inferred, query_norm)
+        rows = _shortlist(approx, safe, _slack32(dim), candidates, k)
         dots = _exact_dots(doc_in, inferred, rows)
         norms = np.linalg.norm(doc_in[rows], axis=1)
         scores = dots / (norms * query_norm)

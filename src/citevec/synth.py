@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, _check_int
+from .errors import ConfigError, _check_float, _check_int
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ class SyntheticSpec:
             _check_int(name, getattr(self, name))
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        _check_float("noise_rate", self.noise_rate)
+        _check_float("distractor_rate", self.distractor_rate)
         if not 0.0 <= self.noise_rate < 1.0:
             raise ConfigError(f"noise_rate must be in [0, 1), got {self.noise_rate}")
         if not 0 <= self.cites_per_doc <= self.clique_size:

@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
-from scipy.special import expit
 
 from .corpus import HyperDocument, Vocabulary, _layout, _word_windows
 from .relations import CitationRelation, _relation_table, _runs
@@ -207,6 +205,11 @@ def _ns_output(hidden, targets: np.ndarray, out: np.ndarray, sampler: NegativeSa
     from zero, of coefficient * output row, the target's coefficient being
     ``expit(score) - 1`` and a negative's ``expit(score)``.
     """
+    # scipy is imported where it is used: ranking and the CLI's other
+    # commands never load it
+    from scipy.sparse import csr_array
+    from scipy.special import expit
+
     b = targets.size
     draws, kept = sampler.sample_rows(targets, negative)
     live = kept.any(axis=1)
@@ -268,6 +271,8 @@ def _ns_batch(
     target-then-negative) order, and the sum is subtracted once at the end
     of the batch.
     """
+    from scipy.sparse import csc_array, csr_array  # as in _ns_output
+
     b = hi - lo
     indptr = examples.offsets[lo : hi + 1]
     slots = examples.slots[indptr[0] : indptr[-1]]

@@ -34,7 +34,9 @@ from conftest import FIXTURE_CONFIG, FIXTURE_SPEC
 from reference import backprop, hidden_att, hidden_avg
 from test_evaluation import (
     oracle_average_precision, oracle_evaluate, oracle_ndcg, oracle_recall, random_relations, uncite)
-from test_recommend import i4o_oracle, make_model, ranked_ids, make_vocab, oracle_rank, shuffled_id_model
+from test_recommend import (
+    i4o_oracle, make_model, ranked_ids, make_vocab, oracle_rank, recommend_module, reloaded,
+    shuffled_id_model)
 from test_train import random_matrices, relative_error
 
 
@@ -199,7 +201,9 @@ class TestSoftmaxOracle:
 
 
 class TestRankingOracles:
-    def test_i4o_and_i4i_match_brute_force(self, capsys):
+    def test_i4o_and_i4i_match_brute_force(self, capsys, monkeypatch):
+        # every loaded copy filters its cited panel in float32 first, however small
+        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
         rng = np.random.default_rng(4096)
         for trial in range(100):
             n_docs = int(rng.integers(1, 25))
@@ -213,6 +217,9 @@ class TestRankingOracles:
             exclude = {doc_id for doc_id in ids if rng.random() < 0.2}
             expected = i4o_oracle(model, qvec, exclude, k=5)
             assert rank_i4o(model, qvec, exclude=exclude, k=5).ranked == expected
+            loaded = reloaded(model)
+            assert rank_i4o(loaded, qvec, exclude=exclude, k=5).ranked == expected
+            assert recommend_module._cited_panel(loaded)[3] is not None
 
         rng = np.random.default_rng(8192)
         checked = 0
@@ -242,8 +249,8 @@ class TestRankingOracles:
             checked += 1
         announce(
             capsys, "ranking oracles",
-            "100 i4o models (cited docs only) and 100 i4i models equal brute-force sorts "
-            "exactly (scores, order, ties)",
+            "100 i4o models (cited docs only; in memory and loaded, filtered in float32) "
+            "and 100 i4i models equal brute-force sorts exactly (scores, order, ties)",
         )
 
 

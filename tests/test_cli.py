@@ -10,6 +10,10 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +54,47 @@ def trained(tmp_path_factory):
     code = main(["train", str(FIXTURE_TSV), str(path)] + TRAIN_FLAGS)
     assert code == 0
     return path
+
+
+def test_serving_never_imports_scipy(tmp_path):
+    """Only training and ``infer_doc_vector`` use scipy, and import it
+    where they use it: ``import citevec`` leaves it out, and so does a
+    served ``citevec recommend`` whose i4o filter runs.  Checked in a fresh
+    process."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import citevec
+        from citevec.cli import main
+        from citevec.corpus import Vocabulary
+        from citevec.model import EmbeddingConfig, init_model, save_model
+        recommend_module = sys.modules["citevec.recommend"]
+
+        def scipy_modules():
+            return [name for name in sys.modules if name.split(".")[0] == "scipy"]
+
+        assert not scipy_modules(), scipy_modules()
+        vocab = Vocabulary()
+        vocab.doc_list = [f"d{i}" for i in range(40)]
+        vocab.doc_ids = {d: i for i, d in enumerate(vocab.doc_list)}
+        vocab.word_list = ["alpha", "beta"]
+        vocab.word_ids = {"alpha": 0, "beta": 1}
+        vocab.word_counts = np.ones(2, dtype=np.int64)
+        vocab.doc_cited_counts = np.ones(40, dtype=np.int64)
+        model = init_model(vocab, EmbeddingConfig(dim=4, window=2, negative=1))
+        model.matrices.doc_out[:] = np.random.default_rng(0).normal(size=(40, 4))
+        save_model(model, sys.argv[1] + "/m.dcv")
+        with open(sys.argv[1] + "/q.txt", "w") as handle:
+            handle.write("alpha beta [[d3]]")
+        recommend_module._I4O_FILTER_ENTRIES = 0
+        assert main(["recommend", sys.argv[1] + "/m.dcv", "--text-file", sys.argv[1] + "/q.txt"]) == 0
+        assert not scipy_modules(), scipy_modules()
+    """)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert len(done.stdout.splitlines()) == 10
 
 
 class TestSynth:

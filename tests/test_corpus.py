@@ -427,6 +427,17 @@ class TestSyntheticCorpus:
         with pytest.raises(ConfigError):
             SyntheticSpec(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"noise_rate": "0.1"}, {"noise_rate": None}, {"noise_rate": True},
+        {"distractor_rate": None}, {"distractor_rate": "0.5"}, {"distractor_rate": False},
+    ], ids=repr)
+    def test_spec_rates_fail_when_built(self, bad):
+        """Each would otherwise fail in the range check with a bare
+        TypeError, or pass it as a bool."""
+        name = next(iter(bad))
+        with pytest.raises(ConfigError, match=f"^{name} must be a number, got "):
+            SyntheticSpec(**bad)
+
     def test_sub_cliques_cites_and_distractors(self):
         """Every citing doc cites cites_per_doc papers of one clique of its
         topic, plus, at about the distractor rate, one paper of another

@@ -6,6 +6,7 @@ import importlib
 import io
 import math
 import os
+import re
 import struct
 import tracemalloc
 import zlib
@@ -83,6 +84,17 @@ class TestConfig:
         """Each would otherwise fail later, in train() or save_model, with
         a bare TypeError, IndexError or struct.error, or after an epoch."""
         with pytest.raises(ConfigError):
+            EmbeddingConfig(**bad)
+
+    @pytest.mark.parametrize("bad", [
+        dict(learning_rate="0.1"), dict(learning_rate=None), dict(learning_rate=True),
+        dict(min_lr=None), dict(min_lr="0"), dict(min_lr=False),
+    ], ids=repr)
+    def test_non_number_rates_fail_when_built(self, bad):
+        """Each would otherwise fail in the range check with a bare
+        TypeError, or pass it as a bool."""
+        name, value = next(iter(bad.items()))
+        with pytest.raises(ConfigError, match=f"^{name} must be a number, got {re.escape(repr(value))}$"):
             EmbeddingConfig(**bad)
 
     def test_largest_values_round_trip(self):

@@ -8,6 +8,7 @@ selection, tie-breaking, or exclusion shows up as an exact mismatch.
 import copy
 import importlib
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -83,6 +84,15 @@ class TestQuery:
             for value in NOT_INTS:
                 with pytest.raises(ConfigError, match=f"^{name} must be an int, got "):
                     Query(**{"case": 1, "context_words": (0,), name: value})
+
+    @pytest.mark.parametrize("value", ["0.5", None, True, np.False_], ids=repr)
+    def test_keep_prob_must_be_a_number(self, value):
+        with pytest.raises(ConfigError, match="^keep_prob must be a number, got "):
+            Query(case=2, context_words=(0,), keep_prob=value)
+
+    def test_keep_prob_takes_any_real_number(self):
+        for value in (1, 0, np.float32(0.25), np.float64(0.5), np.int64(1)):
+            assert Query(case=2, context_words=(0,), keep_prob=value).keep_prob == value
 
 
 class TestIntArguments:
@@ -690,12 +700,12 @@ class TestI4IShortlist:
 
     @pytest.mark.parametrize("dim", [2, 16, 100])
     def test_near_ties_closer_than_the_float32_margin(self, dim):
-        """Cosines a few float32 steps apart, all within the float32
-        margin of each other, among rows far from the query: the float32
+        """Cosines a few float32 steps apart, all within twice the float32
+        slack of each other, among rows far from the query: the float32
         product cannot order them, and float64 scores must."""
         rng = np.random.default_rng(300 + dim)
         base = rng.normal(size=dim)
-        spread = recommend_module._margin32(dim)
+        spread = 2 * recommend_module._slack32(dim)
         # cosine 1 - t²/2 for a unit offset t orthogonal to the query
         offsets = rng.normal(size=(200, dim))
         offsets -= np.outer(offsets @ base, base) / (base @ base)
@@ -781,7 +791,7 @@ class TestI4IShortlist:
             self.check(model, exclude=["d1", f"d{tail}"], ks=(1, n_docs - tail, n_docs - tail + 5))
 
     def test_the_shortlist_is_short(self):
-        """Random rows are far apart next to the margin: either filter's
+        """Random rows are far apart next to the slack: either filter's
         shortlist is the top k, give or take a few rows."""
         rng = np.random.default_rng(38)
         doc_in = rng.normal(size=(5000, 100))
@@ -790,11 +800,11 @@ class TestI4IShortlist:
         candidates = np.ones(5000, dtype=bool)
         candidates[:100] = False
         dots, squares = recommend_module._dots_and_squares(doc_in, query)
-        units, safe = recommend_module._unit_rows(doc_in)
+        units, _, safe = recommend_module._unit_rows(doc_in)
         assert safe.all()
         for approx in (dots / (np.sqrt(squares) * query_norm),
                        units @ (query / query_norm).astype(np.float32)):
-            rows = recommend_module._shortlist(approx, safe, recommend_module._margin32(100),
+            rows = recommend_module._shortlist(approx, safe, recommend_module._slack32(100),
                                                candidates, 10)
             cosines = dots / np.linalg.norm(doc_in, axis=1)
             top = 100 + np.argsort(-cosines[100:])[:10]
@@ -802,10 +812,10 @@ class TestI4IShortlist:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 100, 333, 1000])
     def test_the_float64_approximation_is_within_its_bound(self, dim):
-        """The premise of the one margin: the float64 filter's approximate
+        """The premise of the one slack: the float64 filter's approximate
         cosine, dots / (sqrt(squares)·q), is within 1.001·(n + 6)·2^-53 of
         rank_i4i's exact score (``_shortlist``), for random rows and for
-        rows scaled across ``_SAFE_SQUARES``; the margin is more than 10^8
+        rows scaled across ``_SAFE_SQUARES``; the slack is more than 10^8
         times that."""
         rng = np.random.default_rng(44 + dim)
         lo, hi = recommend_module._SAFE_SQUARES
@@ -824,7 +834,7 @@ class TestI4IShortlist:
             np.linalg.norm(doc_in, axis=1) * query_norm)
         bound = 1.001 * (dim + 6) * 2.0**-53
         assert np.abs(approx - exact).max() <= bound
-        assert recommend_module._margin32(dim) > 1e8 * 2 * bound
+        assert recommend_module._slack32(dim) > 1e8 * bound
 
     @pytest.mark.parametrize("dim", [1, 2, 16, 100, 1000])
     def test_the_float32_margin_covers_any_error_within_its_bound(self, dim):
@@ -846,8 +856,8 @@ class TestI4IShortlist:
         approx = exact + 0.99 * step
         approx[top] = exact[top] - 0.99 * step
         safe = candidates = np.ones(exact.size, dtype=bool)
-        margin = recommend_module._margin32(dim)
-        rows = recommend_module._shortlist(approx, safe, margin, candidates, k)
+        slack = recommend_module._slack32(dim)
+        rows = recommend_module._shortlist(approx, safe, slack, candidates, k)
         assert set(top.tolist()) <= set(rows.tolist())
         assert not (exact[rows] < kth - 6 * step).any() and rows.max() < 400
 
@@ -870,15 +880,15 @@ class TestI4IShortlist:
             dots[-2:] = [np.inf, np.nan]
             approx = dots / (np.sqrt(squares) * query_norm)
             safe = (2.0**-900 <= squares) & (squares <= 2.0**900) & np.isfinite(approx)
-            rows = recommend_module._shortlist(approx, safe, recommend_module._margin32(dim),
+            rows = recommend_module._shortlist(approx, safe, recommend_module._slack32(dim),
                                                candidates, 3)
             top = np.argsort(-dots[:300] / np.sqrt(squares[:300]))[:3]
             assert unsafe | {307, 308} | set(top) <= set(rows.tolist()) and rows.size < 20
 
-            units, safe = recommend_module._unit_rows(doc_in)
+            units, _, safe = recommend_module._unit_rows(doc_in)
             assert set(np.flatnonzero(~safe).tolist()) == unsafe and not units[~safe].any()
             approx = units @ (query / query_norm).astype(np.float32)
-            rows = recommend_module._shortlist(approx, safe, recommend_module._margin32(dim),
+            rows = recommend_module._shortlist(approx, safe, recommend_module._slack32(dim),
                                                candidates, 3)
             assert unsafe | set(top) <= set(rows.tolist()) and rows.size < 20
 
@@ -914,7 +924,8 @@ class TestI4IShortlist:
     def test_unit_rows_are_made_a_block_at_a_time(self):
         """Within a factor 1 ± (1 + 2^-12)·2^-24 of each row over its norm,
         as ``_shortlist``'s bound assumes, zero where the bound does not
-        hold, and made with no float64 temporary above a block's size."""
+        hold, with the norms the rows were divided by, and made with no
+        float64 temporary above a block's size."""
         rng = np.random.default_rng(43)
         n_docs, dim = 12 * BLOCK_ROWS + 37, 24
         doc_in = rng.normal(size=(n_docs, dim)) * np.exp(rng.uniform(-330, 330, size=(n_docs, 1)))
@@ -923,7 +934,7 @@ class TestI4IShortlist:
             norms = np.linalg.norm(doc_in, axis=1)
             squares = np.einsum("ij,ij->i", doc_in, doc_in)
             tracemalloc.start()
-            units, safe = recommend_module._unit_rows(doc_in)
+            units, norms_kept, safe = recommend_module._unit_rows(doc_in)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert units.dtype == np.float32 and units.shape == doc_in.shape
@@ -932,7 +943,8 @@ class TestI4IShortlist:
         assert not units[~safe].any()
         exact = doc_in[safe] / norms[safe, None]
         assert (np.abs(units[safe] - exact) <= (1 + 2.0**-12) * 2.0**-24 * np.abs(exact)).all()
-        assert peak - units.nbytes - safe.nbytes <= BLOCK_ROWS * dim * 8
+        assert np.array_equal(norms_kept, np.sqrt(squares), equal_nan=True)
+        assert peak - units.nbytes - norms_kept.nbytes - safe.nbytes <= BLOCK_ROWS * dim * 8
 
     def test_one_pass_gives_the_product_and_the_squares(self):
         """Blocks of rows, a partial last one among them; small integers
@@ -1078,8 +1090,9 @@ def writable(model):
 
 class TestLoadedModelReuse:
     """A loaded model builds its cited panel and its float32 unit rows once
-    and ranks with them; any other model gathers its panel on every call
-    and takes its i4i filter's approximate cosines in float64.  The
+    and ranks with them (the cited panel's own unit rows only when it is
+    large, ``TestI4OFilter``); any other model gathers its panel on every
+    call and takes its i4i filter's approximate cosines in float64.  The
     rankings are the same bits either way."""
 
     def model(self, rng, n_docs, n_cited, dim=6, n_words=5):
@@ -1129,12 +1142,15 @@ class TestLoadedModelReuse:
         assert loaded.vocab.n_docs == n_docs and memory._derived() is None
 
     def test_a_loaded_model_reuses_what_it_derives(self, monkeypatch):
-        """A loaded model gathers its cited panel once and makes its float32
-        unit rows on its first i4i query; each i4i query then gathers only
-        its shortlist's input rows and never takes the float64 pass.  A
-        writable copy makes no unit rows: it gathers the panel per i4o
-        query and evaluate call, and takes the float64 pass per i4i query,
-        then gathers its shortlist's input rows as a loaded model does."""
+        """A loaded model, its i4o filter threshold set to 0, gathers its
+        cited panel and makes the panel's float32 unit rows once, on its
+        first i4o query, and makes its input rows' unit rows on its first
+        i4i query; each i4o query then gathers only its shortlist's output
+        rows, each i4i query only its shortlist's input rows, and neither
+        takes the float64 pass.  A writable copy makes no unit rows: it
+        gathers the panel per i4o query and evaluate call, and takes the
+        float64 pass per i4i query, then gathers its shortlist's input rows
+        as a loaded model does."""
         calls = []
 
         def spy(name, real):
@@ -1149,17 +1165,25 @@ class TestLoadedModelReuse:
 
         real_gather = recommend_module._gather_panel
         monkeypatch.setattr(recommend_module, "_gather_panel", gather)
+        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
         for module, name in ((recommend_module, "_unit_rows"), (recommend_module, "_dots_and_squares"),
                              (train_module, "_noise_table")):
             spy(name, getattr(module, name))
         loaded = model = self.model(np.random.default_rng(3), 300, 150)
         rng = np.random.default_rng(4)
         self.rankings(loaded, rng)
-        assert sorted(calls) == sorted(["doc_out panel", "_unit_rows", "_noise_table"] + ["doc_in panel"] * 3)
-        units, safe = loaded._derived()["unit rows"]
+        # the panel and 3 i4o shortlists, both unit rows, one table, 3 i4i shortlists
+        assert sorted(calls) == sorted(["doc_out panel"] * 4 + ["_unit_rows"] * 2 + ["_noise_table"]
+                                       + ["doc_in panel"] * 3)
+        units, norms, safe = loaded._derived()["unit rows"]
         assert units.dtype == np.float32 and units.shape == (300, 6) and safe.shape == (300,)
+        cited_units = recommend_module._cited_panel(loaded)[3][0]
+        assert cited_units.dtype == np.float32 and cited_units.shape == (150, 6)
+        calls.clear()
         self.rankings(loaded, rng)
+        assert sorted(calls) == sorted(["doc_out panel", "doc_in panel"] * 3)
         assert loaded._derived()["unit rows"][0] is units
+        assert recommend_module._cited_panel(loaded)[3][0] is cited_units
         assert recommend_module._cited_panel(loaded)[1] is recommend_module._cited_panel(loaded)[1]
         calls.clear()
         model = writable(loaded)
@@ -1168,6 +1192,14 @@ class TestLoadedModelReuse:
         # and one shortlist panel
         assert sorted(calls) == sorted(["doc_out panel"] * 6
                                        + ["_dots_and_squares", "_noise_table", "doc_in panel"] * 3)
+
+    def test_a_small_panel_is_not_filtered(self):
+        """Below ``_I4O_FILTER_ENTRIES`` a loaded model scores its whole
+        cited panel, and keeps no unit rows for it."""
+        loaded = self.model(np.random.default_rng(11), 300, 150)
+        rank_i4o(loaded, np.ones(6))
+        assert 150 * 6 < recommend_module._I4O_FILTER_ENTRIES
+        assert recommend_module._cited_panel(loaded)[3] is None
 
     def test_a_loaded_model_infers_like_its_writable_copy(self):
         """The kept word-noise table draws with a fresh generator per call:
@@ -1208,3 +1240,151 @@ class TestLoadedModelReuse:
         moved = self.rankings(loaded, np.random.default_rng(8))
         assert moved != before
         assert moved == self.rankings(writable(loaded), np.random.default_rng(8))
+
+
+class TestI4OFilter:
+    """A loaded model whose cited panel holds at least
+    ``_I4O_FILTER_ENTRIES`` entries filters its rows by float32 cosines
+    scaled by the rows' norms, then scores the shortlist exactly.  These are
+    the cases where the filter is least reliable: each ranks the loaded
+    model, its threshold set to 0 so that every panel is filtered, and its
+    writable copy, which scores every cited row, bit for bit, with both
+    signs of each query, and records the shortlists' sizes."""
+
+    def model(self, rng, rows, cited_share=0.8):
+        n_docs, dim = rows.shape
+        model = make_model(shuffled_ids(rng, n_docs), ["w"], dim=dim)
+        model.matrices.doc_out[:] = rows
+        model.vocab.doc_cited_counts[:] = rng.random(n_docs) < cited_share
+        return reloaded(model)
+
+    def check(self, monkeypatch, loaded, queries, ks=(1, 3, 10, 50), threshold=0):
+        """The shortlists' sizes, after every ranking matched."""
+        sizes = []
+
+        def shortlist(*args):
+            rows = real_shortlist(*args)
+            sizes.append(rows.size)
+            return rows
+
+        real_shortlist = recommend_module._shortlist
+        monkeypatch.setattr(recommend_module, "_shortlist", shortlist)
+        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", threshold)
+        memory = writable(loaded)
+        doc_list = loaded.vocab.doc_list
+        rng = np.random.default_rng(len(doc_list))
+        with np.errstate(all="ignore"):  # non-finite rows: inf - inf in a product
+            for query in queries:
+                for sign, k in itertools.product((1.0, -1.0), ks):
+                    exclude = set(rng.choice(doc_list, size=min(3, len(doc_list)), replace=False))
+                    expected = bits(rank_i4o(memory, sign * query, exclude=exclude, k=k).ranked)
+                    got = bits(rank_i4o(loaded, sign * query, exclude=exclude, k=k).ranked)
+                    assert got == expected, f"k={k}"
+        assert recommend_module._cited_panel(loaded)[3] is not None
+        assert len(sizes) == 2 * len(queries) * len(ks)  # the writable copy takes no shortlist
+        return sizes
+
+    def test_norms_spanning_2_to_the_300(self, monkeypatch):
+        """Row norms from 2^-300 to 2^300, and near-ties at each of three
+        scales: rows of norm about 2^280, 1 and 2^-280 whose exact dot
+        products differ by less than the slack, a few float32 steps of
+        their norms.  A slack that does not scale with each row's norm
+        drops rows of the top k."""
+        rng = np.random.default_rng(70)
+        dim = 24
+        query = rng.normal(size=dim)
+        unit = query / np.linalg.norm(query)
+        offsets = rng.normal(size=(60, dim))
+        offsets -= np.outer(offsets @ unit, unit)
+        spread = recommend_module._slack32(dim) / 4
+        near = (unit * (1.0 + spread * rng.uniform(-1, 1, size=(60, 1)))
+                + offsets / np.linalg.norm(offsets, axis=1)[:, None])
+        rows = np.concatenate((
+            rng.normal(size=(400, dim)) * np.exp2(rng.uniform(-300, 300, size=(400, 1))),
+            near * 2.0**280, near, near * 2.0**-280))
+        loaded = self.model(rng, rng.permutation(rows), cited_share=0.9)
+        sizes = self.check(monkeypatch, loaded, [query, rng.normal(size=dim)])
+        assert min(sizes) < 100
+
+    def test_rows_the_bound_does_not_cover(self, monkeypatch):
+        """Rows whose squared norm is outside ``_SAFE_SQUARES``, zero rows,
+        and NaN, +inf and -inf rows: always kept, never counted toward
+        the k-th lower bound."""
+        rng = np.random.default_rng(71)
+        dim = 8
+        query = rng.normal(size=dim)
+        scales = np.array([1e-170, 1e-160, 1e-137, 1e136, 1e160, 1e170, 0.0, 0.0, np.nan,
+                           np.inf, -np.inf])
+        rows = np.concatenate((query * scales[:, None], -query * scales[:, None],
+                               rng.normal(size=(200, dim))))
+        rows[-1, 3] = np.inf
+        loaded = self.model(rng, rng.permutation(rows), cited_share=0.95)
+        sizes = self.check(monkeypatch, loaded, [query, rng.normal(size=dim)], ks=(1, 10, 40, 300))
+        assert min(sizes) < 100
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-200, 1e-140, 1e140, 1e200, np.nan, np.inf])
+    def test_queries_the_bound_does_not_cover(self, monkeypatch, scale):
+        """A zero, tiny, huge or non-finite query: its squared norm is
+        outside ``_SAFE_SQUARES``, and every candidate is kept."""
+        rng = np.random.default_rng(72)
+        dim = 6
+        loaded = self.model(rng, rng.normal(size=(150, dim)))
+        query = rng.normal(size=dim) * scale
+        query[0] = 0.0 if scale == 0.0 else query[0]
+        sizes = self.check(monkeypatch, loaded, [query], ks=(1, 10))
+        candidates = int((loaded.vocab.doc_cited_counts > 0).sum())
+        assert candidates - 3 <= min(sizes) and max(sizes) <= candidates
+
+    def test_a_dimension_above_the_bound(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        monkeypatch.setattr(recommend_module, "_MAX_DIM32", 4)
+        loaded = self.model(rng, rng.normal(size=(150, 5)))
+        sizes = self.check(monkeypatch, loaded, [rng.normal(size=5)], ks=(1, 10))
+        candidates = int((loaded.vocab.doc_cited_counts > 0).sum())
+        assert candidates - 3 <= min(sizes)
+
+    def test_an_all_tied_panel(self, monkeypatch):
+        """Every cited row the same: every score ties, every candidate is
+        kept, and the ids break the ties."""
+        rng = np.random.default_rng(74)
+        row = rng.normal(size=7)
+        loaded = self.model(rng, np.tile(row, (200, 1)))
+        sizes = self.check(monkeypatch, loaded, [row, rng.normal(size=7)], ks=(1, 10, 200))
+        candidates = int((loaded.vocab.doc_cited_counts > 0).sum())
+        assert candidates - 3 <= min(sizes)
+
+    def test_a_model_above_the_real_threshold(self, monkeypatch):
+        """Filtered at the module's own threshold: a cited panel of just at
+        least ``_I4O_FILTER_ENTRIES`` entries, with a short shortlist."""
+        rng = np.random.default_rng(75)
+        dim = 50
+        n_cited = -(-recommend_module._I4O_FILTER_ENTRIES // dim)
+        rows = rng.normal(size=(n_cited + 100, dim)) * rng.uniform(0.5, 2.0, size=(n_cited + 100, 1))
+        model = make_model(shuffled_ids(rng, n_cited + 100), ["w"], dim=dim)
+        model.matrices.doc_out[:] = rows
+        model.vocab.doc_cited_counts[rng.choice(n_cited + 100, size=100, replace=False)] = 0
+        loaded = reloaded(model)
+        sizes = self.check(monkeypatch, loaded, [rng.normal(size=dim) for _ in range(3)],
+                           ks=(1, 10), threshold=recommend_module._I4O_FILTER_ENTRIES)
+        assert max(sizes) < 30
+
+    def test_the_shortlist_is_short(self):
+        """Random rows of norms within a factor e of each other, on a
+        20,000-row panel: the shortlist is the top k, give or take a few
+        rows."""
+        rng = np.random.default_rng(76)
+        dim = 100
+        panel = rng.normal(size=(20_000, dim)) * np.exp(rng.uniform(-1, 1, size=(20_000, 1)))
+        units, norms, safe = recommend_module._unit_rows(panel)
+        assert safe.all()
+        candidates = np.ones(20_000, dtype=bool)
+        candidates[:100] = False
+        for _ in range(5):
+            query = rng.normal(size=dim)
+            query_norm = float(np.linalg.norm(query))
+            cosines, safe = recommend_module._cosines32(units, safe, query, query_norm)
+            scale = norms * query_norm
+            rows = recommend_module._shortlist(scale * cosines, safe,
+                                               recommend_module._slack32(dim) * scale, candidates, 10)
+            top = 100 + np.argsort(-(panel[100:] @ query))[:10]
+            assert set(top) <= set(rows.tolist()) and rows.size < 20 and rows.min() >= 100
