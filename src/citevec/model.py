@@ -177,12 +177,12 @@ class Model:
         in it and, when the panel holds at least
         ``recommend._I4O_FILTER_ENTRIES`` entries, its float32 unit rows
         with their norms and mask, n_cited · dim · 4 + n_cited · 9 bytes,
-        made with the panel; the cited ids' order (``recommend``,
-        ``evaluation``); and rank_i4i's float32 unit rows of the input
-        matrix with their norms and mask, n_docs · dim · 4 + n_docs · 9
-        bytes.  A model with none does without the unit rows: its i4o
-        scores the whole panel, and its i4i takes its approximate cosines
-        from a float64 pass per query."""
+        made with the panel and read by rank_i4o and evaluate; the cited
+        ids' order (``recommend``, ``evaluation``); and rank_i4i's float32
+        unit rows of the input matrix with their mask, n_docs · dim · 4 +
+        n_docs bytes.  A model with none does without the unit rows: its
+        i4o and evaluate score the whole panel, and its i4i takes its
+        approximate cosines from a float64 pass per query."""
         if self._loaded is None:
             return None
         held, derived = self._loaded

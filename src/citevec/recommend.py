@@ -42,21 +42,23 @@ same on a loaded model whose cited panel holds at least
 product is its norm times the query's times its approximate cosine, and
 its slack scales with the same norms.  Below that size, and on any model
 that keeps no derived arrays, the exact product of the whole panel is as
-fast or faster, and rank_i4o takes it.
+fast or faster, and rank_i4o takes it.  ``evaluate`` filters the same
+panel under the same condition, with the same a and h, and scores
+exactly only the candidates that may sit on either side of each target.
 
 A loaded model's arrays are read-only, so the arrays that do not depend
 on the query are derived from it once, on first use, and kept on the
 model (``Model._derived``): the cited panel, n_cited × dim float64s, and a
 float32 copy of the input rows scaled to unit norm, n_docs × dim float32s,
-with the rows' norms and a mask of the rows its bound covers
-(``_unit_rows``); for a large panel, the same of the cited output rows,
-n_cited · dim · 4 + n_cited · 9 bytes, made with the panel.  Each filter
-then reads half the bytes of its float64 matrix: one float32
-matrix-vector product gives every approximate cosine.  Any other model
-gathers its panel per call and takes its i4i cosines from one float64
-pass over the input matrix, each row's dot product and squared norm.  The
-i4i filters differ only there: one slack (``_slack32``) and one exact
-scoring of the shortlist (``_exact_dots``) serve both.
+with a mask of the rows its bound covers (``_unit_rows``); for a large
+panel, the same of the cited output rows with their norms,
+n_cited · dim · 4 + n_cited · 9 bytes, made with the panel and read by
+rank_i4o and evaluate.  Each filter then reads half the bytes of its
+float64 matrix: one float32 product gives every approximate cosine.  Any
+other model gathers its panel per call and takes its i4i cosines from one
+float64 pass over the input matrix, each row's dot product and squared
+norm.  The i4i filters differ only there: one slack (``_slack32``) and one
+exact scoring of the shortlist (``_exact_dots``) serve both.
 """
 
 from __future__ import annotations
@@ -220,10 +222,11 @@ def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray, tupl
     column among them, -1 for a document never cited; and, for a model that
     keeps derived arrays and a panel of at least ``_I4O_FILTER_ENTRIES``
     entries, the rows' float32 unit copy, norms and mask (``_unit_rows``),
-    rank_i4o's filter, else None.  The output rows of the others never got
-    a gradient.  Built once per loaded model (``_reused``), all in one
-    entry, so the first i4o query builds the panel that ``evaluate`` reads;
-    per call for any other model."""
+    the filter of rank_i4o and ``evaluate``, else None.  The output rows of
+    the others never got a gradient.  Built once per loaded model
+    (``_reused``), all in one entry, so the first i4o query builds the
+    panel and filter that ``evaluate`` reads; per call for any other
+    model."""
     def build():
         rows = np.flatnonzero(model.vocab.doc_cited_counts > 0)
         column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
@@ -412,6 +415,29 @@ def _shortlist(
     comes from.  Neither bound depends on how BLAS orders or fuses the
     products.
 
+    evaluate, on the same panel, compares a candidate's e with its
+    target's, t, the same bits as in the whole panel's product: a - h > t
+    and a + h < t, divided by the positive sqrt(s)·q.  It filters a block
+    of queries only when q² is in range for each, takes q as above, a' from
+    one float32 product of the block's p with the unit rows, and
+    g = a' - fl(fl(t / q)·fl(1 / sqrt(s))); the candidate is surely ahead
+    when g > h' and surely behind when g < -h', h' = ``_slack32(n)``.
+    Write P = sqrt(s)·q and theta = t / P, taken exactly.  P·a' is within
+    (B + 2·gamma(U) + 8U)·|x|·|v| of e, as a is, so e > t once
+    a' - theta exceeds B'' = (B + 2·gamma(U) + 8U) / (1 - gamma(U) - 4U),
+    and e < t once it is below -B''; h' is above B'' by more than
+    0.005·(n + 2)·u.  g's four roundings put it within
+    4.01U·(|theta| + |g|) of a' - theta, and |theta| is at most
+    |a'| + |a' - theta| with |a'| below 1.01: where g is near ±h' that is
+    about 9U, paid out of the room, and far from it the error, relative,
+    cannot change g's side.  A safe target row and a covered query give
+    |t / q| below about 2^450 and |theta| below about 2^900: nothing
+    overflows, and an underflow errs by at most 2^-624 in theta.  Any other
+    target row may give any t: where t / q or the product overflows,
+    |theta| is above 2^570 and g's infinite sign is the true side, and a
+    NaN g is on neither side.  A candidate on neither side, or of an unsafe
+    row (a NaN 1 / sqrt(s)), is scored exactly.
+
     The float64 filter, for a model that keeps no derived arrays, takes
     rank_i4i's a = d' / (sqrt(s)·q), with d' and s from
     ``_dots_and_squares``.  When d' is d, as on one BLAS thread, a and e
@@ -432,12 +458,15 @@ def _shortlist(
     that range or, for the float32 filter, n is above 2^16, is unsafe; so
     is a row whose float64 a is not finite.
     """
-    keys = np.where(safe & candidates, approx - slack, -np.inf)
+    live = safe & candidates
+    keys = np.subtract(approx, slack)
+    keys[~live] = -np.inf
     tau = -np.inf
     if k <= keys.size:
         keys.partition(keys.size - k)
-        tau = np.float64(keys[keys.size - k])
-    return np.flatnonzero(candidates & ~(safe & (approx < tau - slack)))
+        tau = keys[keys.size - k]
+    dropped = np.less(approx, tau - slack)
+    return np.flatnonzero(np.greater(candidates, np.logical_and(dropped, live, out=dropped)))
 
 
 def _exact_dots(doc_in: np.ndarray, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -487,7 +516,7 @@ def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> Recommenda
             lo, hi = _SAFE_SQUARES
             safe = (lo <= squares) & (squares <= hi) & np.isfinite(approx) & _covered(query_norm)
         else:
-            units, _, safe = _reused(model, "unit rows", lambda: _unit_rows(doc_in))
+            units, safe = _reused(model, "unit rows", lambda: _unit_rows(doc_in)[::2])
             approx, safe = _cosines32(units, safe, inferred, query_norm)
         rows = _shortlist(approx, safe, _slack32(dim), candidates, k)
         dots = _exact_dots(doc_in, inferred, rows)

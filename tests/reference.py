@@ -18,8 +18,10 @@ reusing its code:
   words, and ``citation_examples_reference`` builds the citation pass's
   flat tables one relation at a time;
 - ``top_k_reference`` is the ranking's top k for one score row, over
-  every document or over the ones cited in training, and
-  ``place_reference`` a target's place in a row by a full sort;
+  every document or over the ones cited in training,
+  ``shortlist_reference`` the float filters' shortlist rule as first
+  written, and ``place_reference`` a target's place in a row by a full
+  sort;
 - ``thinning_draws_reference`` restates Case 2's counter-based draws for
   one relation with Python ints;
 - ``vocabulary_reference``, ``citations_reference`` and the functions
@@ -338,6 +340,20 @@ def top_k_reference(doc_list, scores, excluded, k, cited=None):
         )
     by_id = np.asarray(sorted(selected, key=doc_list.__getitem__), dtype=np.intp)
     return by_id[np.argsort(-scores[by_id], kind="stable")].tolist()
+
+
+def shortlist_reference(approx, safe, slack, candidates, k):
+    """``recommend._shortlist``'s rule in its first form, one full-length
+    NumPy expression per step: the candidates, ascending, less the safe
+    ones whose ``approx`` is below tau - ``slack``, tau being the k-th
+    largest ``approx - slack`` among the safe candidates (-inf with fewer
+    than k entries)."""
+    keys = np.where(safe & candidates, approx - slack, -np.inf)
+    tau = -np.inf
+    if k <= keys.size:
+        keys.partition(keys.size - k)
+        tau = np.float64(keys[keys.size - k])
+    return np.flatnonzero(candidates & ~(safe & (approx < tau - slack)))
 
 
 def place_reference(doc_list, scores, target, excluded):

@@ -9,6 +9,7 @@ math.fsum, which returns the correctly rounded sum in any order.
 
 import dataclasses
 import importlib
+import itertools
 import math
 import random
 
@@ -35,9 +36,11 @@ from citevec.relations import _relation_table
 
 from reference import place_reference, thinned_reference, thinning_draws_reference
 from test_recommend import (
-    NOT_INTS, make_vocab, no_work, oracle_rank, shuffled_id_model, shuffled_ids, special_scores)
+    NOT_INTS, make_model, make_vocab, no_work, oracle_rank, reloaded, shuffled_id_model,
+    shuffled_ids, special_scores, writable)
 
 evaluation_module = importlib.import_module("citevec.evaluation")
+recommend_module = importlib.import_module("citevec.recommend")
 
 
 def oracle_recall(ranked, relevant, k):
@@ -443,6 +446,182 @@ class TestPlaces:
                                              context=r.context or (1,)))
         for k in (1, 3, 50):
             assert evaluate(model, truth, case=case, k=k) == oracle_evaluate(model, truth, case, k)
+
+
+def place_oracle(model, truth, case, k, keep_prob=0.5, seed=0):
+    """evaluate() by ``place_reference``: each usable relation's place in
+    its exact score row over every document (``score_block``), the ones
+    never cited in training, its structural docs and its source left out.
+    Returns the report and each scored relation's place."""
+    doc_out = model.matrices.doc_out
+    n_docs = doc_out.shape[0]
+    never_cited = set(np.flatnonzero(model.vocab.doc_cited_counts == 0).tolist())
+    ranks, places, n_empty = [], [], 0
+    for r in truth:
+        try:
+            vector = build_query_vector(model, reference_query(r, case, keep_prob, seed))
+        except QueryError:
+            n_empty += 1
+            continue
+        exclude = never_cited | set(r.structural) | ({r.source} - {None})
+        if r.target in exclude:
+            continue
+        block = np.zeros((EVAL_BATCH, doc_out.shape[1]))
+        block[0] = vector
+        row = score_block(doc_out, np.arange(n_docs), block, np.empty((EVAL_BATCH, n_docs)))[0]
+        places.append(place_reference(model.vocab.doc_list, row, r.target, sorted(exclude)))
+        if places[-1] < k:
+            ranks.append(places[-1] + 1)
+    n = len(truth)
+    report = MetricReport(case=case, k=k, n_relations=n, recall=len(ranks) / n,
+                          mean_average_precision=math.fsum(1 / r for r in ranks) / n,
+                          ndcg=math.fsum(1 / math.log2(r + 1) for r in ranks) / n,
+                          n_empty_queries=n_empty)
+    return report, places
+
+
+class TestFilteredEvaluate:
+    """A loaded model with a large cited panel places each target through
+    the float32 filter of the panel's unit rows and scores exactly only the
+    candidates near it (``_near_places``).  Each case sets the threshold to
+    0, so that every loaded panel is filtered, and checks every case's
+    report against the writable copy's, which scores every cited row, and
+    against ``place_oracle``'s."""
+
+    def model(self, rng, doc_out, n_words=12, cited_share=0.8):
+        n_docs, dim = doc_out.shape
+        model = make_model(shuffled_ids(rng, n_docs), [f"w{j}" for j in range(n_words)], dim=dim)
+        model.matrices.doc_out[:] = doc_out
+        model.matrices.doc_in[:] = rng.integers(-2, 3, size=(n_docs, dim))
+        model.matrices.word_in[:] = rng.integers(-2, 3, size=(n_words, dim))
+        model.vocab.doc_cited_counts[:] = rng.random(n_docs) < cited_share
+        return reloaded(model)
+
+    def check(self, monkeypatch, loaded, truth, ks=(1, 3, 10, 60)):
+        """Every report against the writable copy's and ``place_oracle``'s;
+        returns the oracle's places and, for each block, whether it was
+        filtered."""
+        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
+        filtered = []
+
+        def near_places(panel, unit_rows, *args):
+            places = real_near_places(panel, unit_rows, *args)
+            if unit_rows is not None:  # the loaded model's
+                filtered.append(places is not None)
+            return places
+
+        real_near_places = evaluation_module._near_places
+        monkeypatch.setattr(evaluation_module, "_near_places", near_places)
+        memory = writable(loaded)
+        places = []
+        with np.errstate(all="ignore"):  # non-finite rows: inf - inf in a product
+            for case, k in itertools.product((1, 2, 3), ks):
+                expected, case_places = place_oracle(loaded, truth, case, k)
+                assert evaluate(memory, truth, case=case, k=k) == expected, (case, k)
+                assert evaluate(loaded, truth, case=case, k=k) == expected, (case, k)
+                places += case_places
+        assert recommend_module._cited_panel(loaded)[3] is not None
+        return places, filtered
+
+    def near_ties(self, rng, n_docs, dim, spread):
+        """Rows of a few integer patterns, each scaled by 1 + e with e up to
+        ``spread`` slacks: exact duplicates and near-ties in and just out of
+        the band, at many norms."""
+        patterns = rng.integers(-2, 3, size=(7, dim)).astype(float)
+        offsets = spread * recommend_module._slack32(dim) * rng.integers(-2, 3, size=(n_docs, 1))
+        return patterns[rng.integers(0, 7, size=n_docs)] * (1.0 + offsets) * rng.choice(
+            [1.0, 2.0**-40, 2.0**40], size=(n_docs, 1))
+
+    def test_duplicates_and_near_ties(self, monkeypatch):
+        """Rows that tie the target exactly, or differ from it by less or a
+        little more than the slack; structural docs and sources among them
+        are exclusions inside the band.  Each k checked but 1 has targets at
+        places k - 1 and k."""
+        rng = np.random.default_rng(101)
+        n_docs, dim = 300, 6
+        loaded = self.model(rng, self.near_ties(rng, n_docs, dim, 0.75))
+        truth = random_relations(rng, n_docs, 12, n_usable=2 * EVAL_BATCH + 5, n_empty=3,
+                                 n_docs_only=8)
+        places = place_oracle(loaded, truth, 1, 1)[1]
+        ks = [v for v in sorted(set(places)) if v - 1 in places][:3]
+        assert len(ks) == 3
+        assert all(self.check(monkeypatch, loaded, truth, ks=(1, *ks))[1])
+
+    def test_rows_the_bound_does_not_cover(self, monkeypatch):
+        """Rows whose squared norm is outside ``_SAFE_SQUARES``, with a finite
+        norm or not, zero rows, NaN and infinite rows, and rows of a NaN or
+        an infinite entry, some of them targets: always scored exactly."""
+        rng = np.random.default_rng(102)
+        n_docs, dim = 200, 5
+        doc_out = self.near_ties(rng, n_docs, dim, 2.0)
+        special = rng.permutation(n_docs)[:60]
+        doc_out[special[:5]] *= 1e170
+        doc_out[special[5:10]] *= 1e-170
+        # squares out of range, norms finite: rows of one direction, each
+        # ahead of the ones before it
+        direction = np.array([1.0, -2.0, 0.0, 2.0, 1.0])
+        doc_out[special[40:50]] = np.outer(2.0**460 * np.linspace(1.0, 2.0, 10), direction)
+        doc_out[special[50:60]] = np.outer(2.0**-460 * np.linspace(1.0, 2.0, 10), direction)
+        doc_out[special[10:15]] = 0.0
+        doc_out[special[15:20]] = np.nan
+        doc_out[special[20:25]] = np.inf
+        doc_out[special[25:30]] = -np.inf
+        doc_out[special[30:35], 0] = np.inf
+        doc_out[special[35:40], 1] = np.nan
+        loaded = self.model(rng, doc_out, cited_share=0.9)
+        truth = random_relations(rng, n_docs, 12, n_usable=EVAL_BATCH + 9, n_empty=2, n_docs_only=6)
+        truth += [CitationRelation(source=None, target=int(d), structural=frozenset(), context=(w,))
+                  for d in special[::3] for w in range(4)]
+        truth += [CitationRelation(source=None, target=int(d), structural=frozenset(), context=(w,))
+                  for d in special[40:] for w in range(12)]
+        assert all(self.check(monkeypatch, loaded, truth)[1])
+
+    def test_queries_the_bound_does_not_cover(self, monkeypatch):
+        """A zero, tiny, huge or NaN query takes the exact path for its
+        block; the other blocks are still filtered."""
+        rng = np.random.default_rng(103)
+        n_docs, dim = 120, 4
+        memory = writable(self.model(rng, self.near_ties(rng, n_docs, dim, 1.0), n_words=16))
+        memory.matrices.word_in[12:] = np.array([0.0, 1e-200, 1e200, np.nan])[:, None]
+        truth = random_relations(rng, n_docs, 12, n_usable=3 * EVAL_BATCH, n_empty=0)
+        truth[40:44] = [CitationRelation(source=None, target=j, structural=frozenset(), context=(w,))
+                        for w, j in zip(range(12, 16), rng.choice(n_docs, size=4, replace=False).tolist())]
+        filtered = self.check(monkeypatch, reloaded(memory), truth, ks=(1, 10))[1]
+        assert filtered == [True, False, True] * 3 * 2  # three cases, two cutoffs
+
+    def test_a_dimension_above_the_bound(self, monkeypatch):
+        rng = np.random.default_rng(104)
+        monkeypatch.setattr(evaluation_module, "_MAX_DIM32", 2)
+        loaded = self.model(rng, self.near_ties(rng, 80, 3, 1.0))
+        truth = random_relations(rng, 80, 12, n_usable=EVAL_BATCH, n_empty=1)
+        assert not any(self.check(monkeypatch, loaded, truth, ks=(1, 10))[1])
+
+    def test_a_model_above_the_real_threshold(self):
+        """Filtered at the module's own threshold, on random rows: the
+        reports are the writable copy's, and only the candidates near each
+        target are scored exactly."""
+        rng = np.random.default_rng(105)
+        dim = 50
+        n_docs = -(-recommend_module._I4O_FILTER_ENTRIES // dim) + 50
+        model = make_model(shuffled_ids(rng, n_docs), [f"w{j}" for j in range(20)], dim=dim)
+        model.matrices.doc_out[:] = rng.normal(size=(n_docs, dim))
+        model.matrices.doc_in[:] = rng.normal(size=(n_docs, dim))
+        model.matrices.word_in[:] = rng.normal(size=(20, dim))
+        model.vocab.doc_cited_counts[rng.choice(n_docs, size=50, replace=False)] = 0
+        loaded = reloaded(model)
+        truth = random_relations(rng, n_docs, 20, n_usable=EVAL_BATCH + 3, n_empty=1)
+        gathered = []
+
+        def gather_panel(matrix, rows):
+            gathered.append(rows.size)
+            return recommend_module._gather_panel(matrix, rows)
+
+        for case, k in itertools.product((1, 2, 3), (1, 10, 100)):
+            expected = evaluate(model, truth, case=case, k=k)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(evaluation_module, "_gather_panel", gather_panel)
+                assert evaluate(loaded, truth, case=case, k=k) == expected, (case, k)
+        assert gathered and max(gathered) < 2 * EVAL_BATCH + 20
 
 
 class TestThinningDraws:

@@ -36,7 +36,7 @@ from citevec.recommend import (
     resolve_text,
 )
 
-from reference import top_k_reference
+from reference import shortlist_reference, top_k_reference
 
 recommend_module = importlib.import_module("citevec.recommend")
 train_module = importlib.import_module("citevec.train")  # the package exports train()
@@ -810,6 +810,26 @@ class TestI4IShortlist:
             top = 100 + np.argsort(-cosines[100:])[:10]
             assert set(top) <= set(rows.tolist()) and rows.size < 20 and rows.min() >= 100
 
+    def test_the_rule_against_its_first_form(self):
+        """``_shortlist`` keeps the rows ``shortlist_reference`` keeps, on
+        random inputs with unsafe rows, NaN approximations, runs of equal
+        approximations that tie at tau, and one slack or one per row."""
+        rng = np.random.default_rng(39)
+        slack = recommend_module._slack32(8)
+        for trial in range(400):
+            n = int(rng.integers(1, 200))
+            approx = rng.normal(size=n)
+            approx[rng.random(n) < 0.3] = approx[0]  # ties at tau
+            approx[rng.random(n) < 0.05] = approx[0] + slack * rng.choice([-2.0, -1.0, 1.0, 2.0])
+            approx[rng.random(n) < 0.1] = np.nan
+            safe = rng.random(n) < 0.8
+            candidates = rng.random(n) < 0.85
+            for h in (slack, 0.0, 0.5, slack * rng.uniform(0.0, 2.0, size=n), rng.random(n)):
+                for k in (1, 2, 5, n, n + 1):
+                    expected = shortlist_reference(approx, safe, h, candidates, k)
+                    got = recommend_module._shortlist(approx, safe, h, candidates, k)
+                    assert got.dtype == expected.dtype and np.array_equal(got, expected), (trial, k)
+
     @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 100, 333, 1000])
     def test_the_float64_approximation_is_within_its_bound(self, dim):
         """The premise of the one slack: the float64 filter's approximate
@@ -1175,7 +1195,7 @@ class TestLoadedModelReuse:
         # the panel and 3 i4o shortlists, both unit rows, one table, 3 i4i shortlists
         assert sorted(calls) == sorted(["doc_out panel"] * 4 + ["_unit_rows"] * 2 + ["_noise_table"]
                                        + ["doc_in panel"] * 3)
-        units, norms, safe = loaded._derived()["unit rows"]
+        units, safe = loaded._derived()["unit rows"]
         assert units.dtype == np.float32 and units.shape == (300, 6) and safe.shape == (300,)
         cited_units = recommend_module._cited_panel(loaded)[3][0]
         assert cited_units.dtype == np.float32 and cited_units.shape == (150, 6)
