@@ -15,13 +15,14 @@ place in its row, counted, not ranked (``_places``).  A query's scores are
 the same bits in whatever block and row it lands (``_score_block``), but
 can differ in the last bits from ``rank_i4o``'s matrix-vector product.
 
-Where ``rank_i4o`` filters, on a loaded model with a large panel, so does
-``evaluate`` (``_near_places``): one float32 product of the panel's unit
-rows with a block's unit queries settles most candidates as surely ahead
-of their target or surely behind it, and only the rest, the targets
-themselves and the rows the bound does not cover are scored exactly.  Each
-place below k is the one the whole product gives, so the reports are the
-same bits.
+Where ``rank_i4o`` filters, on a large panel, so does ``evaluate``
+(``_near_places``): one float32 product of the panel's unit rows with a
+block's unit queries settles most candidates as surely ahead of their
+target or surely behind it, and only the rest, the targets themselves and
+the rows the bound does not cover are scored exactly.  Each place below k
+is the one the whole product gives, so the reports are the same bits.
+Ranking makes a model's arrays read-only on its first query; to edit,
+assign ``model.matrices = model.matrices.copy()`` (``Model._derived``).
 
 Accumulation is order-insensitive: each relation's contribution depends
 only on the relation itself (Case 2's draws are a hash of the relation's
@@ -285,15 +286,15 @@ def evaluate(model: Model, ground_truth: GroundTruth, case: int, k: int = 10,
     says how many.
 
     The queries whose target can be found are scored ``EVAL_BATCH`` at a
-    time and their targets' places counted (``_places``); a loaded model
-    keeps the cited panel, shared with ``rank_i4o``, and the ids' order.
-    When the panel has ``rank_i4o``'s float32 unit rows, a block whose
-    queries' norms the filter's bound covers is placed through them
-    (``_near_places``), and any other block scores every cited row.  A
-    target at place p < k is a hit at rank r = p + 1: recall 1, AP 1/r and
-    nDCG 1/log2(r + 1), as the plain definitions give with one relevant item.
-    Raises ConfigError before any work for a bad argument (``case``, ``k``
-    and ``seed`` must be ints, not bools) or empty ground truth.
+    time and their targets' places counted (``_places``), against the
+    cited panel shared with ``rank_i4o``.  When the panel has
+    ``rank_i4o``'s float32 unit rows, a block whose queries' norms the
+    filter's bound covers is placed through them (``_near_places``), and
+    any other block scores every cited row.  A target at place p < k is a
+    hit at rank r = p + 1: recall 1, AP 1/r and nDCG 1/log2(r + 1), as the
+    plain definitions give with one relevant item.  Raises ConfigError
+    before any work for a bad argument (``case``, ``k`` and ``seed`` must be
+    ints, not bools) or empty ground truth.
     """
     Query(case=case, context_words=(), keep_prob=keep_prob, seed=seed)  # rejects bad ones
     _check_k(k)
@@ -313,8 +314,8 @@ def evaluate(model: Model, ground_truth: GroundTruth, case: int, k: int = 10,
     banned = np.sort((rows * cited.size + columns)[(rows >= 0) & (columns >= 0)])
     bounds = np.searchsorted(banned, np.arange(0, found.size + EVAL_BATCH, EVAL_BATCH) * cited.size)
     # each cited doc's place in the order of the ids, derived on first need
-    id_rank = functools.cache(lambda: _reused(model, "cited id rank", lambda: np.argsort(
-        np.argsort(np.array(model.vocab.doc_list, dtype=object)[cited]))))
+    id_rank = functools.partial(_reused, model, "cited id rank", lambda: np.argsort(
+        np.argsort(np.array(model.vocab.doc_list, dtype=object)[cited])))
     block = np.empty((EVAL_BATCH, panel.shape[1]))
     scores = candidate = None  # the exact path's, made on its first block
     places = np.empty(found.size, dtype=np.intp)

@@ -10,10 +10,9 @@ The attention variant adds one learned score per document and word slot.
 A model persists as one binary file (format version 3) whose matrix
 blocks start at 64-byte offsets.  Saving streams the blocks to the sink,
 and loading reads the file into one aligned buffer that the loaded
-matrices view, so neither holds more than one copy of the file.  A loaded
-model's arrays are read-only, so ranking can derive its query-independent
-arrays from them once (``Model._derived``); no other model's arrays are
-known not to change.
+matrices view, so neither holds more than one copy of the file.  Ranking
+makes a model's arrays read-only on its first query (``Model._derived``);
+to edit, assign ``model.matrices = model.matrices.copy()``.
 """
 
 from __future__ import annotations
@@ -157,45 +156,35 @@ class Model:
     vocab: Vocabulary
     matrices: ModelMatrices
     trained_epochs: int = 0
-    # set by load_model: the read-only arrays it returned, and a dict of what
-    # ranking derives from them (``_derived``)
-    _loaded: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the arrays ranking made read-only, and what it derived from them (``_derived``)
+    _frozen: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
-    def _arrays(self) -> tuple[np.ndarray, ...]:
-        return (*self.matrices.arrays(), self.vocab.word_counts, self.vocab.doc_cited_counts)
+    def _derived(self) -> dict:
+        """Where ranking keeps what it derives from this model's arrays, the
+        five matrices and the vocabulary's two counts.  Ranking makes a
+        model's arrays read-only on its first query; to edit, assign
+        ``model.matrices = model.matrices.copy()``.  A model whose
+        ``matrices`` or ``vocab`` a caller replaced, or one of whose arrays
+        was made writable again, starts afresh, so nothing kept goes stale.
 
-    def _derived(self) -> dict | None:
-        """Where ranking keeps the arrays it derives from this model, or None
-        when it must derive them per call.  Only a loaded model that still
-        holds the very arrays ``load_model`` returned has one: those can
-        never be written, so nothing kept can go stale.  A model trained in
-        memory, built by hand, copied, unpickled, or whose ``matrices`` or
-        ``vocab`` a caller replaced has none.
-
-        What is kept, each made on first use: the word-noise table of
-        ``infer_doc_vector``; i4o's cited panel with every document's column
-        in it and, when the panel holds at least
-        ``recommend._I4O_FILTER_ENTRIES`` entries, its float32 unit rows
-        with their norms and mask, n_cited · dim · 4 + n_cited · 9 bytes,
-        made with the panel and read by rank_i4o and evaluate; the cited
-        ids' order (``recommend``, ``evaluation``); and rank_i4i's float32
-        unit rows of the input matrix with their mask, n_docs · dim · 4 +
-        n_docs bytes.  A model with none does without the unit rows: its
-        i4o and evaluate score the whole panel, and its i4i takes its
-        approximate cosines from a float64 pass per query."""
-        if self._loaded is None:
-            return None
-        held, derived = self._loaded
-        ok = all(a is b and not a.flags.writeable for a, b in zip(held, self._arrays()))
-        return derived if ok else None
+        What is kept, each made on first use: ``infer_doc_vector``'s
+        word-noise table, ``evaluate``'s cited-id order, and ``recommend``'s
+        cited panel and float32 unit rows, sized in its module docstring."""
+        arrays = (*self.matrices.arrays(), self.vocab.word_counts, self.vocab.doc_cited_counts)
+        if self._frozen is not None:
+            held, derived = self._frozen
+            if all(a is b and not a.flags.writeable for a, b in zip(held, arrays)):
+                return derived
+        for a in arrays:
+            a.flags.writeable = False
+        self._frozen = (arrays, {})
+        return self._frozen[1]
 
 
 def _reused(model: Model, name: str, build):
-    """``build()``; on a model that keeps derived arrays
-    (``Model._derived``), the value its first call gave."""
+    """``build()`` on the first call for ``name`` on the model's current
+    arrays (``Model._derived``), the value it gave on every later one."""
     derived = model._derived()
-    if derived is None:
-        return build()
     if name not in derived:
         derived[name] = build()
     return derived[name]
@@ -369,10 +358,9 @@ def load_model(source) -> Model:
     into that buffer, not copies: while any one of them is alive, the whole
     buffer is.  Every array the model holds, the matrices and the
     vocabulary's counts, is read-only, and NumPy refuses to make it writable
-    again: to edit a loaded model, assign ``model.matrices =
-    model.matrices.copy()``.  So ranking derives its query-independent
-    arrays from a loaded model once, on first use, and keeps them on the
-    model for as long as it holds these arrays (``Model._derived``).
+    again.  Ranking makes a model's arrays read-only on its first query; to
+    edit, assign ``model.matrices = model.matrices.copy()``
+    (``Model._derived``).
 
     Raises ModelIOError on bad magic, unsupported version (files written
     before version 3 included), checksum mismatch, truncation, invalid
@@ -425,9 +413,7 @@ def load_model(source) -> Model:
         if getattr(matrices, name).shape != shape:
             raise ModelIOError(f"matrix {name} has shape "
                                f"{getattr(matrices, name).shape}, expected {shape}")
-    model = Model(config=config, vocab=vocab, matrices=matrices, trained_epochs=trained_epochs)
-    model._loaded = (model._arrays(), {})
-    return model
+    return Model(config=config, vocab=vocab, matrices=matrices, trained_epochs=trained_epochs)
 
 
 _EXPORTABLE = ("doc_in", "doc_out", "word_in")
@@ -472,22 +458,27 @@ def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
     and summed from zero in text order, plus vector / m_i; the training
     kernel's output half gives the batch's hidden gradients from one draw
     of noise words, and the vector moves by ``-(lr / m) @ hidden
-    gradients``.  The model itself is never modified.  A loaded model
-    builds its word-noise table once (``_reused``); every call draws from a
-    fresh generator, so it infers the same vector each time.
+    gradients``.  The model is never modified but for its arrays' read-only
+    flags (``Model._derived``); its word-noise table is built once
+    (``_reused``) and every call draws from a fresh generator, so it infers
+    the same vector each time.
 
-    Raises ConfigError, before any work, when the words are empty or out of
-    range.
+    Raises ConfigError, before any work, when the words are empty, not a
+    flat sequence of ints (bools and floats included) or out of range.
     """
     from scipy.sparse import csr_array  # loaded only where used, as in train._ns_output
 
     from .train import BATCH, NegativeSampler, _noise_table, _ns_output  # avoids an import cycle
 
-    words = np.asarray(list(word_indices), dtype=np.intp)
+    items = list(word_indices)
+    words = np.asarray(items)
     if words.size == 0:
         raise ConfigError("cannot infer a vector from an empty token sequence")
+    if words.ndim != 1 or words.dtype.kind not in "iu" or {bool, np.bool_} & set(map(type, items)):
+        raise ConfigError("word indices must be a flat sequence of ints, not bools or floats")
     if words.min() < 0 or words.max() >= model.vocab.n_words:
         raise ConfigError("word index out of range")
+    words = words.astype(np.intp)
 
     n, negative = words.size, model.config.negative
     counts = model.vocab.word_counts

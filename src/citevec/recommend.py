@@ -37,28 +37,26 @@ the rows whose upper bound reaches the k-th largest lower bound, and the
 rows the bound does not cover.  Only those get the exact dot product and
 the exact norm of ``np.linalg.norm``; their scores are the same bits as
 scoring every row, and no other row can outrank them.  rank_i4o does the
-same on a loaded model whose cited panel holds at least
-``_I4O_FILTER_ENTRIES`` entries (rows × dim): a row's approximate dot
-product is its norm times the query's times its approximate cosine, and
-its slack scales with the same norms.  Below that size, and on any model
-that keeps no derived arrays, the exact product of the whole panel is as
-fast or faster, and rank_i4o takes it.  ``evaluate`` filters the same
-panel under the same condition, with the same a and h, and scores
-exactly only the candidates that may sit on either side of each target.
+same when the cited panel holds at least ``_I4O_FILTER_ENTRIES`` entries
+(rows × dim): a row's approximate dot product is its norm times the
+query's times its approximate cosine, and its slack scales with the same
+norms.  Below that size the exact product of the whole panel is as fast
+or faster, and rank_i4o takes it.  ``evaluate`` filters the same panel
+under the same condition, with the same a and h, and scores exactly only
+the candidates that may sit on either side of each target.
 
-A loaded model's arrays are read-only, so the arrays that do not depend
-on the query are derived from it once, on first use, and kept on the
+Ranking makes a model's arrays read-only on its first query; to edit,
+assign ``model.matrices = model.matrices.copy()``.  So the arrays that do
+not depend on the query are derived once, on first use, and kept on the
 model (``Model._derived``): the cited panel, n_cited × dim float64s, and a
 float32 copy of the input rows scaled to unit norm, n_docs × dim float32s,
 with a mask of the rows its bound covers (``_unit_rows``); for a large
 panel, the same of the cited output rows with their norms,
 n_cited · dim · 4 + n_cited · 9 bytes, made with the panel and read by
 rank_i4o and evaluate.  Each filter then reads half the bytes of its
-float64 matrix: one float32 product gives every approximate cosine.  Any
-other model gathers its panel per call and takes its i4i cosines from one
-float64 pass over the input matrix, each row's dot product and squared
-norm.  The i4i filters differ only there: one slack (``_slack32``) and one
-exact scoring of the shortlist (``_exact_dots``) serve both.
+float64 matrix: one float32 product gives every approximate cosine, one
+slack (``_slack32``) bounds its error, and the shortlist is scored
+exactly (``_exact_dots`` for i4i).
 """
 
 from __future__ import annotations
@@ -73,9 +71,8 @@ from .errors import ConfigError, QueryError, _check_float, _check_int
 from .model import Model, _reused, infer_doc_vector
 
 CASES = (1, 2, 3)
-# rows of a document matrix per block, in rank_i4i's pass over the input
-# matrix and in the cited panel's products in rank_i4o and evaluate: a block
-# stays in cache
+# rows of a document matrix per block, in ``_unit_rows`` and in the cited
+# panel's products in rank_i4o and evaluate: a block stays in cache
 BLOCK_ROWS = 1024
 # the cited panel is padded to a multiple of this many rows, a multiple of
 # the tile of rows that BLAS's matrix-vector kernels take at once
@@ -85,15 +82,15 @@ PAD_ROWS = 64
 _SAFE_SQUARES = (2.0**-900, 2.0**900)
 # the float32 filter's bound is proven for dimensions up to this (_shortlist)
 _MAX_DIM32 = 2**16
-# rank_i4o filters a loaded model's cited panel when it holds at least this
-# many entries (rows × dim); below, the exact product alone is as fast.  A
-# sweep of loaded, all-cited models at dim 100, one BLAS thread on a 2-vCPU
-# Xeon, medians of 400 interleaved queries in two runs, exact product
-# against filter: 2,048 rows 159-182 against 205-243 µs; 4,096 rows 288-343
-# against 303-340 µs; 6,144 rows 385-409 against 384-427 µs; 8,192 rows
-# 517-541 against 479-522 µs; 20,000 rows 2,332-2,764 against 1,477-1,722
-# µs.  The pipeline benchmark's panel (320 × 100) is below, the serve
-# benchmark's (19,984 × 100) above.
+# rank_i4o filters the cited panel when it holds at least this many
+# entries (rows × dim); below, the exact product alone is as fast.  A sweep
+# of loaded, all-cited models at dim 100, one BLAS thread on a 2-vCPU Xeon,
+# medians of 400 interleaved queries in two runs, exact product against
+# filter: 2,048 rows 159-182 against 205-243 µs; 4,096 rows 288-343 against
+# 303-340 µs; 6,144 rows 385-409 against 384-427 µs; 8,192 rows 517-541
+# against 479-522 µs; 20,000 rows 2,332-2,764 against 1,477-1,722 µs.  The
+# pipeline benchmark's panel (320 × 100) is below, the serve benchmark's
+# (19,984 × 100) above.
 _I4O_FILTER_ENTRIES = 6144 * 100
 
 
@@ -194,7 +191,9 @@ def _top_k(scores: np.ndarray, k: int, doc_list, columns: np.ndarray, exclude) -
 
 def _banned(model: Model, exclude) -> np.ndarray:
     """The indices of the doc ids in ``exclude``; ids the model does not
-    know are ignored."""
+    know are ignored.  ConfigError for a ``str`` or ``bytes``."""
+    if isinstance(exclude, (str, bytes)):
+        raise ConfigError(f"exclude must be a collection of doc ids, got {exclude!r}")
     doc_ids = model.vocab.doc_ids
     return np.fromiter({doc_ids[d] for d in exclude if d in doc_ids}, dtype=np.intp)
 
@@ -219,21 +218,21 @@ def _gather_panel(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
     """i4o's candidates: the indices of the documents cited in training,
     ascending; their output rows (``_gather_panel``); every document's
-    column among them, -1 for a document never cited; and, for a model that
-    keeps derived arrays and a panel of at least ``_I4O_FILTER_ENTRIES``
-    entries, the rows' float32 unit copy, norms and mask (``_unit_rows``),
-    the filter of rank_i4o and ``evaluate``, else None.  The output rows of
-    the others never got a gradient.  Built once per loaded model
-    (``_reused``), all in one entry, so the first i4o query builds the
-    panel and filter that ``evaluate`` reads; per call for any other
-    model."""
+    column among them, -1 for a document never cited; and, for a panel of
+    at least ``_I4O_FILTER_ENTRIES`` entries, the rows' float32 unit copy,
+    norms and mask (``_unit_rows``), the filter of rank_i4o and
+    ``evaluate``, else None.  The output rows of the others never got a
+    gradient.  Ranking makes a model's arrays read-only on its first query;
+    to edit, assign ``model.matrices = model.matrices.copy()``.  All of
+    this is built then, once, in one entry (``_reused``), so the first i4o
+    query builds the panel and filter that ``evaluate`` reads."""
     def build():
         rows = np.flatnonzero(model.vocab.doc_cited_counts > 0)
         column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
         column[rows] = np.arange(rows.size)
         panel = _gather_panel(model.matrices.doc_out, rows)
         large = rows.size * panel.shape[1] >= _I4O_FILTER_ENTRIES
-        units = _unit_rows(panel[: rows.size]) if large and model._derived() is not None else None
+        units = _unit_rows(panel[: rows.size]) if large else None
         return rows, panel, column, units
     return _reused(model, "cited panel", build)
 
@@ -250,22 +249,28 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     row out of that tail: on one BLAS thread, a score is the same bits
     whichever documents are cited, and the same bits as in ``doc_out @
     query_vector`` for a row outside that product's tail (every row, when
-    the document count is a multiple of ``PAD_ROWS``).  A loaded model
-    builds its panel on its first query; any other model gathers it on
-    every call.
+    the document count is a multiple of ``PAD_ROWS``).  Ranking makes a
+    model's arrays read-only on its first query; to edit, assign
+    ``model.matrices = model.matrices.copy()``.  The panel is built on that
+    query and kept.
 
-    A loaded model with a large panel filters first: each row's
-    approximate dot product is its norm times the query's times the
-    float32 cosine of its unit row (``_unit_rows``), within
-    ``_slack32(dim)`` times those norms of the exact one, and only
-    ``_shortlist``'s rows are gathered into a panel of their own and scored
-    as above: whichever documents are in it, their scores are the same
-    bits, and no other row can reach the top k.
+    A large panel is filtered first: each row's approximate dot product is
+    its norm times the query's times the float32 cosine of its unit row
+    (``_unit_rows``), within ``_slack32(dim)`` times those norms of the
+    exact one, and only ``_shortlist``'s rows are gathered into a panel of
+    their own and scored as above: whichever documents are in it, their
+    scores are the same bits, and no other row can reach the top k.
+    Raises ConfigError, before any work, for a bad ``k``, a query that is
+    not of shape ``(dim,)`` or a ``str`` ``exclude``.
     """
     _check_k(k)
     query = np.asarray(query_vector, dtype=np.float64)
+    if query.shape != (model.matrices.dim,):
+        raise ConfigError(f"query_vector must have shape ({model.matrices.dim},), "
+                          f"got {query.shape}")
+    banned = _banned(model, exclude)
     rows, panel, column, unit_rows = _cited_panel(model)
-    banned = column[_banned(model, exclude)]
+    banned = column[banned]
     banned = banned[banned >= 0]
     if unit_rows is not None:
         units, norms, safe = unit_rows
@@ -284,20 +289,6 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
         stop = start + BLOCK_ROWS
         np.matmul(panel[start:stop], query, out=scores[start:stop])
     return _rank_row(model, scores[: rows.size], k, rows, banned=banned)
-
-
-def _dots_and_squares(doc_in: np.ndarray, vector: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``doc_in @ vector`` and the squared norms of the rows, both taken
-    ``BLOCK_ROWS`` rows at a time: each block is read from memory once, and
-    its squares are summed while it is in cache.  rank_i4i filters by them
-    and scores only the shortlist exactly (``_exact_dots``)."""
-    n_docs = doc_in.shape[0]
-    dots, squares = np.empty(n_docs), np.empty(n_docs)
-    for start in range(0, n_docs, BLOCK_ROWS):
-        rows = slice(start, start + BLOCK_ROWS)
-        np.matmul(doc_in[rows], vector, out=dots[rows])
-        np.einsum("ij,ij->i", doc_in[rows], doc_in[rows], out=squares[rows])
-    return dots, squares
 
 
 def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -387,10 +378,9 @@ def _shortlist(
     ``np.linalg.norm`` adds it, within a factor 1 ± gamma(U) of |x|²;
     d / (|x|·q), taken exactly, is at most 1 + 3·gamma(U) in magnitude.
 
-    The float32 filter, for a loaded model, takes an approximate cosine a'
-    as the float32 product of the row's float32 unit copy w
-    (``_unit_rows``) with p, the float32 rounding of v / q taken in
-    float64.  w_j is x_j / sqrt(s) in float64, s = sum(x·x), within a
+    The float32 filter takes an approximate cosine a' as the float32
+    product of the row's float32 unit copy w (``_unit_rows``) with p, the
+    float32 rounding of v / q taken in float64.  w_j is x_j / sqrt(s) in float64, s = sum(x·x), within a
     factor 1 ± (gamma(U) / 2 + 2U) of x_j / |x|, then rounded, so
     w_j = (x_j / |x|)·(1 + f_j) + g_j with |f_j| ≤ (1 + 2^-12)·u = rho for
     n ≤ 2^16 and |g_j| below 2^-149, from underflow; p and v alike.  So
@@ -404,13 +394,13 @@ def _shortlist(
     so |a - e| ≤ B + 2.01·(n + 2)·U, and h leaves room of more than
     0.005·(n + 2)·u against roundings of at most 2^-52.
 
-    rank_i4o, for a loaded model with a large cited panel, scores e = d,
-    the exact dot product of the output row.  It takes a = sqrt(s)·q·a'
-    and h = ``_slack32(n)``·sqrt(s)·q, the norms multiplied first, each
-    product rounded once.  sqrt(s)·q is within a factor 1 ± (gamma(U) + 4U)
-    of |x|·|v|, so a is within (B + 2·gamma(U) + 8U)·|x|·|v| of x·v and of
-    d, and h is at least (1.01·(n + 2)·u)·(1 - gamma(U) - 6U)·|x|·|v|:
-    the room is again above 0.005·(n + 2)·u·|x|·|v|, and each rounding of
+    rank_i4o, for a large cited panel, scores e = d, the exact dot product
+    of the output row.  It takes a = sqrt(s)·q·a' and
+    h = ``_slack32(n)``·sqrt(s)·q, the norms multiplied first, each product
+    rounded once.  sqrt(s)·q is within a factor 1 ± (gamma(U) + 4U) of
+    |x|·|v|, so a is within (B + 2·gamma(U) + 8U)·|x|·|v| of x·v and of d,
+    and h is at least (1.01·(n + 2)·u)·(1 - gamma(U) - 6U)·|x|·|v|: the
+    room is again above 0.005·(n + 2)·u·|x|·|v|, and each rounding of
     a - h or tau - h is at most 2^-52 of the norms' product of the rows it
     comes from.  Neither bound depends on how BLAS orders or fuses the
     products.
@@ -438,16 +428,6 @@ def _shortlist(
     NaN g is on neither side.  A candidate on neither side, or of an unsafe
     row (a NaN 1 / sqrt(s)), is scored exactly.
 
-    The float64 filter, for a model that keeps no derived arrays, takes
-    rank_i4i's a = d' / (sqrt(s)·q), with d' and s from
-    ``_dots_and_squares``.  When d' is d, as on one BLAS thread, a and e
-    differ only in the norm's sum and three roundings, so
-    |a - e| ≤ (1 + 3·gamma(U))·(gamma(U) + 6U) up to terms in U², below
-    1.001·(n + 6)·U for any n below 2^33; in any case a, like e, is within
-    2.01·(n + 2)·U of c.  Either way the rule needs a slack below
-    5·(n + 2)·U, and the same slack is above that by a factor of more than
-    10^8.
-
     The ranges.  The bounds assume that nothing overflows and that
     underflow costs little.  They hold for rows with s in ``_SAFE_SQUARES``
     and a query with q² there: every float64 product and sum is then at
@@ -455,8 +435,7 @@ def _shortlist(
     room of 2^-31 or more of the norms' product and row and query norms of
     at least 2^-450, and every float32 value is at most about 1 in
     magnitude.  Every other row, and every row when the query is outside
-    that range or, for the float32 filter, n is above 2^16, is unsafe; so
-    is a row whose float64 a is not finite.
+    that range or n is above 2^16, is unsafe.
     """
     live = safe & candidates
     keys = np.subtract(approx, slack)
@@ -490,16 +469,16 @@ def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> Recommenda
     """Infer a vector for the words, rank documents by cosine to their
     input vectors: dot / (row norm * query norm), with the dot products of
     ``doc_in @ vector`` and the norms of ``np.linalg.norm``.  Zero-norm
-    rows score 0.  Only ``_shortlist``'s rows are scored; the others cannot
-    reach the top k.  The two filters differ only in their approximate
-    cosines: a loaded model takes one float32 product with its unit rows
-    (``_unit_rows``), made on its first i4i query and kept, and any other
-    model one float64 pass (``_dots_and_squares``) per call.  Both then
-    share one slack, ``_slack32``, and take the shortlist's dot products
-    by ``_exact_dots``, so they give the same bits.  Raises QueryError when
-    the inferred vector's norm is 0 or not finite, and ConfigError, before
-    any work, for a bad ``k``."""
+    rows score 0.  The approximate cosines of one float32 product with the
+    input rows' unit copy (``_unit_rows``, made on the first i4i query and
+    kept), within ``_slack32`` of the exact ones, pick ``_shortlist``'s
+    rows, and only those are scored, by ``_exact_dots``; the others cannot
+    reach the top k.  Ranking makes a model's arrays read-only on its first
+    query; to edit, assign ``model.matrices = model.matrices.copy()``.
+    Raises QueryError when the inferred vector's norm is 0 or not finite,
+    and ConfigError, before any work, for a bad ``k``, word or ``exclude``."""
     _check_k(k)
+    banned = _banned(model, exclude)
     inferred = infer_doc_vector(model, context_words)
     with np.errstate(over="ignore"):
         query_norm = float(np.linalg.norm(inferred))
@@ -508,16 +487,10 @@ def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> Recommenda
     doc_in = model.matrices.doc_in
     dim = doc_in.shape[1]
     candidates = np.ones(doc_in.shape[0], dtype=bool)
-    candidates[_banned(model, exclude)] = False
+    candidates[banned] = False
     with np.errstate(all="ignore"):  # non-finite scores are ranked, not warned about
-        if model._derived() is None:
-            dots, squares = _dots_and_squares(doc_in, inferred)
-            approx = dots / (np.sqrt(squares) * query_norm)
-            lo, hi = _SAFE_SQUARES
-            safe = (lo <= squares) & (squares <= hi) & np.isfinite(approx) & _covered(query_norm)
-        else:
-            units, safe = _reused(model, "unit rows", lambda: _unit_rows(doc_in)[::2])
-            approx, safe = _cosines32(units, safe, inferred, query_norm)
+        units, safe = _reused(model, "unit rows", lambda: _unit_rows(doc_in)[::2])
+        approx, safe = _cosines32(units, safe, inferred, query_norm)
         rows = _shortlist(approx, safe, _slack32(dim), candidates, k)
         dots = _exact_dots(doc_in, inferred, rows)
         norms = np.linalg.norm(doc_in[rows], axis=1)

@@ -34,7 +34,7 @@ ENTRY_POINTS = {
     "Token.is_cite": "bench/workloads.py rebuilds corpus text with it",
     "HyperDocument.cite_targets": "demos/01 prints a document's citations with it",
     "NegativeSampler.sample": "bench/tracing.py wraps it; bench/selftest.py checks the hook",
-    "ModelMatrices.copy": "README's way to make a loaded model's matrices writable",
+    "ModelMatrices.copy": "README's way to edit a model's matrices once it has been ranked",
 }
 
 # the class a receiver of this name holds, wherever it is used

@@ -481,11 +481,12 @@ def place_oracle(model, truth, case, k, keep_prob=0.5, seed=0):
 
 
 class TestFilteredEvaluate:
-    """A loaded model with a large cited panel places each target through
-    the float32 filter of the panel's unit rows and scores exactly only the
+    """A model with a large cited panel places each target through the
+    float32 filter of the panel's unit rows and scores exactly only the
     candidates near it (``_near_places``).  Each case sets the threshold to
-    0, so that every loaded panel is filtered, and checks every case's
-    report against the writable copy's, which scores every cited row, and
+    0, so that every panel is filtered, and checks every case's report of
+    the loaded model and of its writable copy against a copy's evaluated
+    with the threshold out of reach, which scores every cited row, and
     against ``place_oracle``'s."""
 
     def model(self, rng, doc_out, n_words=12, cited_share=0.8):
@@ -498,30 +499,38 @@ class TestFilteredEvaluate:
         return reloaded(model)
 
     def check(self, monkeypatch, loaded, truth, ks=(1, 3, 10, 60)):
-        """Every report against the writable copy's and ``place_oracle``'s;
-        returns the oracle's places and, for each block, whether it was
-        filtered."""
+        """Every report against the exact copy's and ``place_oracle``'s;
+        returns the oracle's places and, for each of the loaded model's
+        blocks, whether it was filtered; its writable copy's are the same."""
+        cases = list(itertools.product((1, 2, 3), ks))
+        exact = writable(loaded)
+        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", math.inf)
+        with np.errstate(all="ignore"):  # non-finite rows: inf - inf in a product
+            reports = [evaluate(exact, truth, case=case, k=k) for case, k in cases]
+        assert recommend_module._cited_panel(exact)[3] is None
         monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
-        filtered = []
+        filtered = []  # one list per model
 
         def near_places(panel, unit_rows, *args):
             places = real_near_places(panel, unit_rows, *args)
-            if unit_rows is not None:  # the loaded model's
-                filtered.append(places is not None)
+            filtered[-1].append(places is not None)
             return places
 
         real_near_places = evaluation_module._near_places
         monkeypatch.setattr(evaluation_module, "_near_places", near_places)
-        memory = writable(loaded)
         places = []
-        with np.errstate(all="ignore"):  # non-finite rows: inf - inf in a product
-            for case, k in itertools.product((1, 2, 3), ks):
+        with np.errstate(all="ignore"):
+            for (case, k), report in zip(cases, reports):
                 expected, case_places = place_oracle(loaded, truth, case, k)
-                assert evaluate(memory, truth, case=case, k=k) == expected, (case, k)
-                assert evaluate(loaded, truth, case=case, k=k) == expected, (case, k)
+                assert report == expected, (case, k)
                 places += case_places
-        assert recommend_module._cited_panel(loaded)[3] is not None
-        return places, filtered
+            for model in (writable(loaded), loaded):
+                filtered.append([])
+                for (case, k), report in zip(cases, reports):
+                    assert evaluate(model, truth, case=case, k=k) == report, (case, k)
+                assert recommend_module._cited_panel(model)[3] is not None
+        assert filtered[0] == filtered[1]
+        return places, filtered[1]
 
     def near_ties(self, rng, n_docs, dim, spread):
         """Rows of a few integer patterns, each scaled by 1 + e with e up to
@@ -598,8 +607,9 @@ class TestFilteredEvaluate:
 
     def test_a_model_above_the_real_threshold(self):
         """Filtered at the module's own threshold, on random rows: the
-        reports are the writable copy's, and only the candidates near each
-        target are scored exactly."""
+        reports of the model in memory and of its loaded copy are those of
+        a copy evaluated with the threshold out of reach, and only the
+        candidates near each target are scored exactly."""
         rng = np.random.default_rng(105)
         dim = 50
         n_docs = -(-recommend_module._I4O_FILTER_ENTRIES // dim) + 50
@@ -609,6 +619,7 @@ class TestFilteredEvaluate:
         model.matrices.word_in[:] = rng.normal(size=(20, dim))
         model.vocab.doc_cited_counts[rng.choice(n_docs, size=50, replace=False)] = 0
         loaded = reloaded(model)
+        exact = writable(model)
         truth = random_relations(rng, n_docs, 20, n_usable=EVAL_BATCH + 3, n_empty=1)
         gathered = []
 
@@ -617,10 +628,14 @@ class TestFilteredEvaluate:
             return recommend_module._gather_panel(matrix, rows)
 
         for case, k in itertools.product((1, 2, 3), (1, 10, 100)):
-            expected = evaluate(model, truth, case=case, k=k)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", math.inf)
+                expected = evaluate(exact, truth, case=case, k=k)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(evaluation_module, "_gather_panel", gather_panel)
-                assert evaluate(loaded, truth, case=case, k=k) == expected, (case, k)
+                for ranker in (model, loaded):
+                    assert evaluate(ranker, truth, case=case, k=k) == expected, (case, k)
+        assert recommend_module._cited_panel(exact)[3] is None
         assert gathered and max(gathered) < 2 * EVAL_BATCH + 20
 
 

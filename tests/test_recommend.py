@@ -19,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from citevec.corpus import CitationRelation, Vocabulary, tokenize_text
+from citevec.corpus import CitationRelation, Vocabulary, extract_relations, parse_corpus, tokenize_text
 from citevec.errors import ConfigError, CorpusFormatError, QueryError
 from citevec.evaluation import evaluate
 from citevec.model import EmbeddingConfig, Model, infer_doc_vector, init_model, load_model, save_model
@@ -36,6 +36,7 @@ from citevec.recommend import (
     resolve_text,
 )
 
+from conftest import FIXTURE_CONFIG, train_on
 from reference import shortlist_reference, top_k_reference
 
 recommend_module = importlib.import_module("citevec.recommend")
@@ -319,12 +320,14 @@ class TestI4OCandidates:
             from test_recommend import make_model
             rng = np.random.default_rng(93)
             n_docs = 5 * BLOCK_ROWS + 5 * PAD_ROWS
-            model = make_model([f"d{i}" for i in range(n_docs)], ["x"], dim=100)
-            model.matrices.doc_out[:] = rng.normal(size=(n_docs, 100))
-            counts = model.vocab.doc_cited_counts
+            rows = rng.normal(size=(n_docs, 100))
             one_thread = os.environ["OPENBLAS_NUM_THREADS"] == "1"
             digest, tails = hashlib.sha256(), set()
             for trial in range(20):
+                # ranking makes a model's arrays read-only: a fresh model per trial
+                model = make_model([f"d{i}" for i in range(n_docs)], ["x"], dim=100)
+                model.matrices.doc_out[:] = rows
+                counts = model.vocab.doc_cited_counts
                 counts[:] = rng.random(n_docs) < rng.uniform(0.2, 0.9)
                 tails.add(int(counts.sum()) % PAD_ROWS)
                 query = rng.normal(size=100)
@@ -370,7 +373,7 @@ class TestRankI4O:
         model = make_model(["a"], ["x"])
         with pytest.raises(ConfigError):
             rank_i4o(model, np.ones(2), k=0)
-        # checked before the product, which this query's shape would fail
+        # checked before the query's shape, which is wrong too
         with pytest.raises(ConfigError):
             rank_i4o(model, np.ones(7), k=0)
 
@@ -614,7 +617,7 @@ class TestRankI4I:
             if float(np.linalg.norm(inferred)) == 0.0:
                 continue
             expected = oracle_rank(model, cosine_scores(model, inferred), exclude, k=5)
-            for ranker in (model, reloaded(model)):  # the float64 and the float32 filter
+            for ranker in (model, reloaded(model)):  # in memory and loaded
                 got = rank_i4i(ranker, words, exclude=exclude, k=5)
                 assert got.ranked == expected, f"trial {trial}"
 
@@ -659,10 +662,10 @@ def bits(ranked):
 class TestI4IShortlist:
     """rank_i4i scores only a shortlist of rows.  These cases are where
     approximate cosines are least reliable or do not exist; each compares
-    the ranking with every row scored exactly, for a model that filters in
-    float64 and for its loaded copy, which filters by its float32 unit
-    rows.  The output rows are zero, so every gradient is 0 and the query
-    is the mean of the words' input vectors: it is set by hand."""
+    the ranking with every row scored exactly, for a model in memory and
+    for its loaded copy, both filtered by their float32 unit rows.  The
+    output rows are zero, so every gradient is 0 and the query is the mean
+    of the words' input vectors: it is set by hand."""
 
     def model(self, rng, rows, query):
         n_docs, dim = rows.shape
@@ -680,7 +683,7 @@ class TestI4IShortlist:
             for ranker in (model, loaded):
                 got = rank_i4i(ranker, [0], exclude=exclude, k=k)
                 assert bits(got.ranked) == expected, f"k={k}, loaded={ranker is loaded}"
-        assert "unit rows" in loaded._derived()
+        assert "unit rows" in model._derived() and "unit rows" in loaded._derived()
         return scores
 
     def test_scaled_copies_tie_in_truth_but_not_in_bits(self):
@@ -791,24 +794,22 @@ class TestI4IShortlist:
             self.check(model, exclude=["d1", f"d{tail}"], ks=(1, n_docs - tail, n_docs - tail + 5))
 
     def test_the_shortlist_is_short(self):
-        """Random rows are far apart next to the slack: either filter's
-        shortlist is the top k, give or take a few rows."""
+        """Random rows are far apart next to the slack: the shortlist is the
+        top k, give or take a few rows."""
         rng = np.random.default_rng(38)
         doc_in = rng.normal(size=(5000, 100))
         query = rng.normal(size=100)
         query_norm = float(np.linalg.norm(query))
         candidates = np.ones(5000, dtype=bool)
         candidates[:100] = False
-        dots, squares = recommend_module._dots_and_squares(doc_in, query)
         units, _, safe = recommend_module._unit_rows(doc_in)
         assert safe.all()
-        for approx in (dots / (np.sqrt(squares) * query_norm),
-                       units @ (query / query_norm).astype(np.float32)):
-            rows = recommend_module._shortlist(approx, safe, recommend_module._slack32(100),
-                                               candidates, 10)
-            cosines = dots / np.linalg.norm(doc_in, axis=1)
-            top = 100 + np.argsort(-cosines[100:])[:10]
-            assert set(top) <= set(rows.tolist()) and rows.size < 20 and rows.min() >= 100
+        approx = units @ (query / query_norm).astype(np.float32)
+        rows = recommend_module._shortlist(approx, safe, recommend_module._slack32(100),
+                                           candidates, 10)
+        cosines = (doc_in @ query) / np.linalg.norm(doc_in, axis=1)
+        top = 100 + np.argsort(-cosines[100:])[:10]
+        assert set(top) <= set(rows.tolist()) and rows.size < 20 and rows.min() >= 100
 
     def test_the_rule_against_its_first_form(self):
         """``_shortlist`` keeps the rows ``shortlist_reference`` keeps, on
@@ -829,32 +830,6 @@ class TestI4IShortlist:
                     expected = shortlist_reference(approx, safe, h, candidates, k)
                     got = recommend_module._shortlist(approx, safe, h, candidates, k)
                     assert got.dtype == expected.dtype and np.array_equal(got, expected), (trial, k)
-
-    @pytest.mark.parametrize("dim", [1, 2, 3, 7, 16, 100, 333, 1000])
-    def test_the_float64_approximation_is_within_its_bound(self, dim):
-        """The premise of the one slack: the float64 filter's approximate
-        cosine, dots / (sqrt(squares)·q), is within 1.001·(n + 6)·2^-53 of
-        rank_i4i's exact score (``_shortlist``), for random rows and for
-        rows scaled across ``_SAFE_SQUARES``; the slack is more than 10^8
-        times that."""
-        rng = np.random.default_rng(44 + dim)
-        lo, hi = recommend_module._SAFE_SQUARES
-        scales = np.exp2(rng.uniform(np.log2(lo) / 2 + 20, np.log2(hi) / 2 - 20 - np.log2(dim),
-                                     size=(300, 1)))
-        doc_in = np.concatenate((rng.normal(size=(300, dim)),
-                                 rng.normal(size=(300, dim)) * scales,
-                                 rng.uniform(0.5, 1.0, size=(300, dim))))
-        query = rng.normal(size=dim)
-        query_norm = float(np.linalg.norm(query))
-        dots, squares = recommend_module._dots_and_squares(doc_in, query)
-        assert ((lo <= squares) & (squares <= hi)).all()
-        approx = dots / (np.sqrt(squares) * query_norm)
-        rows = np.arange(doc_in.shape[0])
-        exact = recommend_module._exact_dots(doc_in, query, rows) / (
-            np.linalg.norm(doc_in, axis=1) * query_norm)
-        bound = 1.001 * (dim + 6) * 2.0**-53
-        assert np.abs(approx - exact).max() <= bound
-        assert recommend_module._slack32(dim) > 1e8 * bound
 
     @pytest.mark.parametrize("dim", [1, 2, 16, 100, 1000])
     def test_the_float32_margin_covers_any_error_within_its_bound(self, dim):
@@ -883,10 +858,7 @@ class TestI4IShortlist:
 
     def test_rows_the_bound_does_not_cover_are_always_kept(self):
         """However low their approximate cosine: rows whose squared norm is
-        outside the range, rows whose float64 approximate cosine is not
-        finite (the last two, whose dot products are set by hand), and every
-        row when the query's squared norm is outside the range or, in
-        float32, the dimension is above the bound's."""
+        outside the range, zero rows, and NaN and infinite rows."""
         rng = np.random.default_rng(39)
         dim = 16
         query = rng.normal(size=dim)
@@ -896,15 +868,7 @@ class TestI4IShortlist:
         candidates = np.ones(doc_in.shape[0], dtype=bool)
         unsafe = set(range(300, 307))
         with np.errstate(all="ignore"):
-            dots, squares = recommend_module._dots_and_squares(doc_in, query)
-            dots[-2:] = [np.inf, np.nan]
-            approx = dots / (np.sqrt(squares) * query_norm)
-            safe = (2.0**-900 <= squares) & (squares <= 2.0**900) & np.isfinite(approx)
-            rows = recommend_module._shortlist(approx, safe, recommend_module._slack32(dim),
-                                               candidates, 3)
-            top = np.argsort(-dots[:300] / np.sqrt(squares[:300]))[:3]
-            assert unsafe | {307, 308} | set(top) <= set(rows.tolist()) and rows.size < 20
-
+            top = np.argsort(-(doc_in[:300] @ query) / np.linalg.norm(doc_in[:300], axis=1))[:3]
             units, _, safe = recommend_module._unit_rows(doc_in)
             assert set(np.flatnonzero(~safe).tolist()) == unsafe and not units[~safe].any()
             approx = units @ (query / query_norm).astype(np.float32)
@@ -914,10 +878,9 @@ class TestI4IShortlist:
 
     @pytest.mark.parametrize("covered", ["huge query", "dimension"])
     def test_every_row_is_kept_outside_the_bound(self, monkeypatch, covered):
-        """A query whose squared norm is outside the range makes both
-        filters keep every candidate; a dimension above the float32 bound's
-        makes the float32 filter keep every candidate, and the float64
-        filter still drops rows."""
+        """A query whose squared norm is outside the range, or a dimension
+        above the bound's, makes the filter keep every candidate, in memory
+        and loaded."""
         kept = []
 
         def shortlist(*args):
@@ -934,12 +897,7 @@ class TestI4IShortlist:
         model = self.model(rng, rng.normal(size=(200, 5)), scale * rng.normal(size=5))
         self.check(model, exclude=["m7"], ks=(1, 10))
         # check ranks the model, then its loaded copy, for each k
-        writable, loaded = kept[0::2], kept[1::2]
-        assert loaded == [199, 199]
-        if covered == "huge query":
-            assert writable == [199, 199]
-        else:
-            assert max(writable) < 100
+        assert kept == [199] * 4
 
     def test_unit_rows_are_made_a_block_at_a_time(self):
         """Within a factor 1 ± (1 + 2^-12)·2^-24 of each row over its norm,
@@ -965,18 +923,6 @@ class TestI4IShortlist:
         assert (np.abs(units[safe] - exact) <= (1 + 2.0**-12) * 2.0**-24 * np.abs(exact)).all()
         assert np.array_equal(norms_kept, np.sqrt(squares), equal_nan=True)
         assert peak - units.nbytes - norms_kept.nbytes - safe.nbytes <= BLOCK_ROWS * dim * 8
-
-    def test_one_pass_gives_the_product_and_the_squares(self):
-        """Blocks of rows, a partial last one among them; small integers
-        multiply and add exactly in any order."""
-        rng = np.random.default_rng(40)
-        doc_in = rng.integers(-3, 4, size=(2 * BLOCK_ROWS + 37, 7)).astype(float)
-        vector = rng.integers(-3, 4, size=7).astype(float)
-        dots, squares = recommend_module._dots_and_squares(doc_in, vector)
-        assert np.array_equal(dots, doc_in @ vector)
-        assert np.array_equal(squares, (doc_in * doc_in).sum(axis=1))
-        empty = recommend_module._dots_and_squares(np.empty((0, 7)), vector)
-        assert [a.shape for a in empty] == [(0,), (0,)]
 
     def test_many_blocks_match_every_row_scored(self):
         rng = np.random.default_rng(41)
@@ -1095,8 +1041,8 @@ class TestCliqueRetrieval:
 
 
 def reloaded(model):
-    """``model`` saved and loaded again: its arrays are read-only, and
-    ranking keeps what it derives from them."""
+    """``model`` saved and loaded again: its arrays are read-only, and NumPy
+    refuses to make them writable."""
     sink = io.BytesIO()
     save_model(model, sink)
     return load_model(sink.getvalue())
@@ -1104,16 +1050,15 @@ def reloaded(model):
 
 def writable(model):
     """A model on writable copies of ``model``'s matrices: ranking derives
-    everything per call."""
+    its own arrays from them."""
     return Model(model.config, model.vocab, model.matrices.copy(), model.trained_epochs)
 
 
 class TestLoadedModelReuse:
-    """A loaded model builds its cited panel and its float32 unit rows once
-    and ranks with them (the cited panel's own unit rows only when it is
-    large, ``TestI4OFilter``); any other model gathers its panel on every
-    call and takes its i4i filter's approximate cosines in float64.  The
-    rankings are the same bits either way."""
+    """Every model, loaded or in memory, builds its cited panel and its
+    float32 unit rows once and ranks with them (the cited panel's own unit
+    rows only when it is large, ``TestI4OFilter``).  The rankings are the
+    same bits either way, and those of every row scored exactly."""
 
     def model(self, rng, n_docs, n_cited, dim=6, n_words=5):
         model = shuffled_id_model(rng, n_docs, dim, n_words=n_words)
@@ -1127,12 +1072,13 @@ class TestLoadedModelReuse:
         counts[rng.choice(n_docs, size=n_cited, replace=False)] = 1
         return reloaded(model)
 
-    def rankings(self, model, rng):
-        """Bits of i4o, i4i and evaluate rankings for seeded queries."""
+    def rankings(self, model, rng, exact=False):
+        """Bits of i4o, i4i and evaluate rankings for seeded queries; with
+        ``exact``, each i4i ranking is checked against every row scored."""
         with np.errstate(all="ignore"):  # non-finite rows: inf - inf in a product
-            return self._rankings(model, rng)
+            return self._rankings(model, rng, exact)
 
-    def _rankings(self, model, rng):
+    def _rankings(self, model, rng, exact):
         n_docs, dim, n_words = model.vocab.n_docs, model.matrices.dim, model.vocab.n_words
         doc_list = model.vocab.doc_list
         out = []
@@ -1141,6 +1087,9 @@ class TestLoadedModelReuse:
             out.append(bits(rank_i4o(model, rng.normal(size=dim), exclude=exclude, k=k).ranked))
             words = rng.integers(0, n_words, size=3).tolist()
             out.append(bits(rank_i4i(model, words, exclude=exclude, k=k).ranked))
+            if exact:
+                scores = cosine_scores(model, infer_doc_vector(model, words))
+                assert out[-1] == bits(oracle_rank(model, scores, exclude, k))
         truth = [CitationRelation(source=int(d[0]), target=int(d[1]), structural=frozenset(d[2:].tolist()),
                                   context=tuple(rng.integers(0, n_words, size=2).tolist()))
                  for d in (rng.choice(n_docs, size=4, replace=False) for _ in range(40))]
@@ -1153,24 +1102,24 @@ class TestLoadedModelReuse:
         (40, 0), (40, 3), (300, 150), (BLOCK_ROWS + 200, BLOCK_ROWS + 30)])
     def test_a_loaded_model_ranks_like_its_writable_copy(self, n_docs, n_cited):
         """No cited document, fewer than k, and panels of one and two
-        slices, the last partial; non-finite rows among them."""
+        slices, the last partial; non-finite rows among them.  The panels
+        are below ``_I4O_FILTER_ENTRIES``, so i4o and evaluate score every
+        cited row, and i4i is checked against every row scored."""
         loaded = self.model(np.random.default_rng(n_docs + n_cited), n_docs, n_cited)
         memory = writable(loaded)
-        expected = self.rankings(memory, np.random.default_rng(5))
+        expected = self.rankings(memory, np.random.default_rng(5), exact=True)
         assert self.rankings(loaded, np.random.default_rng(5)) == expected  # builds
         assert self.rankings(loaded, np.random.default_rng(5)) == expected  # reuses
-        assert loaded.vocab.n_docs == n_docs and memory._derived() is None
+        assert self.rankings(memory, np.random.default_rng(5)) == expected  # reuses
+        assert loaded.vocab.n_docs == n_docs and "unit rows" in memory._derived()
 
     def test_a_loaded_model_reuses_what_it_derives(self, monkeypatch):
-        """A loaded model, its i4o filter threshold set to 0, gathers its
-        cited panel and makes the panel's float32 unit rows once, on its
-        first i4o query, and makes its input rows' unit rows on its first
-        i4i query; each i4o query then gathers only its shortlist's output
-        rows, each i4i query only its shortlist's input rows, and neither
-        takes the float64 pass.  A writable copy makes no unit rows: it
-        gathers the panel per i4o query and evaluate call, and takes the
-        float64 pass per i4i query, then gathers its shortlist's input rows
-        as a loaded model does."""
+        """A model, its i4o filter threshold set to 0, gathers its cited
+        panel and makes the panel's float32 unit rows once, on its first i4o
+        query, and makes its input rows' unit rows on its first i4i query;
+        each i4o query then gathers only its shortlist's output rows, each
+        i4i query only its shortlist's input rows.  A loaded model and its
+        writable copy do the same work."""
         calls = []
 
         def spy(name, real):
@@ -1186,32 +1135,26 @@ class TestLoadedModelReuse:
         real_gather = recommend_module._gather_panel
         monkeypatch.setattr(recommend_module, "_gather_panel", gather)
         monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
-        for module, name in ((recommend_module, "_unit_rows"), (recommend_module, "_dots_and_squares"),
-                             (train_module, "_noise_table")):
+        for module, name in ((recommend_module, "_unit_rows"), (train_module, "_noise_table")):
             spy(name, getattr(module, name))
-        loaded = model = self.model(np.random.default_rng(3), 300, 150)
-        rng = np.random.default_rng(4)
-        self.rankings(loaded, rng)
-        # the panel and 3 i4o shortlists, both unit rows, one table, 3 i4i shortlists
-        assert sorted(calls) == sorted(["doc_out panel"] * 4 + ["_unit_rows"] * 2 + ["_noise_table"]
-                                       + ["doc_in panel"] * 3)
-        units, safe = loaded._derived()["unit rows"]
-        assert units.dtype == np.float32 and units.shape == (300, 6) and safe.shape == (300,)
-        cited_units = recommend_module._cited_panel(loaded)[3][0]
-        assert cited_units.dtype == np.float32 and cited_units.shape == (150, 6)
-        calls.clear()
-        self.rankings(loaded, rng)
-        assert sorted(calls) == sorted(["doc_out panel", "doc_in panel"] * 3)
-        assert loaded._derived()["unit rows"][0] is units
-        assert recommend_module._cited_panel(loaded)[3][0] is cited_units
-        assert recommend_module._cited_panel(loaded)[1] is recommend_module._cited_panel(loaded)[1]
-        calls.clear()
-        model = writable(loaded)
-        self.rankings(model, rng)
-        # 3 i4o and 3 evaluate panels; per i4i query one float64 pass, one word-noise table
-        # and one shortlist panel
-        assert sorted(calls) == sorted(["doc_out panel"] * 6
-                                       + ["_dots_and_squares", "_noise_table", "doc_in panel"] * 3)
+        loaded = self.model(np.random.default_rng(3), 300, 150)
+        for model in (loaded, writable(loaded)):
+            rng = np.random.default_rng(4)
+            calls.clear()
+            self.rankings(model, rng)
+            # the panel and 3 i4o shortlists, both unit rows, one table, 3 i4i shortlists
+            assert sorted(calls) == sorted(["doc_out panel"] * 4 + ["_unit_rows"] * 2
+                                           + ["_noise_table"] + ["doc_in panel"] * 3)
+            units, safe = model._derived()["unit rows"]
+            assert units.dtype == np.float32 and units.shape == (300, 6) and safe.shape == (300,)
+            cited_units = recommend_module._cited_panel(model)[3][0]
+            assert cited_units.dtype == np.float32 and cited_units.shape == (150, 6)
+            calls.clear()
+            self.rankings(model, rng)
+            assert sorted(calls) == sorted(["doc_out panel", "doc_in panel"] * 3)
+            assert model._derived()["unit rows"][0] is units
+            assert recommend_module._cited_panel(model)[3][0] is cited_units
+            assert recommend_module._cited_panel(model)[1] is recommend_module._cited_panel(model)[1]
 
     def test_a_small_panel_is_not_filtered(self):
         """Below ``_I4O_FILTER_ENTRIES`` a loaded model scores its whole
@@ -1232,12 +1175,12 @@ class TestLoadedModelReuse:
             assert [infer_doc_vector(loaded, words).tobytes() for words in texts] == expected
         assert "word noise" in loaded._derived()
 
-    def test_copies_of_a_loaded_model_derive_per_call(self):
+    def test_copies_of_a_loaded_model_derive_their_own(self):
         loaded = self.model(np.random.default_rng(6), 40, 10)
         rank_i4o(loaded, np.ones(6))
         assert loaded._derived()
         for other in (copy.deepcopy(loaded), writable(loaded)):
-            assert other._derived() is None
+            assert other._derived() == {}
 
     def test_replaced_arrays_rank_as_the_new_arrays(self):
         rng = np.random.default_rng(7)
@@ -1263,13 +1206,14 @@ class TestLoadedModelReuse:
 
 
 class TestI4OFilter:
-    """A loaded model whose cited panel holds at least
-    ``_I4O_FILTER_ENTRIES`` entries filters its rows by float32 cosines
-    scaled by the rows' norms, then scores the shortlist exactly.  These are
-    the cases where the filter is least reliable: each ranks the loaded
-    model, its threshold set to 0 so that every panel is filtered, and its
-    writable copy, which scores every cited row, bit for bit, with both
-    signs of each query, and records the shortlists' sizes."""
+    """A model whose cited panel holds at least ``_I4O_FILTER_ENTRIES``
+    entries filters its rows by float32 cosines scaled by the rows' norms,
+    then scores the shortlist exactly.  These are the cases where the
+    filter is least reliable: each ranks the loaded model and its writable
+    copy, the threshold set to 0 so that every panel is filtered, against a
+    copy ranked with the threshold out of reach, which scores every cited
+    row, bit for bit, with both signs of each query, and records the
+    shortlists' sizes."""
 
     def model(self, rng, rows, cited_share=0.8):
         n_docs, dim = rows.shape
@@ -1279,7 +1223,17 @@ class TestI4OFilter:
         return reloaded(model)
 
     def check(self, monkeypatch, loaded, queries, ks=(1, 3, 10, 50), threshold=0):
-        """The shortlists' sizes, after every ranking matched."""
+        """The loaded model's shortlists' sizes, after every ranking
+        matched; its writable copy's are the same."""
+        doc_list = loaded.vocab.doc_list
+        rng = np.random.default_rng(len(doc_list))
+        cases = [(sign * query, k, set(rng.choice(doc_list, size=min(3, len(doc_list)), replace=False)))
+                 for query in queries for sign, k in itertools.product((1.0, -1.0), ks)]
+        exact = writable(loaded)
+        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", math.inf)
+        with np.errstate(all="ignore"):  # non-finite rows: inf - inf in a product
+            expected = [bits(rank_i4o(exact, q, exclude=e, k=k).ranked) for q, k, e in cases]
+        assert recommend_module._cited_panel(exact)[3] is None
         sizes = []
 
         def shortlist(*args):
@@ -1291,18 +1245,14 @@ class TestI4OFilter:
         monkeypatch.setattr(recommend_module, "_shortlist", shortlist)
         monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", threshold)
         memory = writable(loaded)
-        doc_list = loaded.vocab.doc_list
-        rng = np.random.default_rng(len(doc_list))
-        with np.errstate(all="ignore"):  # non-finite rows: inf - inf in a product
-            for query in queries:
-                for sign, k in itertools.product((1.0, -1.0), ks):
-                    exclude = set(rng.choice(doc_list, size=min(3, len(doc_list)), replace=False))
-                    expected = bits(rank_i4o(memory, sign * query, exclude=exclude, k=k).ranked)
-                    got = bits(rank_i4o(loaded, sign * query, exclude=exclude, k=k).ranked)
-                    assert got == expected, f"k={k}"
-        assert recommend_module._cited_panel(loaded)[3] is not None
-        assert len(sizes) == 2 * len(queries) * len(ks)  # the writable copy takes no shortlist
-        return sizes
+        with np.errstate(all="ignore"):
+            for model in (memory, loaded):
+                for (query, k, exclude), ranked in zip(cases, expected):
+                    got = bits(rank_i4o(model, query, exclude=exclude, k=k).ranked)
+                    assert got == ranked, f"k={k}"
+                assert recommend_module._cited_panel(model)[3] is not None
+        assert len(sizes) == 2 * len(cases) and sizes[: len(cases)] == sizes[len(cases) :]
+        return sizes[len(cases) :]
 
     def test_norms_spanning_2_to_the_300(self, monkeypatch):
         """Row norms from 2^-300 to 2^300, and near-ties at each of three
@@ -1408,3 +1358,132 @@ class TestI4OFilter:
                                                recommend_module._slack32(dim) * scale, candidates, 10)
             top = 100 + np.argsort(-(panel[100:] @ query))[:10]
             assert set(top) <= set(rows.tolist()) and rows.size < 20 and rows.min() >= 100
+
+
+class TestFrozenOnFirstQuery:
+    """Ranking makes a model's arrays read-only on its first query, and
+    keeps what it derives from them while the model holds them; to edit,
+    assign ``model.matrices = model.matrices.copy()``."""
+
+    def trained(self, corpus_bytes):
+        """A model trained in memory on a vocabulary no other test holds."""
+        corpus = parse_corpus(corpus_bytes)
+        return train_on(corpus.docs, corpus.vocab, iterations=5), corpus
+
+    def arrays(self, model):
+        m, v = model.matrices, model.vocab
+        return [m.doc_in, m.doc_out, m.word_in, m.word_out, m.attention,
+                v.word_counts, v.doc_cited_counts]
+
+    def rankings(self, model):
+        """Bits of recommend, i4i and evaluate on the fixture corpus."""
+        words = " ".join(f"w0t{j}" for j in range(6))
+        out = [bits(recommend(model, f"{words} [[t0c{j}]]", case=case, k=5).ranked)
+               for j in range(2) for case in (1, 3)]
+        out += [bits(rank_i4i(model, list(range(j, j + 4)), exclude={"t0c1"}, k=5).ranked)
+                for j in range(3)]
+        truth = [CitationRelation(source=None, target=j, structural=frozenset({j + 1}),
+                                  context=(j, j + 2)) for j in range(8)]
+        out += [evaluate(model, truth, case=case, k=3) for case in (1, 2, 3)]
+        return out
+
+    @pytest.mark.parametrize("first", ["recommend", "rank_i4i", "evaluate", "infer_doc_vector"])
+    def test_the_first_query_makes_every_array_read_only(self, fixture_corpus_bytes, first):
+        model, _ = self.trained(fixture_corpus_bytes)
+        assert all(a.flags.writeable for a in self.arrays(model))
+        truth = [CitationRelation(source=None, target=0, structural=frozenset(), context=(0, 1))]
+        query = {
+            "recommend": lambda: recommend(model, "w0t1 w0t2 [[t0c0]]"),
+            "rank_i4i": lambda: rank_i4i(model, [0, 1]),
+            "evaluate": lambda: evaluate(model, truth, case=1),
+            "infer_doc_vector": lambda: infer_doc_vector(model, [0, 1]),
+        }[first]
+        query()
+        assert not any(a.flags.writeable for a in self.arrays(model))
+        with pytest.raises(ValueError, match="read-only"):
+            model.matrices.doc_out[0, 0] += 1.0
+
+    def test_a_copy_of_the_matrices_ranks_with_new_arrays_and_the_same_bits(
+            self, fixture_corpus_bytes):
+        model, _ = self.trained(fixture_corpus_bytes)
+        before = self.rankings(model)
+        derived = model._derived()
+        assert {"cited panel", "unit rows", "word noise"} <= set(derived)
+        model.matrices = model.matrices.copy()
+        assert model.matrices.doc_in.flags.writeable
+        assert self.rankings(model) == before
+        assert model._derived() is not derived and "unit rows" in model._derived()
+        assert model._derived()["unit rows"][0] is not derived["unit rows"][0]
+        assert not model.matrices.doc_in.flags.writeable
+
+    def test_an_array_made_writable_again_is_read_afresh(self, fixture_corpus_bytes):
+        """An owned array made writable again and written: the next query
+        derives from the new values, as every row scored says."""
+        model, _ = self.trained(fixture_corpus_bytes)
+        rng = np.random.default_rng(8)
+        query, words = rng.normal(size=model.matrices.dim), [0, 3, 5]
+        rank_i4o(model, query, k=5)
+        rank_i4i(model, words, k=5)
+        m, counts = model.matrices, model.vocab.doc_cited_counts
+        for array, values in ((m.doc_out, -m.doc_out), (m.doc_in, rng.normal(size=m.doc_in.shape)),
+                              (counts, np.roll(counts, 3))):
+            array.flags.writeable = True
+            array[...] = values
+            assert rank_i4o(model, query, k=5).ranked == i4o_oracle(model, query, (), 5)
+            scores = cosine_scores(model, infer_doc_vector(model, words))
+            assert bits(rank_i4i(model, words, k=5).ranked) == bits(oracle_rank(model, scores, (), 5))
+            assert not array.flags.writeable
+
+    def test_a_second_train_after_ranking(self, fixture_corpus_bytes):
+        """``train`` starts from fresh matrices and only reads the counts:
+        on a model already ranked, it gives the lists of a fresh model."""
+        model, corpus = self.trained(fixture_corpus_bytes)
+        first = self.rankings(model)
+        relations = extract_relations(corpus.docs, corpus.vocab, FIXTURE_CONFIG.window)
+        train_module.train(model, relations, corpus.docs)
+        fresh = init_model(corpus.vocab, model.config)
+        train_module.train(fresh, relations, corpus.docs)
+        assert self.rankings(model) == self.rankings(fresh) == first
+
+
+class TestArgumentsBeforeWork:
+    """A bad ``exclude``, word index or query shape is a ConfigError,
+    raised before any work."""
+
+    @pytest.mark.parametrize("exclude", ["t1c2", b"t1c2", ""], ids=repr)
+    def test_a_string_exclude(self, monkeypatch, exclude):
+        """A string would be read one character at a time, and exclude
+        nothing."""
+        model = make_model(["t1c2", "a", "b"], ["x", "y"], dim=3)
+        model.matrices.doc_out[0] = 1.0
+        assert ranked_ids(rank_i4o(model, np.ones(3), exclude=["t1c2"], k=1)) == ["a"]
+        monkeypatch.setattr(recommend_module, "infer_doc_vector", no_work)
+        monkeypatch.setattr(recommend_module, "_cited_panel", no_work)
+        with pytest.raises(ConfigError, match="^exclude must be a collection of doc ids"):
+            rank_i4i(model, [0, 1], exclude=exclude, k=1)
+        with pytest.raises(ConfigError, match="^exclude must be a collection of doc ids"):
+            rank_i4o(model, np.ones(3), exclude=exclude, k=1)
+
+    @pytest.mark.parametrize("words", [
+        [0.9], [True], [0, True], [np.True_, 1], np.array([1.0]), np.array([True]), ["0"],
+        [2**70], [[0, 1]], np.array([[1]])], ids=repr)
+    def test_word_indices_that_are_not_ints(self, monkeypatch, words):
+        model = make_model(["a", "b"], ["x", "y"], dim=3)
+        monkeypatch.setattr(train_module, "NegativeSampler", no_work)
+        with pytest.raises(ConfigError, match="^word indices must be a flat sequence of ints"):
+            infer_doc_vector(model, words)
+        with pytest.raises(ConfigError, match="^word indices must be a flat sequence of ints"):
+            rank_i4i(model, words)
+
+    def test_word_indices_of_any_int_type(self):
+        model = make_model(["a", "b"], ["x", "y", "z"], dim=3)
+        expected = infer_doc_vector(model, [2, 0]).tobytes()
+        for words in ((2, 0), np.array([2, 0], dtype=np.uint8), [np.int32(2), np.int64(0)]):
+            assert infer_doc_vector(model, words).tobytes() == expected
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 8), (8, 1), (), (9,)], ids=repr)
+    def test_a_query_of_the_wrong_shape(self, monkeypatch, shape):
+        model = make_model(["a", "b"], ["x"], dim=8)
+        monkeypatch.setattr(recommend_module, "_cited_panel", no_work)
+        with pytest.raises(ConfigError, match=r"^query_vector must have shape \(8,\), got "):
+            rank_i4o(model, np.ones(shape))
