@@ -9,18 +9,18 @@ citation, MAP is the mean reciprocal rank within the cutoff (MRR@k).
 
 Only the documents cited in training are candidates, as in ``rank_i4o``;
 a held-out citation of any other document is a miss.  The queries are
-scored ``EVAL_BATCH`` at a time against the cited panel that ``rank_i4o``
+scored ``EVAL_BATCH`` at a time against the cited rows that ``rank_i4o``
 uses (``recommend._cited_panel``), and the metrics come from each target's
 place in its row, counted, not ranked (``_places``).  A query's scores are
 the same bits in whatever block and row it lands (``_score_block``), but
 can differ in the last bits from ``rank_i4o``'s matrix-vector product.
 
-Where ``rank_i4o`` filters, on a large panel, so does ``evaluate``
-(``_near_places``): one float32 product of the panel's unit rows with a
+Where ``rank_i4o`` filters, on a large panel, so does ``evaluate``, query
+by query (``_near_places``): one float32 product of the unit rows with a
 block's unit queries settles most candidates as surely ahead of their
-target or surely behind it, and only the rest, the targets themselves and
-the rows the bound does not cover are scored exactly.  Each place below k
-is the one the whole product gives, so the reports are the same bits.
+target or surely behind it; the rest, the targets, the rows and queries
+the bound does not cover are gathered and scored exactly.  Each place
+below k is the one the whole product gives: the reports are the same bits.
 Ranking makes a model's arrays read-only on its first query; to edit,
 assign ``model.matrices = model.matrices.copy()`` (``Model._derived``).
 
@@ -45,7 +45,7 @@ from .model import Model, _reused
 # build_query_vector and rank_i4o are not called here; bench/tracing.py
 # looks them up in this module
 from .recommend import (  # noqa: F401
-    _MAX_DIM32, BLOCK_ROWS, CASES, Query, _check_k, _cited_panel, _covered, _gather_panel,
+    BLOCK_ROWS, CASES, Query, _check_k, _cited_panel, _covered, _gather_panel,
     _slack32, build_query_vector, rank_i4o)
 
 __all__ = [
@@ -207,51 +207,44 @@ def _places(scores, target_columns, candidate, id_rank) -> np.ndarray:
     return np.count_nonzero(ahead & candidate, axis=1)
 
 
-def _near_places(panel, unit_rows, block, target_columns, banned, k,
-                 id_rank) -> np.ndarray | None:
+def _near_places(doc_out, cited, unit_rows, block, target_columns, banned, k, id_rank) -> np.ndarray:
     """``_places`` of the first ``target_columns.size`` queries of
-    ``block``, each against the cited panel ``panel`` (``_score_block``)
-    with its target at column ``target_columns[r]`` and the flat indices
-    ``banned`` of its rows excluded, through the float32 filter of
-    ``panel``'s unit rows, norms and mask ``unit_rows``
+    ``block``, each against the cited rows ``doc_out[cited]``
+    (``_score_block``) with its target at column ``target_columns[r]`` and
+    the flat indices ``banned`` of its rows excluded, through the float32
+    filter of those rows' unit rows, norms and mask ``unit_rows``
     (``recommend._unit_rows``).  A place of k or more may come back as any
-    count of k or more.  None, with no work done, when there is no filter,
-    a query's norm is outside the bound's range or the dimension is above
-    ``_MAX_DIM32``.
+    count of k or more.
 
     The targets' exact scores t come first, from one ``_score_block`` over
-    their columns: the same bits as in the whole panel's.  A candidate's
+    their rows: the same bits whichever rows are gathered.  A candidate's
     float32 cosine c with the query, of norm q, then places it: c - t/(n·q)
     above ``_slack32(dim)``, n being its row's norm, means its exact score is
     surely above t, below minus that surely below (``recommend._shortlist``
     proves both).  Only the candidates in between, among them every
-    uncovered row and any compared with a NaN, are scored exactly, by one
-    ``_score_block`` over their columns and the targets', and counted by
-    ``_places``; a query with k or more surely ahead is a miss, and none of
-    its candidates is scored.
+    uncovered row, every candidate of an uncovered query (``_covered``) and
+    any compared with a NaN, are scored exactly, by one ``_score_block``
+    over their rows and the targets', and counted by ``_places``; a query
+    with k or more surely ahead is a miss, and none of its candidates is
+    scored.
     """
-    n_queries, dim = target_columns.size, panel.shape[1]
-    if unit_rows is None or dim > _MAX_DIM32:
-        return None
-    queries = block[:n_queries]
-    with np.errstate(all="ignore"):
-        norms = np.linalg.norm(queries, axis=1)
-    if not all(map(_covered, norms.tolist())):
-        return None
+    n_queries, dim = target_columns.size, block.shape[1]
     units, row_norms, safe = unit_rows
+    queries = block[:n_queries]
     every = np.arange(n_queries)
-    target = _score_block(_gather_panel(panel, target_columns), block,
+    target = _score_block(_gather_panel(doc_out, cited[target_columns]), block,
                           np.empty((EVAL_BATCH, n_queries)))[every, every]
     slack = _slack32(dim)
-    unit_queries = (queries / norms[:, None]).astype(np.float32)
     ahead = np.empty((n_queries, units.shape[0]), dtype=bool)
     below = np.empty_like(ahead)
     # each slice's gaps take the bytes of BLOCK_ROWS rows of the panel
     step = BLOCK_ROWS * dim // EVAL_BATCH
     gaps = np.empty((n_queries, step))
-    with np.errstate(all="ignore"):  # non-finite targets and uncovered rows: inf and NaN gaps
-        inverse = np.where(safe, 1.0 / row_norms, np.nan)  # an uncovered row is always near
-        ratio = target / norms
+    with np.errstate(all="ignore"):  # uncovered queries and rows, non-finite targets: NaN gaps
+        norms = np.linalg.norm(queries, axis=1)
+        unit_queries = (queries / norms[:, None]).astype(np.float32)
+        ratio = np.where(_covered(norms, dim), target / norms, np.nan)
+        inverse = np.where(safe, 1.0 / row_norms, np.nan)
         for start in range(0, units.shape[0], step):
             rows = slice(start, start + step)
             gap = gaps[:, : units[rows].shape[0]]
@@ -266,7 +259,7 @@ def _near_places(panel, unit_rows, block, target_columns, banned, k,
     below[sure >= k] = True
     near_rows, near_columns = np.divmod(np.flatnonzero(~below), units.shape[0])
     columns = np.unique(np.concatenate((near_columns, target_columns)))
-    scores = _score_block(_gather_panel(panel, columns), block,
+    scores = _score_block(_gather_panel(doc_out, cited[columns]), block,
                           np.empty((EVAL_BATCH, columns.size)))
     candidate = np.zeros((n_queries, columns.size), dtype=bool)
     candidate[near_rows, np.searchsorted(columns, near_columns)] = True
@@ -287,11 +280,10 @@ def evaluate(model: Model, ground_truth: GroundTruth, case: int, k: int = 10,
 
     The queries whose target can be found are scored ``EVAL_BATCH`` at a
     time and their targets' places counted (``_places``), against the
-    cited panel shared with ``rank_i4o``.  When the panel has
-    ``rank_i4o``'s float32 unit rows, a block whose queries' norms the
-    filter's bound covers is placed through them (``_near_places``), and
-    any other block scores every cited row.  A target at place p < k is a
-    hit at rank r = p + 1: recall 1, AP 1/r and nDCG 1/log2(r + 1), as the
+    cited rows shared with ``rank_i4o``: a small panel scores every cited
+    row, and a large one, kept only as ``rank_i4o``'s float32 unit rows, is
+    a filter for every block (``_near_places``).  A target at place p < k is
+    a hit at rank r = p + 1: recall 1, AP 1/r and nDCG 1/log2(r + 1), as the
     plain definitions give with one relevant item.  Raises ConfigError
     before any work for a bad argument (``case``, ``k`` and ``seed`` must be
     ints, not bools) or empty ground truth.
@@ -316,8 +308,7 @@ def evaluate(model: Model, ground_truth: GroundTruth, case: int, k: int = 10,
     # each cited doc's place in the order of the ids, derived on first need
     id_rank = functools.partial(_reused, model, "cited id rank", lambda: np.argsort(
         np.argsort(np.array(model.vocab.doc_list, dtype=object)[cited])))
-    block = np.empty((EVAL_BATCH, panel.shape[1]))
-    scores = candidate = None  # the exact path's, made on its first block
+    block = np.empty((EVAL_BATCH, model.matrices.dim))
     places = np.empty(found.size, dtype=np.intp)
     for start, lo, hi in zip(range(0, found.size, EVAL_BATCH), bounds.tolist(), bounds[1:].tolist()):
         stop = min(start + EVAL_BATCH, found.size)
@@ -325,17 +316,15 @@ def evaluate(model: Model, ground_truth: GroundTruth, case: int, k: int = 10,
         block[stop - start :] = 0.0
         target_columns = column[targets[found[start:stop]]]
         banned_here = banned[lo:hi] - start * cited.size
-        near = _near_places(panel, unit_rows, block, target_columns, banned_here, k, id_rank)
-        if near is None:
-            if scores is None:
-                scores = np.empty((EVAL_BATCH, cited.size))
-                candidate = np.ones(scores.shape, dtype=bool)
-            _score_block(panel, block, scores)
+        if panel is None:
+            places[start:stop] = _near_places(model.matrices.doc_out, cited, unit_rows, block,
+                                              target_columns, banned_here, k, id_rank)
+        else:
+            scores = _score_block(panel, block, np.empty((EVAL_BATCH, cited.size)))
+            candidate = np.ones((stop - start, cited.size), dtype=bool)
             candidate.flat[banned_here] = False
-            near = _places(scores[: stop - start], target_columns, candidate[: stop - start],
-                           id_rank)
-            candidate.flat[banned_here] = True
-        places[start:stop] = near
+            places[start:stop] = _places(scores[: stop - start], target_columns, candidate,
+                                         id_rank)
     # hits by place: an unusable query, like a target past k, misses on every metric
     hits = np.bincount(places[places < k])
     hit_places = np.flatnonzero(hits).tolist()

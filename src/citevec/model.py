@@ -169,7 +169,8 @@ class Model:
 
         What is kept, each made on first use: ``infer_doc_vector``'s
         word-noise table, ``evaluate``'s cited-id order, and ``recommend``'s
-        cited panel and float32 unit rows, sized in its module docstring."""
+        cited rows (a float64 panel, or a large one's float32 unit rows)
+        and input rows' float32 unit rows, sized in its module docstring."""
         arrays = (*self.matrices.arrays(), self.vocab.word_counts, self.vocab.doc_cited_counts)
         if self._frozen is not None:
             held, derived = self._frozen
@@ -179,6 +180,11 @@ class Model:
             a.flags.writeable = False
         self._frozen = (arrays, {})
         return self._frozen[1]
+
+    def __getstate__(self) -> dict:
+        """A pickle or a copy, shallow or deep, leaves out what ranking
+        derived; the copy derives its own on its first query."""
+        return {**self.__dict__, "_frozen": None}
 
 
 def _reused(model: Model, name: str, build):

@@ -41,22 +41,23 @@ same when the cited panel holds at least ``_I4O_FILTER_ENTRIES`` entries
 (rows × dim): a row's approximate dot product is its norm times the
 query's times its approximate cosine, and its slack scales with the same
 norms.  Below that size the exact product of the whole panel is as fast
-or faster, and rank_i4o takes it.  ``evaluate`` filters the same panel
-under the same condition, with the same a and h, and scores exactly only
-the candidates that may sit on either side of each target.
+or faster, and rank_i4o takes it.  ``evaluate`` filters the same rows
+under the same condition, query by query, with the same a and h, and
+scores exactly only the candidates that may sit on either side of each
+target.
 
 Ranking makes a model's arrays read-only on its first query; to edit,
 assign ``model.matrices = model.matrices.copy()``.  So the arrays that do
 not depend on the query are derived once, on first use, and kept on the
-model (``Model._derived``): the cited panel, n_cited × dim float64s, and a
-float32 copy of the input rows scaled to unit norm, n_docs × dim float32s,
-with a mask of the rows its bound covers (``_unit_rows``); for a large
-panel, the same of the cited output rows with their norms,
-n_cited · dim · 4 + n_cited · 9 bytes, made with the panel and read by
-rank_i4o and evaluate.  Each filter then reads half the bytes of its
-float64 matrix: one float32 product gives every approximate cosine, one
-slack (``_slack32``) bounds its error, and the shortlist is scored
-exactly (``_exact_dots`` for i4i).
+model (``Model._derived``): a float32 copy of the input rows scaled to
+unit norm, n_docs × dim float32s, with a mask of the rows its bound covers
+(``_unit_rows``); and the cited output rows (``_cited_panel``), a small
+panel as n_cited × dim float64s, a large one only as the same float32 copy
+with their norms, n_cited · dim · 4 + n_cited · 9 bytes, read by rank_i4o
+and evaluate.  Each filter then reads half the bytes of its float64
+matrix: one float32 product gives every approximate cosine, one slack
+(``_slack32``) bounds its error, and the shortlist is scored exactly
+(``_exact_dots`` for i4i).
 """
 
 from __future__ import annotations
@@ -191,11 +192,15 @@ def _top_k(scores: np.ndarray, k: int, doc_list, columns: np.ndarray, exclude) -
 
 def _banned(model: Model, exclude) -> np.ndarray:
     """The indices of the doc ids in ``exclude``; ids the model does not
-    know are ignored.  ConfigError for a ``str`` or ``bytes``."""
-    if isinstance(exclude, (str, bytes)):
-        raise ConfigError(f"exclude must be a collection of doc ids, got {exclude!r}")
-    doc_ids = model.vocab.doc_ids
-    return np.fromiter({doc_ids[d] for d in exclude if d in doc_ids}, dtype=np.intp)
+    know are ignored.  ConfigError for a ``str``, ``bytes``, anything not
+    iterable, or an unhashable element."""
+    if not isinstance(exclude, (str, bytes)):
+        doc_ids = model.vocab.doc_ids
+        try:
+            return np.fromiter({doc_ids[d] for d in exclude if d in doc_ids}, dtype=np.intp)
+        except TypeError:
+            pass
+    raise ConfigError(f"exclude must be a collection of doc ids, got {exclude!r}")
 
 
 def _rank_row(model: Model, scores: np.ndarray, k: int, rows: np.ndarray, banned=()) -> RecommendationList:
@@ -215,25 +220,25 @@ def _gather_panel(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return panel
 
 
-def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple | None]:
+def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, tuple | None]:
     """i4o's candidates: the indices of the documents cited in training,
-    ascending; their output rows (``_gather_panel``); every document's
-    column among them, -1 for a document never cited; and, for a panel of
-    at least ``_I4O_FILTER_ENTRIES`` entries, the rows' float32 unit copy,
-    norms and mask (``_unit_rows``), the filter of rank_i4o and
-    ``evaluate``, else None.  The output rows of the others never got a
-    gradient.  Ranking makes a model's arrays read-only on its first query;
+    ascending; below ``_I4O_FILTER_ENTRIES`` entries, their output rows
+    (``_gather_panel``), else None; every document's column among them, -1
+    for a document never cited; and at or above it, in place of the rows,
+    their float32 unit copy, norms and mask (``_unit_rows``), the filter of
+    rank_i4o and ``evaluate``, else None.  The output rows of the others
+    never got a gradient.  Ranking makes a model's arrays read-only on its first query;
     to edit, assign ``model.matrices = model.matrices.copy()``.  All of
     this is built then, once, in one entry (``_reused``), so the first i4o
-    query builds the panel and filter that ``evaluate`` reads."""
+    query builds what ``evaluate`` reads."""
     def build():
         rows = np.flatnonzero(model.vocab.doc_cited_counts > 0)
         column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
         column[rows] = np.arange(rows.size)
-        panel = _gather_panel(model.matrices.doc_out, rows)
-        large = rows.size * panel.shape[1] >= _I4O_FILTER_ENTRIES
-        units = _unit_rows(panel[: rows.size]) if large else None
-        return rows, panel, column, units
+        doc_out = model.matrices.doc_out
+        if rows.size * doc_out.shape[1] < _I4O_FILTER_ENTRIES:
+            return rows, _gather_panel(doc_out, rows), column, None
+        return rows, None, column, _unit_rows(doc_out, rows)
     return _reused(model, "cited panel", build)
 
 
@@ -252,16 +257,16 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     the document count is a multiple of ``PAD_ROWS``).  Ranking makes a
     model's arrays read-only on its first query; to edit, assign
     ``model.matrices = model.matrices.copy()``.  The panel is built on that
-    query and kept.
+    query and kept; a large one, only as its filter.
 
-    A large panel is filtered first: each row's approximate dot product is
-    its norm times the query's times the float32 cosine of its unit row
+    A large panel is filtered: each row's approximate dot product is its
+    norm times the query's times the float32 cosine of its unit row
     (``_unit_rows``), within ``_slack32(dim)`` times those norms of the
-    exact one, and only ``_shortlist``'s rows are gathered into a panel of
-    their own and scored as above: whichever documents are in it, their
+    exact one, and only ``_shortlist``'s rows are gathered from ``doc_out``
+    and scored as above: whichever documents are in the panel, their
     scores are the same bits, and no other row can reach the top k.
     Raises ConfigError, before any work, for a bad ``k``, a query that is
-    not of shape ``(dim,)`` or a ``str`` ``exclude``.
+    not of shape ``(dim,)`` or a bad ``exclude`` (``_banned``).
     """
     _check_k(k)
     query = np.asarray(query_vector, dtype=np.float64)
@@ -272,7 +277,7 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     rows, panel, column, unit_rows = _cited_panel(model)
     banned = column[banned]
     banned = banned[banned >= 0]
-    if unit_rows is not None:
+    if panel is None:
         units, norms, safe = unit_rows
         candidates = np.ones(rows.size, dtype=bool)
         candidates[banned] = False
@@ -280,7 +285,7 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
             query_norm = float(np.linalg.norm(query))
             cosines, safe = _cosines32(units, safe, query, query_norm)
             scale = norms * query_norm
-            slack = _slack32(panel.shape[1]) * scale
+            slack = _slack32(query.size) * scale
             short = _shortlist(scale * cosines, safe, slack, candidates, k)
         rows, banned = rows[short], ()
         panel = _gather_panel(model.matrices.doc_out, rows)
@@ -291,28 +296,29 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     return _rank_row(model, scores[: rows.size], k, rows, banned=banned)
 
 
-def _unit_rows(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A float32 copy of ``matrix`` with every row scaled to unit norm, the
-    rows' norms in float64, and a mask of the rows whose squared norm is in
-    ``_SAFE_SQUARES``; the copy's other rows are zero.  Each row is divided
-    by its norm, the square root of its squared norm in float64, then
-    rounded to float32 (``_shortlist`` bounds the error).  Made
-    ``BLOCK_ROWS`` rows at a time: no float64 temporary is larger than a
-    block.
+def _unit_rows(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A float32 copy of ``matrix[rows]`` (all of it for None) with every
+    row scaled to unit norm, the rows' norms in float64, and a mask of the
+    rows whose squared norm is in ``_SAFE_SQUARES``; the copy's other rows
+    are zero.  Each row is divided by its norm, the square root of its
+    squared norm in float64, then rounded to float32 (``_shortlist`` bounds
+    the error).  Made ``BLOCK_ROWS`` rows at a time: no float64 temporary
+    is larger than a block.
     """
     lo, hi = _SAFE_SQUARES
-    units = np.empty(matrix.shape, dtype=np.float32)
-    norms = np.empty(matrix.shape[0])
-    safe = np.empty(matrix.shape[0], dtype=bool)
+    n = matrix.shape[0] if rows is None else rows.size
+    units = np.empty((n, matrix.shape[1]), dtype=np.float32)
+    norms = np.empty(n)
+    safe = np.empty(n, dtype=bool)
     with np.errstate(all="ignore"):  # zero, tiny, huge and non-finite rows are zeroed
-        for start in range(0, matrix.shape[0], BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            block = matrix[rows]
+        for start in range(0, n, BLOCK_ROWS):
+            part = slice(start, start + BLOCK_ROWS)
+            block = matrix[part] if rows is None else matrix[rows[part]]
             squares = np.einsum("ij,ij->i", block, block)
-            safe[rows] = (lo <= squares) & (squares <= hi)
-            np.sqrt(squares, out=norms[rows])
-            np.divide(block, norms[rows, None], out=units[rows])
-            units[rows][~safe[rows]] = 0.0
+            safe[part] = (lo <= squares) & (squares <= hi)
+            np.sqrt(squares, out=norms[part])
+            np.divide(block, norms[part, None], out=units[part])
+            units[part][~safe[part]] = 0.0
     return units, norms, safe
 
 
@@ -321,19 +327,19 @@ def _cosines32(units: np.ndarray, safe: np.ndarray, vector: np.ndarray,
     """The float32 filter's approximate cosines of ``vector``, whose norm
     is ``norm``, with every row of ``units`` (``_unit_rows``): one float32
     product with ``vector / norm`` rounded to float32.  And the rows
-    ``_shortlist``'s bound covers: those of the mask ``safe``, or none when
-    ``norm``² is outside ``_SAFE_SQUARES`` or the dimension above
-    ``_MAX_DIM32``."""
-    if not (_covered(norm) and units.shape[1] <= _MAX_DIM32):
+    ``_shortlist``'s bound covers: those of the mask ``safe``, or none for a
+    query it does not cover (``_covered``)."""
+    if not _covered(norm, units.shape[1]):
         safe = np.zeros_like(safe)
     return units @ (vector / norm).astype(np.float32), safe
 
 
-def _covered(norm: float) -> bool:
-    """Whether a vector of this norm is in the range of ``_shortlist``'s
-    bounds: its square in ``_SAFE_SQUARES``."""
+def _covered(norm, dim: int):
+    """Whether ``_shortlist``'s bounds cover a query of this norm (or each
+    norm of an array): its square in ``_SAFE_SQUARES``, dim ≤ ``_MAX_DIM32``."""
     lo, hi = _SAFE_SQUARES
-    return lo <= norm * norm <= hi
+    squares = norm * norm
+    return (lo <= squares) & (squares <= hi) & (dim <= _MAX_DIM32)
 
 
 def _shortlist(
@@ -405,13 +411,13 @@ def _shortlist(
     comes from.  Neither bound depends on how BLAS orders or fuses the
     products.
 
-    evaluate, on the same panel, compares a candidate's e with its
-    target's, t, the same bits as in the whole panel's product: a - h > t
-    and a + h < t, divided by the positive sqrt(s)·q.  It filters a block
-    of queries only when q² is in range for each, takes q as above, a' from
-    one float32 product of the block's p with the unit rows, and
-    g = a' - fl(fl(t / q)·fl(1 / sqrt(s))); the candidate is surely ahead
-    when g > h' and surely behind when g < -h', h' = ``_slack32(n)``.
+    evaluate, on the same rows, compares a candidate's e with its
+    target's, t, the same bits whichever rows are scored with it:
+    a - h > t and a + h < t, divided by the positive sqrt(s)·q.  Per query,
+    it takes q as above, a' from one float32 product of the block's p with
+    the unit rows, g = a' - fl(fl(t / q)·fl(1 / sqrt(s))), or NaN for a
+    query out of range; the candidate is surely ahead when g > h' and
+    surely behind when g < -h', h' = ``_slack32(n)``.
     Write P = sqrt(s)·q and theta = t / P, taken exactly.  P·a' is within
     (B + 2·gamma(U) + 8U)·|x|·|v| of e, as a is, so e > t once
     a' - theta exceeds B'' = (B + 2·gamma(U) + 8U) / (1 - gamma(U) - 4U),

@@ -500,8 +500,10 @@ class TestFilteredEvaluate:
 
     def check(self, monkeypatch, loaded, truth, ks=(1, 3, 10, 60)):
         """Every report against the exact copy's and ``place_oracle``'s;
-        returns the oracle's places and, for each of the loaded model's
-        blocks, whether it was filtered; its writable copy's are the same."""
+        returns the oracle's places and, for each block the loaded model
+        placed, for each of its queries, whether its squared norm is in
+        range, its count of candidates and the count of them scored
+        exactly; its writable copy's are the same."""
         cases = list(itertools.product((1, 2, 3), ks))
         exact = writable(loaded)
         monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", math.inf)
@@ -509,28 +511,39 @@ class TestFilteredEvaluate:
             reports = [evaluate(exact, truth, case=case, k=k) for case, k in cases]
         assert recommend_module._cited_panel(exact)[3] is None
         monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
-        filtered = []  # one list per model
+        blocks, scored = [], []  # one list per model; scored holds the block in hand
 
-        def near_places(panel, unit_rows, *args):
-            places = real_near_places(panel, unit_rows, *args)
-            filtered[-1].append(places is not None)
+        def near_places(doc_out, cited, unit_rows, block, target_columns, banned, *args):
+            n = target_columns.size
+            excluded = np.bincount(np.unique(banned) // cited.size, minlength=n)
+            places = real_near_places(doc_out, cited, unit_rows, block, target_columns, banned,
+                                      *args)
+            covered = [2.0**-900 <= q * q <= 2.0**900 for q in np.linalg.norm(block[:n], axis=1)]
+            blocks[-1].append(list(zip(covered, (cited.size - excluded).tolist(),
+                                       scored.pop().tolist())))
             return places
 
-        real_near_places = evaluation_module._near_places
+        def places(scores, target_columns, candidate, id_rank):
+            scored.append(np.count_nonzero(candidate, axis=1))
+            return real_places(scores, target_columns, candidate, id_rank)
+
+        real_near_places, real_places = evaluation_module._near_places, evaluation_module._places
         monkeypatch.setattr(evaluation_module, "_near_places", near_places)
-        places = []
+        monkeypatch.setattr(evaluation_module, "_places", places)
+        oracle_places = []
         with np.errstate(all="ignore"):
             for (case, k), report in zip(cases, reports):
                 expected, case_places = place_oracle(loaded, truth, case, k)
                 assert report == expected, (case, k)
-                places += case_places
+                oracle_places += case_places
             for model in (writable(loaded), loaded):
-                filtered.append([])
+                blocks.append([])
                 for (case, k), report in zip(cases, reports):
                     assert evaluate(model, truth, case=case, k=k) == report, (case, k)
-                assert recommend_module._cited_panel(model)[3] is not None
-        assert filtered[0] == filtered[1]
-        return places, filtered[1]
+                    assert not scored
+                assert recommend_module._cited_panel(model)[1] is None
+        assert blocks[0] == blocks[1]
+        return oracle_places, blocks[1]
 
     def near_ties(self, rng, n_docs, dim, spread):
         """Rows of a few integer patterns, each scaled by 1 + e with e up to
@@ -554,7 +567,8 @@ class TestFilteredEvaluate:
         places = place_oracle(loaded, truth, 1, 1)[1]
         ks = [v for v in sorted(set(places)) if v - 1 in places][:3]
         assert len(ks) == 3
-        assert all(self.check(monkeypatch, loaded, truth, ks=(1, *ks))[1])
+        queries = sum(self.check(monkeypatch, loaded, truth, ks=(1, *ks))[1], [])
+        assert sum(exact for _, _, exact in queries) < sum(n for _, n, _ in queries) / 2
 
     def test_rows_the_bound_does_not_cover(self, monkeypatch):
         """Rows whose squared norm is outside ``_SAFE_SQUARES``, with a finite
@@ -583,27 +597,55 @@ class TestFilteredEvaluate:
                   for d in special[::3] for w in range(4)]
         truth += [CitationRelation(source=None, target=int(d), structural=frozenset(), context=(w,))
                   for d in special[40:] for w in range(12)]
-        assert all(self.check(monkeypatch, loaded, truth)[1])
+        queries = sum(self.check(monkeypatch, loaded, truth)[1], [])
+        assert any(exact < n for _, n, exact in queries)
 
     def test_queries_the_bound_does_not_cover(self, monkeypatch):
-        """A zero, tiny, huge or NaN query takes the exact path for its
-        block; the other blocks are still filtered."""
+        """A zero, tiny, huge or NaN query has every candidate scored
+        exactly; the other queries of its block are still filtered."""
         rng = np.random.default_rng(103)
         n_docs, dim = 120, 4
         memory = writable(self.model(rng, self.near_ties(rng, n_docs, dim, 1.0), n_words=16))
         memory.matrices.word_in[12:] = np.array([0.0, 1e-200, 1e200, np.nan])[:, None]
         truth = random_relations(rng, n_docs, 12, n_usable=3 * EVAL_BATCH, n_empty=0)
+        cited = np.flatnonzero(memory.vocab.doc_cited_counts)
         truth[40:44] = [CitationRelation(source=None, target=j, structural=frozenset(), context=(w,))
-                        for w, j in zip(range(12, 16), rng.choice(n_docs, size=4, replace=False).tolist())]
-        filtered = self.check(monkeypatch, reloaded(memory), truth, ks=(1, 10))[1]
-        assert filtered == [True, False, True] * 3 * 2  # three cases, two cutoffs
+                        for w, j in zip(range(12, 16), rng.choice(cited, size=4, replace=False).tolist())]
+        queries = sum(self.check(monkeypatch, reloaded(memory), truth, ks=(1, 10))[1], [])
+        uncovered = [(n, exact) for covered, n, exact in queries if not covered]
+        assert len(uncovered) == 4 * 3 * 2  # three cases, two cutoffs
+        assert all(exact == n for n, exact in uncovered)
+        covered = [(n, exact) for covered, n, exact in queries if covered]
+        assert sum(exact for _, exact in covered) < sum(n for n, _ in covered) / 2
+
+    def test_a_block_mixing_covered_and_uncovered_queries(self, monkeypatch):
+        """Queries pooled from words and docs of uncovered norms, scattered
+        over every block, on near-ties: each full block mixes both kinds, and
+        the reports are the exact copy's and ``place_oracle``'s.  Every
+        candidate of an uncovered query is scored exactly, and most of those
+        of the covered queries beside it are settled by the filter."""
+        rng = np.random.default_rng(106)
+        n_docs, dim = 200, 5
+        memory = writable(self.model(rng, self.near_ties(rng, n_docs, dim, 1.0), n_words=14))
+        memory.matrices.word_in[12:] = np.array([1e-200, np.inf])[:, None]
+        memory.matrices.doc_in[rng.choice(n_docs, size=10, replace=False)] = 1e180
+        truth = random_relations(rng, n_docs, 14, n_usable=4 * EVAL_BATCH, n_empty=2, n_docs_only=5)
+        blocks = self.check(monkeypatch, reloaded(memory), truth, ks=(1, 5, 20))[1]
+        for block in blocks:
+            assert all(exact == n for covered, n, exact in block if not covered)
+            assert sum(exact for covered, _, exact in block if covered) < sum(
+                n for covered, n, _ in block if covered) / 10
+        assert all(not all(covered for covered, _, _ in block)
+                   for block in blocks if len(block) == EVAL_BATCH)
 
     def test_a_dimension_above_the_bound(self, monkeypatch):
+        """The filter settles no candidate."""
         rng = np.random.default_rng(104)
-        monkeypatch.setattr(evaluation_module, "_MAX_DIM32", 2)
+        monkeypatch.setattr(recommend_module, "_MAX_DIM32", 2)
         loaded = self.model(rng, self.near_ties(rng, 80, 3, 1.0))
         truth = random_relations(rng, 80, 12, n_usable=EVAL_BATCH, n_empty=1)
-        assert not any(self.check(monkeypatch, loaded, truth, ks=(1, 10))[1])
+        queries = sum(self.check(monkeypatch, loaded, truth, ks=(1, 10))[1], [])
+        assert queries and all(exact == n for _, n, exact in queries)
 
     def test_a_model_above_the_real_threshold(self):
         """Filtered at the module's own threshold, on random rows: the

@@ -11,6 +11,7 @@ import io
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -41,6 +42,7 @@ from reference import shortlist_reference, top_k_reference
 
 recommend_module = importlib.import_module("citevec.recommend")
 train_module = importlib.import_module("citevec.train")  # the package exports train()
+evaluation_module = importlib.import_module("citevec.evaluation")
 
 
 def ranked_ids(result):
@@ -1114,12 +1116,12 @@ class TestLoadedModelReuse:
         assert loaded.vocab.n_docs == n_docs and "unit rows" in memory._derived()
 
     def test_a_loaded_model_reuses_what_it_derives(self, monkeypatch):
-        """A model, its i4o filter threshold set to 0, gathers its cited
-        panel and makes the panel's float32 unit rows once, on its first i4o
-        query, and makes its input rows' unit rows on its first i4i query;
-        each i4o query then gathers only its shortlist's output rows, each
-        i4i query only its shortlist's input rows.  A loaded model and its
-        writable copy do the same work."""
+        """A model, its i4o filter threshold set to 0, makes its cited
+        rows' float32 unit rows once, on its first i4o query, and its input
+        rows' unit rows on its first i4i query; it gathers no panel of all
+        its cited output rows, and each i4o query gathers only its
+        shortlist's output rows, each i4i query only its shortlist's input
+        rows.  A loaded model and its writable copy do the same work."""
         calls = []
 
         def spy(name, real):
@@ -1132,8 +1134,14 @@ class TestLoadedModelReuse:
             calls.append("doc_out panel" if matrix is model.matrices.doc_out else "doc_in panel")
             return real_gather(matrix, rows)
 
+        def evaluate_gather(matrix, rows):
+            assert matrix is model.matrices.doc_out
+            calls.append("evaluate's rows")
+            return real_gather(matrix, rows)
+
         real_gather = recommend_module._gather_panel
         monkeypatch.setattr(recommend_module, "_gather_panel", gather)
+        monkeypatch.setattr(evaluation_module, "_gather_panel", evaluate_gather)
         monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
         for module, name in ((recommend_module, "_unit_rows"), (train_module, "_noise_table")):
             spy(name, getattr(module, name))
@@ -1142,19 +1150,39 @@ class TestLoadedModelReuse:
             rng = np.random.default_rng(4)
             calls.clear()
             self.rankings(model, rng)
-            # the panel and 3 i4o shortlists, both unit rows, one table, 3 i4i shortlists
-            assert sorted(calls) == sorted(["doc_out panel"] * 4 + ["_unit_rows"] * 2
-                                           + ["_noise_table"] + ["doc_in panel"] * 3)
+            # 3 i4o shortlists, both unit rows, one table, 3 i4i shortlists, and
+            # evaluate's targets and near rows in each of its 3 calls' one block
+            assert sorted(calls) == sorted(["doc_out panel"] * 3 + ["_unit_rows"] * 2
+                                           + ["_noise_table"] + ["doc_in panel"] * 3
+                                           + ["evaluate's rows"] * 6)
             units, safe = model._derived()["unit rows"]
             assert units.dtype == np.float32 and units.shape == (300, 6) and safe.shape == (300,)
             cited_units = recommend_module._cited_panel(model)[3][0]
             assert cited_units.dtype == np.float32 and cited_units.shape == (150, 6)
             calls.clear()
             self.rankings(model, rng)
-            assert sorted(calls) == sorted(["doc_out panel", "doc_in panel"] * 3)
+            assert sorted(calls) == sorted(["doc_out panel", "doc_in panel"] * 3
+                                           + ["evaluate's rows"] * 6)
             assert model._derived()["unit rows"][0] is units
             assert recommend_module._cited_panel(model)[3][0] is cited_units
-            assert recommend_module._cited_panel(model)[1] is recommend_module._cited_panel(model)[1]
+
+    def test_a_panel_takes_one_form(self, monkeypatch):
+        """A large cited panel keeps its rows' float32 unit rows, norms and
+        mask, and no float64 panel; a small one keeps its float64 panel and
+        no unit rows."""
+        model = self.model(np.random.default_rng(13), 300, 150)
+        rank_i4o(model, np.ones(6))
+        rows, panel, column, unit_rows = recommend_module._cited_panel(model)
+        assert unit_rows is None and panel.dtype == np.float64 and panel.shape == (192, 6)
+        for threshold in (0, 150 * 6):
+            monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", threshold)
+            model = writable(model)
+            rank_i4o(model, np.ones(6))
+            rows, panel, column, unit_rows = recommend_module._cited_panel(model)
+            assert panel is None and [a.dtype for a in unit_rows] == [np.float32, np.float64, bool]
+            kept = [rows, column, *unit_rows]
+            assert all(a.ndim == 1 or a.dtype == np.float32 for a in kept)
+            assert sum(a.nbytes for a in kept) == 150 * (8 + 6 * 4 + 8 + 1) + 300 * 8
 
     def test_a_small_panel_is_not_filtered(self):
         """Below ``_I4O_FILTER_ENTRIES`` a loaded model scores its whole
@@ -1174,6 +1202,21 @@ class TestLoadedModelReuse:
         for _ in range(2):
             assert [infer_doc_vector(loaded, words).tobytes() for words in texts] == expected
         assert "word noise" in loaded._derived()
+
+    def test_pickles_and_deep_copies_leave_derived_arrays_out(self, monkeypatch):
+        """A ranked model pickles to the bytes of an unranked one; a deep
+        copy and an unpickled copy start with nothing derived, and rank the
+        same bits."""
+        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
+        loaded = self.model(np.random.default_rng(14), 300, 150)
+        unranked = pickle.dumps(loaded)
+        expected = self.rankings(loaded, np.random.default_rng(15))
+        assert {"cited panel", "unit rows", "word noise"} <= set(loaded._derived())
+        assert pickle.dumps(loaded) == unranked
+        for other in (copy.deepcopy(loaded), pickle.loads(unranked)):
+            assert other._frozen is None
+            assert self.rankings(other, np.random.default_rng(15)) == expected
+        assert loaded._frozen is not None
 
     def test_copies_of_a_loaded_model_derive_their_own(self):
         loaded = self.model(np.random.default_rng(6), 40, 10)
@@ -1457,6 +1500,18 @@ class TestArgumentsBeforeWork:
         model = make_model(["t1c2", "a", "b"], ["x", "y"], dim=3)
         model.matrices.doc_out[0] = 1.0
         assert ranked_ids(rank_i4o(model, np.ones(3), exclude=["t1c2"], k=1)) == ["a"]
+        monkeypatch.setattr(recommend_module, "infer_doc_vector", no_work)
+        monkeypatch.setattr(recommend_module, "_cited_panel", no_work)
+        with pytest.raises(ConfigError, match="^exclude must be a collection of doc ids"):
+            rank_i4i(model, [0, 1], exclude=exclude, k=1)
+        with pytest.raises(ConfigError, match="^exclude must be a collection of doc ids"):
+            rank_i4o(model, np.ones(3), exclude=exclude, k=1)
+
+    @pytest.mark.parametrize("exclude", [None, 5, 1.5, [["t1c2"]], [{"t1c2"}]], ids=repr)
+    def test_an_exclude_that_is_not_a_collection_of_ids(self, monkeypatch, exclude):
+        """Not iterable, or holding an unhashable element: not a bare
+        TypeError."""
+        model = make_model(["t1c2", "a", "b"], ["x", "y"], dim=3)
         monkeypatch.setattr(recommend_module, "infer_doc_vector", no_work)
         monkeypatch.setattr(recommend_module, "_cited_panel", no_work)
         with pytest.raises(ConfigError, match="^exclude must be a collection of doc ids"):
