@@ -10,17 +10,22 @@ The attention variant adds one learned score per document and word slot.
 A model persists as one binary file (format version 3) whose matrix
 blocks start at 64-byte offsets.  Saving streams the blocks to the sink,
 and loading reads the file into one aligned buffer that the loaded
-matrices view, so neither holds more than one copy of the file.  Ranking
+matrices view, so neither holds more than one copy of the file.  Loading
+reads ``_CHUNK`` bytes at a time; a file above one chunk is checksummed on
+a second thread, chunk by chunk, while the next chunk is read.  Ranking
 makes a model's arrays read-only on its first query (``Model._derived``);
 to edit, assign ``model.matrices = model.matrices.copy()``.
 """
 
 from __future__ import annotations
 
+import io
 import math
 import os
+import queue
 import stat
 import struct
+import threading
 import zlib
 from dataclasses import asdict, dataclass, field, fields
 
@@ -34,6 +39,7 @@ VARIANTS = ("avg", "att")
 _MAGIC = b"DCV2"  # DocCit2Vec, in every format version; the version follows it
 _FORMAT_VERSION = 3
 _ALIGN = 64  # matrix blocks start at multiples of this file offset
+_CHUNK = 4 << 20  # bytes a load reads per call; 1 MiB reads as fast, 16 MiB slower
 
 # independent RNG streams, keyed off config.seed
 _RNG_INIT = 10
@@ -273,27 +279,69 @@ def _aligned_buffer(size: int) -> np.ndarray:
     return raw[start : start + size]
 
 
-def _read_aligned(source) -> np.ndarray:
-    """The whole model file in one aligned buffer: a regular file is read
-    straight into it; bytes, file-like sources and pipes are copied in once."""
+def _read_aligned(source) -> tuple[np.ndarray, int]:
+    """The whole model file in one aligned buffer, and the crc32 of all of
+    it but its last 4 bytes, where the stored checksum sits.  A regular file
+    is read straight into the buffer; bytes, file-like sources and pipes are
+    copied in.  Either way the buffer fills ``_CHUNK`` bytes at a time
+    (``_fill``)."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb", buffering=0) as handle:
             info = os.fstat(handle.fileno())
-            if not stat.S_ISREG(info.st_mode):  # a pipe has no size to allocate
-                source = handle.readall()
-            else:
-                buf = _aligned_buffer(info.st_size)
-                view, filled = memoryview(buf), 0
-                while filled < len(buf):
-                    got = handle.readinto(view[filled:])
-                    if not got:  # the file shrank since fstat
-                        return buf[:filled]
-                    filled += got
-                return buf
+            if stat.S_ISREG(info.st_mode):
+                return _fill(_aligned_buffer(info.st_size), handle.readinto)
+            source = handle.readall()  # a pipe has no size to allocate
     data = _read_bytes(source)
-    buf = _aligned_buffer(len(data))
-    buf[:] = np.frombuffer(data, dtype=np.uint8)
-    return buf
+    return _fill(_aligned_buffer(len(data)), io.BytesIO(data).readinto)
+
+
+def _fill(buf: np.ndarray, readinto) -> tuple[np.ndarray, int]:
+    """Fill ``buf`` through ``readinto``, ``_CHUNK`` bytes per call: what was
+    read, and the crc32 of all of it but its last 4 bytes.
+
+    Above one chunk, a second thread folds each chunk into the crc32 while
+    the next one is read: a file's ``readinto`` and zlib's crc32 of a large
+    chunk both release the GIL, so the two overlap.  One chunk is
+    checksummed after it is read, since starting and joining a thread costs
+    more than the overlap saves there.  A file that shrank since its size
+    was taken is read to its end and checksummed again, up to its new end;
+    one that grew is read up to that size.
+    """
+    view, filled = memoryview(buf), 0
+    body = max(len(buf) - 4, 0)
+    chunks = queue.SimpleQueue()  # views of the buffer as it fills, then None
+    folded = []  # the crc32 of the chunks, or the exception that stopped it
+
+    def fold():
+        crc = 0
+        try:
+            while (chunk := chunks.get()) is not None:
+                crc = zlib.crc32(chunk, crc)
+        except Exception as exc:  # raised again on the calling thread
+            crc = exc
+        folded.append(crc)
+
+    worker = threading.Thread(target=fold) if len(buf) > _CHUNK else None
+    if worker:
+        worker.start()
+    try:
+        while filled < len(buf):
+            got = readinto(view[filled : filled + _CHUNK])
+            if not got:  # the file shrank since its size was taken
+                break
+            chunks.put(view[filled : min(filled + got, body)])
+            filled += got
+    finally:
+        chunks.put(None)
+        if worker:
+            worker.join()
+    if not worker:
+        fold()
+    if isinstance(folded[0], Exception):
+        raise folded[0]
+    if filled < len(buf):
+        return buf[:filled], zlib.crc32(view[: max(filled - 4, 0)])
+    return buf, folded[0]
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -359,8 +407,11 @@ def load_model(source) -> Model:
     """Read a model file; the inverse of save_model.
 
     ``source`` is a path, bytes, or a binary file-like object.  The file is
-    read once into one 64-byte-aligned buffer and its crc32 checked before
-    anything is parsed.  The five matrices are C-contiguous, aligned views
+    read once into one 64-byte-aligned buffer, ``_CHUNK`` bytes at a time,
+    and its crc32 checked before anything is parsed.  Above one chunk, the
+    crc32 is computed on a second thread, each chunk while the next is read;
+    that thread has ended by the time this returns or raises, and an error
+    on it is raised here.  The five matrices are C-contiguous, aligned views
     into that buffer, not copies: while any one of them is alive, the whole
     buffer is.  Every array the model holds, the matrices and the
     vocabulary's counts, is read-only, and NumPy refuses to make it writable
@@ -373,14 +424,14 @@ def load_model(source) -> Model:
     UTF-8, duplicate vocabulary entries, non-zero padding, wrong matrix
     shapes or trailing bytes.  Never returns a partial model.
     """
-    buf = _read_aligned(source)
+    buf, crc = _read_aligned(source)
     if len(buf) < len(_MAGIC) + 8:
         raise ModelIOError("model file too short")
     if buf[: len(_MAGIC)].tobytes() != _MAGIC:
         raise ModelIOError("not a model file (bad magic)")
     body = buf[:-4]
     (stored_crc,) = struct.unpack_from("<I", buf, len(body))
-    if zlib.crc32(body) != stored_crc:
+    if crc != stored_crc:
         raise ModelIOError("model file checksum mismatch (truncated or corrupted)")
 
     cur = _Cursor(body)

@@ -8,7 +8,10 @@ import math
 import os
 import re
 import struct
+import sys
+import threading
 import tracemalloc
+import types
 import zlib
 
 import numpy as np
@@ -447,6 +450,198 @@ class TestBoundedMemory:
         again = io.BytesIO()
         save_model(load_model(path), again)
         assert again.getvalue() == path.read_bytes()
+
+
+CHUNK = 4096  # the read size these tests load with, so that a small file spans many
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(model_module, "_CHUNK", CHUNK)
+
+
+@pytest.fixture
+def started(monkeypatch):
+    """The threads started during a test."""
+    threads = []
+    start = threading.Thread.start
+
+    def spy(thread):
+        threads.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", spy)
+    return threads
+
+
+def reporting_larger(extra):
+    """An os.fstat that reports every file ``extra`` bytes larger than it is."""
+    fstat = os.fstat
+
+    def larger(fd):
+        info = fstat(fd)
+        return os.stat_result((*info[:6], info.st_size + extra, *info[7:10]))
+
+    return larger
+
+
+class FailingFile(io.FileIO):
+    """A file whose third read raises ``error``."""
+
+    def __init__(self, path, error):
+        super().__init__(path, "rb")
+        self.reads, self.error = 0, error
+
+    def readinto(self, view):
+        self.reads += 1
+        if self.reads == 3:
+            raise self.error
+        return super().readinto(view)
+
+
+@pytest.mark.usefixtures("small_chunks")
+class TestChunkedLoad:
+    """A file above one chunk is checksummed on a second thread while the
+    next chunk is read; these tests read 4 KiB chunks."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        model = served_model(n_docs=200, n_words=60, dim=8)
+        path = tmp_path_factory.mktemp("chunked") / "m.dcv"
+        save_model(model, path)
+        # many chunks, and still small enough to fit in a pipe's buffer
+        assert 8 * CHUNK < path.stat().st_size < 60_000
+        return model, path
+
+    @pytest.mark.parametrize("kind", ["path", "bytes", "file", "pipe"])
+    def test_every_source_loads_the_same_model(self, kind, saved, started):
+        model, path = saved
+        payload = path.read_bytes()
+        if kind == "pipe":
+            read_end, write_end = os.pipe()
+            try:
+                os.write(write_end, payload)
+                os.close(write_end)
+                loaded = load_model(f"/dev/fd/{read_end}")
+            finally:
+                os.close(read_end)
+        else:
+            loaded = load_model({"path": path, "bytes": payload, "file": io.BytesIO(payload)}[kind])
+        assert len(started) == 1 and not started[0].is_alive()
+        assert loaded.matrices.fingerprint() == model.matrices.fingerprint()
+        assert loaded.vocab.doc_list == model.vocab.doc_list
+        again = io.BytesIO()
+        save_model(loaded, again)
+        assert again.getvalue() == payload
+
+    @pytest.mark.parametrize("where", ["first chunk", "middle chunk", "last chunk", "crc"])
+    def test_a_flipped_byte_in_any_chunk_fails_the_checksum(self, where, saved, tmp_path):
+        _, path = saved
+        payload = bytearray(path.read_bytes())
+        size = len(payload)
+        offset = {"first chunk": 10, "middle chunk": size // 2, "last chunk": size - 5,
+                  "crc": size - 2}[where]
+        payload[offset] ^= 0x01
+        damaged = tmp_path / "damaged.dcv"
+        damaged.write_bytes(payload)
+        with pytest.raises(ModelIOError, match="checksum"):
+            load_model(damaged)
+        with pytest.raises(ModelIOError, match="checksum"):
+            load_model(bytes(payload))
+
+    def test_a_read_error_mid_file_is_raised_unchanged(self, saved, monkeypatch, started):
+        _, path = saved
+        error = OSError(5, "Input/output error")
+        baseline = threading.active_count()
+        monkeypatch.setattr(model_module, "open",
+                            lambda source, mode, buffering: FailingFile(source, error),
+                            raising=False)
+        with pytest.raises(OSError) as raised:
+            load_model(path)
+        assert raised.value is error
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == baseline
+
+    def test_an_error_on_the_checksum_thread_is_raised_in_the_caller(self, saved, monkeypatch,
+                                                                     started):
+        _, path = saved
+
+        def crc32(data, value=0):
+            raise MemoryError("no room to checksum")
+
+        monkeypatch.setattr(model_module, "zlib", types.SimpleNamespace(crc32=crc32))
+        with pytest.raises(MemoryError, match="no room"):
+            load_model(path)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    @pytest.mark.parametrize("extra", [1, CHUNK, 3 * CHUNK])
+    @pytest.mark.parametrize("size", ["one chunk", "many chunks"])
+    def test_a_file_that_shrank_since_its_size_was_taken_loads_to_its_end(
+            self, size, extra, saved, tmp_path, monkeypatch):
+        model, path = saved
+        if size == "one chunk":
+            model = tiny_model(dim=3)
+            path = tmp_path / "tiny.dcv"
+            save_model(model, path)
+            assert path.stat().st_size < CHUNK
+        plain = load_model(path)
+        baseline = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module.os, "fstat", reporting_larger(extra))
+            loaded = load_model(path)
+        assert threading.active_count() == baseline
+        assert loaded.matrices.fingerprint() == plain.matrices.fingerprint()
+        assert loaded.vocab.word_list == plain.vocab.word_list
+        assert loaded.vocab.doc_list == plain.vocab.doc_list
+
+    @pytest.mark.parametrize("cut", [5 * CHUNK + 100, 5 * CHUNK, 3])
+    def test_a_file_cut_since_its_size_was_taken_is_an_error(self, cut, saved, tmp_path,
+                                                             monkeypatch):
+        _, path = saved
+        payload = path.read_bytes()
+        short = tmp_path / "short.dcv"
+        short.write_bytes(payload[:cut])
+        baseline = threading.active_count()
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module.os, "fstat", reporting_larger(len(payload) - cut))
+            with pytest.raises(ModelIOError):
+                load_model(short)
+        assert threading.active_count() == baseline
+
+    def test_concurrent_loads_under_frequent_thread_switches(self, saved):
+        """Four threads load at once, ten times each, and so four checksum
+        threads run beside them while the interpreter switches threads as
+        often as it can: every load still gets its own chunks' crc32."""
+        model, path = saved
+        loaded = []
+
+        def load():
+            for _ in range(10):
+                loaded.append(load_model(path).matrices.fingerprint())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=load) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert loaded == [model.matrices.fingerprint()] * 40
+
+    def test_one_chunk_starts_no_thread(self, tmp_path, monkeypatch, started):
+        model = tiny_model(dim=3)
+        path = tmp_path / "tiny.dcv"
+        save_model(model, path)
+        size = path.stat().st_size
+        for chunk, threads in ((size, 0), (size - 1, 1)):
+            monkeypatch.setattr(model_module, "_CHUNK", chunk)
+            loaded = load_model(path)
+            assert len(started) == threads
+            assert loaded.matrices.fingerprint() == model.matrices.fingerprint()
 
 
 class TestExport:
