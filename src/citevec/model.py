@@ -11,15 +11,14 @@ A model persists as one binary file (format version 3) whose matrix
 blocks start at 64-byte offsets.  Saving streams the blocks to the sink,
 and loading reads the file into one aligned buffer that the loaded
 matrices view, so neither holds more than one copy of the file.  Loading
-reads ``_CHUNK`` bytes at a time; a file above one chunk is checksummed on
-a second thread, chunk by chunk, while the next chunk is read.  Ranking
-makes a model's arrays read-only on its first query (``Model._derived``);
-to edit, assign ``model.matrices = model.matrices.copy()``.
+reads ``_CHUNK`` bytes at a time and checksums each chunk on a second
+thread while the next chunk is read.  Ranking makes a model's arrays
+read-only on its first query (``Model._derived``); to edit, assign
+``model.matrices = model.matrices.copy()``.
 """
 
 from __future__ import annotations
 
-import io
 import math
 import os
 import queue
@@ -283,29 +282,38 @@ def _read_aligned(source) -> tuple[np.ndarray, int]:
     """The whole model file in one aligned buffer, and the crc32 of all of
     it but its last 4 bytes, where the stored checksum sits.  A regular file
     is read straight into the buffer; bytes, file-like sources and pipes are
-    copied in.  Either way the buffer fills ``_CHUNK`` bytes at a time
-    (``_fill``)."""
+    copied in from the bytes they give, never copied whole first.  Either
+    way the buffer fills ``_CHUNK`` bytes at a time (``_fill``)."""
     if isinstance(source, (str, os.PathLike)):
         with open(source, "rb", buffering=0) as handle:
             info = os.fstat(handle.fileno())
             if stat.S_ISREG(info.st_mode):
                 return _fill(_aligned_buffer(info.st_size), handle.readinto)
             source = handle.readall()  # a pipe has no size to allocate
-    data = _read_bytes(source)
-    return _fill(_aligned_buffer(len(data)), io.BytesIO(data).readinto)
+    data = memoryview(_read_bytes(source)).cast("B")
+    at = 0
+
+    def copy_into(view) -> int:
+        nonlocal at
+        got = min(len(view), len(data) - at)
+        view[:got] = data[at : at + got]
+        at += got
+        return got
+
+    return _fill(_aligned_buffer(len(data)), copy_into)
 
 
 def _fill(buf: np.ndarray, readinto) -> tuple[np.ndarray, int]:
     """Fill ``buf`` through ``readinto``, ``_CHUNK`` bytes per call: what was
     read, and the crc32 of all of it but its last 4 bytes.
 
-    Above one chunk, a second thread folds each chunk into the crc32 while
-    the next one is read: a file's ``readinto`` and zlib's crc32 of a large
-    chunk both release the GIL, so the two overlap.  One chunk is
-    checksummed after it is read, since starting and joining a thread costs
-    more than the overlap saves there.  A file that shrank since its size
-    was taken is read to its end and checksummed again, up to its new end;
-    one that grew is read up to that size.
+    A second thread folds each chunk into the crc32 while the next one is
+    read: a file's ``readinto`` and zlib's crc32 of a large chunk both
+    release the GIL, so the two overlap.  The thread is sent its end in a
+    ``finally`` and has ended when this returns or raises; an error on it is
+    raised here.  A file that shrank since its size was taken is read to its
+    end and checksummed again, up to its new end; one that grew is read up
+    to that size.
     """
     view, filled = memoryview(buf), 0
     body = max(len(buf) - 4, 0)
@@ -321,10 +329,11 @@ def _fill(buf: np.ndarray, readinto) -> tuple[np.ndarray, int]:
             crc = exc
         folded.append(crc)
 
-    worker = threading.Thread(target=fold) if len(buf) > _CHUNK else None
-    if worker:
-        worker.start()
+    # a daemon, so that not even an interrupt before the join can keep the
+    # interpreter from exiting
+    worker = threading.Thread(target=fold, daemon=True)
     try:
+        worker.start()
         while filled < len(buf):
             got = readinto(view[filled : filled + _CHUNK])
             if not got:  # the file shrank since its size was taken
@@ -332,11 +341,9 @@ def _fill(buf: np.ndarray, readinto) -> tuple[np.ndarray, int]:
             chunks.put(view[filled : min(filled + got, body)])
             filled += got
     finally:
-        chunks.put(None)
-        if worker:
+        chunks.put(None)  # ends the thread, once it has started
+        if worker.is_alive():
             worker.join()
-    if not worker:
-        fold()
     if isinstance(folded[0], Exception):
         raise folded[0]
     if filled < len(buf):
@@ -408,12 +415,12 @@ def load_model(source) -> Model:
 
     ``source`` is a path, bytes, or a binary file-like object.  The file is
     read once into one 64-byte-aligned buffer, ``_CHUNK`` bytes at a time,
-    and its crc32 checked before anything is parsed.  Above one chunk, the
-    crc32 is computed on a second thread, each chunk while the next is read;
-    that thread has ended by the time this returns or raises, and an error
-    on it is raised here.  The five matrices are C-contiguous, aligned views
-    into that buffer, not copies: while any one of them is alive, the whole
-    buffer is.  Every array the model holds, the matrices and the
+    and its crc32 checked before anything is parsed.  The crc32 is computed
+    on a second thread, each chunk while the next is read; that thread has
+    ended by the time this returns or raises, and an error on it is raised
+    here.  The five matrices are C-contiguous, aligned views into that
+    buffer, not copies: while any one of them is alive, the whole buffer
+    is.  Every array the model holds, the matrices and the
     vocabulary's counts, is read-only, and NumPy refuses to make it writable
     again.  Ranking makes a model's arrays read-only on its first query; to
     edit, assign ``model.matrices = model.matrices.copy()``

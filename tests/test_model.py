@@ -420,6 +420,13 @@ class DigestSink:
         self.sha256.update(chunk)
 
 
+class BytearrayFile(io.BytesIO):
+    """A file-like source whose read() gives a bytearray, not bytes."""
+
+    def read(self, size=-1):
+        return bytearray(super().read(size))
+
+
 class TestBoundedMemory:
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
@@ -443,6 +450,15 @@ class TestBoundedMemory:
         loaded, current, peak = traced(load_model, path)
         assert peak <= 1.1 * size
         assert peak - current < 0.01 * size  # no transient copy either
+        assert loaded.matrices.fingerprint() == model.matrices.fingerprint()
+
+    def test_a_bytearray_from_a_file_like_source_is_not_copied_whole(self, saved):
+        """The bytearray that read() gives and the loaded buffer are the
+        only copies of the file held at once."""
+        model, path = saved
+        size = path.stat().st_size
+        loaded, _, peak = traced(load_model, BytearrayFile(path.read_bytes()))
+        assert peak <= 2.1 * size
         assert loaded.matrices.fingerprint() == model.matrices.fingerprint()
 
     def test_save_load_save_is_byte_identical(self, saved):
@@ -501,8 +517,8 @@ class FailingFile(io.FileIO):
 
 @pytest.mark.usefixtures("small_chunks")
 class TestChunkedLoad:
-    """A file above one chunk is checksummed on a second thread while the
-    next chunk is read; these tests read 4 KiB chunks."""
+    """A file is checksummed on a second thread, each chunk while the next
+    chunk is read; these tests read 4 KiB chunks."""
 
     @pytest.fixture(scope="class")
     def saved(self, tmp_path_factory):
@@ -513,7 +529,7 @@ class TestChunkedLoad:
         assert 8 * CHUNK < path.stat().st_size < 60_000
         return model, path
 
-    @pytest.mark.parametrize("kind", ["path", "bytes", "file", "pipe"])
+    @pytest.mark.parametrize("kind", ["path", "bytes", "file", "bytearray file", "pipe"])
     def test_every_source_loads_the_same_model(self, kind, saved, started):
         model, path = saved
         payload = path.read_bytes()
@@ -526,7 +542,8 @@ class TestChunkedLoad:
             finally:
                 os.close(read_end)
         else:
-            loaded = load_model({"path": path, "bytes": payload, "file": io.BytesIO(payload)}[kind])
+            loaded = load_model({"path": path, "bytes": payload, "file": io.BytesIO(payload),
+                                 "bytearray file": BytearrayFile(payload)}[kind])
         assert len(started) == 1 and not started[0].is_alive()
         assert loaded.matrices.fingerprint() == model.matrices.fingerprint()
         assert loaded.vocab.doc_list == model.vocab.doc_list
@@ -631,17 +648,6 @@ class TestChunkedLoad:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert loaded == [model.matrices.fingerprint()] * 40
-
-    def test_one_chunk_starts_no_thread(self, tmp_path, monkeypatch, started):
-        model = tiny_model(dim=3)
-        path = tmp_path / "tiny.dcv"
-        save_model(model, path)
-        size = path.stat().st_size
-        for chunk, threads in ((size, 0), (size - 1, 1)):
-            monkeypatch.setattr(model_module, "_CHUNK", chunk)
-            loaded = load_model(path)
-            assert len(started) == threads
-            assert loaded.matrices.fingerprint() == model.matrices.fingerprint()
 
 
 class TestExport:
