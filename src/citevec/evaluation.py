@@ -45,8 +45,8 @@ from .model import Model, _reused
 # build_query_vector and rank_i4o are not called here; bench/tracing.py
 # looks them up in this module
 from .recommend import (  # noqa: F401
-    BLOCK_ROWS, CASES, Query, _check_k, _cited_panel, _covered, _gather_panel,
-    _slack32, build_query_vector, rank_i4o)
+    BLOCK_ROWS, CASES, Query, _check_k, _cited_panel, _gather_panel, _slack32, _unit_rows,
+    build_query_vector, rank_i4o)
 
 __all__ = [
     "GroundTruth",
@@ -212,7 +212,7 @@ def _near_places(doc_out, cited, unit_rows, block, target_columns, banned, k, id
     ``block``, each against the cited rows ``doc_out[cited]``
     (``_score_block``) with its target at column ``target_columns[r]`` and
     the flat indices ``banned`` of its rows excluded, through the float32
-    filter of those rows' unit rows, norms and mask ``unit_rows``
+    filter of those rows' unit rows and norms ``unit_rows``
     (``recommend._unit_rows``).  A place of k or more may come back as any
     count of k or more.
 
@@ -220,16 +220,39 @@ def _near_places(doc_out, cited, unit_rows, block, target_columns, banned, k, id
     their rows: the same bits whichever rows are gathered.  A candidate's
     float32 cosine c with the query, of norm q, then places it: c - t/(n·q)
     above ``_slack32(dim)``, n being its row's norm, means its exact score is
-    surely above t, below minus that surely below (``recommend._shortlist``
-    proves both).  Only the candidates in between, among them every
-    uncovered row, every candidate of an uncovered query (``_covered``) and
-    any compared with a NaN, are scored exactly, by one ``_score_block``
-    over their rows and the targets', and counted by ``_places``; a query
-    with k or more surely ahead is a miss, and none of its candidates is
-    scored.
+    surely above t, below minus that surely below.  Only the candidates in
+    between, among them every row and every query that is NaN in its copy
+    and any compared with a NaN, are scored exactly, by one
+    ``_score_block`` over their rows and the targets', and counted by
+    ``_places``; a query with k or more surely ahead is a miss, and none of
+    its candidates is scored.
+
+    The proof, in ``recommend._shortlist``'s terms (a', B, U, u, s, q and
+    the room).  A candidate's exact score e is compared with t, the same
+    bits whichever rows are scored with it: a - h > t and a + h < t, divided
+    by the positive sqrt(s)·q.  Per query, q is the norm of ``_unit_rows``,
+    a' one float32 product of the block's unit queries p with the unit
+    rows, and g = a' - fl(fl(t / q)·fl(1 / sqrt(s))); the candidate is
+    surely ahead when g > h' and surely behind when g < -h',
+    h' = ``_slack32(n)``.  Write P = sqrt(s)·q and theta = t / P, taken
+    exactly.  P·a' is within (B + 2·gamma(U) + 8U)·|x|·|v| of e, as
+    rank_i4o's a is, so e > t once a' - theta exceeds
+    B'' = (B + 2·gamma(U) + 8U) / (1 - gamma(U) - 4U), and e < t once it is
+    below -B''; h' is above B'' by more than 0.005·(n + 2)·u.  g's four
+    roundings put it within 4.01U·(|theta| + |g|) of a' - theta, and
+    |theta| is at most |a'| + |a' - theta| with |a'| below 1.01: where g is
+    near ±h' that is about 9U, paid out of the room, and far from it the
+    error, relative, cannot change g's side.  A target row and a query both
+    finite in their copies give |t / q| below about 2^450 and |theta| below
+    about 2^900: nothing overflows, and an underflow errs by at most 2^-624
+    in theta.  Any other target row may give any t: where t / q or the
+    product overflows, |theta| is above 2^570 and g's infinite sign is the
+    true side, and a NaN g is on neither side.  A row or a query that is
+    NaN in its copy makes a' NaN, and so g: the candidate is on neither
+    side and is scored exactly.
     """
     n_queries, dim = target_columns.size, block.shape[1]
-    units, row_norms, safe = unit_rows
+    units, row_norms = unit_rows
     queries = block[:n_queries]
     every = np.arange(n_queries)
     target = _score_block(_gather_panel(doc_out, cited[target_columns]), block,
@@ -240,11 +263,10 @@ def _near_places(doc_out, cited, unit_rows, block, target_columns, banned, k, id
     # each slice's gaps take the bytes of BLOCK_ROWS rows of the panel
     step = BLOCK_ROWS * dim // EVAL_BATCH
     gaps = np.empty((n_queries, step))
-    with np.errstate(all="ignore"):  # uncovered queries and rows, non-finite targets: NaN gaps
-        norms = np.linalg.norm(queries, axis=1)
-        unit_queries = (queries / norms[:, None]).astype(np.float32)
-        ratio = np.where(_covered(norms, dim), target / norms, np.nan)
-        inverse = np.where(safe, 1.0 / row_norms, np.nan)
+    with np.errstate(all="ignore"):  # queries and rows out of range, non-finite targets: NaN gaps
+        unit_queries, norms = _unit_rows(queries)
+        ratio = target / norms
+        inverse = 1.0 / row_norms
         for start in range(0, units.shape[0], step):
             rows = slice(start, start + step)
             gap = gaps[:, : units[rows].shape[0]]

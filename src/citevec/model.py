@@ -174,8 +174,9 @@ class Model:
 
         What is kept, each made on first use: ``infer_doc_vector``'s
         word-noise table, ``evaluate``'s cited-id order, and ``recommend``'s
-        cited rows (a float64 panel, or a large one's float32 unit rows)
-        and input rows' float32 unit rows, sized in its module docstring."""
+        cited rows (a float64 panel, or a large one's float32 unit rows and
+        norms) and input rows' float32 unit rows, NaN in each row the
+        filters' bound does not cover, sized in its module docstring."""
         arrays = (*self.matrices.arrays(), self.vocab.word_counts, self.vocab.doc_cited_counts)
         if self._frozen is not None:
             held, derived = self._frozen

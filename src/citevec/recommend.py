@@ -34,9 +34,9 @@ target's place, and counts it in the same order without ranking.
 rank_i4i filters, then refines.  An approximate cosine of every row,
 within a proven slack of the exact one, gives a shortlist (``_shortlist``):
 the rows whose upper bound reaches the k-th largest lower bound, and the
-rows the bound does not cover.  Only those get the exact dot product and
-the exact norm of ``np.linalg.norm``; their scores are the same bits as
-scoring every row, and no other row can outrank them.  rank_i4o does the
+rows the bound does not cover, NaN in the copy.  Only those get the exact
+dot product and the exact norm of ``np.linalg.norm``; their scores are the
+same bits as scoring every row, and no other row can outrank them.  rank_i4o does the
 same when the cited panel holds at least ``_I4O_FILTER_ENTRIES`` entries
 (rows × dim): a row's approximate dot product is its norm times the
 query's times its approximate cosine, and its slack scales with the same
@@ -50,10 +50,10 @@ Ranking makes a model's arrays read-only on its first query; to edit,
 assign ``model.matrices = model.matrices.copy()``.  So the arrays that do
 not depend on the query are derived once, on first use, and kept on the
 model (``Model._derived``): a float32 copy of the input rows scaled to
-unit norm, n_docs × dim float32s, with a mask of the rows its bound covers
+unit norm, n_docs × dim float32s, NaN in the rows its bound does not cover
 (``_unit_rows``); and the cited output rows (``_cited_panel``), a small
 panel as n_cited × dim float64s, a large one only as the same float32 copy
-with their norms, n_cited · dim · 4 + n_cited · 9 bytes, read by rank_i4o
+with their norms, n_cited · dim · 4 + n_cited · 8 bytes, read by rank_i4o
 and evaluate.  Each filter then reads half the bytes of its float64
 matrix: one float32 product gives every approximate cosine, one slack
 (``_slack32``) bounds its error, and the shortlist is scored exactly
@@ -225,7 +225,7 @@ def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray | None, np.ndarra
     ascending; below ``_I4O_FILTER_ENTRIES`` entries, their output rows
     (``_gather_panel``), else None; every document's column among them, -1
     for a document never cited; and at or above it, in place of the rows,
-    their float32 unit copy, norms and mask (``_unit_rows``), the filter of
+    their float32 unit copy and norms (``_unit_rows``), the filter of
     rank_i4o and ``evaluate``, else None.  The output rows of the others
     never got a gradient.  Ranking makes a model's arrays read-only on its first query;
     to edit, assign ``model.matrices = model.matrices.copy()``.  All of
@@ -260,10 +260,10 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     query and kept; a large one, only as its filter.
 
     A large panel is filtered: each row's approximate dot product is its
-    norm times the query's times the float32 cosine of its unit row
-    (``_unit_rows``), within ``_slack32(dim)`` times those norms of the
-    exact one, and only ``_shortlist``'s rows are gathered from ``doc_out``
-    and scored as above: whichever documents are in the panel, their
+    norm times the query's times the float32 cosine of its unit row with
+    the query's (``_unit_rows``), within ``_slack32(dim)`` times those
+    norms of the exact one, and only ``_shortlist``'s rows are gathered
+    from ``doc_out`` and scored as above: whichever documents are in the panel, their
     scores are the same bits, and no other row can reach the top k.
     Raises ConfigError, before any work, for a bad ``k``, a query that is
     not of shape ``(dim,)`` or a bad ``exclude`` (``_banned``).
@@ -278,15 +278,14 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     banned = column[banned]
     banned = banned[banned >= 0]
     if panel is None:
-        units, norms, safe = unit_rows
+        units, norms = unit_rows
+        query_unit, query_norm = _unit_rows(query[None])
         candidates = np.ones(rows.size, dtype=bool)
         candidates[banned] = False
-        with np.errstate(all="ignore"):  # a zero or non-finite query: NaN cosines, every row kept
-            query_norm = float(np.linalg.norm(query))
-            cosines, safe = _cosines32(units, safe, query, query_norm)
+        with np.errstate(all="ignore"):  # rows or a query out of range: NaN, every such row kept
             scale = norms * query_norm
-            slack = _slack32(query.size) * scale
-            short = _shortlist(scale * cosines, safe, slack, candidates, k)
+            short = _shortlist(scale * (units @ query_unit[0]), _slack32(query.size) * scale,
+                               candidates, k)
         rows, banned = rows[short], ()
         panel = _gather_panel(model.matrices.doc_out, rows)
     scores = np.empty(panel.shape[0])
@@ -296,76 +295,52 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     return _rank_row(model, scores[: rows.size], k, rows, banned=banned)
 
 
-def _unit_rows(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _unit_rows(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
     """A float32 copy of ``matrix[rows]`` (all of it for None) with every
-    row scaled to unit norm, the rows' norms in float64, and a mask of the
-    rows whose squared norm is in ``_SAFE_SQUARES``; the copy's other rows
-    are zero.  Each row is divided by its norm, the square root of its
-    squared norm in float64, then rounded to float32 (``_shortlist`` bounds
-    the error).  Made ``BLOCK_ROWS`` rows at a time: no float64 temporary
-    is larger than a block.
+    row scaled to unit norm, and the rows' norms in float64.  Each row is
+    divided by its norm, the square root of its squared norm in float64,
+    then rounded to float32 (``_shortlist`` bounds the error).  A row whose
+    squared norm is outside ``_SAFE_SQUARES``, and every row when dim is
+    above ``_MAX_DIM32``, is NaN in the copy: the bound does not cover it,
+    and every float32 product with it is NaN.  Made ``BLOCK_ROWS`` rows at
+    a time: no float64 temporary is larger than a block.
     """
     lo, hi = _SAFE_SQUARES
     n = matrix.shape[0] if rows is None else rows.size
     units = np.empty((n, matrix.shape[1]), dtype=np.float32)
     norms = np.empty(n)
-    safe = np.empty(n, dtype=bool)
-    with np.errstate(all="ignore"):  # zero, tiny, huge and non-finite rows are zeroed
+    with np.errstate(all="ignore"):  # zero, tiny, huge and non-finite rows become NaN
         for start in range(0, n, BLOCK_ROWS):
             part = slice(start, start + BLOCK_ROWS)
             block = matrix[part] if rows is None else matrix[rows[part]]
             squares = np.einsum("ij,ij->i", block, block)
-            safe[part] = (lo <= squares) & (squares <= hi)
             np.sqrt(squares, out=norms[part])
             np.divide(block, norms[part, None], out=units[part])
-            units[part][~safe[part]] = 0.0
-    return units, norms, safe
+            units[part][~((lo <= squares) & (squares <= hi))] = np.nan
+    if matrix.shape[1] > _MAX_DIM32:
+        units[:] = np.nan
+    return units, norms
 
 
-def _cosines32(units: np.ndarray, safe: np.ndarray, vector: np.ndarray,
-               norm: float) -> tuple[np.ndarray, np.ndarray]:
-    """The float32 filter's approximate cosines of ``vector``, whose norm
-    is ``norm``, with every row of ``units`` (``_unit_rows``): one float32
-    product with ``vector / norm`` rounded to float32.  And the rows
-    ``_shortlist``'s bound covers: those of the mask ``safe``, or none for a
-    query it does not cover (``_covered``)."""
-    if not _covered(norm, units.shape[1]):
-        safe = np.zeros_like(safe)
-    return units @ (vector / norm).astype(np.float32), safe
-
-
-def _covered(norm, dim: int):
-    """Whether ``_shortlist``'s bounds cover a query of this norm (or each
-    norm of an array): its square in ``_SAFE_SQUARES``, dim ≤ ``_MAX_DIM32``."""
-    lo, hi = _SAFE_SQUARES
-    squares = norm * norm
-    return (lo <= squares) & (squares <= hi) & (dim <= _MAX_DIM32)
-
-
-def _shortlist(
-    approx: np.ndarray,
-    safe: np.ndarray,
-    slack,
-    candidates: np.ndarray,
-    k: int,
-) -> np.ndarray:
+def _shortlist(approx: np.ndarray, slack, candidates: np.ndarray, k: int) -> np.ndarray:
     """The rows among ``candidates`` (a mask) whose exact score could be in
     the top k, in ascending order.
 
-    The rule.  ``approx`` holds an approximate score a of every row, and
-    ``safe`` marks the rows whose exact score e is within h of a, h being
-    the row's ``slack`` (one float for every row, or one per row), with
-    room to spare for the roundings below.  Let tau be the k-th largest
-    a - h among the safe candidates.  A safe row with a < tau - h has
-    e <= a + h < tau, and each of the k candidates that set tau has
-    e >= a - h >= tau: its exact score is strictly below theirs, no tie
-    rule can put it in the top k, and it is dropped.  Every other candidate
-    is kept.  An unsafe row is always kept and never counted toward tau,
-    since k zero rows would otherwise put tau above the true top k.  With
-    fewer than k safe candidates, tau is -inf and every candidate is kept.
-    a - h and tau - h are taken in float64, each within 2^-53 of its
-    magnitude: the rows that set tau and the row compared pay for those
-    roundings out of their room, which is far larger.
+    The rule.  ``approx`` holds an approximate score a of every row, NaN
+    for a row the bound does not cover, and else within h of the row's
+    exact score e, h being the row's ``slack`` (one float for every row,
+    or one per row), with room to spare for the roundings below.  Let tau
+    be the k-th largest a - h among the candidates whose a is not NaN.  A
+    row with a < tau - h has e <= a + h < tau, and each of the k candidates
+    that set tau has e >= a - h >= tau: its exact score is strictly below
+    theirs, no tie rule can put it in the top k, and it is dropped.  Every
+    other candidate is kept.  A row whose a is NaN is always kept and never
+    counted toward tau: its a bounds nothing.  With fewer than k candidates
+    whose a is not NaN, tau is NaN and every candidate is kept.  The keys
+    h - a, the exact negation of a - h, and tau - h are taken in float64,
+    each within 2^-53 of its magnitude: the rows that set tau and the row
+    compared pay for those roundings out of their room, which is far
+    larger.
 
     The bounds.  Let x be a row, v the query, n = dim and
     c = x·v / (|x|·|v|).  For a unit roundoff r, a sum of n products, added
@@ -374,20 +349,21 @@ def _shortlist(
     gamma(r) · sum|products| of its exact value, gamma(r) = n·r / (1 - n·r)
     (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd ed.,
     section 3.1).  U = 2^-53 and u = 2^-24 are float64's and float32's
-    unit roundoffs.  Both rankings take the query's norm q with
-    ``np.linalg.norm`` and a row's dot product d with v in float64: q is
-    within a factor 1 ± (gamma(U) / 2 + 2U) of |v|, and d within
-    gamma(U)·|x|·|v| of x·v, since sum |x_j·v_j| ≤ |x|·|v|
-    (Cauchy-Schwarz).
+    unit roundoffs.  Both rankings take a row's dot product d with v in
+    float64, and the query's norm q as the square root of its sum of
+    squares in float64, added in any order (``np.linalg.norm``'s for
+    rank_i4i's exact scores, ``_unit_rows``'s for the filters): q is within
+    a factor 1 ± (gamma(U) / 2 + 2U) of |v|, and d within gamma(U)·|x|·|v|
+    of x·v, since sum |x_j·v_j| ≤ |x|·|v| (Cauchy-Schwarz).
 
     rank_i4i's exact score is e = d / (sqrt(t)·q), t being sum(x·x) as
     ``np.linalg.norm`` adds it, within a factor 1 ± gamma(U) of |x|²;
     d / (|x|·q), taken exactly, is at most 1 + 3·gamma(U) in magnitude.
 
     The float32 filter takes an approximate cosine a' as the float32
-    product of the row's float32 unit copy w (``_unit_rows``) with p, the
-    float32 rounding of v / q taken in float64.  w_j is x_j / sqrt(s) in float64, s = sum(x·x), within a
-    factor 1 ± (gamma(U) / 2 + 2U) of x_j / |x|, then rounded, so
+    product of the row's float32 unit copy w with the query's, p
+    (``_unit_rows``).  w_j is x_j / sqrt(s) in float64, s = sum(x·x),
+    within a factor 1 ± (gamma(U) / 2 + 2U) of x_j / |x|, then rounded, so
     w_j = (x_j / |x|)·(1 + f_j) + g_j with |f_j| ≤ (1 + 2^-12)·u = rho for
     n ≤ 2^16 and |g_j| below 2^-149, from underflow; p and v alike.  So
     w·p is within 2·rho + rho² of c, and the float32 sum within
@@ -409,49 +385,28 @@ def _shortlist(
     room is again above 0.005·(n + 2)·u·|x|·|v|, and each rounding of
     a - h or tau - h is at most 2^-52 of the norms' product of the rows it
     comes from.  Neither bound depends on how BLAS orders or fuses the
-    products.
-
-    evaluate, on the same rows, compares a candidate's e with its
-    target's, t, the same bits whichever rows are scored with it:
-    a - h > t and a + h < t, divided by the positive sqrt(s)·q.  Per query,
-    it takes q as above, a' from one float32 product of the block's p with
-    the unit rows, g = a' - fl(fl(t / q)·fl(1 / sqrt(s))), or NaN for a
-    query out of range; the candidate is surely ahead when g > h' and
-    surely behind when g < -h', h' = ``_slack32(n)``.
-    Write P = sqrt(s)·q and theta = t / P, taken exactly.  P·a' is within
-    (B + 2·gamma(U) + 8U)·|x|·|v| of e, as a is, so e > t once
-    a' - theta exceeds B'' = (B + 2·gamma(U) + 8U) / (1 - gamma(U) - 4U),
-    and e < t once it is below -B''; h' is above B'' by more than
-    0.005·(n + 2)·u.  g's four roundings put it within
-    4.01U·(|theta| + |g|) of a' - theta, and |theta| is at most
-    |a'| + |a' - theta| with |a'| below 1.01: where g is near ±h' that is
-    about 9U, paid out of the room, and far from it the error, relative,
-    cannot change g's side.  A safe target row and a covered query give
-    |t / q| below about 2^450 and |theta| below about 2^900: nothing
-    overflows, and an underflow errs by at most 2^-624 in theta.  Any other
-    target row may give any t: where t / q or the product overflows,
-    |theta| is above 2^570 and g's infinite sign is the true side, and a
-    NaN g is on neither side.  A candidate on neither side, or of an unsafe
-    row (a NaN 1 / sqrt(s)), is scored exactly.
+    products.  ``evaluate`` compares with the same a' and h
+    (``evaluation._near_places`` proves its rule).
 
     The ranges.  The bounds assume that nothing overflows and that
     underflow costs little.  They hold for rows with s in ``_SAFE_SQUARES``
-    and a query with q² there: every float64 product and sum is then at
-    most about 2^900, an underflowing one errs by at most 2^-1075, against
-    room of 2^-31 or more of the norms' product and row and query norms of
-    at least 2^-450, and every float32 value is at most about 1 in
-    magnitude.  Every other row, and every row when the query is outside
-    that range or n is above 2^16, is unsafe.
+    and a query whose sum of squares is there: every float64 product and
+    sum is then at most about 2^900, an underflowing one errs by at most
+    2^-1075, against room of 2^-31 or more of the norms' product and row
+    and query norms of at least 2^-450, and every float32 value is at most
+    about 1 in magnitude.  Only those rows and queries, and none when n is
+    above 2^16, are finite in their copies.  Any other is NaN there, and
+    so is its every product: a finite copy has an entry of at least n^-1/2
+    in magnitude, so even a BLAS that skips zero entries multiplies the NaN
+    by it.  So a is NaN wherever the bound does not hold.
     """
-    live = safe & candidates
-    keys = np.subtract(approx, slack)
-    keys[~live] = -np.inf
-    tau = -np.inf
+    keys = np.subtract(slack, approx, dtype=np.float64)
+    keys[~candidates] = np.nan
+    tau = math.nan
     if k <= keys.size:
-        keys.partition(keys.size - k)
-        tau = keys[keys.size - k]
-    dropped = np.less(approx, tau - slack)
-    return np.flatnonzero(np.greater(candidates, np.logical_and(dropped, live, out=dropped)))
+        keys.partition(k - 1)  # ascending, NaN last
+        tau = -keys[k - 1]
+    return np.flatnonzero(candidates & ~(approx < tau - slack))
 
 
 def _exact_dots(doc_in: np.ndarray, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -475,11 +430,11 @@ def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> Recommenda
     """Infer a vector for the words, rank documents by cosine to their
     input vectors: dot / (row norm * query norm), with the dot products of
     ``doc_in @ vector`` and the norms of ``np.linalg.norm``.  Zero-norm
-    rows score 0.  The approximate cosines of one float32 product with the
+    rows score 0.  The approximate cosines of one float32 product of the
     input rows' unit copy (``_unit_rows``, made on the first i4i query and
-    kept), within ``_slack32`` of the exact ones, pick ``_shortlist``'s
-    rows, and only those are scored, by ``_exact_dots``; the others cannot
-    reach the top k.  Ranking makes a model's arrays read-only on its first
+    kept) with the query's, within ``_slack32`` of the exact ones, pick
+    ``_shortlist``'s rows, and only those are scored, by ``_exact_dots``;
+    the others cannot reach the top k.  Ranking makes a model's arrays read-only on its first
     query; to edit, assign ``model.matrices = model.matrices.copy()``.
     Raises QueryError when the inferred vector's norm is 0 or not finite,
     and ConfigError, before any work, for a bad ``k``, word or ``exclude``."""
@@ -495,9 +450,8 @@ def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> Recommenda
     candidates = np.ones(doc_in.shape[0], dtype=bool)
     candidates[banned] = False
     with np.errstate(all="ignore"):  # non-finite scores are ranked, not warned about
-        units, safe = _reused(model, "unit rows", lambda: _unit_rows(doc_in)[::2])
-        approx, safe = _cosines32(units, safe, inferred, query_norm)
-        rows = _shortlist(approx, safe, _slack32(dim), candidates, k)
+        units = _reused(model, "unit rows", lambda: _unit_rows(doc_in)[0])
+        rows = _shortlist(units @ _unit_rows(inferred[None])[0][0], _slack32(dim), candidates, k)
         dots = _exact_dots(doc_in, inferred, rows)
         norms = np.linalg.norm(doc_in[rows], axis=1)
         scores = dots / (norms * query_norm)

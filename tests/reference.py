@@ -342,18 +342,18 @@ def top_k_reference(doc_list, scores, excluded, k, cited=None):
     return by_id[np.argsort(-scores[by_id], kind="stable")].tolist()
 
 
-def shortlist_reference(approx, safe, slack, candidates, k):
+def shortlist_reference(approx, slack, candidates, k):
     """``recommend._shortlist``'s rule in its first form, one full-length
-    NumPy expression per step: the candidates, ascending, less the safe
-    ones whose ``approx`` is below tau - ``slack``, tau being the k-th
-    largest ``approx - slack`` among the safe candidates (-inf with fewer
-    than k entries)."""
-    keys = np.where(safe & candidates, approx - slack, -np.inf)
+    NumPy expression per step: the candidates, ascending, less the ones
+    whose ``approx`` is below tau - ``slack``, tau being the k-th largest
+    ``approx - slack`` in float64 among the candidates whose ``approx`` is
+    not NaN (-inf with fewer than k of them)."""
+    keys = np.where(candidates & ~np.isnan(approx), approx.astype(np.float64) - slack, -np.inf)
     tau = -np.inf
     if k <= keys.size:
         keys.partition(keys.size - k)
         tau = np.float64(keys[keys.size - k])
-    return np.flatnonzero(candidates & ~(safe & (approx < tau - slack)))
+    return np.flatnonzero(candidates & ~(approx < tau - slack))
 
 
 def place_reference(doc_list, scores, target, excluded):

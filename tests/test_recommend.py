@@ -801,22 +801,22 @@ class TestI4IShortlist:
         rng = np.random.default_rng(38)
         doc_in = rng.normal(size=(5000, 100))
         query = rng.normal(size=100)
-        query_norm = float(np.linalg.norm(query))
         candidates = np.ones(5000, dtype=bool)
         candidates[:100] = False
-        units, _, safe = recommend_module._unit_rows(doc_in)
-        assert safe.all()
-        approx = units @ (query / query_norm).astype(np.float32)
-        rows = recommend_module._shortlist(approx, safe, recommend_module._slack32(100),
-                                           candidates, 10)
+        units, _ = recommend_module._unit_rows(doc_in)
+        assert np.isfinite(units).all()
+        approx = units @ recommend_module._unit_rows(query[None])[0][0]
+        rows = recommend_module._shortlist(approx, recommend_module._slack32(100), candidates, 10)
         cosines = (doc_in @ query) / np.linalg.norm(doc_in, axis=1)
         top = 100 + np.argsort(-cosines[100:])[:10]
         assert set(top) <= set(rows.tolist()) and rows.size < 20 and rows.min() >= 100
 
     def test_the_rule_against_its_first_form(self):
         """``_shortlist`` keeps the rows ``shortlist_reference`` keeps, on
-        random inputs with unsafe rows, NaN approximations, runs of equal
-        approximations that tie at tau, and one slack or one per row."""
+        random inputs with NaN approximations (the rows the bound does not
+        cover), runs of equal approximations that tie at tau, and one slack
+        or one per row, the approximations in float64 and rounded to
+        float32, as rank_i4i's are."""
         rng = np.random.default_rng(39)
         slack = recommend_module._slack32(8)
         for trial in range(400):
@@ -825,12 +825,13 @@ class TestI4IShortlist:
             approx[rng.random(n) < 0.3] = approx[0]  # ties at tau
             approx[rng.random(n) < 0.05] = approx[0] + slack * rng.choice([-2.0, -1.0, 1.0, 2.0])
             approx[rng.random(n) < 0.1] = np.nan
-            safe = rng.random(n) < 0.8
+            approx[rng.random(n) >= 0.8] = np.nan
             candidates = rng.random(n) < 0.85
             for h in (slack, 0.0, 0.5, slack * rng.uniform(0.0, 2.0, size=n), rng.random(n)):
-                for k in (1, 2, 5, n, n + 1):
-                    expected = shortlist_reference(approx, safe, h, candidates, k)
-                    got = recommend_module._shortlist(approx, safe, h, candidates, k)
+                for a, k in itertools.product((approx, approx.astype(np.float32)),
+                                              (1, 2, 5, n, n + 1)):
+                    expected = shortlist_reference(a, h, candidates, k)
+                    got = recommend_module._shortlist(a, h, candidates, k)
                     assert got.dtype == expected.dtype and np.array_equal(got, expected), (trial, k)
 
     @pytest.mark.parametrize("dim", [1, 2, 16, 100, 1000])
@@ -841,7 +842,9 @@ class TestI4IShortlist:
         cosines are set by hand, 0.99·(n + 2)·u from the exact ones: down
         for the true top k, up for every other row, among near-ties spread
         over (n + 2)·u.  The shortlist must hold the top k, and no row more
-        than 6·(n + 2)·u below the k-th."""
+        than 6·(n + 2)·u below the k-th.  The same again with the
+        approximations in float32, as rank_i4i's are: each is the float32
+        next to it on the side of the exact cosine, within the bound."""
         rng = np.random.default_rng(dim)
         u, k = 2.0**-24, 10
         step = (dim + 2) * u
@@ -852,11 +855,16 @@ class TestI4IShortlist:
         top, kth = order[:k], exact[order[k - 1]]
         approx = exact + 0.99 * step
         approx[top] = exact[top] - 0.99 * step
-        safe = candidates = np.ones(exact.size, dtype=bool)
+        rounded = approx.astype(np.float32)
+        over = np.abs(rounded - exact) > np.abs(approx - exact)
+        rounded[over] = np.nextafter(rounded[over], exact[over].astype(np.float32))
+        assert (np.abs(rounded - exact) > 0.99 * step - u).all()
+        candidates = np.ones(exact.size, dtype=bool)
         slack = recommend_module._slack32(dim)
-        rows = recommend_module._shortlist(approx, safe, slack, candidates, k)
-        assert set(top.tolist()) <= set(rows.tolist())
-        assert not (exact[rows] < kth - 6 * step).any() and rows.max() < 400
+        for a in (approx, rounded):
+            rows = recommend_module._shortlist(a, slack, candidates, k)
+            assert set(top.tolist()) <= set(rows.tolist())
+            assert not (exact[rows] < kth - 6 * step).any() and rows.max() < 400
 
     def test_rows_the_bound_does_not_cover_are_always_kept(self):
         """However low their approximate cosine: rows whose squared norm is
@@ -864,19 +872,19 @@ class TestI4IShortlist:
         rng = np.random.default_rng(39)
         dim = 16
         query = rng.normal(size=dim)
-        query_norm = float(np.linalg.norm(query))
         scales = np.array([1e-160, 1e-137, 1e136, 1e170, np.nan, np.inf, 0.0, 1.0, 1.0])
         doc_in = np.concatenate((rng.normal(size=(300, dim)), -query * scales[:, None]))
         candidates = np.ones(doc_in.shape[0], dtype=bool)
-        unsafe = set(range(300, 307))
+        uncovered = set(range(300, 307))
         with np.errstate(all="ignore"):
             top = np.argsort(-(doc_in[:300] @ query) / np.linalg.norm(doc_in[:300], axis=1))[:3]
-            units, _, safe = recommend_module._unit_rows(doc_in)
-            assert set(np.flatnonzero(~safe).tolist()) == unsafe and not units[~safe].any()
-            approx = units @ (query / query_norm).astype(np.float32)
-            rows = recommend_module._shortlist(approx, safe, recommend_module._slack32(dim),
+            units, _ = recommend_module._unit_rows(doc_in)
+            assert set(np.flatnonzero(np.isnan(units).any(axis=1)).tolist()) == uncovered
+            assert np.isnan(units[list(uncovered)]).all()
+            approx = units @ recommend_module._unit_rows(query[None])[0][0]
+            rows = recommend_module._shortlist(approx, recommend_module._slack32(dim),
                                                candidates, 3)
-            assert unsafe | set(top) <= set(rows.tolist()) and rows.size < 20
+            assert uncovered | set(top) <= set(rows.tolist()) and rows.size < 20
 
     @pytest.mark.parametrize("covered", ["huge query", "dimension"])
     def test_every_row_is_kept_outside_the_bound(self, monkeypatch, covered):
@@ -903,7 +911,7 @@ class TestI4IShortlist:
 
     def test_unit_rows_are_made_a_block_at_a_time(self):
         """Within a factor 1 ± (1 + 2^-12)·2^-24 of each row over its norm,
-        as ``_shortlist``'s bound assumes, zero where the bound does not
+        as ``_shortlist``'s bound assumes, NaN where the bound does not
         hold, with the norms the rows were divided by, and made with no
         float64 temporary above a block's size."""
         rng = np.random.default_rng(43)
@@ -914,17 +922,17 @@ class TestI4IShortlist:
             norms = np.linalg.norm(doc_in, axis=1)
             squares = np.einsum("ij,ij->i", doc_in, doc_in)
             tracemalloc.start()
-            units, norms_kept, safe = recommend_module._unit_rows(doc_in)
+            units, norms_kept = recommend_module._unit_rows(doc_in)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         assert units.dtype == np.float32 and units.shape == doc_in.shape
         covered = (2.0**-900 <= squares) & (squares <= 2.0**900)
-        assert np.array_equal(safe, covered) and 0 < safe.sum() < n_docs - 100
-        assert not units[~safe].any()
-        exact = doc_in[safe] / norms[safe, None]
-        assert (np.abs(units[safe] - exact) <= (1 + 2.0**-12) * 2.0**-24 * np.abs(exact)).all()
+        assert 0 < covered.sum() < n_docs - 100
+        assert np.isnan(units[~covered]).all() and not np.isnan(units[covered]).any()
+        exact = doc_in[covered] / norms[covered, None]
+        assert (np.abs(units[covered] - exact) <= (1 + 2.0**-12) * 2.0**-24 * np.abs(exact)).all()
         assert np.array_equal(norms_kept, np.sqrt(squares), equal_nan=True)
-        assert peak - units.nbytes - norms_kept.nbytes - safe.nbytes <= BLOCK_ROWS * dim * 8
+        assert peak - units.nbytes - norms_kept.nbytes <= BLOCK_ROWS * dim * 8
 
     def test_many_blocks_match_every_row_scored(self):
         rng = np.random.default_rng(41)
@@ -1124,11 +1132,15 @@ class TestLoadedModelReuse:
         rows.  A loaded model and its writable copy do the same work."""
         calls = []
 
-        def spy(name, real):
-            def wrapper(*args):
-                calls.append(name)
-                return real(*args)
-            monkeypatch.setattr(module, name, wrapper)
+        def unit_rows(matrix, *rows):
+            # a model's rows; a query's own unit row is made on every query
+            if matrix is model.matrices.doc_in or matrix is model.matrices.doc_out:
+                calls.append("_unit_rows")
+            return real_unit_rows(matrix, *rows)
+
+        def noise_table(*args):
+            calls.append("_noise_table")
+            return real_noise_table(*args)
 
         def gather(matrix, rows):
             calls.append("doc_out panel" if matrix is model.matrices.doc_out else "doc_in panel")
@@ -1143,8 +1155,9 @@ class TestLoadedModelReuse:
         monkeypatch.setattr(recommend_module, "_gather_panel", gather)
         monkeypatch.setattr(evaluation_module, "_gather_panel", evaluate_gather)
         monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
-        for module, name in ((recommend_module, "_unit_rows"), (train_module, "_noise_table")):
-            spy(name, getattr(module, name))
+        real_unit_rows, real_noise_table = recommend_module._unit_rows, train_module._noise_table
+        monkeypatch.setattr(recommend_module, "_unit_rows", unit_rows)
+        monkeypatch.setattr(train_module, "_noise_table", noise_table)
         loaded = self.model(np.random.default_rng(3), 300, 150)
         for model in (loaded, writable(loaded)):
             rng = np.random.default_rng(4)
@@ -1155,20 +1168,20 @@ class TestLoadedModelReuse:
             assert sorted(calls) == sorted(["doc_out panel"] * 3 + ["_unit_rows"] * 2
                                            + ["_noise_table"] + ["doc_in panel"] * 3
                                            + ["evaluate's rows"] * 6)
-            units, safe = model._derived()["unit rows"]
-            assert units.dtype == np.float32 and units.shape == (300, 6) and safe.shape == (300,)
+            units = model._derived()["unit rows"]
+            assert units.dtype == np.float32 and units.shape == (300, 6)
             cited_units = recommend_module._cited_panel(model)[3][0]
             assert cited_units.dtype == np.float32 and cited_units.shape == (150, 6)
             calls.clear()
             self.rankings(model, rng)
             assert sorted(calls) == sorted(["doc_out panel", "doc_in panel"] * 3
                                            + ["evaluate's rows"] * 6)
-            assert model._derived()["unit rows"][0] is units
+            assert model._derived()["unit rows"] is units
             assert recommend_module._cited_panel(model)[3][0] is cited_units
 
     def test_a_panel_takes_one_form(self, monkeypatch):
-        """A large cited panel keeps its rows' float32 unit rows, norms and
-        mask, and no float64 panel; a small one keeps its float64 panel and
+        """A large cited panel keeps its rows' float32 unit rows and norms,
+        and no float64 panel; a small one keeps its float64 panel and
         no unit rows."""
         model = self.model(np.random.default_rng(13), 300, 150)
         rank_i4o(model, np.ones(6))
@@ -1179,10 +1192,10 @@ class TestLoadedModelReuse:
             model = writable(model)
             rank_i4o(model, np.ones(6))
             rows, panel, column, unit_rows = recommend_module._cited_panel(model)
-            assert panel is None and [a.dtype for a in unit_rows] == [np.float32, np.float64, bool]
+            assert panel is None and [a.dtype for a in unit_rows] == [np.float32, np.float64]
             kept = [rows, column, *unit_rows]
             assert all(a.ndim == 1 or a.dtype == np.float32 for a in kept)
-            assert sum(a.nbytes for a in kept) == 150 * (8 + 6 * 4 + 8 + 1) + 300 * 8
+            assert sum(a.nbytes for a in kept) == 150 * (8 + 6 * 4 + 8) + 300 * 8
 
     def test_a_small_panel_is_not_filtered(self):
         """Below ``_I4O_FILTER_ENTRIES`` a loaded model scores its whole
@@ -1388,19 +1401,77 @@ class TestI4OFilter:
         rng = np.random.default_rng(76)
         dim = 100
         panel = rng.normal(size=(20_000, dim)) * np.exp(rng.uniform(-1, 1, size=(20_000, 1)))
-        units, norms, safe = recommend_module._unit_rows(panel)
-        assert safe.all()
+        units, norms = recommend_module._unit_rows(panel)
+        assert np.isfinite(units).all()
         candidates = np.ones(20_000, dtype=bool)
         candidates[:100] = False
         for _ in range(5):
             query = rng.normal(size=dim)
-            query_norm = float(np.linalg.norm(query))
-            cosines, safe = recommend_module._cosines32(units, safe, query, query_norm)
+            query_unit, query_norm = recommend_module._unit_rows(query[None])
             scale = norms * query_norm
-            rows = recommend_module._shortlist(scale * cosines, safe,
+            rows = recommend_module._shortlist(scale * (units @ query_unit[0]),
                                                recommend_module._slack32(dim) * scale, candidates, 10)
             top = 100 + np.argsort(-(panel[100:] @ query))[:10]
             assert set(top) <= set(rows.tolist()) and rows.size < 20 and rows.min() >= 100
+
+
+class TestNaNRowsInTheCopy:
+    """The filters need no mask: ``_unit_rows`` writes NaN into the float32
+    copy for every row and query the bound does not cover, and every
+    float32 product with it is NaN.  That holds only if a NaN row leaves
+    the products of every other row the same bits, finite, as a zero row
+    there did, in both shapes the filters take: the matrix-vector product
+    of rank_i4o and rank_i4i, and the block product of ``_near_places``."""
+
+    def copies(self, rng, n, dim):
+        """Random rows, one in five out of range, in their float32 copy
+        (``_unit_rows``), and the same copy with those rows zero."""
+        rows = rng.normal(size=(n, dim))
+        out = rng.random(n) < 0.2
+        rows[out] *= rng.choice([0.0, 1e-200, 1e200, np.nan, np.inf], size=(out.sum(), 1))
+        units, _ = recommend_module._unit_rows(rows)
+        assert np.array_equal(np.isnan(units).any(axis=1), out) and np.isnan(units[out]).all()
+        return units, np.where(np.isnan(units), np.float32(0.0), units), out
+
+    @pytest.mark.parametrize("n, dim", [(1, 1), (7, 3), (64, 16), (65, 16), (300, 100),
+                                        (BLOCK_ROWS + 37, 24)])
+    def test_a_nan_row_leaves_every_other_matrix_vector_product(self, n, dim):
+        rng = np.random.default_rng(n + dim)
+        units, zeroed, out = self.copies(rng, n, dim)
+        for _ in range(3):
+            query = recommend_module._unit_rows(rng.normal(size=(1, dim)))[0][0]
+            got, expected = units @ query, zeroed @ query
+            assert np.isnan(got[out]).all() and np.isfinite(got[~out]).all()
+            assert got[~out].tobytes() == expected[~out].tobytes()
+
+    @pytest.mark.parametrize("n, dim, n_queries",
+                             [(7, 3, 5), (300, 16, 32), (BLOCK_ROWS + 37, 100, 29)])
+    def test_a_nan_row_or_query_leaves_every_other_block_product(self, n, dim, n_queries):
+        rng = np.random.default_rng(n + dim + n_queries)
+        units, zeroed, out = self.copies(rng, n, dim)
+        queries, zeroed_queries, uncovered = self.copies(rng, n_queries, dim)
+        got = (units @ queries.T).T
+        expected = (zeroed @ zeroed_queries.T).T
+        either = uncovered[:, None] | out[None, :]
+        assert np.isnan(got[either]).all() and np.isfinite(got[~either]).all()
+        assert got[~either].tobytes() == expected[~either].tobytes()
+
+    @pytest.mark.parametrize("scale", [0.0, 1e-200, 1e-140, 1e140, 1e200, np.nan, np.inf])
+    def test_a_query_out_of_range_is_nan(self, scale):
+        """A zero, tiny, huge, NaN or infinite query."""
+        query = np.random.default_rng(3).normal(size=(1, 8)) * scale
+        unit, norm = recommend_module._unit_rows(query)
+        assert unit.dtype == np.float32 and np.isnan(unit).all()
+        with np.errstate(all="ignore"):
+            assert np.array_equal(norm, np.linalg.norm(query, axis=1), equal_nan=True)
+
+    def test_a_dimension_above_the_bound_gives_a_nan_copy(self, monkeypatch):
+        rows = np.random.default_rng(4).normal(size=(BLOCK_ROWS + 5, 5))
+        monkeypatch.setattr(recommend_module, "_MAX_DIM32", 4)
+        units, norms = recommend_module._unit_rows(rows)
+        assert np.isnan(units).all() and np.isfinite(norms).all()
+        monkeypatch.setattr(recommend_module, "_MAX_DIM32", 5)
+        assert np.isfinite(recommend_module._unit_rows(rows)[0]).all()
 
 
 class TestFrozenOnFirstQuery:
@@ -1456,7 +1527,7 @@ class TestFrozenOnFirstQuery:
         assert model.matrices.doc_in.flags.writeable
         assert self.rankings(model) == before
         assert model._derived() is not derived and "unit rows" in model._derived()
-        assert model._derived()["unit rows"][0] is not derived["unit rows"][0]
+        assert model._derived()["unit rows"] is not derived["unit rows"]
         assert not model.matrices.doc_in.flags.writeable
 
     def test_an_array_made_writable_again_is_read_afresh(self, fixture_corpus_bytes):
