@@ -21,6 +21,7 @@ from pathlib import Path
 
 from .corpus import (
     SyntheticSpec,
+    _parse_lines,
     extract_relations,
     generate_synthetic_corpus,
     parse_corpus,
@@ -131,10 +132,12 @@ def _add_split_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--split-seed", type=int, default=0)
 
 
-def _split_corpus(corpus, window: int, args):
+def _split_corpus(line_docs, window: int, args):
+    """The split that the flags ask for, of the corpus's line documents
+    (``_parse_lines``): the whole corpus's vocabulary is never built."""
     test_ids = args.test_ids.split(",") if args.test_ids else None
     return split_train_test(
-        corpus.docs,
+        line_docs,
         window=window,
         fraction=args.test_fraction,
         test_ids=test_ids,
@@ -145,18 +148,19 @@ def _split_corpus(corpus, window: int, args):
 def _cmd_train(args, out) -> int:
     config = _from_flags(EmbeddingConfig, args)
     corpus_path = Path(args.corpus)
-    corpus = parse_corpus(corpus_path)
+    held_out = args.test_fraction is not None or args.test_ids is not None
+    parsed = _parse_lines(corpus_path) if held_out else parse_corpus(corpus_path)
     manifest = _start_manifest(
         args, "train", Path(args.model),
         config=dataclasses.asdict(config),
         input_path=corpus_path, seed=config.seed,
     )
-    if args.test_fraction is not None or args.test_ids is not None:
-        split = _split_corpus(corpus, config.window, args)
+    if held_out:
+        split = _split_corpus(parsed, config.window, args)
         docs, vocab = split.train_docs, split.train_vocab
         print(f"holding out {len(split.test_doc_ids)} docs for testing", file=sys.stderr)
     else:
-        docs, vocab = corpus.docs, corpus.vocab
+        docs, vocab = parsed.docs, parsed.vocab
     relations = extract_relations(docs, vocab, config.window)
     model = init_model(vocab, config)
     train(
@@ -192,8 +196,7 @@ def _cmd_evaluate(args, out) -> int:
     if args.test_fraction is None and args.test_ids is None:
         raise CitevecError("one of --test-fraction and --test-ids is required")
     model = load_model(Path(args.model))
-    corpus = parse_corpus(Path(args.corpus))
-    split = _split_corpus(corpus, model.config.window, args)
+    split = _split_corpus(_parse_lines(Path(args.corpus)), model.config.window, args)
     if not split.train_vocab.same_bindings(model.vocab):
         # a split that holds out other docs numbers the vocabulary another way,
         # and the model was trained on some of its held-out citations

@@ -289,6 +289,19 @@ def parse_corpus(source) -> Corpus:
     parse keeps one int32 code per token, naming its raw form, and one
     immutable Token per form, which the documents' ``tokens`` yield.
     """
+    docs, vocab = complete_corpus(_parse_lines(source))
+    stats = CorpusStats(
+        n_docs=len(docs),
+        n_words=int(vocab.word_counts.sum()),
+        n_relations=int(vocab.doc_cited_counts.sum()),
+    )
+    return Corpus(docs=docs, vocab=vocab, stats=stats)
+
+
+def _parse_lines(source) -> list[HyperDocument]:
+    """``parse_corpus``'s documents of the corpus's own lines, in order,
+    with no placeholder for a cited-only id and no vocabulary: what
+    ``split_train_test`` reads.  Raises as ``parse_corpus`` does."""
     data = _read_bytes(source)
     try:
         text = data.decode("utf-8")
@@ -316,14 +329,7 @@ def parse_corpus(source) -> Corpus:
         codes += map(parse.__getitem__, body.split())
         line_docs.append(HyperDocument(doc_id, _TokenRun(parse, start, len(codes))))
     parse.codes = np.array(codes, dtype=np.int32)
-
-    docs, vocab = complete_corpus(line_docs)
-    stats = CorpusStats(
-        n_docs=len(docs),
-        n_words=int(vocab.word_counts.sum()),
-        n_relations=int(vocab.doc_cited_counts.sum()),
-    )
-    return Corpus(docs=docs, vocab=vocab, stats=stats)
+    return line_docs
 
 
 def _read_bytes(source) -> bytes:

@@ -173,10 +173,12 @@ class Model:
         was made writable again, starts afresh, so nothing kept goes stale.
 
         What is kept, each made on first use: ``infer_doc_vector``'s
-        word-noise table, ``evaluate``'s cited-id order, and ``recommend``'s
-        cited rows (a float64 panel, or a large one's float32 unit rows and
-        norms) and input rows' float32 unit rows, NaN in each row the
-        filters' bound does not cover, sized in its module docstring."""
+        word-noise table and its window pool for each text length of at
+        most ``BATCH`` words and each window, ``evaluate``'s cited-id
+        order, and ``recommend``'s cited rows (a float64 panel, or a large
+        one's float32 unit rows and norms) and, for rank_i4i, the input
+        rows' norms or a large model's float32 unit rows, NaN in each row
+        the filters' bound does not cover, sized in its module docstring."""
         arrays = (*self.matrices.arrays(), self.vocab.word_counts, self.vocab.doc_cited_counts)
         if self._frozen is not None:
             held, derived = self._frozen
@@ -193,9 +195,10 @@ class Model:
         return {**self.__dict__, "_frozen": None}
 
 
-def _reused(model: Model, name: str, build):
-    """``build()`` on the first call for ``name`` on the model's current
-    arrays (``Model._derived``), the value it gave on every later one."""
+def _reused(model: Model, name, build):
+    """``build()`` on the first call for ``name``, a string or a tuple, on
+    the model's current arrays (``Model._derived``), the value it gave on
+    every later one."""
     derived = model._derived()
     if name not in derived:
         derived[name] = build()
@@ -528,6 +531,14 @@ def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
     (``_reused``) and every call draws from a fresh generator, so it infers
     the same vector each time.
 
+    The window pool depends only on the text's length and the window: the
+    window words' positions, m, the sparse matrix that sums each word's
+    window words over m, and the column of 1 / m.  For a text of at most
+    ``BATCH`` words it is built once per length and ``config.window`` and
+    kept (``_reused``): at most ``BATCH`` pools per window, of at most
+    n · min(n - 1, 2 · window) entries each, n the length.  A longer text
+    builds its own on every call.
+
     Raises ConfigError, before any work, when the words are empty, not a
     flat sequence of ints (bools and floats included) or out of range.
     """
@@ -549,22 +560,28 @@ def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
     counts = model.vocab.word_counts
     sampler = NegativeSampler(counts, seed=[model.config.seed, _RNG_INFER],
                               cumulative=_reused(model, "word noise", lambda: _noise_table(counts)))
-    offsets, positions = _word_windows(np.array([0, n]), model.config.window)
-    m = np.diff(offsets) + 1  # the vector and the window words
-    # the window words are frozen, so their share of each hidden row is fixed
-    weights = (1.0 / m)[np.repeat(np.arange(n), m - 1)]
-    pool = csr_array((weights, positions, offsets), shape=(n, n))
+    window = model.config.window
+
+    def windows():
+        offsets, positions = _word_windows(np.array([0, n]), window)
+        m = np.diff(offsets) + 1  # the vector and the window words
+        shares = 1.0 / m
+        # the window words are frozen, so their share of each hidden row is fixed
+        pool = csr_array((shares[np.repeat(np.arange(n), m - 1)], positions, offsets), shape=(n, n))
+        return m, pool, shares[:, None]
+
+    m, pool, shares = _reused(model, ("window pool", n, window), windows) if n <= BATCH else windows()
     rows = model.matrices.word_in[words]
     context = pool @ rows
     work = np.empty((2, min(n, BATCH) * (1 + negative), model.matrices.dim))
 
-    lr = model.config.learning_rate
+    rates = model.config.learning_rate / m
     vec = rows.mean(axis=0)
     for _ in range(INFER_STEPS):
         for lo in range(0, n, BATCH):
             hi = min(lo + BATCH, n)
-            hidden = context[lo:hi] + (1.0 / m[lo:hi])[:, None] * vec
+            hidden = context[lo:hi] + shares[lo:hi] * vec
             _, grad, _ = _ns_output(hidden, words[lo:hi], model.matrices.word_out, sampler,
                                     negative, work)
-            vec = vec - (lr / m[lo:hi]) @ grad
+            vec = vec - rates[lo:hi] @ grad
     return vec

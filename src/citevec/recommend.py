@@ -26,38 +26,41 @@ then an O(n) partition of the score row at k plus its exclusion count, and a
 sort of the candidates at or above that place; the tie rule is the same as
 a full sort's.  Every candidate tied at the place is sorted too, so a row
 with many ties costs a sort of all of them.
-``_top_k`` is the one top-k rule: rank_i4o sends it one score row and
-rank_i4i the scores of its shortlist.  Its columns name the documents
-scored, the cited ones or a shortlist.  ``evaluate`` needs only the
-target's place, and counts it in the same order without ranking.
+``_top_k`` is the one top-k rule: rank_i4o sends it one score row, and
+rank_i4i the scores of every row or of its shortlist.  Its columns name
+the documents scored, the cited ones or a shortlist.  ``evaluate`` needs
+only the target's place, and counts it in the same order without ranking.
 
-rank_i4i filters, then refines.  An approximate cosine of every row,
-within a proven slack of the exact one, gives a shortlist (``_shortlist``):
-the rows whose upper bound reaches the k-th largest lower bound, and the
-rows the bound does not cover, NaN in the copy.  Only those get the exact
-dot product and the exact norm of ``np.linalg.norm``; their scores are the
-same bits as scoring every row, and no other row can outrank them.  rank_i4o does the
-same when the cited panel holds at least ``_I4O_FILTER_ENTRIES`` entries
-(rows × dim): a row's approximate dot product is its norm times the
-query's times its approximate cosine, and its slack scales with the same
-norms.  Below that size the exact product of the whole panel is as fast
-or faster, and rank_i4o takes it.  ``evaluate`` filters the same rows
-under the same condition, query by query, with the same a and h, and
-scores exactly only the candidates that may sit on either side of each
-target.
+Below ``_FILTER_ENTRIES`` entries (rows × dim), every ranking scores every
+candidate row exactly: rank_i4i the input rows and rank_i4o the cited
+panel, one matrix-vector product per ``BLOCK_ROWS`` rows, and ``evaluate``
+the cited panel block by block.  There the exact product is as fast as
+any filter or faster.  At or above it, each filters, then refines.  For
+rank_i4i, an approximate cosine of every row, within a proven slack of the
+exact one, gives a shortlist (``_shortlist``): the rows whose upper bound
+reaches the k-th largest lower bound, and the rows the bound does not
+cover, NaN in the copy.  Only those get the exact dot product and the
+exact norm of ``np.linalg.norm``; their scores are the same bits as
+scoring every row, and no other row can outrank them.  rank_i4o does the
+same for the cited panel: a row's approximate dot product is its norm
+times the query's times its approximate cosine, and its slack scales with
+the same norms.  ``evaluate`` filters the same rows, query by query, with
+the same a and h, and scores exactly only the candidates that may sit on
+either side of each target.
 
 Ranking makes a model's arrays read-only on its first query; to edit,
 assign ``model.matrices = model.matrices.copy()``.  So the arrays that do
 not depend on the query are derived once, on first use, and kept on the
-model (``Model._derived``): a float32 copy of the input rows scaled to
-unit norm, n_docs × dim float32s, NaN in the rows its bound does not cover
-(``_unit_rows``); and the cited output rows (``_cited_panel``), a small
-panel as n_cited × dim float64s, a large one only as the same float32 copy
-with their norms, n_cited · dim · 4 + n_cited · 8 bytes, read by rank_i4o
-and evaluate.  Each filter then reads half the bytes of its float64
-matrix: one float32 product gives every approximate cosine, one slack
-(``_slack32``) bounds its error, and the shortlist is scored exactly
-(``_exact_dots`` for i4i).
+model (``Model._derived``): for rank_i4i, below the threshold the input
+rows' norms, n_docs float64s, and at or above it a float32 copy of the
+input rows scaled to unit norm, n_docs × dim float32s, NaN in the rows its
+bound does not cover (``_unit_rows``); and the cited output rows
+(``_cited_panel``), a small panel as n_cited × dim float64s, a large one
+only as the same float32 copy with their norms, n_cited · dim · 4 +
+n_cited · 8 bytes, read by rank_i4o and evaluate.  Each filter then reads
+half the bytes of its float64 matrix: one float32 product gives every
+approximate cosine, one slack (``_slack32``) bounds its error, and the
+shortlist is scored exactly (``_exact_dots`` for i4i).
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ from .errors import ConfigError, QueryError, _check_float, _check_int
 from .model import Model, _reused, infer_doc_vector
 
 CASES = (1, 2, 3)
-# rows of a document matrix per block, in ``_unit_rows`` and in the cited
-# panel's products in rank_i4o and evaluate: a block stays in cache
+# rows of a document matrix per block, in ``_unit_rows``, in the cited
+# panel's products in rank_i4o and evaluate, and in rank_i4i's product over
+# every input row: a block stays in cache
 BLOCK_ROWS = 1024
 # the cited panel is padded to a multiple of this many rows, a multiple of
 # the tile of rows that BLAS's matrix-vector kernels take at once
@@ -83,16 +87,21 @@ PAD_ROWS = 64
 _SAFE_SQUARES = (2.0**-900, 2.0**900)
 # the float32 filter's bound is proven for dimensions up to this (_shortlist)
 _MAX_DIM32 = 2**16
-# rank_i4o filters the cited panel when it holds at least this many
-# entries (rows × dim); below, the exact product alone is as fast.  A sweep
-# of loaded, all-cited models at dim 100, one BLAS thread on a 2-vCPU Xeon,
-# medians of 400 interleaved queries in two runs, exact product against
-# filter: 2,048 rows 159-182 against 205-243 µs; 4,096 rows 288-343 against
-# 303-340 µs; 6,144 rows 385-409 against 384-427 µs; 8,192 rows 517-541
-# against 479-522 µs; 20,000 rows 2,332-2,764 against 1,477-1,722 µs.  The
-# pipeline benchmark's panel (320 × 100) is below, the serve benchmark's
-# (19,984 × 100) above.
-_I4O_FILTER_ENTRIES = 6144 * 100
+# rank_i4o filters the cited panel, evaluate the same rows, and rank_i4i
+# the input rows, when they hold at least this many entries (rows × dim);
+# below, the exact product of every row is as fast or faster.  Sweeps of
+# loaded models at dim 100, one BLAS thread on a 2-vCPU Xeon, medians of
+# 400 interleaved queries in two runs.  rank_i4o, all cited, exact product
+# against filter: 2,048 rows 159-182 against 205-243 µs; 4,096 rows 288-343
+# against 303-340 µs; 6,144 rows 385-409 against 384-427 µs; 8,192 rows
+# 517-541 against 479-522 µs; 20,000 rows 2,332-2,764 against 1,477-1,722
+# µs.  rank_i4i, 23-word texts, whose fit takes most of a query and varied
+# between the runs, the filter's median less the exact one's: 2,048 rows
+# +39 and +74 µs; 4,096 rows +19 and +40 µs; 6,144 rows -30 and -37 µs;
+# 8,192 rows -73 and -65 µs; 20,000 rows -331 and -336 µs.  The pipeline
+# benchmark's model (336 × 100) and cited panel (320 × 100) are below, the
+# serve benchmark's (50,000 × 100 and 19,984 × 100) above.
+_FILTER_ENTRIES = 6144 * 100
 
 
 def _slack32(dim: int) -> float:
@@ -222,7 +231,7 @@ def _gather_panel(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, tuple | None]:
     """i4o's candidates: the indices of the documents cited in training,
-    ascending; below ``_I4O_FILTER_ENTRIES`` entries, their output rows
+    ascending; below ``_FILTER_ENTRIES`` entries, their output rows
     (``_gather_panel``), else None; every document's column among them, -1
     for a document never cited; and at or above it, in place of the rows,
     their float32 unit copy and norms (``_unit_rows``), the filter of
@@ -236,7 +245,7 @@ def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray | None, np.ndarra
         column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
         column[rows] = np.arange(rows.size)
         doc_out = model.matrices.doc_out
-        if rows.size * doc_out.shape[1] < _I4O_FILTER_ENTRIES:
+        if rows.size * doc_out.shape[1] < _FILTER_ENTRIES:
             return rows, _gather_panel(doc_out, rows), column, None
         return rows, None, column, _unit_rows(doc_out, rows)
     return _reused(model, "cited panel", build)
@@ -430,14 +439,21 @@ def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> Recommenda
     """Infer a vector for the words, rank documents by cosine to their
     input vectors: dot / (row norm * query norm), with the dot products of
     ``doc_in @ vector`` and the norms of ``np.linalg.norm``.  Zero-norm
-    rows score 0.  The approximate cosines of one float32 product of the
-    input rows' unit copy (``_unit_rows``, made on the first i4i query and
-    kept) with the query's, within ``_slack32`` of the exact ones, pick
-    ``_shortlist``'s rows, and only those are scored, by ``_exact_dots``;
-    the others cannot reach the top k.  Ranking makes a model's arrays read-only on its first
-    query; to edit, assign ``model.matrices = model.matrices.copy()``.
-    Raises QueryError when the inferred vector's norm is 0 or not finite,
-    and ConfigError, before any work, for a bad ``k``, word or ``exclude``."""
+    rows score 0.
+
+    Below ``_FILTER_ENTRIES`` entries in ``doc_in`` every row is scored:
+    one matrix-vector product per ``BLOCK_ROWS`` slice of ``doc_in``, as
+    rank_i4o scores its panel, and the row norms, taken on the first i4i
+    query and kept (``_reused``).  At or above it, the approximate cosines
+    of one float32 product of the input rows' unit copy (``_unit_rows``,
+    made on the first i4i query and kept) with the query's, within
+    ``_slack32`` of the exact ones, pick ``_shortlist``'s rows, and only
+    those are scored, by ``_exact_dots``; the others cannot reach the top
+    k.  Either way a score is the same bits.  Ranking makes a model's
+    arrays read-only on its first query; to edit, assign
+    ``model.matrices = model.matrices.copy()``.  Raises QueryError when the
+    inferred vector's norm is 0 or not finite, and ConfigError, before any
+    work, for a bad ``k``, word or ``exclude``."""
     _check_k(k)
     banned = _banned(model, exclude)
     inferred = infer_doc_vector(model, context_words)
@@ -446,16 +462,25 @@ def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> Recommenda
     if not 0.0 < query_norm < math.inf:
         raise QueryError(f"inferred query vector has norm {query_norm}")
     doc_in = model.matrices.doc_in
-    dim = doc_in.shape[1]
-    candidates = np.ones(doc_in.shape[0], dtype=bool)
-    candidates[banned] = False
     with np.errstate(all="ignore"):  # non-finite scores are ranked, not warned about
-        units = _reused(model, "unit rows", lambda: _unit_rows(doc_in)[0])
-        rows = _shortlist(units @ _unit_rows(inferred[None])[0][0], _slack32(dim), candidates, k)
-        dots = _exact_dots(doc_in, inferred, rows)
-        norms = np.linalg.norm(doc_in[rows], axis=1)
+        if doc_in.size < _FILTER_ENTRIES:
+            rows = np.arange(doc_in.shape[0])
+            dots = np.empty(rows.size)
+            for start in range(0, rows.size, BLOCK_ROWS):
+                stop = start + BLOCK_ROWS
+                np.matmul(doc_in[start:stop], inferred, out=dots[start:stop])
+            norms = _reused(model, "row norms", lambda: np.linalg.norm(doc_in, axis=1))
+        else:
+            candidates = np.ones(doc_in.shape[0], dtype=bool)
+            candidates[banned] = False
+            units = _reused(model, "unit rows", lambda: _unit_rows(doc_in)[0])
+            rows = _shortlist(units @ _unit_rows(inferred[None])[0][0],
+                              _slack32(doc_in.shape[1]), candidates, k)
+            banned = ()
+            dots = _exact_dots(doc_in, inferred, rows)
+            norms = np.linalg.norm(doc_in[rows], axis=1)
         scores = dots / (norms * query_norm)
-    return _rank_row(model, np.where(norms > 0.0, scores, 0.0), k, rows)
+    return _rank_row(model, np.where(norms > 0.0, scores, 0.0), k, rows, banned)
 
 
 @dataclass

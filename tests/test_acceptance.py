@@ -203,7 +203,8 @@ class TestSoftmaxOracle:
 class TestRankingOracles:
     def test_i4o_and_i4i_match_brute_force(self, capsys, monkeypatch):
         # every loaded copy filters its cited panel in float32 first, however small
-        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
+        default = recommend_module._FILTER_ENTRIES
+        monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", 0)
         rng = np.random.default_rng(4096)
         for trial in range(100):
             n_docs = int(rng.integers(1, 25))
@@ -245,12 +246,15 @@ class TestRankingOracles:
                 scores = (model.matrices.doc_in @ inferred) / (norms * float(np.linalg.norm(inferred)))
             scores = np.where(norms > 0.0, scores, 0.0)
             expected = oracle_rank(model, scores, exclude, k=5)
-            assert rank_i4i(model, words, exclude=exclude, k=5).ranked == expected
+            for threshold in (0, default):  # filtered in float32, then every row scored
+                monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", threshold)
+                assert rank_i4i(model, words, exclude=exclude, k=5).ranked == expected
             checked += 1
         announce(
             capsys, "ranking oracles",
             "100 i4o models (cited docs only; in memory and loaded, filtered in float32) "
-            "and 100 i4i models equal brute-force sorts exactly (scores, order, ties)",
+            "and 100 i4i models (filtered, and every row scored) equal brute-force sorts "
+            "exactly (scores, order, ties)",
         )
 
 

@@ -9,6 +9,7 @@ of the pinned flag set.
 import argparse
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -23,6 +24,8 @@ from citevec.cli import _build_parser, _from_flags, _sha256, main
 from citevec.corpus import SyntheticSpec, generate_synthetic_corpus
 from citevec.model import _EXPORTABLE, EmbeddingConfig, load_model
 from citevec.recommend import CASES
+
+corpus_module = importlib.import_module("citevec.corpus")
 
 FIXTURE_TSV = Path(__file__).parent / "data" / "cli_fixture.tsv"
 
@@ -86,7 +89,7 @@ def test_serving_never_imports_scipy(tmp_path):
         save_model(model, sys.argv[1] + "/m.dcv")
         with open(sys.argv[1] + "/q.txt", "w") as handle:
             handle.write("alpha beta [[d3]]")
-        recommend_module._I4O_FILTER_ENTRIES = 0
+        recommend_module._FILTER_ENTRIES = 0
         assert main(["recommend", sys.argv[1] + "/m.dcv", "--text-file", sys.argv[1] + "/q.txt"]) == 0
         assert not scipy_modules(), scipy_modules()
     """)
@@ -250,6 +253,28 @@ class TestTrain:
         )
         assert code == 0
         assert "holding out 3 docs" in stderr
+
+
+    def test_a_split_builds_only_the_training_vocabulary(self, trained, tmp_path, capsys,
+                                                          monkeypatch):
+        """``train`` with a split, and ``evaluate``, split the corpus's own
+        lines and build the training docs' vocabulary only, never the whole
+        corpus's: the model's bytes and the records stay the same."""
+        _, records, _ = run(capsys, "evaluate", trained, FIXTURE_TSV, *SPLIT_FLAGS)
+        built = []
+
+        def build_vocabulary(docs):
+            built.append(len(docs))
+            return real_build(docs)
+
+        real_build = corpus_module.build_vocabulary
+        monkeypatch.setattr(corpus_module, "build_vocabulary", build_vocabulary)
+        out = tmp_path / "m.dcv"
+        assert run(capsys, "train", FIXTURE_TSV, out, *TRAIN_FLAGS)[0] == 0
+        assert out.read_bytes() == trained.read_bytes()
+        assert run(capsys, "evaluate", trained, FIXTURE_TSV, *SPLIT_FLAGS)[1] == records
+        lines = len(FIXTURE_TSV.read_text().splitlines())
+        assert len(built) == 2 and built[0] == built[1] == lines - 3
 
 
 class TestRecommend:

@@ -506,11 +506,11 @@ class TestFilteredEvaluate:
         exactly; its writable copy's are the same."""
         cases = list(itertools.product((1, 2, 3), ks))
         exact = writable(loaded)
-        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", math.inf)
+        monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", math.inf)
         with np.errstate(all="ignore"):  # non-finite rows: inf - inf in a product
             reports = [evaluate(exact, truth, case=case, k=k) for case, k in cases]
         assert recommend_module._cited_panel(exact)[3] is None
-        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
+        monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", 0)
         blocks, scored = [], []  # one list per model; scored holds the block in hand
 
         def near_places(doc_out, cited, unit_rows, block, target_columns, banned, *args):
@@ -654,7 +654,7 @@ class TestFilteredEvaluate:
         candidates near each target are scored exactly."""
         rng = np.random.default_rng(105)
         dim = 50
-        n_docs = -(-recommend_module._I4O_FILTER_ENTRIES // dim) + 50
+        n_docs = -(-recommend_module._FILTER_ENTRIES // dim) + 50
         model = make_model(shuffled_ids(rng, n_docs), [f"w{j}" for j in range(20)], dim=dim)
         model.matrices.doc_out[:] = rng.normal(size=(n_docs, dim))
         model.matrices.doc_in[:] = rng.normal(size=(n_docs, dim))
@@ -671,7 +671,7 @@ class TestFilteredEvaluate:
 
         for case, k in itertools.product((1, 2, 3), (1, 10, 100)):
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", math.inf)
+                patch.setattr(recommend_module, "_FILTER_ENTRIES", math.inf)
                 expected = evaluate(exact, truth, case=case, k=k)
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(evaluation_module, "_gather_panel", gather_panel)

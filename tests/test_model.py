@@ -1,11 +1,13 @@
 """Model init, persistence, export, and inference tests."""
 
+import copy
 import dataclasses
 import hashlib
 import importlib
 import io
 import math
 import os
+import pickle
 import re
 import struct
 import sys
@@ -770,6 +772,49 @@ class TestInferReference:
         assert np.array_equal(got, infer_reference(model, words, steps=2, lr=0.3))
         monkeypatch.setattr(train_module, "BATCH", 300)
         assert not np.array_equal(got, infer_doc_vector(model, words))
+
+
+class TestInferWindowPools:
+    """A text of at most ``BATCH`` words takes its window pool from the
+    model, built once per text length and window; a longer one builds its
+    own on every call."""
+
+    @staticmethod
+    def model():
+        return TestInferReference.model(window=3, seed=11)
+
+    def test_kept_pools_infer_the_reference_bits(self):
+        batch = train_module.BATCH
+        model = self.model()
+        rng = np.random.default_rng(12)
+        texts = [rng.integers(0, 5, size=n).tolist() for n in (1, batch, batch + 1, batch, 1)]
+        want = [infer_reference(model, words, steps=model_module.INFER_STEPS, lr=0.3)
+                for words in texts]
+        for _ in range(2):
+            for words, vector in zip(texts, want):
+                assert np.array_equal(infer_doc_vector(model, words), vector)
+        kept = {key for key in model._derived() if key != "word noise"}
+        assert kept == {("window pool", 1, 3), ("window pool", batch, 3)}
+
+    def test_another_window_builds_another_pool(self):
+        model = self.model()
+        words = [0, 1, 2, 1, 3, 0, 4, 2, 1]
+        infer_doc_vector(model, words)
+        model.config = dataclasses.replace(model.config, window=1)
+        got = infer_doc_vector(model, words)
+        assert np.array_equal(
+            got, infer_reference(model, words, steps=model_module.INFER_STEPS, lr=0.3))
+        assert {("window pool", 9, 3), ("window pool", 9, 1)} <= set(model._derived())
+
+    def test_pickles_and_copies_leave_the_pools_out(self):
+        model = self.model()
+        unqueried = pickle.dumps(model)
+        vector = infer_doc_vector(model, [0, 1, 2])
+        assert ("window pool", 3, 3) in model._derived()
+        assert pickle.dumps(model) == unqueried
+        for other in (copy.copy(model), copy.deepcopy(model), pickle.loads(unqueried)):
+            assert other._frozen is None
+            assert np.array_equal(infer_doc_vector(other, [0, 1, 2]), vector)
 
 
 def doc_texts(corpus):

@@ -662,12 +662,17 @@ def bits(ranked):
 
 
 class TestI4IShortlist:
-    """rank_i4i scores only a shortlist of rows.  These cases are where
-    approximate cosines are least reliable or do not exist; each compares
-    the ranking with every row scored exactly, for a model in memory and
-    for its loaded copy, both filtered by their float32 unit rows.  The
-    output rows are zero, so every gradient is 0 and the query is the mean
-    of the words' input vectors: it is set by hand."""
+    """rank_i4i scores only a shortlist of rows of a model at or above
+    ``_FILTER_ENTRIES``, here set to 0.  These cases are where approximate
+    cosines are least reliable or do not exist; each compares the ranking
+    with every row scored exactly, for a model in memory and for its
+    loaded copy, both filtered by their float32 unit rows.  The output rows
+    are zero, so every gradient is 0 and the query is the mean of the
+    words' input vectors: it is set by hand."""
+
+    @pytest.fixture(autouse=True)
+    def filter_every_model(self, monkeypatch):
+        monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", 0)
 
     def model(self, rng, rows, query):
         n_docs, dim = rows.shape
@@ -942,6 +947,45 @@ class TestI4IShortlist:
         self.check(model, exclude=rng.choice(model.vocab.doc_list, size=100).tolist())
 
 
+class TestI4IAtTheThreshold:
+    """Below ``_FILTER_ENTRIES`` entries rank_i4i scores every input row,
+    at or above it only the float32 filter's shortlist: with the threshold
+    at 0 and at infinity, every list and every score is the same bits."""
+
+    @pytest.mark.parametrize("n_docs, dim", [(37, 3), (130, 17), (BLOCK_ROWS + 101, 5)])
+    def test_both_paths_rank_the_same_bits(self, monkeypatch, n_docs, dim):
+        """Rows drawn from a few integer rows, so that equal rows tie at the
+        k-th place; zero, NaN, inf and overflowing rows; exclusions that
+        leave fewer than k candidates; k at and above the document count;
+        and document counts that are not a multiple of ``PAD_ROWS``."""
+        assert n_docs % PAD_ROWS
+        rng = np.random.default_rng(n_docs + dim)
+        model = make_model(shuffled_ids(rng, n_docs), [f"w{j}" for j in range(4)], dim=dim)
+        m = model.matrices
+        m.doc_in[:] = rng.integers(-1, 2, size=(20, dim))[rng.integers(0, 20, size=n_docs)]
+        m.doc_in[rng.choice(n_docs, size=6, replace=False)] = [
+            [0.0], [0.0], [np.nan], [np.inf], [-np.inf], [1e300]]
+        m.word_in[:] = rng.normal(size=m.word_in.shape)
+        m.word_out[:] = rng.normal(size=m.word_out.shape)
+        ids = model.vocab.doc_list
+        ties = 0
+        for ranker in (model, reloaded(model)):
+            for trial in range(3):
+                words = rng.integers(0, 4, size=3).tolist()
+                for exclude in (set(), set(rng.choice(ids, size=n_docs // 5).tolist()), set(ids[3:])):
+                    lists = {}
+                    for k in (n_docs, n_docs + 2, 1, 5, n_docs - 1):
+                        for threshold in (0, math.inf):
+                            monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", threshold)
+                            lists[k, threshold] = bits(
+                                rank_i4i(ranker, words, exclude=exclude, k=k).ranked)
+                        assert lists[k, 0] == lists[k, math.inf], (trial, sorted(exclude)[:3], k)
+                    every = lists[n_docs, 0]  # every candidate, best first
+                    ties += sum(len(every) > k and every[k - 1][1] == every[k][1] for k in (1, 5))
+        assert ties > 0
+        assert {"unit rows", "row norms"} <= set(model._derived())
+
+
 def resolve_tokens(model, text):
     """``resolve_text`` by way of ``tokenize_text``'s Token objects."""
     word_ids, doc_ids = model.vocab.word_ids, model.vocab.doc_ids
@@ -1110,18 +1154,21 @@ class TestLoadedModelReuse:
 
     @pytest.mark.parametrize("n_docs, n_cited", [
         (40, 0), (40, 3), (300, 150), (BLOCK_ROWS + 200, BLOCK_ROWS + 30)])
-    def test_a_loaded_model_ranks_like_its_writable_copy(self, n_docs, n_cited):
+    def test_a_loaded_model_ranks_like_its_writable_copy(self, monkeypatch, n_docs, n_cited):
         """No cited document, fewer than k, and panels of one and two
-        slices, the last partial; non-finite rows among them.  The panels
-        are below ``_I4O_FILTER_ENTRIES``, so i4o and evaluate score every
-        cited row, and i4i is checked against every row scored."""
-        loaded = self.model(np.random.default_rng(n_docs + n_cited), n_docs, n_cited)
-        memory = writable(loaded)
-        expected = self.rankings(memory, np.random.default_rng(5), exact=True)
-        assert self.rankings(loaded, np.random.default_rng(5)) == expected  # builds
-        assert self.rankings(loaded, np.random.default_rng(5)) == expected  # reuses
-        assert self.rankings(memory, np.random.default_rng(5)) == expected  # reuses
-        assert loaded.vocab.n_docs == n_docs and "unit rows" in memory._derived()
+        slices, the last partial; non-finite rows among them.  The models
+        are below ``_FILTER_ENTRIES``, so every row is scored, and then
+        filtered, with the threshold set to 0; i4i is checked against every
+        row scored."""
+        for threshold, kept in ((recommend_module._FILTER_ENTRIES, "row norms"), (0, "unit rows")):
+            monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", threshold)
+            loaded = self.model(np.random.default_rng(n_docs + n_cited), n_docs, n_cited)
+            memory = writable(loaded)
+            expected = self.rankings(memory, np.random.default_rng(5), exact=True)
+            assert self.rankings(loaded, np.random.default_rng(5)) == expected  # builds
+            assert self.rankings(loaded, np.random.default_rng(5)) == expected  # reuses
+            assert self.rankings(memory, np.random.default_rng(5)) == expected  # reuses
+            assert loaded.vocab.n_docs == n_docs and kept in memory._derived()
 
     def test_a_loaded_model_reuses_what_it_derives(self, monkeypatch):
         """A model, its i4o filter threshold set to 0, makes its cited
@@ -1154,7 +1201,7 @@ class TestLoadedModelReuse:
         real_gather = recommend_module._gather_panel
         monkeypatch.setattr(recommend_module, "_gather_panel", gather)
         monkeypatch.setattr(evaluation_module, "_gather_panel", evaluate_gather)
-        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
+        monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", 0)
         real_unit_rows, real_noise_table = recommend_module._unit_rows, train_module._noise_table
         monkeypatch.setattr(recommend_module, "_unit_rows", unit_rows)
         monkeypatch.setattr(train_module, "_noise_table", noise_table)
@@ -1188,7 +1235,7 @@ class TestLoadedModelReuse:
         rows, panel, column, unit_rows = recommend_module._cited_panel(model)
         assert unit_rows is None and panel.dtype == np.float64 and panel.shape == (192, 6)
         for threshold in (0, 150 * 6):
-            monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", threshold)
+            monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", threshold)
             model = writable(model)
             rank_i4o(model, np.ones(6))
             rows, panel, column, unit_rows = recommend_module._cited_panel(model)
@@ -1197,12 +1244,29 @@ class TestLoadedModelReuse:
             assert all(a.ndim == 1 or a.dtype == np.float32 for a in kept)
             assert sum(a.nbytes for a in kept) == 150 * (8 + 6 * 4 + 8) + 300 * 8
 
+    def test_a_small_model_makes_no_unit_rows_for_i4i(self, monkeypatch):
+        """Below ``_FILTER_ENTRIES`` the first i4i query, in memory or
+        loaded, makes no float32 copy, of the rows or of the query: it keeps
+        the rows' norms, n_docs float64s with the bits of
+        ``np.linalg.norm`` over every row, and the next query reuses them."""
+        monkeypatch.setattr(recommend_module, "_unit_rows", no_work)
+        loaded = self.model(np.random.default_rng(12), 300, 150)
+        for model in (loaded, writable(loaded)):
+            rank_i4i(model, [0, 1, 2], k=5)
+            norms = model._derived()["row norms"]
+            assert "unit rows" not in model._derived() and norms.nbytes == 300 * 8
+            with np.errstate(all="ignore"):
+                every = np.linalg.norm(model.matrices.doc_in, axis=1)
+            assert np.array_equal(norms, every, equal_nan=True)
+            rank_i4i(model, [3, 4], k=5)
+            assert model._derived()["row norms"] is norms
+
     def test_a_small_panel_is_not_filtered(self):
-        """Below ``_I4O_FILTER_ENTRIES`` a loaded model scores its whole
+        """Below ``_FILTER_ENTRIES`` a loaded model scores its whole
         cited panel, and keeps no unit rows for it."""
         loaded = self.model(np.random.default_rng(11), 300, 150)
         rank_i4o(loaded, np.ones(6))
-        assert 150 * 6 < recommend_module._I4O_FILTER_ENTRIES
+        assert 150 * 6 < recommend_module._FILTER_ENTRIES
         assert recommend_module._cited_panel(loaded)[3] is None
 
     def test_a_loaded_model_infers_like_its_writable_copy(self):
@@ -1220,7 +1284,7 @@ class TestLoadedModelReuse:
         """A ranked model pickles to the bytes of an unranked one; a deep
         copy and an unpickled copy start with nothing derived, and rank the
         same bits."""
-        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", 0)
+        monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", 0)
         loaded = self.model(np.random.default_rng(14), 300, 150)
         unranked = pickle.dumps(loaded)
         expected = self.rankings(loaded, np.random.default_rng(15))
@@ -1262,7 +1326,7 @@ class TestLoadedModelReuse:
 
 
 class TestI4OFilter:
-    """A model whose cited panel holds at least ``_I4O_FILTER_ENTRIES``
+    """A model whose cited panel holds at least ``_FILTER_ENTRIES``
     entries filters its rows by float32 cosines scaled by the rows' norms,
     then scores the shortlist exactly.  These are the cases where the
     filter is least reliable: each ranks the loaded model and its writable
@@ -1286,7 +1350,7 @@ class TestI4OFilter:
         cases = [(sign * query, k, set(rng.choice(doc_list, size=min(3, len(doc_list)), replace=False)))
                  for query in queries for sign, k in itertools.product((1.0, -1.0), ks)]
         exact = writable(loaded)
-        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", math.inf)
+        monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", math.inf)
         with np.errstate(all="ignore"):  # non-finite rows: inf - inf in a product
             expected = [bits(rank_i4o(exact, q, exclude=e, k=k).ranked) for q, k, e in cases]
         assert recommend_module._cited_panel(exact)[3] is None
@@ -1299,7 +1363,7 @@ class TestI4OFilter:
 
         real_shortlist = recommend_module._shortlist
         monkeypatch.setattr(recommend_module, "_shortlist", shortlist)
-        monkeypatch.setattr(recommend_module, "_I4O_FILTER_ENTRIES", threshold)
+        monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", threshold)
         memory = writable(loaded)
         with np.errstate(all="ignore"):
             for model in (memory, loaded):
@@ -1381,17 +1445,17 @@ class TestI4OFilter:
 
     def test_a_model_above_the_real_threshold(self, monkeypatch):
         """Filtered at the module's own threshold: a cited panel of just at
-        least ``_I4O_FILTER_ENTRIES`` entries, with a short shortlist."""
+        least ``_FILTER_ENTRIES`` entries, with a short shortlist."""
         rng = np.random.default_rng(75)
         dim = 50
-        n_cited = -(-recommend_module._I4O_FILTER_ENTRIES // dim)
+        n_cited = -(-recommend_module._FILTER_ENTRIES // dim)
         rows = rng.normal(size=(n_cited + 100, dim)) * rng.uniform(0.5, 2.0, size=(n_cited + 100, 1))
         model = make_model(shuffled_ids(rng, n_cited + 100), ["w"], dim=dim)
         model.matrices.doc_out[:] = rows
         model.vocab.doc_cited_counts[rng.choice(n_cited + 100, size=100, replace=False)] = 0
         loaded = reloaded(model)
         sizes = self.check(monkeypatch, loaded, [rng.normal(size=dim) for _ in range(3)],
-                           ks=(1, 10), threshold=recommend_module._I4O_FILTER_ENTRIES)
+                           ks=(1, 10), threshold=recommend_module._FILTER_ENTRIES)
         assert max(sizes) < 30
 
     def test_the_shortlist_is_short(self):
@@ -1518,17 +1582,21 @@ class TestFrozenOnFirstQuery:
             model.matrices.doc_out[0, 0] += 1.0
 
     def test_a_copy_of_the_matrices_ranks_with_new_arrays_and_the_same_bits(
-            self, fixture_corpus_bytes):
+            self, fixture_corpus_bytes, monkeypatch):
+        """The copy derives its own arrays, and ranks the same bits below
+        ``_FILTER_ENTRIES`` and filtered, with the threshold set to 0."""
         model, _ = self.trained(fixture_corpus_bytes)
         before = self.rankings(model)
-        derived = model._derived()
-        assert {"cited panel", "unit rows", "word noise"} <= set(derived)
-        model.matrices = model.matrices.copy()
-        assert model.matrices.doc_in.flags.writeable
-        assert self.rankings(model) == before
-        assert model._derived() is not derived and "unit rows" in model._derived()
-        assert model._derived()["unit rows"] is not derived["unit rows"]
-        assert not model.matrices.doc_in.flags.writeable
+        for threshold, kept in ((recommend_module._FILTER_ENTRIES, "row norms"), (0, "unit rows")):
+            monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", threshold)
+            derived = model._derived()
+            assert {"cited panel", "word noise"} <= set(derived)
+            model.matrices = model.matrices.copy()
+            assert model.matrices.doc_in.flags.writeable
+            assert self.rankings(model) == before
+            assert model._derived() is not derived and kept in model._derived()
+            assert model._derived()["cited panel"] is not derived["cited panel"]
+            assert not model.matrices.doc_in.flags.writeable
 
     def test_an_array_made_writable_again_is_read_afresh(self, fixture_corpus_bytes):
         """An owned array made writable again and written: the next query
