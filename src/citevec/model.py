@@ -523,11 +523,14 @@ def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
     that update only the new vector, ``BATCH`` words at a time as the
     content pass does.  Each batch reads the vector as it stood at the
     batch start: word i is predicted from its window words, each over m_i
-    and summed from zero in text order, plus vector / m_i; the training
-    kernel's output half gives the batch's hidden gradients from one draw
-    of noise words, and the vector moves by ``-(lr / m) @ hidden
-    gradients``.  The model is never modified but for its arrays' read-only
-    flags (``Model._derived``); its word-noise table is built once
+    and summed from zero in text order, plus vector / m_i.  The training
+    kernel's output half draws the batch's noise words in one call and
+    gives its entries, word i's target and then its kept noise words, each
+    with a coefficient c_e and its output row.  The vector moves by
+    ``-weights @ rows``: one matrix-vector product over the entries, in
+    entry order, with the weights ``(lr / m_i) * c_e``, so no hidden
+    gradient is formed.  The model is never modified but for its arrays'
+    read-only flags (``Model._derived``); its word-noise table is built once
     (``_reused``) and every call draws from a fresh generator, so it infers
     the same vector each time.
 
@@ -542,7 +545,7 @@ def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
     Raises ConfigError, before any work, when the words are empty, not a
     flat sequence of ints (bools and floats included) or out of range.
     """
-    from scipy.sparse import csr_array  # loaded only where used, as in train._ns_output
+    from scipy.sparse import csr_array  # loaded only where used, as in train._ns_batch
 
     from .train import BATCH, NegativeSampler, _noise_table, _ns_output  # avoids an import cycle
 
@@ -581,7 +584,7 @@ def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
         for lo in range(0, n, BATCH):
             hi = min(lo + BATCH, n)
             hidden = context[lo:hi] + shares[lo:hi] * vec
-            _, grad, _ = _ns_output(hidden, words[lo:hi], model.matrices.word_out, sampler,
-                                    negative, work)
-            vec = vec - rates[lo:hi] @ grad
+            _, entries, gathered = _ns_output(hidden, words[lo:hi], model.matrices.word_out,
+                                              sampler, negative, work)
+            vec = vec - (rates[lo:hi][entries.example] * entries.coeffs) @ gathered
     return vec

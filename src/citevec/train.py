@@ -22,10 +22,12 @@ batch start and the steps are applied together at its end (the Hogwild!
 staleness argument, Recht et al. 2011, within one batch).  Inference
 (``infer_doc_vector``) shares the kernel's output half, ``_ns_output``,
 and its batches.  That half does only what both need: it draws the noise,
-scores every output entry and returns the hidden gradient with the entry
-table; the losses, the touched output rows and their steps are training's
-alone, and ``_ns_batch`` derives them from the table.  Which words form a
-window, for a word or a citation, is decided in ``corpus``.
+scores every output entry and returns the entry table with the output row
+it gathered for each entry.  Each caller folds those rows its own way:
+``_ns_batch`` into the hidden gradient, and from the table the losses, the
+touched output rows and their steps, which are training's alone;
+inference straight into its one vector.  Which words form a window, for a
+word or a citation, is decided in ``corpus``.
 
 All gradients are the exact derivatives of the sampled loss, including the
 1/m factor the mean contributes, so they can be checked against finite
@@ -188,7 +190,7 @@ class _Entries(NamedTuple):
 
 
 def _ns_output(hidden, targets: np.ndarray, out: np.ndarray, sampler: NegativeSampler,
-               negative: int, work: np.ndarray) -> tuple[np.ndarray, np.ndarray, _Entries]:
+               negative: int, work: np.ndarray) -> tuple[np.ndarray, _Entries, np.ndarray]:
     """The output half of the negative-sampling step: what training and
     inference both need; ``out`` is only read.
 
@@ -196,18 +198,17 @@ def _ns_output(hidden, targets: np.ndarray, out: np.ndarray, sampler: NegativeSa
     noise rows, all drawn in one ``sample_rows`` call.  ``work`` is space of
     shape (2, rows, dim), rows at least ``len(targets) * (1 + negative)``.
     Returns the live mask (examples that kept a negative; the others have
-    no entry and a zero gradient row), the hidden gradient and the entries
-    (``_Entries``).  The losses, the touched rows and the output steps are
-    training's alone, and ``_ns_batch`` derives them from the entries.
+    no entry), the entries (``_Entries``) and the output rows, one per
+    entry, gathered into ``work[0]``.  The hidden gradient, the losses, the
+    touched rows and the output steps are training's alone, and
+    ``_ns_batch`` derives them from the entries and the rows.
 
     Per example, in this order: the scores are ``(row * hidden).sum()`` for
-    the target and then each kept negative; the hidden gradient is the sum,
-    from zero, of coefficient * output row, the target's coefficient being
-    ``expit(score) - 1`` and a negative's ``expit(score)``.
+    the target and then each kept negative; the coefficient is
+    ``expit(score) - 1`` for the target and ``expit(score)`` for a negative.
     """
     # scipy is imported where it is used: ranking and the CLI's other
     # commands never load it
-    from scipy.sparse import csr_array
     from scipy.special import expit
 
     b = targets.size
@@ -228,9 +229,7 @@ def _ns_output(hidden, targets: np.ndarray, out: np.ndarray, sampler: NegativeSa
     scored *= rows
     scores = scored.sum(axis=1)
     coeffs = expit(scores) - is_target
-    # one gathered row per entry, so the products are summed in entry order
-    grad_hidden = csr_array((coeffs, np.arange(n), ptr), shape=(b, n)) @ rows
-    return live, grad_hidden, _Entries(example, ids, is_target, scores, coeffs, ptr)
+    return live, _Entries(example, ids, is_target, scores, coeffs, ptr), rows
 
 
 def _ns_batch(
@@ -260,16 +259,17 @@ def _ns_batch(
 
     Every forward pass reads the parameters as they stood at the batch
     start.  Per example, the hidden layer is the sum, from zero and in
-    participant order, of weight * row; ``_ns_output`` states the scores,
-    the coefficients and the hidden gradient.  An example's loss adds, from
-    zero and in entry order, ``logaddexp(0, -score)`` for the target and
-    ``logaddexp(0, score)`` for each negative.  Steps are ``(lr *
-    coefficient) * hidden`` for output rows, ``(lr * weight) * hidden
-    gradient`` for participant rows and ``lr * (weight * (projection - mean
-    projection))`` for attention scores.  Each touched row or score sums
-    its steps from zero in example order, then participant (or
-    target-then-negative) order, and the sum is subtracted once at the end
-    of the batch.
+    participant order, of weight * row; ``_ns_output`` states the scores
+    and the coefficients, and the hidden gradient is the sum, from zero and
+    in entry order, of coefficient * output row (zero for a skipped
+    example).  An example's loss adds, from zero and in entry order,
+    ``logaddexp(0, -score)`` for the target and ``logaddexp(0, score)`` for
+    each negative.  Steps are ``(lr * coefficient) * hidden`` for output
+    rows, ``(lr * weight) * hidden gradient`` for participant rows and
+    ``lr * (weight * (projection - mean projection))`` for attention
+    scores.  Each touched row or score sums its steps from zero in example
+    order, then participant (or target-then-negative) order, and the sum is
+    subtracted once at the end of the batch.
     """
     from scipy.sparse import csc_array, csr_array  # as in _ns_output
 
@@ -295,9 +295,12 @@ def _ns_batch(
         weights = (1.0 / counts)[member]
     hidden = csr_array((weights, inv, indptr), shape=(b, rows.size)) @ parts
 
-    live, grad_hidden, entries = _ns_output(
+    live, entries, gathered = _ns_output(
         hidden, examples.targets[lo:hi], out, sampler, negative, work[1:]
     )
+    # one gathered row per entry, so the products are summed in entry order
+    grad_hidden = csr_array((entries.coeffs, np.arange(entries.ids.size), entries.ptr),
+                            shape=(b, entries.ids.size)) @ gathered
     # -log sigmoid(z) == logaddexp(0, -z), stable for large |z|
     scores = entries.scores
     losses = np.bincount(entries.example,
@@ -405,6 +408,7 @@ def retrofit_pvdm(
     vocab: Vocabulary,
     config,
     on_epoch=None,
+    model: Model | None = None,
 ) -> ModelMatrices:
     """Step one: initialize fresh matrices and pre-train them on content.
 
@@ -414,12 +418,17 @@ def retrofit_pvdm(
     Populates word_in, word_out, and doc_in; doc_out stays zero for step
     two.  With retrofit_epochs=0 the fresh initialization is returned
     unchanged.  ``on_epoch`` receives a ``TrainProgress`` after every epoch.
+    A ``model``, when given, lets go of its matrices once the documents
+    have been checked, before the fresh set is allocated, and holds the
+    fresh set from then on, so the two sets are never held together.
     """
+    examples = _content_examples(docs, vocab, config.window) if config.retrofit_epochs else None
+    if model is not None:
+        model.matrices = model._frozen = None
     matrices = init_matrices(vocab, config)
-    if config.retrofit_epochs == 0:
-        return matrices
-    examples = _content_examples(docs, vocab, config.window)
-    if examples.targets.size == 0:
+    if model is not None:
+        model.matrices = matrices
+    if examples is None or examples.targets.size == 0:
         return matrices
     sampler = NegativeSampler(vocab.word_counts, seed=[config.seed, _RNG_RETROFIT])
     _run_pass("content", examples, matrices, matrices.word_out, sampler,
@@ -441,19 +450,24 @@ def train(
     Step two makes ``iterations`` shuffled passes over the relations (a
     ``relations.RelationTable``, as ``extract_relations`` returns, or a list of
     CitationRelation) with a linearly decaying learning rate.  The
-    relations' flat tables are built,
-    and checked against the vocabulary, before anything trains; each epoch
-    gathers them in its shuffled order.  ``on_progress`` receives each
-    citation epoch's ``TrainProgress``, ``on_content`` each content
-    epoch's.  The result is bit-reproducible per seed.
+    relations' flat tables are built, and they and the documents are
+    checked against the vocabulary, before anything trains: a ConfigError
+    leaves ``model.matrices`` as it was.  After the checks the model lets
+    go of its matrices and holds the fresh set that step one trains
+    (``retrofit_pvdm``).  A pass that diverges raises CitevecError and
+    leaves the model holding its matrices as they stood after the epoch
+    that diverged, with non-finite values, and ``trained_epochs``
+    unchanged.  Each citation epoch gathers the tables in its shuffled
+    order.  ``on_progress`` receives each citation epoch's
+    ``TrainProgress``, ``on_content`` each content epoch's.  The result is
+    bit-reproducible per seed.
     """
     if not relations:
         raise ConfigError("cannot train on an empty relation list")
     config = model.config
     examples = _citation_examples(relations, model.vocab.n_docs, model.vocab.n_words,
                                   config.structural_context)
-    model.matrices = retrofit_pvdm(docs, model.vocab, config, on_epoch=on_content)
-    matrices = model.matrices
+    matrices = retrofit_pvdm(docs, model.vocab, config, on_epoch=on_content, model=model)
     # the trailing 0 keeps the noise stream that earlier releases drew from
     sampler = NegativeSampler(model.vocab.doc_cited_counts, seed=[config.seed, _RNG_CITATION, 0])
     progress = _run_pass(

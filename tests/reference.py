@@ -7,13 +7,14 @@ reusing its code:
 - the pooling functions compute the same hidden layers one relation at a
   time from explicit vectors;
 - ``ns_terms`` gives one example's output entries (the target, then the
-  negatives) with their scores and coefficients, as the kernel's output
-  half ``_ns_output`` must, and ``ns_loss_and_grads`` adds its loss and
-  hidden gradient, which ``_ns_output`` returns for inference and
-  ``_ns_batch`` completes with the loss and the output steps for training;
+  negatives) with their rows, scores and coefficients, as the kernel's
+  output half ``_ns_output`` must, and ``ns_loss_and_grads`` adds its loss
+  and hidden gradient, which ``_ns_batch`` forms from those entries for
+  training, with the output steps;
 - ``batch_reference`` restates the kernel's batch semantics as a loop over
   examples, and ``infer_reference`` restates ``infer_doc_vector`` as a
-  loop over words;
+  loop over words: per entry the weight (lr / m_i) * coefficient, then one
+  product of the weights with the entries' rows, in entry order;
 - ``_window_context`` walks a token stream for one position's window
   words, and ``citation_examples_reference`` builds the citation pass's
   flat tables one relation at a time;
@@ -276,11 +277,13 @@ def infer_reference(model, words, steps, lr):
     """``infer_doc_vector`` one word at a time.
 
     Each step walks the text in batches of ``BATCH`` words.  A batch draws
-    its words' noise words in one ``sample_rows`` call, pools word i as the
-    sum, from zero, of its window words in text order, each over m_i, plus
-    vector / m_i, takes the hidden gradient from ``ns_loss_and_grads`` (zero
-    for a word that kept no noise word), and moves the vector, as it stood
-    at the batch start, by ``-(lr / m) @ gradients``.
+    its words' noise words in one ``sample_rows`` call and pools word i as
+    the sum, from zero, of its window words in text order, each over m_i,
+    plus vector / m_i.  Each of its entries (``ns_terms``: the target, then
+    the kept noise words; none for a word that kept no noise word) gets the
+    weight ``(lr / m_i) * coefficient``, and the vector, as it stood at the
+    batch start, moves by ``-weights @ rows`` over the batch's entries in
+    order.
     """
     word_in, word_out = model.matrices.word_in, model.matrices.word_out
     window, negative = model.config.window, model.config.negative
@@ -291,7 +294,7 @@ def infer_reference(model, words, steps, lr):
         for lo in range(0, len(words), train_module.BATCH):
             batch = words[lo : lo + train_module.BATCH]
             draws, kept = sampler.sample_rows(np.array(batch, dtype=np.intp), negative)
-            grads, scales = [], []
+            weights, rows = [], []
             for i, word in enumerate(batch, start=lo):
                 context = words[max(0, i - window) : i] + words[i + 1 : i + 1 + window]
                 m = 1 + len(context)
@@ -301,11 +304,10 @@ def infer_reference(model, words, steps, lr):
                 hidden = hidden + (1.0 / m) * vec
                 negatives = draws[i - lo][kept[i - lo]]
                 if negatives.size:
-                    grads.append(ns_loss_and_grads(hidden, word_out[word], word_out[negatives])[1])
-                else:
-                    grads.append(np.zeros(vec.size))
-                scales.append(lr / m)
-            vec = vec - np.array(scales) @ np.array(grads)
+                    entry_rows, _, coeffs = ns_terms(hidden, word_out[word], word_out[negatives])
+                    weights += [(lr / m) * coeff for coeff in coeffs]
+                    rows += entry_rows
+            vec = vec - np.array(weights) @ np.array(rows).reshape(-1, vec.size)
     return vec
 
 

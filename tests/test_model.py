@@ -843,16 +843,17 @@ def inference_digest(model, texts) -> str:
 
 # Regression baseline of ``inference_digest`` on the avg fixture model.  A
 # change that moves inference numerics on purpose re-records it.  The
-# vector's update is a BLAS matrix-vector product and the scores' dot
-# products are one too, and their last bits depend on the OpenBLAS kernel
-# (the ranked ids do not), so there is one digest per kernel, each taken
-# with OPENBLAS_CORETYPE set; Zen ran Haswell's kernels, Core2 Katmai's.
+# vector's update, ``-weights @ rows`` over a batch's output entries, is a
+# BLAS matrix-vector product and the scores' dot products are one too, and
+# their last bits depend on the OpenBLAS kernel (the ranked ids do not), so
+# there is one digest per kernel, each taken with OPENBLAS_CORETYPE set;
+# Zen ran Haswell's kernels, Core2 Katmai's.
 PINNED_INFERENCE = {
-    "f5ed0ed2ea00a6868a6fcc950beb9d27cc047f9d5239d8aecbcea72d1143c305": "SkylakeX",
-    "3ebca30565c50c87e2ca9ebf4e3d4a60c3255b119f81eef8ba2020e215787ef6": "Haswell",
-    "d40e8e3949bf09213651f76f67b1a9c7d763ad1c4ec4b732f4ba81c1022a1e20": "Sandybridge",
-    "6111dee406ac31fc6b5cbf291c57f26c32517f422bc8f6c891c545e256dee1ea": "Nehalem",
-    "f2475ea18eb76cb2393de87f5caa5075382544312a209687d5d95bbe4707f054": "Katmai",
+    "b5462a656c0848fddb08a1bc1616f27c2f7e722f35687ad8a40aa79b87a1002e": "SkylakeX",
+    "9f6884326d0dc54aef933344e5fef8a2d90027c344629b46121a960242ca44c5": "Haswell",
+    "41b8462523a9f9a73ed00b32f744cf657144b87c24dc9cc0818827a6b9364039": "Sandybridge",
+    "a2601cfaf04cd313e137030b1d645a84874a4e3d1ce42c90369801a634d2d82f": "Nehalem",
+    "310ebc2a04ad897c44bf8f4fe65841566461ddf0ce753963f9f1413013dd9f3f": "Katmai",
 }
 
 

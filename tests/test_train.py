@@ -8,6 +8,7 @@ import dataclasses
 import importlib
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from citevec.corpus import (
 )
 from citevec.errors import CitevecError, ConfigError
 from citevec.model import EmbeddingConfig, ModelMatrices, init_matrices, init_model, save_model
+from citevec.recommend import rank_i4i
 from citevec.train import (
     _RNG_RETROFIT,
     BATCH,
@@ -31,6 +33,7 @@ from citevec.train import (
     _content_examples,
     _epoch,
     _Examples,
+    _ns_batch,
     _ns_output,
     retrofit_pvdm,
     train,
@@ -318,13 +321,13 @@ EDGE_CORPUS = (
 
 
 class TestNsOutput:
-    """``_ns_output``'s entries and hidden gradient, example by example,
-    against ``ns_terms`` and ``ns_loss_and_grads``."""
+    """``_ns_output``'s entries and gathered output rows, example by
+    example, against ``ns_terms``."""
 
     # with every noise mass on row 5 the examples that target it keep no
     # negative, and the others draw row 5 four times
     @pytest.mark.parametrize("counts", [[1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 7]])
-    def test_entries_and_gradients_match_the_reference(self, counts):
+    def test_entries_and_rows_match_the_reference(self, counts):
         rng = np.random.default_rng(5)
         out = rng.normal(size=(6, 4))
         before = out.tobytes()
@@ -333,28 +336,62 @@ class TestNsOutput:
         negative = 4
         draws, kept = NegativeSampler(counts, seed=3).sample_rows(targets, negative)
         work = np.empty((2, targets.size * (1 + negative), 4))
-        live, grad, entries = _ns_output(hidden, targets, out, NegativeSampler(counts, seed=3),
+        live, entries, rows = _ns_output(hidden, targets, out, NegativeSampler(counts, seed=3),
                                          negative, work)
 
         assert out.tobytes() == before
         assert np.array_equal(live, kept.any(axis=1))
         assert live.all() == (counts[0] > 0)
         assert entries.ptr[0] == 0 and entries.ptr[-1] == entries.ids.size
+        # one row per entry, gathered into the first half of ``work``
+        assert rows.shape == (entries.ids.size, 4) and np.shares_memory(rows, work[0])
         for i, target in enumerate(targets):
             at = slice(entries.ptr[i], entries.ptr[i + 1])
             if not live[i]:
                 assert at.start == at.stop
-                assert np.array_equal(grad[i], np.zeros(4))
                 continue
             negatives = draws[i][kept[i]]
             assert np.array_equal(entries.example[at], np.full(1 + negatives.size, i))
             assert np.array_equal(entries.ids[at], [target, *negatives])
             assert np.array_equal(entries.is_target[at], [True] + [False] * negatives.size)
-            _, scores, coeffs = ns_terms(hidden[i], out[target], out[negatives])
+            want_rows, scores, coeffs = ns_terms(hidden[i], out[target], out[negatives])
+            assert np.array_equal(rows[at], want_rows)
             assert np.array_equal(entries.scores[at], scores)
             assert np.array_equal(entries.coeffs[at], coeffs)
-            assert np.array_equal(grad[i], ns_loss_and_grads(hidden[i], out[target],
-                                                             out[negatives])[1])
+
+
+class TestNsBatchHiddenGradient:
+    """Training's hidden gradient, which ``_ns_batch`` forms from
+    ``_ns_output``'s entries and rows, against ``ns_loss_and_grads``.  Each
+    example here has one participant, a doc row of its own with weight 1,
+    so that row's hidden layer is the row itself and it moves by exactly
+    lr times its example's hidden gradient."""
+
+    @pytest.mark.parametrize("counts", [[1, 2, 3, 4, 5, 6], [0, 0, 0, 0, 0, 7]])
+    def test_participant_steps_are_the_reference_gradients(self, counts):
+        rng = np.random.default_rng(6)
+        matrices = random_matrices(rng, n_docs=7)
+        start = matrices.copy()
+        out = rng.normal(size=(6, 4))
+        out_start = out.copy()
+        targets = np.array([0, 5, 2, 5, 3, 1, 0])
+        examples = _Examples(targets, np.arange(8), np.arange(7))
+        lr = np.linspace(0.1, 0.7, 7)
+        negative = 4
+        draws, kept = NegativeSampler(counts, seed=3).sample_rows(targets, negative)
+        work = np.empty((3, targets.size * (1 + negative), 4))
+        _, skipped = _ns_batch(examples, 0, 7, matrices, out, NegativeSampler(counts, seed=3),
+                               lr, negative, attention=False, work=work)
+
+        assert skipped == (~kept.any(axis=1)).sum()
+        for i, target in enumerate(targets):
+            negatives = draws[i][kept[i]]
+            if negatives.size == 0:
+                assert np.array_equal(matrices.doc_in[i], start.doc_in[i])
+                continue
+            _, grad, _, _ = ns_loss_and_grads(start.doc_in[i], out_start[target],
+                                              out_start[negatives])
+            assert np.array_equal(matrices.doc_in[i], start.doc_in[i] - lr[i] * grad)
 
 
 class TestFlatTables:
@@ -995,6 +1032,35 @@ class TestTrainRejectsWhatTheModelCannotHold:
         assert model.matrices.fingerprint() == before
 
 
+class TestTrainHoldsOneSetOfMatrices:
+    """``train`` lets go of the model's matrices once every check has
+    passed, before step one allocates the fresh set."""
+
+    @pytest.mark.parametrize("queried", [False, True], ids=["fresh", "queried"])
+    def test_old_matrices_are_gone_by_the_first_content_epoch(self, monkeypatch, queried):
+        model, relations, docs = three_doc_setup(retrofit_epochs=2)
+        want = three_doc_setup(retrofit_epochs=2)[0]
+        if queried:
+            rank_i4i(model, [0, 1])  # ranking keeps the arrays it made read-only
+        old = [weakref.ref(a) for a in model.matrices.arrays()]
+        alive = []
+
+        def init_matrices_seen(*args):
+            alive.append([ref() is not None for ref in old])
+            return init_matrices(*args)
+
+        monkeypatch.setattr(train_module, "init_matrices", init_matrices_seen)
+        train(model, relations, docs,
+              on_content=lambda p: alive.append([ref() is not None for ref in old]))
+        # gone when the fresh set is allocated, and at both content epochs
+        assert alive == [[False] * 5] * 3
+        # a caller that keeps the old set trains the same bits
+        kept = want.matrices
+        train(want, relations, docs)
+        assert model.matrices.fingerprint() == want.matrices.fingerprint()
+        assert kept is not want.matrices
+
+
 class TestDivergence:
     def test_content_pass_that_diverges_is_an_error(self):
         model, relations, docs = three_doc_setup(
@@ -1003,3 +1069,5 @@ class TestDivergence:
         with np.errstate(all="ignore"):
             with pytest.raises(CitevecError, match=r"after content epoch \d+$"):
                 train(model, relations, docs)
+        # the model holds the matrices of the epoch that diverged
+        assert not model.matrices.all_finite() and model.trained_epochs == 0
