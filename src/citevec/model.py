@@ -30,7 +30,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .corpus import Vocabulary, _read_bytes, _word_windows
+from .corpus import Vocabulary, _read_bytes, _window_bounds
 from .errors import ConfigError, ModelIOError, _check_float, _check_int
 
 VARIANTS = ("avg", "att")
@@ -173,12 +173,11 @@ class Model:
         was made writable again, starts afresh, so nothing kept goes stale.
 
         What is kept, each made on first use: ``infer_doc_vector``'s
-        word-noise table and its window pool for each text length of at
-        most ``BATCH`` words and each window, ``evaluate``'s cited-id
-        order, and ``recommend``'s cited rows (a float64 panel, or a large
-        one's float32 unit rows and norms) and, for rank_i4i, the input
-        rows' norms or a large model's float32 unit rows, NaN in each row
-        the filters' bound does not cover, sized in its module docstring."""
+        word-noise table, ``evaluate``'s cited-id order, and ``recommend``'s
+        cited rows (a float64 panel, or a large one's float32 unit rows and
+        norms) and, for rank_i4i, the input rows' norms or a large model's
+        float32 unit rows, NaN in each row the filters' bound does not
+        cover, sized in its module docstring."""
         arrays = (*self.matrices.arrays(), self.vocab.word_counts, self.vocab.doc_cited_counts)
         if self._frozen is not None:
             held, derived = self._frozen
@@ -519,34 +518,29 @@ def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
     """Fit a vector for unseen text against the frozen word matrices.
 
     Starts from the mean of the input-side word vectors, then runs
-    ``INFER_STEPS`` content-pass steps at the model's ``learning_rate``
-    that update only the new vector, ``BATCH`` words at a time as the
-    content pass does.  Each batch reads the vector as it stood at the
-    batch start: word i is predicted from its window words, each over m_i
-    and summed from zero in text order, plus vector / m_i.  The training
-    kernel's output half draws the batch's noise words in one call and
-    gives its entries, word i's target and then its kept noise words, each
-    with a coefficient c_e and its output row.  The vector moves by
-    ``-weights @ rows``: one matrix-vector product over the entries, in
-    entry order, with the weights ``(lr / m_i) * c_e``, so no hidden
-    gradient is formed.  The model is never modified but for its arrays'
-    read-only flags (``Model._derived``); its word-noise table is built once
-    (``_reused``) and every call draws from a fresh generator, so it infers
+    ``INFER_STEPS`` content-pass steps at the model's ``learning_rate`` that
+    update only the new vector, ``BATCH`` words at a time as the content
+    pass does.  Each batch reads the vector as it stood at the batch start:
+    word i is predicted from ``(window sum + vector) / m_i``, m_i counting
+    its window words and the vector.  Its window sum is
+    ``S[end] - S[start] - row_i``, over the prefix sums S of the text's word
+    rows and the positions ``[start, end)`` of its window words and itself
+    (``corpus._window_bounds``); it differs from the plain sum of the window
+    words by at most about n · ε times the largest prefix sum in magnitude,
+    n the text's length.  The training kernel's output half draws the
+    batch's noise words in one call and gives its entries, word i's target
+    and then its kept noise words, each with a coefficient c_e and its
+    output row.  The vector moves by ``-weights @ rows``: one matrix-vector
+    product over the entries, in entry order, with the weights
+    ``(lr / m_i) * c_e``, so no hidden gradient is formed.  The model is never modified
+    but for its arrays' read-only flags (``Model._derived``).  Nothing is
+    kept per text: the model keeps only the word-noise table, built once
+    (``_reused``), and every call draws from a fresh generator, so it infers
     the same vector each time.
-
-    The window pool depends only on the text's length and the window: the
-    window words' positions, m, the sparse matrix that sums each word's
-    window words over m, and the column of 1 / m.  For a text of at most
-    ``BATCH`` words it is built once per length and ``config.window`` and
-    kept (``_reused``): at most ``BATCH`` pools per window, of at most
-    n · min(n - 1, 2 · window) entries each, n the length.  A longer text
-    builds its own on every call.
 
     Raises ConfigError, before any work, when the words are empty, not a
     flat sequence of ints (bools and floats included) or out of range.
     """
-    from scipy.sparse import csr_array  # loaded only where used, as in train._ns_batch
-
     from .train import BATCH, NegativeSampler, _noise_table, _ns_output  # avoids an import cycle
 
     items = list(word_indices)
@@ -563,19 +557,14 @@ def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
     counts = model.vocab.word_counts
     sampler = NegativeSampler(counts, seed=[model.config.seed, _RNG_INFER],
                               cumulative=_reused(model, "word noise", lambda: _noise_table(counts)))
-    window = model.config.window
-
-    def windows():
-        offsets, positions = _word_windows(np.array([0, n]), window)
-        m = np.diff(offsets) + 1  # the vector and the window words
-        shares = 1.0 / m
-        # the window words are frozen, so their share of each hidden row is fixed
-        pool = csr_array((shares[np.repeat(np.arange(n), m - 1)], positions, offsets), shape=(n, n))
-        return m, pool, shares[:, None]
-
-    m, pool, shares = _reused(model, ("window pool", n, window), windows) if n <= BATCH else windows()
+    pos = np.arange(n)
+    start, end = _window_bounds(pos, pos + 1, 0, n, model.config.window)
+    m = end - start  # the window words and the vector
     rows = model.matrices.word_in[words]
-    context = pool @ rows
+    sums = np.zeros((n + 1, model.matrices.dim))
+    np.cumsum(rows, axis=0, out=sums[1:])
+    with np.errstate(invalid="ignore"):  # an infinite row: inf - inf, and a non-finite vector
+        context = sums[end] - sums[start] - rows
     work = np.empty((2, min(n, BATCH) * (1 + negative), model.matrices.dim))
 
     rates = model.config.learning_rate / m
@@ -583,7 +572,7 @@ def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
     for _ in range(INFER_STEPS):
         for lo in range(0, n, BATCH):
             hi = min(lo + BATCH, n)
-            hidden = context[lo:hi] + shares[lo:hi] * vec
+            hidden = (context[lo:hi] + vec) / m[lo:hi, None]
             _, entries, gathered = _ns_output(hidden, words[lo:hi], model.matrices.word_out,
                                               sampler, negative, work)
             vec = vec - (rates[lo:hi][entries.example] * entries.coeffs) @ gathered

@@ -424,14 +424,17 @@ def _exact_dots(doc_in: np.ndarray, vector: np.ndarray, rows: np.ndarray) -> np.
     panel padded to a multiple of ``PAD_ROWS`` (``_gather_panel``), so that
     none of them falls in the tail of rows that BLAS takes another way,
     except the rows in ``doc_in``'s last partial ``PAD_ROWS`` group, which
-    are that tail in the whole product too and are taken from a product
-    over that group."""
+    are that tail in the whole product too.  Those are taken from a product
+    over the last full group and that one, as the whole product takes
+    them: NumPy takes a product over one row alone as a dot product,
+    rounded another way."""
     tail = doc_in.shape[0] - doc_in.shape[0] % PAD_ROWS
     head = int(np.searchsorted(rows, tail))
     dots = np.empty(rows.size)
     dots[:head] = (_gather_panel(doc_in, rows[:head]) @ vector)[:head]
     if head < rows.size:
-        dots[head:] = (doc_in[tail:] @ vector)[rows[head:] - tail]
+        start = max(tail - PAD_ROWS, 0)
+        dots[head:] = (doc_in[start:] @ vector)[rows[head:] - start]
     return dots
 
 

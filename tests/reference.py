@@ -13,8 +13,9 @@ reusing its code:
   training, with the output steps;
 - ``batch_reference`` restates the kernel's batch semantics as a loop over
   examples, and ``infer_reference`` restates ``infer_doc_vector`` as a
-  loop over words: per entry the weight (lr / m_i) * coefficient, then one
-  product of the weights with the entries' rows, in entry order;
+  loop over words: each word's window sum from the text's prefix sums, per
+  entry the weight (lr / m_i) * coefficient, then one product of the
+  weights with the entries' rows, in entry order;
 - ``_window_context`` walks a token stream for one position's window
   words, and ``citation_examples_reference`` builds the citation pass's
   flat tables one relation at a time;
@@ -278,9 +279,12 @@ def infer_reference(model, words, steps, lr):
 
     Each step walks the text in batches of ``BATCH`` words.  A batch draws
     its words' noise words in one ``sample_rows`` call and pools word i as
-    the sum, from zero, of its window words in text order, each over m_i,
-    plus vector / m_i.  Each of its entries (``ns_terms``: the target, then
-    the kept noise words; none for a word that kept no noise word) gets the
+    (window sum + vector) / m_i, m_i counting its window words and the
+    vector.  The window sum comes from the prefix sums S of the text's word
+    rows, added up one word at a time: ``S[right] - S[left] -
+    word_in[word]``, where ``[left, right)`` holds the window words and
+    word i.  Each of its entries (``ns_terms``: the target, then the kept
+    noise words; none for a word that kept no noise word) gets the
     weight ``(lr / m_i) * coefficient``, and the vector, as it stood at the
     batch start, moves by ``-weights @ rows`` over the batch's entries in
     order.
@@ -290,18 +294,18 @@ def infer_reference(model, words, steps, lr):
     sampler = NegativeSampler(model.vocab.word_counts, seed=[model.config.seed, _RNG_INFER])
     words = list(words)
     vec = word_in[words].mean(axis=0)
+    sums = [np.zeros(vec.size)]
+    for word in words:
+        sums.append(sums[-1] + word_in[word])
     for _ in range(steps):
         for lo in range(0, len(words), train_module.BATCH):
             batch = words[lo : lo + train_module.BATCH]
             draws, kept = sampler.sample_rows(np.array(batch, dtype=np.intp), negative)
             weights, rows = [], []
             for i, word in enumerate(batch, start=lo):
-                context = words[max(0, i - window) : i] + words[i + 1 : i + 1 + window]
-                m = 1 + len(context)
-                hidden = np.zeros(vec.size)
-                for c in context:
-                    hidden += (1.0 / m) * word_in[c]
-                hidden = hidden + (1.0 / m) * vec
+                left, right = max(0, i - window), min(len(words), i + 1 + window)
+                m = right - left
+                hidden = (sums[right] - sums[left] - word_in[word] + vec) / m
                 negatives = draws[i - lo][kept[i - lo]]
                 if negatives.size:
                     entry_rows, _, coeffs = ns_terms(hidden, word_out[word], word_out[negatives])

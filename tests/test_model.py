@@ -1,13 +1,11 @@
 """Model init, persistence, export, and inference tests."""
 
-import copy
 import dataclasses
 import hashlib
 import importlib
 import io
 import math
 import os
-import pickle
 import re
 import struct
 import sys
@@ -773,48 +771,61 @@ class TestInferReference:
         monkeypatch.setattr(train_module, "BATCH", 300)
         assert not np.array_equal(got, infer_doc_vector(model, words))
 
+    @pytest.mark.parametrize("length", [1, train_module.BATCH, train_module.BATCH + 1])
+    def test_one_batch_and_just_over_under_two_windows(self, length):
+        """One model infers the same text under window 3 and then, its
+        config replaced, under window 1: nothing of the first window's
+        stays to change the second's bits."""
+        model = self.model(window=3, seed=11)
+        words = np.random.default_rng(12 + length).integers(0, 5, size=length).tolist()
+        for window in (3, 1):
+            model.config = dataclasses.replace(model.config, window=window)
+            got = infer_doc_vector(model, words)
+            assert np.array_equal(
+                got, infer_reference(model, words, steps=model_module.INFER_STEPS, lr=0.3))
 
-class TestInferWindowPools:
-    """A text of at most ``BATCH`` words takes its window pool from the
-    model, built once per text length and window; a longer one builds its
-    own on every call."""
+    def test_nothing_is_kept_per_text(self):
+        model = self.model(window=3, seed=13)
+        rng = np.random.default_rng(14)
+        for window in (3, 1):
+            model.config = dataclasses.replace(model.config, window=window)
+            for length in (1, 2, 9, train_module.BATCH, train_module.BATCH + 1, 300):
+                infer_doc_vector(model, rng.integers(0, 5, size=length).tolist())
+        assert set(model._derived()) == {"word noise"}
 
-    @staticmethod
-    def model():
-        return TestInferReference.model(window=3, seed=11)
+    @pytest.mark.parametrize("window", [8, 50])
+    def test_window_sums_of_a_long_text_within_the_prefix_sum_bound(self, monkeypatch, window):
+        """On a 10,000-word text, each hidden row of one step, ``(window
+        sum + vector) / m``, against the window words summed plainly, the
+        vector the words' mean throughout.  A prefix sum of k rows carries
+        k roundings, each at most ε/2 of the largest prefix sum M in
+        magnitude, so a window sum, a difference of two of them less one
+        row, is off by at most about n · ε · M; the bound adds a few
+        roundings more, of the subtractions, the vector's sum and the
+        division by m."""
+        n, eps = 10_000, np.finfo(np.float64).eps
+        monkeypatch.setattr(model_module, "INFER_STEPS", 1)
+        model = self.model(window=window, seed=15)
+        model.matrices.word_out[:] = 0.0  # every update is 0: the vector stays the mean
+        words = np.random.default_rng(16).integers(0, 5, size=n)
+        hidden, ns_output = [], train_module._ns_output
 
-    def test_kept_pools_infer_the_reference_bits(self):
-        batch = train_module.BATCH
-        model = self.model()
-        rng = np.random.default_rng(12)
-        texts = [rng.integers(0, 5, size=n).tolist() for n in (1, batch, batch + 1, batch, 1)]
-        want = [infer_reference(model, words, steps=model_module.INFER_STEPS, lr=0.3)
-                for words in texts]
-        for _ in range(2):
-            for words, vector in zip(texts, want):
-                assert np.array_equal(infer_doc_vector(model, words), vector)
-        kept = {key for key in model._derived() if key != "word noise"}
-        assert kept == {("window pool", 1, 3), ("window pool", batch, 3)}
+        def spy(rows, *args):
+            hidden.append(rows.copy())
+            return ns_output(rows, *args)
 
-    def test_another_window_builds_another_pool(self):
-        model = self.model()
-        words = [0, 1, 2, 1, 3, 0, 4, 2, 1]
-        infer_doc_vector(model, words)
-        model.config = dataclasses.replace(model.config, window=1)
-        got = infer_doc_vector(model, words)
-        assert np.array_equal(
-            got, infer_reference(model, words, steps=model_module.INFER_STEPS, lr=0.3))
-        assert {("window pool", 9, 3), ("window pool", 9, 1)} <= set(model._derived())
-
-    def test_pickles_and_copies_leave_the_pools_out(self):
-        model = self.model()
-        unqueried = pickle.dumps(model)
-        vector = infer_doc_vector(model, [0, 1, 2])
-        assert ("window pool", 3, 3) in model._derived()
-        assert pickle.dumps(model) == unqueried
-        for other in (copy.copy(model), copy.deepcopy(model), pickle.loads(unqueried)):
-            assert other._frozen is None
-            assert np.array_equal(infer_doc_vector(other, [0, 1, 2]), vector)
+        monkeypatch.setattr(train_module, "_ns_output", spy)
+        vec = infer_doc_vector(model, words.tolist())
+        assert np.array_equal(vec, model.matrices.word_in[words].mean(axis=0))
+        got = np.concatenate(hidden)
+        rows = model.matrices.word_in[words]
+        largest = np.abs(np.cumsum(rows, axis=0)).max(axis=0)  # M, per column
+        want = np.empty_like(got)
+        for p in range(n):
+            start, end = max(0, p - window), min(n, p + 1 + window)
+            want[p] = (rows[start:p].sum(axis=0) + rows[p + 1 : end].sum(axis=0) + vec) / (end - start)
+            bound = (n + 8) * eps * (largest + np.abs(vec)) / (end - start)
+            assert (np.abs(got[p] - want[p]) <= bound).all(), p
 
 
 def doc_texts(corpus):
@@ -842,7 +853,8 @@ def inference_digest(model, texts) -> str:
 
 
 # Regression baseline of ``inference_digest`` on the avg fixture model.  A
-# change that moves inference numerics on purpose re-records it.  The
+# change that moves inference numerics on purpose re-records it; it was
+# last re-recorded when window sums came to be taken from prefix sums.  The
 # vector's update, ``-weights @ rows`` over a batch's output entries, is a
 # BLAS matrix-vector product and the scores' dot products are one too, and
 # their last bits depend on the OpenBLAS kernel (the ranked ids do not), so
@@ -851,9 +863,9 @@ def inference_digest(model, texts) -> str:
 PINNED_INFERENCE = {
     "b5462a656c0848fddb08a1bc1616f27c2f7e722f35687ad8a40aa79b87a1002e": "SkylakeX",
     "9f6884326d0dc54aef933344e5fef8a2d90027c344629b46121a960242ca44c5": "Haswell",
-    "41b8462523a9f9a73ed00b32f744cf657144b87c24dc9cc0818827a6b9364039": "Sandybridge",
+    "4b7ba2669d6724f5097d0116779a3d13166c3d7ad9e5fc3748075f793129d4ba": "Sandybridge",
     "a2601cfaf04cd313e137030b1d645a84874a4e3d1ce42c90369801a634d2d82f": "Nehalem",
-    "310ebc2a04ad897c44bf8f4fe65841566461ddf0ce753963f9f1413013dd9f3f": "Katmai",
+    "378e3ea4642e957e0660712d6faa158b36cb2d15f4b5b4ab7a553697f0eb0d73": "Katmai",
 }
 
 

@@ -582,6 +582,18 @@ class TestRankI4I:
         with pytest.raises(QueryError):
             rank_i4i(model, [0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_word_row_is_an_error(self, value):
+        """The row's window sums, taken from prefix sums, are non-finite
+        from it on, and so is the inferred vector: a QueryError, and no
+        invalid-value warning (warnings are errors in this suite)."""
+        model = make_model(["a", "b", "c"], ["x", "y", "z"], dim=4)
+        model.matrices.word_out[:] = 0.1
+        model.matrices.word_in[0, 1] = value
+        for words in ([0], [1, 0, 2], [1, 2, 0] + [1, 2] * 10):
+            with pytest.raises(QueryError):
+                rank_i4i(model, words)
+
     def test_overflowing_query_norm_is_an_error(self):
         """A finite vector whose norm overflows: a QueryError, and no
         overflow warning (warnings are errors in this suite)."""
@@ -799,6 +811,22 @@ class TestI4IShortlist:
             model.matrices.doc_in[:] = rows
             model.matrices.word_in[0] = query
             self.check(model, exclude=["d1", f"d{tail}"], ks=(1, n_docs - tail, n_docs - tail + 5))
+
+    @pytest.mark.parametrize("n_docs", [65, 129, 321, 1025])
+    def test_a_lone_row_in_the_last_group_ranks_first(self, n_docs):
+        """The document count is one past a multiple of PAD_ROWS, and that
+        one row is the top 1: the whole product takes it in its kernel's
+        tail, and a product over it alone rounds it another way."""
+        rng = np.random.default_rng(n_docs)
+        dim = 100
+        for trial in range(4):
+            query = rng.normal(size=dim)
+            rows = rng.normal(size=(n_docs, dim))
+            rows[-1] = query + 0.01 * rng.normal(size=dim)
+            model = make_model([f"d{i}" for i in range(n_docs)], ["w"], dim=dim)
+            model.matrices.doc_in[:] = rows
+            model.matrices.word_in[0] = query
+            self.check(model, exclude=["d1"], ks=(1, 3, 10))
 
     def test_the_shortlist_is_short(self):
         """Random rows are far apart next to the slack: the shortlist is the
@@ -1281,16 +1309,16 @@ class TestLoadedModelReuse:
         assert "word noise" in loaded._derived()
 
     def test_pickles_and_deep_copies_leave_derived_arrays_out(self, monkeypatch):
-        """A ranked model pickles to the bytes of an unranked one; a deep
-        copy and an unpickled copy start with nothing derived, and rank the
-        same bits."""
+        """A ranked model pickles to the bytes of an unranked one; a
+        shallow or deep copy and an unpickled copy start with nothing
+        derived, and rank the same bits."""
         monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", 0)
         loaded = self.model(np.random.default_rng(14), 300, 150)
         unranked = pickle.dumps(loaded)
         expected = self.rankings(loaded, np.random.default_rng(15))
         assert {"cited panel", "unit rows", "word noise"} <= set(loaded._derived())
         assert pickle.dumps(loaded) == unranked
-        for other in (copy.deepcopy(loaded), pickle.loads(unranked)):
+        for other in (copy.copy(loaded), copy.deepcopy(loaded), pickle.loads(unranked)):
             assert other._frozen is None
             assert self.rankings(other, np.random.default_rng(15)) == expected
         assert loaded._frozen is not None
