@@ -563,8 +563,7 @@ def infer_doc_vector(model: Model, word_indices) -> np.ndarray:
     rows = model.matrices.word_in[words]
     sums = np.zeros((n + 1, model.matrices.dim))
     np.cumsum(rows, axis=0, out=sums[1:])
-    with np.errstate(invalid="ignore"):  # an infinite row: inf - inf, and a non-finite vector
-        context = sums[end] - sums[start] - rows
+    context = sums[end] - sums[start] - rows
     work = np.empty((2, min(n, BATCH) * (1 + negative), model.matrices.dim))
 
     rates = model.config.learning_rate / m

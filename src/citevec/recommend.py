@@ -20,26 +20,31 @@ document never got a gradient, and with fewer than k cited candidates left
 the list is shorter than k.  rank_i4i ranks every document, since every
 input vector is trained.
 
+Both rankings have one shape: an optional filter that narrows the rows
+scored, one exact step that takes their float64 dot products
+(``_exact_dots``), and one top-k rule (``_top_k``).  On one BLAS thread
+the exact step gives every score the bits it has in the whole product,
+``doc_out @ query`` or ``doc_in @ vector``, whichever rows are scored.
 An i4o ranking over n cited documents costs one matrix-vector product per
 ``BLOCK_ROWS`` of their rows, gathered into one panel (``_cited_panel``),
 then an O(n) partition of the score row at k plus its exclusion count, and a
 sort of the candidates at or above that place; the tie rule is the same as
 a full sort's.  Every candidate tied at the place is sorted too, so a row
-with many ties costs a sort of all of them.
-``_top_k`` is the one top-k rule: rank_i4o sends it one score row, and
-rank_i4i the scores of every row or of its shortlist.  Its columns name
-the documents scored, the cited ones or a shortlist.  ``evaluate`` needs
-only the target's place, and counts it in the same order without ranking.
+with many ties costs a sort of all of them.  rank_i4o sends ``_top_k``
+one score row, and rank_i4i the scores of every row or of its shortlist.
+Its columns name the documents scored, the cited ones or a shortlist.
+``evaluate`` needs only the target's place, and counts it in the same
+order without ranking.
 
 Below ``_FILTER_ENTRIES`` entries (rows × dim), every ranking scores every
 candidate row exactly: rank_i4i the input rows and rank_i4o the cited
-panel, one matrix-vector product per ``BLOCK_ROWS`` rows, and ``evaluate``
-the cited panel block by block.  There the exact product is as fast as
-any filter or faster.  At or above it, each filters, then refines.  For
-rank_i4i, an approximate cosine of every row, within a proven slack of the
-exact one, gives a shortlist (``_shortlist``): the rows whose upper bound
-reaches the k-th largest lower bound, and the rows the bound does not
-cover, NaN in the copy.  Only those get the exact dot product and the
+panel, through ``_exact_dots``, and ``evaluate`` the cited panel block by
+block.  There the exact product is as fast as any filter or faster.  At
+or above it, each filters, then refines.  For rank_i4i, an approximate
+cosine of every row, within a proven slack of the exact one, gives a
+shortlist (``_shortlist``): the rows whose upper bound reaches the k-th
+largest lower bound, and the rows the bound does not cover, NaN in the
+copy.  Only those get the exact dot product of ``_exact_dots`` and the
 exact norm of ``np.linalg.norm``; their scores are the same bits as
 scoring every row, and no other row can outrank them.  rank_i4o does the
 same for the cited panel: a row's approximate dot product is its norm
@@ -60,7 +65,7 @@ only as the same float32 copy with their norms, n_cited · dim · 4 +
 n_cited · 8 bytes, read by rank_i4o and evaluate.  Each filter then reads
 half the bytes of its float64 matrix: one float32 product gives every
 approximate cosine, one slack (``_slack32``) bounds its error, and the
-shortlist is scored exactly (``_exact_dots`` for i4i).
+shortlist is scored exactly (``_exact_dots``).
 """
 
 from __future__ import annotations
@@ -75,11 +80,10 @@ from .errors import ConfigError, QueryError, _check_float, _check_int
 from .model import Model, _reused, infer_doc_vector
 
 CASES = (1, 2, 3)
-# rows of a document matrix per block, in ``_unit_rows``, in the cited
-# panel's products in rank_i4o and evaluate, and in rank_i4i's product over
-# every input row: a block stays in cache
+# rows of a document matrix per block, in ``_unit_rows``, in the products
+# of ``_exact_dots`` and in evaluate's: a block stays in cache
 BLOCK_ROWS = 1024
-# the cited panel is padded to a multiple of this many rows, a multiple of
+# a gathered panel is padded to a multiple of this many rows, a multiple of
 # the tile of rows that BLAS's matrix-vector kernels take at once
 PAD_ROWS = 64
 # rank_i4i's error bounds cover squared norms in this range: nothing in a
@@ -232,14 +236,15 @@ def _gather_panel(matrix: np.ndarray, rows: np.ndarray) -> np.ndarray:
 def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray | None, np.ndarray, tuple | None]:
     """i4o's candidates: the indices of the documents cited in training,
     ascending; below ``_FILTER_ENTRIES`` entries, their output rows
-    (``_gather_panel``), else None; every document's column among them, -1
-    for a document never cited; and at or above it, in place of the rows,
-    their float32 unit copy and norms (``_unit_rows``), the filter of
-    rank_i4o and ``evaluate``, else None.  The output rows of the others
-    never got a gradient.  Ranking makes a model's arrays read-only on its first query;
-    to edit, assign ``model.matrices = model.matrices.copy()``.  All of
-    this is built then, once, in one entry (``_reused``), so the first i4o
-    query builds what ``evaluate`` reads."""
+    (``_gather_panel``), the panel that rank_i4o passes to ``_exact_dots``,
+    else None; every document's column among them, -1 for a document never
+    cited; and at or above it, in place of the rows, their float32 unit
+    copy and norms (``_unit_rows``), the filter of rank_i4o and
+    ``evaluate``, else None.  The output rows of the others never got a
+    gradient.  Ranking makes a model's arrays read-only on its first
+    query; to edit, assign ``model.matrices = model.matrices.copy()``.  All
+    of this is built then, once, in one entry (``_reused``), so the first
+    i4o query builds what ``evaluate`` reads."""
     def build():
         rows = np.flatnonzero(model.vocab.doc_cited_counts > 0)
         column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
@@ -256,24 +261,18 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
     with their output vectors.  With fewer than k such documents left
     after the exclusions, the list holds only those.
 
-    Each ``BLOCK_ROWS`` slice of the cited panel (``_cited_panel``) takes
-    one matrix-vector product; the last slice ends in the panel's zero rows,
-    at a multiple of ``PAD_ROWS``.  BLAS takes the rows past its kernel's
-    last full tile of rows another way, and the padding keeps every cited
-    row out of that tail: on one BLAS thread, a score is the same bits
-    whichever documents are cited, and the same bits as in ``doc_out @
-    query_vector`` for a row outside that product's tail (every row, when
-    the document count is a multiple of ``PAD_ROWS``).  Ranking makes a
-    model's arrays read-only on its first query; to edit, assign
-    ``model.matrices = model.matrices.copy()``.  The panel is built on that
-    query and kept; a large one, only as its filter.
+    The cited panel (``_cited_panel``) is scored by ``_exact_dots``: on one
+    BLAS thread every score has the bits of ``doc_out @ query_vector``,
+    whichever documents are cited.  Ranking makes a model's arrays
+    read-only on its first query; to edit, assign ``model.matrices =
+    model.matrices.copy()``.  The panel is built on that query and kept; a
+    large one, only as its filter.
 
     A large panel is filtered: each row's approximate dot product is its
     norm times the query's times the float32 cosine of its unit row with
     the query's (``_unit_rows``), within ``_slack32(dim)`` times those
-    norms of the exact one, and only ``_shortlist``'s rows are gathered
-    from ``doc_out`` and scored as above: whichever documents are in the panel, their
-    scores are the same bits, and no other row can reach the top k.
+    norms of the exact one, and only ``_shortlist``'s rows are scored by
+    ``_exact_dots``, with the same bits; no other row can reach the top k.
     Raises ConfigError, before any work, for a bad ``k``, a query that is
     not of shape ``(dim,)`` or a bad ``exclude`` (``_banned``).
     """
@@ -296,12 +295,8 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
             short = _shortlist(scale * (units @ query_unit[0]), _slack32(query.size) * scale,
                                candidates, k)
         rows, banned = rows[short], ()
-        panel = _gather_panel(model.matrices.doc_out, rows)
-    scores = np.empty(panel.shape[0])
-    for start in range(0, panel.shape[0], BLOCK_ROWS):
-        stop = start + BLOCK_ROWS
-        np.matmul(panel[start:stop], query, out=scores[start:stop])
-    return _rank_row(model, scores[: rows.size], k, rows, banned=banned)
+    scores = _exact_dots(model.matrices.doc_out, query, rows, panel)
+    return _rank_row(model, scores, k, rows, banned=banned)
 
 
 def _unit_rows(matrix: np.ndarray, rows=None) -> tuple[np.ndarray, np.ndarray]:
@@ -418,23 +413,35 @@ def _shortlist(approx: np.ndarray, slack, candidates: np.ndarray, k: int) -> np.
     return np.flatnonzero(candidates & ~(approx < tau - slack))
 
 
-def _exact_dots(doc_in: np.ndarray, vector: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """``(doc_in @ vector)[rows]`` for ascending ``rows``, with the bits of
-    the whole product on one BLAS thread: the rows are gathered into one
-    panel padded to a multiple of ``PAD_ROWS`` (``_gather_panel``), so that
-    none of them falls in the tail of rows that BLAS takes another way,
-    except the rows in ``doc_in``'s last partial ``PAD_ROWS`` group, which
-    are that tail in the whole product too.  Those are taken from a product
-    over the last full group and that one, as the whole product takes
-    them: NumPy takes a product over one row alone as a dot product,
-    rounded another way."""
-    tail = doc_in.shape[0] - doc_in.shape[0] % PAD_ROWS
-    head = int(np.searchsorted(rows, tail))
-    dots = np.empty(rows.size)
-    dots[:head] = (_gather_panel(doc_in, rows[:head]) @ vector)[:head]
-    if head < rows.size:
-        start = max(tail - PAD_ROWS, 0)
-        dots[head:] = (doc_in[start:] @ vector)[rows[head:] - start]
+def _exact_dots(matrix: np.ndarray, vector: np.ndarray, rows=None, panel=None) -> np.ndarray:
+    """``(matrix @ vector)[rows]`` for ascending ``rows``, every row for
+    None: the one exact step of rank_i4o and rank_i4i, with the bits of the
+    whole product on one BLAS thread.  ``panel``, when given, is the kept
+    ``_gather_panel(matrix, rows)``.  BLAS takes the rows past its kernel's
+    last full tile of rows, a product's tail, another way; every product
+    here starts at a multiple of ``PAD_ROWS`` rows, a multiple of that
+    tile, and takes ``BLOCK_ROWS`` rows at a time.  For None that is the
+    matrix itself, whose tail is the whole product's.  Else it is the
+    rows' panel, whose zero padding keeps every row out of its tail, as the
+    whole product takes all but the rows in the matrix's last partial
+    ``PAD_ROWS`` group, which may be its tail.  Those are taken again from
+    one product over the last full group and that one, as the whole
+    product takes them: NumPy takes a product over one row alone as a dot
+    product, rounded another way."""
+    if rows is not None and panel is None:
+        panel = _gather_panel(matrix, rows)
+    source = matrix if rows is None else panel
+    dots = np.empty(source.shape[0])
+    for start in range(0, source.shape[0], BLOCK_ROWS):
+        stop = start + BLOCK_ROWS
+        np.matmul(source[start:stop], vector, out=dots[start:stop])
+    if rows is None:
+        return dots
+    dots = dots[: rows.size]
+    tail = matrix.shape[0] - matrix.shape[0] % PAD_ROWS
+    if rows.size and rows[-1] >= tail:
+        head, start = int(np.searchsorted(rows, tail)), max(tail - PAD_ROWS, 0)
+        dots[head:] = (matrix[start:] @ vector)[rows[head:] - start]
     return dots
 
 
@@ -444,34 +451,30 @@ def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> Recommenda
     ``doc_in @ vector`` and the norms of ``np.linalg.norm``.  Zero-norm
     rows score 0.
 
-    Below ``_FILTER_ENTRIES`` entries in ``doc_in`` every row is scored:
-    one matrix-vector product per ``BLOCK_ROWS`` slice of ``doc_in``, as
-    rank_i4o scores its panel, and the row norms, taken on the first i4i
-    query and kept (``_reused``).  At or above it, the approximate cosines
-    of one float32 product of the input rows' unit copy (``_unit_rows``,
-    made on the first i4i query and kept) with the query's, within
-    ``_slack32`` of the exact ones, pick ``_shortlist``'s rows, and only
-    those are scored, by ``_exact_dots``; the others cannot reach the top
-    k.  Either way a score is the same bits.  Ranking makes a model's
-    arrays read-only on its first query; to edit, assign
-    ``model.matrices = model.matrices.copy()``.  Raises QueryError when the
-    inferred vector's norm is 0 or not finite, and ConfigError, before any
-    work, for a bad ``k``, word or ``exclude``."""
+    Below ``_FILTER_ENTRIES`` entries in ``doc_in`` every row is scored,
+    with the row norms taken on the first i4i query and kept
+    (``_reused``).  At or above it, the approximate cosines of one float32
+    product of the input rows' unit copy (``_unit_rows``, made on the first
+    i4i query and kept) with the query's, within ``_slack32`` of the exact
+    ones, pick ``_shortlist``'s rows, and only those are scored; the others
+    cannot reach the top k.  Either way the dot products are
+    ``_exact_dots``'s: on one BLAS thread every score has the whole
+    product's bits.  Ranking makes a model's arrays read-only on its first
+    query; to edit, assign ``model.matrices = model.matrices.copy()``.
+    Raises QueryError when the inferred vector's norm is 0 or not finite,
+    with no warning from the fit, and ConfigError, before any work, for a
+    bad ``k``, word or ``exclude``."""
     _check_k(k)
     banned = _banned(model, exclude)
-    inferred = infer_doc_vector(model, context_words)
-    with np.errstate(over="ignore"):
+    doc_in, rows = model.matrices.doc_in, None
+    # a non-finite fit is a QueryError and non-finite scores are ranked:
+    # neither warns
+    with np.errstate(all="ignore"):
+        inferred = infer_doc_vector(model, context_words)
         query_norm = float(np.linalg.norm(inferred))
-    if not 0.0 < query_norm < math.inf:
-        raise QueryError(f"inferred query vector has norm {query_norm}")
-    doc_in = model.matrices.doc_in
-    with np.errstate(all="ignore"):  # non-finite scores are ranked, not warned about
+        if not 0.0 < query_norm < math.inf:
+            raise QueryError(f"inferred query vector has norm {query_norm}")
         if doc_in.size < _FILTER_ENTRIES:
-            rows = np.arange(doc_in.shape[0])
-            dots = np.empty(rows.size)
-            for start in range(0, rows.size, BLOCK_ROWS):
-                stop = start + BLOCK_ROWS
-                np.matmul(doc_in[start:stop], inferred, out=dots[start:stop])
             norms = _reused(model, "row norms", lambda: np.linalg.norm(doc_in, axis=1))
         else:
             candidates = np.ones(doc_in.shape[0], dtype=bool)
@@ -480,9 +483,10 @@ def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> Recommenda
             rows = _shortlist(units @ _unit_rows(inferred[None])[0][0],
                               _slack32(doc_in.shape[1]), candidates, k)
             banned = ()
-            dots = _exact_dots(doc_in, inferred, rows)
             norms = np.linalg.norm(doc_in[rows], axis=1)
-        scores = dots / (norms * query_norm)
+        scores = _exact_dots(doc_in, inferred, rows) / (norms * query_norm)
+    if rows is None:
+        rows = np.arange(doc_in.shape[0])
     return _rank_row(model, np.where(norms > 0.0, scores, 0.0), k, rows, banned)
 
 

@@ -403,31 +403,24 @@ def _run_pass(name: str, examples: _Examples, matrices: ModelMatrices, out: np.n
     return progress
 
 
-def retrofit_pvdm(
-    docs: list[HyperDocument],
-    vocab: Vocabulary,
-    config,
-    on_epoch=None,
-    model: Model | None = None,
-) -> ModelMatrices:
-    """Step one: initialize fresh matrices and pre-train them on content.
+def retrofit_pvdm(model: Model, docs: list[HyperDocument], on_epoch=None) -> ModelMatrices:
+    """Step one: give the model fresh matrices and pre-train them on
+    content, with its vocabulary and config; returns the fresh set.
 
     Runs ``config.retrofit_epochs`` passes over every word occurrence, in
     corpus order, predicting the word's output vector from the mean of the
     document vector and the window words, with negative word samples.
     Populates word_in, word_out, and doc_in; doc_out stays zero for step
-    two.  With retrofit_epochs=0 the fresh initialization is returned
+    two.  With retrofit_epochs=0 the fresh initialization is left
     unchanged.  ``on_epoch`` receives a ``TrainProgress`` after every epoch.
-    A ``model``, when given, lets go of its matrices once the documents
-    have been checked, before the fresh set is allocated, and holds the
-    fresh set from then on, so the two sets are never held together.
+    The model lets go of its matrices once the documents have been checked,
+    before the fresh set is allocated, so the two sets are never held
+    together.
     """
+    vocab, config = model.vocab, model.config
     examples = _content_examples(docs, vocab, config.window) if config.retrofit_epochs else None
-    if model is not None:
-        model.matrices = model._frozen = None
-    matrices = init_matrices(vocab, config)
-    if model is not None:
-        model.matrices = matrices
+    model.matrices = model._frozen = None
+    matrices = model.matrices = init_matrices(vocab, config)
     if examples is None or examples.targets.size == 0:
         return matrices
     sampler = NegativeSampler(vocab.word_counts, seed=[config.seed, _RNG_RETROFIT])
@@ -467,7 +460,7 @@ def train(
     config = model.config
     examples = _citation_examples(relations, model.vocab.n_docs, model.vocab.n_words,
                                   config.structural_context)
-    matrices = retrofit_pvdm(docs, model.vocab, config, on_epoch=on_content, model=model)
+    matrices = retrofit_pvdm(model, docs, on_epoch=on_content)
     # the trailing 0 keeps the noise stream that earlier releases drew from
     sampler = NegativeSampler(model.vocab.doc_cited_counts, seed=[config.seed, _RNG_CITATION, 0])
     progress = _run_pass(

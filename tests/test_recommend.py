@@ -308,37 +308,51 @@ class TestI4OCandidates:
         assert recommend(model, "x [[m3]]", k=5).ranked == []
 
     def test_scores_are_the_bits_of_the_whole_product(self):
-        """Real-valued rows, a document count that is a multiple of
-        PAD_ROWS, and cited rows spread over several blocks, the last of
-        them partial: on one BLAS thread each score is the same bits as in
-        ``doc_out @ query``, and as when every document is cited; on two,
-        the same bits as on one.  Checked in processes with one and two
-        BLAS threads."""
+        """Real-valued rows and cited rows spread over several blocks, the
+        last of them partial, at a document count that is a multiple of
+        PAD_ROWS; then counts that are not multiples of 4, whose last rows
+        the whole product takes in BLAS's tail, every document cited or
+        some, in a small cited panel and, at 6,145 documents all cited,
+        through the filter.  On one BLAS thread each score is the same bits
+        as in ``doc_out @ query``, and as when every document is cited; on
+        two, the same bits as on one.  Checked in processes with one and
+        two BLAS threads."""
         script = textwrap.dedent("""
             import hashlib
             import os
             import numpy as np
-            from citevec.recommend import BLOCK_ROWS, PAD_ROWS, rank_i4o
+            from citevec.recommend import BLOCK_ROWS, PAD_ROWS, _cited_panel, rank_i4o
             from test_recommend import make_model
             rng = np.random.default_rng(93)
-            n_docs = 5 * BLOCK_ROWS + 5 * PAD_ROWS
-            rows = rng.normal(size=(n_docs, 100))
             one_thread = os.environ["OPENBLAS_NUM_THREADS"] == "1"
             digest, tails = hashlib.sha256(), set()
-            for trial in range(20):
+
+            def check(rows, cited):
                 # ranking makes a model's arrays read-only: a fresh model per trial
+                n_docs = rows.shape[0]
                 model = make_model([f"d{i}" for i in range(n_docs)], ["x"], dim=100)
                 model.matrices.doc_out[:] = rows
-                counts = model.vocab.doc_cited_counts
-                counts[:] = rng.random(n_docs) < rng.uniform(0.2, 0.9)
-                tails.add(int(counts.sum()) % PAD_ROWS)
+                model.vocab.doc_cited_counts[:] = cited
                 query = rng.normal(size=100)
                 whole = model.matrices.doc_out @ query
                 ranked = rank_i4o(model, query, k=n_docs).ranked
                 for doc_id, score in ranked:
                     assert not one_thread or score.hex() == whole[model.vocab.doc_ids[doc_id]].hex()
                 digest.update(repr([(doc_id, score.hex()) for doc_id, score in ranked]).encode())
+                return _cited_panel(model)[1] is None
+
+            n_docs = 5 * BLOCK_ROWS + 5 * PAD_ROWS
+            rows = rng.normal(size=(n_docs, 100))
+            for trial in range(20):
+                cited = rng.random(n_docs) < rng.uniform(0.2, 0.9)
+                tails.add(int(cited.sum()) % PAD_ROWS)
+                assert not check(rows, cited)
             assert len(tails) > 10  # partial last blocks of many sizes
+            for n_docs in (65, 130, 131, 133, 1389, 6145):
+                for trial in range(6):
+                    cited = rng.random(n_docs) < rng.uniform(0.5, 0.9) if trial else 1
+                    filtered = check(rng.normal(size=(n_docs, 100)), cited)
+                    assert filtered == (n_docs == 6145 and not trial)
             print(digest.hexdigest())
         """)
         outputs = []
@@ -350,6 +364,30 @@ class TestI4OCandidates:
             assert done.returncode == 0, done.stderr
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("filtered", [False, True])
+    @pytest.mark.parametrize("n_docs", [65, 129, 321, 1025])
+    def test_a_lone_cited_row_in_the_last_group_ranks_first(self, monkeypatch, n_docs, filtered):
+        """The document count is one past a multiple of PAD_ROWS, and that
+        one row, cited, is the top 1: the whole product takes it in its
+        kernel's tail, and so must its score, in the small cited panel and
+        through the filter."""
+        if filtered:
+            monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", 0)
+        rng = np.random.default_rng(n_docs)
+        dim = 100
+        for trial in range(4):
+            query = rng.normal(size=dim)
+            model = make_model([f"d{i}" for i in range(n_docs)], ["x"], dim=dim)
+            model.matrices.doc_out[:] = rng.normal(size=(n_docs, dim))
+            model.matrices.doc_out[-1] = query + 0.01 * rng.normal(size=dim)
+            model.vocab.doc_cited_counts[:] = rng.random(n_docs) < 0.7
+            model.vocab.doc_cited_counts[-1] = 1
+            for k in (1, 3, 10):
+                got = bits(rank_i4o(model, query, exclude=["d1"], k=k).ranked)
+                assert got == bits(i4o_oracle(model, query, ["d1"], k)), f"k={k}"
+                assert got[0][0] == f"d{n_docs - 1}"
+            assert (recommend_module._cited_panel(model)[1] is None) == filtered
 
 
 class TestRankI4O:
@@ -582,17 +620,51 @@ class TestRankI4I:
         with pytest.raises(QueryError):
             rank_i4i(model, [0])
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_a_non_finite_word_row_is_an_error(self, value):
-        """The row's window sums, taken from prefix sums, are non-finite
-        from it on, and so is the inferred vector: a QueryError, and no
-        invalid-value warning (warnings are errors in this suite)."""
-        model = make_model(["a", "b", "c"], ["x", "y", "z"], dim=4)
-        model.matrices.word_out[:] = 0.1
-        model.matrices.word_in[0, 1] = value
-        for words in ([0], [1, 0, 2], [1, 2, 0] + [1, 2] * 10):
+    @pytest.mark.parametrize("rows, word_out", [
+        *(([[0.5, value, -0.5, 0.25]], 0.1) for value in (np.nan, np.inf, -np.inf)),
+        ([[0.5, np.inf, -0.5, 0.25]], 0.0),
+        ([[1e308, 0.0], [1e308, 0.0]], 0.0),  # their sum overflows
+        ([[np.inf, 0.0], [-np.inf, 0.0]], 0.0),  # their sum is inf - inf
+        ([[np.inf, 1.0], [1.0, 1.0]], 0.0),  # inf times a zero output row
+    ])
+    def test_a_non_finite_word_row_is_an_error(self, rows, word_out):
+        """Word rows whose window sums, taken from prefix sums, or whose
+        mean are non-finite, and so is the inferred vector: a QueryError,
+        and no warning (warnings are errors in this suite).  A zero
+        ``word_out`` is a model trained with no content epoch.  The rows
+        set are the first words'; every text holds all of them."""
+        model = make_model(["a", "b", "c"], ["x", "y", "z"], dim=len(rows[0]))
+        model.matrices.word_out[:] = word_out
+        model.matrices.word_in[: len(rows)] = rows
+        for words in ([0, 1][: len(rows)], [1, 0, 2], [1, 2, 0] + [1, 2] * 10):
             with pytest.raises(QueryError):
                 rank_i4i(model, words)
+
+    @pytest.mark.parametrize("threshold", [math.inf, 0])
+    def test_any_model_ranks_or_is_a_query_error(self, monkeypatch, threshold):
+        """Small models whose every entry is drawn from inf, -inf, NaN,
+        ±1e308, 1e300, ±1 and 0, every row scored and through the filter:
+        each text gives a ranking or a QueryError, never a warning
+        (warnings are errors in this suite).  Both outcomes occur."""
+        monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", threshold)
+        rng = np.random.default_rng(41)
+        values = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308, 1e300, 1.0, -1.0, 0.0])
+        outcomes = set()
+        for trial in range(60):
+            n_docs, n_words, dim = (int(n) for n in rng.integers(1, 7, size=3))
+            model = make_model([f"d{i}" for i in range(n_docs)], [f"w{j}" for j in range(n_words)],
+                               dim=dim)
+            # a few of the values per model, so that some fits stay finite
+            drawn = rng.choice(values, size=int(rng.integers(1, 4)), replace=False)
+            for matrix in model.matrices.arrays():
+                matrix[:] = rng.choice(drawn, size=matrix.shape)
+            for length in (1, 2, 5, 30):
+                try:
+                    ranked = rank_i4i(model, rng.integers(0, n_words, size=length).tolist(), k=3)
+                    outcomes.add(len(ranked.ranked) == min(3, n_docs))
+                except QueryError:
+                    outcomes.add("QueryError")
+        assert outcomes == {True, "QueryError"}
 
     def test_overflowing_query_norm_is_an_error(self):
         """A finite vector whose norm overflows: a QueryError, and no

@@ -797,7 +797,7 @@ class TestRetrofit:
             dim=5, window=3, negative=4, retrofit_epochs=3, learning_rate=0.3, seed=7
         )
         records = []
-        got = retrofit_pvdm(corpus.docs, vocab, config, on_epoch=records.append)
+        got = retrofit_pvdm(init_model(vocab, config), corpus.docs, on_epoch=records.append)
 
         examples = occurrence_examples(corpus.docs, vocab, config.window)
         n = len(examples)
@@ -829,7 +829,7 @@ class TestRetrofit:
         corpus = parse_corpus(b"d0\ta a a\nd1\ta [[d0]]\n")
         config = EmbeddingConfig(dim=3, window=2, negative=2, retrofit_epochs=2, seed=4)
         records = []
-        got = retrofit_pvdm(corpus.docs, corpus.vocab, config, on_epoch=records.append)
+        got = retrofit_pvdm(init_model(corpus.vocab, config), corpus.docs, on_epoch=records.append)
         assert [(r.epoch, r.seen, r.running_loss, r.skipped) for r in records] == [
             (e, 4 * e, 0.0, 4) for e in (1, 2)
         ]
@@ -840,7 +840,9 @@ class TestRetrofit:
     def test_zero_epochs_returns_untouched_init(self):
         corpus = parse_corpus(b"d0\ta b a b\n")
         config = EmbeddingConfig(dim=2, window=1, negative=2, retrofit_epochs=0, seed=3)
-        got = retrofit_pvdm(corpus.docs, corpus.vocab, config)
+        model = init_model(corpus.vocab, config)
+        got = retrofit_pvdm(model, corpus.docs)
+        assert model.matrices is got
         fresh = init_matrices(corpus.vocab, config)
         for a, b in zip(got.arrays(), fresh.arrays()):
             assert np.array_equal(a, b)
@@ -883,7 +885,7 @@ class TestRetrofit:
             seed=3,
         )
         records = []
-        retrofit_pvdm(corpus.docs, corpus.vocab, config, on_epoch=records.append)
+        retrofit_pvdm(init_model(corpus.vocab, config), corpus.docs, on_epoch=records.append)
         losses = [r.running_loss for r in records]
         assert len(losses) == 50
         strided = losses[::5]
@@ -893,7 +895,7 @@ class TestRetrofit:
     def test_trains_word_out_but_not_doc_out(self):
         corpus = parse_corpus(b"d0\ta b a b [[d1]]\nd1\tc a\n")
         config = EmbeddingConfig(dim=4, window=2, negative=2, retrofit_epochs=3, seed=1)
-        got = retrofit_pvdm(corpus.docs, corpus.vocab, config)
+        got = retrofit_pvdm(init_model(corpus.vocab, config), corpus.docs)
         assert got.word_out.any()
         assert not got.doc_out.any()
         assert not got.attention.any()
@@ -901,8 +903,8 @@ class TestRetrofit:
     def test_deterministic(self):
         corpus = parse_corpus(b"d0\ta b c a\nd1\tb c d\n")
         config = EmbeddingConfig(dim=4, window=2, negative=2, retrofit_epochs=4, seed=5)
-        first = retrofit_pvdm(corpus.docs, corpus.vocab, config)
-        second = retrofit_pvdm(corpus.docs, corpus.vocab, config)
+        first = retrofit_pvdm(init_model(corpus.vocab, config), corpus.docs)
+        second = retrofit_pvdm(init_model(corpus.vocab, config), corpus.docs)
         for a, b in zip(first.arrays(), second.arrays()):
             assert np.array_equal(a, b)
 
