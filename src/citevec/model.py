@@ -12,9 +12,7 @@ blocks start at 64-byte offsets.  Saving streams the blocks to the sink,
 and loading reads the file into one aligned buffer that the loaded
 matrices view, so neither holds more than one copy of the file.  Loading
 reads ``_CHUNK`` bytes at a time and checksums each chunk on a second
-thread while the next chunk is read.  Ranking makes a model's arrays
-read-only on its first query (``Model._derived``); to edit, assign
-``model.matrices = model.matrices.copy()``.
+thread while the next chunk is read.
 """
 
 from __future__ import annotations

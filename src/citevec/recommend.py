@@ -33,8 +33,10 @@ a full sort's.  Every candidate tied at the place is sorted too, so a row
 with many ties costs a sort of all of them.  rank_i4o sends ``_top_k``
 one score row, and rank_i4i the scores of every row or of its shortlist.
 Its columns name the documents scored, the cited ones or a shortlist.
-``evaluate`` needs only the target's place, and counts it in the same
-order without ranking.
+``evaluate`` needs only each held-out citation's place (``_cited_places``):
+it scores its queries ``EVAL_BATCH`` at a time, a query's scores the same
+bits in any block (``_score_block``) but not always rank_i4o's, and counts
+each target's place in the same order without ranking (``_places``).
 
 Below ``_FILTER_ENTRIES`` entries (rows × dim), every ranking scores every
 candidate row exactly: rank_i4i the input rows and rank_i4o the cited
@@ -50,8 +52,9 @@ scoring every row, and no other row can outrank them.  rank_i4o does the
 same for the cited panel: a row's approximate dot product is its norm
 times the query's times its approximate cosine, and its slack scales with
 the same norms.  ``evaluate`` filters the same rows, query by query, with
-the same a and h, and scores exactly only the candidates that may sit on
-either side of each target.
+the same a and h (``_near_places``), and scores exactly only the targets
+and the candidates that may sit on either side of them: each place below
+k is the whole product's, and the reports are the same bits.
 
 Ranking makes a model's arrays read-only on its first query; to edit,
 assign ``model.matrices = model.matrices.copy()``.  So the arrays that do
@@ -62,10 +65,8 @@ input rows scaled to unit norm, n_docs × dim float32s, NaN in the rows its
 bound does not cover (``_unit_rows``); and the cited output rows
 (``_cited_panel``), a small panel as n_cited × dim float64s, a large one
 only as the same float32 copy with their norms, n_cited · dim · 4 +
-n_cited · 8 bytes, read by rank_i4o and evaluate.  Each filter then reads
-half the bytes of its float64 matrix: one float32 product gives every
-approximate cosine, one slack (``_slack32``) bounds its error, and the
-shortlist is scored exactly (``_exact_dots``).
+n_cited · 8 bytes, read by rank_i4o and evaluate.  Each filter's float32
+product reads half the bytes of its float64 matrix.
 """
 
 from __future__ import annotations
@@ -81,8 +82,10 @@ from .model import Model, _reused, infer_doc_vector
 
 CASES = (1, 2, 3)
 # rows of a document matrix per block, in ``_unit_rows``, in the products
-# of ``_exact_dots`` and in evaluate's: a block stays in cache
+# of ``_exact_dots`` and in ``_score_block``'s: a block stays in cache
 BLOCK_ROWS = 1024
+# evaluate's query vectors per score product; every product has this many rows
+EVAL_BATCH = 32
 # a gathered panel is padded to a multiple of this many rows, a multiple of
 # the tile of rows that BLAS's matrix-vector kernels take at once
 PAD_ROWS = 64
@@ -240,11 +243,9 @@ def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray | None, np.ndarra
     else None; every document's column among them, -1 for a document never
     cited; and at or above it, in place of the rows, their float32 unit
     copy and norms (``_unit_rows``), the filter of rank_i4o and
-    ``evaluate``, else None.  The output rows of the others never got a
-    gradient.  Ranking makes a model's arrays read-only on its first
-    query; to edit, assign ``model.matrices = model.matrices.copy()``.  All
-    of this is built then, once, in one entry (``_reused``), so the first
-    i4o query builds what ``evaluate`` reads."""
+    ``_cited_places``, else None.  The output rows of the others never got
+    a gradient.  Built once, on the first query, in one entry
+    (``_reused``): the first i4o query builds what ``evaluate`` reads."""
     def build():
         rows = np.flatnonzero(model.vocab.doc_cited_counts > 0)
         column = np.full(model.vocab.n_docs, -1, dtype=np.intp)
@@ -254,6 +255,15 @@ def _cited_panel(model: Model) -> tuple[np.ndarray, np.ndarray | None, np.ndarra
             return rows, _gather_panel(doc_out, rows), column, None
         return rows, None, column, _unit_rows(doc_out, rows)
     return _reused(model, "cited panel", build)
+
+
+def _cited_columns(column: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The columns of the documents ``docs`` among the cited ones
+    (``_cited_panel``'s ``column``), leaving out each document never
+    cited, and which of ``docs`` were cited."""
+    columns = column[docs]
+    kept = columns >= 0
+    return columns[kept], kept
 
 
 def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) -> RecommendationList:
@@ -283,8 +293,7 @@ def rank_i4o(model: Model, query_vector: np.ndarray, exclude=(), k: int = 10) ->
                           f"got {query.shape}")
     banned = _banned(model, exclude)
     rows, panel, column, unit_rows = _cited_panel(model)
-    banned = column[banned]
-    banned = banned[banned >= 0]
+    banned = _cited_columns(column, banned)[0]
     if panel is None:
         units, norms = unit_rows
         query_unit, query_norm = _unit_rows(query[None])
@@ -390,7 +399,7 @@ def _shortlist(approx: np.ndarray, slack, candidates: np.ndarray, k: int) -> np.
     a - h or tau - h is at most 2^-52 of the norms' product of the rows it
     comes from.  Neither bound depends on how BLAS orders or fuses the
     products.  ``evaluate`` compares with the same a' and h
-    (``evaluation._near_places`` proves its rule).
+    (``_near_places`` proves its rule).
 
     The ranges.  The bounds assume that nothing overflows and that
     underflow costs little.  They hold for rows with s in ``_SAFE_SQUARES``
@@ -443,6 +452,168 @@ def _exact_dots(matrix: np.ndarray, vector: np.ndarray, rows=None, panel=None) -
         head, start = int(np.searchsorted(rows, tail)), max(tail - PAD_ROWS, 0)
         dots[head:] = (matrix[start:] @ vector)[rows[head:] - start]
     return dots
+
+
+def _score_block(panel: np.ndarray, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``block @ panel[:n].T`` into ``out``, n being its column count and
+    ``panel`` zero-padded to a multiple of ``PAD_ROWS`` rows
+    (``_gather_panel``): one product per ``BLOCK_ROWS`` slice.
+
+    A row's scores come out in the same bits whatever the other rows of
+    ``block`` hold and wherever it sits, and a document's whatever slice it
+    lands in: BLAS rounds the rows past its kernel's last full tile in ways
+    that depend on their neighbours, and the padding keeps every document
+    and query out of that tail.
+    """
+    n = out.shape[1]
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        out[:, start:stop] = (block @ panel[start : start + BLOCK_ROWS].T)[:, : stop - start]
+    return out
+
+
+def _places(scores, target_columns, candidate, id_rank) -> np.ndarray:
+    """The place of each row's target, ``scores[r, target_columns[r]]``, in
+    ``_top_k``'s order: how many of the row's entries that ``candidate``
+    marks come before it.  The order is +inf, finite scores descending,
+    -inf, then NaN, ties by doc id; ``id_rank()`` gives each column's place
+    in the order of the ids, and is called only for a block with a tie or a
+    NaN target."""
+    target = scores[np.arange(scores.shape[0]), target_columns][:, None]
+    ahead = scores > target
+    if ((np.count_nonzero(scores == target, axis=1) > 1) | np.isnan(target[:, 0])).any():
+        rank = id_rank()
+        tied = (scores == target) | (np.isnan(scores) & np.isnan(target))
+        ahead |= np.isnan(target) & ~np.isnan(scores)
+        ahead |= tied & (rank < rank[target_columns, None])
+    return np.count_nonzero(ahead & candidate, axis=1)
+
+
+def _near_places(doc_out, cited, unit_rows, block, target_columns, banned, k, id_rank) -> np.ndarray:
+    """``_places`` of the first ``target_columns.size`` queries of
+    ``block``, each against the cited rows ``doc_out[cited]``
+    (``_score_block``) with its target at column ``target_columns[r]`` and
+    the flat indices ``banned`` of its rows excluded, through the float32
+    filter of those rows' unit rows and norms ``unit_rows``
+    (``_unit_rows``).  A place of k or more may come back as any
+    count of k or more.
+
+    The targets' exact scores t come first, from one ``_score_block`` over
+    their rows: the same bits whichever rows are gathered.  A candidate's
+    float32 cosine c with the query, of norm q, then places it: c - t/(n·q)
+    above ``_slack32(dim)``, n being its row's norm, means its exact score is
+    surely above t, below minus that surely below.  Only the candidates in
+    between, among them every row and every query that is NaN in its copy
+    and any compared with a NaN, are scored exactly, by one
+    ``_score_block`` over their rows and the targets', and counted by
+    ``_places``; a query with k or more surely ahead is a miss, and none of
+    its candidates is scored.
+
+    The proof, in ``_shortlist``'s terms (a', B, U, u, s, q and
+    the room).  A candidate's exact score e is compared with t, the same
+    bits whichever rows are scored with it: a - h > t and a + h < t, divided
+    by the positive sqrt(s)·q.  Per query, q is the norm of ``_unit_rows``,
+    a' one float32 product of the block's unit queries p with the unit
+    rows, and g = a' - fl(fl(t / q)·fl(1 / sqrt(s))); the candidate is
+    surely ahead when g > h' and surely behind when g < -h',
+    h' = ``_slack32(n)``.  Write P = sqrt(s)·q and theta = t / P, taken
+    exactly.  P·a' is within (B + 2·gamma(U) + 8U)·|x|·|v| of e, as
+    rank_i4o's a is, so e > t once a' - theta exceeds
+    B'' = (B + 2·gamma(U) + 8U) / (1 - gamma(U) - 4U), and e < t once it is
+    below -B''; h' is above B'' by more than 0.005·(n + 2)·u.  g's four
+    roundings put it within 4.01U·(|theta| + |g|) of a' - theta, and
+    |theta| is at most |a'| + |a' - theta| with |a'| below 1.01: where g is
+    near ±h' that is about 9U, paid out of the room, and far from it the
+    error, relative, cannot change g's side.  A target row and a query both
+    finite in their copies give |t / q| below about 2^450 and |theta| below
+    about 2^900: nothing overflows, and an underflow errs by at most 2^-624
+    in theta.  Any other target row may give any t: where t / q or the
+    product overflows, |theta| is above 2^570 and g's infinite sign is the
+    true side, and a NaN g is on neither side.  A row or a query that is
+    NaN in its copy makes a' NaN, and so g: the candidate is on neither
+    side and is scored exactly.
+    """
+    n_queries, dim = target_columns.size, block.shape[1]
+    units, row_norms = unit_rows
+    queries = block[:n_queries]
+    every = np.arange(n_queries)
+    target = _score_block(_gather_panel(doc_out, cited[target_columns]), block,
+                          np.empty((EVAL_BATCH, n_queries)))[every, every]
+    slack = _slack32(dim)
+    ahead = np.empty((n_queries, units.shape[0]), dtype=bool)
+    below = np.empty_like(ahead)
+    # each slice's gaps take the bytes of BLOCK_ROWS rows of the panel
+    step = BLOCK_ROWS * dim // EVAL_BATCH
+    gaps = np.empty((n_queries, step))
+    with np.errstate(all="ignore"):  # queries and rows out of range, non-finite targets: NaN gaps
+        unit_queries, norms = _unit_rows(queries)
+        ratio = target / norms
+        inverse = 1.0 / row_norms
+        for start in range(0, units.shape[0], step):
+            rows = slice(start, start + step)
+            gap = gaps[:, : units[rows].shape[0]]
+            np.multiply(ratio[:, None], inverse[rows], out=gap)
+            np.subtract((units[rows] @ unit_queries.T).T, gap, out=gap)
+            np.greater(gap, slack, out=ahead[:, rows])
+            np.less(gap, -slack, out=below[:, rows])
+    ahead.flat[banned] = False
+    below.flat[banned] = True
+    sure = np.array([np.count_nonzero(row) for row in ahead])
+    below |= ahead
+    below[sure >= k] = True
+    near_rows, near_columns = np.divmod(np.flatnonzero(~below), units.shape[0])
+    columns = np.unique(np.concatenate((near_columns, target_columns)))
+    scores = _score_block(_gather_panel(doc_out, cited[columns]), block,
+                          np.empty((EVAL_BATCH, columns.size)))
+    candidate = np.zeros((n_queries, columns.size), dtype=bool)
+    candidate[near_rows, np.searchsorted(columns, near_columns)] = True
+    return sure + _places(scores[:n_queries], np.searchsorted(columns, target_columns),
+                          candidate, lambda: id_rank()[columns])
+
+
+def _cited_places(model: Model, usable, queries, targets, owners, excluded, k: int) -> np.ndarray:
+    """``evaluate``'s ranking: each held-out citation's place among the
+    cited documents in ``_top_k``'s order, k or more for a miss.  Citation
+    r has the query ``queries[r]`` (usable where ``usable[r]``) and target
+    ``targets[r]``, and excludes each ``excluded[i]`` whose ``owners[i]`` is
+    r; an unusable query, or a target never cited or excluded, misses
+    unscored.  The rest are scored ``EVAL_BATCH`` at a time, a small panel
+    whole (``_score_block``) and a large one through its filter
+    (``_near_places``), and counted (``_places``)."""
+    cited, panel, column, unit_rows = _cited_panel(model)
+    # the usable queries whose target was cited and is not excluded
+    blocked = np.zeros(targets.size, dtype=bool)
+    blocked[owners[excluded == targets[owners]]] = True
+    found = np.flatnonzero(usable & (column[targets] >= 0) & ~blocked)
+    # their excluded entries, as flat indices into their rows of scores
+    at = np.full(targets.size, -1, dtype=np.intp)
+    at[found] = np.arange(found.size)
+    columns, kept = _cited_columns(column, excluded)
+    rows = at[owners[kept]]
+    banned = np.sort((rows * cited.size + columns)[rows >= 0])
+    bounds = np.searchsorted(banned, np.arange(0, found.size + EVAL_BATCH, EVAL_BATCH) * cited.size)
+
+    def id_rank():  # each cited doc's place in the order of the ids, derived on first need
+        return _reused(model, "cited id rank", lambda: np.argsort(
+            np.argsort(np.array(model.vocab.doc_list, dtype=object)[cited])))
+
+    block = np.empty((EVAL_BATCH, model.matrices.dim))
+    places = np.full(targets.size, k, dtype=np.intp)
+    for start, lo, hi in zip(range(0, found.size, EVAL_BATCH), bounds.tolist(), bounds[1:].tolist()):
+        here = found[start : start + EVAL_BATCH]
+        block[: here.size] = queries[here]
+        block[here.size :] = 0.0
+        target_columns = column[targets[here]]
+        banned_here = banned[lo:hi] - start * cited.size
+        if panel is None:
+            places[here] = _near_places(model.matrices.doc_out, cited, unit_rows, block,
+                                        target_columns, banned_here, k, id_rank)
+        else:
+            scores = _score_block(panel, block, np.empty((EVAL_BATCH, cited.size)))
+            candidate = np.ones((here.size, cited.size), dtype=bool)
+            candidate.flat[banned_here] = False
+            places[here] = _places(scores[: here.size], target_columns, candidate, id_rank)
+    return places
 
 
 def rank_i4i(model: Model, context_words, exclude=(), k: int = 10) -> RecommendationList:

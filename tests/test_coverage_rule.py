@@ -1,8 +1,16 @@
-"""The float32 filters' coverage rule lives in one place: ``_SAFE_SQUARES``
-and ``_MAX_DIM32`` are read only inside ``recommend._unit_rows``, which
-writes NaN into the float32 copy for every row and query they do not
-cover.  Every other function reads coverage off that NaN, so no second
-form of the rule, and no mask made from it, can come back unseen.
+"""Two rules of the ranking code, each kept in one place.
+
+The float32 filters' coverage rule: ``_SAFE_SQUARES`` and ``_MAX_DIM32``
+are read only inside ``recommend._unit_rows``, which writes NaN into the
+float32 copy for every row and query they do not cover.  Every other
+function reads coverage off that NaN, so no second form of the rule, and
+no mask made from it, can come back unseen.
+
+The cited candidates' module boundary: how the cited rows are kept,
+filtered and scored, for ``rank_i4o`` and ``evaluate`` alike, is read only
+in ``recommend``.  ``evaluate`` asks ``recommend._cited_places`` for each
+target's place, so no second module knows the panel's forms, the filters,
+their proofs or the padding rule.
 
 A name counts as read where it occurs in the package's code as a loaded
 name, an attribute or an imported name; the module-level statement that
@@ -16,10 +24,15 @@ import citevec
 
 SRC = Path(citevec.__file__).parent
 RULE = {"_SAFE_SQUARES", "_MAX_DIM32"}
+# what only recommend reads: the cited panel, both filters, their proofs'
+# functions, the exact steps and their constants
+RANKING = {"_cited_panel", "_gather_panel", "_unit_rows", "_slack32", "_shortlist", "_exact_dots",
+           "_score_block", "_near_places", "_places", "BLOCK_ROWS", "PAD_ROWS", "EVAL_BATCH",
+           "_FILTER_ENTRIES"}
 
 
-def reads(sources: dict[str, str]) -> list[tuple[str, str]]:
-    """``(where, name)`` for every read of a name in ``RULE`` in the
+def reads(sources: dict[str, str], names) -> list[tuple[str, str]]:
+    """``(where, name)`` for every read of a name in ``names`` in the
     modules ``sources`` (module name to its code): where is
     ``module.function``, ``module`` at module level, nested functions and
     classes joined by dots."""
@@ -35,7 +48,7 @@ def reads(sources: dict[str, str]) -> list[tuple[str, str]]:
                 name = child.name
             else:
                 name = None
-            if name in RULE:
+            if name in names:
                 found.append((where, name))
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 walk(child, f"{where}.{child.name}")
@@ -47,10 +60,13 @@ def reads(sources: dict[str, str]) -> list[tuple[str, str]]:
     return found
 
 
+def package() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+
+
 class TestOneCoverageRule:
     def test_only_unit_rows_reads_the_rule(self):
-        found = reads({path.stem: path.read_text(encoding="utf-8")
-                       for path in sorted(SRC.glob("*.py"))})
+        found = reads(package(), RULE)
         assert {name for _, name in found} == RULE, "a constant of the rule is gone or renamed"
         assert {where for where, _ in found} == {"recommend._unit_rows"}
 
@@ -62,6 +78,19 @@ class TestOneCoverageRule:
                 "LIMIT = _SAFE_SQUARES\n"
                 "def f(m):\n    return m._SAFE_SQUARES\n"
                 "class C:\n    def g(self):\n        return _MAX_DIM32\n")
-        assert reads({"evaluation": code}) == [
+        assert reads({"evaluation": code}, RULE) == [
             ("evaluation", "_MAX_DIM32"), ("evaluation", "_SAFE_SQUARES"),
             ("evaluation.f", "_SAFE_SQUARES"), ("evaluation.C.g", "_MAX_DIM32")]
+
+
+class TestOneRankingModule:
+    def test_only_recommend_reads_the_cited_panel_and_the_filters(self):
+        found = reads(package(), RANKING)
+        assert {name for _, name in found} == RANKING, "a name of the boundary is gone or renamed"
+        assert {where.split(".")[0] for where, _ in found} == {"recommend"}
+
+    def test_an_import_back_into_evaluation_is_found(self):
+        """Any one of the names, imported into evaluation, is a read there."""
+        for name in sorted(RANKING):
+            code = f"from .recommend import CASES, {name}, rank_i4o\n"
+            assert reads({"evaluation": code}, RANKING) == [("evaluation", name)]

@@ -11,7 +11,10 @@ whose receiver resolves to ``C``: ``self`` inside ``C``, or a name in
 counts only for a method whose name is not shared: no other function,
 class, field or method in the package bears it, and none of the
 ``SHARED_TYPES`` has it (``copy``, ``values``, ``take``).  Dunder methods
-are called by Python itself and are not checked.
+are called by Python itself and are not checked here; a test of what
+Python calls one for covers it, as ``test_recommend``'s
+``test_pickles_and_deep_copies_leave_derived_arrays_out`` covers
+``Model.__getstate__``.
 """
 
 import ast

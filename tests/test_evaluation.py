@@ -19,19 +19,18 @@ import pytest
 from citevec.corpus import CitationRelation, parse_corpus, resolve_ground_truth
 from citevec.errors import ConfigError, QueryError
 from citevec.evaluation import (
-    EVAL_BATCH,
     AblationRow,
     MetricReport,
-    _places,
     _pool_queries,
-    _score_block,
     _thinning_draws,
     ablation_report,
     evaluate,
     format_ablation,
 )
 from citevec.model import EmbeddingConfig, init_model
-from citevec.recommend import BLOCK_ROWS, Query, _gather_panel, build_query_vector, rank_i4o
+from citevec.recommend import (
+    BLOCK_ROWS, EVAL_BATCH, Query, _gather_panel, _places, _score_block, build_query_vector,
+    rank_i4o)
 from citevec.relations import _relation_table
 
 from reference import place_reference, thinned_reference, thinning_draws_reference
@@ -527,9 +526,9 @@ class TestFilteredEvaluate:
             scored.append(np.count_nonzero(candidate, axis=1))
             return real_places(scores, target_columns, candidate, id_rank)
 
-        real_near_places, real_places = evaluation_module._near_places, evaluation_module._places
-        monkeypatch.setattr(evaluation_module, "_near_places", near_places)
-        monkeypatch.setattr(evaluation_module, "_places", places)
+        real_near_places, real_places = recommend_module._near_places, recommend_module._places
+        monkeypatch.setattr(recommend_module, "_near_places", near_places)
+        monkeypatch.setattr(recommend_module, "_places", places)
         oracle_places = []
         with np.errstate(all="ignore"):
             for (case, k), report in zip(cases, reports):
@@ -663,18 +662,18 @@ class TestFilteredEvaluate:
         loaded = reloaded(model)
         exact = writable(model)
         truth = random_relations(rng, n_docs, 20, n_usable=EVAL_BATCH + 3, n_empty=1)
-        gathered = []
+        gathered, real_gather_panel = [], recommend_module._gather_panel
 
         def gather_panel(matrix, rows):
             gathered.append(rows.size)
-            return recommend_module._gather_panel(matrix, rows)
+            return real_gather_panel(matrix, rows)
 
         for case, k in itertools.product((1, 2, 3), (1, 10, 100)):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(recommend_module, "_FILTER_ENTRIES", math.inf)
                 expected = evaluate(exact, truth, case=case, k=k)
             with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(evaluation_module, "_gather_panel", gather_panel)
+                patch.setattr(recommend_module, "_gather_panel", gather_panel)
                 for ranker in (model, loaded):
                     assert evaluate(ranker, truth, case=case, k=k) == expected, (case, k)
         assert recommend_module._cited_panel(exact)[3] is None

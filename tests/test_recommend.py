@@ -1290,17 +1290,24 @@ class TestLoadedModelReuse:
             return real_noise_table(*args)
 
         def gather(matrix, rows):
-            calls.append("doc_out panel" if matrix is model.matrices.doc_out else "doc_in panel")
+            if evaluating:
+                assert matrix is model.matrices.doc_out
+                calls.append("evaluate's rows")
+            else:
+                calls.append("doc_out panel" if matrix is model.matrices.doc_out else "doc_in panel")
             return real_gather(matrix, rows)
 
-        def evaluate_gather(matrix, rows):
-            assert matrix is model.matrices.doc_out
-            calls.append("evaluate's rows")
-            return real_gather(matrix, rows)
+        def cited_places(*args):
+            evaluating.append(True)
+            try:
+                return real_cited_places(*args)
+            finally:
+                evaluating.clear()
 
-        real_gather = recommend_module._gather_panel
+        evaluating = []
+        real_gather, real_cited_places = recommend_module._gather_panel, evaluation_module._cited_places
         monkeypatch.setattr(recommend_module, "_gather_panel", gather)
-        monkeypatch.setattr(evaluation_module, "_gather_panel", evaluate_gather)
+        monkeypatch.setattr(evaluation_module, "_cited_places", cited_places)
         monkeypatch.setattr(recommend_module, "_FILTER_ENTRIES", 0)
         real_unit_rows, real_noise_table = recommend_module._unit_rows, train_module._noise_table
         monkeypatch.setattr(recommend_module, "_unit_rows", unit_rows)
